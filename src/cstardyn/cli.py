@@ -12,11 +12,19 @@ import argparse
 import json
 import sys
 import time
+from contextlib import contextmanager
 
 from . import serialize
 from .cocycle import verify_cocycle
 from .core import DEFAULT_TOL
-from .crossed import build_reduced, induced_map, is_completely_positive, regular_covariant, verify_covariant
+from .crossed import (
+    CovariantRep,
+    build_reduced,
+    induced_map,
+    is_completely_positive,
+    regular_covariant,
+    verify_covariant,
+)
 from .cyclic_examples import (
     matrix_unit_family,
     omega_system,
@@ -54,9 +62,34 @@ def _load_payload(args) -> dict:
     else:
         raise PayloadError("a payload is required (--system FILE or --inline JSON)")
     try:
-        return json.loads(text)
+        payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise PayloadError(f"malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    if not isinstance(payload, dict):
+        raise PayloadError("the payload must be a JSON object")
+    return payload
+
+
+@contextmanager
+def _decoding():
+    """Report a payload whose entries have the wrong JSON types or lengths as
+    a payload error.  Only decoding runs under this: the same exceptions
+    raised by a verification are bugs and must not turn into exit 2."""
+    try:
+        yield
+    except (TypeError, IndexError, AttributeError) as exc:
+        raise PayloadError(f"invalid payload: {type(exc).__name__}: {exc}") from exc
+
+
+def _covariant_from_json(cov, system):
+    if cov == "regular":
+        return regular_covariant(system)
+    if not isinstance(cov, dict):
+        raise PayloadError("'covariant' must be \"regular\" or an object with dim, pi and u")
+    dim = int(cov["dim"])
+    pi = tuple(serialize.matrix_from_json(m, dim, dim) for m in cov["pi"])
+    u = tuple(serialize.matrix_from_json(m, dim, dim) for m in cov["u"])
+    return CovariantRep(system, dim, pi, u)
 
 
 def _emit(report: dict, args, started: float) -> None:
@@ -78,37 +111,26 @@ def cmd_verify(args) -> int:
     payload = _load_payload(args)
     if "system" not in payload:
         raise PayloadError("payload must carry a 'system' entry")
-    system = serialize.system_from_json(payload["system"])
-    checks = []
-    ran_any = False
-    if "equivariant_rep" in payload:
-        rep = serialize.rep_from_json(payload["equivariant_rep"], system)
-        report = verify_equivariant(rep, args.tol)
-        checks.extend({"target": "equivariant_rep", **c} for c in report.as_dict()["checks"])
-        ran_any = True
-    if "cocycle" in payload:
-        c = serialize.cocycle_from_json(payload["cocycle"], system)
-        report = verify_cocycle(c, args.tol)
-        checks.extend({"target": "cocycle", **c2} for c2 in report.as_dict()["checks"])
-        ran_any = True
-    if "covariant" in payload:
-        cov = payload["covariant"]
-        if cov == "regular":
-            rep = regular_covariant(system)
-        else:
-            from .crossed import CovariantRep
-
-            dim = int(cov["dim"])
-            pi = tuple(serialize.matrix_from_json(m, dim, dim) for m in cov["pi"])
-            u = tuple(serialize.matrix_from_json(m, dim, dim) for m in cov["u"])
-            rep = CovariantRep(system, dim, pi, u)
-        report = verify_covariant(rep, args.tol)
-        checks.extend({"target": "covariant", **c} for c in report.as_dict()["checks"])
-        ran_any = True
-    if not ran_any:
+    targets = []  # (report target, verifier, decoded object); all decoded before any check runs
+    with _decoding():
+        system = serialize.system_from_json(payload["system"])
+        if "equivariant_rep" in payload:
+            rep = serialize.rep_from_json(payload["equivariant_rep"], system)
+            targets.append(("equivariant_rep", verify_equivariant, rep))
+        if "cocycle" in payload:
+            cocycle = serialize.cocycle_from_json(payload["cocycle"], system)
+            targets.append(("cocycle", verify_cocycle, cocycle))
+        if "covariant" in payload:
+            covariant = _covariant_from_json(payload["covariant"], system)
+            targets.append(("covariant", verify_covariant, covariant))
+    if not targets:
         raise PayloadError(
             "payload has nothing to verify: supply equivariant_rep, cocycle or covariant"
         )
+    checks = []
+    for target, verify, obj in targets:
+        report = verify(obj, args.tol)
+        checks.extend({"target": target, **c} for c in report.as_dict()["checks"])
     passed = all(c["passed"] for c in checks)
     report = {
         "command": "verify",
@@ -232,8 +254,9 @@ def cmd_pd(args) -> int:
     payload = _load_payload(args)
     if "system" not in payload or "multiplier" not in payload:
         raise PayloadError("payload must carry 'system' and 'multiplier'")
-    system = serialize.system_from_json(payload["system"])
-    t = serialize.multiplier_from_json(payload["multiplier"], system)
+    with _decoding():
+        system = serialize.system_from_json(payload["system"])
+        t = serialize.multiplier_from_json(payload["multiplier"], system)
     cert = is_positive_definite(t, args.tol)
     oracle = pd_sample_oracle(t, trials=args.trials, seed=args.seed, tol=args.tol)
     rcp = build_reduced(system, args.tol)

@@ -6,7 +6,7 @@ dimension n * |G| with basis Lambda(e_j . delta_g).  For a finite group the
 image of the integrated form is the reduced crossed product, and amenability
 collapses the full/reduced distinction, so this one object serves both.
 Multipliers act on it through their induced maps, whose complete positivity
-is certified by a single basis-gram check.
+is certified by a basis-gram check that splits into independent blocks.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import DEFAULT_TOL, System, act_on_algebra
 from .multiplier import Multiplier, PdCertificate
-from .numutil import max_abs, matrix_rank, null_space
+from .numutil import max_abs, null_space
 from .reporting import CheckReport
 
 
@@ -152,7 +152,8 @@ def integrated_form(rep: CovariantRep, f: np.ndarray) -> np.ndarray:
     f = np.asarray(f, dtype=complex).reshape(sys_.group.order, sys_.n_points)
     out = np.zeros((rep.dim, rep.dim), dtype=complex)
     for g in sys_.group.elements():
-        out += rep.pi(f[g]) @ rep.u_mats[g]
+        if f[g].any():  # a zero coefficient adds an exact zero
+            out += rep.pi(f[g]) @ rep.u_mats[g]
     return out
 
 
@@ -160,10 +161,15 @@ def integrated_form(rep: CovariantRep, f: np.ndarray) -> np.ndarray:
 class ReducedCrossedProduct:
     """Concrete realization with basis b[g * n + j] = Lambda(e_j . delta_g).
 
-    ``mult_table[a, b]`` holds the coordinates of the product of two basis
-    elements, ``adjoint_table[a]`` those of an adjoint; ``gram_coords`` caches
-    the coordinates of all basis products b_a^* b_b for the complete
-    positivity check.
+    Every basis element is a 0/1 partial monomial matrix, and the algebra is
+    closed form: b[g,j] b[h,k] = delta(j, g.k) b[gh, j] and
+    b[g,j]^* = b[g^-1, g^-1.j].  ``mult_table[a, b]`` holds the (one-hot)
+    coordinates of the product of two basis elements, ``adjoint_table[a]``
+    those of an adjoint and ``gram_coords[a, b]`` those of b_a^* b_b.  The
+    same facts as integers: ``gram_index[a, b]`` is the basis index of
+    b_a^* b_b, or -1 where that product is zero, and ``col_map[a, r]`` is
+    the column of the nonzero entry in row r of b_a, or -1 where the row is
+    zero.
     """
 
     system: System
@@ -172,7 +178,8 @@ class ReducedCrossedProduct:
     mult_table: np.ndarray       # (N, N, N)
     adjoint_table: np.ndarray    # (N, N)
     gram_coords: np.ndarray      # (N, N, N)
-    _solver: np.ndarray          # pseudoinverse of the flattened basis
+    gram_index: np.ndarray       # (N, N) integer
+    col_map: np.ndarray          # (N, D) integer
 
     @property
     def dim(self) -> int:
@@ -189,12 +196,45 @@ class ReducedCrossedProduct:
         return np.tensordot(np.asarray(coords, dtype=complex), self.basis, axes=1)
 
 
+def _one_hot(index: np.ndarray, size: int) -> np.ndarray:
+    """Coordinates of the basis elements named by index; zero where it is -1."""
+    out = np.zeros(index.shape + (size,), dtype=complex)
+    hit = index >= 0
+    out[hit, index[hit]] = 1.0
+    return out
+
+
+def _check_closure(col_map: np.ndarray, mult_index: np.ndarray, adjoint_index: np.ndarray) -> None:
+    """Raise NotInAlgebraError unless composing the row -> column maps of the
+    basis gives the tabulated products, and transposing them the tabulated
+    adjoints.  Two different 0/1 matrices differ by 1 in some entry, which is
+    the residual reported."""
+    N, d = col_map.shape
+    # maps padded with a -1 row and column, so that index -1 reads "zero row"
+    maps = np.full((N + 1, d + 1), -1, dtype=np.intp)
+    maps[:N, :d] = col_map
+    # row r of b_a b_b is row col_map[a, r] of b_b
+    products = maps[np.arange(N)[None, :, None], col_map[:, None, :]]
+    if not np.array_equal(products, maps[mult_index, :d]):
+        raise NotInAlgebraError(1.0)
+    transposes = np.full((N, d), -1, dtype=np.intp)
+    a_idx, r_idx = np.nonzero(col_map >= 0)
+    transposes[a_idx, col_map[a_idx, r_idx]] = r_idx
+    if not np.array_equal(transposes, col_map[adjoint_index]):
+        raise NotInAlgebraError(1.0)
+
+
 def build_reduced(system: System, tol: float = DEFAULT_TOL) -> ReducedCrossedProduct:
     """Assemble the reduced crossed product: basis, structure constants,
-    adjoints, and the cached product coordinates.
+    adjoints, and the coordinates of all basis products b_a^* b_b.
 
-    Verifies linear independence of the basis and closure of products and
-    adjoints within tolerance.
+    The basis is the integrated form of the regular covariant representation;
+    the tables come from the closed forms.  Each is checked against the other
+    exactly, in integer arithmetic: the basis matrices must be 0/1 partial
+    monomial matrices with nonempty, pairwise disjoint supports (so they are
+    linearly independent), and composing their row -> column maps must give
+    the tabulated products and adjoints.  ``tol`` is accepted for signature
+    compatibility; nothing here rounds.
     """
     rep = regular_covariant(system)
     n, order, d = system.n_points, system.group.order, rep.dim
@@ -206,48 +246,52 @@ def build_reduced(system: System, tol: float = DEFAULT_TOL) -> ReducedCrossedPro
             a[j] = 1.0
             basis[g * n + j] = integrated_form(rep, delta_function(system, g, a))
 
-    flat = basis.reshape(N, d * d)
-    if matrix_rank(flat, tol) != N:
+    support = basis != 0
+    if not np.all(basis[support] == 1) or support.sum(axis=2).max() > 1 or support.sum(axis=1).max() > 1:
+        raise ArithmeticError("integrated-form basis is not made of 0/1 partial monomial matrices")
+    if not support.any(axis=(1, 2)).all() or support.sum(axis=0).max() > 1:
         raise ArithmeticError("integrated-form basis is linearly dependent")
-    solver = np.linalg.pinv(flat)
+    col_map = np.where(support.any(axis=2), support.argmax(axis=2), -1)
 
-    def coords_of(mat: np.ndarray) -> np.ndarray:
-        c = mat.reshape(d * d) @ solver
-        residual = max_abs(mat.reshape(d * d) - c @ flat)
-        if residual > tol * (1.0 + max_abs(mat)):
-            raise NotInAlgebraError(residual)
-        return c
+    # a = g * n + j and b = h * n + k
+    g, j = np.divmod(np.arange(N), n)
+    mult, inv, perm = system.group.mult, system.group.inverse, system.action.perm
+    mult_index = np.where(
+        perm[g[:, None], j[None, :]] == j[:, None], mult[g[:, None], g[None, :]] * n + j[:, None], -1
+    )
+    adjoint_index = inv[g] * n + perm[inv[g], j]
+    gram_index = mult_index[adjoint_index]
 
-    mult_table = np.empty((N, N, N), dtype=complex)
-    for a in range(N):
-        for b in range(N):
-            mult_table[a, b] = coords_of(basis[a] @ basis[b])
-    adjoint_table = np.empty((N, N), dtype=complex)
-    for a in range(N):
-        adjoint_table[a] = coords_of(basis[a].conj().T)
-
-    gram_coords = np.empty((N, N, N), dtype=complex)
-    for a in range(N):
-        star = np.tensordot(adjoint_table[a], basis, axes=1)
-        for b in range(N):
-            gram_coords[a, b] = coords_of(star @ basis[b])
-
-    return ReducedCrossedProduct(system, rep, basis, mult_table, adjoint_table, gram_coords, solver)
+    _check_closure(col_map, mult_index, adjoint_index)
+    return ReducedCrossedProduct(
+        system,
+        rep,
+        basis,
+        _one_hot(mult_index, N),
+        _one_hot(adjoint_index, N),
+        _one_hot(gram_index, N),
+        gram_index,
+        col_map,
+    )
 
 
 def fourier_coefficients(rcp: ReducedCrossedProduct, m: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Recover f with Lambda(f) = m by solving in the basis; the conditional
-    expectation onto each group coordinate.  Raises NotInAlgebraError when the
-    matrix does not lie in the span."""
+    """Recover f with Lambda(f) = m; the conditional expectation onto each
+    group coordinate.  The basis supports are disjoint, so the least-squares
+    coordinate of b_a is the mean of m over its support.  Raises
+    NotInAlgebraError when the matrix does not lie in the span."""
     d = rcp.ambient_dim
     m = np.asarray(m, dtype=complex).reshape(d, d)
-    coords = m.reshape(d * d) @ rcp._solver
-    flat = rcp.basis.reshape(rcp.dim, d * d)
-    residual = max_abs(m.reshape(d * d) - coords @ flat)
+    hit = rcp.col_map >= 0
+    entries = np.where(hit, m[np.arange(d)[None, :], rcp.col_map], 0.0)
+    coords = entries.sum(axis=1) / hit.sum(axis=1)
+    a_idx, r_idx = np.nonzero(hit)
+    recon = np.zeros((d, d), dtype=complex)
+    recon[r_idx, rcp.col_map[a_idx, r_idx]] = coords[a_idx]
+    residual = max_abs(m - recon)
     if residual > tol * (1.0 + max_abs(m)):
         raise NotInAlgebraError(residual)
-    n = rcp.system.n_points
-    return coords.reshape(rcp.system.group.order, n)
+    return coords.reshape(rcp.system.group.order, rcp.system.n_points)
 
 
 def induced_map(rcp: ReducedCrossedProduct, t: Multiplier) -> np.ndarray:
@@ -265,10 +309,27 @@ def induced_map(rcp: ReducedCrossedProduct, t: Multiplier) -> np.ndarray:
     return phi
 
 
-def apply_induced(rcp: ReducedCrossedProduct, phi: np.ndarray, m: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Apply a coordinate map to an algebra element given as an ambient matrix."""
-    coords = fourier_coefficients(rcp, m, tol).reshape(rcp.dim)
-    return rcp.from_coords(np.asarray(phi, dtype=complex) @ coords)
+def _components(size: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Label every node 0..size-1 by the smallest node of its connected
+    component under the undirected edges (rows[i], cols[i]).
+
+    Union-find in whole-array steps: compress every node onto its root, then
+    hook the larger root of each edge whose ends differ onto the smaller.
+    Roots only ever point to smaller roots, so the forest stays acyclic and
+    each root is the minimum of its tree.
+    """
+    parent = np.arange(size)
+    while True:
+        while True:
+            grand = parent[parent]
+            if np.array_equal(grand, parent):
+                break
+            parent = grand
+        pr, pc = parent[rows], parent[cols]
+        differ = pr != pc
+        if not differ.any():
+            return parent
+        np.minimum.at(parent, np.maximum(pr[differ], pc[differ]), np.minimum(pr[differ], pc[differ]))
 
 
 def is_completely_positive(
@@ -276,31 +337,73 @@ def is_completely_positive(
 ) -> PdCertificate:
     """Complete positivity of a coordinate map on the algebra.
 
-    Builds the block matrix [phi(b_a^* b_b)] over the full basis, represented
-    in the ambient (faithful) representation, and tests it PSD; positivity of
-    [phi(x_i^* x_j)] for arbitrary tuples follows by congruence with the
-    coefficient matrix of the x_i in the basis.
+    Tests the block matrix H = [phi(b_a^* b_b)] over the full basis, each
+    block represented in the ambient (faithful) representation, for PSD;
+    positivity of [phi(x_i^* x_j)] for arbitrary tuples follows by congruence
+    with the coefficient matrix of the x_i in the basis.
+
+    H is assembled sparsely from the exact tables: block (a, b) vanishes
+    where b_a^* b_b = 0 and otherwise, with q = gram_index[a, b], holds
+    phi[c, q] at (r, col_map[c, r]) for each basis element c and row r of
+    its support.  Ordering the index set by the connected components of the
+    symmetrized nonzero pattern is a permutation that makes H block
+    diagonal, so H is PSD exactly when every component block is, and each
+    block gets its own ``eigh``.  Entries outside the blocks are zero on
+    both sides, so the scale, the Hermitian defect and the verdict are those
+    of the dense matrix.  On failure the eigenvector of the worst block is
+    returned embedded in the full N * D index space.
     """
     N = rcp.dim
     D = rcp.ambient_dim
     phi = np.asarray(phi, dtype=complex)
     if phi.shape != (N, N):
         raise ValueError(f"coordinate map must be {N} x {N}")
-    big = np.empty((N * D, N * D), dtype=complex)
-    for a in range(N):
-        for b in range(N):
-            block = rcp.from_coords(phi @ rcp.gram_coords[a, b])
-            big[a * D : (a + 1) * D, b * D : (b + 1) * D] = block
-    scale = 1.0 + max_abs(big)
-    hd = max_abs(big - big.conj().T)
-    herm = (big + big.conj().T) / 2
-    lam, vecs = np.linalg.eigh(herm)
-    verdict = hd <= tol * scale and lam[0] >= -tol * scale
+
+    pa, pb = np.nonzero(rcp.gram_index >= 0)
+    q = rcp.gram_index[pa, pb]
+    c, p = np.nonzero(phi[:, q])
+    k, r = np.nonzero(rcp.col_map[c] >= 0)
+    rows = pa[p[k]] * D + r
+    cols = pb[p[k]] * D + rcp.col_map[c[k], r]
+    vals = phi[c, q[p]][k]
+
+    size = N * D
+    _, comp = np.unique(_components(size, rows, cols), return_inverse=True)
+    sizes = np.bincount(comp)
+    nodes = np.argsort(comp, kind="stable")
+    starts = np.cumsum(sizes) - sizes
+    local = np.empty(size, dtype=np.intp)
+    local[nodes] = np.arange(size) - np.repeat(starts, sizes)
+
+    scale = 1.0 + max_abs(vals)
+    hd = 0.0
+    lam_min, worst, worst_vec = np.inf, 0, None
+    entry_size = sizes[comp[rows]]
+    # components of one size are stacked into a single batched eigh call
+    for s in np.unique(sizes):
+        members = np.flatnonzero(sizes == s)
+        slot = np.full(len(sizes), -1, dtype=np.intp)
+        slot[members] = np.arange(len(members))
+        mine = entry_size == s
+        blocks = np.zeros((len(members), s, s), dtype=complex)
+        blocks[slot[comp[rows[mine]]], local[rows[mine]], local[cols[mine]]] = vals[mine]
+        adjoints = blocks.conj().transpose(0, 2, 1)
+        hd = max(hd, max_abs(blocks - adjoints))
+        lam, vecs = np.linalg.eigh((blocks + adjoints) / 2)
+        i = int(np.argmin(lam[:, 0]))
+        if lam[i, 0] < lam_min:
+            lam_min, worst, worst_vec = float(lam[i, 0]), members[i], vecs[i, :, 0]
+
+    verdict = hd <= tol * scale and lam_min >= -tol * scale
+    eigenvector = None
+    if not verdict:
+        eigenvector = np.zeros(size, dtype=complex)
+        eigenvector[nodes[starts[worst] : starts[worst] + sizes[worst]]] = worst_vec
     return PdCertificate(
         verdict=bool(verdict),
-        min_eigenvalue=float(lam[0]),
+        min_eigenvalue=lam_min,
         hermitian_defect=float(hd),
-        eigenvector=None if verdict else vecs[:, 0],
+        eigenvector=eigenvector,
     )
 
 

@@ -178,15 +178,3 @@ def module_payload_from_json(obj: dict, space: FiniteSpace):
     }
     return module, vectors
 
-
-def reduced_crossed_product_to_json(rcp) -> dict:
-    """Basis matrices plus structure constants and adjoint coordinates."""
-    return {
-        "system": system_to_json(rcp.system),
-        "basis": [matrix_to_json(rcp.basis[i]) for i in range(rcp.dim)],
-        "multTable": [
-            [vector_to_json(rcp.mult_table[a, b]) for b in range(rcp.dim)]
-            for a in range(rcp.dim)
-        ],
-        "adjointTable": [vector_to_json(rcp.adjoint_table[a]) for a in range(rcp.dim)],
-    }

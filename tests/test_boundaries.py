@@ -1,9 +1,10 @@
 """Degenerate and non-abelian paths: zero fibers, zero multipliers, S_3."""
 
 import numpy as np
+import pytest
 
 from cstardyn.crossed import build_reduced, induced_map, is_completely_positive
-from cstardyn.cyclic_examples import omega_example_rep, omega_system, sigma_system
+from cstardyn.cyclic_examples import omega_example_rep, omega_system, sigma_example_rep, sigma_system
 from cstardyn.equivrep import (
     EquivariantRep,
     fell_absorption_unitary,
@@ -15,9 +16,11 @@ from cstardyn.equivrep import (
 from cstardyn.generators import assorted_small_systems, random_equivariant_rep, random_vector
 from cstardyn.hilbmod import ModuleOperator, SectionalModule
 from cstardyn.multiplier import (
+    Multiplier,
     coefficient,
     is_positive_definite,
     multiplier_distance,
+    pd_sample_oracle,
     zero_multiplier,
 )
 
@@ -72,6 +75,21 @@ def test_nonabelian_system_end_to_end(rng):
     pd = is_positive_definite(t).verdict
     cp = is_completely_positive(rcp, induced_map(rcp, t)).verdict
     assert pd == cp
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_tri_agreement_on_large_shift_systems(n, rng):
+    # N * D = n^4: 2401 and 4096 rows in the complete-positivity matrix
+    rep = sigma_example_rep(n)
+    t = coefficient(rep, *(random_vector(rep.module, rng),) * 2)
+    rcp = build_reduced(rep.system)
+    for m, expected in ((t, True), (Multiplier(t.system, tuple(-x for x in t.mats)), False)):
+        verdicts = (
+            is_positive_definite(m).verdict,
+            pd_sample_oracle(m, trials=200, seed=n).verdict,
+            is_completely_positive(rcp, induced_map(rcp, m)).verdict,
+        )
+        assert verdicts == (expected,) * 3
 
 
 def test_trace_trivial_system_order_one():

@@ -74,6 +74,21 @@ class TestVerifyCommand:
         r = run_cli("frobnicate")
         assert r.returncode == 2
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"system": {"group": [], "space": 2}, "covariant": "regular"},
+            {"system": {"group": {"cyclic": 2}, "space": 2}, "covariant": "bogus"},
+            {"system": {"group": {"cyclic": 2}, "space": 2}, "covariant": {"dim": 4, "pi": 3, "u": []}},
+            [],
+        ],
+        ids=["group-list", "covariant-string", "covariant-pi-number", "payload-list"],
+    )
+    def test_mistyped_payload_exit_two(self, payload):
+        r = run_cli("verify", "--inline", json.dumps(payload))
+        assert r.returncode == 2
+        assert "Traceback" not in r.stderr and r.stdout == ""
+
 
 class TestExampleCommand:
     @pytest.mark.parametrize("name", ["omega_n", "sigma_n"])
@@ -145,6 +160,14 @@ class TestPdCommand:
         _, payload = flip_payload()
         r = run_cli("pd", "--inline", json.dumps(payload))
         assert r.returncode == 2
+
+    @pytest.mark.parametrize("multiplier", [[1, 2], {"0": 5, "1": 3}], ids=["list", "numbers"])
+    def test_mistyped_multiplier_exit_two(self, multiplier):
+        _, payload = flip_payload()
+        payload["multiplier"] = multiplier
+        r = run_cli("pd", "--inline", json.dumps(payload))
+        assert r.returncode == 2
+        assert "Traceback" not in r.stderr and r.stdout == ""
 
 
 class TestIngestionEquivalence:

@@ -17,7 +17,8 @@ from cstardyn.crossed import (
     verify_covariant,
 )
 from cstardyn.cyclic_examples import omega_system, sigma_system
-from cstardyn.generators import random_multiplier_suite, standard_systems
+import cstardyn.crossed as crossed
+from cstardyn.generators import assorted_small_systems, random_multiplier_suite, standard_systems
 from cstardyn.multiplier import (
     Multiplier,
     from_group_function,
@@ -48,6 +49,48 @@ def closure_dimension(generators: list[np.ndarray], tol: float = 1e-9) -> int:
         if new_rank == rank:
             return rank
         rank = new_rank
+
+
+def least_squares_coords(rcp, mats: np.ndarray) -> np.ndarray:
+    """Reference coordinates of ambient matrices in the basis, by the
+    pseudo-inverse of the flattened basis (the least-squares solution)."""
+    N, D = rcp.dim, rcp.ambient_dim
+    solver = np.linalg.pinv(rcp.basis.reshape(N, D * D))
+    return mats.reshape(-1, D * D) @ solver
+
+
+def dense_cp_matrix(rcp, phi: np.ndarray) -> np.ndarray:
+    """Reference assembly of the full (N*D)^2 matrix [phi(b_a^* b_b)]."""
+    N, D = rcp.dim, rcp.ambient_dim
+    big = np.empty((N * D, N * D), dtype=complex)
+    for a in range(N):
+        for b in range(N):
+            big[a * D : (a + 1) * D, b * D : (b + 1) * D] = rcp.from_coords(phi @ rcp.gram_coords[a, b])
+    return big
+
+
+def conjugation_map(rcp, w: np.ndarray) -> np.ndarray:
+    """Coordinate matrix of x -> w^* x w, completely positive and, for a
+    generic w, not block diagonal over the group."""
+    w_star = w.conj() @ rcp.adjoint_table
+    left = np.einsum("p,pqr->qr", w_star, rcp.mult_table)   # x -> w^* x
+    right = np.einsum("q,pqr->pr", w, rcp.mult_table)       # y -> y w
+    return (left @ right).T
+
+
+def center_dimension_from_orbits(system) -> int:
+    """Sum over the orbits of the number of conjugacy classes of a point
+    stabilizer: the dimension of the center of C(X) x| G."""
+    group, perm = system.group, system.action.perm
+    total, seen = 0, set()
+    for x in range(system.n_points):
+        if x in seen:
+            continue
+        seen.update(int(y) for y in perm[:, x])
+        stab = [g for g in group.elements() if perm[g, x] == x]
+        classes = {frozenset(group.mul(group.mul(h, k), group.inv(h)) for h in stab) for k in stab}
+        total += len(classes)
+    return total
 
 
 class TestRegularCovariant:
@@ -147,6 +190,74 @@ class TestBuildReduced:
             assert np.abs(lhs - rhs).max() <= 1e-12
 
 
+class TestExactTables:
+    @pytest.mark.parametrize("system", assorted_small_systems() + [sigma_system(4)])
+    def test_tables_match_least_squares_oracle(self, system):
+        rcp = build_reduced(system)
+        N, b = rcp.dim, rcp.basis
+        adjoints = b.conj().transpose(0, 2, 1)
+        mult = least_squares_coords(rcp, np.einsum("aij,bjk->abik", b, b)).reshape(N, N, N)
+        adj = least_squares_coords(rcp, adjoints)
+        gram = least_squares_coords(rcp, np.einsum("aij,bjk->abik", adjoints, b)).reshape(N, N, N)
+        assert np.abs(rcp.mult_table - mult).max() <= 1e-12
+        assert np.abs(rcp.adjoint_table - adj).max() <= 1e-12
+        assert np.abs(rcp.gram_coords - gram).max() <= 1e-12
+        assert np.array_equal(rcp.gram_index >= 0, np.abs(rcp.gram_coords).sum(axis=2) > 0)
+
+    @pytest.mark.parametrize("system", assorted_small_systems() + [sigma_system(4)])
+    def test_fourier_coefficients_are_least_squares(self, system, rng):
+        rcp = build_reduced(system)
+        D = rcp.ambient_dim
+        f = rng.normal(size=rcp.dim) + 1j * rng.normal(size=rcp.dim)
+        noise = 1e-12 * (rng.normal(size=(D, D)) + 1j * rng.normal(size=(D, D)))
+        m = rcp.from_coords(f) + noise
+        expected = least_squares_coords(rcp, m)[0]
+        assert np.abs(fourier_coefficients(rcp, m).reshape(-1) - expected).max() <= 1e-12
+
+    def test_center_dimension_from_orbits(self):
+        systems = assorted_small_systems()
+        counts = [center_dimension_from_orbits(s) for s in systems]
+        assert counts == [4, 1, 1, 1, 2, 12, 2]
+        assert [center_dimension(build_reduced(s)) for s in systems] == counts
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda m, f: 2.0 * m,                             # entries not 0/1
+            lambda m, f: 0.0 * m if f[1, 0] else m,           # one element vanishes
+            lambda m, f: m if f[0].any() else np.eye(len(m)),  # supports overlap
+        ],
+        ids=["scaled", "vanishing", "overlapping"],
+    )
+    def test_basis_checks_enforced(self, z3_cycle, monkeypatch, corrupt):
+        real = crossed.integrated_form
+        monkeypatch.setattr(crossed, "integrated_form", lambda rep, f: corrupt(real(rep, f), f))
+        with pytest.raises(ArithmeticError):
+            build_reduced(z3_cycle)
+
+    @pytest.mark.parametrize("table", ["mult", "adjoint"])
+    @pytest.mark.parametrize("entry", [(1, 2), (4, 0), (0, 8)])
+    def test_closure_check_catches_a_wrong_table_entry(self, z3_cycle, table, entry):
+        rcp = build_reduced(z3_cycle)
+        mult = np.where(rcp.mult_table.any(axis=2), rcp.mult_table.argmax(axis=2), -1)
+        adjoint = rcp.adjoint_table.argmax(axis=1)
+        crossed._check_closure(rcp.col_map, mult, adjoint)
+        if table == "mult":
+            mult[entry] = -1 if mult[entry] >= 0 else entry[0]
+        else:
+            adjoint[entry[0]] = (adjoint[entry[0]] + 1) % rcp.dim
+        with pytest.raises(NotInAlgebraError):
+            crossed._check_closure(rcp.col_map, mult, adjoint)
+
+    def test_relabelled_basis_fails_closure(self, z3_cycle, monkeypatch):
+        real = crossed.integrated_form
+        # slot (g, 0) holds b[g, 1] and slot (g, 1) holds b[g, 0]: still a
+        # valid basis, but the product and adjoint tables no longer hold
+        monkeypatch.setattr(crossed, "integrated_form", lambda rep, f: real(rep, f[:, [1, 0, 2]]))
+        with pytest.raises(NotInAlgebraError):
+            build_reduced(z3_cycle)
+
+
 class TestFourierCoefficients:
     def test_identity_is_unit_delta(self, z2_flip):
         rcp = build_reduced(z2_flip)
@@ -239,3 +350,53 @@ class TestCompletelyPositive:
         rcp = build_reduced(z2_flip)
         with pytest.raises(ValueError):
             is_completely_positive(rcp, np.eye(3))
+
+
+def oracle_cases():
+    rng = np.random.default_rng(7)
+    named = [*standard_systems().items(), *((f"assorted_{i}", s) for i, s in enumerate(assorted_small_systems()))]
+    for name, system in named:
+        rcp = build_reduced(system)
+        for i, t in enumerate(random_multiplier_suite(system, 6, rng)):
+            yield pytest.param(rcp, induced_map(rcp, t), id=f"{name}-{i}")
+    rcp = build_reduced(assorted_small_systems()[-1])
+    w = rng.normal(size=rcp.dim) + 1j * rng.normal(size=rcp.dim)
+    yield pytest.param(rcp, conjugation_map(rcp, w), id="s3-conjugation")
+    shape = (rcp.dim, rcp.dim)
+    yield pytest.param(rcp, rng.normal(size=shape) + 1j * rng.normal(size=shape), id="s3-random")
+    # only diagonal entries, on components of size one, and none of them real
+    rcp = build_reduced(standard_systems()["z3_cycle"])
+    phi = np.zeros((rcp.dim, rcp.dim), dtype=complex)
+    phi[0, 0] = 1j
+    yield pytest.param(rcp, phi, id="z3-imaginary-idempotent")
+
+
+class TestCompletelyPositiveDenseOracle:
+    @pytest.mark.parametrize("rcp, phi", oracle_cases())
+    def test_matches_dense_eigh(self, rcp, phi):
+        tol = 1e-9
+        big = dense_cp_matrix(rcp, phi)
+        scale = 1.0 + np.abs(big).max()
+        hd = np.abs(big - big.conj().T).max()
+        herm = (big + big.conj().T) / 2
+        lam = np.linalg.eigvalsh(herm)[0]
+        cert = is_completely_positive(rcp, phi, tol)
+        assert cert.verdict == bool(hd <= tol * scale and lam >= -tol * scale)
+        assert abs(cert.min_eigenvalue - lam) <= 1e-10 * scale
+        assert abs(cert.hermitian_defect - hd) <= 1e-10 * scale
+        if not cert.verdict:
+            v = cert.eigenvector
+            assert v.shape == (big.shape[0],)
+            assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
+            assert abs(np.vdot(v, herm @ v).real - cert.min_eigenvalue) <= 1e-10 * scale
+
+    def test_non_block_diagonal_maps_exercised(self):
+        rcp = build_reduced(assorted_small_systems()[-1])
+        w = np.random.default_rng(7).normal(size=rcp.dim)
+        phi = conjugation_map(rcp, w)
+        n = rcp.system.n_points
+        off_block = phi.copy()
+        for g in range(rcp.system.group.order):
+            off_block[g * n : (g + 1) * n, g * n : (g + 1) * n] = 0
+        assert np.abs(off_block).max() > 0.1
+        assert is_completely_positive(rcp, phi).verdict
