@@ -77,7 +77,7 @@ def _decoding():
     raised by a verification are bugs and must not turn into exit 2."""
     try:
         yield
-    except (TypeError, IndexError, AttributeError) as exc:
+    except (TypeError, IndexError, AttributeError, OverflowError) as exc:
         raise PayloadError(f"invalid payload: {type(exc).__name__}: {exc}") from exc
 
 
@@ -196,6 +196,8 @@ def cmd_example(args) -> int:
 
 def cmd_trace_cone(args) -> int:
     started = time.monotonic()
+    if args.count < 1:
+        raise PayloadError("--count must be at least 1")
     count = args.count
     om = trace_image_sample(omega_system(2), count, seed=args.seed, tol=args.tol)
     sg = trace_image_sample(sigma_system(2), count, seed=args.seed, tol=args.tol)
@@ -251,6 +253,8 @@ def cmd_trace_cone(args) -> int:
 
 def cmd_pd(args) -> int:
     started = time.monotonic()
+    if args.trials < 1:
+        raise PayloadError("--trials must be at least 1")
     payload = _load_payload(args)
     if "system" not in payload or "multiplier" not in payload:
         raise PayloadError("payload must carry 'system' and 'multiplier'")

@@ -195,62 +195,113 @@ def is_positive_definite(t: Multiplier, tol: float = DEFAULT_TOL) -> PdCertifica
     )
 
 
+# Trials after the first are drawn and checked this many at a time, and no
+# block of one tuple length gathers more than _BLOCK_ELEMENTS entries of the
+# (T, N, N, n, n) multiplier tensor (one trial always fits).  Both bound the
+# oracle's working set independently of the number of trials.
+_WINDOW = 256
+_BLOCK_ELEMENTS = 2**13
+
+
+def _kernel_checks(t: Multiplier, gs: np.ndarray, amps: np.ndarray, tol: float):
+    """Check the kernel condition for T drawn tuples of one length N.
+
+    ``gs`` is (T, N) group indices and ``amps`` the (T, N, n) algebra vectors.
+    Returns per trial and base point, each of shape (T, n): the smallest
+    eigenvalue of the Hermitian part of the N x N kernel matrix, its
+    Hermitian defect, and whether either breaks ``tol * scale`` with
+    ``scale = 1 + max|kernel entry|`` taken over the trial's whole kernel.
+    """
+    sys_ = t.system
+    perm = sys_.action.perm
+    inv = sys_.group.inverse
+    mult = sys_.group.mult
+    mats = np.stack(t.mats)
+    count, N, n = amps.shape
+    step = max(1, _BLOCK_ELEMENTS // (N * N * n * n))
+    mins = np.empty((count, n))
+    hd = np.empty((count, n))
+    bad = np.empty((count, n), dtype=bool)
+    for lo in range(0, count, step):
+        g = gs[lo : lo + step]
+        a = amps[lo : lo + step]
+        c = a.conj()[:, :, None, :] * a[:, None, :, :]  # (T, N, N, n)
+        # alpha_{g_i}^{-1}(c)_x = c_{g_i x}
+        w = np.take_along_axis(c, perm[g][:, :, None, :], axis=3)
+        k_idx = mult[inv[g][:, :, None], g[:, None, :]]
+        tv = np.einsum("tijab,tijb->tija", mats[k_idx], w)
+        # alpha_{g_i}(tv)_x = tv_{g_i^{-1} x}
+        b = np.take_along_axis(tv, perm[inv[g]][:, :, None, :], axis=3)
+        bt = b.conj().transpose(0, 2, 1, 3)
+        scale = 1.0 + np.abs(b).max(axis=(1, 2, 3))
+        blk_hd = np.abs(b - bt).max(axis=(1, 2))
+        herm = np.ascontiguousarray(((b + bt) / 2).transpose(0, 3, 1, 2))
+        blk_mins = np.linalg.eigvalsh(herm)[..., 0]  # (T, n)
+        limit = tol * scale[:, None]
+        mins[lo : lo + step] = blk_mins
+        hd[lo : lo + step] = blk_hd
+        bad[lo : lo + step] = (blk_hd > limit) | (blk_mins < -limit)
+    return mins, hd, bad
+
+
 def pd_sample_oracle(
     t: Multiplier, trials: int = 1000, seed: int = 42, tol: float = DEFAULT_TOL
 ) -> PdCertificate:
     """Randomized test of the defining kernel condition.
 
-    Draws tuples (g_1..g_N, a_1..a_N) with N up to twice the group order and
-    sparse complex Gaussian algebra vectors, builds the C^n-valued kernel
-    matrix and requires it PSD at every base point.  Returns the first
-    violation found, with the drawn tuple as a reproducible witness.
+    Draws tuples (g_1..g_N, a_1..a_N) with N uniform in [1, 2|G|] and sparse
+    complex Gaussian algebra vectors (each coordinate kept with probability
+    1/2), builds the C^n-valued kernel matrix and requires it PSD at every
+    base point, up to ``tol * (1 + max|kernel entry|)`` per trial.
+
+    Trial 0 is drawn and checked alone, so a multiplier that fails at once
+    costs one small kernel; the rest are drawn and checked in windows of
+    ``_WINDOW`` trials.  Each window draws, in this order, the tuple lengths
+    of all its trials, then all their group indices, then all amplitudes and
+    the 0/1 mask applied to them.  Trials of one length are checked together
+    in blocks of at most ``_BLOCK_ELEMENTS`` gathered entries, so the working
+    set does not grow with ``trials``.  The search stops at the first window
+    with a violation and returns its lowest-indexed violating trial in draw
+    order, at that trial's first bad point, with the drawn tuple as a
+    reproducible witness (see :func:`evaluate_sample_witness`).  On success
+    ``min_eigenvalue`` is the minimum over all trials.
     """
     if trials < 1:
         raise ValueError("at least one trial required")
-    sys_ = t.system
-    order = sys_.group.order
-    n = sys_.n_points
+    order = t.system.group.order
+    n = t.system.n_points
     rng = np.random.default_rng(seed)
-    mats = np.stack(t.mats)
-    perm = sys_.action.perm
-    inv = sys_.group.inverse
-    mult = sys_.group.mult
     min_seen = math.inf
-    ar = None
-    for _ in range(trials):
-        N = int(rng.integers(1, 2 * order + 1))
-        gs = rng.integers(0, order, size=N)
-        amps = rng.normal(size=(N, n)) + 1j * rng.normal(size=(N, n))
-        amps *= rng.integers(0, 2, size=(N, n))
-        ar = np.arange(N)
-        c = amps.conj()[:, None, :] * amps[None, :, :]  # (N, N, n)
-        p_fwd = perm[gs]  # alpha_{g_i}^{-1}(c)_x = c_{g_i x}
-        w = c[ar[:, None, None], ar[None, :, None], p_fwd[:, None, :]]
-        k_idx = mult[inv[gs][:, None], gs[None, :]]
-        tv = np.einsum("ijab,ijb->ija", mats[k_idx], w)
-        p_bwd = perm[inv[gs]]  # alpha_{g_i}(t)_x = t_{g_i^{-1} x}
-        b = tv[ar[:, None, None], ar[None, :, None], p_bwd[:, None, :]]
-
-        bt = b.conj().transpose(1, 0, 2)
-        scale = 1.0 + max_abs(b)
-        hd_per_x = np.abs(b - bt).max(axis=(0, 1)) if b.size else np.zeros(n)
-        herm = np.ascontiguousarray(((b + bt) / 2).transpose(2, 0, 1))
-        lam = np.linalg.eigvalsh(herm)  # (n, N)
-        mins = lam[:, 0]
+    done = 0
+    while done < trials:
+        size = 1 if done == 0 else min(_WINDOW, trials - done)
+        done += size
+        lengths = rng.integers(1, 2 * order + 1, size=size)
+        starts = np.concatenate(([0], np.cumsum(lengths)))
+        total = int(starts[-1])
+        gs = rng.integers(0, order, size=total)
+        amps = rng.normal(size=(total, n)) + 1j * rng.normal(size=(total, n))
+        amps *= rng.integers(0, 2, size=(total, n))
+        mins = np.empty((size, n))
+        hd = np.empty((size, n))
+        bad = np.empty((size, n), dtype=bool)
+        for N in np.unique(lengths):
+            idx = np.flatnonzero(lengths == N)
+            rows = starts[idx][:, None] + np.arange(N)
+            mins[idx], hd[idx], bad[idx] = _kernel_checks(t, gs[rows], amps[rows], tol)
         min_seen = min(min_seen, float(mins.min()))
-        bad_x = None
-        for x in range(n):
-            if hd_per_x[x] > tol * scale or mins[x] < -tol * scale:
-                bad_x = x
-                break
-        if bad_x is not None:
+        failing = np.flatnonzero(bad.any(axis=1))
+        if failing.size:
+            k = int(failing[0])
+            x = int(np.argmax(bad[k]))
+            rows = slice(starts[k], starts[k + 1])
             return PdCertificate(
                 verdict=False,
-                min_eigenvalue=float(mins[bad_x]),
-                hermitian_defect=float(hd_per_x[bad_x]),
-                point=bad_x,
-                sample_groups=tuple(int(g) for g in gs),
-                sample_vectors=amps,
+                min_eigenvalue=float(mins[k, x]),
+                hermitian_defect=float(hd[k, x]),
+                point=x,
+                sample_groups=tuple(int(g) for g in gs[rows]),
+                sample_vectors=amps[rows],
             )
     return PdCertificate(verdict=True, min_eigenvalue=min_seen if math.isfinite(min_seen) else 0.0)
 

@@ -1,12 +1,17 @@
+import contextlib
+import io
 import json
+import math
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cstardyn import serialize
-from cstardyn.cyclic_examples import sigma_example_rep, sigma_system
+from cstardyn import cli, serialize
+from cstardyn.cyclic_examples import sigma_cocycle, sigma_example_rep, sigma_system
 from cstardyn.equivrep import EquivariantRep
 from cstardyn.multiplier import TRACE_CONE_NOTE, unit_multiplier
 
@@ -81,8 +86,9 @@ class TestVerifyCommand:
             {"system": {"group": {"cyclic": 2}, "space": 2}, "covariant": "bogus"},
             {"system": {"group": {"cyclic": 2}, "space": 2}, "covariant": {"dim": 4, "pi": 3, "u": []}},
             [],
+            {"system": {"group": {"cyclic": 2}, "space": 2, "perm": [[0, 1e300], [1, 0]]}, "covariant": "regular"},
         ],
-        ids=["group-list", "covariant-string", "covariant-pi-number", "payload-list"],
+        ids=["group-list", "covariant-string", "covariant-pi-number", "payload-list", "perm-overflow"],
     )
     def test_mistyped_payload_exit_two(self, payload):
         r = run_cli("verify", "--inline", json.dumps(payload))
@@ -110,6 +116,12 @@ class TestExampleCommand:
 
 
 class TestTraceConeCommand:
+    def test_zero_count_is_usage_error(self):
+        r = run_cli("trace-cone", "--count", "0")
+        assert r.returncode == 2
+        assert "--count must be at least 1" in r.stderr
+        assert "invalid payload" not in r.stderr and r.stdout == ""
+
     def test_separation_reported(self):
         r = run_cli("trace-cone", "--count", "300")
         assert r.returncode == 0
@@ -156,6 +168,14 @@ class TestPdCommand:
         verdicts = json.loads(r.stdout)["verdicts"]
         assert not any(verdicts.values())
 
+    def test_zero_trials_is_usage_error(self):
+        system, payload = flip_payload()
+        payload["multiplier"] = serialize.multiplier_to_json(unit_multiplier(system))
+        r = run_cli("pd", "--inline", json.dumps(payload), "--trials", "0")
+        assert r.returncode == 2
+        assert "--trials must be at least 1" in r.stderr
+        assert "invalid payload" not in r.stderr and r.stdout == ""
+
     def test_multiplier_missing_exit_two(self):
         _, payload = flip_payload()
         r = run_cli("pd", "--inline", json.dumps(payload))
@@ -196,3 +216,101 @@ class TestIngestionEquivalence:
         }
         r = run_cli("verify", "--inline", json.dumps(payload))
         assert r.returncode == 0
+
+
+def base_payloads():
+    """Valid pd and verify payloads on the two order-2 systems."""
+    from cstardyn.core import System, cyclic_group, trivial_action
+
+    flip = sigma_system(2)
+    triv = System(trivial_action(cyclic_group(2), 2))
+    verify = {
+        "system": serialize.system_to_json(flip),
+        "equivariant_rep": serialize.rep_to_json(sigma_example_rep(2)),
+        "cocycle": serialize.cocycle_to_json(sigma_cocycle(2)),
+        "covariant": "regular",
+    }
+    pd_flip = {
+        "system": serialize.system_to_json(flip),
+        "multiplier": serialize.multiplier_to_json(unit_multiplier(flip)),
+    }
+    pd_triv = {
+        "system": serialize.system_to_json(triv),
+        "multiplier": {
+            "0": serialize.matrix_to_json(np.zeros((2, 2))),
+            "1": serialize.matrix_to_json(np.eye(2)),
+        },
+    }
+    return [("verify", verify), ("pd", pd_flip), ("pd", pd_triv)]
+
+
+# small numbers and a few extremes only: a mutated group order or space size
+# must stay cheap to build
+numbers = st.integers(-2, 6) | st.floats(-4, 4) | st.sampled_from([math.nan, math.inf, -math.inf, 1e300])
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | numbers
+    | st.sampled_from(["", "0", "1", "regular", "bogus", "cyclic"]),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.sampled_from(["0", "1", "order", "dim", "pi", "u"]), children, max_size=3),
+    max_leaves=6,
+)
+
+
+def node_paths(node, path=()):
+    yield path
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield from node_paths(child, path + (key,))
+    elif isinstance(node, list):
+        for idx, child in enumerate(node):
+            yield from node_paths(child, path + (idx,))
+
+
+def mutate(payload, data):
+    """Change one to three drawn nodes of the payload: set a number to
+    another number (which mostly keeps the payload well formed), replace a
+    node by any JSON value, or delete it."""
+    for _ in range(data.draw(st.integers(1, 3))):
+        if not isinstance(payload, (dict, list)):
+            break
+        paths = list(node_paths(payload))
+        leaves = [p for p in paths if p and isinstance(lookup(payload, p), (int, float))]
+        kind = data.draw(st.sampled_from(["number", "number", "replace", "delete"]))
+        if kind == "number" and leaves:
+            path, value = data.draw(st.sampled_from(leaves)), data.draw(numbers)
+        else:
+            path, value = data.draw(st.sampled_from(paths)), data.draw(json_values)
+        if not path:
+            payload = value
+        elif kind == "delete":
+            del lookup(payload, path[:-1])[path[-1]]
+        else:
+            lookup(payload, path[:-1])[path[-1]] = value
+    return payload
+
+
+def lookup(node, path):
+    for key in path:
+        node = node[key]
+    return node
+
+
+class TestPayloadFuzz:
+    @given(st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_exit_code_contract(self, data):
+        command, payload = data.draw(st.sampled_from(base_payloads()))
+        payload = mutate(payload, data)
+        # one token, so that a payload starting with "-" is not read as an option
+        argv = [command, f"--inline={json.dumps(payload)}"]
+        if command == "pd":
+            argv += ["--trials", "5"]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        assert code in (0, 1, 2)
+        if code == 1:
+            report = json.loads(out.getvalue())
+            assert report["passed"] is False

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from cstardyn.cyclic_examples import (
 )
 from cstardyn.equivrep import regular_rep, slot_embed, tensor_rep, trivial_rep
 from cstardyn.generators import (
+    assorted_small_systems,
     random_equivariant_rep,
     random_multiplier_suite,
     random_vector,
@@ -27,7 +29,9 @@ from cstardyn.generators import (
 )
 from cstardyn.hilbmod import ModuleVector
 from cstardyn.multiplier import (
+    _WINDOW,
     Multiplier,
+    _kernel_checks,
     coefficient,
     evaluate_sample_witness,
     from_group_function,
@@ -104,6 +108,102 @@ class TestIsPositiveDefinite:
                 assert criterion == sampled, name
 
 
+def reference_kernel_check(t, gs, amps, tol):
+    """Test-only oracle: the sampling oracle's former per-trial loop body.
+
+    One tuple of length N, one (N, N, n) kernel, one eigvalsh over its n
+    Hermitian parts.  Returns (scale, min eigenvalue per point, Hermitian
+    defect per point, bad flag per point)."""
+    sys_ = t.system
+    mats = np.stack(t.mats)
+    perm = sys_.action.perm
+    inv = sys_.group.inverse
+    mult = sys_.group.mult
+    ar = np.arange(len(gs))
+    c = amps.conj()[:, None, :] * amps[None, :, :]
+    w = c[ar[:, None, None], ar[None, :, None], perm[gs][:, None, :]]
+    k_idx = mult[inv[gs][:, None], gs[None, :]]
+    tv = np.einsum("ijab,ijb->ija", mats[k_idx], w)
+    b = tv[ar[:, None, None], ar[None, :, None], perm[inv[gs]][:, None, :]]
+    bt = b.conj().transpose(1, 0, 2)
+    scale = 1.0 + np.abs(b).max()
+    hd = np.abs(b - bt).max(axis=(0, 1))
+    mins = np.linalg.eigvalsh(np.ascontiguousarray(((b + bt) / 2).transpose(2, 0, 1)))[:, 0]
+    return scale, mins, hd, (hd > tol * scale) | (mins < -tol * scale)
+
+
+def draw_tuples(system, lengths, count, rng):
+    """``count`` sparse Gaussian tuples of each length, the oracle's distribution."""
+    n = system.n_points
+    for N in lengths:
+        gs = rng.integers(0, system.group.order, size=(count, N))
+        amps = rng.normal(size=(count, N, n)) + 1j * rng.normal(size=(count, N, n))
+        amps *= rng.integers(0, 2, size=(count, N, n))
+        yield gs, amps
+
+
+def oracle_systems():
+    return list(standard_systems().values()) + assorted_small_systems()
+
+
+def reference_oracle(t, trials, seed, tol):
+    """Test-only oracle: the documented draw order (trial 0 alone, then
+    windows of ``_WINDOW``: lengths, group indices, masked amplitudes),
+    checked one trial at a time.  Returns the certificate's fields."""
+    order, n = t.system.group.order, t.system.n_points
+    rng = np.random.default_rng(seed)
+    min_seen = math.inf
+    sizes = [1] + [min(_WINDOW, trials - k) for k in range(1, trials, _WINDOW)]
+    for size in sizes:
+        lengths = rng.integers(1, 2 * order + 1, size=size)
+        total = int(lengths.sum())
+        gs = rng.integers(0, order, size=total)
+        amps = rng.normal(size=(total, n)) + 1j * rng.normal(size=(total, n))
+        amps *= rng.integers(0, 2, size=(total, n))
+        cuts = np.cumsum(lengths)[:-1]
+        for g, a in zip(np.split(gs, cuts), np.split(amps, cuts)):
+            scale, mins, hd, bad = reference_kernel_check(t, g, a, tol)
+            min_seen = min(min_seen, float(mins.min()))
+            if bad.any():
+                x = int(np.argmax(bad))
+                return False, mins[x], hd[x], x, tuple(int(h) for h in g), a, scale
+    return True, min_seen, 0.0, None, None, None, 1.0
+
+
+class TestBatchedKernel:
+    def test_matches_per_trial_reference(self, rng):
+        tol = 1e-9
+        for system in oracle_systems():
+            order = system.group.order
+            # 2|G| is the longest tuple the oracle draws; 20 trials of it span
+            # several blocks on every system here
+            lengths = sorted({1, 2, order, 2 * order})
+            for t in random_multiplier_suite(system, 6, rng):
+                for gs, amps in draw_tuples(system, lengths, 20, rng):
+                    mins, hd, bad = _kernel_checks(t, gs, amps, tol)
+                    for i in range(len(gs)):
+                        scale, r_mins, r_hd, r_bad = reference_kernel_check(t, gs[i], amps[i], tol)
+                        assert np.abs(mins[i] - r_mins).max() <= 1e-12 * scale
+                        assert np.abs(hd[i] - r_hd).max() <= 1e-12 * scale
+                        assert np.array_equal(bad[i], r_bad)
+
+    @pytest.mark.parametrize("tol", [1e-9, 10.0], ids=["default", "lenient"])
+    def test_oracle_matches_per_trial_reference(self, rng, tol):
+        # the lenient tolerance passes indefinite multipliers too, so the
+        # minimum over all trials is clearly negative and must be global
+        for system in oracle_systems():
+            for seed, t in enumerate(random_multiplier_suite(system, 4, rng)):
+                cert = pd_sample_oracle(t, trials=300, seed=seed, tol=tol)
+                verdict, min_eig, hd, point, groups, vectors, scale = reference_oracle(t, 300, seed, tol)
+                assert cert.verdict == verdict
+                assert abs(cert.min_eigenvalue - min_eig) <= 1e-12 * scale
+                assert abs(cert.hermitian_defect - hd) <= 1e-12 * scale
+                assert cert.point == point and cert.sample_groups == groups
+                assert (vectors is None) == (cert.sample_vectors is None)
+                if vectors is not None:
+                    assert np.array_equal(cert.sample_vectors, vectors)
+
+
 class TestPdSampleOracle:
     def test_unit_clean(self, z2_flip):
         cert = pd_sample_oracle(unit_multiplier(z2_flip), trials=1000, seed=42)
@@ -117,6 +217,37 @@ class TestPdSampleOracle:
         herm = (m + m.conj().T) / 2
         defect = np.abs(m - m.conj().T).max()
         assert defect > 1e-9 or np.linalg.eigvalsh(herm).min() < -1e-9
+
+    def test_witness_reproduces_min_eigenvalue(self, rng):
+        later = 0
+        for system in oracle_systems():
+            for seed, t in enumerate(random_multiplier_suite(system, 8, rng)):
+                cert = pd_sample_oracle(t, trials=1000, seed=seed)
+                if cert.verdict:
+                    continue
+                m = evaluate_sample_witness(t, cert)
+                herm = (m + m.conj().T) / 2
+                scale = 1.0 + np.abs(m).max()
+                assert abs(np.linalg.eigvalsh(herm)[0] - cert.min_eigenvalue) <= 1e-10 * scale
+                assert abs(np.abs(m - m.conj().T).max() - cert.hermitian_defect) <= 1e-10 * scale
+                # a clean trial 0 puts the witness in a later window
+                later += pd_sample_oracle(t, trials=1, seed=seed).verdict
+        assert later > 0
+
+    def test_working_set_independent_of_trials(self):
+        s3 = assorted_small_systems()[-1]
+        t = unit_multiplier(s3)
+
+        def peak(trials):
+            tracemalloc.start()
+            try:
+                assert pd_sample_oracle(t, trials=trials, seed=5).verdict
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        pd_sample_oracle(t, trials=1)  # numpy's lazy set-up is not the oracle's
+        assert peak(4000) <= 1.25 * peak(500)
 
     def test_diagonal_coefficients_clean(self, z3_cycle, rng):
         for _ in range(3):
