@@ -26,10 +26,10 @@ from .crossed import (
     verify_covariant,
 )
 from .cyclic_examples import (
+    matrix_unit_deviation,
     matrix_unit_family,
     omega_system,
     sigma_system,
-    verify_matrix_units,
 )
 from .equivrep import verify_equivariant
 from .multiplier import (
@@ -149,8 +149,8 @@ def cmd_example(args) -> int:
     name = args.name
     n = args.n
     system = omega_system(n) if name == "omega_n" else sigma_system(n)
-    deviation = verify_matrix_units(name, n, args.tol)
     family = matrix_unit_family(name, n)
+    deviation = matrix_unit_deviation(family)
     span = span_dimension(family, args.tol)
     checks = [
         {

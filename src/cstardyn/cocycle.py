@@ -11,11 +11,12 @@ surjective isometries of the section space.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
+from . import fibers
 from .core import DEFAULT_TOL, GroupAction
 from .equivrep import EquivariantRep
 from .hilbmod import ModuleOperator, SectionalModule
@@ -37,25 +38,21 @@ class NotBanachStoneError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class CocycleRep:
-    """``u[g][x]`` is the unitary from fiber g^{-1}x into fiber x."""
+    """``u[g][x]`` is the unitary from fiber g^{-1}x into fiber x;
+    ``u_stack[g, x]`` holds it zero padded to d_max x d_max (see
+    :mod:`.fibers`)."""
 
     action: GroupAction
     module: SectionalModule
     u: tuple[tuple[np.ndarray, ...], ...]
+    u_stack: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.module.space != self.action.space:
             raise ValueError("bundle base and action space disagree")
-        dims = self.module.fiber_dims
-        mats = []
-        for g in range(self.action.group.order):
-            per_point = []
-            for x in self.action.space.points():
-                src = self.action.apply_inv(g, x)
-                m = np.asarray(self.u[g][x], dtype=complex).reshape(dims[x], dims[src])
-                per_point.append(m)
-            mats.append(tuple(per_point))
-        object.__setattr__(self, "u", tuple(mats))
+        u, u_stack = fibers.stack_fibers(self.action, self.module.fiber_dims, self.u)
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "u_stack", u_stack)
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,12 +71,7 @@ def group_part(rep: EquivariantRep) -> GroupPart:
     """The v-part of an equivariant representation, with its base permutations
     made explicit."""
     action = rep.system.action
-    n = rep.module.n_points
-    src = np.array(
-        [[action.apply_inv(g, x) for x in range(n)] for g in range(action.group.order)],
-        dtype=np.intp,
-    )
-    return GroupPart(action, rep.module, src, rep.v_mats)
+    return GroupPart(action, rep.module, action.src, rep.v_mats)
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,35 +110,13 @@ def equivariant_maps(action: GroupAction) -> list[EquivariantMap]:
 
 
 def verify_cocycle(c: CocycleRep, tol: float = DEFAULT_TOL) -> CheckReport:
-    """Residuals of unitarity, the cocycle identity and u(x, e) = id."""
+    """Residuals of unitarity, the cocycle identity and u(x, e) = id, with
+    the location of the largest unitarity and cocycle-identity residuals."""
     report = CheckReport()
-    action = c.action
-    group = action.group
-    n = action.space.size
-    dims = c.module.fiber_dims
-
-    res = 0.0
-    for g in range(group.order):
-        for x in range(n):
-            u = c.u[g][x]
-            src = action.apply_inv(g, x)
-            res = max(res, max_abs(u.conj().T @ u - np.eye(dims[src])))
-            res = max(res, max_abs(u @ u.conj().T - np.eye(dims[x])))
-    report.add("unitarity", res, tol)
-
-    res = 0.0
-    for g in range(group.order):
-        for h in range(group.order):
-            gh = group.mul(g, h)
-            for x in range(n):
-                src_g = action.apply_inv(g, x)
-                res = max(res, max_abs(c.u[gh][x] - c.u[g][x] @ c.u[h][src_g]))
-    report.add("cocycle identity", res, tol)
-
-    res = 0.0
-    for x in range(n):
-        res = max(res, max_abs(c.u[group.identity][x] - np.eye(dims[x])))
-    report.add("identity element", res, tol)
+    unitary, cocycle, identity = fibers.group_law(c.action, c.module.fiber_dims, c.u_stack)
+    report.add("unitarity", unitary[0], tol, unitary[1])
+    report.add("cocycle identity", cocycle[0], tol, cocycle[1])
+    report.add("identity element", identity, tol)
     return report
 
 
@@ -203,13 +173,7 @@ def cocycle_to_v(c: CocycleRep, tol: float = DEFAULT_TOL) -> GroupPart:
     if not report.passed:
         worst = report.worst()
         raise ValueError(f"not a cocycle: {worst.name} residual {worst.residual:.3e}")
-    action = c.action
-    n = action.space.size
-    src = np.array(
-        [[action.apply_inv(g, x) for x in range(n)] for g in range(action.group.order)],
-        dtype=np.intp,
-    )
-    return GroupPart(action, c.module, src, c.u)
+    return GroupPart(c.action, c.module, c.action.src, c.u)
 
 
 def cocycle_equivalent(

@@ -20,6 +20,10 @@ import numpy as np
 
 DEFAULT_TOL = 1e-9
 
+# Table validation gathers at most this many entries at a time, so that
+# checking a group of order |G| needs O(|G|^2) memory and not O(|G|^3).
+_BLOCK_ELEMENTS = 2**18
+
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
@@ -76,12 +80,12 @@ class FiniteGroup:
             inverse[g] = left[0]
         object.__setattr__(self, "inverse", _freeze(inverse))
 
-        # associativity by exhaustive scan: (gh)k == g(hk)
-        m = mult
-        lhs = m[m, :]            # lhs[g,h,k] = (gh)k
-        rhs = m[:, m]            # rhs[g,h,k] = g(hk)
-        if not np.array_equal(lhs, rhs):
-            raise ValueError("multiplication table is not associative")
+        # associativity by exhaustive scan, (gh)k == g(hk), in blocks of rows g
+        rows = max(1, _BLOCK_ELEMENTS // (self.order * self.order))
+        for lo in range(0, self.order, rows):
+            m = mult[lo : lo + rows]
+            if not np.array_equal(mult[m], m[:, mult]):
+                raise ValueError("multiplication table is not associative")
 
     def mul(self, g: int, h: int) -> int:
         return int(self.mult[g, h])
@@ -148,12 +152,14 @@ class GroupAction:
     """An action of a finite group on a finite space by permutations.
 
     ``perm[g, x]`` is the point g.x; the map g -> perm[g] must be a
-    homomorphism into the symmetric group of the space.
+    homomorphism into the symmetric group of the space.  The derived table
+    ``src[g, x]`` is the point g^{-1}.x, whose fiber v(g) moves into fiber x.
     """
 
     group: FiniteGroup
     space: FiniteSpace
     perm: np.ndarray
+    src: np.ndarray = field(init=False, repr=False)
 
     def __eq__(self, other) -> bool:
         return (
@@ -166,18 +172,24 @@ class GroupAction:
     def __post_init__(self):
         perm = np.asarray(self.perm, dtype=np.intp)
         n = self.space.size
-        if perm.shape != (self.group.order, n):
-            raise ValueError(f"perm must have shape ({self.group.order}, {n})")
-        for g in self.group.elements():
-            if not np.array_equal(np.sort(perm[g]), np.arange(n)):
-                raise ValueError(f"perm[{g}] is not a permutation")
+        order = self.group.order
+        if perm.shape != (order, n):
+            raise ValueError(f"perm must have shape ({order}, {n})")
+        bad = np.flatnonzero((np.sort(perm, axis=1) != np.arange(n)).any(axis=1))
+        if bad.size:
+            raise ValueError(f"perm[{bad[0]}] is not a permutation")
         if not np.array_equal(perm[self.group.identity], np.arange(n)):
             raise ValueError("identity does not act trivially")
-        for g in self.group.elements():
-            for h in self.group.elements():
-                if not np.array_equal(perm[self.group.mul(g, h)], perm[g][perm[h]]):
-                    raise ValueError(f"perm is not a homomorphism at ({g}, {h})")
+        # perm[gh] == perm[g][perm[h]] for all (g, h), in blocks of rows g
+        rows = max(1, _BLOCK_ELEMENTS // (order * n))
+        for lo in range(0, order, rows):
+            lhs = perm[self.group.mult[lo : lo + rows]]
+            rhs = np.take_along_axis(perm[lo : lo + rows, None, :], perm[None, :, :], axis=2)
+            bad = np.argwhere((lhs != rhs).any(axis=2))
+            if bad.size:
+                raise ValueError(f"perm is not a homomorphism at ({lo + bad[0][0]}, {bad[0][1]})")
         object.__setattr__(self, "perm", _freeze(perm))
+        object.__setattr__(self, "src", _freeze(perm[self.group.inverse]))
 
     def apply(self, g: int, x: int) -> int:
         """The point g.x."""
@@ -185,7 +197,7 @@ class GroupAction:
 
     def apply_inv(self, g: int, x: int) -> int:
         """The point g^{-1}.x."""
-        return int(self.perm[self.group.inv(g), x])
+        return int(self.src[g, x])
 
 
 @dataclass(frozen=True, eq=False)
@@ -231,8 +243,7 @@ def act_on_algebra(action: GroupAction, g: int, a: np.ndarray) -> np.ndarray:
     n = action.space.size
     if a.shape != (n,):
         raise ValueError(f"algebra element must be a vector of length {n}")
-    src = action.perm[action.group.inv(g)]
-    return a[src]
+    return a[action.src[g]]
 
 
 def basis_image_under_action(action: GroupAction, g: int, k: int) -> int:

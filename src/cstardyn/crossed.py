@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import fibers
 from .core import DEFAULT_TOL, System, act_on_algebra
 from .multiplier import Multiplier, PdCertificate
 from .numutil import max_abs, null_space
@@ -56,36 +57,46 @@ class CovariantRep:
 
 
 def verify_covariant(rep: CovariantRep, tol: float = DEFAULT_TOL) -> CheckReport:
+    """Residuals of the covariant-pair laws: pi a *-representation of the
+    basis idempotents, u a unitary homomorphism, and the covariance
+    pi(alpha_g(e_j)) = u(g) pi(e_j) u(g)*.  The products for one left factor
+    and all right factors are one matmul against the right factors laid side
+    by side, formed for blocks of left factors of at most
+    ``fibers.BLOCK_ELEMENTS`` entries."""
     report = CheckReport()
     sys_ = rep.system
     n, order, d = sys_.n_points, sys_.group.order, rep.dim
+    mult, perm = sys_.group.mult, sys_.action.perm
     eye = np.eye(d)
+    pi, u = np.stack(rep.pi_mats), np.stack(rep.u_mats)
+    uh = u.conj().swapaxes(-1, -2)
+    side_by_side = lambda m: m.transpose(1, 0, 2).reshape(d, -1)  # noqa: E731
 
-    res = max_abs(sum(rep.pi_mats) - eye)
-    for j in range(n):
-        res = max(res, max_abs(rep.pi_mats[j] - rep.pi_mats[j].conj().T))
-        for k in range(n):
-            target = rep.pi_mats[j] if j == k else np.zeros((d, d))
-            res = max(res, max_abs(rep.pi_mats[j] @ rep.pi_mats[k] - target))
-    report.add("pi representation", res, tol)
+    worst = fibers.Worst()
+    worst.update(fibers.entry_max(pi.sum(axis=0) - eye)[None])
+    worst.update(fibers.entry_max(pi - pi.conj().swapaxes(-1, -2)))
+    pi_right = side_by_side(pi)
+    for lo, hi in fibers.blocks(n, n * d * d):
+        prod = (pi[lo:hi] @ pi_right).reshape(hi - lo, d, n, d).transpose(0, 2, 1, 3)
+        prod[np.arange(hi - lo), np.arange(lo, hi)] -= pi[lo:hi]
+        worst.update(fibers.entry_max(prod))
+    report.add("pi representation", worst.residual, tol)
 
-    res = 0.0
-    for g in range(order):
-        u = rep.u_mats[g]
-        res = max(res, max_abs(u @ u.conj().T - eye))
-        for h in range(order):
-            res = max(res, max_abs(rep.u_mats[sys_.group.mul(g, h)] - u @ rep.u_mats[h]))
-    report.add("u unitary homomorphism", res, tol)
+    worst = fibers.Worst()
+    worst.update(fibers.entry_max(u @ uh - eye))
+    u_right = side_by_side(u)
+    for lo, hi in fibers.blocks(order, order * d * d):
+        prod = (u[lo:hi] @ u_right).reshape(hi - lo, d, order, d).transpose(0, 2, 1, 3)
+        worst.update(fibers.entry_max(u[mult[lo:hi]] - prod))
+    report.add("u unitary homomorphism", worst.residual, tol)
 
-    res = 0.0
-    for g in range(order):
-        for j in range(n):
-            a = np.zeros(n)
-            a[j] = 1.0
-            lhs = rep.pi(act_on_algebra(sys_.action, g, a))
-            rhs = rep.u_mats[g] @ rep.pi_mats[j] @ rep.u_mats[g].conj().T
-            res = max(res, max_abs(lhs - rhs))
-    report.add("covariance", res, tol)
+    # alpha_g(e_j) = e_{g.j}
+    worst = fibers.Worst()
+    for lo, hi in fibers.blocks(order, n * d * d):
+        left = (u[lo:hi] @ pi_right).reshape(hi - lo, d, n, d).transpose(0, 2, 1, 3)
+        conj = (left.reshape(hi - lo, n * d, d) @ uh[lo:hi]).reshape(hi - lo, n, d, d)
+        worst.update(fibers.entry_max(pi[perm[lo:hi]] - conj))
+    report.add("covariance", worst.residual, tol)
     return report
 
 

@@ -150,38 +150,36 @@ def sigma_matrix_unit_coefficient(n: int, k: int, l: int, p: int) -> Multiplier:
 def matrix_unit_family(kind: str, n: int) -> list[Multiplier]:
     """All n^3 matrix-unit coefficients of one family, indexed by (k, l, p)."""
     if kind == "omega_n":
-        return [
-            omega_matrix_unit_coefficient(n, k, l, p)
-            for k in range(n)
-            for l in range(n)
-            for p in range(n)
-        ]
+        out = []
+        for k in range(n):
+            for l in range(n):
+                rep = omega_example_rep(n, k, l)
+                for p in range(n):
+                    out.append(coefficient(rep, *omega_example_vectors(n, k, p)))
+        return out
     if kind == "sigma_n":
         rep = sigma_example_rep(n)
         out = []
         for k in range(n):
             for l in range(n):
                 for p in range(n):
-                    x, y = sigma_example_vectors(n, k, l, p)
-                    out.append(coefficient(rep, x, y))
+                    out.append(coefficient(rep, *sigma_example_vectors(n, k, l, p)))
         return out
     raise ValueError(f"unknown example family {kind!r}")
 
 
+def matrix_unit_deviation(family: list[Multiplier]) -> float:
+    """Max entrywise deviation of a family indexed by (k, l, p), as built by
+    :func:`matrix_unit_family`, from the matrix units of
+    :func:`matrix_unit_target`."""
+    mats = np.stack([np.stack(t.mats) for t in family])  # (k*n*n + l*n + p, m, row, col)
+    n = mats.shape[-1]
+    k, l, p = np.unravel_index(np.arange(len(family)), (n, n, n))
+    target = np.zeros(mats.shape)
+    target[np.arange(len(family)), p, k, l] = 1.0
+    return float(np.abs(mats - target).max())
+
+
 def verify_matrix_units(kind: str, n: int, tol: float = DEFAULT_TOL) -> float:
     """Max deviation of the constructed coefficients from the matrix units."""
-    system = omega_system(n) if kind == "omega_n" else sigma_system(n)
-    family = matrix_unit_family(kind, n)
-    worst = 0.0
-    i = 0
-    for k in range(n):
-        for l in range(n):
-            for p in range(n):
-                target = matrix_unit_target(system, k, l, p)
-                gap = max(
-                    float(np.abs(a - b).max())
-                    for a, b in zip(family[i].mats, target.mats)
-                )
-                worst = max(worst, gap)
-                i += 1
-    return worst
+    return matrix_unit_deviation(matrix_unit_family(kind, n))

@@ -15,9 +15,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import fibers
 from .core import DEFAULT_TOL, System, act_on_algebra
 from .equivrep import EquivariantRep, regular_rep, slot_embed, slot_restrict
-from .hilbmod import ModuleVector, inner_product, module_norm
+from .hilbmod import ModuleVector, module_norm
 from .numutil import max_abs, matrix_rank
 
 
@@ -87,19 +88,17 @@ def op_norm_inf(m: np.ndarray) -> float:
 
 
 def coefficient(rep: EquivariantRep, xi: ModuleVector, eta: ModuleVector) -> Multiplier:
-    """The coefficient multiplier T(g, a) = <xi, rho(a) v(g) eta>."""
+    """The coefficient multiplier T(g, a) = <xi, rho(a) v(g) eta>: column j of
+    T_g is the C^n-valued inner product of xi with rho(e_j) v(g) eta, from one
+    contraction over (g, x, j) on the padded stacks."""
     if xi.module != rep.module or eta.module != rep.module:
         raise ValueError("coefficient vectors must live on the representation module")
-    n = rep.system.n_points
-    mats = []
-    for g in rep.system.group.elements():
-        shifted = rep.apply_v(g, eta)
-        cols = []
-        for j in range(n):
-            e_j = np.zeros(n)
-            e_j[j] = 1.0
-            cols.append(inner_product(xi, rep.apply_rho(e_j, shifted)))
-        mats.append(np.stack(cols, axis=1))
+    dims = rep.module.fiber_dims
+    a = fibers.stack_sections(xi.components, dims)
+    b = fibers.stack_sections(eta.components, dims)
+    shifted = np.einsum("gxij,gxj->gxi", rep.v_stack, b[rep.system.action.src])  # (v(g) eta)(x)
+    left = np.einsum("xi,jxik->jxk", a.conj(), rep.rho_stack)  # xi(x)* rho(e_j)
+    mats = np.einsum("jxk,gxk->gxj", left, shifted)
     return Multiplier(rep.system, tuple(mats))
 
 

@@ -1,10 +1,13 @@
 """JSON schemas for systems, modules, representations, cocycles, multipliers.
 
 Complex numbers serialize as [re, im] pairs throughout.  Floats survive the
-round trip bit-for-bit (shortest-repr encoding on both sides).
+round trip bit-for-bit (shortest-repr encoding on both sides).  Decoding
+rejects non-finite numbers (NaN, Infinity) with a ``ValueError``.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -21,8 +24,10 @@ def complex_to_json(z: complex) -> list[float]:
 
 
 def complex_from_json(obj) -> complex:
-    re, im = obj
-    return complex(float(re), float(im))
+    re, im = (float(part) for part in obj)
+    if not (math.isfinite(re) and math.isfinite(im)):
+        raise ValueError(f"non-finite number in payload: [{re}, {im}]")
+    return complex(re, im)
 
 
 def vector_to_json(v: np.ndarray) -> list:

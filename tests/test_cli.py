@@ -95,6 +95,51 @@ class TestVerifyCommand:
         assert r.returncode == 2
         assert "Traceback" not in r.stderr and r.stdout == ""
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("target", ["v", "rho", "u", "covariant"])
+    def test_non_finite_number_exit_two(self, target, value):
+        system, payload = flip_payload()
+        rep = serialize.rep_to_json(sigma_example_rep(2))
+        cocycle = serialize.cocycle_to_json(sigma_cocycle(2))
+        if target == "v":
+            rep["v"]["1"]["mats"][0][0][0] = [value, 0.0]
+        elif target == "rho":
+            rep["rho"][0][1][1][0] = [0.0, value]
+        elif target == "u":
+            cocycle["u"]["1"]["0"][0][1] = [value, value]
+        else:
+            eye = [[[float(i == j), 0.0] for j in range(2)] for i in range(2)]
+            payload["covariant"] = {"dim": 2, "pi": [eye, eye], "u": [eye, eye]}
+            payload["covariant"]["pi"][0] = [[[value, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+        payload.update({"equivariant_rep": rep, "cocycle": cocycle})
+        # json.dumps writes NaN / Infinity / -Infinity, which json.loads accepts
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["verify", "--inline", json.dumps(payload)])
+        assert code == 2 and out.getvalue() == ""
+        assert "non-finite number" in err.getvalue()
+
+    def test_failing_checks_located(self):
+        system, payload = flip_payload()
+        rep = serialize.rep_to_json(sigma_example_rep(2))
+        rep["v"]["1"]["mats"][0] = [[[2 * re, 2 * im] for re, im in row] for row in rep["v"]["1"]["mats"][0]]
+        cocycle = serialize.cocycle_to_json(sigma_cocycle(2))
+        cocycle["u"]["1"]["1"] = [[[0.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]]]  # i * identity
+        payload.update({"equivariant_rep": rep, "cocycle": cocycle, "covariant": "regular"})
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            assert cli.main(["verify", "--inline", json.dumps(payload)]) == 1
+        checks = {(c["target"], c["name"]): c for c in json.loads(out.getvalue())["checks"]}
+        assert checks["equivariant_rep", "relation (ii) inner products"]["where"] == {"g": 1, "x": 0}
+        assert checks["equivariant_rep", "v homomorphism"]["where"] == {"g": 1, "h": 1, "x": 0}
+        assert checks["cocycle", "cocycle identity"]["where"] == {"g": 1, "h": 1, "x": 0}
+        # the unitary i * identity breaks the cocycle identity but not unitarity
+        assert "where" not in checks["cocycle", "unitarity"]
+        located = {"relation (i) covariance", "relation (ii) inner products", "v homomorphism", "unitarity", "cocycle identity"}
+        for (target, name), check in checks.items():
+            if name not in located:
+                assert "where" not in check, name
+
 
 class TestExampleCommand:
     @pytest.mark.parametrize("name", ["omega_n", "sigma_n"])

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -26,9 +28,13 @@ from cstardyn.cyclic_examples import (
     sigma_example_rep,
     sigma_system,
 )
+from cstardyn import fibers
+from cstardyn.core import DEFAULT_TOL
 from cstardyn.equivrep import trivial_rep, verify_equivariant
-from cstardyn.generators import random_cocycle, random_unitary
+from cstardyn.generators import assorted_small_systems, random_cocycle, random_unitary, standard_systems
 from cstardyn.hilbmod import SectionalModule
+from cstardyn.numutil import max_abs
+from cstardyn.reporting import CheckReport
 
 
 def _identity_cocycle(action, dims):
@@ -312,3 +318,116 @@ class TestHomomorphismIffCocycle:
             for h in range(n)
         )
         assert residual >= 1.0
+
+
+# --------------------------------------------------------------------------
+# The batched verifier against the former per-(g, h, x) loop
+
+
+def reference_verify_cocycle(c: CocycleRep, tol: float = DEFAULT_TOL) -> CheckReport:
+    """The per-element loop :func:`verify_cocycle` used to run, kept as the
+    test oracle for the batched version."""
+    report = CheckReport()
+    action = c.action
+    group = action.group
+    n = action.space.size
+    dims = c.module.fiber_dims
+
+    res = 0.0
+    for g in range(group.order):
+        for x in range(n):
+            u = c.u[g][x]
+            src = action.apply_inv(g, x)
+            res = max(res, max_abs(u.conj().T @ u - np.eye(dims[src])))
+            res = max(res, max_abs(u @ u.conj().T - np.eye(dims[x])))
+    report.add("unitarity", res, tol)
+
+    res = 0.0
+    for g in range(group.order):
+        for h in range(group.order):
+            gh = group.mul(g, h)
+            for x in range(n):
+                src_g = action.apply_inv(g, x)
+                res = max(res, max_abs(c.u[gh][x] - c.u[g][x] @ c.u[h][src_g]))
+    report.add("cocycle identity", res, tol)
+
+    res = 0.0
+    for x in range(n):
+        res = max(res, max_abs(c.u[group.identity][x] - np.eye(dims[x])))
+    report.add("identity element", res, tol)
+    return report
+
+
+def _replace(c: CocycleRep, g: int, x: int, mat: np.ndarray) -> CocycleRep:
+    u = [list(per) for per in c.u]
+    u[g][x] = mat
+    return CocycleRep(c.action, c.module, tuple(tuple(p) for p in u))
+
+
+def cocycle_cases():
+    rng = np.random.default_rng(9)
+    systems = list(standard_systems().values()) + assorted_small_systems()
+    cases = [(f"random/{i}/{j}", random_cocycle(s.action, rng)) for i, s in enumerate(systems) for j in range(2)]
+    trivial3 = omega_system(3).action
+    cases += [
+        ("omega_3_1", omega_cocycle(3, 1)),
+        ("sigma_4", sigma_cocycle(4)),
+        ("identity_uneven", _identity_cocycle(trivial3, (1, 0, 2))),
+        ("identity_empty", _identity_cocycle(trivial3, (0, 0, 0))),
+    ]
+    return cases
+
+
+def cocycle_fault_cases():
+    c = sigma_cocycle(3)
+    return [
+        ("unitarity", _replace(c, 1, 0, 2.0 * c.u[1][0])),
+        ("cocycle identity", _replace(c, 2, 1, shift_matrix(3))),
+        ("identity element", _replace(c, 0, 2, -np.eye(3))),
+    ]
+
+
+def _ids(case):
+    return case if isinstance(case, str) else ""
+
+
+class TestBatchedVerifyCocycle:
+    @pytest.mark.parametrize("budget", [1, fibers.BLOCK_ELEMENTS])
+    @pytest.mark.parametrize("label,c", cocycle_cases(), ids=_ids)
+    def test_matches_loop(self, label, c, budget, monkeypatch):
+        monkeypatch.setattr(fibers, "BLOCK_ELEMENTS", budget)
+        report = verify_cocycle(c)
+        reference = reference_verify_cocycle(c)
+        assert report.passed
+        assert [x.name for x in report.checks] == [x.name for x in reference.checks]
+        for b, r in zip(report.checks, reference.checks):
+            assert b.residual == pytest.approx(r.residual, abs=1e-12)
+
+    @pytest.mark.parametrize("name,c", cocycle_fault_cases(), ids=_ids)
+    def test_fault_matches_loop(self, name, c):
+        report = verify_cocycle(c)
+        reference = reference_verify_cocycle(c)
+        assert report.residual_of(name) >= 1.0
+        assert [x.name for x in report.checks] == [x.name for x in reference.checks]
+        assert [x.passed for x in report.checks] == [x.passed for x in reference.checks]
+        for b, r in zip(report.checks, reference.checks):
+            assert b.residual == pytest.approx(r.residual, abs=1e-12)
+
+    @pytest.mark.parametrize("budget", [1, fibers.BLOCK_ELEMENTS])
+    def test_fault_locations(self, budget, monkeypatch):
+        monkeypatch.setattr(fibers, "BLOCK_ELEMENTS", budget)
+        unitary, cocycle, identity = (verify_cocycle(c) for _, c in cocycle_fault_cases())
+        assert unitary.as_dict()["checks"][0]["where"] == {"g": 1, "x": 0}
+        # u[2][1] is wrong: u(1, 2) = u(1, 1) u(0, 1) is the first broken identity
+        assert cocycle.as_dict()["checks"][1]["where"] == {"g": 1, "h": 1, "x": 1}
+        assert "where" not in identity.as_dict()["checks"][2]
+        assert all("where" not in check for check in verify_cocycle(sigma_cocycle(3)).as_dict()["checks"])
+
+    def test_nan_fails(self):
+        c = sigma_cocycle(3)
+        bad = c.u[1][0].copy()
+        bad[1, 1] = np.nan
+        report = verify_cocycle(_replace(c, 1, 0, bad))
+        assert not report.passed
+        assert report.residual_of("unitarity") == math.inf
+        assert report.residual_of("cocycle identity") == math.inf

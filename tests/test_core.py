@@ -1,8 +1,12 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cstardyn import core
 from cstardyn.core import (
     FiniteGroup,
     GroupAction,
@@ -60,7 +64,65 @@ class TestFiniteGroup:
             FiniteGroup(2, bad)
 
 
+    def test_s6_validation_memory(self):
+        """Associativity is checked in row blocks: validating the 720 x 720
+        table of S_6 stays under 64 MB (two whole |G|^3 index arrays would
+        take 3 GB each)."""
+        perms = np.array(list(itertools.permutations(range(6))), dtype=np.intp)
+        code = perms @ 6 ** np.arange(6)
+        index = np.full(6**6, -1, dtype=np.intp)
+        index[code] = np.arange(len(perms))
+        composed = perms[:, perms]  # composed[p, q, x] = p(q(x))
+        table = index[composed @ 6 ** np.arange(6)]
+        del composed
+        tracemalloc.start()
+        try:
+            group = FiniteGroup(720, table)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert group.identity == 0 and group.mul(5, group.inv(5)) == 0
+        assert peak < 64 * 2**20
+
+    @pytest.mark.parametrize("budget", [1, 2**18])
+    def test_associativity_checked_in_every_block(self, budget, monkeypatch):
+        monkeypatch.setattr(core, "_BLOCK_ELEMENTS", budget)
+        # a loop of order 5 with identity and inverses that is not a group
+        loop = np.array(
+            [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+        )
+        with pytest.raises(ValueError, match="not associative"):
+            FiniteGroup(5, loop)
+        assert symmetric_group(4).order == 24
+
+
 class TestGroupAction:
+    @pytest.mark.parametrize("budget", [1, 2**18])
+    def test_homomorphism_failure_located(self, budget, monkeypatch):
+        monkeypatch.setattr(core, "_BLOCK_ELEMENTS", budget)
+        group = cyclic_group(4)
+        shift = cyclic_shift_action(4).perm
+        perm = shift.copy()
+        perm[3] = shift[1]
+        first = next(
+            (g, h)
+            for g in range(4)
+            for h in range(4)
+            if not np.array_equal(perm[group.mul(g, h)], perm[g][perm[h]])
+        )
+        assert first == (1, 2)
+        with pytest.raises(ValueError, match=r"not a homomorphism at \(1, 2\)"):
+            GroupAction(group, FiniteSpace(4), perm)
+        perm[2] = [0, 0, 1, 2]
+        with pytest.raises(ValueError, match=r"perm\[2\] is not a permutation"):
+            GroupAction(group, FiniteSpace(4), perm)
+
+    def test_source_table(self):
+        act = GroupAction(symmetric_group(3), FiniteSpace(3), sorted(itertools.permutations(range(3))))
+        for g in range(6):
+            for x in range(3):
+                assert act.apply(g, act.src[g, x]) == x == act.apply(g, act.apply_inv(g, x))
+
     def test_non_homomorphism_rejected(self):
         g = cyclic_group(2)
         with pytest.raises(ValueError, match="identity"):

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+from cstardyn import fibers
+from cstardyn.core import act_on_algebra
 from cstardyn.crossed import (
+    CovariantRep,
     NotInAlgebraError,
     build_reduced,
     center_dimension,
@@ -18,14 +21,15 @@ from cstardyn.crossed import (
 )
 from cstardyn.cyclic_examples import omega_system, sigma_system
 import cstardyn.crossed as crossed
-from cstardyn.generators import assorted_small_systems, random_multiplier_suite, standard_systems
+from cstardyn.generators import assorted_small_systems, random_multiplier_suite, random_unitary, standard_systems
 from cstardyn.multiplier import (
     Multiplier,
     from_group_function,
     is_positive_definite,
     unit_multiplier,
 )
-from cstardyn.numutil import matrix_rank
+from cstardyn.numutil import matrix_rank, max_abs
+from cstardyn.reporting import CheckReport
 
 
 def closure_dimension(generators: list[np.ndarray], tol: float = 1e-9) -> int:
@@ -400,3 +404,89 @@ class TestCompletelyPositiveDenseOracle:
             off_block[g * n : (g + 1) * n, g * n : (g + 1) * n] = 0
         assert np.abs(off_block).max() > 0.1
         assert is_completely_positive(rcp, phi).verdict
+
+
+def reference_verify_covariant(rep, tol: float = 1e-9):
+    """The per-element loop :func:`verify_covariant` used to run, kept as the
+    test oracle for the batched version."""
+    report = CheckReport()
+    sys_ = rep.system
+    n, order, d = sys_.n_points, sys_.group.order, rep.dim
+    eye = np.eye(d)
+
+    res = max_abs(sum(rep.pi_mats) - eye)
+    for j in range(n):
+        res = max(res, max_abs(rep.pi_mats[j] - rep.pi_mats[j].conj().T))
+        for k in range(n):
+            target = rep.pi_mats[j] if j == k else np.zeros((d, d))
+            res = max(res, max_abs(rep.pi_mats[j] @ rep.pi_mats[k] - target))
+    report.add("pi representation", res, tol)
+
+    res = 0.0
+    for g in range(order):
+        u = rep.u_mats[g]
+        res = max(res, max_abs(u @ u.conj().T - eye))
+        for h in range(order):
+            res = max(res, max_abs(rep.u_mats[sys_.group.mul(g, h)] - u @ rep.u_mats[h]))
+    report.add("u unitary homomorphism", res, tol)
+
+    res = 0.0
+    for g in range(order):
+        for j in range(n):
+            a = np.zeros(n)
+            a[j] = 1.0
+            lhs = rep.pi(act_on_algebra(sys_.action, g, a))
+            rhs = rep.u_mats[g] @ rep.pi_mats[j] @ rep.u_mats[g].conj().T
+            res = max(res, max_abs(lhs - rhs))
+    report.add("covariance", res, tol)
+    return report
+
+
+def covariant_cases():
+    systems = list(standard_systems().values()) + assorted_small_systems()
+    cases = [(f"regular/{i}", None, regular_covariant(s)) for i, s in enumerate(systems)]
+    rng = np.random.default_rng(4)
+    # a random unitary conjugate of a regular pair: dense, non-0/1 matrices
+    reg = regular_covariant(assorted_small_systems()[-1])
+    w = random_unitary(reg.dim, rng)
+    dense = CovariantRep(
+        reg.system,
+        reg.dim,
+        tuple(w @ m @ w.conj().T for m in reg.pi_mats),
+        tuple(w @ m @ w.conj().T for m in reg.u_mats),
+    )
+    cases.append(("conjugated_s3", None, dense))
+    flip = regular_covariant(sigma_system(2))
+    pi, u = list(flip.pi_mats), list(flip.u_mats)
+    cases += [
+        ("fault/pi", "pi representation", CovariantRep(flip.system, flip.dim, (2 * pi[0], pi[1]), u)),
+        ("fault/u", "u unitary homomorphism", CovariantRep(flip.system, flip.dim, pi, (u[0], 1j * u[1]))),
+        # u = identity is a unitary homomorphism, but does not move the points
+        ("fault/covariance", "covariance", CovariantRep(flip.system, flip.dim, pi, (u[0], u[0]))),
+    ]
+    return cases
+
+
+class TestBatchedVerifyCovariant:
+    @pytest.mark.parametrize("budget", [1, fibers.BLOCK_ELEMENTS])
+    @pytest.mark.parametrize("label,fault,rep", covariant_cases(), ids=lambda c: c if isinstance(c, str) else "")
+    def test_matches_loop(self, label, fault, rep, budget, monkeypatch):
+        # a budget of one entry takes one left factor per block
+        monkeypatch.setattr(fibers, "BLOCK_ELEMENTS", budget)
+        report = verify_covariant(rep)
+        reference = reference_verify_covariant(rep)
+        assert [c.name for c in report.checks] == [c.name for c in reference.checks]
+        assert [c.passed for c in report.checks] == [c.passed for c in reference.checks]
+        for b, r in zip(report.checks, reference.checks):
+            assert b.residual == pytest.approx(r.residual, abs=1e-12)
+        assert report.passed == (fault is None)
+        if fault is not None:
+            assert report.residual_of(fault) >= 0.5
+
+    def test_nan_fails(self, z2_flip):
+        reg = regular_covariant(z2_flip)
+        pi = [m.copy() for m in reg.pi_mats]
+        pi[1][0, 1] = np.nan
+        report = verify_covariant(CovariantRep(reg.system, reg.dim, tuple(pi), reg.u_mats))
+        assert report.residual_of("pi representation") == float("inf")
+        assert report.residual_of("covariance") == float("inf")

@@ -1,6 +1,13 @@
+import itertools
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from cstardyn import fibers
+from cstardyn.cocycle import CocycleRep, EquivariantMap, rho_from_sigma
+from cstardyn.core import DEFAULT_TOL, FiniteSpace, GroupAction, act_on_algebra, symmetric_group
 from cstardyn.cyclic_examples import omega_example_rep, omega_system, sigma_example_rep, sigma_system
 from cstardyn.equivrep import (
     CyclicVector,
@@ -17,9 +24,25 @@ from cstardyn.equivrep import (
     unitarily_equivalent,
     verify_equivariant,
 )
-from cstardyn.generators import random_equivariant_rep, random_vector
-from cstardyn.hilbmod import ModuleVector, module_norm
+from cstardyn.generators import (
+    assorted_small_systems,
+    random_cocycle,
+    random_constant_rep,
+    random_equivariant_rep,
+    random_vector,
+    standard_systems,
+)
+from cstardyn.hilbmod import (
+    ModuleOperator,
+    ModuleVector,
+    SectionalModule,
+    basis_vectors,
+    module_action,
+    module_norm,
+)
 from cstardyn.multiplier import Multiplier, coefficient, multiplier_distance, unit_multiplier
+from cstardyn.numutil import max_abs
+from cstardyn.reporting import CheckReport
 
 
 def _mutate_v(rep: EquivariantRep, g: int, x: int, mat: np.ndarray) -> EquivariantRep:
@@ -231,3 +254,280 @@ class TestRandomSuite:
         for g in range(3):
             xi = random_vector(rep.module, rng)
             assert module_norm(rep.apply_v(g, xi)) == pytest.approx(module_norm(xi))
+
+
+# --------------------------------------------------------------------------
+# The batched verifier against the former per-(g, h, x) loop
+
+
+def reference_verify_equivariant(rep: EquivariantRep, tol: float = DEFAULT_TOL) -> CheckReport:
+    """The per-element loop :func:`verify_equivariant` used to run, kept as
+    the test oracle for the batched version."""
+    report = CheckReport()
+    sys_, mod = rep.system, rep.module
+    n, order = mod.n_points, sys_.group.order
+    dims = mod.fiber_dims
+    eye = [np.eye(d, dtype=complex) for d in dims]
+
+    res = 0.0
+    for x in range(n):
+        total = sum(gen.blocks[x] for gen in rep.rho) if n else eye[x]
+        res = max(res, max_abs(total - eye[x]))
+    report.add("rho unital", res, tol)
+
+    res = 0.0
+    for k in range(n):
+        for l in range(n):
+            for x in range(n):
+                prod = rep.rho[k].blocks[x] @ rep.rho[l].blocks[x]
+                target = rep.rho[k].blocks[x] if k == l else np.zeros_like(prod)
+                res = max(res, max_abs(prod - target))
+    report.add("rho multiplicative", res, tol)
+
+    res = max(
+        max_abs(gen.blocks[x] - gen.blocks[x].conj().T) for gen in rep.rho for x in range(n)
+    )
+    report.add("rho self-adjoint", res, tol)
+
+    res = 0.0
+    for g in range(order):
+        for k in range(n):
+            gk = sys_.action.apply(g, k)
+            for x in range(n):
+                src = sys_.action.apply_inv(g, x)
+                lhs = rep.rho[gk].blocks[x] @ rep.v_mats[g][x]
+                rhs = rep.v_mats[g][x] @ rep.rho[k].blocks[src]
+                res = max(res, max_abs(lhs - rhs))
+    report.add("relation (i) covariance", res, tol)
+
+    res = 0.0
+    for g in range(order):
+        for x in range(n):
+            u = rep.v_mats[g][x]
+            src = sys_.action.apply_inv(g, x)
+            res = max(res, max_abs(u.conj().T @ u - np.eye(dims[src])))
+            res = max(res, max_abs(u @ u.conj().T - eye[x]))
+    report.add("relation (ii) inner products", res, tol)
+
+    res = 0.0
+    basis = basis_vectors(mod)
+    for g in range(order):
+        for k in range(n):
+            a = np.zeros(n)
+            a[k] = 1.0
+            ag = act_on_algebra(sys_.action, g, a)
+            for xi in basis:
+                lhs = rep.apply_v(g, module_action(xi, a))
+                rhs = module_action(rep.apply_v(g, xi), ag)
+                res = max(res, max_abs(lhs.flat() - rhs.flat()))
+    report.add("relation (iii) module action", res, tol)
+
+    res = 0.0
+    e = sys_.group.identity
+    for x in range(n):
+        res = max(res, max_abs(rep.v_mats[e][x] - eye[x]))
+    report.add("v(e) identity", res, tol)
+
+    res = 0.0
+    for g in range(order):
+        for h in range(order):
+            gh = sys_.group.mul(g, h)
+            for x in range(n):
+                src_g = sys_.action.apply_inv(g, x)
+                lhs = rep.v_mats[gh][x]
+                rhs = rep.v_mats[g][x] @ rep.v_mats[h][src_g]
+                res = max(res, max_abs(lhs - rhs))
+    report.add("v homomorphism", res, tol)
+
+    res = 0.0
+    for g in range(order):
+        for xi in basis:
+            res = max(res, abs(module_norm(rep.apply_v(g, xi)) - module_norm(xi)))
+    report.add("v isometric", res, tol)
+    return report
+
+
+def assert_same_report(batched: CheckReport, reference: CheckReport) -> None:
+    assert [c.name for c in batched.checks] == [c.name for c in reference.checks]
+    assert [c.passed for c in batched.checks] == [c.passed for c in reference.checks]
+    for b, r in zip(batched.checks, reference.checks):
+        assert b.residual == pytest.approx(r.residual, abs=1e-12), b.name
+
+
+def assert_located(report: CheckReport, name: str, residuals: dict, exact: bool) -> None:
+    """``where`` of check ``name`` names a location attaining the residual,
+    and no earlier location (in loop order) attains it; ``residuals`` maps
+    each location tuple, in loop order, to its residual.  Without exact
+    arithmetic, ties are only resolved up to rounding."""
+    check = next(c for c in report.checks if c.name == name)
+    at = tuple(check.where.values())
+    assert residuals[at] == pytest.approx(check.residual, abs=0.0 if exact else 1e-12)
+    for loc, value in residuals.items():
+        if loc == at:
+            break
+        assert value < check.residual if exact else value <= check.residual + 1e-12
+
+
+def _mutate_rho(rep: EquivariantRep, k: int, x: int, block: np.ndarray) -> EquivariantRep:
+    blocks = [list(gen.blocks) for gen in rep.rho]
+    blocks[k][x] = block
+    rho = tuple(ModuleOperator(rep.module, tuple(b)) for b in blocks)
+    return EquivariantRep(rep.system, rep.module, rho, rep.v_mats)
+
+
+def _uneven_rep() -> EquivariantRep:
+    """Z_3 acting trivially on three points with fibers of dimension 1, 0, 2,
+    each carrying its own diagonal character."""
+    system = omega_system(3)
+    rng = np.random.default_rng(3)
+    dims = (1, 0, 2)
+    chars = [random_constant_rep(system.group, d, rng) for d in dims]
+    u = tuple(tuple(chars[x][g] for x in range(3)) for g in range(3))
+    c = CocycleRep(system.action, SectionalModule(system.space, dims), u)
+    return rho_from_sigma(EquivariantMap(system.action, (0, 1, 2)), c)
+
+
+def batched_cases():
+    rng = np.random.default_rng(5)
+    systems = list(standard_systems().values()) + assorted_small_systems()
+    cases = []
+    for i, system in enumerate(systems):
+        cases.append((f"trivial/{i}", trivial_rep(system)))
+        cases += [(f"random/{i}/{j}", random_equivariant_rep(system, rng, max_dim=2)) for j in range(2)]
+        a = random_equivariant_rep(system, rng, max_dim=1, allow_composites=False)
+        b = random_equivariant_rep(system, rng, max_dim=3, allow_composites=False)
+        cases.append((f"direct_sum/{i}", direct_sum_reps([a, b])))
+        if system.group.order <= 4:
+            cases.append((f"regular/{i}", regular_rep(a)))
+    cases += [
+        ("omega_3_0_1", omega_example_rep(3, 0, 1)),
+        ("omega_sum", direct_sum_reps([omega_example_rep(3, 0, 1), omega_example_rep(3, 2, 1)])),
+        ("uneven", _uneven_rep()),
+        ("sigma_4", sigma_example_rep(4)),
+    ]
+    return cases
+
+
+def _dft(n: int) -> np.ndarray:
+    w = np.exp(2j * np.pi / n)
+    return w ** np.outer(np.arange(n), np.arange(n)) / np.sqrt(n)
+
+
+def equivariant_fault_cases():
+    """One fault per check name (except relation (iii), which the stored
+    normal form makes exact for every finite v), on the 0/1 shift example."""
+    rep = sigma_example_rep(3)
+    p = [np.diag(np.eye(3)[j]).astype(complex) for j in range(3)]
+    v10 = rep.v_mats[1][0]
+    return [
+        ("rho unital", _mutate_rho(rep, 0, 0, 2.0 * p[0])),
+        ("rho multiplicative", _mutate_rho(_mutate_rho(rep, 0, 0, 0.5 * p[0]), 1, 0, p[1] + 0.5 * p[0])),
+        ("rho self-adjoint", _mutate_rho(rep, 0, 0, p[0] + np.eye(3, k=1))),
+        ("relation (i) covariance", _mutate_v(rep, 1, 0, _dft(3) @ v10)),
+        ("relation (ii) inner products", _mutate_v(rep, 1, 0, 2.0 * v10)),
+        ("v(e) identity", _mutate_v(rep, 0, 0, -np.eye(3))),
+        ("v homomorphism", _mutate_v(rep, 1, 0, 1j * v10)),
+        ("v isometric", _mutate_v(rep, 2, 1, 0.5 * rep.v_mats[2][1])),
+    ]
+
+
+class TestBatchedVerifyEquivariant:
+    @pytest.mark.parametrize("budget", [1, fibers.BLOCK_ELEMENTS])
+    @pytest.mark.parametrize("label,rep", batched_cases(), ids=lambda c: c if isinstance(c, str) else "")
+    def test_matches_loop(self, label, rep, budget, monkeypatch):
+        # a budget of one entry checks every group element or pair on its own
+        monkeypatch.setattr(fibers, "BLOCK_ELEMENTS", budget)
+        report = verify_equivariant(rep)
+        assert report.passed
+        assert_same_report(report, reference_verify_equivariant(rep))
+
+    @pytest.mark.parametrize("name,rep", equivariant_fault_cases(), ids=lambda c: c if isinstance(c, str) else "")
+    def test_fault_matches_loop(self, name, rep):
+        report = verify_equivariant(rep)
+        assert not report.passed
+        assert report.residual_of(name) > 0.1
+        assert_same_report(report, reference_verify_equivariant(rep))
+
+    @pytest.mark.parametrize("budget", [1, fibers.BLOCK_ELEMENTS])
+    def test_fault_locations(self, budget, monkeypatch):
+        # a budget of one entry checks every pair of group elements on its own
+        monkeypatch.setattr(fibers, "BLOCK_ELEMENTS", budget)
+        for name, rep in equivariant_fault_cases():
+            report = verify_equivariant(rep)
+            action, n, order = rep.system.action, rep.module.n_points, rep.system.group.order
+            v, rho = rep.v_mats, rep.rho
+            unitary = {
+                (g, x): max(
+                    max_abs(v[g][x].conj().T @ v[g][x] - np.eye(v[g][x].shape[1])),
+                    max_abs(v[g][x] @ v[g][x].conj().T - np.eye(v[g][x].shape[0])),
+                )
+                for g in range(order)
+                for x in range(n)
+            }
+            covariance = {
+                (g, k, x): max_abs(
+                    rho[action.apply(g, k)].blocks[x] @ v[g][x]
+                    - v[g][x] @ rho[k].blocks[action.apply_inv(g, x)]
+                )
+                for g in range(order)
+                for k in range(n)
+                for x in range(n)
+            }
+            hom = {
+                (g, h, x): max_abs(
+                    v[rep.system.group.mul(g, h)][x] - v[g][x] @ v[h][action.apply_inv(g, x)]
+                )
+                for g in range(order)
+                for h in range(order)
+                for x in range(n)
+            }
+            for check, table in (
+                ("relation (ii) inner products", unitary),
+                ("relation (i) covariance", covariance),
+                ("v homomorphism", hom),
+            ):
+                if report.residual_of(check) > 0.0:
+                    assert_located(report, check, table, exact=name != "relation (i) covariance")
+                else:
+                    assert all(c.where is None for c in report.checks if c.name == check)
+        report = verify_equivariant(equivariant_fault_cases()[4][1])
+        where = {c.name: c.where for c in report.checks}
+        assert where["relation (ii) inner products"] == {"g": 1, "x": 0}
+        assert where["v homomorphism"] == {"g": 1, "h": 1, "x": 0}
+        assert where["rho unital"] is None and where["v isometric"] is None
+
+    def test_nan_fails(self):
+        rep = sigma_example_rep(3)
+        bad = rep.v_mats[1][0].copy()
+        bad[0, 0] = np.nan
+        report = verify_equivariant(_mutate_v(rep, 1, 0, bad))
+        assert not report.passed
+        for name in (
+            "relation (i) covariance",
+            "relation (ii) inner products",
+            "relation (iii) module action",
+            "v homomorphism",
+            "v isometric",
+        ):
+            assert report.residual_of(name) == math.inf, name
+        report = verify_equivariant(_mutate_rho(rep, 2, 1, np.full((3, 3), np.nan)))
+        assert not report.passed
+        assert report.residual_of("rho unital") == math.inf
+
+    def test_working_set_does_not_grow_with_pairs(self):
+        """Pairs of group elements are checked in blocks: on S_5 with 4-dimensional
+        fibers the peak stays below one (|G|, |G|, n, d, d) complex array."""
+        perms = np.array(sorted(itertools.permutations(range(5))), dtype=np.intp)
+        action = GroupAction(symmetric_group(5), FiniteSpace(5), perms)
+        c = random_cocycle(action, np.random.default_rng(1), max_dim=1)
+        u = tuple(tuple(np.kron(m, np.eye(4)) for m in per) for per in c.u)
+        big = CocycleRep(action, SectionalModule(action.space, (4,) * 5), u)
+        rep = rho_from_sigma(EquivariantMap(action, tuple(range(5))), big)
+        tracemalloc.start()
+        try:
+            report = verify_equivariant(rep)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.passed
+        assert peak < 120 * 120 * 5 * 4 * 4 * 16

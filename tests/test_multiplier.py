@@ -17,9 +17,10 @@ from cstardyn.cyclic_examples import (
     sigma_example_rep,
     sigma_matrix_unit_coefficient,
     sigma_system,
+    matrix_unit_deviation,
     verify_matrix_units,
 )
-from cstardyn.equivrep import regular_rep, slot_embed, tensor_rep, trivial_rep
+from cstardyn.equivrep import direct_sum_reps, regular_rep, slot_embed, tensor_rep, trivial_rep
 from cstardyn.generators import (
     assorted_small_systems,
     random_equivariant_rep,
@@ -27,7 +28,7 @@ from cstardyn.generators import (
     random_vector,
     standard_systems,
 )
-from cstardyn.hilbmod import ModuleVector
+from cstardyn.hilbmod import ModuleVector, inner_product
 from cstardyn.multiplier import (
     _WINDOW,
     Multiplier,
@@ -82,6 +83,37 @@ class TestCoefficient:
         xi = ModuleVector(other.module, tuple(np.ones(2) for _ in range(2)))
         with pytest.raises(ValueError):
             coefficient(rep, xi, xi)
+
+    def test_matches_per_element_loop(self):
+        rng = np.random.default_rng(21)
+        systems = list(standard_systems().values()) + assorted_small_systems()
+        reps = [random_equivariant_rep(s, rng, max_dim=2) for s in systems for _ in range(2)]
+        reps += [
+            omega_example_rep(3, 1, 2),
+            regular_rep(trivial_rep(systems[2])),
+            direct_sum_reps([omega_example_rep(3, 0, 1), omega_example_rep(3, 2, 2)]),
+        ]
+        for rep in reps:
+            xi, eta = random_vector(rep.module, rng), random_vector(rep.module, rng)
+            got, want = coefficient(rep, xi, eta), reference_coefficient(rep, xi, eta)
+            scale = 1.0 + max(np.abs(m).max() for m in want.mats)
+            assert multiplier_distance(got, want) <= 1e-12 * scale
+
+
+def reference_coefficient(rep, xi, eta) -> Multiplier:
+    """The per-(g, j) loop :func:`coefficient` used to run, kept as the test
+    oracle for the batched contraction."""
+    n = rep.system.n_points
+    mats = []
+    for g in rep.system.group.elements():
+        shifted = rep.apply_v(g, eta)
+        cols = []
+        for j in range(n):
+            e_j = np.zeros(n)
+            e_j[j] = 1.0
+            cols.append(inner_product(xi, rep.apply_rho(e_j, shifted)))
+        mats.append(np.stack(cols, axis=1))
+    return Multiplier(rep.system, tuple(mats))
 
 
 class TestIsPositiveDefinite:
@@ -517,6 +549,16 @@ class TestMatrixUnitDeviation:
     @pytest.mark.parametrize("n", [2, 3])
     def test_families_exact(self, kind, n):
         assert verify_matrix_units(kind, n) <= 1e-12
+
+    def test_deviation_locates_a_wrong_entry(self):
+        family = matrix_unit_family("sigma_n", 3)
+        assert matrix_unit_deviation(family) == 0.0
+        i = 1 * 9 + 2 * 3 + 0  # (k, l, p) = (1, 2, 0)
+        mats = [m.copy() for m in family[i].mats]
+        mats[0][1, 2] = 0.75  # the unit entry, off by 0.25
+        mats[2][0, 0] = 0.5  # an entry of another group element, off by 0.5
+        family[i] = Multiplier(family[i].system, tuple(mats))
+        assert matrix_unit_deviation(family) == 0.5
 
 
 class TestPdCertificateShape:
