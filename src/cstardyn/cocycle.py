@@ -20,7 +20,7 @@ from . import fibers
 from .core import DEFAULT_TOL, GroupAction
 from .equivrep import EquivariantRep
 from .hilbmod import ModuleOperator, SectionalModule
-from .numutil import max_abs, nearest_unitary, null_space
+from .numutil import max_abs, max_abs_over, nearest_unitary, null_space
 from .reporting import CheckReport
 
 
@@ -234,11 +234,11 @@ def cocycle_equivalent(
             mats.append(cand)
         if not ok:
             continue
-        res = 0.0
-        for g in range(action.group.order):
-            for x in range(n):
-                y = action.apply_inv(g, x)
-                res = max(res, max_abs(mats[x] @ c1.u[g][x] - c2.u[g][x] @ mats[y]))
+        res = max_abs_over(
+            mats[x] @ c1.u[g][x] - c2.u[g][x] @ mats[action.src[g, x]]
+            for g in range(action.group.order)
+            for x in range(n)
+        )
         if res <= tol * scale:
             return mats
     return None

@@ -246,11 +246,6 @@ def act_on_algebra(action: GroupAction, g: int, a: np.ndarray) -> np.ndarray:
     return a[action.src[g]]
 
 
-def basis_image_under_action(action: GroupAction, g: int, k: int) -> int:
-    """alpha_g(e_k) = e_{g.k}: the index of the image basis idempotent."""
-    return action.apply(g, k)
-
-
 def is_psd(m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     """Whether a square complex matrix is positive semidefinite.
 

@@ -311,13 +311,10 @@ def induced_map(rcp: ReducedCrossedProduct, t: Multiplier) -> np.ndarray:
     T_g."""
     if t.system != rcp.system:
         raise ValueError("multiplier lives on a different system")
-    n = rcp.system.n_points
-    order = rcp.system.group.order
-    N = rcp.dim
-    phi = np.zeros((N, N), dtype=complex)
-    for g in range(order):
-        phi[g * n : (g + 1) * n, g * n : (g + 1) * n] = t.mats[g]
-    return phi
+    order, n, _ = t.stack.shape
+    phi = np.zeros((order, n, order, n), dtype=complex)
+    phi[np.arange(order), :, np.arange(order), :] = t.stack
+    return phi.reshape(rcp.dim, rcp.dim)
 
 
 def _components(size: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:

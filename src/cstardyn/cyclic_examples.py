@@ -172,7 +172,7 @@ def matrix_unit_deviation(family: list[Multiplier]) -> float:
     """Max entrywise deviation of a family indexed by (k, l, p), as built by
     :func:`matrix_unit_family`, from the matrix units of
     :func:`matrix_unit_target`."""
-    mats = np.stack([np.stack(t.mats) for t in family])  # (k*n*n + l*n + p, m, row, col)
+    mats = np.stack([t.stack for t in family])  # (k*n*n + l*n + p, m, row, col)
     n = mats.shape[-1]
     k, l, p = np.unravel_index(np.arange(len(family)), (n, n, n))
     target = np.zeros(mats.shape)

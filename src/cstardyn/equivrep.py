@@ -25,7 +25,7 @@ from .hilbmod import (
     module_action,
     trivial_module,
 )
-from .numutil import max_abs, nearest_unitary, null_space
+from .numutil import max_abs, max_abs_over, nearest_unitary, null_space
 from .reporting import CheckReport
 
 
@@ -364,38 +364,31 @@ def fell_absorption_unitary(rep: EquivariantRep, tol: float = DEFAULT_TOL):
         w_blocks.append(S @ tp.coord_pinv[p])
 
     report = CheckReport()
-    res_iso = res_surj = 0.0
-    for p in range(n):
-        w = w_blocks[p]
-        res_iso = max(res_iso, max_abs(w.conj().T @ w - np.eye(w.shape[1])))
-        res_surj = max(res_surj, max_abs(w @ w.conj().T - np.eye(w.shape[0])))
-    report.add("isometry", res_iso, tol)
-    report.add("surjectivity", res_surj, tol)
+    report.add("isometry", max_abs_over(w.conj().T @ w - np.eye(w.shape[1]) for w in w_blocks), tol)
+    report.add("surjectivity", max_abs_over(w @ w.conj().T - np.eye(w.shape[0]) for w in w_blocks), tol)
 
     dim_t = trep.module.total_dim
     dim_r = reg.module.total_dim
     report.add("dimension match", float(abs(dim_t - dim_r)), 0.5)
 
-    res = 0.0
-    for k in range(n):
-        for p in range(n):
-            lhs = w_blocks[p] @ trep.rho[k].blocks[p]
-            rhs = reg.rho[k].blocks[p] @ w_blocks[p]
-            res = max(res, max_abs(lhs - rhs))
+    res = max_abs_over(
+        w_blocks[p] @ trep.rho[k].blocks[p] - reg.rho[k].blocks[p] @ w_blocks[p]
+        for k in range(n)
+        for p in range(n)
+    )
     report.add("intertwines rho", res, tol)
 
-    res = 0.0
-    for g in range(order):
-        for p in range(n):
-            src = sys_.action.apply_inv(g, p)
-            lhs = w_blocks[p] @ trep.v_mats[g][p]
-            rhs = reg.v_mats[g][p] @ w_blocks[src]
-            res = max(res, max_abs(lhs - rhs))
+    src = sys_.action.src
+    res = max_abs_over(
+        w_blocks[p] @ trep.v_mats[g][p] - reg.v_mats[g][p] @ w_blocks[src[g, p]]
+        for g in range(order)
+        for p in range(n)
+    )
     report.add("intertwines v", res, tol)
 
     # A-linearity of W on a seeded spanning sample of simple tensors
     rng = np.random.default_rng(7)
-    res = 0.0
+    diffs = []
     for _ in range(4):
         x1 = _random_vector(rep.module, rng)
         x2 = _random_vector(areg.module, rng)
@@ -403,8 +396,8 @@ def fell_absorption_unitary(rep: EquivariantRep, tol: float = DEFAULT_TOL):
         z = tp.embed(x1, module_action(x2, a))
         lhs = _apply_blocks(w_blocks, reg.module, z)
         rhs = module_action(_apply_blocks(w_blocks, reg.module, tp.embed(x1, x2)), a)
-        res = max(res, max_abs(lhs.flat() - rhs.flat()))
-    report.add("algebra linearity", res, tol)
+        diffs.append(lhs.flat() - rhs.flat())
+    report.add("algebra linearity", max_abs_over(diffs), tol)
     return w_blocks, report, (trep, tp), reg
 
 
@@ -454,7 +447,7 @@ def gns_from_pd(multiplier, tol: float = DEFAULT_TOL):
     coefficient it produces; a residual beyond tolerance raises rather than
     being patched over.
     """
-    from .multiplier import coefficient, is_positive_definite, multiplier_distance
+    from .multiplier import coefficient, is_positive_definite, multiplier_distance, pd_criterion_matrix
 
     cert = is_positive_definite(multiplier, tol)
     if not cert.verdict:
@@ -469,17 +462,14 @@ def gns_from_pd(multiplier, tol: float = DEFAULT_TOL):
     def sym(g: int, j: int) -> int:
         return g * n + j
 
-    # fiber-p gram over symbols: delta_{jj'} [alpha_g(T_{g^{-1}g'}(e_{g^{-1}j}))]_p
+    # fiber-p gram over symbols: delta_{jj'} [alpha_g(T_{g^{-1}g'}(e_{g^{-1}j}))]_p,
+    # which is the criterion's kernel matrix at (p, j) on the (g, g') block
     coord, pinv, dims = [], [], []
     for p in range(n):
-        G = np.zeros((S, S), dtype=complex)
-        for g in range(order):
-            ginv = sys_.group.inv(g)
-            for gp in range(order):
-                k = sys_.group.mul(ginv, gp)
-                for j in range(n):
-                    col = multiplier.mats[k][:, act.apply(ginv, j)]
-                    G[sym(g, j), sym(gp, j)] = col[act.apply(ginv, p)]
+        G = np.zeros((order, n, order, n), dtype=complex)
+        for j in range(n):
+            G[:, j, :, j] = pd_criterion_matrix(multiplier, p, j)
+        G = G.reshape(S, S)
         G = (G + G.conj().T) / 2
         lam, V = np.linalg.eigh(G)
         cutoff = tol * (1.0 + max(lam.max(), 0.0))
@@ -521,7 +511,7 @@ def gns_from_pd(multiplier, tol: float = DEFAULT_TOL):
 
     realized = coefficient(rep, xi, xi)
     gap = multiplier_distance(realized, multiplier)
-    scale = 1.0 + max(max_abs(m) for m in multiplier.mats)
+    scale = 1.0 + max_abs(multiplier.stack)
     # cutting a null direction perturbs the coefficient by at most the
     # cutoff times the symbol count, so allow that much slack over tol
     if gap > S * tol * scale:
@@ -613,12 +603,12 @@ def unitarily_equivalent(
 def _intertwiner_residual(r1: EquivariantRep, r2: EquivariantRep, mats: Sequence[np.ndarray]) -> float:
     sys_ = r1.system
     n = r1.module.n_points
-    res = 0.0
-    for x in range(n):
-        for k in range(n):
-            res = max(res, max_abs(mats[x] @ r1.rho[k].blocks[x] - r2.rho[k].blocks[x] @ mats[x]))
-    for g in range(sys_.group.order):
-        for x in range(n):
-            y = sys_.action.apply_inv(g, x)
-            res = max(res, max_abs(mats[x] @ r1.v_mats[g][x] - r2.v_mats[g][x] @ mats[y]))
-    return res
+    src = sys_.action.src
+    return max_abs_over(
+        [mats[x] @ r1.rho[k].blocks[x] - r2.rho[k].blocks[x] @ mats[x] for x in range(n) for k in range(n)]
+        + [
+            mats[x] @ r1.v_mats[g][x] - r2.v_mats[g][x] @ mats[src[g, x]]
+            for g in range(sys_.group.order)
+            for x in range(n)
+        ]
+    )

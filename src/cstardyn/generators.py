@@ -174,14 +174,14 @@ def random_multiplier_suite(
                 cand = cand + coefficient(rep2, xi2, xi2)
         elif kind == 2:
             mats = rng.normal(size=(order, n, n)) + 1j * rng.normal(size=(order, n, n))
-            cand = Multiplier(system, tuple(mats))
+            cand = Multiplier(system, mats)
         else:
             rep = random_equivariant_rep(system, rng, max_dim=2)
             xi = random_vector(rep.module, rng)
             eta = random_vector(rep.module, rng)
             cand = coefficient(rep, xi, xi) - 2.0 * coefficient(rep, eta, eta)
         cert = is_positive_definite(cand)
-        scale = 1.0 + max(float(np.abs(m).max()) for m in cand.mats)
+        scale = 1.0 + float(np.abs(cand.stack).max())
         if not cert.verdict and cert.hermitian_defect <= 1e-9 * scale:
             if -clear_margin * scale < cert.min_eigenvalue:
                 continue  # borderline indefinite: resample

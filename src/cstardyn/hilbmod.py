@@ -134,19 +134,6 @@ def basis_vectors(module: SectionalModule) -> list[ModuleVector]:
     return [basis_vector(module, x, i) for x in module.space.points() for i in range(module.fiber_dims[x])]
 
 
-def vector_from_flat(module: SectionalModule, flat: np.ndarray) -> ModuleVector:
-    flat = np.asarray(flat, dtype=complex).reshape(module.total_dim)
-    comps, off = [], 0
-    for d in module.fiber_dims:
-        comps.append(flat[off : off + d])
-        off += d
-    return ModuleVector(module, tuple(comps))
-
-
-def identity_operator(module: SectionalModule) -> ModuleOperator:
-    return ModuleOperator(module, tuple(np.eye(d, dtype=complex) for d in module.fiber_dims))
-
-
 def inner_product(xi: ModuleVector, eta: ModuleVector) -> np.ndarray:
     """The C^n-valued inner product, component x = <xi(x), eta(x)>."""
     _same_module(xi, eta)
@@ -404,14 +391,3 @@ def internal_tensor(
         pinvs.append(Vk / np.sqrt(lk)[None, :])
     module = SectionalModule(x1.space, tuple(dims))
     return TensorProduct(x1, x2, module, tuple(coords), tuple(pinvs))
-
-
-def gram_matrix(vectors: Sequence[ModuleVector]) -> np.ndarray:
-    """Matrix of C^n-valued inner products, stacked as shape (len, len, n)."""
-    k = len(vectors)
-    n = vectors[0].module.n_points if k else 0
-    out = np.zeros((k, k, n), dtype=complex)
-    for i, v in enumerate(vectors):
-        for j, w in enumerate(vectors):
-            out[i, j] = inner_product(v, w)
-    return out

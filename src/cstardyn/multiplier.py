@@ -10,7 +10,7 @@ constructions live here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -24,39 +24,45 @@ from .numutil import max_abs, matrix_rank
 
 @dataclass(frozen=True, eq=False)
 class Multiplier:
+    """A multiplier on a system: one n x n matrix per group element.
+
+    ``mats`` may be given as any sequence of matrices or as one array.  The
+    matrices are held once, in the read-only complex array ``stack`` of shape
+    (|G|, n, n); ``mats`` is the tuple of its per-element views.
+    """
+
     system: System
     mats: tuple[np.ndarray, ...]
+    stack: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         n = self.system.n_points
         order = self.system.group.order
         if len(self.mats) != order:
             raise ValueError("one matrix per group element required")
-        mats = []
-        for m in self.mats:
-            arr = np.asarray(m, dtype=complex).reshape(n, n)
-            if not np.all(np.isfinite(arr)):
-                raise ValueError("multiplier matrices must be finite")
-            arr.flags.writeable = False
-            mats.append(arr)
-        object.__setattr__(self, "mats", tuple(mats))
+        stack = np.array(self.mats, dtype=complex).reshape(order, n, n)
+        if not np.isfinite(stack).all():
+            raise ValueError("multiplier matrices must be finite")
+        stack.flags.writeable = False
+        object.__setattr__(self, "stack", stack)
+        object.__setattr__(self, "mats", tuple(stack))
 
     def apply(self, g: int, a: np.ndarray) -> np.ndarray:
         return self.mats[g] @ np.asarray(a, dtype=complex)
 
     def support(self, tol: float = DEFAULT_TOL) -> list[int]:
-        return [g for g, m in enumerate(self.mats) if max_abs(m) > tol]
+        return np.flatnonzero(np.abs(self.stack).max(axis=(1, 2)) > tol).tolist()
 
     def __add__(self, other: "Multiplier") -> "Multiplier":
         _same_system(self, other)
-        return Multiplier(self.system, tuple(a + b for a, b in zip(self.mats, other.mats)))
+        return Multiplier(self.system, self.stack + other.stack)
 
     def __sub__(self, other: "Multiplier") -> "Multiplier":
         _same_system(self, other)
-        return Multiplier(self.system, tuple(a - b for a, b in zip(self.mats, other.mats)))
+        return Multiplier(self.system, self.stack - other.stack)
 
     def __mul__(self, scalar: complex) -> "Multiplier":
-        return Multiplier(self.system, tuple(scalar * m for m in self.mats))
+        return Multiplier(self.system, scalar * self.stack)
 
     __rmul__ = __mul__
 
@@ -68,23 +74,24 @@ def _same_system(a, b) -> None:
 
 def unit_multiplier(system: System) -> Multiplier:
     n = system.n_points
-    return Multiplier(system, tuple(np.eye(n, dtype=complex) for _ in system.group.elements()))
+    return Multiplier(system, np.broadcast_to(np.eye(n), (system.group.order, n, n)))
 
 
 def zero_multiplier(system: System) -> Multiplier:
     n = system.n_points
-    return Multiplier(system, tuple(np.zeros((n, n), dtype=complex) for _ in system.group.elements()))
+    return Multiplier(system, np.zeros((system.group.order, n, n)))
 
 
 def multiplier_distance(t: Multiplier, s: Multiplier) -> float:
     _same_system(t, s)
-    return max(max_abs(a - b) for a, b in zip(t.mats, s.mats))
+    return max_abs(t.stack - s.stack)
 
 
 def op_norm_inf(m: np.ndarray) -> float:
-    """Operator norm of a matrix on C^n with the sup norm (max abs row sum)."""
+    """Operator norm of a matrix on C^n with the sup norm (max abs row sum);
+    for a stack of matrices, the largest over the stack."""
     m = np.asarray(m)
-    return float(np.abs(m).sum(axis=1).max()) if m.size else 0.0
+    return float(np.abs(m).sum(axis=-1).max()) if m.size else 0.0
 
 
 def coefficient(rep: EquivariantRep, xi: ModuleVector, eta: ModuleVector) -> Multiplier:
@@ -98,8 +105,7 @@ def coefficient(rep: EquivariantRep, xi: ModuleVector, eta: ModuleVector) -> Mul
     b = fibers.stack_sections(eta.components, dims)
     shifted = np.einsum("gxij,gxj->gxi", rep.v_stack, b[rep.system.action.src])  # (v(g) eta)(x)
     left = np.einsum("xi,jxik->jxk", a.conj(), rep.rho_stack)  # xi(x)* rho(e_j)
-    mats = np.einsum("jxk,gxk->gxj", left, shifted)
-    return Multiplier(rep.system, tuple(mats))
+    return Multiplier(rep.system, np.einsum("jxk,gxk->gxj", left, shifted))
 
 
 @dataclass(frozen=True)
@@ -136,21 +142,77 @@ class PdCertificate:
         return out
 
 
+# Trials after the first are drawn and checked this many at a time, and no
+# block of one tuple length gathers more than _BLOCK_ELEMENTS entries of the
+# (T, N, N, n, n) multiplier tensor (one trial always fits).  Both bound the
+# oracle's working set independently of the number of trials.  The fiberwise
+# criterion gathers its kernel matrices under the same element budget.
+_WINDOW = 256
+_BLOCK_ELEMENTS = 2**13
+
+
+def _kernel_matrices(system: System, stack: np.ndarray, s: np.ndarray, x: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """The group-indexed kernel matrices of multipliers ``stack[s]`` at base
+    points ``x`` and basis indices ``k`` (1-D index arrays of one length B),
+    gathered at once: ``K[b][i, j] = stack[s_b, g_i^{-1} g_j, g_i^{-1} x_b,
+    g_i^{-1} k_b]``, of shape (B, |G|, |G|)."""
+    group, src = system.group, system.action.src
+    rows = group.mult[group.inverse]  # rows[i, j] = g_i^{-1} g_j
+    return stack[s[:, None, None], rows, src[:, x].T[:, :, None], src[:, k].T[:, :, None]]
+
+
 def pd_criterion_matrix(t: Multiplier, x: int, k: int) -> np.ndarray:
     """The group-indexed kernel matrix at base point x and basis index k:
     entry (i, j) is the x-component of
     alpha_{g_i}(T_{g_i^{-1} g_j}(alpha_{g_i}^{-1}(e_k)))."""
-    sys_ = t.system
-    order = sys_.group.order
-    act = sys_.action
-    out = np.empty((order, order), dtype=complex)
-    for gi in range(order):
-        inv = sys_.group.inv(gi)
-        row_pt = act.apply(inv, x)
-        col_idx = act.apply(inv, k)
-        for gj in range(order):
-            out[gi, gj] = t.mats[sys_.group.mul(inv, gj)][row_pt, col_idx]
-    return out
+    one = np.zeros(1, dtype=np.intp)
+    return _kernel_matrices(t.system, t.stack[None], one, one + x, one + k)[0]
+
+
+def _fiberwise_certificates(system: System, stack: np.ndarray, tol: float) -> list[PdCertificate]:
+    """The fiberwise criterion for a stack of S multipliers on one system.
+
+    ``stack`` is (S, |G|, n, n).  The kernel matrices of all S * n * n
+    triples (s, x, k) are gathered, and their scale ``1 + max|entry|``,
+    Hermitian defect and ``eigh`` of the Hermitian part computed, in blocks
+    of at most ``_BLOCK_ELEMENTS`` gathered entries (one matrix always
+    fits).  Only the smallest eigenvalue, its eigenvector, the scale and the
+    defect of each matrix are kept.  Returns one certificate per multiplier,
+    as :func:`is_positive_definite` describes it.
+    """
+    S, order, n, _ = stack.shape
+    total = S * n * n
+    step = max(1, _BLOCK_ELEMENTS // (order * order))
+    lam0 = np.empty(total)
+    hd = np.empty(total)
+    scale = np.empty(total)
+    vec0 = np.empty((total, order), dtype=complex)
+    for lo in range(0, total, step):
+        q = np.arange(lo, min(lo + step, total))
+        kern = _kernel_matrices(system, stack, *np.unravel_index(q, (S, n, n)))
+        kern_h = kern.conj().transpose(0, 2, 1)
+        scale[q] = 1.0 + np.abs(kern).max(axis=(1, 2))
+        hd[q] = np.abs(kern - kern_h).max(axis=(1, 2))
+        lam, vecs = np.linalg.eigh((kern + kern_h) / 2)
+        lam0[q] = lam[:, 0]
+        vec0[q] = vecs[:, :, 0]
+    lam0, hd, scale = (a.reshape(S, n * n) for a in (lam0, hd, scale))
+    limit = tol * scale
+    herm_bad = hd > limit
+    verdicts = ~(herm_bad | (lam0 < -limit)).any(axis=1)
+    # the first (x, k) in loop order with the largest score is the witness
+    worst = np.argmax(-lam0 + np.where(herm_bad, hd, 0.0), axis=1)
+    return [
+        PdCertificate(
+            verdict=bool(ok),
+            min_eigenvalue=float(lam0[i].min()),
+            hermitian_defect=float(hd[i, w]),
+            point=int(w // n),
+            basis=int(w % n),
+            eigenvector=None if ok else vec0[i * n * n + w],
+        )
+        for i, (ok, w) in enumerate(zip(verdicts, worst))
+    ]
 
 
 def is_positive_definite(t: Multiplier, tol: float = DEFAULT_TOL) -> PdCertificate:
@@ -162,44 +224,17 @@ def is_positive_definite(t: Multiplier, tol: float = DEFAULT_TOL) -> PdCertifica
     idempotent decomposition a*b = sum_k conj(a_k) b_k e_k, which makes the
     tuple condition a sum of independent quadratic forms, one per (x, k);
     :func:`pd_sample_oracle` cross-validates it against the raw definition.
+
+    All n^2 kernel matrices come from one gather and go through ``eigh`` in
+    blocks of at most ``_BLOCK_ELEMENTS`` entries.  A matrix fails when its
+    Hermitian defect or minus its smallest eigenvalue exceeds
+    ``tol * (1 + max|entry|)``.  The certificate's (point, basis) is the
+    first (x, k) in loop order with the largest score, minus the smallest
+    eigenvalue plus any defect beyond tolerance, and carries that matrix's
+    defect (and, on failure, its lowest eigenvector); ``min_eigenvalue`` is
+    the smallest eigenvalue over all (x, k).
     """
-    n = t.system.n_points
-    worst = (0.0, None, None, None)  # (min_eig, x, k, vec)
-    herm_defect = 0.0
-    verdict = True
-    min_seen = math.inf
-    for x in range(n):
-        for k in range(n):
-            m = pd_criterion_matrix(t, x, k)
-            scale = 1.0 + max_abs(m)
-            hd = max_abs(m - m.conj().T)
-            herm = (m + m.conj().T) / 2
-            lam, vecs = np.linalg.eigh(herm)
-            min_seen = min(min_seen, float(lam[0]))
-            bad = hd > tol * scale or lam[0] < -tol * scale
-            if bad:
-                verdict = False
-            score = -float(lam[0]) + (hd if hd > tol * scale else 0.0)
-            if worst[1] is None or score > worst[0]:
-                worst = (score, x, k, vecs[:, 0])
-                herm_defect = hd
-    _, x, k, vec = worst
-    return PdCertificate(
-        verdict=verdict,
-        min_eigenvalue=min_seen if math.isfinite(min_seen) else 0.0,
-        hermitian_defect=herm_defect,
-        point=x,
-        basis=k,
-        eigenvector=None if verdict else vec,
-    )
-
-
-# Trials after the first are drawn and checked this many at a time, and no
-# block of one tuple length gathers more than _BLOCK_ELEMENTS entries of the
-# (T, N, N, n, n) multiplier tensor (one trial always fits).  Both bound the
-# oracle's working set independently of the number of trials.
-_WINDOW = 256
-_BLOCK_ELEMENTS = 2**13
+    return _fiberwise_certificates(t.system, t.stack[None], tol)[0]
 
 
 def _kernel_checks(t: Multiplier, gs: np.ndarray, amps: np.ndarray, tol: float):
@@ -215,7 +250,7 @@ def _kernel_checks(t: Multiplier, gs: np.ndarray, amps: np.ndarray, tol: float):
     perm = sys_.action.perm
     inv = sys_.group.inverse
     mult = sys_.group.mult
-    mats = np.stack(t.mats)
+    mats = t.stack
     count, N, n = amps.shape
     step = max(1, _BLOCK_ELEMENTS // (N * N * n * n))
     mins = np.empty((count, n))
@@ -332,7 +367,7 @@ def multiply(t: Multiplier, s: Multiplier) -> Multiplier:
     composition second-factor-after-first, i.e. multiply(coeff2, coeff1).
     """
     _same_system(t, s)
-    return Multiplier(t.system, tuple(a @ b for a, b in zip(t.mats, s.mats)))
+    return Multiplier(t.system, t.stack @ s.stack)
 
 
 @dataclass(frozen=True)
@@ -358,12 +393,12 @@ def norm_bounds(
 ) -> NormBounds:
     """lower = sup_g ||T_g|| (sup-norm operator norm); upper = min ||xi|| ||eta||
     over supplied realizations (infinity when none are supplied)."""
-    lower = max((op_norm_inf(m) for m in t.mats), default=0.0)
+    lower = op_norm_inf(t.stack)
     upper = math.inf
     for idx, (rep, xi, eta) in enumerate(known_reps):
         realized = coefficient(rep, xi, eta)
         gap = multiplier_distance(realized, t)
-        scale = 1.0 + max(max_abs(m) for m in t.mats)
+        scale = 1.0 + max_abs(t.stack)
         if gap > tol * scale:
             raise ValueError(f"triple {idx} does not realize the multiplier (residual {gap:.3e})")
         upper = min(upper, module_norm(xi) * module_norm(eta))
@@ -395,8 +430,8 @@ def truncate_realization(
     xi_off = xi - xi_on
     eta_off = eta - eta_on
     bound = module_norm(xi_off) * module_norm(eta) + module_norm(xi_on) * module_norm(eta_off)
-    lower = max(op_norm_inf(a - b) for a, b in zip(t_full.mats, t_eps.mats))
-    trunc_sup = max(op_norm_inf(m) for m in t_eps.mats)
+    lower = op_norm_inf(t_full.stack - t_eps.stack)
+    trunc_sup = op_norm_inf(t_eps.stack)
     if trunc_sup > module_norm(xi_on) * module_norm(eta_on) + tol * (1.0 + trunc_sup):
         raise ArithmeticError("truncated coefficient exceeds its vector-norm bound")
     return t_eps, NormBounds(lower, bound, tol)
@@ -414,7 +449,7 @@ def realize_via_regular(
     slot.  The output coefficient reproduces the input exactly.
     """
     realized = coefficient(rep, xi, eta)
-    scale = 1.0 + max(max_abs(m) for m in t.mats)
+    scale = 1.0 + max_abs(t.stack)
     if multiplier_distance(realized, t) > tol * scale:
         raise ValueError("the supplied triple does not realize the multiplier")
     support = t.support(tol)
@@ -432,7 +467,7 @@ def from_group_function(system: System, mu: Sequence[complex]) -> Multiplier:
     """The multiplier T(g, a) = mu(g) a induced by a function on the group."""
     n = system.n_points
     mu = np.asarray(mu, dtype=complex).reshape(system.group.order)
-    return Multiplier(system, tuple(mu[g] * np.eye(n) for g in system.group.elements()))
+    return Multiplier(system, mu[:, None, None] * np.eye(n))
 
 
 def group_function_is_positive_definite(system: System, mu: Sequence[complex], tol: float = DEFAULT_TOL) -> bool:
@@ -456,7 +491,7 @@ def span_dimension(ms: Sequence[Multiplier], tol: float = DEFAULT_TOL) -> int:
     sys_ = ms[0].system
     for m in ms[1:]:
         _same_system(ms[0], m)
-    rows = np.stack([np.concatenate([mat.ravel() for mat in m.mats]) for m in ms])
+    rows = np.stack([m.stack.ravel() for m in ms])
     return matrix_rank(rows, tol)
 
 
@@ -486,36 +521,30 @@ class TraceSample:
     positive_definite: bool
 
 
-def _omega2_generator(rng) -> tuple[np.ndarray, np.ndarray]:
-    eps = rng.choice([-1, 0, 1], size=4)
-    xi = rng.normal(size=2) + 1j * rng.normal(size=2)
-    eta = rng.normal(size=2) + 1j * rng.normal(size=2)
-    sq = lambda z: float(abs(z) ** 2)  # noqa: E731
-    t0 = np.array([[sq(xi[0]), sq(xi[1])], [sq(eta[0]), sq(eta[1])]], dtype=complex)
-    t1 = np.array(
-        [
-            [eps[0] * sq(xi[0]), eps[1] * sq(xi[1])],
-            [eps[2] * sq(eta[0]), eps[3] * sq(eta[1])],
-        ],
-        dtype=complex,
-    )
-    return t0, t1
+def _squared_moduli(xi: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    """|xi_i|^2 and |eta_i|^2 as the rows of a (..., 2, 2) array.  The modulus
+    is the C library's hypot, as for a complex scalar; numpy's vectorized
+    complex abs can differ from it in the last bit."""
+    return np.square(np.stack([np.hypot(v.real, v.imag) for v in (xi, eta)], axis=-2))
 
 
-def _sigma2_generator(rng) -> tuple[np.ndarray, np.ndarray]:
-    eps = rng.choice([-1, 1], size=2)
-    xi = rng.normal(size=2) + 1j * rng.normal(size=2)
-    eta = rng.normal(size=2) + 1j * rng.normal(size=2)
-    sq = lambda z: float(abs(z) ** 2)  # noqa: E731
-    t0 = np.array([[sq(xi[0]), sq(xi[1])], [sq(eta[0]), sq(eta[1])]], dtype=complex)
-    t1 = np.array(
-        [
-            [eps[0] * np.conj(xi[0]) * eta[1], eps[1] * np.conj(xi[1]) * eta[0]],
-            [eps[0] * np.conj(eta[0]) * xi[1], eps[1] * np.conj(eta[1]) * xi[0]],
-        ],
-        dtype=complex,
-    )
-    return t0, t1
+def _omega2_terms(eps: np.ndarray, xi: np.ndarray, eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form generator pairs (T_0, T_1) of the trivial-action family,
+    for signs ``eps`` (..., 4) and vectors ``xi``, ``eta`` (..., 2)."""
+    sq = _squared_moduli(xi, eta)
+    t1 = eps.reshape(eps.shape[:-1] + (2, 2)) * sq
+    return sq.astype(complex), t1.astype(complex)
+
+
+def _sigma2_terms(eps: np.ndarray, xi: np.ndarray, eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form generator pairs (T_0, T_1) of the shift-action family,
+    for signs ``eps`` (..., 2) and vectors ``xi``, ``eta`` (..., 2)."""
+    sq = _squared_moduli(xi, eta)
+    e0, e1 = eps[..., 0], eps[..., 1]
+    x0, x1, y0, y1 = xi[..., 0], xi[..., 1], eta[..., 0], eta[..., 1]
+    top = np.stack([e0 * np.conj(x0) * y1, e1 * np.conj(x1) * y0], axis=-1)
+    bottom = np.stack([e0 * np.conj(y0) * x1, e1 * np.conj(y1) * x0], axis=-1)
+    return sq.astype(complex), np.stack([top, bottom], axis=-2)
 
 
 def trace_image_sample(
@@ -532,33 +561,43 @@ def trace_image_sample(
     the flip.  Each sample carries its positive-definiteness certificate; see
     ``TRACE_CONE_NOTE`` for why the shift-system generators are reported
     as printed rather than being forced through the certificate.
+
+    All samples are drawn with whole-array calls, in this order: the term
+    counts of all samples (uniform in [1, max_terms]); the weights of all
+    ``count * max_terms`` term slots (uniform in [0, 1), set to exactly 0 in
+    the slots beyond a sample's term count); the signs of every slot (four
+    from {-1, 0, 1} for the trivial action, two from {-1, 1} for the flip);
+    the real, then the imaginary parts of xi; the same for eta.  A sample is
+    the weighted sum of its slots' generator pairs, accumulated in slot
+    order, and all samples are certified together by the fiberwise
+    criterion of :func:`is_positive_definite`.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     if system.group.order != 2 or system.n_points != 2:
         raise ValueError("trace sampling is defined for the two order-2 systems")
     # trivial action fixes the points; the flip swaps them
-    gen = _omega2_generator if system.action.apply(1, 0) == 0 else _sigma2_generator
+    trivial = system.action.apply(1, 0) == 0
+    signs, width, terms = ([-1, 0, 1], 4, _omega2_terms) if trivial else ([-1, 1], 2, _sigma2_terms)
 
     rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(count):
-        terms = int(rng.integers(1, max_terms + 1))
-        t0 = np.zeros((2, 2), dtype=complex)
-        t1 = np.zeros((2, 2), dtype=complex)
-        for _ in range(terms):
-            w = float(rng.random())
-            a, b = gen(rng)
-            t0 += w * a
-            t1 += w * b
-        mult = Multiplier(system, (t0, t1))
-        cert = is_positive_definite(mult, tol)
-        out.append(
-            TraceSample(
-                trace0=complex(np.trace(t0)),
-                trace1=complex(np.trace(t1)),
-                multiplier=mult,
-                positive_definite=cert.verdict,
-            )
+    slots = (count, max_terms)
+    used = rng.integers(1, max_terms + 1, size=count)
+    weights = rng.random(slots) * (np.arange(max_terms) < used[:, None])
+    eps = rng.choice(signs, size=slots + (width,))
+    xi = rng.normal(size=slots + (2,)) + 1j * rng.normal(size=slots + (2,))
+    eta = rng.normal(size=slots + (2,)) + 1j * rng.normal(size=slots + (2,))
+    t0, t1 = terms(eps, xi, eta)
+    w = weights[:, :, None, None]
+    stack = np.stack([(w * t0).sum(axis=1), (w * t1).sum(axis=1)], axis=1)  # (count, |G|, 2, 2)
+    traces = np.trace(stack, axis1=2, axis2=3)
+    certs = _fiberwise_certificates(system, stack, tol)
+    return [
+        TraceSample(
+            trace0=complex(tr[0]),
+            trace1=complex(tr[1]),
+            multiplier=Multiplier(system, mats),
+            positive_definite=cert.verdict,
         )
-    return out
+        for mats, tr, cert in zip(stack, traces, certs)
+    ]

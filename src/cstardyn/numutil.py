@@ -44,3 +44,9 @@ def matrix_rank(columns: np.ndarray, tol: float) -> int:
 def max_abs(a: np.ndarray) -> float:
     a = np.asarray(a)
     return float(np.abs(a).max()) if a.size else 0.0
+
+
+def max_abs_over(arrays) -> float:
+    """Largest |entry| over several arrays, 0.0 for none.  NaN propagates,
+    where a ``max(res, max_abs(a))`` fold would drop it."""
+    return float(np.max([max_abs(a) for a in arrays], initial=0.0))

@@ -72,14 +72,6 @@ def system_from_json(obj: dict) -> System:
     return System(GroupAction(group, space, perm))
 
 
-def module_to_json(module: SectionalModule) -> dict:
-    return {"fiberDims": list(module.fiber_dims)}
-
-
-def module_from_json(obj: dict, space: FiniteSpace) -> SectionalModule:
-    return SectionalModule(space, tuple(int(d) for d in obj["fiberDims"]))
-
-
 def module_vector_to_json(vec: ModuleVector) -> list:
     return [vector_to_json(c) for c in vec.components]
 
@@ -166,20 +158,3 @@ def cocycle_from_json(obj: dict, system: System) -> CocycleRep:
             )
         )
     return CocycleRep(system.action, module, tuple(u))
-
-
-def module_payload_to_json(module: SectionalModule, vectors: dict[str, ModuleVector]) -> dict:
-    """A module with named vectors: {"fiberDims": [...], "vectors": {name: ...}}."""
-    return {
-        "fiberDims": list(module.fiber_dims),
-        "vectors": {name: module_vector_to_json(v) for name, v in vectors.items()},
-    }
-
-
-def module_payload_from_json(obj: dict, space: FiniteSpace):
-    module = SectionalModule(space, tuple(int(d) for d in obj["fiberDims"]))
-    vectors = {
-        name: module_vector_from_json(v, module) for name, v in obj.get("vectors", {}).items()
-    }
-    return module, vectors
-

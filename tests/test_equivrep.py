@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -5,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cstardyn import fibers
+from cstardyn import equivrep, fibers
 from cstardyn.cocycle import CocycleRep, EquivariantMap, rho_from_sigma
 from cstardyn.core import DEFAULT_TOL, FiniteSpace, GroupAction, act_on_algebra, symmetric_group
 from cstardyn.cyclic_examples import omega_example_rep, omega_system, sigma_example_rep, sigma_system
@@ -154,6 +155,23 @@ class TestFellAbsorption:
         assert trep.module.total_dim == order * rep.module.total_dim == reg.module.total_dim
         assert report.passed
 
+    def test_nan_block_fails(self, monkeypatch):
+        """A NaN in one absorption block is not folded away by the residuals
+        of the later, finite blocks."""
+        real_tensor_rep = equivrep.tensor_rep
+
+        def poisoned(r1, r2, tol):
+            trep, tp = real_tensor_rep(r1, r2, tol)
+            pinv = [m.copy() for m in tp.coord_pinv]
+            pinv[0][0, 0] = np.nan
+            return trep, dataclasses.replace(tp, coord_pinv=tuple(pinv))
+
+        monkeypatch.setattr(equivrep, "tensor_rep", poisoned)
+        _, report, _, _ = fell_absorption_unitary(sigma_example_rep(3))
+        assert not report.passed
+        for name in ("isometry", "surjectivity", "intertwines rho", "intertwines v", "algebra linearity"):
+            assert report.residual_of(name) == math.inf, name
+
 
 class TestGns:
     def test_unit_multiplier(self, z2_flip):
@@ -239,6 +257,15 @@ class TestUnitaryEquivalence:
         minus = EquivariantRep(z2_trivial, plus.module, plus.rho, v_minus)
         assert verify_equivariant(minus).passed
         assert unitarily_equivalent(plus, minus) is None
+
+
+class TestIntertwinerResidual:
+    def test_nan_propagates(self):
+        rep = sigma_example_rep(3)
+        mats = [np.eye(d, dtype=complex) for d in rep.module.fiber_dims]
+        assert equivrep._intertwiner_residual(rep, rep, mats) == 0.0
+        mats[2][0, 0] = np.nan
+        assert not math.isfinite(equivrep._intertwiner_residual(rep, rep, mats))
 
 
 class TestRandomSuite:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -6,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cstardyn.core import is_psd
+from cstardyn import multiplier
+from cstardyn.core import DEFAULT_TOL, FiniteSpace, GroupAction, System, is_psd, symmetric_group
 from cstardyn.cyclic_examples import (
     matrix_unit_family,
     matrix_unit_target,
@@ -32,6 +34,7 @@ from cstardyn.hilbmod import ModuleVector, inner_product
 from cstardyn.multiplier import (
     _WINDOW,
     Multiplier,
+    _fiberwise_certificates,
     _kernel_checks,
     coefficient,
     evaluate_sample_witness,
@@ -41,6 +44,7 @@ from cstardyn.multiplier import (
     multiplier_distance,
     multiply,
     norm_bounds,
+    pd_criterion_matrix,
     pd_sample_oracle,
     realize_via_regular,
     span_dimension,
@@ -138,6 +142,125 @@ class TestIsPositiveDefinite:
                 criterion = is_positive_definite(t).verdict
                 sampled = pd_sample_oracle(t, trials=400, seed=7).verdict
                 assert criterion == sampled, name
+
+
+def reference_pd_criterion_matrix(t, x, k):
+    """Test-only oracle: the per-entry double loop that filled the kernel
+    matrix at (x, k) before it became one gather."""
+    sys_ = t.system
+    order = sys_.group.order
+    act = sys_.action
+    out = np.empty((order, order), dtype=complex)
+    for gi in range(order):
+        inv = sys_.group.inv(gi)
+        row_pt = act.apply(inv, x)
+        col_idx = act.apply(inv, k)
+        for gj in range(order):
+            out[gi, gj] = t.mats[sys_.group.mul(inv, gj)][row_pt, col_idx]
+    return out
+
+
+def reference_is_positive_definite(t, tol=DEFAULT_TOL):
+    """Test-only oracle: the fiberwise criterion's former loop, one ``eigh``
+    per (x, k), keeping the first maximum score as the witness."""
+    n = t.system.n_points
+    worst = (0.0, None, None, None)  # (score, x, k, vec)
+    herm_defect = 0.0
+    verdict = True
+    min_seen = math.inf
+    for x in range(n):
+        for k in range(n):
+            m = reference_pd_criterion_matrix(t, x, k)
+            scale = 1.0 + np.abs(m).max()
+            hd = float(np.abs(m - m.conj().T).max())
+            lam, vecs = np.linalg.eigh((m + m.conj().T) / 2)
+            min_seen = min(min_seen, float(lam[0]))
+            if hd > tol * scale or lam[0] < -tol * scale:
+                verdict = False
+            score = -float(lam[0]) + (hd if hd > tol * scale else 0.0)
+            if worst[1] is None or score > worst[0]:
+                worst = (score, x, k, vecs[:, 0])
+                herm_defect = hd
+    _, x, k, vec = worst
+    return multiplier.PdCertificate(
+        verdict=verdict,
+        min_eigenvalue=min_seen,
+        hermitian_defect=herm_defect,
+        point=x,
+        basis=k,
+        eigenvector=None if verdict else vec,
+    )
+
+
+def criterion_suite(system, rng):
+    """Random multipliers of every kind, plus multipliers whose kernel
+    matrices tie in score (unit, group functions), so the witness rule
+    shows."""
+    suite = random_multiplier_suite(system, 8, rng)
+    order = system.group.order
+    suite += [unit_multiplier(system), zero_multiplier(system)]
+    suite += [from_group_function(system, mu) for mu in (np.ones(order), rng.normal(size=order))]
+    return suite
+
+
+def assert_same_certificate(got, want, scale):
+    assert got.verdict == want.verdict
+    assert (got.point, got.basis) == (want.point, want.basis)
+    assert abs(got.min_eigenvalue - want.min_eigenvalue) <= 1e-12 * scale
+    assert abs(got.hermitian_defect - want.hermitian_defect) <= 1e-12 * scale
+    assert (got.eigenvector is None) == (want.eigenvector is None)
+    if want.eigenvector is not None:
+        assert np.array_equal(got.eigenvector, want.eigenvector)
+
+
+class TestBatchedCriterion:
+    def test_kernel_matrix_is_the_loop(self, rng):
+        for system in oracle_systems():
+            n = system.n_points
+            for t in random_multiplier_suite(system, 3, rng):
+                for x, k in itertools.product(range(n), repeat=2):
+                    assert np.array_equal(pd_criterion_matrix(t, x, k), reference_pd_criterion_matrix(t, x, k))
+
+    @pytest.mark.parametrize("budget", [1, multiplier._BLOCK_ELEMENTS], ids=["one-matrix", "default"])
+    def test_certificate_matches_loop(self, rng, monkeypatch, budget):
+        monkeypatch.setattr(multiplier, "_BLOCK_ELEMENTS", budget)
+        failing = 0
+        for system in oracle_systems():
+            for t in criterion_suite(system, rng):
+                want = reference_is_positive_definite(t)
+                assert_same_certificate(is_positive_definite(t), want, 1.0 + np.abs(t.stack).max())
+                failing += not want.verdict
+        assert failing > 0
+
+    @pytest.mark.parametrize("budget", [1, multiplier._BLOCK_ELEMENTS], ids=["one-matrix", "default"])
+    def test_stack_of_multipliers(self, rng, monkeypatch, budget):
+        """Certifying many multipliers in one call gives each the certificate
+        it gets alone, also when a block spans several multipliers."""
+        monkeypatch.setattr(multiplier, "_BLOCK_ELEMENTS", budget)
+        for system in oracle_systems():
+            suite = criterion_suite(system, rng)
+            certs = _fiberwise_certificates(system, np.stack([t.stack for t in suite]), DEFAULT_TOL)
+            for t, cert in zip(suite, certs):
+                want = reference_is_positive_definite(t)
+                assert_same_certificate(cert, want, 1.0 + np.abs(t.stack).max())
+
+    def test_working_set_on_s5(self):
+        """The natural action of S_5: all n^2 kernel matrices together are one
+        (n^2, |G|, |G|) complex stack, 5.76 MB; the blocked criterion stays
+        below that."""
+        perms = np.array(sorted(itertools.permutations(range(5))), dtype=np.intp)
+        system = System(GroupAction(symmetric_group(5), FiniteSpace(5), perms))
+        t = unit_multiplier(system)
+        full = 25 * 120 * 120 * 16
+        is_positive_definite(unit_multiplier(sigma_system(2)))  # numpy's lazy set-up is not the criterion's
+        tracemalloc.start()
+        try:
+            cert = is_positive_definite(t)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert cert.verdict
+        assert peak < full
 
 
 def reference_kernel_check(t, gs, amps, tol):
@@ -487,6 +610,56 @@ class TestConeStructure:
                 assert is_positive_definite(lam * t1).verdict
 
 
+def reference_generator_pair(trivial, eps, xi, eta):
+    """Test-only oracle: the closed-form generator formulas as the sampler
+    evaluated them one term at a time, on already drawn values."""
+    sq = lambda z: float(abs(z) * abs(z))  # noqa: E731
+    t0 = np.array([[sq(xi[0]), sq(xi[1])], [sq(eta[0]), sq(eta[1])]], dtype=complex)
+    if trivial:
+        t1 = np.array(
+            [
+                [eps[0] * sq(xi[0]), eps[1] * sq(xi[1])],
+                [eps[2] * sq(eta[0]), eps[3] * sq(eta[1])],
+            ],
+            dtype=complex,
+        )
+    else:
+        # entrywise [[e0 conj(xi0) eta1, e1 conj(xi1) eta0],
+        #            [e0 conj(eta0) xi1, e1 conj(eta1) xi0]], multiplied as
+        # arrays: numpy's complex scalar and array products can differ in
+        # the last bit
+        left = np.array([xi[0], xi[1], eta[0], eta[1]])
+        right = np.array([eta[1], eta[0], xi[1], xi[0]])
+        t1 = (eps[[0, 1, 0, 1]] * np.conj(left) * right).reshape(2, 2)
+    return t0, t1
+
+
+def reference_trace_sample(system, count, seed, tol=DEFAULT_TOL, max_terms=3):
+    """Test-only oracle: the documented draw order (term counts, slot
+    weights, signs, xi, eta), replayed sample by sample with the former
+    per-term accumulation and the loop criterion.  Only a sample's drawn
+    terms enter it.  Returns (T_0, T_1, tr T_0, tr T_1, verdict) per sample."""
+    trivial = system.action.apply(1, 0) == 0
+    rng = np.random.default_rng(seed)
+    slots = (count, max_terms)
+    used = rng.integers(1, max_terms + 1, size=count)
+    weights = rng.random(slots)
+    eps = rng.choice([-1, 0, 1] if trivial else [-1, 1], size=slots + (4 if trivial else 2,))
+    xi = rng.normal(size=slots + (2,)) + 1j * rng.normal(size=slots + (2,))
+    eta = rng.normal(size=slots + (2,)) + 1j * rng.normal(size=slots + (2,))
+    out = []
+    for i in range(count):
+        t0 = np.zeros((2, 2), dtype=complex)
+        t1 = np.zeros((2, 2), dtype=complex)
+        for j in range(used[i]):
+            a, b = reference_generator_pair(trivial, eps[i, j], xi[i, j], eta[i, j])
+            t0 += float(weights[i, j]) * a
+            t1 += float(weights[i, j]) * b
+        verdict = reference_is_positive_definite(Multiplier(system, (t0, t1)), tol).verdict
+        out.append((t0, t1, complex(np.trace(t0)), complex(np.trace(t1)), verdict))
+    return out
+
+
 class TestTraceImageSample:
     def test_trivial_action_traces(self):
         samples = trace_image_sample(omega_system(2), 500, seed=3)
@@ -538,6 +711,23 @@ class TestTraceImageSample:
             xi = random_vector(rep.module, rng)
             t = coefficient(rep, xi, xi)
             assert abs(np.trace(t.mats[1]).imag) <= 1e-9
+
+    @pytest.mark.parametrize("kind", ["omega_n", "sigma_n"])
+    @pytest.mark.parametrize("seed,count", [(0, 1), (1, 1), (5, 40), (42, 300)])
+    def test_matches_per_sample_reference(self, kind, seed, count):
+        system = omega_system(2) if kind == "omega_n" else sigma_system(2)
+        samples = trace_image_sample(system, count, seed=seed)
+        want = reference_trace_sample(system, count, seed)
+        assert len(samples) == count
+        for s, (t0, t1, tr0, tr1, verdict) in zip(samples, want):
+            assert np.array_equal(s.multiplier.mats[0], t0)
+            assert np.array_equal(s.multiplier.mats[1], t1)
+            assert (s.trace0, s.trace1) == (tr0, tr1)
+            assert s.positive_definite == verdict
+
+    def test_verdicts_mixed_on_the_flip(self):
+        verdicts = {s.positive_definite for s in trace_image_sample(sigma_system(2), 300, seed=42)}
+        assert verdicts == {True, False}
 
     def test_unknown_system_rejected(self, z3_cycle):
         with pytest.raises(ValueError):
