@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Survey agreement between the three positive-definiteness checks.
 
-Draws random multipliers over the three verification systems and compares the
-fiberwise criterion, the sampled kernel-condition oracle, and the complete
-positivity of the induced crossed-product map.
+Draws random multipliers over the three verification systems and the assorted
+systems of order 4 and 6, and compares the fiberwise criterion, the sampled
+kernel-condition oracle, and the complete positivity of the induced
+crossed-product map.  The larger systems are where the oracle draws tuples of
+up to 12 elements over several blocks.
 """
 
 import argparse
@@ -11,8 +13,17 @@ import argparse
 import numpy as np
 
 from cstardyn.crossed import build_reduced, induced_map, is_completely_positive
-from cstardyn.generators import random_multiplier_suite, standard_systems
+from cstardyn.generators import assorted_small_systems, random_multiplier_suite, standard_systems
 from cstardyn.multiplier import is_positive_definite, pd_sample_oracle
+
+
+def survey_systems() -> dict:
+    systems = dict(standard_systems())
+    for system in assorted_small_systems():
+        order, n = system.group.order, system.n_points
+        if order in (4, 6):
+            systems[f"order{order}_on_{n}"] = system
+    return systems
 
 
 def main() -> None:
@@ -24,7 +35,7 @@ def main() -> None:
 
     rng = np.random.default_rng(args.seed)
     total_disagreements = 0
-    for name, system in standard_systems().items():
+    for name, system in survey_systems().items():
         rcp = build_reduced(system)
         pd_count = 0
         disagreements = 0

@@ -9,6 +9,7 @@ only ever appears on stderr), human summaries to stderr.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -106,6 +107,10 @@ def _emit(report: dict, args, started: float) -> None:
     )
 
 
+def _check(name: str, residual, tol: float, passed: bool) -> dict:
+    return {"name": name, "residual": residual, "tol": tol, "passed": passed}
+
+
 def cmd_verify(args) -> int:
     started = time.monotonic()
     payload = _load_payload(args)
@@ -153,27 +158,12 @@ def cmd_example(args) -> int:
     deviation = matrix_unit_deviation(family)
     span = span_dimension(family, args.tol)
     checks = [
-        {
-            "name": "coefficients reproduce matrix units",
-            "residual": deviation,
-            "tol": args.tol,
-            "passed": deviation <= args.tol,
-        },
-        {
-            "name": "span dimension equals n^3",
-            "residual": float(abs(span - n**3)),
-            "tol": 0.5,
-            "passed": span == n**3,
-        },
+        _check("coefficients reproduce matrix units", deviation, args.tol, deviation <= args.tol),
+        _check("span dimension equals n^3", float(abs(span - n**3)), 0.5, span == n**3),
     ]
     # the multiplier algebra is the functions group -> M_n with pointwise
     # composition, so the summand index is the supporting group element
-    labels = [
-        {"summand": p, "row": k, "column": l}
-        for k in range(n)
-        for l in range(n)
-        for p in range(n)
-    ]
+    labels = [{"summand": p, "row": k, "column": l} for k in range(n) for l in range(n) for p in range(n)]
     passed = all(c["passed"] for c in checks)
     report = {
         "command": "example",
@@ -194,6 +184,15 @@ def cmd_example(args) -> int:
     return 0 if passed else CHECK_ERROR
 
 
+def _cone_summary(samples) -> dict:
+    return {
+        "samples": len(samples),
+        "max_abs_imag_trace1": max(abs(s.trace1.imag) for s in samples),
+        "min_trace0": min(s.trace0.real for s in samples),
+        "positive_definite_fraction": sum(s.positive_definite for s in samples) / len(samples),
+    }
+
+
 def cmd_trace_cone(args) -> int:
     started = time.monotonic()
     if args.count < 1:
@@ -205,24 +204,9 @@ def cmd_trace_cone(args) -> int:
     om_min0 = min(s.trace0.real for s in om)
     sg_hits = [s for s in sg if abs(s.trace1.imag) >= 0.5]
     checks = [
-        {
-            "name": "trivial-action second traces real",
-            "residual": om_im,
-            "tol": 1e-12,
-            "passed": om_im <= 1e-12,
-        },
-        {
-            "name": "trivial-action first traces nonnegative",
-            "residual": max(0.0, -om_min0),
-            "tol": 1e-12,
-            "passed": om_min0 >= -1e-12,
-        },
-        {
-            "name": "shift-action sample with |Im tr T_1| >= 0.5 exists",
-            "residual": 0.0 if sg_hits else 1.0,
-            "tol": 0.5,
-            "passed": bool(sg_hits),
-        },
+        _check("trivial-action second traces real", om_im, 1e-12, om_im <= 1e-12),
+        _check("trivial-action first traces nonnegative", max(0.0, -om_min0), 1e-12, om_min0 >= -1e-12),
+        _check("shift-action sample with |Im tr T_1| >= 0.5 exists", 0.0 if sg_hits else 1.0, 0.5, bool(sg_hits)),
     ]
     passed = all(c["passed"] for c in checks)
     report = {
@@ -230,19 +214,8 @@ def cmd_trace_cone(args) -> int:
         "config": {"count": count, "seed": args.seed, "tol": args.tol},
         "checks": checks,
         "data": {
-            "trivial_action": {
-                "samples": len(om),
-                "max_abs_imag_trace1": om_im,
-                "min_trace0": om_min0,
-                "positive_definite_fraction": sum(s.positive_definite for s in om) / len(om),
-            },
-            "shift_action": {
-                "samples": len(sg),
-                "max_abs_imag_trace1": max(abs(s.trace1.imag) for s in sg),
-                "min_trace0": min(s.trace0.real for s in sg),
-                "positive_definite_fraction": sum(s.positive_definite for s in sg) / len(sg),
-                "nonreal_hits": len(sg_hits),
-            },
+            "trivial_action": _cone_summary(om),
+            "shift_action": {**_cone_summary(sg), "nonreal_hits": len(sg_hits)},
         },
         "notes": [TRACE_CONE_NOTE],
         "passed": passed,
@@ -280,14 +253,7 @@ def cmd_pd(args) -> int:
             "sampled_definition": oracle.as_dict(),
             "completely_positive": cp.as_dict(),
         },
-        "checks": [
-            {
-                "name": "three verdicts agree",
-                "residual": 0.0 if agree else 1.0,
-                "tol": 0.5,
-                "passed": agree,
-            }
-        ],
+        "checks": [_check("three verdicts agree", 0.0 if agree else 1.0, 0.5, agree)],
         "passed": agree,
     }
     _emit(report, args, started)
@@ -332,11 +298,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser :func:`main` uses, built once per process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # looked up at call time, so a wrapper put on the module attribute runs
+    func = globals()[args.func.__name__]
     try:
-        return args.func(args)
+        return func(args)
     except PayloadError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -144,11 +144,8 @@ def v_to_cocycle(part: GroupPart, tol: float = DEFAULT_TOL) -> CocycleRep:
         for x in range(n):
             u = np.asarray(part.mats[g][x], dtype=complex)
             src = action.apply_inv(g, x)
-            res = max(
-                max_abs(u.conj().T @ u - np.eye(dims[src])),
-                max_abs(u @ u.conj().T - np.eye(dims[x])),
-            )
-            if res > tol * (1.0 + max_abs(u)):
+            res = max_abs_over((u.conj().T @ u - np.eye(dims[src]), u @ u.conj().T - np.eye(dims[x])))
+            if not res <= tol * (1.0 + max_abs(u)):
                 raise CocycleCompatibilityError(
                     "relation (ii) violation",
                     f"matrix of element {g} at point {x} is not unitary (residual {res:.3e})",

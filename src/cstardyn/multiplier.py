@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import fibers
-from .core import DEFAULT_TOL, System, act_on_algebra
+from .core import DEFAULT_TOL, System, act_on_algebra, is_psd
 from .equivrep import EquivariantRep, regular_rep, slot_embed, slot_restrict
 from .hilbmod import ModuleVector, module_norm
 from .numutil import max_abs, matrix_rank
@@ -36,16 +36,23 @@ class Multiplier:
     stack: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        n = self.system.n_points
-        order = self.system.group.order
-        if len(self.mats) != order:
+        if len(self.mats) != self.system.group.order:
             raise ValueError("one matrix per group element required")
-        stack = np.array(self.mats, dtype=complex).reshape(order, n, n)
-        if not np.isfinite(stack).all():
-            raise ValueError("multiplier matrices must be finite")
-        stack.flags.writeable = False
+        self._hold(_frozen_stack(self.system, self.mats))
+
+    def _hold(self, stack: np.ndarray) -> None:
         object.__setattr__(self, "stack", stack)
         object.__setattr__(self, "mats", tuple(stack))
+
+    @classmethod
+    def _each_of(cls, system: System, stack: np.ndarray) -> list["Multiplier"]:
+        """One multiplier per entry of an (S, |G|, n, n) stack, which is
+        checked and frozen once as a whole; each holds a view of it."""
+        out = [object.__new__(cls) for _ in range(len(stack))]
+        for t, mats in zip(out, _frozen_stack(system, stack, (len(stack),))):
+            object.__setattr__(t, "system", system)
+            t._hold(mats)
+        return out
 
     def apply(self, g: int, a: np.ndarray) -> np.ndarray:
         return self.mats[g] @ np.asarray(a, dtype=complex)
@@ -65,6 +72,17 @@ class Multiplier:
         return Multiplier(self.system, scalar * self.stack)
 
     __rmul__ = __mul__
+
+
+def _frozen_stack(system: System, mats, count: tuple = ()) -> np.ndarray:
+    """``mats`` as a read-only complex array of shape count + (|G|, n, n),
+    checked finite."""
+    n = system.n_points
+    stack = np.array(mats, dtype=complex).reshape(count + (system.group.order, n, n))
+    if not np.isfinite(stack).all():
+        raise ValueError("multiplier matrices must be finite")
+    stack.flags.writeable = False
+    return stack
 
 
 def _same_system(a, b) -> None:
@@ -169,7 +187,7 @@ def pd_criterion_matrix(t: Multiplier, x: int, k: int) -> np.ndarray:
     return _kernel_matrices(t.system, t.stack[None], one, one + x, one + k)[0]
 
 
-def _fiberwise_certificates(system: System, stack: np.ndarray, tol: float) -> list[PdCertificate]:
+def _fiberwise_checks(system: System, stack: np.ndarray, tol: float):
     """The fiberwise criterion for a stack of S multipliers on one system.
 
     ``stack`` is (S, |G|, n, n).  The kernel matrices of all S * n * n
@@ -177,8 +195,9 @@ def _fiberwise_certificates(system: System, stack: np.ndarray, tol: float) -> li
     Hermitian defect and ``eigh`` of the Hermitian part computed, in blocks
     of at most ``_BLOCK_ELEMENTS`` gathered entries (one matrix always
     fits).  Only the smallest eigenvalue, its eigenvector, the scale and the
-    defect of each matrix are kept.  Returns one certificate per multiplier,
-    as :func:`is_positive_definite` describes it.
+    defect of each matrix are kept.  Returns the verdicts (S,), the smallest
+    eigenvalues and defects (S, n * n), the witness (x, k) index of each
+    multiplier (S,) and the lowest eigenvectors (S * n * n, |G|).
     """
     S, order, n, _ = stack.shape
     total = S * n * n
@@ -202,6 +221,14 @@ def _fiberwise_certificates(system: System, stack: np.ndarray, tol: float) -> li
     verdicts = ~(herm_bad | (lam0 < -limit)).any(axis=1)
     # the first (x, k) in loop order with the largest score is the witness
     worst = np.argmax(-lam0 + np.where(herm_bad, hd, 0.0), axis=1)
+    return verdicts, lam0, hd, worst, vec0
+
+
+def _fiberwise_certificates(system: System, stack: np.ndarray, tol: float) -> list[PdCertificate]:
+    """One certificate per multiplier of ``stack``, as
+    :func:`is_positive_definite` describes it."""
+    verdicts, lam0, hd, worst, vec0 = _fiberwise_checks(system, stack, tol)
+    n = system.n_points
     return [
         PdCertificate(
             verdict=bool(ok),
@@ -237,20 +264,32 @@ def is_positive_definite(t: Multiplier, tol: float = DEFAULT_TOL) -> PdCertifica
     return _fiberwise_certificates(t.system, t.stack[None], tol)[0]
 
 
-def _kernel_checks(t: Multiplier, gs: np.ndarray, amps: np.ndarray, tol: float):
+def _kernel_table(t: Multiplier) -> np.ndarray:
+    """The operators of the oracle's kernel entries, one per pair of group
+    elements: ``A[i, j][x, y] = stack[g_i^{-1} g_j, g_i^{-1} x, y]``, of shape
+    (|G|, |G|, n, n).  Applied to c taken at the points g_i y, row x is
+    alpha_{g_i}(T_{g_i^{-1} g_j}(alpha_{g_i}^{-1} c)) at x.  Only the rows
+    are permuted, so the sum over y runs in the matrices' own column order.
+    """
+    group, src = t.system.group, t.system.action.src
+    return t.stack[group.mult[group.inverse][:, :, None], src[:, None, :]]
+
+
+def _kernel_checks(t: Multiplier, gs: np.ndarray, amps: np.ndarray, tol: float, table=None):
     """Check the kernel condition for T drawn tuples of one length N.
 
-    ``gs`` is (T, N) group indices and ``amps`` the (T, N, n) algebra vectors.
-    Returns per trial and base point, each of shape (T, n): the smallest
-    eigenvalue of the Hermitian part of the N x N kernel matrix, its
-    Hermitian defect, and whether either breaks ``tol * scale`` with
-    ``scale = 1 + max|kernel entry|`` taken over the trial's whole kernel.
+    ``gs`` is (T, N) group indices and ``amps`` the (T, N, n) algebra vectors;
+    ``table`` is :func:`_kernel_table` of ``t``, built here when not given.
+    Kernel entry (i, j) is ``table[g_i, g_j]`` applied to the products
+    conj(a_i) a_j gathered at the points g_i y.  Returns per trial and base
+    point, each of shape (T, n): the smallest eigenvalue of the Hermitian
+    part of the N x N kernel matrix, its Hermitian defect, and whether either
+    breaks ``tol * scale`` with ``scale = 1 + max|kernel entry|`` taken over
+    the trial's whole kernel.
     """
-    sys_ = t.system
-    perm = sys_.action.perm
-    inv = sys_.group.inverse
-    mult = sys_.group.mult
-    mats = t.stack
+    if table is None:
+        table = _kernel_table(t)
+    perm = t.system.action.perm
     count, N, n = amps.shape
     step = max(1, _BLOCK_ELEMENTS // (N * N * n * n))
     mins = np.empty((count, n))
@@ -259,18 +298,16 @@ def _kernel_checks(t: Multiplier, gs: np.ndarray, amps: np.ndarray, tol: float):
     for lo in range(0, count, step):
         g = gs[lo : lo + step]
         a = amps[lo : lo + step]
-        c = a.conj()[:, :, None, :] * a[:, None, :, :]  # (T, N, N, n)
-        # alpha_{g_i}^{-1}(c)_x = c_{g_i x}
-        w = np.take_along_axis(c, perm[g][:, :, None, :], axis=3)
-        k_idx = mult[inv[g][:, :, None], g[:, None, :]]
-        tv = np.einsum("tijab,tijb->tija", mats[k_idx], w)
-        # alpha_{g_i}(tv)_x = tv_{g_i^{-1} x}
-        b = np.take_along_axis(tv, perm[inv[g]][:, :, None, :], axis=3)
-        bt = b.conj().transpose(0, 2, 1, 3)
+        # moved[t, i, j, y] = a_j at the point g_i y; its diagonal i = j is a_i there
+        moved = a[np.arange(len(g))[:, None, None, None], np.arange(N)[:, None], perm[g][:, :, None, :]]
+        w = np.diagonal(moved, axis1=1, axis2=2).transpose(0, 2, 1).conj()[:, :, None, :] * moved
+        b = np.einsum("tijxy,tijy->tijx", table[g[:, :, None], g[:, None, :]], w)
+        # one kernel per (trial, point), laid out as eigvalsh reads it
+        b = np.ascontiguousarray(b.transpose(0, 3, 1, 2))
+        bt = b.conj().transpose(0, 1, 3, 2)
         scale = 1.0 + np.abs(b).max(axis=(1, 2, 3))
-        blk_hd = np.abs(b - bt).max(axis=(1, 2))
-        herm = np.ascontiguousarray(((b + bt) / 2).transpose(0, 3, 1, 2))
-        blk_mins = np.linalg.eigvalsh(herm)[..., 0]  # (T, n)
+        blk_hd = np.abs(b - bt).max(axis=(2, 3))
+        blk_mins = np.linalg.eigvalsh((b + bt) / 2)[..., 0]  # (T, n)
         limit = tol * scale[:, None]
         mins[lo : lo + step] = blk_mins
         hd[lo : lo + step] = blk_hd
@@ -286,7 +323,10 @@ def pd_sample_oracle(
     Draws tuples (g_1..g_N, a_1..a_N) with N uniform in [1, 2|G|] and sparse
     complex Gaussian algebra vectors (each coordinate kept with probability
     1/2), builds the C^n-valued kernel matrix and requires it PSD at every
-    base point, up to ``tol * (1 + max|kernel entry|)`` per trial.
+    base point, up to ``tol * (1 + max|kernel entry|)`` per trial.  The
+    operators of all kernel entries are tabulated once per call, per pair of
+    group elements (:func:`_kernel_table`, O(|G|^2 n^2), less than the
+    gathered kernel of one tuple of length 2|G|).
 
     Trial 0 is drawn and checked alone, so a multiplier that fails at once
     costs one small kernel; the rest are drawn and checked in windows of
@@ -304,6 +344,7 @@ def pd_sample_oracle(
         raise ValueError("at least one trial required")
     order = t.system.group.order
     n = t.system.n_points
+    table = _kernel_table(t)
     rng = np.random.default_rng(seed)
     min_seen = math.inf
     done = 0
@@ -322,7 +363,7 @@ def pd_sample_oracle(
         for N in np.unique(lengths):
             idx = np.flatnonzero(lengths == N)
             rows = starts[idx][:, None] + np.arange(N)
-            mins[idx], hd[idx], bad[idx] = _kernel_checks(t, gs[rows], amps[rows], tol)
+            mins[idx], hd[idx], bad[idx] = _kernel_checks(t, gs[rows], amps[rows], tol, table)
         min_seen = min(min_seen, float(mins.min()))
         failing = np.flatnonzero(bad.any(axis=1))
         if failing.size:
@@ -345,9 +386,7 @@ def evaluate_sample_witness(t: Multiplier, cert: PdCertificate) -> np.ndarray:
     witness point for the stored tuple."""
     if cert.sample_groups is None or cert.sample_vectors is None or cert.point is None:
         raise ValueError("certificate carries no sample witness")
-    sys_ = t.system
-    gs = cert.sample_groups
-    amps = cert.sample_vectors
+    sys_, gs, amps = t.system, cert.sample_groups, cert.sample_vectors
     N = len(gs)
     out = np.empty((N, N), dtype=complex)
     for i in range(N):
@@ -473,22 +512,14 @@ def from_group_function(system: System, mu: Sequence[complex]) -> Multiplier:
 def group_function_is_positive_definite(system: System, mu: Sequence[complex], tol: float = DEFAULT_TOL) -> bool:
     """Classical positive definiteness of a function on the group: the matrix
     [mu(g^{-1} h)] over the full group enumeration is PSD."""
-    mu = np.asarray(mu, dtype=complex)
-    order = system.group.order
-    m = np.empty((order, order), dtype=complex)
-    for g in range(order):
-        for h in range(order):
-            m[g, h] = mu[system.group.mul(system.group.inv(g), h)]
-    from .core import is_psd
-
-    return is_psd(m, tol)
+    group = system.group
+    return is_psd(np.asarray(mu, dtype=complex)[group.mult[group.inverse]], tol)
 
 
 def span_dimension(ms: Sequence[Multiplier], tol: float = DEFAULT_TOL) -> int:
     """Dimension of the span inside the |G| n^2-dimensional multiplier space."""
     if not ms:
         return 0
-    sys_ = ms[0].system
     for m in ms[1:]:
         _same_system(ms[0], m)
     rows = np.stack([m.stack.ravel() for m in ms])
@@ -569,8 +600,9 @@ def trace_image_sample(
     from {-1, 0, 1} for the trivial action, two from {-1, 1} for the flip);
     the real, then the imaginary parts of xi; the same for eta.  A sample is
     the weighted sum of its slots' generator pairs, accumulated in slot
-    order, and all samples are certified together by the fiberwise
-    criterion of :func:`is_positive_definite`.
+    order.  The sample stack is checked once as a whole, and all samples are
+    certified together by the fiberwise criterion of
+    :func:`is_positive_definite`; each sample's multiplier is a view of it.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -590,14 +622,10 @@ def trace_image_sample(
     t0, t1 = terms(eps, xi, eta)
     w = weights[:, :, None, None]
     stack = np.stack([(w * t0).sum(axis=1), (w * t1).sum(axis=1)], axis=1)  # (count, |G|, 2, 2)
-    traces = np.trace(stack, axis1=2, axis2=3)
-    certs = _fiberwise_certificates(system, stack, tol)
+    samples = Multiplier._each_of(system, stack)
+    traces = np.trace(stack, axis1=2, axis2=3).tolist()
+    verdicts = _fiberwise_checks(system, stack, tol)[0].tolist()
     return [
-        TraceSample(
-            trace0=complex(tr[0]),
-            trace1=complex(tr[1]),
-            multiplier=Multiplier(system, mats),
-            positive_definite=cert.verdict,
-        )
-        for mats, tr, cert in zip(stack, traces, certs)
+        TraceSample(trace0=tr[0], trace1=tr[1], multiplier=t, positive_definite=ok)
+        for t, tr, ok in zip(samples, traces, verdicts)
     ]

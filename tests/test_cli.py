@@ -359,3 +359,57 @@ class TestPayloadFuzz:
         if code == 1:
             report = json.loads(out.getvalue())
             assert report["passed"] is False
+
+
+def in_process(argv):
+    """Run ``cli.main`` in this process; usage errors that argparse reports
+    by exiting come back as their exit code."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue()
+
+
+class TestParserReuse:
+    def test_sequence_matches_fresh_parsers(self):
+        _, payload = flip_payload()
+        payload["equivariant_rep"] = serialize.rep_to_json(sigma_example_rep(2))
+        unit = serialize.multiplier_to_json(unit_multiplier(sigma_system(2)))
+        pd_payload = {"system": payload["system"], "multiplier": unit}
+        sequence = [
+            ["verify", "--inline", json.dumps(payload)],
+            ["example", "--n", "2"],  # --name is required: usage error
+            ["pd", "--inline", json.dumps(pd_payload), "--trials", "50"],
+            ["example", "--name", "sigma_n", "--n", "3"],
+        ]
+        cli._parser.cache_clear()
+        reused = [in_process(argv) for argv in sequence]
+        assert cli._parser.cache_info().misses == 1
+        fresh = []
+        for argv in sequence:
+            cli._parser.cache_clear()
+            fresh.append(in_process(argv))
+        assert [code for code, _ in reused] == [0, 2, 0, 0]
+        assert reused == fresh
+
+    def test_replaced_command_is_called(self, monkeypatch):
+        """A wrapper put on a command after the parser was built still runs,
+        as instrumentation that wraps module attributes expects."""
+        in_process(["example", "--name", "omega_n"])
+        calls = []
+        original = cli.cmd_example
+
+        def wrapped(args):
+            calls.append(args.name)
+            return original(args)
+
+        wrapped.__name__ = original.__name__
+        monkeypatch.setattr(cli, "cmd_example", wrapped)
+        assert in_process(["example", "--name", "sigma_n"])[0] == 0
+        assert calls == ["sigma_n"]
+
+    def test_build_parser_returns_a_new_parser(self):
+        assert cli.build_parser() is not cli.build_parser()

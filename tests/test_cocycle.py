@@ -96,6 +96,16 @@ class TestVToCocycle:
         with pytest.raises(CocycleCompatibilityError, match="relation \\(ii\\)"):
             v_to_cocycle(GroupPart(part.action, part.module, part.src_perm, tuple(tuple(m) for m in mats)))
 
+    def test_nan_entry_is_a_unitarity_violation(self):
+        part = group_part(sigma_example_rep(3))
+        mats = [list(per) for per in part.mats]
+        mats[1][0] = mats[1][0].copy()
+        mats[1][0][0, 0] = np.nan
+        broken = GroupPart(part.action, part.module, part.src_perm, tuple(tuple(m) for m in mats))
+        with pytest.raises(CocycleCompatibilityError, match="relation \\(ii\\) violation") as info:
+            v_to_cocycle(broken)
+        assert "element 1 at point 0" in str(info.value)
+
 
 class TestCocycleToV:
     def test_identity_cocycle_gives_permutation_operators(self, z3_cycle):

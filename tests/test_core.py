@@ -20,6 +20,7 @@ from cstardyn.core import (
     symmetric_group,
     trivial_action,
 )
+from cstardyn.numutil import null_space
 
 
 class TestFiniteGroup:
@@ -226,3 +227,44 @@ class TestIsPsd:
             roots = np.sort(_charpoly_eigs(h).real)
             oracle = roots[0] >= -1e-9 * (1 + np.abs(h).max())
             assert is_psd(h) == oracle
+
+
+def full_svd_null_space(m, tol):
+    """Test-only oracle: the null space from the full SVD."""
+    _, s, vh = np.linalg.svd(m)
+    rank = int((s > tol * (1.0 + (s[0] if len(s) else 0.0))).sum())
+    return vh[rank:].conj().T
+
+
+class TestNullSpace:
+    @staticmethod
+    def low_rank(rng, rows, cols, rank):
+        left = rng.normal(size=(rows, rank)) + 1j * rng.normal(size=(rows, rank))
+        right = rng.normal(size=(rank, cols)) + 1j * rng.normal(size=(rank, cols))
+        return left @ right
+
+    @pytest.mark.parametrize(
+        "rows,cols,rank",
+        [(3, 7, 3), (2, 9, 1), (7, 3, 2), (40, 6, 6), (40, 6, 4), (5, 5, 3), (1, 4, 1)],
+        ids=["wide", "wide-rank-1", "tall", "tall-full-rank", "tall-deficient", "square", "row"],
+    )
+    def test_agrees_with_full_svd(self, rows, cols, rank):
+        tol = 1e-9
+        m = self.low_rank(np.random.default_rng(rows * cols + rank), rows, cols, rank)
+        basis = null_space(m, tol)
+        assert basis.shape == (cols, cols - rank)
+        assert basis.shape == full_svd_null_space(m, tol).shape
+        assert np.allclose(basis.conj().T @ basis, np.eye(cols - rank), atol=1e-12)
+        assert np.abs(m @ basis).max(initial=0.0) <= 1e-10 * (1.0 + np.abs(m).max())
+
+    def test_tall_system_never_forms_u(self):
+        m = self.low_rank(np.random.default_rng(3), 4000, 40, 30)
+        null_space(np.ones((2, 3)), 1e-9)  # LAPACK's lazy set-up is not the call's
+        tracemalloc.start()
+        try:
+            basis = null_space(m, 1e-9)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert basis.shape == (40, 10)
+        assert peak <= 10 * m.nbytes

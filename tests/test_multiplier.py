@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cstardyn import multiplier
-from cstardyn.core import DEFAULT_TOL, FiniteSpace, GroupAction, System, is_psd, symmetric_group
+from cstardyn.core import DEFAULT_TOL, FiniteSpace, GroupAction, System, act_on_algebra, is_psd, symmetric_group
 from cstardyn.cyclic_examples import (
     matrix_unit_family,
     matrix_unit_target,
@@ -287,6 +287,43 @@ def reference_kernel_check(t, gs, amps, tol):
     return scale, mins, hd, (hd > tol * scale) | (mins < -tol * scale)
 
 
+def reference_window_checks(t, gs, amps, tol):
+    """Test-only oracle: the oracle's block before the per-call table, which
+    gathers the products at g_i y, contracts with ``stack[g_i^{-1} g_j]`` and
+    gathers the result back at g_i^{-1} x.  Same blocking and outputs as
+    ``_kernel_checks``."""
+    sys_ = t.system
+    perm = sys_.action.perm
+    inv = sys_.group.inverse
+    mult = sys_.group.mult
+    mats = t.stack
+    count, N, n = amps.shape
+    step = max(1, multiplier._BLOCK_ELEMENTS // (N * N * n * n))
+    mins = np.empty((count, n))
+    hd = np.empty((count, n))
+    bad = np.empty((count, n), dtype=bool)
+    for lo in range(0, count, step):
+        g = gs[lo : lo + step]
+        a = amps[lo : lo + step]
+        c = a.conj()[:, :, None, :] * a[:, None, :, :]  # (T, N, N, n)
+        # alpha_{g_i}^{-1}(c)_x = c_{g_i x}
+        w = np.take_along_axis(c, perm[g][:, :, None, :], axis=3)
+        k_idx = mult[inv[g][:, :, None], g[:, None, :]]
+        tv = np.einsum("tijab,tijb->tija", mats[k_idx], w)
+        # alpha_{g_i}(tv)_x = tv_{g_i^{-1} x}
+        b = np.take_along_axis(tv, perm[inv[g]][:, :, None, :], axis=3)
+        bt = b.conj().transpose(0, 2, 1, 3)
+        scale = 1.0 + np.abs(b).max(axis=(1, 2, 3))
+        blk_hd = np.abs(b - bt).max(axis=(1, 2))
+        herm = np.ascontiguousarray(((b + bt) / 2).transpose(0, 3, 1, 2))
+        blk_mins = np.linalg.eigvalsh(herm)[..., 0]  # (T, n)
+        limit = tol * scale[:, None]
+        mins[lo : lo + step] = blk_mins
+        hd[lo : lo + step] = blk_hd
+        bad[lo : lo + step] = (blk_hd > limit) | (blk_mins < -limit)
+    return mins, hd, bad
+
+
 def draw_tuples(system, lengths, count, rng):
     """``count`` sparse Gaussian tuples of each length, the oracle's distribution."""
     n = system.n_points
@@ -341,6 +378,39 @@ class TestBatchedKernel:
                         assert np.abs(mins[i] - r_mins).max() <= 1e-12 * scale
                         assert np.abs(hd[i] - r_hd).max() <= 1e-12 * scale
                         assert np.array_equal(bad[i], r_bad)
+
+    @pytest.mark.parametrize("budget", [1, multiplier._BLOCK_ELEMENTS], ids=["one-trial", "default"])
+    def test_bit_identical_to_reference_window(self, rng, monkeypatch, budget):
+        """The table-driven block sums over y in the order the gather-twice
+        block did, so every output is equal, not only close."""
+        monkeypatch.setattr(multiplier, "_BLOCK_ELEMENTS", budget)
+        tol = 1e-9
+        failing = 0
+        for system in oracle_systems():
+            order = system.group.order
+            for t in random_multiplier_suite(system, 4, rng):
+                table = multiplier._kernel_table(t)
+                for gs, amps in draw_tuples(system, sorted({1, 2, order, 2 * order}), 12, rng):
+                    want = reference_window_checks(t, gs, amps, tol)
+                    for got in (_kernel_checks(t, gs, amps, tol), _kernel_checks(t, gs, amps, tol, table)):
+                        for g, w in zip(got, want):
+                            assert g.dtype == w.dtype and np.array_equal(g, w)
+                    failing += want[2].any()
+        assert failing > 0
+
+    def test_table_is_the_entry_operator(self, rng):
+        """Row x of table[i, j] applied to c at the points g_i y is
+        alpha_{g_i}(T_{g_i^{-1} g_j}(alpha_{g_i}^{-1} c)) at x."""
+        for system in oracle_systems():
+            group, action, n = system.group, system.action, system.n_points
+            t = random_multiplier_suite(system, 1, rng)[0]
+            table = multiplier._kernel_table(t)
+            assert table.shape == (group.order, group.order, n, n)
+            c = rng.normal(size=n) + 1j * rng.normal(size=n)
+            for i, j in itertools.product(range(group.order), repeat=2):
+                inner = t.mats[group.mul(group.inv(i), j)] @ act_on_algebra(action, group.inv(i), c)
+                want = act_on_algebra(action, i, inner)
+                assert np.allclose(table[i, j] @ c[action.perm[i]], want, atol=1e-12)
 
     @pytest.mark.parametrize("tol", [1e-9, 10.0], ids=["default", "lenient"])
     def test_oracle_matches_per_trial_reference(self, rng, tol):
@@ -724,6 +794,23 @@ class TestTraceImageSample:
             assert np.array_equal(s.multiplier.mats[1], t1)
             assert (s.trace0, s.trace1) == (tr0, tr1)
             assert s.positive_definite == verdict
+
+    def test_samples_are_views_of_one_checked_stack(self):
+        samples = trace_image_sample(sigma_system(2), 50, seed=4)
+        whole = samples[0].multiplier.stack.base
+        assert whole.shape == (50, 2, 2, 2)
+        for s in samples:
+            t = s.multiplier
+            assert not t.stack.flags.writeable and t.stack.base is whole
+            assert all(np.shares_memory(m, t.stack) for m in t.mats)
+
+    def test_each_of_checks_the_whole_stack(self, z2_flip):
+        stack = np.zeros((3, 2, 2, 2))
+        stack[2, 1, 0, 1] = np.inf
+        with pytest.raises(ValueError, match="finite"):
+            Multiplier._each_of(z2_flip, stack)
+        with pytest.raises(ValueError):
+            Multiplier._each_of(z2_flip, np.zeros((3, 3, 2, 2)))
 
     def test_verdicts_mixed_on_the_flip(self):
         verdicts = {s.positive_definite for s in trace_image_sample(sigma_system(2), 300, seed=42)}
