@@ -153,8 +153,8 @@ def cmd_example(args) -> int:
         raise PayloadError("--n must be at least 2")
     name = args.name
     n = args.n
-    system = omega_system(n) if name == "omega_n" else sigma_system(n)
     family = matrix_unit_family(name, n)
+    system = family[0].system
     deviation = matrix_unit_deviation(family)
     span = span_dimension(family, args.tol)
     checks = [

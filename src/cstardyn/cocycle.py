@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import fibers
-from .core import DEFAULT_TOL, GroupAction
+from .core import DEFAULT_TOL, GroupAction, System
 from .equivrep import EquivariantRep
 from .hilbmod import ModuleOperator, SectionalModule
 from .numutil import max_abs, max_abs_over, nearest_unitary, null_space
@@ -245,12 +245,14 @@ def rho_from_sigma(sigma: EquivariantMap, c: CocycleRep, tol: float = DEFAULT_TO
     """The equivariant representation with algebra part pulled back along an
     equivariant base map: rho(e_k) projects onto the fibers sigma maps to k,
     and the group part is the cocycle's homomorphism."""
-    from .core import System
-
     if sigma.action != c.action:
         raise ValueError("base map and cocycle live over different actions")
-    part = cocycle_to_v(c, tol)
-    mod = c.module
+    return _pullback_rep(sigma, cocycle_to_v(c, tol))
+
+
+def _pullback_rep(sigma: EquivariantMap, part: GroupPart) -> EquivariantRep:
+    """:func:`rho_from_sigma` on a group part that :func:`cocycle_to_v` checked."""
+    mod = part.module
     n = mod.n_points
     rho = []
     for k in range(n):
@@ -259,7 +261,7 @@ def rho_from_sigma(sigma: EquivariantMap, c: CocycleRep, tol: float = DEFAULT_TO
             for x, d in enumerate(mod.fiber_dims)
         )
         rho.append(ModuleOperator(mod, blocks))
-    return EquivariantRep(System(c.action), mod, tuple(rho), part.mats)
+    return EquivariantRep(System(part.action), mod, tuple(rho), part.mats)
 
 
 def banach_stone_operator(

@@ -14,6 +14,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,7 +45,7 @@ class FiniteGroup:
     inverse: np.ndarray = field(init=False)
 
     def __eq__(self, other) -> bool:
-        return (
+        return other is self or (
             isinstance(other, FiniteGroup)
             and self.order == other.order
             and np.array_equal(self.mult, other.mult)
@@ -60,24 +61,19 @@ class FiniteGroup:
             raise ValueError("mult table entries out of range")
         object.__setattr__(self, "mult", _freeze(mult))
 
-        identity = None
-        for e in range(self.order):
-            if np.array_equal(mult[e], np.arange(self.order)) and np.array_equal(
-                mult[:, e], np.arange(self.order)
-            ):
-                identity = e
-                break
-        if identity is None:
+        elements = np.arange(self.order)
+        units = np.flatnonzero((mult == elements).all(axis=1) & (mult.T == elements).all(axis=1))
+        if not units.size:
             raise ValueError("table has no two-sided identity")
+        identity = int(units[0])
         object.__setattr__(self, "identity", identity)
 
-        inverse = np.full(self.order, -1, dtype=np.intp)
-        for g in range(self.order):
-            left = np.flatnonzero(mult[:, g] == identity)
-            right = np.flatnonzero(mult[g, :] == identity)
-            if len(left) != 1 or len(right) != 1 or left[0] != right[0]:
-                raise ValueError(f"element {g} has no two-sided inverse")
-            inverse[g] = left[0]
+        # row g: the elements h with hg = e, and those with gh = e
+        left, right = mult.T == identity, mult == identity
+        inverse = left.argmax(axis=1)
+        bad = (left.sum(axis=1) != 1) | (right.sum(axis=1) != 1) | (right.argmax(axis=1) != inverse)
+        if bad.any():
+            raise ValueError(f"element {bad.argmax()} has no two-sided inverse")
         object.__setattr__(self, "inverse", _freeze(inverse))
 
         # associativity by exhaustive scan, (gh)k == g(hk), in blocks of rows g
@@ -108,29 +104,32 @@ def cyclic_group(n: int) -> FiniteGroup:
 def symmetric_group(n: int) -> FiniteGroup:
     """S_n as a multiplication table over all permutations of n letters.
 
-    Element 0 is the identity.  Composition convention: (p*q)(x) = p(q(x)).
-    Intended for small n (the table is n! x n!).
+    Element i is the i-th permutation in lexicographic order (its Lehmer-code
+    rank), so element 0 is the identity.  Composition convention:
+    (p*q)(x) = p(q(x)).  Intended for small n (the table is n! x n!).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    perms = sorted(itertools.permutations(range(n)))
-    index = {p: i for i, p in enumerate(perms)}
+    perms = np.array(sorted(itertools.permutations(range(n))), dtype=np.intp).reshape(-1, n)
     order = len(perms)
+    # rank weight of position i: the number of orderings of the later positions
+    weights = np.array([math.factorial(n - 1 - i) for i in range(n)], dtype=np.intp)
+    later = np.triu(np.ones((n, n), dtype=bool), 1)
     mult = np.empty((order, order), dtype=np.intp)
-    for i, p in enumerate(perms):
-        for j, q in enumerate(perms):
-            mult[i, j] = index[tuple(p[q[x]] for x in range(n))]
+    rows = max(1, _BLOCK_ELEMENTS // (order * n * n))
+    for lo in range(0, order, rows):
+        composed = perms[lo : lo + rows][:, perms]  # [i, j, x] = p_i(p_j(x))
+        # Lehmer code: how many later positions hold a smaller letter
+        code = ((composed[..., :, None] > composed[..., None, :]) & later).sum(axis=-1)
+        mult[lo : lo + rows] = code @ weights
     return FiniteGroup(order, mult)
 
 
 def direct_product(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
     """Direct product with elements packed as a*|G2| + b."""
     o1, o2 = g1.order, g2.order
-    mult = np.empty((o1 * o2, o1 * o2), dtype=np.intp)
-    for a1, b1 in itertools.product(range(o1), range(o2)):
-        for a2, b2 in itertools.product(range(o1), range(o2)):
-            mult[a1 * o2 + b1, a2 * o2 + b2] = g1.mult[a1, a2] * o2 + g2.mult[b1, b2]
-    return FiniteGroup(o1 * o2, mult)
+    mult = g1.mult[:, None, :, None] * o2 + g2.mult[None, :, None, :]
+    return FiniteGroup(o1 * o2, mult.reshape(o1 * o2, o1 * o2))
 
 
 @dataclass(frozen=True)
@@ -162,7 +161,7 @@ class GroupAction:
     src: np.ndarray = field(init=False, repr=False)
 
     def __eq__(self, other) -> bool:
-        return (
+        return other is self or (
             isinstance(other, GroupAction)
             and self.group == other.group
             and self.space == other.space
@@ -208,7 +207,7 @@ class System:
     action: GroupAction
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, System) and self.action == other.action
+        return other is self or (isinstance(other, System) and self.action == other.action)
 
     @property
     def group(self) -> FiniteGroup:

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cocycle import CocycleRep, EquivariantMap, cocycle_to_v, rho_from_sigma
-from .core import DEFAULT_TOL, System, cyclic_group, cyclic_shift_action, trivial_action
+from . import fibers
+from .cocycle import CocycleRep, EquivariantMap, _pullback_rep, cocycle_to_v, rho_from_sigma
+from .core import DEFAULT_TOL, FiniteSpace, System, cyclic_group, cyclic_shift_action, trivial_action
 from .equivrep import EquivariantRep
 from .hilbmod import ModuleOperator, ModuleVector, SectionalModule
-from .multiplier import Multiplier, coefficient
+from .multiplier import Multiplier, _coefficients, coefficient
 
 
 def omega_system(n: int) -> System:
@@ -33,32 +34,28 @@ def sigma_system(n: int) -> System:
 
 def shift_matrix(n: int) -> np.ndarray:
     """The cyclic shift S e_j = e_{j+1 mod n}."""
-    s = np.zeros((n, n), dtype=complex)
-    for j in range(n):
-        s[(j + 1) % n, j] = 1.0
-    return s
+    return np.roll(np.eye(n, dtype=complex), 1, axis=0)
 
 
 def omega_bundle(n: int, k: int) -> SectionalModule:
-    """The bundle with one n-dimensional fiber at point k and zero fibers
-    elsewhere; its section space is C^n concentrated at k."""
+    """The bundle over n points with one n-dimensional fiber at point k and
+    zero fibers elsewhere; its section space is C^n concentrated at k."""
     dims = [0] * n
     dims[k] = n
-    return SectionalModule(omega_system(n).space, tuple(dims))
+    return SectionalModule(FiniteSpace(n), tuple(dims))
 
 
 def omega_cocycle(n: int, k: int) -> CocycleRep:
     """Powers of the shift on the fat fiber; empty elsewhere (trivial action)."""
-    system = omega_system(n)
-    module = omega_bundle(n, k)
-    s = shift_matrix(n)
-    u = []
-    for m in range(n):
-        sm = np.linalg.matrix_power(s, m)
-        u.append(
-            tuple(sm if x == k else np.zeros((0, 0), dtype=complex) for x in range(n))
-        )
-    return CocycleRep(system.action, module, tuple(u))
+    return _omega_cocycle(omega_system(n), k)
+
+
+def _omega_cocycle(system: System, k: int) -> CocycleRep:
+    n = system.n_points
+    powers = [np.linalg.matrix_power(shift_matrix(n), m) for m in range(n)]
+    empty = np.zeros((0, 0), dtype=complex)
+    u = [[sm if x == k else empty for x in range(n)] for sm in powers]
+    return CocycleRep(system.action, omega_bundle(n, k), u)
 
 
 def omega_example_rep(n: int, k: int, l: int) -> EquivariantRep:
@@ -66,10 +63,11 @@ def omega_example_rep(n: int, k: int, l: int) -> EquivariantRep:
     base map at l, and group part the shift cocycle on the fiber at k."""
     system = omega_system(n)
     sigma = EquivariantMap(system.action, (l,) * n)
-    return rho_from_sigma(sigma, omega_cocycle(n, k))
+    return rho_from_sigma(sigma, _omega_cocycle(system, k))
 
 
 def omega_example_vectors(n: int, k: int, p: int) -> tuple[ModuleVector, ModuleVector]:
+    """e_p and e_0 in the fat fiber at k."""
     module = omega_bundle(n, k)
     comps_x = [np.zeros(d, dtype=complex) for d in module.fiber_dims]
     comps_y = [np.zeros(d, dtype=complex) for d in module.fiber_dims]
@@ -79,18 +77,19 @@ def omega_example_vectors(n: int, k: int, p: int) -> tuple[ModuleVector, ModuleV
 
 
 def sigma_bundle(n: int) -> SectionalModule:
-    return SectionalModule(sigma_system(n).space, (n,) * n)
+    return SectionalModule(FiniteSpace(n), (n,) * n)
 
 
 def sigma_cocycle(n: int) -> CocycleRep:
     """Powers of the shift, constant over the base, over the translation action."""
-    system = sigma_system(n)
-    module = sigma_bundle(n)
+    return _sigma_cocycle(sigma_system(n))
+
+
+def _sigma_cocycle(system: System) -> CocycleRep:
+    n = system.n_points
     s = shift_matrix(n)
-    u = tuple(
-        tuple(np.linalg.matrix_power(s, m) for _ in range(n)) for m in range(n)
-    )
-    return CocycleRep(system.action, module, u)
+    u = [[np.linalg.matrix_power(s, m) for _ in range(n)] for m in range(n)]
+    return CocycleRep(system.action, sigma_bundle(n), u)
 
 
 def sigma_example_rep(n: int) -> EquivariantRep:
@@ -98,14 +97,10 @@ def sigma_example_rep(n: int) -> EquivariantRep:
     inside every fiber (rho(a) = diag(a) on each copy of C^n) and group part
     induced by the constant shift cocycle."""
     system = sigma_system(n)
-    module = sigma_bundle(n)
-    part = cocycle_to_v(sigma_cocycle(n))
-    rho = []
-    for j in range(n):
-        block = np.zeros((n, n), dtype=complex)
-        block[j, j] = 1.0
-        rho.append(ModuleOperator(module, tuple(block.copy() for _ in range(n))))
-    return EquivariantRep(system, module, tuple(rho), part.mats)
+    c = _sigma_cocycle(system)
+    part = cocycle_to_v(c)
+    rho = [ModuleOperator(c.module, [np.diag(e_j) for _ in range(n)]) for e_j in np.eye(n, dtype=complex)]
+    return EquivariantRep(system, c.module, tuple(rho), part.mats)
 
 
 def sigma_example_vectors(n: int, k: int, l: int, p: int) -> tuple[ModuleVector, ModuleVector]:
@@ -114,25 +109,26 @@ def sigma_example_vectors(n: int, k: int, l: int, p: int) -> tuple[ModuleVector,
     the constant section at e_{l-p} (the shift conventions used here place
     the support at p with this choice)."""
     module = sigma_bundle(n)
-    comps_x = [np.zeros(n, dtype=complex) for _ in range(n)]
-    comps_x[k][l] = 1.0
-    y_idx = (l - p) % n
-    comps_y = [np.zeros(n, dtype=complex) for _ in range(n)]
-    for x in range(n):
-        comps_y[x][y_idx] = 1.0
-    return ModuleVector(module, tuple(comps_x)), ModuleVector(module, tuple(comps_y))
+    xi, eta = _sigma_sections(n, np.array([k]), np.array([l]), np.array([p]))
+    return ModuleVector(module, tuple(xi[0])), ModuleVector(module, tuple(eta[0]))
+
+
+def _sigma_sections(n: int, k: np.ndarray, l: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs of :func:`sigma_example_vectors` for index arrays k, l, p of
+    one length F, stacked as (F, n, n) arrays."""
+    f = np.arange(len(k))
+    xi, eta = np.zeros((2, len(f), n, n), dtype=complex)
+    xi[f, k, l] = 1.0
+    eta[f, :, (l - p) % n] = 1.0
+    return xi, eta
 
 
 def matrix_unit_target(system: System, k: int, l: int, p: int) -> Multiplier:
     """The multiplier m -> delta_{p,m} E_{kl}."""
     n = system.n_points
-    mats = []
-    for m in range(system.group.order):
-        mat = np.zeros((n, n), dtype=complex)
-        if m == p:
-            mat[k, l] = 1.0
-        mats.append(mat)
-    return Multiplier(system, tuple(mats))
+    mats = np.zeros((system.group.order, n, n), dtype=complex)
+    mats[p, k, l] = 1.0
+    return Multiplier(system, mats)
 
 
 def omega_matrix_unit_coefficient(n: int, k: int, l: int, p: int) -> Multiplier:
@@ -148,23 +144,31 @@ def sigma_matrix_unit_coefficient(n: int, k: int, l: int, p: int) -> Multiplier:
 
 
 def matrix_unit_family(kind: str, n: int) -> list[Multiplier]:
-    """All n^3 matrix-unit coefficients of one family, indexed by (k, l, p)."""
+    """All n^3 matrix-unit coefficients of one family, indexed by (k, l, p).
+
+    The family is built on one system.  For ``sigma_n`` all n^3 coefficients
+    of :func:`sigma_example_rep` come from one batched contraction; for
+    ``omega_n`` each fat-fiber cocycle is checked once and each of the n^2
+    representations contributes its n coefficients in one contraction.  The
+    stacks equal, bit for bit, those of the per-(k, l, p) calls of
+    :func:`coefficient` on the public helpers.
+    """
     if kind == "omega_n":
-        out = []
+        system = omega_system(n)
+        constant = [EquivariantMap(system.action, (l,) * n) for l in range(n)]
+        stacks = []
         for k in range(n):
-            for l in range(n):
-                rep = omega_example_rep(n, k, l)
-                for p in range(n):
-                    out.append(coefficient(rep, *omega_example_vectors(n, k, p)))
-        return out
+            part = cocycle_to_v(_omega_cocycle(system, k))
+            dims = part.module.fiber_dims
+            pairs = [omega_example_vectors(n, k, p) for p in range(n)]
+            xi, eta = (np.stack([fibers.stack_sections(v.components, dims) for v in vs]) for vs in zip(*pairs))
+            for sigma in constant:
+                stacks.append(_coefficients(_pullback_rep(sigma, part), xi, eta))
+        return Multiplier._each_of(system, np.concatenate(stacks))
     if kind == "sigma_n":
         rep = sigma_example_rep(n)
-        out = []
-        for k in range(n):
-            for l in range(n):
-                for p in range(n):
-                    out.append(coefficient(rep, *sigma_example_vectors(n, k, l, p)))
-        return out
+        k, l, p = np.unravel_index(np.arange(n**3), (n, n, n))
+        return Multiplier._each_of(rep.system, _coefficients(rep, *_sigma_sections(n, k, l, p)))
     raise ValueError(f"unknown example family {kind!r}")
 
 

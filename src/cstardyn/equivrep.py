@@ -20,12 +20,13 @@ from .hilbmod import (
     ModuleOperator,
     ModuleVector,
     SectionalModule,
+    _block_diag,
     canonical_rep,
     internal_tensor,
     module_action,
     trivial_module,
 )
-from .numutil import max_abs, max_abs_over, nearest_unitary, null_space
+from .numutil import matrix_rank, max_abs, max_abs_over, nearest_unitary, null_space
 from .reporting import CheckReport
 
 
@@ -103,13 +104,7 @@ class EquivariantRep:
         return out
 
     def rho_full_matrix(self, a: np.ndarray) -> np.ndarray:
-        op = self.rho_operator(a)
-        dims = self.module.fiber_dims
-        off = self.module.offsets()
-        out = np.zeros((self.module.total_dim, self.module.total_dim), dtype=complex)
-        for x in self.module.space.points():
-            out[off[x] : off[x] + dims[x], off[x] : off[x] + dims[x]] = op.blocks[x]
-        return out
+        return _block_diag(self.rho_operator(a).blocks)
 
 
 @dataclass(frozen=True, eq=False)
@@ -272,25 +267,14 @@ def direct_sum_reps(reps: Sequence[EquivariantRep]) -> EquivariantRep:
     dims = tuple(sum(r.module.fiber_dims[x] for r in reps) for x in range(n))
     mod = SectionalModule(sys_.space, dims)
 
-    def blockdiag(mats):
-        rows = sum(m.shape[0] for m in mats)
-        cols = sum(m.shape[1] for m in mats)
-        out = np.zeros((rows, cols), dtype=complex)
-        r = c = 0
-        for m in mats:
-            out[r : r + m.shape[0], c : c + m.shape[1]] = m
-            r += m.shape[0]
-            c += m.shape[1]
-        return out
-
     rho = tuple(
         ModuleOperator(
-            mod, tuple(blockdiag([r.rho[k].blocks[x] for r in reps]) for x in range(n))
+            mod, tuple(_block_diag([r.rho[k].blocks[x] for r in reps]) for x in range(n))
         )
         for k in range(n)
     )
     v_mats = tuple(
-        tuple(blockdiag([r.v_mats[g][x] for r in reps]) for x in range(n))
+        tuple(_block_diag([r.v_mats[g][x] for r in reps]) for x in range(n))
         for g in range(sys_.group.order)
     )
     return EquivariantRep(sys_, mod, rho, v_mats)
@@ -426,10 +410,7 @@ def is_cyclic(rep: EquivariantRep, vec: ModuleVector, tol: float = DEFAULT_TOL) 
         for g in range(order):
             for k in range(n):
                 cols.append(rep.rho[k].blocks[p] @ translates[g].components[p])
-        m = np.stack(cols, axis=1)
-        s = np.linalg.svd(m, compute_uv=False)
-        rank = int((s > tol * (1.0 + (s[0] if len(s) else 0.0))).sum())
-        if rank < d:
+        if matrix_rank(np.stack(cols, axis=1), tol) < d:
             return False
     return True
 

@@ -114,16 +114,22 @@ def op_norm_inf(m: np.ndarray) -> float:
 
 def coefficient(rep: EquivariantRep, xi: ModuleVector, eta: ModuleVector) -> Multiplier:
     """The coefficient multiplier T(g, a) = <xi, rho(a) v(g) eta>: column j of
-    T_g is the C^n-valued inner product of xi with rho(e_j) v(g) eta, from one
-    contraction over (g, x, j) on the padded stacks."""
+    T_g is the C^n-valued inner product of xi with rho(e_j) v(g) eta.  The
+    one-pair call of :func:`_coefficients`."""
     if xi.module != rep.module or eta.module != rep.module:
         raise ValueError("coefficient vectors must live on the representation module")
-    dims = rep.module.fiber_dims
-    a = fibers.stack_sections(xi.components, dims)
-    b = fibers.stack_sections(eta.components, dims)
-    shifted = np.einsum("gxij,gxj->gxi", rep.v_stack, b[rep.system.action.src])  # (v(g) eta)(x)
-    left = np.einsum("xi,jxik->jxk", a.conj(), rep.rho_stack)  # xi(x)* rho(e_j)
-    return Multiplier(rep.system, np.einsum("jxk,gxk->gxj", left, shifted))
+    a, b = (fibers.stack_sections(v.components, rep.module.fiber_dims)[None] for v in (xi, eta))
+    return Multiplier(rep.system, _coefficients(rep, a, b)[0])
+
+
+def _coefficients(rep: EquivariantRep, xi: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    """The stacks (F, |G|, n, n) of the coefficients <xi_f, rho(a) v(g) eta_f>
+    for sections given as zero-padded (F, n, d_max) arrays (see
+    :func:`.fibers.stack_sections`): one contraction over (g, x, j) on the
+    padded stacks, with every sum taken in the same order for any F."""
+    shifted = np.einsum("gxij,fgxj->fgxi", rep.v_stack, eta[:, rep.system.action.src])  # (v(g) eta)(x)
+    left = np.einsum("fxi,jxik->fjxk", xi.conj(), rep.rho_stack)  # xi(x)* rho(e_j)
+    return np.einsum("fjxk,fgxk->fgxj", left, shifted)
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,7 @@
 
 Complex numbers serialize as [re, im] pairs throughout.  Floats survive the
 round trip bit-for-bit (shortest-repr encoding on both sides).  Decoding
-rejects non-finite numbers (NaN, Infinity) with a ``ValueError``.
+rejects wrong shapes and non-finite numbers (NaN, Infinity) with a ``ValueError``.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import numpy as np
 from .cocycle import CocycleRep
 from .core import FiniteGroup, FiniteSpace, GroupAction, System, cyclic_group
 from .equivrep import EquivariantRep
-from .hilbmod import ModuleOperator, ModuleVector, SectionalModule
+from .hilbmod import ModuleOperator, SectionalModule
 from .multiplier import Multiplier
 
 
@@ -24,10 +24,32 @@ def complex_to_json(z: complex) -> list[float]:
 
 
 def complex_from_json(obj) -> complex:
-    re, im = (float(part) for part in obj)
-    if not (math.isfinite(re) and math.isfinite(im)):
-        raise ValueError(f"non-finite number in payload: [{re}, {im}]")
-    return complex(re, im)
+    return complex(_complex_array(obj, ()))
+
+
+def _complex_array(obj, shape: tuple) -> np.ndarray:
+    """The complex array of ``shape`` held by nested [re, im] pairs, from one
+    array conversion whose floats are reinterpreted bit for bit (the sign of
+    a zero too).  A None in ``shape`` takes the length found; an axis of
+    length 0 ends the nesting (``[]`` is a matrix without rows)."""
+    arr = np.array(obj, dtype=float)
+    if arr.shape != shape + (2,):
+        empty = arr.size == 0 and arr.ndim <= len(shape)
+        found = arr.shape + (0,) * (len(shape) - arr.ndim) if empty else arr.shape[:-1]
+        want = tuple(f if s is None else s for s, f in zip(shape, found))
+        if len(found) != len(shape) or arr.shape != (want + (2,))[: arr.ndim if empty else None]:
+            raise ValueError(f"payload holds an array of shape {arr.shape}, expected {shape} of [re, im] pairs")
+        if empty:
+            return np.zeros(want, dtype=complex)
+        shape = want
+    flat = arr.ravel()
+    # a sum of squares is finite unless an entry is not (or the sum overflows)
+    if not math.isfinite(flat.dot(flat)):
+        finite = np.isfinite(arr).all(axis=-1)
+        if not finite.all():
+            re, im = arr[~finite][0]
+            raise ValueError(f"non-finite number in payload: [{re}, {im}]")
+    return arr.view(complex).reshape(shape)
 
 
 def vector_to_json(v: np.ndarray) -> list:
@@ -35,7 +57,7 @@ def vector_to_json(v: np.ndarray) -> list:
 
 
 def vector_from_json(obj) -> np.ndarray:
-    return np.array([complex_from_json(z) for z in obj], dtype=complex)
+    return _complex_array(obj, (None,))
 
 
 def matrix_to_json(m: np.ndarray) -> list:
@@ -44,10 +66,11 @@ def matrix_to_json(m: np.ndarray) -> list:
 
 
 def matrix_from_json(obj, rows: int | None = None, cols: int | None = None) -> np.ndarray:
-    out = np.array([[complex_from_json(z) for z in row] for row in obj], dtype=complex)
-    if out.size == 0:
-        out = out.reshape(rows if rows is not None else 0, cols if cols is not None else 0)
-    return out
+    """A matrix from its rows of [re, im] pairs, decoded bit for bit with one
+    array conversion; ``rows`` and ``cols``, when given, are required.  Raises
+    ``ValueError`` for any other shape and for a non-finite number (``null``
+    reads as NaN), ``OverflowError`` for an integer beyond the float range."""
+    return _complex_array(obj, (rows, cols))
 
 
 def system_to_json(system: System) -> dict:
@@ -72,24 +95,13 @@ def system_from_json(obj: dict) -> System:
     return System(GroupAction(group, space, perm))
 
 
-def module_vector_to_json(vec: ModuleVector) -> list:
-    return [vector_to_json(c) for c in vec.components]
-
-
-def module_vector_from_json(obj, module: SectionalModule) -> ModuleVector:
-    return ModuleVector(module, tuple(vector_from_json(c) for c in obj))
-
-
 def multiplier_to_json(t: Multiplier) -> dict:
     return {str(g): matrix_to_json(m) for g, m in enumerate(t.mats)}
 
 
 def multiplier_from_json(obj: dict, system: System) -> Multiplier:
-    n = system.n_points
-    mats = []
-    for g in range(system.group.order):
-        mats.append(matrix_from_json(obj[str(g)], n, n))
-    return Multiplier(system, tuple(mats))
+    order, n = system.group.order, system.n_points
+    return Multiplier(system, _complex_array([obj[str(g)] for g in range(order)], (order, n, n)))
 
 
 def rep_to_json(rep: EquivariantRep) -> dict:
@@ -121,16 +133,16 @@ def rep_from_json(obj: dict, system: System) -> EquivariantRep:
     v_mats = []
     for g in range(system.group.order):
         entry = obj["v"][str(g)]
-        expected = [system.action.apply_inv(g, x) for x in range(n)]
-        if [int(s) for s in entry["srcPerm"]] != expected:
+        if [int(s) for s in entry["srcPerm"]] != system.action.src[g].tolist():
             raise ValueError(f"serialized base permutation of element {g} does not match the action")
-        v_mats.append(
-            tuple(
-                matrix_from_json(entry["mats"][x], dims[x], dims[system.action.apply_inv(g, x)])
-                for x in range(n)
-            )
-        )
+        v_mats.append(_fiber_mats(entry["mats"], system, dims, g))
     return EquivariantRep(system, module, rho, tuple(v_mats))
+
+
+def _fiber_mats(mats, system: System, dims: tuple, g: int) -> tuple:
+    """The matrices of element g from fiber g^{-1}x into fiber x, decoded
+    from their payloads ``mats[x]``."""
+    return tuple(matrix_from_json(mats[x], dims[x], dims[s]) for x, s in enumerate(system.action.src[g]))
 
 
 def cocycle_to_json(c: CocycleRep) -> dict:
@@ -151,10 +163,5 @@ def cocycle_from_json(obj: dict, system: System) -> CocycleRep:
     u = []
     for g in range(system.group.order):
         entry = obj["u"][str(g)]
-        u.append(
-            tuple(
-                matrix_from_json(entry[str(x)], dims[x], dims[system.action.apply_inv(g, x)])
-                for x in range(n)
-            )
-        )
+        u.append(_fiber_mats([entry[str(x)] for x in range(n)], system, dims, g))
     return CocycleRep(system.action, module, tuple(u))

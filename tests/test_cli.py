@@ -119,6 +119,47 @@ class TestVerifyCommand:
         assert code == 2 and out.getvalue() == ""
         assert "non-finite number" in err.getvalue()
 
+    MALFORMED = {
+        "short-pair": [[[1.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
+        "string": [["ab", [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
+        "null": [[None, [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
+        "null-number": [[[None, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
+        "ragged-row": [[[1.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
+        "extra-nesting": [[[[1.0], [0.0]], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
+        "1e400": [[["1e400", 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
+        "10**400": [[["10**400", 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
+    }
+
+    @pytest.mark.parametrize("target", ["v", "rho", "u", "covariant", "multiplier"])
+    @pytest.mark.parametrize("entry", sorted(MALFORMED))
+    def test_malformed_matrix_exit_two(self, entry, target):
+        system, payload = flip_payload()
+        rep = serialize.rep_to_json(sigma_example_rep(2))
+        cocycle = serialize.cocycle_to_json(sigma_cocycle(2))
+        bad = self.MALFORMED[entry]
+        eye = [[[float(i == j), 0.0] for j in range(2)] for i in range(2)]
+        if target == "v":
+            rep["v"]["1"]["mats"][0] = bad
+        elif target == "rho":
+            rep["rho"][0][1] = bad
+        elif target == "u":
+            cocycle["u"]["1"]["0"] = bad
+        elif target == "covariant":
+            payload["covariant"] = {"dim": 2, "pi": [bad, eye], "u": [eye, eye]}
+        else:
+            payload["multiplier"] = {"0": eye, "1": bad}
+        payload.update({"equivariant_rep": rep, "cocycle": cocycle})
+        # the two number literals JSON can carry but json.dumps does not write
+        text = json.dumps(payload).replace('"1e400"', "1e400").replace('"10**400"', "1" + "0" * 400)
+        argv = ["pd", "--inline", text, "--trials", "5"] if target == "multiplier" else ["verify", "--inline", text]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        assert code == 2 and out.getvalue() == ""
+        assert "invalid payload" in err.getvalue()
+        if entry in ("1e400", "null-number"):
+            assert "non-finite number" in err.getvalue()
+
     def test_failing_checks_located(self):
         system, payload = flip_payload()
         rep = serialize.rep_to_json(sigma_example_rep(2))

@@ -11,6 +11,7 @@ from cstardyn.core import (
     FiniteGroup,
     GroupAction,
     FiniteSpace,
+    System,
     act_on_algebra,
     cyclic_group,
     cyclic_shift_action,
@@ -59,6 +60,44 @@ class TestFiniteGroup:
             prod.mul(a, b) == prod.mul(b, a) for a in prod.elements() for b in prod.elements()
         )
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_symmetric_table_matches_loop(self, n, monkeypatch):
+        """The table equals the composition loop it replaced; S_6's table is
+        compared without the (slow) validation of its 720^3 products."""
+        perms = sorted(itertools.permutations(range(n)))
+        index = {p: i for i, p in enumerate(perms)}
+        expected = [[index[tuple(p[q[x]] for x in range(n))] for q in perms] for p in perms]
+        if n == 6:
+            monkeypatch.setattr(core, "FiniteGroup", lambda order, mult: mult)
+            table = symmetric_group(n)
+        else:
+            table = symmetric_group(n).mult
+        assert table.dtype == np.intp and table.tolist() == expected
+
+    @pytest.mark.parametrize("budget", [1, 2**18])
+    def test_symmetric_table_in_blocks(self, budget, monkeypatch):
+        reference = symmetric_group(4).mult
+        monkeypatch.setattr(core, "_BLOCK_ELEMENTS", budget)
+        assert np.array_equal(symmetric_group(4).mult, reference)
+
+    @pytest.mark.parametrize(
+        "pair", [(1, "s3"), ("s3", 4), (2, 3), ("s3", "s3")], ids=["1xS3", "S3xZ4", "Z2xZ3", "S3xS3"]
+    )
+    def test_direct_product_matches_loop(self, pair):
+        g1, g2 = (symmetric_group(3) if g == "s3" else cyclic_group(g) for g in pair)
+        o2 = g2.order
+        expected = np.empty((g1.order * o2,) * 2, dtype=np.intp)
+        for a1, b1, a2, b2 in itertools.product(range(g1.order), range(o2), range(g1.order), range(o2)):
+            expected[a1 * o2 + b1, a2 * o2 + b2] = g1.mult[a1, a2] * o2 + g2.mult[b1, b2]
+        assert np.array_equal(direct_product(g1, g2).mult, expected)
+
+    def test_inverse_failure_located(self):
+        # identity 0; 1 * 2 = 0 but 2 * 1 = 2, so element 1 has no two-sided inverse
+        with pytest.raises(ValueError, match="element 1 has no two-sided inverse"):
+            FiniteGroup(3, np.array([[0, 1, 2], [1, 1, 0], [2, 2, 2]]))
+        with pytest.raises(ValueError, match="no two-sided identity"):
+            FiniteGroup(2, np.array([[1, 0], [0, 0]]))
+
     def test_broken_table_rejected(self):
         bad = np.array([[0, 1], [1, 1]])
         with pytest.raises(ValueError):
@@ -95,6 +134,27 @@ class TestFiniteGroup:
         with pytest.raises(ValueError, match="not associative"):
             FiniteGroup(5, loop)
         assert symmetric_group(4).order == 24
+
+
+class TestEquality:
+    def test_equal_but_distinct_objects(self):
+        a, b = System(cyclic_shift_action(3)), System(cyclic_shift_action(3))
+        assert a.action is not b.action and a.group is not b.group
+        assert a == b and a.action == b.action and a.group == b.group
+
+    def test_different_objects_differ(self):
+        shift, trivial = System(cyclic_shift_action(3)), System(trivial_action(cyclic_group(3), 3))
+        assert shift != trivial and shift.action != trivial.action and shift.group == trivial.group
+        assert cyclic_group(3) != cyclic_group(4) and symmetric_group(3) != direct_product(cyclic_group(2), cyclic_group(3))
+
+    def test_same_object_compares_no_tables(self, monkeypatch):
+        system = System(cyclic_shift_action(3))
+
+        def refuse(*args):
+            raise AssertionError("tables compared for an object against itself")
+
+        monkeypatch.setattr(np, "array_equal", refuse)
+        assert system == system and system.action == system.action and system.group == system.group
 
 
 class TestGroupAction:

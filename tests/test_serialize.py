@@ -88,3 +88,51 @@ class TestMultiplierRoundTrip:
             assert multiplier_distance(back, t) == 0.0
             for g in range(3):
                 assert np.array_equal(back.mats[g], t.mats[g])
+
+
+def per_entry_decode(obj):
+    """The matrix of [re, im] pairs decoded one entry at a time."""
+    return np.array([[complex(float(re), float(im)) for re, im in row] for row in obj], dtype=complex)
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+class TestMatrixDecoding:
+    def test_bit_exact_against_per_entry_decode(self, rng):
+        for rows, cols in [(1, 1), (2, 2), (3, 5), (5, 5)]:
+            m = rng.normal(size=(rows, cols, 2)) * 10.0 ** rng.integers(-300, 300, size=(rows, cols, 2))
+            m[0, 0] = [-0.0, 5e-324]  # a negative zero and the smallest subnormal
+            obj = through_json(m.tolist())
+            out = serialize.matrix_from_json(obj, rows, cols)
+            assert out.dtype == complex and out.shape == (rows, cols)
+            assert np.array_equal(bits(out), bits(per_entry_decode(obj)))
+
+    def test_negative_zero_round_trip(self, z2_trivial):
+        m = np.array([[complex(-0.0, 0.0), complex(0.0, -0.0)], [complex(-0.0, -0.0), 1.0]])
+        back = serialize.matrix_from_json(through_json(serialize.matrix_to_json(m)), 2, 2)
+        assert np.array_equal(bits(back), bits(m))
+        vec = serialize.vector_from_json(through_json(serialize.vector_to_json(m[0])))
+        assert np.array_equal(bits(vec), bits(m[0]))
+        obj = through_json({"0": serialize.matrix_to_json(m), "1": serialize.matrix_to_json(-m)})
+        t = serialize.multiplier_from_json(obj, z2_trivial)
+        assert np.array_equal(bits(t.stack), bits(np.stack([m, -m])))
+
+    @pytest.mark.parametrize(
+        "obj, rows, cols",
+        [([], 0, 3), ([[], []], 2, 0), ([], 0, 0)],
+        ids=["no-rows", "no-columns", "empty"],
+    )
+    def test_empty_matrices(self, obj, rows, cols):
+        out = serialize.matrix_from_json(obj, rows, cols)
+        assert out.shape == (rows, cols) and out.dtype == complex
+
+    @pytest.mark.parametrize(
+        "obj, rows, cols",
+        [([[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]], 2, 2), ([[[]]], 0, 0), ([], 1, 1), ("12", 1, 1)],
+        ids=["one-by-four-for-two-by-two", "nested-empty", "missing-rows", "digit-string"],
+    )
+    def test_wrong_shape_rejected(self, obj, rows, cols):
+        with pytest.raises(ValueError, match="shape"):
+            serialize.matrix_from_json(obj, rows, cols)
