@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Survey agreement between the three positive-definiteness checks.
 
-Draws random multipliers over the three verification systems and the assorted
-systems of order 4 and 6, and compares the fiberwise criterion, the sampled
-kernel-condition oracle, and the complete positivity of the induced
-crossed-product map.  The larger systems are where the oracle draws tuples of
-up to 12 elements over several blocks.
+Draws random multipliers over the three verification systems, the assorted
+systems of order 4 and 6, and sigma_5 and omega_5, and compares the fiberwise
+criterion, the sampled kernel-condition oracle, and the complete positivity
+of the induced crossed-product map.  The larger systems are where the oracle
+draws tuples of up to 12 elements over several blocks; sigma_5 and omega_5
+are the busiest rungs of the benchmark's crossed-product ladder.
 """
 
 import argparse
@@ -13,6 +14,7 @@ import argparse
 import numpy as np
 
 from cstardyn.crossed import build_reduced, induced_map, is_completely_positive
+from cstardyn.cyclic_examples import omega_system, sigma_system
 from cstardyn.generators import assorted_small_systems, random_multiplier_suite, standard_systems
 from cstardyn.multiplier import is_positive_definite, pd_sample_oracle
 
@@ -23,6 +25,7 @@ def survey_systems() -> dict:
         order, n = system.group.order, system.n_points
         if order in (4, 6):
             systems[f"order{order}_on_{n}"] = system
+    systems["sigma_5"], systems["omega_5"] = sigma_system(5), omega_system(5)
     return systems
 
 

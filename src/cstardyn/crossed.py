@@ -12,11 +12,12 @@ is certified by a basis-gram check that splits into independent blocks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import fibers
-from .core import DEFAULT_TOL, System, act_on_algebra
+from .core import DEFAULT_TOL, System, _freeze, act_on_algebra
 from .multiplier import Multiplier, PdCertificate
 from .numutil import max_abs, null_space
 from .reporting import CheckReport
@@ -62,7 +63,8 @@ def verify_covariant(rep: CovariantRep, tol: float = DEFAULT_TOL) -> CheckReport
     pi(alpha_g(e_j)) = u(g) pi(e_j) u(g)*.  The products for one left factor
     and all right factors are one matmul against the right factors laid side
     by side, formed for blocks of left factors of at most
-    ``fibers.BLOCK_ELEMENTS`` entries."""
+    ``fibers.BLOCK_ELEMENTS`` entries.  A nonzero covariance residual is
+    located at the first (g, j) in loop order attaining it."""
     report = CheckReport()
     sys_ = rep.system
     n, order, d = sys_.n_points, sys_.group.order, rep.dim
@@ -95,8 +97,8 @@ def verify_covariant(rep: CovariantRep, tol: float = DEFAULT_TOL) -> CheckReport
     for lo, hi in fibers.blocks(order, n * d * d):
         left = (u[lo:hi] @ pi_right).reshape(hi - lo, d, n, d).transpose(0, 2, 1, 3)
         conj = (left.reshape(hi - lo, n * d, d) @ uh[lo:hi]).reshape(hi - lo, n, d, d)
-        worst.update(fibers.entry_max(pi[perm[lo:hi]] - conj))
-    report.add("covariance", worst.residual, tol)
+        worst.update(fibers.entry_max(pi[perm[lo:hi]] - conj), lo)
+    report.add("covariance", worst.residual, tol, worst.where("g", "j"))
     return report
 
 
@@ -104,27 +106,19 @@ def regular_covariant(system: System) -> CovariantRep:
     """The regular covariant pair built from the diagonal representation of
     C^n on itself: on the group amplification,
     (pi(a) xi)(h) = diag(alpha_h^{-1}(a)) xi(h) and (u(g) xi)(h) = xi(g^{-1}h).
-    Row index is h * n + x."""
-    n = system.n_points
-    order = system.group.order
-    d = n * order
-    pi_mats = []
-    for j in range(n):
-        diag = np.zeros(d)
-        for h in range(order):
-            for x in range(n):
-                # (alpha_h^{-1} e_j)_x = 1 iff h.x = j
-                if system.action.apply(h, x) == j:
-                    diag[h * n + x] = 1.0
-        pi_mats.append(np.diag(diag).astype(complex))
-    u_mats = []
-    for g in range(order):
-        u = np.zeros((d, d), dtype=complex)
-        for h in range(order):
-            src = system.group.mul(system.group.inv(g), h)
-            u[h * n : (h + 1) * n, src * n : (src + 1) * n] = np.eye(n)
-        u_mats.append(u)
-    return CovariantRep(system, d, tuple(pi_mats), tuple(u_mats))
+    Row index is h * n + x.  Both are read off index tables: pi(e_j) is the
+    diagonal 0/1 mask h.x == j, and u(g) has its 1 in row h * n + x at
+    column (g^{-1}h) * n + x."""
+    n, group = system.n_points, system.group
+    d = n * group.order
+    h, x = np.divmod(np.arange(d), n)
+    point = system.action.perm.reshape(-1)  # h.x at row h * n + x
+    pi = tuple(np.diag((point == j).astype(complex)) for j in range(n))
+    # one array per matrix: a single (|G|, D, D) stack raised the peak RSS
+    # of a process verifying the sigma_8 pair by about 1 MB
+    eye = np.eye(d, dtype=complex)
+    u = tuple(eye[cols] for cols in group.mult[group.inverse][:, h] * n + x)
+    return CovariantRep(system, d, pi, u)
 
 
 def convolve(system: System, f1: np.ndarray, f2: np.ndarray) -> np.ndarray:
@@ -174,31 +168,53 @@ class ReducedCrossedProduct:
 
     Every basis element is a 0/1 partial monomial matrix, and the algebra is
     closed form: b[g,j] b[h,k] = delta(j, g.k) b[gh, j] and
-    b[g,j]^* = b[g^-1, g^-1.j].  ``mult_table[a, b]`` holds the (one-hot)
-    coordinates of the product of two basis elements, ``adjoint_table[a]``
-    those of an adjoint and ``gram_coords[a, b]`` those of b_a^* b_b.  The
-    same facts as integers: ``gram_index[a, b]`` is the basis index of
-    b_a^* b_b, or -1 where that product is zero, and ``col_map[a, r]`` is
-    the column of the nonzero entry in row r of b_a, or -1 where the row is
-    zero.
+    b[g,j]^* = b[g^-1, g^-1.j].  These facts are stored as read-only integer
+    tables: ``col_map[a, r]`` is the column of the nonzero entry in row r of
+    b_a, or -1 where the row is zero; ``mult_index[a, b]`` is the basis index
+    of b_a b_b and ``gram_index[a, b]`` that of b_a^* b_b, or -1 where the
+    product is zero; ``adjoint_index[a]`` is the index of b_a^*.
+
+    The dense views are derived from these tables when first read and are
+    read-only: ``basis`` (N, D, D) holds the matrices b_a,
+    ``mult_table[a, b]`` the one-hot coordinates of b_a b_b,
+    ``adjoint_table[a]`` those of b_a^* and ``gram_coords[a, b]`` those of
+    b_a^* b_b.
     """
 
     system: System
     rep: CovariantRep
-    basis: np.ndarray            # (N, D, D)
-    mult_table: np.ndarray       # (N, N, N)
-    adjoint_table: np.ndarray    # (N, N)
-    gram_coords: np.ndarray      # (N, N, N)
-    gram_index: np.ndarray       # (N, N) integer
     col_map: np.ndarray          # (N, D) integer
+    mult_index: np.ndarray       # (N, N) integer
+    adjoint_index: np.ndarray    # (N,) integer
+    gram_index: np.ndarray       # (N, N) integer
 
     @property
     def dim(self) -> int:
-        return self.basis.shape[0]
+        return self.col_map.shape[0]
 
     @property
     def ambient_dim(self) -> int:
-        return self.basis.shape[1]
+        return self.col_map.shape[1]
+
+    @cached_property
+    def basis(self) -> np.ndarray:
+        N, d = self.col_map.shape
+        out = np.zeros((N, d, d), dtype=complex)
+        a, r = np.nonzero(self.col_map >= 0)
+        out[a, r, self.col_map[a, r]] = 1.0
+        return _freeze(out)
+
+    @cached_property
+    def mult_table(self) -> np.ndarray:
+        return _freeze(_one_hot(self.mult_index, self.dim))
+
+    @cached_property
+    def adjoint_table(self) -> np.ndarray:
+        return _freeze(_one_hot(self.adjoint_index, self.dim))
+
+    @cached_property
+    def gram_coords(self) -> np.ndarray:
+        return _freeze(_one_hot(self.gram_index, self.dim))
 
     def index(self, g: int, j: int) -> int:
         return g * self.system.n_points + j
@@ -221,68 +237,93 @@ def _check_closure(col_map: np.ndarray, mult_index: np.ndarray, adjoint_index: n
     adjoints.  Two different 0/1 matrices differ by 1 in some entry, which is
     the residual reported."""
     N, d = col_map.shape
-    # maps padded with a -1 row and column, so that index -1 reads "zero row"
-    maps = np.full((N + 1, d + 1), -1, dtype=np.intp)
+    # maps padded with a -1 row and column, so that index -1 reads "zero row",
+    # in the smallest signed type that holds -1..d-1: the two (N, N, D)
+    # arrays compared below are the largest temporaries of build_reduced
+    maps = np.full((N + 1, d + 1), -1, dtype=np.min_scalar_type(-d))
     maps[:N, :d] = col_map
-    # row r of b_a b_b is row col_map[a, r] of b_b
-    products = maps[np.arange(N)[None, :, None], col_map[:, None, :]]
-    if not np.array_equal(products, maps[mult_index, :d]):
+    # row r of b_a b_b is row col_map[a, r] of b_b; both sides indexed [b, a, r]
+    products = np.take(maps[:N], col_map, axis=1)
+    if (products != np.take(maps[:, :d], mult_index.T, axis=0)).any():
         raise NotInAlgebraError(1.0)
-    transposes = np.full((N, d), -1, dtype=np.intp)
-    a_idx, r_idx = np.nonzero(col_map >= 0)
-    transposes[a_idx, col_map[a_idx, r_idx]] = r_idx
-    if not np.array_equal(transposes, col_map[adjoint_index]):
+    # row r of b_a is column r of its transpose; zero rows write into the
+    # padding column
+    transposes = np.full((N, d + 1), -1, dtype=maps.dtype)
+    transposes[np.arange(N)[:, None], col_map] = np.arange(d)
+    if (transposes[:, :d] != col_map[adjoint_index]).any():
         raise NotInAlgebraError(1.0)
+
+
+def _read_regular_pair(rep: CovariantRep) -> tuple[np.ndarray, np.ndarray]:
+    """The supports of a regular-type covariant pair, read exactly.
+
+    Returns ``mask[j, r]``, whether pi(e_j) has a 1 at (r, r), and
+    ``sigma[g, r]``, the column of the 1 in row r of u(g).  Raises
+    ArithmeticError unless every pi(e_j) is diagonal with 0/1 entries and
+    every u(g) a permutation matrix whose entries are exactly 1.
+    """
+    pair = np.array(rep.pi_mats + rep.u_mats)
+    pi, u = pair[: len(rep.pi_mats)], pair[len(rep.pi_mats) :]
+    mask = pi.diagonal(axis1=1, axis2=2) == 1
+    # every nonzero entry is one of the diagonal 1s; real and imaginary parts
+    # are counted apart, which is faster than testing complex values
+    if np.count_nonzero(pi.view(float)) != np.count_nonzero(mask):
+        raise ArithmeticError("pi(e_j) of the regular pair is not a diagonal 0/1 matrix")
+    ones = u == 1
+    # a 1 in every row and every column, and no other nonzero part: exactly
+    # one 1 per row and per column
+    if not (
+        np.count_nonzero(u.view(float)) == u.shape[0] * rep.dim
+        and ones.any(axis=2).all()
+        and ones.any(axis=1).all()
+    ):
+        raise ArithmeticError("u(g) of the regular pair is not a permutation matrix")
+    return mask, ones.argmax(axis=2)
 
 
 def build_reduced(system: System, tol: float = DEFAULT_TOL) -> ReducedCrossedProduct:
-    """Assemble the reduced crossed product: basis, structure constants,
-    adjoints, and the coordinates of all basis products b_a^* b_b.
+    """Assemble the reduced crossed product: the row -> column maps of the
+    basis and the index tables of products, adjoints and basis products
+    b_a^* b_b.
 
-    The basis is the integrated form of the regular covariant representation;
-    the tables come from the closed forms.  Each is checked against the other
-    exactly, in integer arithmetic: the basis matrices must be 0/1 partial
-    monomial matrices with nonempty, pairwise disjoint supports (so they are
-    linearly independent), and composing their row -> column maps must give
-    the tabulated products and adjoints.  ``tol`` is accepted for signature
-    compatibility; nothing here rounds.
+    The basis b[g,j] = pi(e_j) u(g) is the integrated form of the regular
+    covariant pair, read off the pair exactly instead of multiplied out: each
+    pi(e_j) must be diagonal with 0/1 entries and each u(g) a permutation
+    matrix with entries exactly 1, and then row r of b[g,j] is the row of
+    u(g) where pi(e_j) has its 1, and zero elsewhere.  The tables come from
+    the closed forms.  Each side is checked against the other in integer
+    arithmetic: the supports must be nonempty and pairwise disjoint (so the
+    basis is linearly independent), and composing the row -> column maps must
+    give the tabulated products and adjoints.  No dense basis or table is
+    formed; see :class:`ReducedCrossedProduct` for the views derived on
+    demand.  ``tol`` is accepted for signature compatibility; nothing here
+    rounds.
     """
     rep = regular_covariant(system)
     n, order, d = system.n_points, system.group.order, rep.dim
     N = n * order
-    basis = np.empty((N, d, d), dtype=complex)
-    for g in range(order):
-        for j in range(n):
-            a = np.zeros(n)
-            a[j] = 1.0
-            basis[g * n + j] = integrated_form(rep, delta_function(system, g, a))
+    mask, sigma = _read_regular_pair(rep)
 
-    support = basis != 0
-    if not np.all(basis[support] == 1) or support.sum(axis=2).max() > 1 or support.sum(axis=1).max() > 1:
-        raise ArithmeticError("integrated-form basis is not made of 0/1 partial monomial matrices")
-    if not support.any(axis=(1, 2)).all() or support.sum(axis=0).max() > 1:
+    # basis index a = g * n + j, with the axes (g, j) kept apart until the end
+    col_map = np.where(mask[None, :, :], sigma[:, None, :], -1).reshape(N, d)
+    hit = col_map >= 0
+    a_idx, r_idx = np.nonzero(hit)
+    if not hit.any(axis=1).all() or np.bincount(r_idx * d + col_map[a_idx, r_idx]).max() > 1:
         raise ArithmeticError("integrated-form basis is linearly dependent")
-    col_map = np.where(support.any(axis=2), support.argmax(axis=2), -1)
 
-    # a = g * n + j and b = h * n + k
-    g, j = np.divmod(np.arange(N), n)
     mult, inv, perm = system.group.mult, system.group.inverse, system.action.perm
+    j = np.arange(n)
+    # b[g,j] b[h,k] = delta(j, g.k) b[gh, j], over the axes (g, j, h, k)
     mult_index = np.where(
-        perm[g[:, None], j[None, :]] == j[:, None], mult[g[:, None], g[None, :]] * n + j[:, None], -1
-    )
-    adjoint_index = inv[g] * n + perm[inv[g], j]
+        perm[:, None, None, :] == j[None, :, None, None], mult[:, None, :, None] * n + j[None, :, None, None], -1
+    ).reshape(N, N)
+    # b[g,j]^* = b[g^-1, g^-1.j]
+    adjoint_index = (inv[:, None] * n + perm[inv]).reshape(N)
     gram_index = mult_index[adjoint_index]
 
     _check_closure(col_map, mult_index, adjoint_index)
     return ReducedCrossedProduct(
-        system,
-        rep,
-        basis,
-        _one_hot(mult_index, N),
-        _one_hot(adjoint_index, N),
-        _one_hot(gram_index, N),
-        gram_index,
-        col_map,
+        system, rep, _freeze(col_map), _freeze(mult_index), _freeze(adjoint_index), _freeze(gram_index)
     )
 
 
@@ -340,6 +381,50 @@ def _components(size: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         np.minimum.at(parent, np.maximum(pr[differ], pc[differ]), np.minimum(pr[differ], pc[differ]))
 
 
+def _cp_entries(rcp: ReducedCrossedProduct, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The nonzero pattern of H = [phi(b_a^* b_b)] as (rows, cols, vals)."""
+    D = rcp.ambient_dim
+    pa, pb = np.nonzero(rcp.gram_index >= 0)
+    q = rcp.gram_index[pa, pb]
+    c, p = np.nonzero(phi[:, q])
+    k, r = np.nonzero((rcp.col_map >= 0)[c])
+    rows = pa[p[k]] * D + r
+    cols = pb[p[k]] * D + rcp.col_map[c[k], r]
+    return rows, cols, phi[c, q[p]][k]
+
+
+def _component_blocks(
+    size: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The diagonal blocks of the size x size matrix with the distinct
+    entries (rows, cols, vals), one block per connected component of its
+    symmetrized pattern; every entry lies in one of them.
+
+    Returns ``comp``, the component of each index (numbered in order of their
+    smallest index), ``offset`` and ``flat``: the block of component c, over
+    its indices in increasing order, lies row-major in ``flat`` from
+    ``offset[c]``.  Blocks are ordered by size and then by component, so the
+    blocks of one size form one contiguous stack.
+    """
+    _, comp = np.unique(_components(size, rows, cols), return_inverse=True)
+    sizes = np.bincount(comp)
+    nodes = np.argsort(comp, kind="stable")
+    starts = np.cumsum(sizes) - sizes
+    local = np.empty(size, dtype=np.intp)
+    local[nodes] = np.arange(size) - np.repeat(starts, sizes)
+    by_size = np.argsort(sizes, kind="stable")
+    area = sizes[by_size] ** 2
+    offset = np.empty(len(sizes), dtype=np.intp)
+    offset[by_size] = np.cumsum(area) - area
+    entry_comp = comp[rows]
+    at = local[rows] * sizes[entry_comp]
+    at += offset[entry_comp]
+    at += local[cols]
+    flat = np.zeros(area.sum(), dtype=complex)
+    flat[at] = vals
+    return comp, offset, flat
+
+
 def is_completely_positive(
     rcp: ReducedCrossedProduct, phi: np.ndarray, tol: float = DEFAULT_TOL
 ) -> PdCertificate:
@@ -355,10 +440,10 @@ def is_completely_positive(
     phi[c, q] at (r, col_map[c, r]) for each basis element c and row r of
     its support.  Ordering the index set by the connected components of the
     symmetrized nonzero pattern is a permutation that makes H block
-    diagonal, so H is PSD exactly when every component block is, and each
-    block gets its own ``eigh``.  Entries outside the blocks are zero on
-    both sides, so the scale, the Hermitian defect and the verdict are those
-    of the dense matrix.  On failure the eigenvector of the worst block is
+    diagonal, so H is PSD exactly when every component block is; the blocks
+    of one size go through one batched ``eigh``.  Entries outside the blocks
+    are zero on both sides, so the scale, the Hermitian defect and the
+    verdict are those of the dense matrix.  On failure the eigenvector of the worst block is
     returned embedded in the full N * D index space.
     """
     N = rcp.dim
@@ -367,37 +452,24 @@ def is_completely_positive(
     if phi.shape != (N, N):
         raise ValueError(f"coordinate map must be {N} x {N}")
 
-    pa, pb = np.nonzero(rcp.gram_index >= 0)
-    q = rcp.gram_index[pa, pb]
-    c, p = np.nonzero(phi[:, q])
-    k, r = np.nonzero(rcp.col_map[c] >= 0)
-    rows = pa[p[k]] * D + r
-    cols = pb[p[k]] * D + rcp.col_map[c[k], r]
-    vals = phi[c, q[p]][k]
-
-    size = N * D
-    _, comp = np.unique(_components(size, rows, cols), return_inverse=True)
+    # the entry lists live only inside the two helpers, so they are freed
+    # before the eigensolves
+    comp, offset, flat = _component_blocks(N * D, *_cp_entries(rcp, phi))
     sizes = np.bincount(comp)
-    nodes = np.argsort(comp, kind="stable")
-    starts = np.cumsum(sizes) - sizes
-    local = np.empty(size, dtype=np.intp)
-    local[nodes] = np.arange(size) - np.repeat(starts, sizes)
 
-    scale = 1.0 + max_abs(vals)
+    scale = 1.0 + max_abs(flat)
     hd = 0.0
     lam_min, worst, worst_vec = np.inf, 0, None
-    entry_size = sizes[comp[rows]]
-    # components of one size are stacked into a single batched eigh call
+    # components of one size are one contiguous stack: a single batched eigh
     for s in np.unique(sizes):
         members = np.flatnonzero(sizes == s)
-        slot = np.full(len(sizes), -1, dtype=np.intp)
-        slot[members] = np.arange(len(members))
-        mine = entry_size == s
-        blocks = np.zeros((len(members), s, s), dtype=complex)
-        blocks[slot[comp[rows[mine]]], local[rows[mine]], local[cols[mine]]] = vals[mine]
+        start = offset[members[0]]
+        blocks = flat[start : start + len(members) * s * s].reshape(len(members), s, s)
         adjoints = blocks.conj().transpose(0, 2, 1)
         hd = max(hd, max_abs(blocks - adjoints))
-        lam, vecs = np.linalg.eigh((blocks + adjoints) / 2)
+        herm = blocks + adjoints
+        herm /= 2
+        lam, vecs = np.linalg.eigh(herm)
         i = int(np.argmin(lam[:, 0]))
         if lam[i, 0] < lam_min:
             lam_min, worst, worst_vec = float(lam[i, 0]), members[i], vecs[i, :, 0]
@@ -405,8 +477,8 @@ def is_completely_positive(
     verdict = hd <= tol * scale and lam_min >= -tol * scale
     eigenvector = None
     if not verdict:
-        eigenvector = np.zeros(size, dtype=complex)
-        eigenvector[nodes[starts[worst] : starts[worst] + sizes[worst]]] = worst_vec
+        eigenvector = np.zeros(N * D, dtype=complex)
+        eigenvector[comp == worst] = worst_vec
     return PdCertificate(
         verdict=bool(verdict),
         min_eigenvalue=lam_min,

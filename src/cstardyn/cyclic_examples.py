@@ -14,7 +14,7 @@ import numpy as np
 
 from . import fibers
 from .cocycle import CocycleRep, EquivariantMap, _pullback_rep, cocycle_to_v, rho_from_sigma
-from .core import DEFAULT_TOL, FiniteSpace, System, cyclic_group, cyclic_shift_action, trivial_action
+from .core import FiniteSpace, System, cyclic_group, cyclic_shift_action, trivial_action
 from .equivrep import EquivariantRep
 from .hilbmod import ModuleOperator, ModuleVector, SectionalModule
 from .multiplier import Multiplier, _coefficients, coefficient
@@ -184,6 +184,6 @@ def matrix_unit_deviation(family: list[Multiplier]) -> float:
     return float(np.abs(mats - target).max())
 
 
-def verify_matrix_units(kind: str, n: int, tol: float = DEFAULT_TOL) -> float:
+def verify_matrix_units(kind: str, n: int) -> float:
     """Max deviation of the constructed coefficients from the matrix units."""
     return matrix_unit_deviation(matrix_unit_family(kind, n))

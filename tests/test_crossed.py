@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from cstardyn import fibers
-from cstardyn.core import act_on_algebra
+from cstardyn.core import FiniteGroup, GroupAction, System, act_on_algebra
 from cstardyn.crossed import (
     CovariantRep,
     NotInAlgebraError,
@@ -19,11 +21,18 @@ from cstardyn.crossed import (
     regular_covariant,
     verify_covariant,
 )
-from cstardyn.cyclic_examples import omega_system, sigma_system
+from cstardyn.cyclic_examples import omega_system, sigma_example_rep, sigma_system
 import cstardyn.crossed as crossed
-from cstardyn.generators import assorted_small_systems, random_multiplier_suite, random_unitary, standard_systems
+from cstardyn.generators import (
+    assorted_small_systems,
+    random_multiplier_suite,
+    random_unitary,
+    random_vector,
+    standard_systems,
+)
 from cstardyn.multiplier import (
     Multiplier,
+    coefficient,
     from_group_function,
     is_positive_definite,
     unit_multiplier,
@@ -95,6 +104,76 @@ def center_dimension_from_orbits(system) -> int:
         classes = {frozenset(group.mul(group.mul(h, k), group.inv(h)) for h in stab) for k in stab}
         total += len(classes)
     return total
+
+
+def reference_regular_covariant(system) -> CovariantRep:
+    """The per-entry loop :func:`regular_covariant` used to run, kept as the
+    test oracle for its index scatters."""
+    n = system.n_points
+    order = system.group.order
+    d = n * order
+    pi_mats = []
+    for j in range(n):
+        diag = np.zeros(d)
+        for h in range(order):
+            for x in range(n):
+                # (alpha_h^{-1} e_j)_x = 1 iff h.x = j
+                if system.action.apply(h, x) == j:
+                    diag[h * n + x] = 1.0
+        pi_mats.append(np.diag(diag).astype(complex))
+    u_mats = []
+    for g in range(order):
+        u = np.zeros((d, d), dtype=complex)
+        for h in range(order):
+            src = system.group.mul(system.group.inv(g), h)
+            u[h * n : (h + 1) * n, src * n : (src + 1) * n] = np.eye(n)
+        u_mats.append(u)
+    return CovariantRep(system, d, tuple(pi_mats), tuple(u_mats))
+
+
+def relabeled_system(system, rng):
+    """An isomorphic copy of a system with group elements and points renamed
+    by seeded permutations, redrawn until the identity is not element 0."""
+    group, action = system.group, system.action
+    while True:
+        sg, px = rng.permutation(group.order), rng.permutation(action.space.size)
+        if sg[group.identity] != 0 or group.order == 1:
+            break
+    mult = np.empty_like(group.mult)
+    mult[sg[:, None], sg[None, :]] = sg[group.mult]
+    perm = np.empty_like(action.perm)
+    perm[sg[:, None], px[None, :]] = px[action.perm]
+    return System(GroupAction(FiniteGroup(group.order, mult), action.space, perm))
+
+
+def closed_form_tables(system):
+    """One-hot coordinates of b_a b_b, b_a^* and b_a^* b_b from
+    b[g,j] b[h,k] = delta(j, g.k) b[gh, j] and b[g,j]^* = b[g^-1, g^-1.j],
+    one entry at a time."""
+    group, action, n = system.group, system.action, system.n_points
+    N = n * group.order
+    mult = np.zeros((N, N, N), dtype=complex)
+    adjoint = np.zeros((N, N), dtype=complex)
+    for g in group.elements():
+        for j in range(n):
+            gi = group.inv(g)
+            adjoint[g * n + j, gi * n + action.apply(gi, j)] = 1.0
+            for h in group.elements():
+                for k in range(n):
+                    if action.apply(g, k) == j:
+                        mult[g * n + j, h * n + k, group.mul(g, h) * n + j] = 1.0
+    gram = mult[adjoint.argmax(axis=1)]
+    return mult, adjoint, gram
+
+
+def index_map_systems():
+    rng = np.random.default_rng(11)
+    cases = [*standard_systems().items(), *((f"assorted_{i}", s) for i, s in enumerate(assorted_small_systems()))]
+    for n in range(2, 8):
+        cases += [(f"sigma_{n}", sigma_system(n)), (f"omega_{n}", omega_system(n))]
+    for name, system in [("sigma_4", sigma_system(4)), ("omega_5", omega_system(5)), ("s3", assorted_small_systems()[-1])]:
+        cases += [(f"relabeled_{name}_{i}", relabeled_system(system, rng)) for i in range(2)]
+    return [pytest.param(system, id=name) for name, system in cases]
 
 
 class TestRegularCovariant:
@@ -227,15 +306,14 @@ class TestExactTables:
     @pytest.mark.parametrize(
         "corrupt",
         [
-            lambda m, f: 2.0 * m,                             # entries not 0/1
-            lambda m, f: 0.0 * m if f[1, 0] else m,           # one element vanishes
-            lambda m, f: m if f[0].any() else np.eye(len(m)),  # supports overlap
+            lambda pi, u: u.__setitem__(1, 2.0 * u[1]),               # entries not 0/1
+            lambda pi, u: pi.__setitem__(1, 0.0 * pi[1]),             # one element vanishes
+            lambda pi, u: pi.__setitem__(0, np.eye(len(pi[0]))),     # supports overlap
         ],
         ids=["scaled", "vanishing", "overlapping"],
     )
     def test_basis_checks_enforced(self, z3_cycle, monkeypatch, corrupt):
-        real = crossed.integrated_form
-        monkeypatch.setattr(crossed, "integrated_form", lambda rep, f: corrupt(real(rep, f), f))
+        corrupt_regular_pair(monkeypatch, corrupt)
         with pytest.raises(ArithmeticError):
             build_reduced(z3_cycle)
 
@@ -254,12 +332,98 @@ class TestExactTables:
             crossed._check_closure(rcp.col_map, mult, adjoint)
 
     def test_relabelled_basis_fails_closure(self, z3_cycle, monkeypatch):
-        real = crossed.integrated_form
         # slot (g, 0) holds b[g, 1] and slot (g, 1) holds b[g, 0]: still a
         # valid basis, but the product and adjoint tables no longer hold
-        monkeypatch.setattr(crossed, "integrated_form", lambda rep, f: real(rep, f[:, [1, 0, 2]]))
+        corrupt_regular_pair(monkeypatch, lambda pi, u: pi.__setitem__(slice(0, 2), pi[1::-1]))
         with pytest.raises(NotInAlgebraError):
             build_reduced(z3_cycle)
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda pi, u: pi.__setitem__(0, pi[0] + np.eye(len(pi[0]), k=1)), "pi"),  # not diagonal
+            (lambda pi, u: pi.__setitem__(0, 0.5 * pi[0]), "pi"),                       # not 0/1
+            (lambda pi, u: u.__setitem__(1, 1j * u[1]), "u"),                           # entries not 1
+            (lambda pi, u: u.__setitem__(1, u[1][[0, 0, *range(2, len(u[1]))]]), "u"),  # repeated column
+            (lambda pi, u: u.__setitem__(1, u[1] + np.eye(len(u[1]))), "u"),            # two per row
+        ],
+        ids=["pi-off-diagonal", "pi-half", "u-phase", "u-repeated-column", "u-two-per-row"],
+    )
+    def test_pair_checks_enforced(self, z3_cycle, monkeypatch, corrupt, message):
+        corrupt_regular_pair(monkeypatch, corrupt)
+        with pytest.raises(ArithmeticError, match=rf"^{message}\("):
+            build_reduced(z3_cycle)
+
+
+def corrupt_regular_pair(monkeypatch, corrupt) -> None:
+    """Make build_reduced read a regular pair whose pi and u lists the
+    callable ``corrupt(pi, u)`` has edited in place."""
+    real = crossed.regular_covariant
+
+    def corrupted(system):
+        rep = real(system)
+        pi, u = list(rep.pi_mats), list(rep.u_mats)
+        corrupt(pi, u)
+        return CovariantRep(system, rep.dim, tuple(pi), tuple(u))
+
+    monkeypatch.setattr(crossed, "regular_covariant", corrupted)
+
+
+class TestIndexMaps:
+    @pytest.mark.parametrize("system", index_map_systems())
+    def test_regular_pair_matches_loop(self, system):
+        rep, reference = regular_covariant(system), reference_regular_covariant(system)
+        assert rep.dim == reference.dim
+        for got, want in zip(rep.pi_mats + rep.u_mats, reference.pi_mats + reference.u_mats):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("system", index_map_systems())
+    def test_views_match_integrated_form_and_closed_forms(self, system):
+        rcp = build_reduced(system)
+        n, order = system.n_points, system.group.order
+        expected = np.stack(
+            [
+                integrated_form(rcp.rep, delta_function(system, g, np.eye(n)[j]))
+                for g in range(order)
+                for j in range(n)
+            ]
+        )
+        assert rcp.basis.dtype == expected.dtype and rcp.basis.tobytes() == expected.tobytes()
+        assert (rcp.dim, rcp.ambient_dim) == (n * order, n * order)
+        mult, adjoint, gram = closed_form_tables(system)
+        for got, want in ((rcp.mult_table, mult), (rcp.adjoint_table, adjoint), (rcp.gram_coords, gram)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert np.array_equal(rcp.gram_index >= 0, gram.any(axis=2))
+
+    def test_views_are_lazy_and_read_only(self, z3_cycle):
+        rcp = build_reduced(z3_cycle)
+        views = ("basis", "mult_table", "adjoint_table", "gram_coords")
+        is_completely_positive(rcp, induced_map(rcp, unit_multiplier(z3_cycle)))
+        fourier_coefficients(rcp, np.eye(rcp.ambient_dim))
+        assert not set(views) & set(vars(rcp))
+        for name in views + ("col_map", "mult_index", "adjoint_index", "gram_index"):
+            view = getattr(rcp, name)
+            assert view is getattr(rcp, name)
+            with pytest.raises(ValueError):
+                view[(0,) * view.ndim] = 7
+
+    def test_pd_path_stays_below_one_dense_table(self):
+        # N = D = 64: the bound is one (N, N, N) complex table, 4.2 MB
+        rep = sigma_example_rep(8)
+        rng = np.random.default_rng(3)
+        t = coefficient(rep, *(random_vector(rep.module, rng),) * 2)
+        system = sigma_system(8)
+        small = sigma_system(2)  # the first call may import modules; not traced
+        is_completely_positive(build_reduced(small), np.eye(4))
+        tracemalloc.start()
+        try:
+            rcp = build_reduced(system)
+            cert = is_completely_positive(rcp, induced_map(rcp, t))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cert.verdict
+        assert peak < 64**3 * 16
 
 
 class TestFourierCoefficients:
@@ -430,15 +594,17 @@ def reference_verify_covariant(rep, tol: float = 1e-9):
             res = max(res, max_abs(rep.u_mats[sys_.group.mul(g, h)] - u @ rep.u_mats[h]))
     report.add("u unitary homomorphism", res, tol)
 
-    res = 0.0
+    res, where = 0.0, None
     for g in range(order):
         for j in range(n):
             a = np.zeros(n)
             a[j] = 1.0
             lhs = rep.pi(act_on_algebra(sys_.action, g, a))
             rhs = rep.u_mats[g] @ rep.pi_mats[j] @ rep.u_mats[g].conj().T
-            res = max(res, max_abs(lhs - rhs))
-    report.add("covariance", res, tol)
+            r = max_abs(lhs - rhs)
+            if r > res:
+                res, where = r, {"g": g, "j": j}
+    report.add("covariance", res, tol, where)
     return report
 
 
@@ -482,6 +648,18 @@ class TestBatchedVerifyCovariant:
         assert report.passed == (fault is None)
         if fault is not None:
             assert report.residual_of(fault) >= 0.5
+        if label != "conjugated_s3":  # exact 0/1 pairs: the first maximum is the loop's
+            assert report.checks[-1].where == reference.checks[-1].where
+
+    def test_covariance_fault_located(self):
+        reg = regular_covariant(assorted_small_systems()[-1])
+        u = list(reg.u_mats)
+        u[4] = u[reg.system.group.identity]  # u(4) no longer moves the points
+        rep = CovariantRep(reg.system, reg.dim, reg.pi_mats, tuple(u))
+        report, reference = verify_covariant(rep), reference_verify_covariant(rep)
+        moved = np.flatnonzero(reg.system.action.perm[4] != np.arange(reg.system.n_points))
+        assert report.checks[-1].where == reference.checks[-1].where == {"g": 4, "j": int(moved[0])}
+        assert [c.where for c in report.checks[:-1]] == [None, None]
 
     def test_nan_fails(self, z2_flip):
         reg = regular_covariant(z2_flip)
