@@ -12,6 +12,7 @@ surjective isometries of the section space.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -19,7 +20,7 @@ import numpy as np
 from . import fibers
 from .core import DEFAULT_TOL, GroupAction, System
 from .equivrep import EquivariantRep
-from .hilbmod import ModuleOperator, SectionalModule
+from .hilbmod import SectionalModule
 from .numutil import max_abs, max_abs_over, nearest_unitary, null_space
 from .reporting import CheckReport
 
@@ -36,23 +37,29 @@ class NotBanachStoneError(ValueError):
     """The map is not a surjective isometry of the required block form."""
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class CocycleRep:
-    """``u[g][x]`` is the unitary from fiber g^{-1}x into fiber x;
-    ``u_stack[g, x]`` holds it zero padded to d_max x d_max (see
-    :mod:`.fibers`)."""
+    """A cocycle stored as the zero-padded stack ``u_stack`` (see
+    :mod:`.fibers`): ``u_stack[g, x]`` holds the unitary from fiber g^{-1}x
+    into fiber x in the top-left corner of a d_max x d_max slot.  ``u`` may
+    be given as nested per-(g, x) sequences or as the padded stack; the stack
+    is the only store, and ``u[g][x]`` are read-only views of it, built on
+    first read and kept."""
 
     action: GroupAction
     module: SectionalModule
-    u: tuple[tuple[np.ndarray, ...], ...]
-    u_stack: np.ndarray = field(init=False, repr=False)
+    u_stack: np.ndarray = field(repr=False)
 
-    def __post_init__(self):
-        if self.module.space != self.action.space:
+    def __init__(self, action: GroupAction, module: SectionalModule, u):
+        if module.space != action.space:
             raise ValueError("bundle base and action space disagree")
-        u, u_stack = fibers.stack_fibers(self.action, self.module.fiber_dims, self.u)
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "u_stack", u_stack)
+        object.__setattr__(self, "action", action)
+        object.__setattr__(self, "module", module)
+        object.__setattr__(self, "u_stack", fibers.stack_fibers(action, module.fiber_dims, u))
+
+    @cached_property
+    def u(self) -> tuple[tuple[np.ndarray, ...], ...]:
+        return fibers.fiber_views(self.action, self.module.fiber_dims, self.u_stack)
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,11 +173,17 @@ def cocycle_to_v(c: CocycleRep, tol: float = DEFAULT_TOL) -> GroupPart:
     Inverse to :func:`v_to_cocycle` on valid inputs, bit-for-bit on the
     stored matrices.
     """
+    _require_cocycle(c, tol)
+    return GroupPart(c.action, c.module, c.action.src, c.u)
+
+
+def _require_cocycle(c: CocycleRep, tol: float = DEFAULT_TOL) -> CocycleRep:
+    """``c`` itself, once :func:`verify_cocycle` passes it; raises otherwise."""
     report = verify_cocycle(c, tol)
     if not report.passed:
         worst = report.worst()
         raise ValueError(f"not a cocycle: {worst.name} residual {worst.residual:.3e}")
-    return GroupPart(c.action, c.module, c.action.src, c.u)
+    return c
 
 
 def cocycle_equivalent(
@@ -247,21 +260,16 @@ def rho_from_sigma(sigma: EquivariantMap, c: CocycleRep, tol: float = DEFAULT_TO
     and the group part is the cocycle's homomorphism."""
     if sigma.action != c.action:
         raise ValueError("base map and cocycle live over different actions")
-    return _pullback_rep(sigma, cocycle_to_v(c, tol))
+    return _pullback_rep(sigma, _require_cocycle(c, tol))
 
 
-def _pullback_rep(sigma: EquivariantMap, part: GroupPart) -> EquivariantRep:
-    """:func:`rho_from_sigma` on a group part that :func:`cocycle_to_v` checked."""
-    mod = part.module
-    n = mod.n_points
-    rho = []
-    for k in range(n):
-        blocks = tuple(
-            (np.eye(d, dtype=complex) if sigma.sigma[x] == k else np.zeros((d, d), dtype=complex))
-            for x, d in enumerate(mod.fiber_dims)
-        )
-        rho.append(ModuleOperator(mod, blocks))
-    return EquivariantRep(System(part.action), mod, tuple(rho), part.mats)
+def _pullback_rep(sigma: EquivariantMap, c: CocycleRep) -> EquivariantRep:
+    """:func:`rho_from_sigma` on a cocycle that :func:`verify_cocycle`
+    passed: both stacks are written whole, v's is the cocycle's."""
+    dims = c.module.fiber_dims
+    onto = np.asarray(sigma.sigma) == np.arange(len(dims))[:, None]  # [k, x]: sigma(x) = k
+    rho = onto[:, :, None, None] * fibers.padded_identity(dims)
+    return EquivariantRep(System(c.action), c.module, rho, c.u_stack)
 
 
 def banach_stone_operator(

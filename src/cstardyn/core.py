@@ -57,30 +57,37 @@ class FiniteGroup:
             raise ValueError("group order must be >= 1")
         if mult.shape != (self.order, self.order):
             raise ValueError(f"mult table must be {self.order}x{self.order}")
-        if mult.min() < 0 or mult.max() >= self.order:
+        # negative entries read as unsigned exceed any order
+        if mult.view(np.uintp).max() >= self.order:
             raise ValueError("mult table entries out of range")
         object.__setattr__(self, "mult", _freeze(mult))
 
+        # a left and a right identity coincide, so only the first left
+        # identity can be a two-sided one
         elements = np.arange(self.order)
-        units = np.flatnonzero((mult == elements).all(axis=1) & (mult.T == elements).all(axis=1))
-        if not units.size:
+        units = np.flatnonzero((mult == elements).all(axis=1))
+        if not units.size or not (mult[:, units[0]] == elements).all():
             raise ValueError("table has no two-sided identity")
         identity = int(units[0])
         object.__setattr__(self, "identity", identity)
 
-        # row g: the elements h with hg = e, and those with gh = e
-        left, right = mult.T == identity, mult == identity
-        inverse = left.argmax(axis=1)
-        bad = (left.sum(axis=1) != 1) | (right.sum(axis=1) != 1) | (right.argmax(axis=1) != inverse)
-        if bad.any():
+        # every element has a two-sided inverse iff right[g, h] (gh = e) is a
+        # symmetric permutation matrix
+        right = mult == identity
+        if not ((right.sum(axis=1) == 1).all() and (right == right.T).all()):
+            left = right.T
+            bad = (left.sum(axis=1) != 1) | (right.sum(axis=1) != 1) | (right.argmax(axis=1) != left.argmax(axis=1))
             raise ValueError(f"element {bad.argmax()} has no two-sided inverse")
-        object.__setattr__(self, "inverse", _freeze(inverse))
+        object.__setattr__(self, "inverse", _freeze(right.argmax(axis=1)))
 
-        # associativity by exhaustive scan, (gh)k == g(hk), in blocks of rows g
-        rows = max(1, _BLOCK_ELEMENTS // (self.order * self.order))
-        for lo in range(0, self.order, rows):
-            m = mult[lo : lo + rows]
-            if not np.array_equal(mult[m], m[:, mult]):
+        # Light's test: the elements a with (xa)y == x(ay) for all x, y are
+        # closed under products, so checking a generating set proves the
+        # table associative; in blocks of generators a
+        gens = np.array(_generating_set(mult, identity), dtype=np.intp)
+        step = max(1, _BLOCK_ELEMENTS // (self.order * self.order))
+        for lo in range(0, len(gens), step):
+            a = gens[lo : lo + step]
+            if not (mult[mult[:, a]] == mult[:, mult[a]]).all():
                 raise ValueError("multiplication table is not associative")
 
     def mul(self, g: int, h: int) -> int:
@@ -91,6 +98,37 @@ class FiniteGroup:
 
     def elements(self) -> range:
         return range(self.order)
+
+
+def _generating_set(mult: np.ndarray, identity: int) -> list[int]:
+    """A greedy generating set of a table with a two-sided identity: the
+    first element not yet reached joins it, where the reached elements are
+    the right-closure of the identity under the generators so far.  Each
+    generator at least doubles the subgroup reached, so a group of order
+    |G| needs at most log2 |G|."""
+    order = len(mult)
+    reached = bytearray(order)
+    reached[identity] = 1
+    members = [identity]
+    gens: list[int] = []
+    cols: list[list[int]] = []  # cols[i][x] = x a_i
+    first = 0
+    while len(members) < order:
+        first = reached.index(0, first)
+        gens.append(first)
+        cols.append(mult[:, first].tolist())
+        frontier = members  # every member times the new generator
+        while frontier:
+            new = []
+            for col in cols:
+                for x in frontier:
+                    y = col[x]
+                    if not reached[y]:
+                        reached[y] = 1
+                        new.append(y)
+            members = members + new
+            frontier = new
+    return gens
 
 
 def cyclic_group(n: int) -> FiniteGroup:

@@ -13,10 +13,10 @@ from __future__ import annotations
 import numpy as np
 
 from . import fibers
-from .cocycle import CocycleRep, EquivariantMap, _pullback_rep, cocycle_to_v, rho_from_sigma
+from .cocycle import CocycleRep, EquivariantMap, _pullback_rep, _require_cocycle, rho_from_sigma
 from .core import FiniteSpace, System, cyclic_group, cyclic_shift_action, trivial_action
 from .equivrep import EquivariantRep
-from .hilbmod import ModuleOperator, ModuleVector, SectionalModule
+from .hilbmod import ModuleVector, SectionalModule
 from .multiplier import Multiplier, _coefficients, coefficient
 
 
@@ -50,11 +50,15 @@ def omega_cocycle(n: int, k: int) -> CocycleRep:
     return _omega_cocycle(omega_system(n), k)
 
 
+def _shift_powers(n: int) -> np.ndarray:
+    """S^0, ..., S^{n-1} as one (n, n, n) array."""
+    return np.stack([np.linalg.matrix_power(shift_matrix(n), m) for m in range(n)])
+
+
 def _omega_cocycle(system: System, k: int) -> CocycleRep:
     n = system.n_points
-    powers = [np.linalg.matrix_power(shift_matrix(n), m) for m in range(n)]
-    empty = np.zeros((0, 0), dtype=complex)
-    u = [[sm if x == k else empty for x in range(n)] for sm in powers]
+    u = np.zeros((n, n, n, n), dtype=complex)
+    u[:, k] = _shift_powers(n)
     return CocycleRep(system.action, omega_bundle(n, k), u)
 
 
@@ -87,8 +91,7 @@ def sigma_cocycle(n: int) -> CocycleRep:
 
 def _sigma_cocycle(system: System) -> CocycleRep:
     n = system.n_points
-    s = shift_matrix(n)
-    u = [[np.linalg.matrix_power(s, m) for _ in range(n)] for m in range(n)]
+    u = np.broadcast_to(_shift_powers(n)[:, None], (n, n, n, n))
     return CocycleRep(system.action, sigma_bundle(n), u)
 
 
@@ -97,10 +100,11 @@ def sigma_example_rep(n: int) -> EquivariantRep:
     inside every fiber (rho(a) = diag(a) on each copy of C^n) and group part
     induced by the constant shift cocycle."""
     system = sigma_system(n)
-    c = _sigma_cocycle(system)
-    part = cocycle_to_v(c)
-    rho = [ModuleOperator(c.module, [np.diag(e_j) for _ in range(n)]) for e_j in np.eye(n, dtype=complex)]
-    return EquivariantRep(system, c.module, tuple(rho), part.mats)
+    c = _require_cocycle(_sigma_cocycle(system))
+    diag = np.zeros((n, n, n), dtype=complex)
+    diag[np.arange(n), np.arange(n), np.arange(n)] = 1.0  # diag[j] = diag(e_j)
+    rho = np.broadcast_to(diag[:, None], (n, n, n, n))
+    return EquivariantRep(system, c.module, rho, c.u_stack)
 
 
 def sigma_example_vectors(n: int, k: int, l: int, p: int) -> tuple[ModuleVector, ModuleVector]:
@@ -149,7 +153,8 @@ def matrix_unit_family(kind: str, n: int) -> list[Multiplier]:
     The family is built on one system.  For ``sigma_n`` all n^3 coefficients
     of :func:`sigma_example_rep` come from one batched contraction; for
     ``omega_n`` each fat-fiber cocycle is checked once and each of the n^2
-    representations contributes its n coefficients in one contraction.  The
+    representations, written as whole stacks around that cocycle's stack,
+    contributes its n coefficients in one contraction.  The
     stacks equal, bit for bit, those of the per-(k, l, p) calls of
     :func:`coefficient` on the public helpers.
     """
@@ -158,12 +163,12 @@ def matrix_unit_family(kind: str, n: int) -> list[Multiplier]:
         constant = [EquivariantMap(system.action, (l,) * n) for l in range(n)]
         stacks = []
         for k in range(n):
-            part = cocycle_to_v(_omega_cocycle(system, k))
-            dims = part.module.fiber_dims
+            c = _require_cocycle(_omega_cocycle(system, k))
+            dims = c.module.fiber_dims
             pairs = [omega_example_vectors(n, k, p) for p in range(n)]
             xi, eta = (np.stack([fibers.stack_sections(v.components, dims) for v in vs]) for vs in zip(*pairs))
             for sigma in constant:
-                stacks.append(_coefficients(_pullback_rep(sigma, part), xi, eta))
+                stacks.append(_coefficients(_pullback_rep(sigma, c), xi, eta))
         return Multiplier._each_of(system, np.concatenate(stacks))
     if kind == "sigma_n":
         rep = sigma_example_rep(n)

@@ -10,6 +10,7 @@ remaining relations are verified numerically by :func:`verify_equivariant`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -38,38 +39,58 @@ class NotPositiveDefiniteError(ValueError):
         super().__init__(f"multiplier is not positive definite: {certificate}")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class EquivariantRep:
-    """Representation data.  ``rho[k]`` is the generator rho(e_k); for each
-    group element g, ``v_mats[g][x]`` is the matrix of v(g) from fiber g^{-1}x
-    into fiber x.  ``regular_base`` is set when the module is a direct sum of
+    """Representation data, stored as two zero-padded stacks (see
+    :mod:`.fibers`): ``rho_stack[k, x]`` holds the block at fiber x of the
+    generator rho(e_k), and ``v_stack[g, x]`` the matrix of v(g) from fiber
+    g^{-1}x into fiber x, each in the top-left corner of a d_max x d_max
+    slot.  ``regular_base`` is set when the module is a direct sum of
     group-indexed copies of a base module (slot h occupies rows
-    [h*d_x, (h+1)*d_x) of fiber x).  ``v_stack[g, x]`` and ``rho_stack[k, x]``
-    hold the same matrices zero padded to d_max x d_max (see :mod:`.fibers`)."""
+    [h*d_x, (h+1)*d_x) of fiber x).
+
+    ``rho`` may be given as one :class:`ModuleOperator` per point or as the
+    padded stack, and ``v_mats`` as nested per-(g, x) sequences or as the
+    padded stack.  The stacks are the only store of the matrices:
+    ``v_mats[g][x]`` are read-only views of ``v_stack``, built on first read
+    and kept, and so are the operators ``rho`` when they were not given.
+    """
 
     system: System
     module: SectionalModule
-    rho: tuple[ModuleOperator, ...]
-    v_mats: tuple[tuple[np.ndarray, ...], ...]
+    rho_stack: np.ndarray = field(repr=False)
+    v_stack: np.ndarray = field(repr=False)
     regular_base: Optional[SectionalModule] = None
-    v_stack: np.ndarray = field(init=False, repr=False)
-    rho_stack: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self):
-        n = self.module.n_points
-        if self.system.n_points != n:
+    def __init__(self, system: System, module: SectionalModule, rho, v_mats, regular_base=None):
+        n = module.n_points
+        if system.n_points != n:
             raise ValueError("module base and system space disagree")
-        if len(self.rho) != n:
+        if len(rho) != n:
             raise ValueError("rho needs one generator per point")
-        order = self.system.group.order
-        if len(self.v_mats) != order:
+        if len(v_mats) != system.group.order:
             raise ValueError("v needs one family of matrices per group element")
+        dims = module.fiber_dims
+        if not isinstance(rho, np.ndarray):
+            object.__setattr__(self, "rho", tuple(rho))  # given operators fill the cache
+            rho = [gen.blocks for gen in rho]
+        object.__setattr__(self, "system", system)
+        object.__setattr__(self, "module", module)
+        object.__setattr__(self, "rho_stack", fibers.stack_blocks(rho, dims))
+        object.__setattr__(self, "v_stack", fibers.stack_fibers(system.action, dims, v_mats))
+        object.__setattr__(self, "regular_base", regular_base)
+
+    @cached_property
+    def rho(self) -> tuple[ModuleOperator, ...]:
         dims = self.module.fiber_dims
-        v_mats, v_stack = fibers.stack_fibers(self.system.action, dims, self.v_mats)
-        object.__setattr__(self, "v_mats", v_mats)
-        object.__setattr__(self, "v_stack", v_stack)
-        rho_stack = fibers.stack_blocks([gen.blocks for gen in self.rho], dims)
-        object.__setattr__(self, "rho_stack", rho_stack)
+        return tuple(
+            ModuleOperator(self.module, tuple(blocks[x, :d, :d] for x, d in enumerate(dims)))
+            for blocks in self.rho_stack
+        )
+
+    @cached_property
+    def v_mats(self) -> tuple[tuple[np.ndarray, ...], ...]:
+        return fibers.fiber_views(self.system.action, self.module.fiber_dims, self.v_stack)
 
     def rho_operator(self, a: np.ndarray) -> ModuleOperator:
         a = np.asarray(a, dtype=complex).reshape(self.module.n_points)
@@ -165,15 +186,19 @@ def verify_equivariant(rep: EquivariantRep, tol: float = DEFAULT_TOL) -> CheckRe
     # relation (iii) on the basis sections e_(y,i): v(g)(e_(y,i) . e_k) equals
     # (v(g) e_(y,i)) . alpha_g(e_k); v(g) e_(y,i) is column i of v[g][x] at
     # the x with g^{-1}x = y, the module action scales it by the coefficient
-    # at y (left) or at x of alpha_g(e_k) = e_{g.k} (right)
+    # at y (left) or at x of alpha_g(e_k) = e_{g.k} (right); in blocks of g
+    # and then of k, so that no temporary exceeds BLOCK_ELEMENTS entries
+    # beyond one (g, k) pair
     worst = fibers.Worst()
-    for lo, hi in fibers.blocks(order, n * n * n * d * d):
+    for lo, hi in fibers.blocks(order, n * n * d * d):
         gs = np.arange(lo, hi)
         hit = src[gs][:, :, None] == points  # (g, x, y)
         w = (v[gs][:, :, :, None, :] * hit[:, :, None, :, None])[:, None]  # (g, 1, x, row, y, i)
-        left = (points[:, None] == points)[None, :, None, None, :, None]
-        right = (src[gs][:, None, :] == points[None, :, None])[:, :, :, None, None, None]
-        worst.update(np.abs(left * w - right * w).max(axis=(2, 3, 4, 5), initial=0.0), lo)
+        for k_lo, k_hi in fibers.blocks(n, (hi - lo) * n * n * d * d):
+            ks = points[k_lo:k_hi]
+            left = (ks[:, None] == points)[None, :, None, None, :, None]
+            right = (src[gs][:, None, :] == ks[None, :, None])[:, :, :, None, None, None]
+            worst.update(np.abs(left * w - right * w).max(axis=(2, 3, 4, 5), initial=0.0), lo)
     report.add("relation (iii) module action", worst.residual, tol)
 
     report.add("v(e) identity", identity, tol)

@@ -1,15 +1,16 @@
 """Stacked fiber matrices and the batched checks on them.
 
 Equivariant and cocycle representations carry one matrix per group element g
-and point x, mapping fiber g^{-1}x into fiber x.  Besides the per-(g, x)
-tuples they hold these matrices once more as one zero-padded array of shape
-(|G|, n, d_max, d_max), and the verifiers check their laws with whole-array
-gathers, matmuls and reductions over the ``src``, ``mult`` and ``perm``
-tables.  Each residual is the max |entry| of the same differences a loop over
-(g, h, x) would form, NaN propagates into it, and :class:`Worst` keeps the
-first location attaining it.  Work over pairs of group elements runs in
-blocks of at most ``BLOCK_ELEMENTS`` matrix entries (one pair always fits),
-so the working set does not grow with |G|^2.
+and point x, mapping fiber g^{-1}x into fiber x.  They store these matrices
+only as one zero-padded array of shape (|G|, n, d_max, d_max), each matrix in
+the top-left corner of its slot, and the per-(g, x) matrices are read-only
+views of it (:func:`fiber_views`).  The verifiers check their laws with
+whole-array gathers, matmuls and reductions over the ``src``, ``mult`` and
+``perm`` tables.  Each residual is the max |entry| of the same differences a
+loop over (g, h, x) would form, NaN propagates into it, and :class:`Worst`
+keeps the first location attaining it.  Work over pairs of group elements
+runs in blocks of at most ``BLOCK_ELEMENTS`` matrix entries (one pair always
+fits), so the working set does not grow with |G|^2.
 """
 
 from __future__ import annotations
@@ -27,36 +28,64 @@ from .core import GroupAction, _freeze
 BLOCK_ELEMENTS = 2**13
 
 
-def stack_fibers(action: GroupAction, dims: Sequence[int], mats) -> tuple[tuple, np.ndarray]:
-    """Coerce ``mats[g][x]`` to shape (d_x, d_{g^{-1}x}) and stack them.
+def stack_fibers(action: GroupAction, dims: Sequence[int], mats) -> np.ndarray:
+    """The read-only (|G|, n, d_max, d_max) stack of the matrices
+    ``mats[g][x]`` of shape (d_x, d_{g^{-1}x}), each in the top-left corner
+    of its slot and zeros elsewhere.
 
-    Returns the per-(g, x) tuples and the read-only (|G|, n, d_max, d_max)
-    array holding each matrix in its top-left corner and zeros elsewhere.
+    ``mats`` is either that stack already, as an array of four axes (see
+    :func:`_padded`), or nested per-(g, x) sequences, each matrix coerced
+    and reshaped on its own.
     """
-    order, n = action.group.order, action.space.size
+    cols = np.asarray(dims)[action.src]
+    if isinstance(mats, np.ndarray) and mats.ndim == 4:
+        return _padded(mats, dims, cols)
     dmax = max(dims)
-    stack = np.zeros((order, n, dmax, dmax), dtype=complex)
-    out = []
-    for g in range(order):
-        per_point = []
-        for x in range(n):
-            src = action.src[g, x]
-            m = np.asarray(mats[g][x], dtype=complex).reshape(dims[x], dims[src])
-            stack[g, x, : dims[x], : dims[src]] = m
-            per_point.append(m)
-        out.append(tuple(per_point))
-    return tuple(out), _freeze(stack)
+    stack = np.zeros((len(cols), len(dims), dmax, dmax), dtype=complex)
+    for g, per_point in enumerate(cols.tolist()):
+        for x, (r, c) in enumerate(zip(dims, per_point)):
+            stack[g, x, :r, :c] = np.asarray(mats[g][x], dtype=complex).reshape(r, c)
+    return _freeze(stack)
 
 
-def stack_blocks(ops: Sequence[Sequence[np.ndarray]], dims: Sequence[int]) -> np.ndarray:
-    """Square per-point blocks ``ops[k][x]`` (d_x by d_x) as one read-only
-    zero-padded array of shape (len(ops), n, d_max, d_max)."""
+def stack_blocks(blocks, dims: Sequence[int]) -> np.ndarray:
+    """Square per-point blocks ``blocks[k][x]`` (d_x by d_x) as one read-only
+    zero-padded array of shape (len(blocks), n, d_max, d_max); ``blocks`` may
+    be that array already (see :func:`_padded`)."""
+    if isinstance(blocks, np.ndarray) and blocks.ndim == 4:
+        return _padded(blocks, dims, np.broadcast_to(np.asarray(dims), (len(blocks), len(dims))))
     dmax = max(dims)
-    out = np.zeros((len(ops), len(dims), dmax, dmax), dtype=complex)
-    for k, per_point in enumerate(ops):
+    out = np.zeros((len(blocks), len(dims), dmax, dmax), dtype=complex)
+    for k, per_point in enumerate(blocks):
         for x, d in enumerate(dims):
             out[k, x, :d, :d] = per_point[x]
     return _freeze(out)
+
+
+def _padded(stack: np.ndarray, rows: Sequence[int], cols: np.ndarray) -> np.ndarray:
+    """A given padded stack whose matrix (k, x) has shape (rows[x], cols[k, x]),
+    checked for its shape and for zeros outside those corners.  It is held
+    as given when it is already complex, C-contiguous and read-only (the
+    package never writes to read-only arrays), and copied otherwise."""
+    dmax = max(rows)
+    if stack.shape != cols.shape + (dmax, dmax):
+        raise ValueError(f"padded stack has shape {stack.shape}, expected {cols.shape + (dmax, dmax)}")
+    i = np.arange(dmax)
+    inside = (i[:, None] < np.asarray(rows)[:, None, None]) & (i < cols[:, :, None, None])
+    if (stack[~inside] != 0).any():
+        raise ValueError("padded stack has nonzero entries outside the fiber matrices")
+    if stack.dtype == complex and stack.flags.c_contiguous and not stack.flags.writeable:
+        return stack
+    return _freeze(np.array(stack, dtype=complex))
+
+
+def fiber_views(action: GroupAction, dims: Sequence[int], stack: np.ndarray) -> tuple:
+    """The per-(g, x) views ``stack[g, x, :d_x, :d_{g^{-1}x}]``, read-only
+    when the stack is."""
+    cols = np.asarray(dims)[action.src].tolist()
+    return tuple(
+        tuple(stack[g, x, :r, : per_point[x]] for x, r in enumerate(dims)) for g, per_point in enumerate(cols)
+    )
 
 
 def stack_sections(components: Sequence[np.ndarray], dims: Sequence[int]) -> np.ndarray:

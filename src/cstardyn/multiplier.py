@@ -10,7 +10,8 @@ constructions live here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -22,27 +23,28 @@ from .hilbmod import ModuleVector, module_norm
 from .numutil import max_abs, matrix_rank
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Multiplier:
     """A multiplier on a system: one n x n matrix per group element.
 
     ``mats`` may be given as any sequence of matrices or as one array.  The
     matrices are held once, in the read-only complex array ``stack`` of shape
-    (|G|, n, n); ``mats`` is the tuple of its per-element views.
+    (|G|, n, n); ``mats``, the tuple of its per-element views, is built on
+    first read and kept.
     """
 
     system: System
-    mats: tuple[np.ndarray, ...]
-    stack: np.ndarray = field(init=False, repr=False)
+    stack: np.ndarray
 
-    def __post_init__(self):
-        if len(self.mats) != self.system.group.order:
+    def __init__(self, system: System, mats):
+        if len(mats) != system.group.order:
             raise ValueError("one matrix per group element required")
-        self._hold(_frozen_stack(self.system, self.mats))
+        object.__setattr__(self, "system", system)
+        object.__setattr__(self, "stack", _frozen_stack(system, mats))
 
-    def _hold(self, stack: np.ndarray) -> None:
-        object.__setattr__(self, "stack", stack)
-        object.__setattr__(self, "mats", tuple(stack))
+    @cached_property
+    def mats(self) -> tuple[np.ndarray, ...]:
+        return tuple(self.stack)
 
     @classmethod
     def _each_of(cls, system: System, stack: np.ndarray) -> list["Multiplier"]:
@@ -51,7 +53,7 @@ class Multiplier:
         out = [object.__new__(cls) for _ in range(len(stack))]
         for t, mats in zip(out, _frozen_stack(system, stack, (len(stack),))):
             object.__setattr__(t, "system", system)
-            t._hold(mats)
+            object.__setattr__(t, "stack", mats)
         return out
 
     def apply(self, g: int, a: np.ndarray) -> np.ndarray:

@@ -3,6 +3,13 @@
 Complex numbers serialize as [re, im] pairs throughout.  Floats survive the
 round trip bit-for-bit (shortest-repr encoding on both sides).  Decoding
 rejects wrong shapes and non-finite numbers (NaN, Infinity) with a ``ValueError``.
+
+The per-(g, x) matrices of a representation or cocycle decode straight into
+its zero-padded stack (see :mod:`.fibers`), with one array conversion per
+class of matrix shapes: one for the whole family when all fibers have the
+same dimension.  A payload that this does not decode, a malformed one above
+all, is decoded again one matrix at a time, which raises the same error for
+the same first bad matrix as it always has.
 """
 
 from __future__ import annotations
@@ -12,7 +19,7 @@ import math
 import numpy as np
 
 from .cocycle import CocycleRep
-from .core import FiniteGroup, FiniteSpace, GroupAction, System, cyclic_group
+from .core import FiniteGroup, FiniteSpace, GroupAction, System, _freeze, cyclic_group
 from .equivrep import EquivariantRep
 from .hilbmod import ModuleOperator, SectionalModule
 from .multiplier import Multiplier
@@ -43,8 +50,11 @@ def _complex_array(obj, shape: tuple) -> np.ndarray:
             return np.zeros(want, dtype=complex)
         shape = want
     flat = arr.ravel()
-    # a sum of squares is finite unless an entry is not (or the sum overflows)
-    if not math.isfinite(flat.dot(flat)):
+    # a sum of squares is finite unless an entry is not (or the sum overflows,
+    # which the entrywise test below then clears)
+    with np.errstate(over="ignore"):
+        total = flat.dot(flat)
+    if not math.isfinite(total):
         finite = np.isfinite(arr).all(axis=-1)
         if not finite.all():
             re, im = arr[~finite][0]
@@ -96,7 +106,7 @@ def system_from_json(obj: dict) -> System:
 
 
 def multiplier_to_json(t: Multiplier) -> dict:
-    return {str(g): matrix_to_json(m) for g, m in enumerate(t.mats)}
+    return {str(g): matrix_to_json(m) for g, m in enumerate(t.stack)}
 
 
 def multiplier_from_json(obj: dict, system: System) -> Multiplier:
@@ -125,6 +135,23 @@ def rep_to_json(rep: EquivariantRep) -> dict:
 def rep_from_json(obj: dict, system: System) -> EquivariantRep:
     module = SectionalModule(system.space, tuple(int(d) for d in obj["fiberDims"]))
     dims = module.fiber_dims
+    order, n = system.group.order, module.n_points
+    try:
+        rho = _stack_from_json(obj["rho"], dims, np.broadcast_to(dims, (len(obj["rho"]), n)))
+        entries = [obj["v"][str(g)] for g in range(order)]
+        v = _stack_from_json([e["mats"] for e in entries], dims, np.asarray(dims)[system.action.src])
+        decoded = _equal_ints([e["srcPerm"] for e in entries], system.action.src)
+    except _MALFORMED:
+        decoded = False
+    if not decoded:
+        return _rep_per_matrix(obj, system, module)
+    return EquivariantRep(system, module, rho, v)
+
+
+def _rep_per_matrix(obj: dict, system: System, module: SectionalModule) -> EquivariantRep:
+    """:func:`rep_from_json` one matrix at a time, checking each element's
+    base permutation before its matrices."""
+    dims = module.fiber_dims
     n = module.n_points
     rho = tuple(
         ModuleOperator(module, tuple(matrix_from_json(gen[x], dims[x], dims[x]) for x in range(n)))
@@ -145,6 +172,34 @@ def _fiber_mats(mats, system: System, dims: tuple, g: int) -> tuple:
     return tuple(matrix_from_json(mats[x], dims[x], dims[s]) for x, s in enumerate(system.action.src[g]))
 
 
+# what decoding a malformed payload raises (see cli._decoding)
+_MALFORMED = (KeyError, IndexError, TypeError, ValueError, OverflowError, AttributeError)
+
+
+def _stack_from_json(family, rows: tuple, cols: np.ndarray) -> np.ndarray:
+    """The zero-padded (K, n, d_max, d_max) stack of the matrices
+    ``family[k][x]`` of shape (rows[x], cols[k, x]), from one array
+    conversion per shape class; the whole family at once when every fiber
+    has the same dimension."""
+    count, n = cols.shape
+    if len(set(rows)) == 1:
+        return _freeze(_complex_array(family, (count, n, rows[0], rows[0])))
+    stack = np.zeros((count, n, max(rows), max(rows)), dtype=complex)
+    shapes = np.broadcast_to(rows, (count, n)) * (max(rows) + 1) + cols
+    for shape in np.unique(shapes).tolist():
+        r, c = divmod(shape, max(rows) + 1)
+        ks, xs = np.nonzero(shapes == shape)
+        mats = [family[k][x] for k, x in zip(ks.tolist(), xs.tolist())]
+        stack[ks, xs, :r, :c] = _complex_array(mats, (len(mats), r, c))
+    return _freeze(stack)
+
+
+def _equal_ints(obj, table: np.ndarray) -> bool:
+    """Whether ``obj`` holds exactly the integers of ``table``, in its shape."""
+    arr = np.array(obj)
+    return arr.dtype.kind in "iu" and arr.shape == table.shape and bool((arr == table).all())
+
+
 def cocycle_to_json(c: CocycleRep) -> dict:
     n = c.module.n_points
     return {
@@ -158,6 +213,18 @@ def cocycle_to_json(c: CocycleRep) -> dict:
 
 def cocycle_from_json(obj: dict, system: System) -> CocycleRep:
     module = SectionalModule(system.space, tuple(int(d) for d in obj["fiberDims"]))
+    dims = module.fiber_dims
+    points = [str(x) for x in range(module.n_points)]
+    try:
+        family = [[entry[x] for x in points] for entry in (obj["u"][str(g)] for g in range(system.group.order))]
+        u = _stack_from_json(family, dims, np.asarray(dims)[system.action.src])
+    except _MALFORMED:
+        return _cocycle_per_matrix(obj, system, module)
+    return CocycleRep(system.action, module, u)
+
+
+def _cocycle_per_matrix(obj: dict, system: System, module: SectionalModule) -> CocycleRep:
+    """:func:`cocycle_from_json` one matrix at a time."""
     dims = module.fiber_dims
     n = module.n_points
     u = []

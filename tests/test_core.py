@@ -1,4 +1,5 @@
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -134,6 +135,100 @@ class TestFiniteGroup:
         with pytest.raises(ValueError, match="not associative"):
             FiniteGroup(5, loop)
         assert symmetric_group(4).order == 24
+
+
+def scan_associative(mult: np.ndarray) -> bool:
+    """The exhaustive oracle: (gh)k == g(hk) for every triple."""
+    return np.array_equal(mult[mult], mult[:, mult])
+
+
+def has_identity_and_inverses(mult: np.ndarray) -> bool:
+    """Two-sided identity and two-sided inverses, checked entry by entry."""
+    order = len(mult)
+    units = [e for e in range(order) if all(mult[e, g] == g == mult[g, e] for g in range(order))]
+    if not units:
+        return False
+    e = units[0]
+    return all(
+        sum(mult[g, h] == e for h in range(order)) == 1
+        and any(mult[g, h] == e == mult[h, g] for h in range(order))
+        for g in range(order)
+    )
+
+
+def reduced_latin_squares(n: int) -> list[np.ndarray]:
+    """Every Latin square of order n whose first row and column are 0..n-1."""
+    perms = list(itertools.permutations(range(n)))
+    out = []
+
+    def extend(rows):
+        if len(rows) == n:
+            out.append(np.array(rows))
+            return
+        for p in perms:
+            if p[0] == len(rows) and all(p[j] != r[j] for r in rows for j in range(n)):
+                extend(rows + [p])
+
+    extend([tuple(range(n))])
+    return out
+
+
+class TestLightAssociativity:
+    def outcome(self, mult):
+        try:
+            FiniteGroup(len(mult), mult)
+        except ValueError as exc:
+            return str(exc)
+        return "group"
+
+    def test_generating_set_reaches_the_group(self):
+        for group in (symmetric_group(4), direct_product(cyclic_group(2), symmetric_group(3)), cyclic_group(12)):
+            gens = core._generating_set(group.mult, group.identity)
+            assert len(gens) <= math.log2(group.order)
+            reached, frontier = {group.identity}, [group.identity]
+            while frontier:
+                frontier = [group.mul(x, a) for x in frontier for a in gens if group.mul(x, a) not in reached]
+                reached.update(frontier)
+            assert len(reached) == group.order
+
+    def test_agrees_with_scan_on_mutated_s3(self):
+        s3 = symmetric_group(3)
+        e = s3.identity
+        structural = rejected = 0
+        for r, c1, c2 in itertools.product(range(6), range(6), range(6)):
+            if c1 >= c2 or (r == e) or e in (c1, c2):
+                continue  # the swap would break the two-sided identity
+            mult = s3.mult.copy()
+            mult[r, [c1, c2]] = mult[r, [c2, c1]]
+            got = self.outcome(mult)
+            if has_identity_and_inverses(mult):
+                structural += 1
+                assert (got == "group") == scan_associative(mult)
+                if got != "group":
+                    rejected += 1
+                    assert got == "multiplication table is not associative"
+            else:
+                assert got != "group"
+        assert structural and rejected == structural
+
+    def test_agrees_with_scan_on_reduced_latin_squares(self):
+        squares = reduced_latin_squares(5)
+        assert len(squares) == 56
+        loops = 0
+        for mult in squares:
+            got = self.outcome(mult)
+            if has_identity_and_inverses(mult):
+                assert (got == "group") == scan_associative(mult)
+                if not scan_associative(mult):
+                    loops += 1
+                    assert got == "multiplication table is not associative"
+        assert loops == 2
+
+    def test_s5_and_s6_tables_validate(self):
+        for k in (5, 6):
+            mult = symmetric_group(k).mult
+            group = FiniteGroup(len(mult), mult.copy())
+            assert group.identity == 0 and np.array_equal(group.mult, mult)
 
 
 class TestEquality:

@@ -235,6 +235,29 @@ class TestIntegratedForm:
         assert np.abs(lhs - rhs).max() <= 1e-9
 
 
+def dense_is_commutative(rcp, tol=1e-9) -> bool:
+    """The dense oracle: every pair of basis matrices commutes within tol."""
+    scale = 1.0 + max_abs(rcp.basis)
+    return all(
+        max_abs(rcp.basis[a] @ rcp.basis[b] - rcp.basis[b] @ rcp.basis[a]) <= tol * scale
+        for a in range(rcp.dim)
+        for b in range(a + 1, rcp.dim)
+    )
+
+
+class TestIsCommutative:
+    def test_agrees_with_dense_products(self):
+        systems = list(standard_systems().values()) + assorted_small_systems()
+        systems += [family(n) for family in (omega_system, sigma_system) for n in range(1, 7)]
+        verdicts = set()
+        for system in systems:
+            rcp = build_reduced(system)
+            verdict = is_commutative(rcp)
+            assert verdict == dense_is_commutative(rcp)
+            verdicts.add(verdict)
+        assert verdicts == {True, False}
+
+
 class TestBuildReduced:
     @pytest.mark.parametrize("n", [2, 3])
     def test_trivial_action_commutative(self, n):

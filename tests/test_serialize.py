@@ -1,4 +1,8 @@
 import json
+import math
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -136,3 +140,32 @@ class TestMatrixDecoding:
     def test_wrong_shape_rejected(self, obj, rows, cols):
         with pytest.raises(ValueError, match="shape"):
             serialize.matrix_from_json(obj, rows, cols)
+
+
+class TestLargeFiniteEntries:
+    """A finite entry beyond ~1.3e154 overflows the sum of squares that the
+    finiteness check forms first; that must stay silent."""
+
+    def test_no_warning_and_value_kept(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = serialize.matrix_from_json([[[1e200, -1e300], [0.0, 0.0]]], 1, 2)
+        assert out[0, 0] == complex(1e200, -1e300)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_still_rejected(self, value):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite number"):
+                serialize.matrix_from_json([[[1e200, 0.0], [value, 0.0]]], 1, 2)
+
+    def test_pd_command_under_warnings_as_errors(self, z2_trivial):
+        mats = {"0": serialize.matrix_to_json(np.diag([1e200, 1.0])), "1": serialize.matrix_to_json(np.zeros((2, 2)))}
+        payload = {"system": serialize.system_to_json(z2_trivial), "multiplier": mats}
+        r = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "cstardyn.cli", "pd", "--inline", json.dumps(payload), "--trials", "5"],
+            capture_output=True,
+            text=True,
+        )
+        assert r.returncode == 0, r.stderr
+        assert "Warning" not in r.stderr
