@@ -13,14 +13,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from . import fibers
 from .core import DEFAULT_TOL, GroupAction, System
 from .equivrep import EquivariantRep
-from .hilbmod import SectionalModule
+from .hilbmod import SectionalModule, banach_stone_operator
 from .numutil import max_abs, max_abs_over, nearest_unitary, null_space
 from .reporting import CheckReport
 
@@ -270,21 +270,6 @@ def _pullback_rep(sigma: EquivariantMap, c: CocycleRep) -> EquivariantRep:
     onto = np.asarray(sigma.sigma) == np.arange(len(dims))[:, None]  # [k, x]: sigma(x) = k
     rho = onto[:, :, None, None] * fibers.padded_identity(dims)
     return EquivariantRep(System(c.action), c.module, rho, c.u_stack)
-
-
-def banach_stone_operator(
-    module: SectionalModule, sigma: Sequence[int], u_mats: Sequence[np.ndarray]
-) -> np.ndarray:
-    """Assemble the section-space matrix of (V xi)(x) = u(x) xi(sigma(x))."""
-    dims = module.fiber_dims
-    off = module.offsets()
-    total = module.total_dim
-    out = np.zeros((total, total), dtype=complex)
-    for x in module.space.points():
-        y = int(sigma[x])
-        u = np.asarray(u_mats[x], dtype=complex).reshape(dims[x], dims[y])
-        out[off[x] : off[x] + dims[x], off[y] : off[y] + dims[y]] = u
-    return out
 
 
 def banach_stone_extract(

@@ -19,7 +19,7 @@ import numpy as np
 from . import fibers
 from .core import DEFAULT_TOL, System, _freeze, act_on_algebra
 from .multiplier import Multiplier, PdCertificate
-from .numutil import max_abs, null_space
+from .numutil import max_abs
 from .reporting import CheckReport
 
 
@@ -57,6 +57,7 @@ class CovariantRep:
         return out
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def verify_covariant(rep: CovariantRep, tol: float = DEFAULT_TOL) -> CheckReport:
     """Residuals of the covariant-pair laws: pi a *-representation of the
     basis idempotents, u a unitary homomorphism, and the covariance
@@ -64,7 +65,9 @@ def verify_covariant(rep: CovariantRep, tol: float = DEFAULT_TOL) -> CheckReport
     and all right factors are one matmul against the right factors laid side
     by side, formed for blocks of left factors of at most
     ``fibers.BLOCK_ELEMENTS`` entries.  A nonzero covariance residual is
-    located at the first (g, j) in loop order attaining it."""
+    located at the first (g, j) in loop order attaining it.  Entries large
+    enough to overflow give inf or NaN residuals, which fail, and no
+    warning."""
     report = CheckReport()
     sys_ = rep.system
     n, order, d = sys_.n_points, sys_.group.order, rep.dim
@@ -174,15 +177,14 @@ class ReducedCrossedProduct:
     of b_a b_b and ``gram_index[a, b]`` that of b_a^* b_b, or -1 where the
     product is zero; ``adjoint_index[a]`` is the index of b_a^*.
 
-    The dense views are derived from these tables when first read and are
-    read-only: ``basis`` (N, D, D) holds the matrices b_a,
-    ``mult_table[a, b]`` the one-hot coordinates of b_a b_b,
-    ``adjoint_table[a]`` those of b_a^* and ``gram_coords[a, b]`` those of
-    b_a^* b_b.
+    The dense views are derived when first read and are read-only: ``rep``
+    is the regular covariant pair (:func:`regular_covariant`), ``basis``
+    (N, D, D) holds the matrices b_a, ``mult_table[a, b]`` the one-hot
+    coordinates of b_a b_b, ``adjoint_table[a]`` those of b_a^* and
+    ``gram_coords[a, b]`` those of b_a^* b_b.
     """
 
     system: System
-    rep: CovariantRep
     col_map: np.ndarray          # (N, D) integer
     mult_index: np.ndarray       # (N, N) integer
     adjoint_index: np.ndarray    # (N,) integer
@@ -195,6 +197,10 @@ class ReducedCrossedProduct:
     @property
     def ambient_dim(self) -> int:
         return self.col_map.shape[1]
+
+    @cached_property
+    def rep(self) -> CovariantRep:
+        return regular_covariant(self.system)
 
     @cached_property
     def basis(self) -> np.ndarray:
@@ -231,87 +237,32 @@ def _one_hot(index: np.ndarray, size: int) -> np.ndarray:
     return out
 
 
-def _check_closure(col_map: np.ndarray, mult_index: np.ndarray, adjoint_index: np.ndarray) -> None:
-    """Raise NotInAlgebraError unless composing the row -> column maps of the
-    basis gives the tabulated products, and transposing them the tabulated
-    adjoints.  Two different 0/1 matrices differ by 1 in some entry, which is
-    the residual reported."""
-    N, d = col_map.shape
-    # maps padded with a -1 row and column, so that index -1 reads "zero row",
-    # in the smallest signed type that holds -1..d-1: the two (N, N, D)
-    # arrays compared below are the largest temporaries of build_reduced
-    maps = np.full((N + 1, d + 1), -1, dtype=np.min_scalar_type(-d))
-    maps[:N, :d] = col_map
-    # row r of b_a b_b is row col_map[a, r] of b_b; both sides indexed [b, a, r]
-    products = np.take(maps[:N], col_map, axis=1)
-    if (products != np.take(maps[:, :d], mult_index.T, axis=0)).any():
-        raise NotInAlgebraError(1.0)
-    # row r of b_a is column r of its transpose; zero rows write into the
-    # padding column
-    transposes = np.full((N, d + 1), -1, dtype=maps.dtype)
-    transposes[np.arange(N)[:, None], col_map] = np.arange(d)
-    if (transposes[:, :d] != col_map[adjoint_index]).any():
-        raise NotInAlgebraError(1.0)
-
-
-def _read_regular_pair(rep: CovariantRep) -> tuple[np.ndarray, np.ndarray]:
-    """The supports of a regular-type covariant pair, read exactly.
-
-    Returns ``mask[j, r]``, whether pi(e_j) has a 1 at (r, r), and
-    ``sigma[g, r]``, the column of the 1 in row r of u(g).  Raises
-    ArithmeticError unless every pi(e_j) is diagonal with 0/1 entries and
-    every u(g) a permutation matrix whose entries are exactly 1.
-    """
-    pair = np.array(rep.pi_mats + rep.u_mats)
-    pi, u = pair[: len(rep.pi_mats)], pair[len(rep.pi_mats) :]
-    mask = pi.diagonal(axis1=1, axis2=2) == 1
-    # every nonzero entry is one of the diagonal 1s; real and imaginary parts
-    # are counted apart, which is faster than testing complex values
-    if np.count_nonzero(pi.view(float)) != np.count_nonzero(mask):
-        raise ArithmeticError("pi(e_j) of the regular pair is not a diagonal 0/1 matrix")
-    ones = u == 1
-    # a 1 in every row and every column, and no other nonzero part: exactly
-    # one 1 per row and per column
-    if not (
-        np.count_nonzero(u.view(float)) == u.shape[0] * rep.dim
-        and ones.any(axis=2).all()
-        and ones.any(axis=1).all()
-    ):
-        raise ArithmeticError("u(g) of the regular pair is not a permutation matrix")
-    return mask, ones.argmax(axis=2)
-
-
 def build_reduced(system: System, tol: float = DEFAULT_TOL) -> ReducedCrossedProduct:
     """Assemble the reduced crossed product: the row -> column maps of the
     basis and the index tables of products, adjoints and basis products
-    b_a^* b_b.
+    b_a^* b_b, all read off the group and action tables.
 
     The basis b[g,j] = pi(e_j) u(g) is the integrated form of the regular
-    covariant pair, read off the pair exactly instead of multiplied out: each
-    pi(e_j) must be diagonal with 0/1 entries and each u(g) a permutation
-    matrix with entries exactly 1, and then row r of b[g,j] is the row of
-    u(g) where pi(e_j) has its 1, and zero elsewhere.  The tables come from
-    the closed forms.  Each side is checked against the other in integer
-    arithmetic: the supports must be nonempty and pairwise disjoint (so the
-    basis is linearly independent), and composing the row -> column maps must
-    give the tabulated products and adjoints.  No dense basis or table is
+    covariant pair: row h * n + x of b[g,j] is zero unless h.x = j, and then
+    holds its 1 in the column of u(g) there, (g^{-1}h) * n + x.  The tables
+    come from the closed forms.  Nothing is checked again: ``FiniteGroup``
+    validated the identity, inverses and associativity, and ``GroupAction``
+    that every ``perm[g]`` is a permutation and g -> perm[g] a homomorphism,
+    which are the relations the pair needs (the pi(e_j) are 0/1 projections
+    summing to 1, u a homomorphism, and covariance).  No dense matrix is
     formed; see :class:`ReducedCrossedProduct` for the views derived on
     demand.  ``tol`` is accepted for signature compatibility; nothing here
     rounds.
     """
-    rep = regular_covariant(system)
-    n, order, d = system.n_points, system.group.order, rep.dim
-    N = n * order
-    mask, sigma = _read_regular_pair(rep)
-
-    # basis index a = g * n + j, with the axes (g, j) kept apart until the end
-    col_map = np.where(mask[None, :, :], sigma[:, None, :], -1).reshape(N, d)
-    hit = col_map >= 0
-    a_idx, r_idx = np.nonzero(hit)
-    if not hit.any(axis=1).all() or np.bincount(r_idx * d + col_map[a_idx, r_idx]).max() > 1:
-        raise ArithmeticError("integrated-form basis is linearly dependent")
-
+    n, order = system.n_points, system.group.order
+    N = d = n * order
     mult, inv, perm = system.group.mult, system.group.inverse, system.action.perm
+    h, x = np.divmod(np.arange(d), n)
+    # basis index a = g * n + j over the axes (g, j); row r = h * n + x
+    col_map = np.full((order, n, d), -1, dtype=np.intp)
+    col_map[:, perm.reshape(-1), np.arange(d)] = mult[inv][:, h] * n + x
+    col_map = col_map.reshape(N, d)
+
     j = np.arange(n)
     # b[g,j] b[h,k] = delta(j, g.k) b[gh, j], over the axes (g, j, h, k)
     mult_index = np.where(
@@ -320,10 +271,8 @@ def build_reduced(system: System, tol: float = DEFAULT_TOL) -> ReducedCrossedPro
     # b[g,j]^* = b[g^-1, g^-1.j]
     adjoint_index = (inv[:, None] * n + perm[inv]).reshape(N)
     gram_index = mult_index[adjoint_index]
-
-    _check_closure(col_map, mult_index, adjoint_index)
     return ReducedCrossedProduct(
-        system, rep, _freeze(col_map), _freeze(mult_index), _freeze(adjoint_index), _freeze(gram_index)
+        system, _freeze(col_map), _freeze(mult_index), _freeze(adjoint_index), _freeze(gram_index)
     )
 
 
@@ -488,17 +437,23 @@ def is_completely_positive(
 
 
 def center_dimension(rcp: ReducedCrossedProduct, tol: float = DEFAULT_TOL) -> int:
-    """Dimension of the center, from the null space of the commutator system."""
-    N = rcp.dim
-    rows = []
-    for a in range(N):
-        # z b_a - b_a z = 0 in coordinates: sum_g z_g (mult[g,a] - mult[a,g])
-        block = np.empty((N, N), dtype=complex)
-        for g in range(N):
-            block[:, g] = rcp.mult_table[g, a] - rcp.mult_table[a, g]
-        rows.append(block)
-    m = np.concatenate(rows, axis=0)
-    return null_space(m, tol).shape[1]
+    """Dimension of the center, counted from the group and action tables.
+
+    C(X) x| G is the direct sum over the orbits O of M_|O|(C*(G_x)) for any
+    x in O (Green's imprimitivity), and the center of the group algebra of
+    the stabilizer G_x has one dimension per conjugacy class of G_x.  So the
+    dimension is the sum over the orbits of the number of classes of a point
+    stabilizer.  Each orbit is represented by its smallest point, and each
+    class by its smallest element: k is one when no h k h^-1 (h in G_x) is
+    smaller.  ``tol`` is accepted for signature compatibility; nothing here
+    rounds."""
+    group, perm = rcp.system.group, rcp.system.action.perm
+    total = 0
+    for x in np.flatnonzero(perm.min(axis=0) == np.arange(rcp.system.n_points)):
+        stab = np.flatnonzero(perm[:, x] == x)
+        conj = group.mult[group.mult[stab[:, None], stab], group.inverse[stab][:, None]]  # [h, k] = h k h^-1
+        total += int((conj.min(axis=0) == stab).sum())
+    return total
 
 
 def is_commutative(rcp: ReducedCrossedProduct, tol: float = DEFAULT_TOL) -> bool:

@@ -22,6 +22,7 @@ from .hilbmod import (
     ModuleVector,
     SectionalModule,
     _block_diag,
+    banach_stone_operator,
     canonical_rep,
     internal_tensor,
     module_action,
@@ -116,13 +117,7 @@ class EquivariantRep:
 
     def v_full_matrix(self, g: int) -> np.ndarray:
         """v(g) as one total_dim x total_dim matrix in fiber-block coordinates."""
-        dims = self.module.fiber_dims
-        off = self.module.offsets()
-        out = np.zeros((self.module.total_dim, self.module.total_dim), dtype=complex)
-        for x in self.module.space.points():
-            src = self.system.action.apply_inv(g, x)
-            out[off[x] : off[x] + dims[x], off[src] : off[src] + dims[src]] = self.v_mats[g][x]
-        return out
+        return banach_stone_operator(self.module, self.system.action.src[g], self.v_mats[g])
 
     def rho_full_matrix(self, a: np.ndarray) -> np.ndarray:
         return _block_diag(self.rho_operator(a).blocks)
@@ -138,6 +133,7 @@ class CyclicVector:
             raise ValueError("vector lives on a different module")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def verify_equivariant(rep: EquivariantRep, tol: float = DEFAULT_TOL) -> CheckReport:
     """Residual report for the representation and equivariance laws.
 
@@ -147,7 +143,10 @@ def verify_equivariant(rep: EquivariantRep, tol: float = DEFAULT_TOL) -> CheckRe
     the relation's difference over all group elements, points and basis
     indices, computed on the padded stacks in blocks (see :mod:`.fibers`);
     relation (i), relation (ii) and the homomorphism also report where their
-    largest residual sits.  Failures are reported, never raised.
+    largest residual sits.  Relation (iii) is exact in the stored normal
+    form, so its residual is 0 for a finite v and NaN (reported as inf)
+    otherwise.  Failures are reported, never raised: entries large enough to
+    overflow give inf residuals, which fail, and no warning.
     """
     report = CheckReport()
     action = rep.system.action
@@ -183,23 +182,10 @@ def verify_equivariant(rep: EquivariantRep, tol: float = DEFAULT_TOL) -> CheckRe
     unitary, hom, identity = fibers.group_law(action, dims, v)
     report.add("relation (ii) inner products", unitary[0], tol, unitary[1])
 
-    # relation (iii) on the basis sections e_(y,i): v(g)(e_(y,i) . e_k) equals
-    # (v(g) e_(y,i)) . alpha_g(e_k); v(g) e_(y,i) is column i of v[g][x] at
-    # the x with g^{-1}x = y, the module action scales it by the coefficient
-    # at y (left) or at x of alpha_g(e_k) = e_{g.k} (right); in blocks of g
-    # and then of k, so that no temporary exceeds BLOCK_ELEMENTS entries
-    # beyond one (g, k) pair
-    worst = fibers.Worst()
-    for lo, hi in fibers.blocks(order, n * n * d * d):
-        gs = np.arange(lo, hi)
-        hit = src[gs][:, :, None] == points  # (g, x, y)
-        w = (v[gs][:, :, :, None, :] * hit[:, :, None, :, None])[:, None]  # (g, 1, x, row, y, i)
-        for k_lo, k_hi in fibers.blocks(n, (hi - lo) * n * n * d * d):
-            ks = points[k_lo:k_hi]
-            left = (ks[:, None] == points)[None, :, None, None, :, None]
-            right = (src[gs][:, None, :] == ks[None, :, None])[:, :, :, None, None, None]
-            worst.update(np.abs(left * w - right * w).max(axis=(2, 3, 4, 5), initial=0.0), lo)
-    report.add("relation (iii) module action", worst.residual, tol)
+    # relation (iii), v(g)(xi . a) = (v(g) xi) . alpha_g(a), holds exactly
+    # for v in normal form: both sides move the component at g^{-1}x to x.
+    # Only a non-finite entry of v breaks it, through 0 * inf or inf - inf
+    report.add("relation (iii) module action", 0.0 if np.isfinite(v).all() else np.nan, tol)
 
     report.add("v(e) identity", identity, tol)
     report.add("v homomorphism", hom[0], tol, hom[1])

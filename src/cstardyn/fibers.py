@@ -148,6 +148,7 @@ class Worst:
         return dict(zip(names, self.index))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def group_law(action: GroupAction, dims: Sequence[int], stack: np.ndarray):
     """Unitarity, the homomorphism (cocycle) identity and u(x, e) = id for
     a stacked family u[g][x]: fiber g^{-1}x -> fiber x.
@@ -156,6 +157,8 @@ def group_law(action: GroupAction, dims: Sequence[int], stack: np.ndarray):
     ``(residual, where)`` with ``where`` keyed ``g, x`` and ``g, h, x``, the
     last as a residual.  Unitarity is max(|u*u - 1|, |uu* - 1|) per (g, x);
     the homomorphism residual is |u[gh][x] - u[g][x] u[h][g^{-1}x]|.
+    Entries large enough to overflow give inf or NaN residuals, without a
+    warning.
     """
     group = action.group
     order, src = group.order, action.src

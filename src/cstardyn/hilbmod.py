@@ -291,6 +291,23 @@ def sectionalize(
     return Sectionalization(module, tuple(coord_maps))
 
 
+def banach_stone_operator(
+    module: SectionalModule, sigma: Sequence[int], u_mats: Sequence[np.ndarray]
+) -> np.ndarray:
+    """Assemble the section-space matrix of (V xi)(x) = u(x) xi(sigma(x)):
+    in fiber-block coordinates, block (x, sigma(x)) holds u(x) and every
+    other block is zero."""
+    dims = module.fiber_dims
+    off = module.offsets()
+    total = module.total_dim
+    out = np.zeros((total, total), dtype=complex)
+    for x in module.space.points():
+        y = int(sigma[x])
+        u = np.asarray(u_mats[x], dtype=complex).reshape(dims[x], dims[y])
+        out[off[x] : off[x] + dims[x], off[y] : off[y] + dims[y]] = u
+    return out
+
+
 def _block_diag(blocks: list[np.ndarray]) -> np.ndarray:
     rows = sum(b.shape[0] for b in blocks)
     cols = sum(b.shape[1] for b in blocks)

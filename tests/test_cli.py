@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -180,6 +181,34 @@ class TestVerifyCommand:
         for (target, name), check in checks.items():
             if name not in located:
                 assert "where" not in check, name
+
+
+    @pytest.mark.parametrize("target", ["equivariant_rep", "cocycle", "covariant"])
+    def test_large_finite_entry_fails_without_warning(self, target):
+        """One entry of 1e200 overflows the residual products: the report is
+        still printed, with the checks failing, and no warning is raised even
+        when warnings are errors."""
+        _, payload = flip_payload()
+        eye = [[[float(i == j), 0.0] for j in range(2)] for i in range(2)]
+        if target == "equivariant_rep":
+            payload[target] = serialize.rep_to_json(sigma_example_rep(2))
+            payload[target]["v"]["1"]["mats"][0][0][0] = [1e200, 0.0]
+        elif target == "cocycle":
+            payload[target] = serialize.cocycle_to_json(sigma_cocycle(2))
+            payload[target]["u"]["1"]["0"][0][0] = [1e200, 0.0]
+        else:
+            big = [[[1e200, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+            payload[target] = {"dim": 2, "pi": [big, eye], "u": [eye, eye]}
+        count = {"equivariant_rep": 9, "cocycle": 3, "covariant": 3}[target]
+        out = io.StringIO()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = cli.main(["verify", "--inline", json.dumps(payload)])
+        report = json.loads(out.getvalue())
+        assert code == 1 and report["passed"] is False
+        assert len(report["checks"]) == count and all(c["target"] == target for c in report["checks"])
+        assert any(c["residual"] == math.inf for c in report["checks"])
 
 
 class TestExampleCommand:

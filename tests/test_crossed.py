@@ -1,10 +1,11 @@
+import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from cstardyn import fibers
-from cstardyn.core import FiniteGroup, GroupAction, System, act_on_algebra
+from cstardyn.core import FiniteGroup, FiniteSpace, GroupAction, System, act_on_algebra, symmetric_group
 from cstardyn.crossed import (
     CovariantRep,
     NotInAlgebraError,
@@ -22,7 +23,6 @@ from cstardyn.crossed import (
     verify_covariant,
 )
 from cstardyn.cyclic_examples import omega_system, sigma_example_rep, sigma_system
-import cstardyn.crossed as crossed
 from cstardyn.generators import (
     assorted_small_systems,
     random_multiplier_suite,
@@ -37,7 +37,7 @@ from cstardyn.multiplier import (
     is_positive_definite,
     unit_multiplier,
 )
-from cstardyn.numutil import matrix_rank, max_abs
+from cstardyn.numutil import matrix_rank, max_abs, null_space
 from cstardyn.reporting import CheckReport
 
 
@@ -91,19 +91,75 @@ def conjugation_map(rcp, w: np.ndarray) -> np.ndarray:
     return (left @ right).T
 
 
-def center_dimension_from_orbits(system) -> int:
-    """Sum over the orbits of the number of conjugacy classes of a point
-    stabilizer: the dimension of the center of C(X) x| G."""
-    group, perm = system.group, system.action.perm
-    total, seen = 0, set()
-    for x in range(system.n_points):
-        if x in seen:
-            continue
-        seen.update(int(y) for y in perm[:, x])
-        stab = [g for g in group.elements() if perm[g, x] == x]
-        classes = {frozenset(group.mul(group.mul(h, k), group.inv(h)) for h in stab) for k in stab}
-        total += len(classes)
-    return total
+def svd_center_dimension(rcp, tol: float = 1e-9) -> int:
+    """The commutator-system count :func:`center_dimension` used to run, kept
+    as the oracle of the orbit formula: the null space of z -> z b_a - b_a z
+    over all a, in coordinates.  Row (a, c), column g holds
+    mult[g, a, c] - mult[a, g, c]."""
+    N = rcp.dim
+    m = rcp.mult_table.transpose(1, 2, 0) - rcp.mult_table.transpose(0, 2, 1)
+    return null_space(m.reshape(N * N, N), tol).shape[1]
+
+
+def natural_symmetric_system(m: int) -> System:
+    """S_m acting on its m letters; element i is the i-th permutation in
+    lexicographic order, as in :func:`symmetric_group`."""
+    perms = np.array(sorted(itertools.permutations(range(m))), dtype=np.intp)
+    return System(GroupAction(symmetric_group(m), FiniteSpace(m), perms))
+
+
+def read_regular_pair(rep: CovariantRep) -> np.ndarray:
+    """The row -> column maps of the basis b[g,j] = pi(e_j) u(g), read
+    exactly off the dense regular pair; the oracle for ``col_map``.
+
+    Raises ArithmeticError unless every pi(e_j) is diagonal with 0/1 entries,
+    every u(g) a permutation matrix whose entries are exactly 1, and the
+    basis supports are nonempty and pairwise disjoint (so the basis is
+    linearly independent).  Row r of b[g,j] is the row of u(g) where pi(e_j)
+    has its 1, and zero elsewhere.
+    """
+    pair = np.array(rep.pi_mats + rep.u_mats)
+    pi, u = pair[: len(rep.pi_mats)], pair[len(rep.pi_mats) :]
+    d = rep.dim
+    mask = pi.diagonal(axis1=1, axis2=2) == 1
+    # every nonzero entry is one of the diagonal 1s; real and imaginary parts
+    # are counted apart
+    if np.count_nonzero(pi.view(float)) != np.count_nonzero(mask):
+        raise ArithmeticError("pi(e_j) of the regular pair is not a diagonal 0/1 matrix")
+    ones = u == 1
+    # a 1 in every row and every column, and no other nonzero part: exactly
+    # one 1 per row and per column
+    if not (np.count_nonzero(u.view(float)) == len(u) * d and ones.any(axis=2).all() and ones.any(axis=1).all()):
+        raise ArithmeticError("u(g) of the regular pair is not a permutation matrix")
+    # basis index a = g * n + j
+    col_map = np.where(mask[None, :, :], ones.argmax(axis=2)[:, None, :], -1).reshape(-1, d)
+    hit = col_map >= 0
+    a_idx, r_idx = np.nonzero(hit)
+    if not hit.any(axis=1).all() or np.bincount(r_idx * d + col_map[a_idx, r_idx]).max() > 1:
+        raise ArithmeticError("integrated-form basis is linearly dependent")
+    return col_map
+
+
+def check_closure(col_map: np.ndarray, mult_index: np.ndarray, adjoint_index: np.ndarray) -> None:
+    """Raise NotInAlgebraError unless composing the row -> column maps of the
+    basis gives the tabulated products, and transposing them the tabulated
+    adjoints: the exhaustive scan of the closed-form tables against the
+    basis.  Two different 0/1 matrices differ by 1 in some entry, which is
+    the residual reported."""
+    N, d = col_map.shape
+    # maps padded with a -1 row and column, so that index -1 reads "zero row"
+    maps = np.full((N + 1, d + 1), -1, dtype=np.intp)
+    maps[:N, :d] = col_map
+    # row r of b_a b_b is row col_map[a, r] of b_b; both sides indexed [b, a, r]
+    products = np.take(maps[:N], col_map, axis=1)
+    if (products != np.take(maps[:, :d], mult_index.T, axis=0)).any():
+        raise NotInAlgebraError(1.0)
+    # row r of b_a is column r of its transpose; zero rows write into the
+    # padding column
+    transposes = np.full((N, d + 1), -1, dtype=np.intp)
+    transposes[np.arange(N)[:, None], col_map] = np.arange(d)
+    if (transposes[:, :d] != col_map[adjoint_index]).any():
+        raise NotInAlgebraError(1.0)
 
 
 def reference_regular_covariant(system) -> CovariantRep:
@@ -322,9 +378,21 @@ class TestExactTables:
 
     def test_center_dimension_from_orbits(self):
         systems = assorted_small_systems()
-        counts = [center_dimension_from_orbits(s) for s in systems]
+        counts = [center_dimension(build_reduced(s)) for s in systems]
         assert counts == [4, 1, 1, 1, 2, 12, 2]
-        assert [center_dimension(build_reduced(s)) for s in systems] == counts
+        assert [svd_center_dimension(build_reduced(s)) for s in systems] == counts
+
+    def test_center_dimension_with_proper_stabilizers(self):
+        rng = np.random.default_rng(5)
+        systems = [natural_symmetric_system(3), natural_symmetric_system(4)]
+        systems += [relabeled_system(s, rng) for s in systems for _ in range(2)]
+        for system in systems:
+            # the stabilizer of a letter is proper, and nontrivial
+            stab = np.count_nonzero(system.action.perm[:, 0] == 0)
+            assert 1 < stab < system.group.order
+            rcp = build_reduced(system)
+            # one orbit, stabilizer S_{m-1}: as many classes as partitions of m - 1
+            assert center_dimension(rcp) == svd_center_dimension(rcp) == {3: 2, 4: 3}[system.n_points]
 
     @pytest.mark.parametrize(
         "corrupt",
@@ -335,31 +403,31 @@ class TestExactTables:
         ],
         ids=["scaled", "vanishing", "overlapping"],
     )
-    def test_basis_checks_enforced(self, z3_cycle, monkeypatch, corrupt):
-        corrupt_regular_pair(monkeypatch, corrupt)
+    def test_basis_checks_enforced(self, z3_cycle, corrupt):
         with pytest.raises(ArithmeticError):
-            build_reduced(z3_cycle)
+            read_regular_pair(corrupt_regular_pair(z3_cycle, corrupt))
 
     @pytest.mark.parametrize("table", ["mult", "adjoint"])
     @pytest.mark.parametrize("entry", [(1, 2), (4, 0), (0, 8)])
     def test_closure_check_catches_a_wrong_table_entry(self, z3_cycle, table, entry):
         rcp = build_reduced(z3_cycle)
-        mult = np.where(rcp.mult_table.any(axis=2), rcp.mult_table.argmax(axis=2), -1)
-        adjoint = rcp.adjoint_table.argmax(axis=1)
-        crossed._check_closure(rcp.col_map, mult, adjoint)
+        mult, adjoint = rcp.mult_index.copy(), rcp.adjoint_index.copy()
+        check_closure(rcp.col_map, mult, adjoint)
         if table == "mult":
             mult[entry] = -1 if mult[entry] >= 0 else entry[0]
         else:
             adjoint[entry[0]] = (adjoint[entry[0]] + 1) % rcp.dim
         with pytest.raises(NotInAlgebraError):
-            crossed._check_closure(rcp.col_map, mult, adjoint)
+            check_closure(rcp.col_map, mult, adjoint)
 
-    def test_relabelled_basis_fails_closure(self, z3_cycle, monkeypatch):
+    def test_relabelled_basis_fails_closure(self, z3_cycle):
         # slot (g, 0) holds b[g, 1] and slot (g, 1) holds b[g, 0]: still a
         # valid basis, but the product and adjoint tables no longer hold
-        corrupt_regular_pair(monkeypatch, lambda pi, u: pi.__setitem__(slice(0, 2), pi[1::-1]))
+        rcp = build_reduced(z3_cycle)
+        swapped = corrupt_regular_pair(z3_cycle, lambda pi, u: pi.__setitem__(slice(0, 2), pi[1::-1]))
+        col_map = read_regular_pair(swapped)
         with pytest.raises(NotInAlgebraError):
-            build_reduced(z3_cycle)
+            check_closure(col_map, rcp.mult_index, rcp.adjoint_index)
 
     @pytest.mark.parametrize(
         "corrupt, message",
@@ -372,24 +440,18 @@ class TestExactTables:
         ],
         ids=["pi-off-diagonal", "pi-half", "u-phase", "u-repeated-column", "u-two-per-row"],
     )
-    def test_pair_checks_enforced(self, z3_cycle, monkeypatch, corrupt, message):
-        corrupt_regular_pair(monkeypatch, corrupt)
+    def test_pair_checks_enforced(self, z3_cycle, corrupt, message):
         with pytest.raises(ArithmeticError, match=rf"^{message}\("):
-            build_reduced(z3_cycle)
+            read_regular_pair(corrupt_regular_pair(z3_cycle, corrupt))
 
 
-def corrupt_regular_pair(monkeypatch, corrupt) -> None:
-    """Make build_reduced read a regular pair whose pi and u lists the
-    callable ``corrupt(pi, u)`` has edited in place."""
-    real = crossed.regular_covariant
-
-    def corrupted(system):
-        rep = real(system)
-        pi, u = list(rep.pi_mats), list(rep.u_mats)
-        corrupt(pi, u)
-        return CovariantRep(system, rep.dim, tuple(pi), tuple(u))
-
-    monkeypatch.setattr(crossed, "regular_covariant", corrupted)
+def corrupt_regular_pair(system, corrupt) -> CovariantRep:
+    """The regular pair of ``system`` with its pi and u lists edited in place
+    by the callable ``corrupt(pi, u)``."""
+    rep = regular_covariant(system)
+    pi, u = list(rep.pi_mats), list(rep.u_mats)
+    corrupt(pi, u)
+    return CovariantRep(system, rep.dim, tuple(pi), tuple(u))
 
 
 class TestIndexMaps:
@@ -418,12 +480,21 @@ class TestIndexMaps:
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
         assert np.array_equal(rcp.gram_index >= 0, gram.any(axis=2))
 
+    @pytest.mark.parametrize("system", index_map_systems())
+    def test_col_map_read_back_from_regular_pair(self, system):
+        rcp = build_reduced(system)
+        col_map = read_regular_pair(regular_covariant(system))
+        assert col_map.dtype == rcp.col_map.dtype and np.array_equal(col_map, rcp.col_map)
+        check_closure(rcp.col_map, rcp.mult_index, rcp.adjoint_index)
+
     def test_views_are_lazy_and_read_only(self, z3_cycle):
         rcp = build_reduced(z3_cycle)
         views = ("basis", "mult_table", "adjoint_table", "gram_coords")
         is_completely_positive(rcp, induced_map(rcp, unit_multiplier(z3_cycle)))
         fourier_coefficients(rcp, np.eye(rcp.ambient_dim))
-        assert not set(views) & set(vars(rcp))
+        center_dimension(rcp)
+        assert not {"rep", *views} & set(vars(rcp))
+        assert rcp.rep is rcp.rep
         for name in views + ("col_map", "mult_index", "adjoint_index", "gram_index"):
             view = getattr(rcp, name)
             assert view is getattr(rcp, name)
@@ -447,6 +518,33 @@ class TestIndexMaps:
             tracemalloc.stop()
         assert cert.verdict
         assert peak < 64**3 * 16
+
+    def test_sigma_16_build_within_budget(self):
+        # N = D = 256: the dense regular pair alone is 272 * 256**2 complex
+        # entries, 285 MB
+        system = sigma_system(16)
+        build_reduced(sigma_system(2))  # the first call may import modules; not traced
+        tracemalloc.start()
+        try:
+            rcp = build_reduced(system)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rcp.dim == 256
+        assert peak < 8 * 2**20
+
+    def test_sigma_16_center_within_budget(self):
+        # the commutator system of the center is 65536 x 256 complex, 268 MB
+        rcp = build_reduced(sigma_system(16))
+        center_dimension(build_reduced(sigma_system(2)))
+        tracemalloc.start()
+        try:
+            dim = center_dimension(rcp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert dim == 1
+        assert peak < 8 * 2**20
 
 
 class TestFourierCoefficients:

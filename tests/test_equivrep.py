@@ -458,6 +458,67 @@ def equivariant_fault_cases():
     ]
 
 
+def reference_v_full_matrix(rep: EquivariantRep, g: int) -> np.ndarray:
+    """The per-fiber loop ``EquivariantRep.v_full_matrix`` used to run, kept
+    as the oracle for the shared block-permutation builder."""
+    dims, off = rep.module.fiber_dims, rep.module.offsets()
+    out = np.zeros((rep.module.total_dim, rep.module.total_dim), dtype=complex)
+    for x in range(rep.module.n_points):
+        src = rep.system.action.apply_inv(g, x)
+        out[off[x] : off[x] + dims[x], off[src] : off[src] + dims[src]] = rep.v_mats[g][x]
+    return out
+
+
+@pytest.mark.parametrize("label,rep", batched_cases(), ids=lambda c: c if isinstance(c, str) else "")
+def test_v_full_matrix_matches_loop(label, rep):
+    for g in range(rep.system.group.order):
+        got, want = rep.v_full_matrix(g), reference_v_full_matrix(rep, g)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def blocked_relation_iii(rep: EquivariantRep) -> float:
+    """The blocked relation (iii) residual :func:`verify_equivariant` used to
+    compute, kept as the oracle for its finiteness test.  On the basis
+    sections e_(y,i), v(g)(e_(y,i) . e_k) is compared with
+    (v(g) e_(y,i)) . alpha_g(e_k): v(g) e_(y,i) is column i of v[g][x] at the
+    x with g^{-1}x = y, scaled by the coefficient at y (left) or at x of
+    alpha_g(e_k) = e_{g.k} (right)."""
+    action = rep.system.action
+    n, order = rep.module.n_points, action.group.order
+    src, points, v = action.src, np.arange(n), rep.v_stack
+    d = v.shape[-1]
+    worst = fibers.Worst()
+    with np.errstate(invalid="ignore"):  # 0 * inf
+        for lo, hi in fibers.blocks(order, n * n * d * d):
+            gs = np.arange(lo, hi)
+            hit = src[gs][:, :, None] == points  # (g, x, y)
+            w = (v[gs][:, :, :, None, :] * hit[:, :, None, :, None])[:, None]  # (g, 1, x, row, y, i)
+            for k_lo, k_hi in fibers.blocks(n, (hi - lo) * n * n * d * d):
+                ks = points[k_lo:k_hi]
+                left = (ks[:, None] == points)[None, :, None, None, :, None]
+                right = (src[gs][:, None, :] == ks[None, :, None])[:, :, :, None, None, None]
+                worst.update(np.abs(left * w - right * w).max(axis=(2, 3, 4, 5), initial=0.0), lo)
+    return worst.residual
+
+
+def poisoned_stack_cases():
+    """Representations whose v stack holds one NaN, inf or -inf at a seeded
+    position inside a fiber matrix."""
+    rng = np.random.default_rng(9)
+    cases = []
+    for label, rep in batched_cases()[::3]:
+        dims = np.asarray(rep.module.fiber_dims)
+        g, x = rng.integers(rep.system.group.order), int(rng.choice(np.flatnonzero(dims)))
+        y = rep.system.action.src[g, x]
+        if dims[y] == 0:
+            continue
+        for value in (np.nan, np.inf, -np.inf):
+            stack = np.array(rep.v_stack)
+            stack[g, x, rng.integers(dims[x]), rng.integers(dims[y])] = value
+            cases.append((f"{label}/{value}", EquivariantRep(rep.system, rep.module, rep.rho_stack, stack)))
+    return cases
+
+
 class TestBatchedVerifyEquivariant:
     @pytest.mark.parametrize("budget", [1, fibers.BLOCK_ELEMENTS])
     @pytest.mark.parametrize("label,rep", batched_cases(), ids=lambda c: c if isinstance(c, str) else "")
@@ -540,6 +601,17 @@ class TestBatchedVerifyEquivariant:
         report = verify_equivariant(_mutate_rho(rep, 2, 1, np.full((3, 3), np.nan)))
         assert not report.passed
         assert report.residual_of("rho unital") == math.inf
+
+    @pytest.mark.parametrize("budget", [1, fibers.BLOCK_ELEMENTS])
+    def test_relation_iii_is_the_blocked_residual(self, budget, monkeypatch):
+        monkeypatch.setattr(fibers, "BLOCK_ELEMENTS", budget)
+        cases = batched_cases() + poisoned_stack_cases()
+        assert sum(not np.isfinite(rep.v_stack).all() for _, rep in cases) >= 9
+        for label, rep in cases:
+            expected = blocked_relation_iii(rep)
+            residual = verify_equivariant(rep).residual_of("relation (iii) module action")
+            assert residual == (math.inf if math.isnan(expected) else expected), label
+            assert residual == (0.0 if np.isfinite(rep.v_stack).all() else math.inf), label
 
     def test_working_set_does_not_grow_with_pairs(self):
         """Pairs of group elements are checked in blocks: on S_5 with 4-dimensional
