@@ -2,13 +2,19 @@
 """Round-trip representations and cocycles through ``cstardyn verify``.
 
 Serializes the omega_n examples (one fat fiber, the others zero
-dimensional), the sigma_n examples (n = 2..5) and the representations that
+dimensional), the sigma_n examples (n = 2..5), the representations that
 ``gns_from_pd`` builds from seeded positive definite multipliers on the
-assorted small systems, each with its cocycle, and runs every payload
-through ``cli.main(["verify", "--inline", ...])`` in this process.  Each
-must exit 0 with a passed report, and decoding the payload must give back
-the original padded stacks bit for bit (compared as integers, so the sign
-of a zero counts).
+assorted small systems, each with its cocycle, and a seeded cocycle of the
+natural S_5 action on 2-dimensional fibers with the representation it
+induces over the identity map, and runs every payload through
+``cli.main(["verify", "--inline", ...])`` in this process.  Each must exit 0
+with a passed report, and decoding the payload must give back the original
+padded stacks bit for bit (compared as integers, so the sign of a zero
+counts).  Two covariant pairs follow: the regular pair of sigma_12, which
+must pass, and the regular pair of S_3 on three letters with two rows of
+u(1) swapped, which must exit 1 naming ``u unitary homomorphism`` and where
+it fails.  Every run treats warnings as errors, and every report must parse
+as strict JSON.
 
 Prints one line per payload; exits 1 when any of them fails.
 
@@ -18,16 +24,21 @@ Prints one line per payload; exits 1 when any of them fails.
 import argparse
 import contextlib
 import io
+import itertools
 import json
 import sys
+import warnings
 
 import numpy as np
 
 from cstardyn import cli, serialize
-from cstardyn.cocycle import group_part, v_to_cocycle
-from cstardyn.cyclic_examples import omega_cocycle, omega_example_rep, sigma_cocycle, sigma_example_rep
+from cstardyn.cocycle import CocycleRep, EquivariantMap, group_part, rho_from_sigma, v_to_cocycle
+from cstardyn.core import FiniteSpace, GroupAction, symmetric_group
+from cstardyn.crossed import regular_covariant
+from cstardyn.cyclic_examples import omega_cocycle, omega_example_rep, sigma_cocycle, sigma_example_rep, sigma_system
 from cstardyn.equivrep import gns_from_pd
-from cstardyn.generators import assorted_small_systems, random_equivariant_rep, random_vector
+from cstardyn.generators import assorted_small_systems, random_equivariant_rep, random_unitary, random_vector
+from cstardyn.hilbmod import SectionalModule
 from cstardyn.multiplier import coefficient
 
 
@@ -44,12 +55,34 @@ def cases(seed: int):
         xi = random_vector(base.module, rng)
         rep, _ = gns_from_pd(coefficient(base, xi, xi))
         yield f"gns/assorted_{i}", rep, v_to_cocycle(group_part(rep))
+    perms = np.array(sorted(itertools.permutations(range(5))), dtype=np.intp)
+    s5 = GroupAction(symmetric_group(5), FiniteSpace(5), perms)
+    # the coboundary of one seeded unitary per point, on 2-dimensional fibers
+    conj = np.stack([random_unitary(2, rng) for _ in range(5)])
+    c = CocycleRep(s5, SectionalModule(s5.space, (2,) * 5), conj @ conj[s5.src].conj().swapaxes(-1, -2))
+    yield "s5_natural", rho_from_sigma(EquivariantMap(s5, tuple(range(5))), c), c
 
 
 def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     return a.shape == b.shape and np.array_equal(
         np.ascontiguousarray(a).view(np.uint64), np.ascontiguousarray(b).view(np.uint64)
     )
+
+
+def reject_constant(name):
+    raise ValueError(f"report is not strict JSON: {name}")
+
+
+def run_verify(payload: dict) -> tuple[int, dict | None, str]:
+    """Exit code, strictly parsed report (None when nothing was printed) and
+    stderr of one ``verify`` run, with warnings raised as errors."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["verify", "--inline", json.dumps(payload)])
+    text = out.getvalue()
+    return code, json.loads(text, parse_constant=reject_constant) if text else None, err.getvalue().strip()
 
 
 def check(name: str, rep, cocycle) -> list[str]:
@@ -63,13 +96,11 @@ def check(name: str, rep, cocycle) -> list[str]:
             }
         )
     )
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(["verify", "--inline", json.dumps(payload)])
+    code, report, err = run_verify(payload)
     failures = []
     if code != 0:
-        failures.append(f"exit {code}: {err.getvalue().strip()}")
-    elif json.loads(out.getvalue())["passed"] is not True:
+        failures.append(f"exit {code}: {err}")
+    elif report["passed"] is not True:
         failures.append("report not passed")
     system = serialize.system_from_json(payload["system"])
     back = serialize.rep_from_json(payload["equivariant_rep"], system)
@@ -84,6 +115,32 @@ def check(name: str, rep, cocycle) -> list[str]:
     return failures
 
 
+def covariant_cases():
+    """(name, payload, expected exit code, expected failing checks as
+    {name: where})."""
+    system = sigma_system(12)
+    yield "regular/sigma_12", {"system": serialize.system_to_json(system), "covariant": "regular"}, 0, {}
+    system = assorted_small_systems()[-1]
+    reg = regular_covariant(system)
+    u = list(reg.u_mats)
+    u[1] = u[1][[1, 0, *range(2, reg.dim)]]
+    as_json = lambda m: [[[float(z.real), float(z.imag)] for z in row] for row in m]  # noqa: E731
+    covariant = {"dim": reg.dim, "pi": [as_json(m) for m in reg.pi_mats], "u": [as_json(m) for m in u]}
+    # u(1) is the transposition of the points 1 and 2: u(1 1) = u(e) fails
+    # against the square of the faulted u(1), and point 1 is the first that
+    # the faulted u(1) maps wrongly
+    failing = {"u unitary homomorphism": {"g": 1, "h": 1}, "covariance": {"g": 1, "j": 0}}
+    yield "regular/s3_u1_rows_swapped", {"system": serialize.system_to_json(system), "covariant": covariant}, 1, failing
+
+
+def check_covariant(payload: dict, expected_code: int, failing: dict) -> list[str]:
+    code, report, err = run_verify(payload)
+    if code != expected_code or report is None:
+        return [f"exit {code} (expected {expected_code}): {err}"]
+    got = {c["name"]: c.get("where") for c in report["checks"] if not c["passed"]}
+    return [] if got == failing else [f"failing checks {got}, expected {failing}"]
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--seed", type=int, default=11)
@@ -93,7 +150,13 @@ def main() -> int:
         failures = check(name, rep, cocycle)
         failed += bool(failures)
         dims = ",".join(str(d) for d in rep.module.fiber_dims)
-        print(f"{name:24s} dims ({dims}) {'FAIL' if failures else 'ok'}")
+        print(f"{name:26s} dims ({dims}) {'FAIL' if failures else 'ok'}")
+        for line in failures:
+            print(f"FAILED: {name}: {line}", file=sys.stderr)
+    for name, payload, code, failing in covariant_cases():
+        failures = check_covariant(payload, code, failing)
+        failed += bool(failures)
+        print(f"{name:26s} exit {code} {'FAIL' if failures else 'ok'}")
         for line in failures:
             print(f"FAILED: {name}: {line}", file=sys.stderr)
     return 1 if failed else 0

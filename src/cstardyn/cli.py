@@ -2,7 +2,8 @@
 positive-definiteness cross-checks.
 
 Machine-readable JSON goes to stdout (deterministic for a fixed seed; timing
-only ever appears on stderr), human summaries to stderr.  Exit codes:
+only ever appears on stderr; non-finite numbers as the strings "Infinity",
+"-Infinity" and "NaN"), human summaries to stderr.  Exit codes:
 0 all checks passed, 1 verification failure, 2 usage or parse error.
 """
 
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 import time
 from contextlib import contextmanager
@@ -93,8 +95,23 @@ def _covariant_from_json(cov, system):
     return CovariantRep(system, dim, pi, u)
 
 
+def _strict_json(obj):
+    """``obj`` with every non-finite float replaced by the string
+    ``"Infinity"``, ``"-Infinity"`` or ``"NaN"``, which JSON numbers cannot
+    express; the report then stays strict JSON (RFC 8259)."""
+    if isinstance(obj, float):
+        if math.isfinite(obj):
+            return obj
+        return "NaN" if math.isnan(obj) else "Infinity" if obj > 0 else "-Infinity"
+    if isinstance(obj, dict):
+        return {k: _strict_json(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_strict_json(v) for v in obj]
+    return obj
+
+
 def _emit(report: dict, args, started: float) -> None:
-    text = json.dumps(report, indent=2)
+    text = json.dumps(_strict_json(report), indent=2, allow_nan=False)
     if getattr(args, "out", None):
         with open(args.out, "w") as fh:
             fh.write(text + "\n")

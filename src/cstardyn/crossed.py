@@ -11,6 +11,7 @@ is certified by a basis-gram check that splits into independent blocks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -57,52 +58,136 @@ class CovariantRep:
         return out
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def verify_covariant(rep: CovariantRep, tol: float = DEFAULT_TOL) -> CheckReport:
     """Residuals of the covariant-pair laws: pi a *-representation of the
     basis idempotents, u a unitary homomorphism, and the covariance
-    pi(alpha_g(e_j)) = u(g) pi(e_j) u(g)*.  The products for one left factor
-    and all right factors are one matmul against the right factors laid side
-    by side, formed for blocks of left factors of at most
-    ``fibers.BLOCK_ELEMENTS`` entries.  A nonzero covariance residual is
-    located at the first (g, j) in loop order attaining it.  Entries large
+    pi(alpha_g(e_j)) = u(g) pi(e_j) u(g)*.
+
+    A nonzero residual is located at the first pair in loop order attaining
+    it: ``pi representation`` at (j, k), for |pi(e_j) pi(e_k) - delta_jk
+    pi(e_j)| and, at j = k, |pi(e_j) - pi(e_j)*|, with the unit defect
+    |sum_j pi(e_j) - 1| checked after all pairs and located at none;
+    ``u unitary homomorphism`` at (g, h), for |u(gh) - u(g) u(h)| and, at
+    h = g, |u(g) u(g)* - 1|; ``covariance`` at (g, j).
+
+    A pair whose pi(e_j) are 0/1 diagonal matrices and whose u(g) are 0/1
+    permutation matrices, such as the regular pair, has its laws computed on
+    the diagonal masks and the permutations; the dense products are exact on
+    such a pair, so the residuals and locations are the same.  Any other
+    pair takes the dense products (:func:`_dense_laws`).  Entries large
     enough to overflow give inf or NaN residuals, which fail, and no
     warning."""
+    monomial = _monomial_pair(rep)
+    (pairs, unital), hom, cov = _dense_laws(rep) if monomial is None else _index_laws(rep.system, *monomial)
     report = CheckReport()
+    if unital > pairs.residual or (math.isnan(unital) and not math.isnan(pairs.residual)):
+        report.add("pi representation", unital, tol)
+    else:
+        report.add("pi representation", pairs.residual, tol, pairs.where("j", "k"))
+    report.add("u unitary homomorphism", hom.residual, tol, hom.where("g", "h"))
+    report.add("covariance", cov.residual, tol, cov.where("g", "j"))
+    return report
+
+
+def _monomial_pair(rep: CovariantRep) -> tuple[np.ndarray, np.ndarray] | None:
+    """``(masks, cols)`` when every pi(e_j) is the 0/1 diagonal matrix of
+    ``masks[j]`` and every u(g) the 0/1 permutation matrix with its 1 in row
+    r at column ``cols[g, r]``; None otherwise.  Each matrix is read exactly
+    and on its own."""
+    d = rep.dim
+    rows = np.arange(d)
+    masks = np.zeros((len(rep.pi_mats), d), dtype=bool)
+    for j, m in enumerate(rep.pi_mats):
+        r, c = np.divmod(np.flatnonzero(m != 0), d)
+        if (r != c).any() or (m[r, c] != 1).any():
+            return None
+        masks[j, r] = True
+    cols = np.empty((len(rep.u_mats), d), dtype=np.intp)
+    for g, m in enumerate(rep.u_mats):
+        r, c = np.divmod(np.flatnonzero(m != 0), d)
+        if len(r) != d or (r != rows).any() or (m[r, c] != 1).any() or (np.bincount(c, minlength=d) != 1).any():
+            return None
+        cols[g] = c
+    return masks, cols
+
+
+def _index_laws(system: System, masks: np.ndarray, cols: np.ndarray):
+    """The covariant-pair laws of a pair given by its diagonal masks and
+    permutations (see :func:`_monomial_pair`), in the form of
+    :func:`_dense_laws`.  On such a pair every difference the dense check
+    forms is a matrix of integers: pi(e_j) pi(e_k) is the diagonal of
+    masks[j] & masks[k], u(g) u(h) the permutation cols[h][cols[g]], and
+    u(g) pi(e_j) u(g)* the diagonal of masks[j][cols[g]].  A difference of
+    two distinct 0/1 diagonals or permutation matrices has max |entry| 1,
+    the unit defect is max |count of masks holding a row - 1|, and the
+    adjoint and unitarity defects are 0."""
+    n, order = system.n_points, system.group.order
+    mult, perm = system.group.mult, system.action.perm
+    d = masks.shape[1]
+    hs = np.arange(order)[None, :, None]
+
+    shared = masks.astype(float) @ masks.T.astype(float) > 0  # [j, k]: some row in both masks
+    np.fill_diagonal(shared, False)
+    pairs = fibers.Worst()
+    pairs.update(shared.astype(float))
+    unital = float(np.abs(masks.sum(axis=0) - 1).max(initial=0))
+
+    hom = fibers.Worst()
+    for lo, hi in fibers.blocks(order, order * d):
+        product = cols[hs, cols[lo:hi, None, :]]  # [g, h] = cols[h][cols[g]]
+        hom.update((product != cols[mult[lo:hi]]).any(axis=-1).astype(float), lo)
+
+    cov = fibers.Worst()
+    for lo, hi in fibers.blocks(order, n * d):
+        conj = masks[:, cols[lo:hi]].swapaxes(0, 1)  # [g, j] = masks[j][cols[g]]
+        cov.update((masks[perm[lo:hi]] != conj).any(axis=-1).astype(float), lo)
+    return (pairs, unital), hom, cov
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _dense_laws(rep: CovariantRep):
+    """The covariant-pair laws from the dense products, as ``((pairs,
+    unital), hom, cov)``: :class:`fibers.Worst` over (j, k), (g, h) and
+    (g, j), and the unit defect.  The products for one left factor and all
+    right factors are one matmul against the right factors laid side by side
+    (:func:`fibers.side_by_side`), formed for blocks of left factors of at
+    most ``fibers.BLOCK_ELEMENTS`` entries."""
     sys_ = rep.system
     n, order, d = sys_.n_points, sys_.group.order, rep.dim
     mult, perm = sys_.group.mult, sys_.action.perm
     eye = np.eye(d)
     pi, u = np.stack(rep.pi_mats), np.stack(rep.u_mats)
     uh = u.conj().swapaxes(-1, -2)
-    side_by_side = lambda m: m.transpose(1, 0, 2).reshape(d, -1)  # noqa: E731
 
-    worst = fibers.Worst()
-    worst.update(fibers.entry_max(pi.sum(axis=0) - eye)[None])
-    worst.update(fibers.entry_max(pi - pi.conj().swapaxes(-1, -2)))
-    pi_right = side_by_side(pi)
+    unital = float(fibers.entry_max(pi.sum(axis=0) - eye))
+    pairs = fibers.Worst()
+    pi_right = fibers.side_by_side(pi)
     for lo, hi in fibers.blocks(n, n * d * d):
-        prod = (pi[lo:hi] @ pi_right).reshape(hi - lo, d, n, d).transpose(0, 2, 1, 3)
-        prod[np.arange(hi - lo), np.arange(lo, hi)] -= pi[lo:hi]
-        worst.update(fibers.entry_max(prod))
-    report.add("pi representation", worst.residual, tol)
+        at = np.arange(hi - lo)
+        prod = (pi[lo:hi] @ pi_right).reshape(hi - lo, d, n, d).transpose(0, 2, 1, 3)  # [j, k]
+        prod[at, at + lo] -= pi[lo:hi]
+        res = fibers.entry_max(prod)
+        adjoint = fibers.entry_max(pi[lo:hi] - pi[lo:hi].conj().swapaxes(-1, -2))
+        res[at, at + lo] = np.maximum(res[at, at + lo], adjoint)
+        pairs.update(res, lo)
 
-    worst = fibers.Worst()
-    worst.update(fibers.entry_max(u @ uh - eye))
-    u_right = side_by_side(u)
+    hom = fibers.Worst()
+    u_right = fibers.side_by_side(u)
     for lo, hi in fibers.blocks(order, order * d * d):
-        prod = (u[lo:hi] @ u_right).reshape(hi - lo, d, order, d).transpose(0, 2, 1, 3)
-        worst.update(fibers.entry_max(u[mult[lo:hi]] - prod))
-    report.add("u unitary homomorphism", worst.residual, tol)
+        at = np.arange(hi - lo)
+        prod = (u[lo:hi] @ u_right).reshape(hi - lo, d, order, d).transpose(0, 2, 1, 3)  # [g, h]
+        res = fibers.entry_max(u[mult[lo:hi]] - prod)
+        unitary = fibers.entry_max(u[lo:hi] @ uh[lo:hi] - eye)
+        res[at, at + lo] = np.maximum(res[at, at + lo], unitary)
+        hom.update(res, lo)
 
     # alpha_g(e_j) = e_{g.j}
-    worst = fibers.Worst()
+    cov = fibers.Worst()
     for lo, hi in fibers.blocks(order, n * d * d):
         left = (u[lo:hi] @ pi_right).reshape(hi - lo, d, n, d).transpose(0, 2, 1, 3)
         conj = (left.reshape(hi - lo, n * d, d) @ uh[lo:hi]).reshape(hi - lo, n, d, d)
-        worst.update(fibers.entry_max(pi[perm[lo:hi]] - conj), lo)
-    report.add("covariance", worst.residual, tol, worst.where("g", "j"))
-    return report
+        cov.update(fibers.entry_max(pi[perm[lo:hi]] - conj), lo)
+    return (pairs, unital), hom, cov
 
 
 def regular_covariant(system: System) -> CovariantRep:

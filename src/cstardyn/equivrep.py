@@ -163,7 +163,7 @@ def verify_equivariant(rep: EquivariantRep, tol: float = DEFAULT_TOL) -> CheckRe
     for lo, hi in fibers.blocks(n, n * n * d * d):
         prod = r[lo:hi, None] @ r[None]  # rho(e_k) rho(e_l) per fiber
         prod[np.arange(hi - lo), np.arange(lo, hi)] -= r[lo:hi]
-        worst.update(fibers.entry_max(prod), lo)
+        worst.update_max(np.abs(prod), lo)
     report.add("rho multiplicative", worst.residual, tol)
 
     report.add("rho self-adjoint", float(fibers.entry_max(r - r.conj().swapaxes(-1, -2)).max()), tol)
@@ -175,7 +175,7 @@ def verify_equivariant(rep: EquivariantRep, tol: float = DEFAULT_TOL) -> CheckRe
         vg = v[gs][:, None]
         lhs = r[action.perm[gs]] @ vg
         rhs = vg @ r[points[None, :, None], src[gs][:, None, :]]
-        worst.update(fibers.entry_max(lhs - rhs), lo)
+        worst.update_max(np.abs(lhs - rhs), lo)
     report.add("relation (i) covariance", worst.residual, tol, worst.where("g", "k", "x"))
 
     # relation (ii) is equivalent to every matrix of v being unitary

@@ -9,8 +9,8 @@ whole-array gathers, matmuls and reductions over the ``src``, ``mult`` and
 ``perm`` tables.  Each residual is the max |entry| of the same differences a
 loop over (g, h, x) would form, NaN propagates into it, and :class:`Worst`
 keeps the first location attaining it.  Work over pairs of group elements
-runs in blocks of at most ``BLOCK_ELEMENTS`` matrix entries (one pair always
-fits), so the working set does not grow with |G|^2.
+runs in blocks of left elements of at most ``BLOCK_ELEMENTS`` matrix entries
+(one left element always fits), so the working set does not grow with |G|^2.
 """
 
 from __future__ import annotations
@@ -141,11 +141,30 @@ class Worst:
             self.residual = value
             self.index = (int(first) + offset, *(int(r) for r in rest))
 
+    def update_max(self, mag: np.ndarray, offset: int = 0, axes=(-2, -1), order=None) -> None:
+        """:meth:`update` with the maxima of the magnitudes ``mag`` over
+        ``axes`` at each location, the remaining axes put in ``order``.
+        Those maxima are only formed when the largest magnitude can change
+        the result, since numpy reduces short axes slowly; the outcome is the
+        same either way."""
+        top = mag.max(initial=0.0)
+        if top > self.residual or (math.isnan(top) and not math.isnan(self.residual)):
+            res = mag.max(axis=axes, initial=0.0)
+            self.update(res if order is None else res.transpose(order), offset)
+
     def where(self, *names: str) -> dict | None:
         """The index keyed by ``names``, or None when every residual is 0."""
         if self.index is None or self.residual == 0.0:
             return None
         return dict(zip(names, self.index))
+
+
+def side_by_side(factors: np.ndarray) -> np.ndarray:
+    """The factors ``(..., k, r, c)`` laid side by side as ``(..., r, k * c)``,
+    factor i in columns [i * c, (i + 1) * c), so that one matmul of a left
+    factor against them forms all k products, laid out the same way."""
+    k, r, c = factors.shape[-3:]
+    return np.moveaxis(factors, -3, -2).reshape(factors.shape[:-3] + (r, k * c))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -156,26 +175,30 @@ def group_law(action: GroupAction, dims: Sequence[int], stack: np.ndarray):
     Returns ``(unitarity, homomorphism, identity)``: the first two as
     ``(residual, where)`` with ``where`` keyed ``g, x`` and ``g, h, x``, the
     last as a residual.  Unitarity is max(|u*u - 1|, |uu* - 1|) per (g, x);
-    the homomorphism residual is |u[gh][x] - u[g][x] u[h][g^{-1}x]|.
-    Entries large enough to overflow give inf or NaN residuals, without a
-    warning.
+    the homomorphism residual is |u[gh][x] - u[g][x] u[h][g^{-1}x]|.  The
+    products for one (g, x) and every h are one matmul of u[g][x] against
+    the u[h][g^{-1}x] laid side by side, formed for blocks of left elements
+    g of at most ``BLOCK_ELEMENTS`` entries.  Entries large enough to
+    overflow give inf or NaN residuals, without a warning.
     """
     group = action.group
     order, src = group.order, action.src
+    n, d = stack.shape[1], stack.shape[-1]
     eye = padded_identity(dims)
 
     uh = stack.conj().swapaxes(-1, -2)
     unitary = Worst()
-    unitary.update(np.maximum(entry_max(uh @ stack - eye[src]), entry_max(stack @ uh - eye)))
+    unitary.update_max(np.maximum(np.abs(uh @ stack - eye[src]), np.abs(stack @ uh - eye)))
 
+    # right[y] holds u[h][y] for every h side by side; the targets u[gh][x]
+    # are gathered from it in the layout of the products
+    right = side_by_side(stack.swapaxes(0, 1))
+    by_h = right.reshape(n, d, order, d)
     hom = Worst()
-    for lo, hi in blocks(order * order, stack[0].size):
-        g, h = np.divmod(np.arange(lo, hi), order)
-        rhs = stack[g] @ stack[h[:, None], src[g]]
-        hom.update(entry_max(stack[group.mult[g, h]] - rhs), lo)
-    if hom.index is not None:
-        p, x = hom.index
-        hom.index = (p // order, p % order, x)
+    for lo, hi in blocks(order, stack.size):
+        prod = (stack[lo:hi] @ right[src[lo:hi]]).reshape(hi - lo, n, d, order, d)  # (g, x, row, h, col)
+        target = by_h.take(group.mult[lo:hi], axis=2).transpose(2, 0, 1, 3, 4)
+        hom.update_max(np.abs(target - prod), lo, axes=(2, 4), order=(0, 2, 1))
 
     identity = float(entry_max(stack[group.identity] - eye).max())
     return (

@@ -58,6 +58,21 @@ def assorted_small_systems() -> list[System]:
     ]
 
 
+def relabeled_system(system: System, rng: np.random.Generator) -> System:
+    """An isomorphic copy of a system with group elements and points renamed
+    by seeded permutations, redrawn until the identity is not element 0."""
+    group, action = system.group, system.action
+    while True:
+        sg, px = rng.permutation(group.order), rng.permutation(action.space.size)
+        if sg[group.identity] != 0 or group.order == 1:
+            break
+    mult = np.empty_like(group.mult)
+    mult[sg[:, None], sg[None, :]] = sg[group.mult]
+    perm = np.empty_like(action.perm)
+    perm[sg[:, None], px[None, :]] = px[action.perm]
+    return System(GroupAction(FiniteGroup(group.order, mult), action.space, perm))
+
+
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     if dim == 0:
         return np.zeros((0, 0), dtype=complex)

@@ -23,6 +23,11 @@ def run_cli(*args: str):
     )
 
 
+def reject_constant(name):
+    """A ``parse_constant`` for ``json.loads`` that accepts strict JSON only."""
+    raise ValueError(f"not JSON: {name}")
+
+
 def flip_payload():
     system = sigma_system(2)
     return system, {"system": serialize.system_to_json(system)}
@@ -205,10 +210,27 @@ class TestVerifyCommand:
             warnings.simplefilter("error")
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
                 code = cli.main(["verify", "--inline", json.dumps(payload)])
-        report = json.loads(out.getvalue())
+        report = json.loads(out.getvalue(), parse_constant=reject_constant)
         assert code == 1 and report["passed"] is False
         assert len(report["checks"]) == count and all(c["target"] == target for c in report["checks"])
-        assert any(c["residual"] == math.inf for c in report["checks"])
+        # the infinite residual is written as a string, which strict JSON allows
+        assert any(c["residual"] == "Infinity" and not c["passed"] for c in report["checks"])
+        assert all(isinstance(c["residual"], float) or c["residual"] == "Infinity" for c in report["checks"])
+
+
+    def test_non_finite_numbers_are_strings(self):
+        """Non-finite numbers in a report (here the tolerance) are written as
+        strings, so every report parses as strict JSON."""
+        _, payload = flip_payload()
+        payload["cocycle"] = serialize.cocycle_to_json(sigma_cocycle(2))
+        for tol, text in ((math.inf, "Infinity"), (-math.inf, "-Infinity"), (math.nan, "NaN")):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                cli.main(["verify", "--inline", json.dumps(payload), f"--tol={tol}"])
+            report = json.loads(out.getvalue(), parse_constant=reject_constant)
+            assert report["config"]["tol"] == text
+            assert all(c["tol"] == text and isinstance(c["residual"], float) for c in report["checks"])
+        assert cli._strict_json({"a": [1.5, (math.inf,)], "b": None}) == {"a": [1.5, ["Infinity"]], "b": None}
 
 
 class TestExampleCommand:

@@ -4,8 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cstardyn import fibers
-from cstardyn.core import FiniteGroup, FiniteSpace, GroupAction, System, act_on_algebra, symmetric_group
+from cstardyn import crossed, fibers
+from cstardyn.core import FiniteSpace, GroupAction, System, act_on_algebra, symmetric_group
 from cstardyn.crossed import (
     CovariantRep,
     NotInAlgebraError,
@@ -28,6 +28,7 @@ from cstardyn.generators import (
     random_multiplier_suite,
     random_unitary,
     random_vector,
+    relabeled_system,
     standard_systems,
 )
 from cstardyn.multiplier import (
@@ -185,21 +186,6 @@ def reference_regular_covariant(system) -> CovariantRep:
             u[h * n : (h + 1) * n, src * n : (src + 1) * n] = np.eye(n)
         u_mats.append(u)
     return CovariantRep(system, d, tuple(pi_mats), tuple(u_mats))
-
-
-def relabeled_system(system, rng):
-    """An isomorphic copy of a system with group elements and points renamed
-    by seeded permutations, redrawn until the identity is not element 0."""
-    group, action = system.group, system.action
-    while True:
-        sg, px = rng.permutation(group.order), rng.permutation(action.space.size)
-        if sg[group.identity] != 0 or group.order == 1:
-            break
-    mult = np.empty_like(group.mult)
-    mult[sg[:, None], sg[None, :]] = sg[group.mult]
-    perm = np.empty_like(action.perm)
-    perm[sg[:, None], px[None, :]] = px[action.perm]
-    return System(GroupAction(FiniteGroup(group.order, mult), action.space, perm))
 
 
 def closed_form_tables(system):
@@ -693,27 +679,39 @@ class TestCompletelyPositiveDenseOracle:
 
 def reference_verify_covariant(rep, tol: float = 1e-9):
     """The per-element loop :func:`verify_covariant` used to run, kept as the
-    test oracle for the batched version."""
+    test oracle for the batched and the index versions.  Each nonzero
+    residual is located at the first pair in loop order attaining it; the
+    adjoint defect of pi(e_j) counts at (j, j), the unitarity defect of u(g)
+    at (g, g), and the unit defect of pi comes after all pairs, at none."""
     report = CheckReport()
     sys_ = rep.system
     n, order, d = sys_.n_points, sys_.group.order, rep.dim
     eye = np.eye(d)
 
-    res = max_abs(sum(rep.pi_mats) - eye)
+    res, where = 0.0, None
     for j in range(n):
-        res = max(res, max_abs(rep.pi_mats[j] - rep.pi_mats[j].conj().T))
         for k in range(n):
             target = rep.pi_mats[j] if j == k else np.zeros((d, d))
-            res = max(res, max_abs(rep.pi_mats[j] @ rep.pi_mats[k] - target))
-    report.add("pi representation", res, tol)
+            r = max_abs(rep.pi_mats[j] @ rep.pi_mats[k] - target)
+            if j == k:
+                r = max(r, max_abs(rep.pi_mats[j] - rep.pi_mats[j].conj().T))
+            if r > res:
+                res, where = r, {"j": j, "k": k}
+    unital = max_abs(sum(rep.pi_mats) - eye)
+    if unital > res:
+        res, where = unital, None
+    report.add("pi representation", res, tol, where)
 
-    res = 0.0
+    res, where = 0.0, None
     for g in range(order):
         u = rep.u_mats[g]
-        res = max(res, max_abs(u @ u.conj().T - eye))
         for h in range(order):
-            res = max(res, max_abs(rep.u_mats[sys_.group.mul(g, h)] - u @ rep.u_mats[h]))
-    report.add("u unitary homomorphism", res, tol)
+            r = max_abs(rep.u_mats[sys_.group.mul(g, h)] - u @ rep.u_mats[h])
+            if h == g:
+                r = max(r, max_abs(u @ u.conj().T - eye))
+            if r > res:
+                res, where = r, {"g": g, "h": h}
+    report.add("u unitary homomorphism", res, tol, where)
 
     res, where = 0.0, None
     for g in range(order):
@@ -770,7 +768,7 @@ class TestBatchedVerifyCovariant:
         if fault is not None:
             assert report.residual_of(fault) >= 0.5
         if label != "conjugated_s3":  # exact 0/1 pairs: the first maximum is the loop's
-            assert report.checks[-1].where == reference.checks[-1].where
+            assert [c.where for c in report.checks] == [c.where for c in reference.checks]
 
     def test_covariance_fault_located(self):
         reg = regular_covariant(assorted_small_systems()[-1])
@@ -780,7 +778,10 @@ class TestBatchedVerifyCovariant:
         report, reference = verify_covariant(rep), reference_verify_covariant(rep)
         moved = np.flatnonzero(reg.system.action.perm[4] != np.arange(reg.system.n_points))
         assert report.checks[-1].where == reference.checks[-1].where == {"g": 4, "j": int(moved[0])}
-        assert [c.where for c in report.checks[:-1]] == [None, None]
+        # u(4) = u(e) is unitary; the homomorphism law first fails at 1 * 2 = 4
+        assert reg.system.group.mul(1, 2) == 4
+        assert [c.where for c in report.checks] == [c.where for c in reference.checks]
+        assert [c.where for c in report.checks[:-1]] == [None, {"g": 1, "h": 2}]
 
     def test_nan_fails(self, z2_flip):
         reg = regular_covariant(z2_flip)
@@ -789,3 +790,95 @@ class TestBatchedVerifyCovariant:
         report = verify_covariant(CovariantRep(reg.system, reg.dim, tuple(pi), reg.u_mats))
         assert report.residual_of("pi representation") == float("inf")
         assert report.residual_of("covariance") == float("inf")
+
+
+def monomial_fault_cases():
+    """Faults that keep every pi(e_j) a 0/1 diagonal and every u(g) a 0/1
+    permutation matrix, on the natural S_3 pair and on a relabelled copy
+    whose identity is not element 0."""
+    rng = np.random.default_rng(6)
+    s3 = assorted_small_systems()[-1]
+    cases = []
+    for name, system in (("s3", s3), ("relabeled_s3", relabeled_system(s3, rng))):
+        reg = regular_covariant(system)
+        e = system.group.identity
+        g = (e + 1) % system.group.order
+        masks = [np.flatnonzero(m.diagonal()) for m in reg.pi_mats]
+
+        def pair(pi=reg.pi_mats, u=reg.u_mats):
+            return CovariantRep(system, reg.dim, tuple(pi), tuple(u))
+
+        swapped = reg.u_mats[1][[1, 0, *range(2, reg.dim)]]
+        shared = reg.pi_mats[0].copy()
+        shared[masks[1][0], masks[1][0]] = 1.0
+        missing = reg.pi_mats[0].copy()
+        missing[masks[0][0], masks[0][0]] = 0.0
+        cases += [
+            (f"{name}/u(1) rows swapped", pair(u=(reg.u_mats[0], swapped, *reg.u_mats[2:]))),
+            (f"{name}/row shared by two masks", pair(pi=(shared, *reg.pi_mats[1:]))),
+            (f"{name}/row in no mask", pair(pi=(missing, *reg.pi_mats[1:]))),
+            (f"{name}/u(g) = u(e)", pair(u=[reg.u_mats[e] if k == g else m for k, m in enumerate(reg.u_mats)])),
+        ]
+    return cases
+
+
+class TestIndexVerifyCovariant:
+    @pytest.mark.parametrize("budget", [1, fibers.BLOCK_ELEMENTS])
+    @pytest.mark.parametrize("label,rep", monomial_fault_cases(), ids=lambda c: c if isinstance(c, str) else "")
+    def test_faults_match_loop_and_dense_path(self, label, rep, budget, monkeypatch):
+        # a budget of one entry takes one left factor per block
+        monkeypatch.setattr(fibers, "BLOCK_ELEMENTS", budget)
+        assert crossed._monomial_pair(rep) is not None
+        report, reference = verify_covariant(rep), reference_verify_covariant(rep)
+        assert not report.passed
+        summary = lambda r: [(c.name, c.residual, c.where) for c in r.checks]  # noqa: E731
+        assert summary(report) == summary(reference)
+        monkeypatch.setattr(crossed, "_monomial_pair", lambda rep: None)
+        assert summary(verify_covariant(rep)) == summary(reference)
+
+    def test_fault_locations(self):
+        where = {label: [c.where for c in verify_covariant(rep).checks] for label, rep in monomial_fault_cases()}
+        # two masks holding row 0 of pi(e_1) overlap first at (0, 1); a row
+        # in no mask breaks only the unit, which no pair locates
+        assert where["s3/row shared by two masks"][0] == {"j": 0, "k": 1}
+        assert where["s3/row in no mask"][0] is None
+        # element 1 of S_3 is the transposition of the points 1 and 2: u(1 1)
+        # = u(e) fails against the square of the faulted u(1) first
+        assert where["s3/u(1) rows swapped"][1] == {"g": 1, "h": 1}
+        # with u(1) = u(e), u(1 h) = u(h) holds for h = e and h = 1 only, and
+        # the first point element 1 moves is 1
+        assert where["s3/u(g) = u(e)"][1:] == [{"g": 1, "h": 2}, {"g": 1, "j": 1}]
+
+    def test_only_monomial_pairs_take_the_index_path(self, z3_cycle):
+        reg = regular_covariant(z3_cycle)
+        pi, u = list(reg.pi_mats), list(reg.u_mats)
+        two_ones = u[1] + u[0]
+        off_diagonal = pi[0] + np.eye(reg.dim, k=1)
+        nan = pi[2].copy()
+        nan[0, 0] = np.nan
+        for bad_pi, bad_u in (
+            ((2 * pi[0], *pi[1:]), u),
+            ((off_diagonal, *pi[1:]), u),
+            ((*pi[:2], nan), u),
+            (pi, (u[0], 1j * u[1], u[2])),
+            (pi, (u[0], two_ones, u[2])),
+            (pi, (u[0], np.zeros_like(u[1]), u[2])),
+        ):
+            assert crossed._monomial_pair(CovariantRep(z3_cycle, reg.dim, bad_pi, bad_u)) is None
+        masks, cols = crossed._monomial_pair(reg)
+        assert np.array_equal(masks, [m.diagonal() == 1 for m in pi])
+        assert np.array_equal(np.eye(reg.dim)[cols[1]], u[1])
+
+    def test_regular_sigma_12_below_the_pair_itself(self):
+        """The regular sigma_12 pair (D = 144) holds 7.6 MiB of matrices; its
+        check stays below that, since it never stacks them."""
+        rep = regular_covariant(sigma_system(12))
+        pair_bytes = sum(m.nbytes for m in rep.pi_mats + rep.u_mats)
+        tracemalloc.start()
+        try:
+            report = verify_covariant(rep)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed and report.max_residual == 0.0
+        assert pair_bytes > 7.5 * 2**20 and peak < pair_bytes

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from cstardyn import equivrep, fibers
-from cstardyn.cocycle import CocycleRep, EquivariantMap, rho_from_sigma
-from cstardyn.core import DEFAULT_TOL, FiniteSpace, GroupAction, act_on_algebra, symmetric_group
+from cstardyn.cocycle import CocycleRep, EquivariantMap, rho_from_sigma, verify_cocycle
+from cstardyn.core import DEFAULT_TOL, FiniteSpace, GroupAction, System, act_on_algebra, symmetric_group
 from cstardyn.cyclic_examples import omega_example_rep, omega_system, sigma_example_rep, sigma_system
 from cstardyn.equivrep import (
     CyclicVector,
@@ -31,6 +31,7 @@ from cstardyn.generators import (
     random_constant_rep,
     random_equivariant_rep,
     random_vector,
+    relabeled_system,
     standard_systems,
 )
 from cstardyn.hilbmod import (
@@ -630,3 +631,114 @@ class TestBatchedVerifyEquivariant:
             tracemalloc.stop()
         assert report.passed
         assert peak < 120 * 120 * 5 * 4 * 4 * 16
+
+
+# --------------------------------------------------------------------------
+# The group law (v homomorphism, cocycle identity) against its loops
+
+
+def reference_verify_cocycle(c: CocycleRep, tol: float = DEFAULT_TOL) -> CheckReport:
+    """The per-(g, h, x) loop :func:`verify_cocycle` used to run, kept as the
+    oracle for ``fibers.group_law``.  Unitarity is located at the first
+    (g, x) and the cocycle identity at the first (g, h, x) in loop order
+    attaining the residual."""
+    report = CheckReport()
+    action, group = c.action, c.action.group
+    n, order = action.space.size, group.order
+
+    res, where = 0.0, None
+    for g in range(order):
+        for x in range(n):
+            u = c.u[g][x]
+            r = max(max_abs(u.conj().T @ u - np.eye(u.shape[1])), max_abs(u @ u.conj().T - np.eye(u.shape[0])))
+            if r > res:
+                res, where = r, {"g": g, "x": x}
+    report.add("unitarity", res, tol, where)
+
+    res, where = 0.0, None
+    for g in range(order):
+        for h in range(order):
+            gh = group.mul(g, h)
+            for x in range(n):
+                r = max_abs(c.u[gh][x] - c.u[g][x] @ c.u[h][action.apply_inv(g, x)])
+                if r > res:
+                    res, where = r, {"g": g, "h": h, "x": x}
+    report.add("cocycle identity", res, tol, where)
+
+    e = group.identity
+    report.add("identity element", max(max_abs(c.u[e][x] - np.eye(len(c.u[e][x]))) for x in range(n)), tol)
+    return report
+
+
+def natural_system(m: int) -> System:
+    perms = np.array(sorted(itertools.permutations(range(m))), dtype=np.intp)
+    return System(GroupAction(symmetric_group(m), FiniteSpace(m), perms))
+
+
+def group_law_cases():
+    """Cocycles on ragged fibers, on a relabelled S_3 whose identity is not
+    element 0, and on the natural S_5 action."""
+    rng = np.random.default_rng(21)
+    ragged = omega_example_rep(4, 1, 2)
+    relabeled = relabeled_system(assorted_small_systems()[-1], rng)
+    return [
+        ("omega_4_1_2", CocycleRep(ragged.system.action, ragged.module, ragged.v_stack)),
+        ("relabeled_s3", random_cocycle(relabeled.action, rng, max_dim=2)),
+        ("s5_natural", random_cocycle(natural_system(5).action, rng, max_dim=2)),
+    ]
+
+
+def pullback(c: CocycleRep, stack=None) -> EquivariantRep:
+    """The representation of ``c`` over the identity base map, with v the
+    given stack (``c``'s own by default), which need not be a cocycle."""
+    rep = rho_from_sigma(EquivariantMap(c.action, tuple(range(c.action.space.size))), c)
+    return EquivariantRep(rep.system, rep.module, rep.rho_stack, c.u_stack if stack is None else stack)
+
+
+def exact_group_law_faults():
+    """0/1 cocycles (the ragged omega one, and identity cocycles on 2-dimensional
+    fibers) with one matrix broken: every residual is exact, so the first
+    location attaining it is well defined."""
+    cases = []
+    for label, c in group_law_cases():
+        action, order = c.action, c.action.group.order
+        if label != "omega_4_1_2":
+            module = SectionalModule(action.space, (2,) * action.space.size)
+            identity = fibers.padded_identity(module.fiber_dims)
+            c = CocycleRep(action, module, np.broadcast_to(identity, (order, *identity.shape)))
+        g = (action.group.identity + 1) % order
+        x = int(np.argmax(c.module.fiber_dims))
+        for fault, change in (("phase", lambda m: -m), ("scale", lambda m: 2 * m), ("swap", lambda m: m[::-1])):
+            stack = np.array(c.u_stack)
+            stack[g, x] = change(stack[g, x])
+            cases.append((f"{label}/{fault}", c, stack))
+    return cases
+
+
+class TestGroupLaw:
+    """Each oracle runs once per case; a budget of one entry takes one left
+    element g per block."""
+
+    @pytest.mark.parametrize("label,c", group_law_cases(), ids=lambda c: c if isinstance(c, str) else "")
+    def test_matches_loop_oracles(self, label, c, monkeypatch):
+        rep = pullback(c)
+        reference, reference_rep = reference_verify_cocycle(c), reference_verify_equivariant(rep)
+        for budget in (1, fibers.BLOCK_ELEMENTS):
+            monkeypatch.setattr(fibers, "BLOCK_ELEMENTS", budget)
+            report = verify_cocycle(c)
+            assert report.passed
+            assert_same_report(report, reference)
+            assert_same_report(verify_equivariant(rep), reference_rep)
+
+    @pytest.mark.parametrize("label,c,stack", exact_group_law_faults(), ids=lambda c: c if isinstance(c, str) else "")
+    def test_exact_faults_located_as_loop(self, label, c, stack, monkeypatch):
+        broken = CocycleRep(c.action, c.module, stack)
+        summary = lambda r, names: [(n, r.residual_of(n), next(k.where for k in r.checks if k.name == n)) for n in names]  # noqa: E731
+        reference = summary(reference_verify_cocycle(broken), ("unitarity", "cocycle identity"))
+        assert reference[1][1] > 0.5
+        for budget in (1, fibers.BLOCK_ELEMENTS):
+            monkeypatch.setattr(fibers, "BLOCK_ELEMENTS", budget)
+            assert summary(verify_cocycle(broken), ("unitarity", "cocycle identity")) == reference
+            # the same laws on v of the representation over the identity map
+            names = ("relation (ii) inner products", "v homomorphism")
+            assert [r[1:] for r in summary(verify_equivariant(pullback(c, stack)), names)] == [r[1:] for r in reference]
