@@ -4,9 +4,10 @@
 Serializes the omega_n examples (one fat fiber, the others zero
 dimensional), the sigma_n examples (n = 2..5), the representations that
 ``gns_from_pd`` builds from seeded positive definite multipliers on the
-assorted small systems, each with its cocycle, and a seeded cocycle of the
-natural S_5 action on 2-dimensional fibers with the representation it
-induces over the identity map, and runs every payload through
+assorted small systems and from the unit multiplier on sigma_8, each with
+its cocycle, and a seeded cocycle of the natural S_5 action on
+2-dimensional fibers with the representation it induces over the identity
+map, and runs every payload through
 ``cli.main(["verify", "--inline", ...])`` in this process.  Each must exit 0
 with a passed report, and decoding the payload must give back the original
 padded stacks bit for bit (compared as integers, so the sign of a zero
@@ -39,7 +40,7 @@ from cstardyn.cyclic_examples import omega_cocycle, omega_example_rep, sigma_coc
 from cstardyn.equivrep import gns_from_pd
 from cstardyn.generators import assorted_small_systems, random_equivariant_rep, random_unitary, random_vector
 from cstardyn.hilbmod import SectionalModule
-from cstardyn.multiplier import coefficient
+from cstardyn.multiplier import coefficient, unit_multiplier
 
 
 def cases(seed: int):
@@ -55,6 +56,8 @@ def cases(seed: int):
         xi = random_vector(base.module, rng)
         rep, _ = gns_from_pd(coefficient(base, xi, xi))
         yield f"gns/assorted_{i}", rep, v_to_cocycle(group_part(rep))
+    rep, _ = gns_from_pd(unit_multiplier(sigma_system(8)))
+    yield "gns/unit_sigma_8", rep, v_to_cocycle(group_part(rep))
     perms = np.array(sorted(itertools.permutations(range(5))), dtype=np.intp)
     s5 = GroupAction(symmetric_group(5), FiniteSpace(5), perms)
     # the coboundary of one seeded unitary per point, on 2-dimensional fibers

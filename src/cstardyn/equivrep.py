@@ -21,14 +21,12 @@ from .hilbmod import (
     ModuleOperator,
     ModuleVector,
     SectionalModule,
-    _block_diag,
     banach_stone_operator,
-    canonical_rep,
     internal_tensor,
     module_action,
     trivial_module,
 )
-from .numutil import matrix_rank, max_abs, max_abs_over, nearest_unitary, null_space
+from .numutil import gram_quotient, matrix_rank, max_abs, max_abs_over, nearest_unitary, null_space
 from .reporting import CheckReport
 
 
@@ -93,18 +91,11 @@ class EquivariantRep:
     def v_mats(self) -> tuple[tuple[np.ndarray, ...], ...]:
         return fibers.fiber_views(self.system.action, self.module.fiber_dims, self.v_stack)
 
-    def rho_operator(self, a: np.ndarray) -> ModuleOperator:
-        a = np.asarray(a, dtype=complex).reshape(self.module.n_points)
-        blocks = []
-        for x, d in enumerate(self.module.fiber_dims):
-            acc = np.zeros((d, d), dtype=complex)
-            for k, gen in enumerate(self.rho):
-                acc = acc + a[k] * gen.blocks[x]
-            blocks.append(acc)
-        return ModuleOperator(self.module, tuple(blocks))
-
     def apply_rho(self, a: np.ndarray, vec: ModuleVector) -> ModuleVector:
-        return self.rho_operator(a).apply(vec)
+        if vec.module != self.module:
+            raise ValueError("vector lives on a different module")
+        ops = np.tensordot(np.asarray(a, dtype=complex).reshape(self.module.n_points), self.rho_stack, axes=1)
+        return ModuleVector(self.module, tuple(o[: len(c), : len(c)] @ c for o, c in zip(ops, vec.components)))
 
     def apply_v(self, g: int, vec: ModuleVector) -> ModuleVector:
         if vec.module != self.module:
@@ -118,9 +109,6 @@ class EquivariantRep:
     def v_full_matrix(self, g: int) -> np.ndarray:
         """v(g) as one total_dim x total_dim matrix in fiber-block coordinates."""
         return banach_stone_operator(self.module, self.system.action.src[g], self.v_mats[g])
-
-    def rho_full_matrix(self, a: np.ndarray) -> np.ndarray:
-        return _block_diag(self.rho_operator(a).blocks)
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,7 +130,7 @@ def verify_equivariant(rep: EquivariantRep, tol: float = DEFAULT_TOL) -> CheckRe
     consequence on the basis sections.  Each residual is the max |entry| of
     the relation's difference over all group elements, points and basis
     indices, computed on the padded stacks in blocks (see :mod:`.fibers`);
-    relation (i), relation (ii) and the homomorphism also report where their
+    every check but relation (iii) and v(e) = id also reports where its
     largest residual sits.  Relation (iii) is exact in the stored normal
     form, so its residual is 0 for a finite v and NaN (reported as inf)
     otherwise.  Failures are reported, never raised: entries large enough to
@@ -157,16 +145,20 @@ def verify_equivariant(rep: EquivariantRep, tol: float = DEFAULT_TOL) -> CheckRe
     d = v.shape[-1]
     eye = fibers.padded_identity(dims)
 
-    report.add("rho unital", float(fibers.entry_max(r.sum(axis=0) - eye).max()), tol)
+    worst = fibers.Worst()
+    worst.update(fibers.entry_max(r.sum(axis=0) - eye))
+    report.add("rho unital", worst.residual, tol, worst.where("x"))
 
     worst = fibers.Worst()
     for lo, hi in fibers.blocks(n, n * n * d * d):
         prod = r[lo:hi, None] @ r[None]  # rho(e_k) rho(e_l) per fiber
         prod[np.arange(hi - lo), np.arange(lo, hi)] -= r[lo:hi]
         worst.update_max(np.abs(prod), lo)
-    report.add("rho multiplicative", worst.residual, tol)
+    report.add("rho multiplicative", worst.residual, tol, worst.where("k", "l", "x"))
 
-    report.add("rho self-adjoint", float(fibers.entry_max(r - r.conj().swapaxes(-1, -2)).max()), tol)
+    worst = fibers.Worst()
+    worst.update(fibers.entry_max(r - r.conj().swapaxes(-1, -2)))
+    report.add("rho self-adjoint", worst.residual, tol, worst.where("k", "x"))
 
     # relation (i): rho(alpha_g(e_k)) v(g) = v(g) rho(e_k), per fiber
     worst = fibers.Worst()
@@ -193,21 +185,18 @@ def verify_equivariant(rep: EquivariantRep, tol: float = DEFAULT_TOL) -> CheckRe
     # |v(g) e_(y,i)| = 1: the norm of column i of v[g][x] for real columns of
     # fiber g^{-1}x = y
     norms = np.sqrt((np.abs(v) ** 2).sum(axis=-2))
-    real = fibers.fiber_mask(dims)[src]
-    report.add("v isometric", float(np.where(real, np.abs(norms - 1.0), 0.0).max(initial=0.0)), tol)
+    worst = fibers.Worst()
+    worst.update(np.where(fibers.fiber_mask(dims)[src], np.abs(norms - 1.0), 0.0))
+    report.add("v isometric", worst.residual, tol, worst.where("g", "x", "i"))
     return report
 
 
 def trivial_rep(system: System) -> EquivariantRep:
     """(multiplication, alpha) on C^n over itself: every fiber is a line and
     v permutes the lines according to the action."""
-    mod = trivial_module(system.space)
-    rho = tuple(canonical_rep(mod))
-    one = np.ones((1, 1), dtype=complex)
-    v_mats = tuple(
-        tuple(one.copy() for _ in range(system.n_points)) for _ in range(system.group.order)
-    )
-    return EquivariantRep(system, mod, rho, v_mats)
+    n = system.n_points
+    rho = np.eye(n, dtype=complex)[:, :, None, None]  # rho(e_k) is 1 on the line at k
+    return EquivariantRep(system, trivial_module(system.space), rho, np.ones((system.group.order, n, 1, 1)))
 
 
 def regular_rep(rep: EquivariantRep) -> EquivariantRep:
@@ -215,24 +204,22 @@ def regular_rep(rep: EquivariantRep) -> EquivariantRep:
     original module per group element, rho acting slotwise and
     (v(g) xi)(h) = v(g) xi(g^{-1}h)."""
     sys_ = rep.system
-    order = sys_.group.order
-    base = rep.module
-    dims = tuple(order * d for d in base.fiber_dims)
-    mod = SectionalModule(base.space, dims)
-
-    rho = []
-    for k in range(base.n_points):
-        blocks = [np.kron(np.eye(order), rep.rho[k].blocks[x]) for x in base.space.points()]
-        rho.append(ModuleOperator(mod, tuple(blocks)))
-
-    v_mats = []
-    for g in range(order):
-        slot_perm = np.zeros((order, order))
-        for h in range(order):
-            slot_perm[h, sys_.group.mul(sys_.group.inv(g), h)] = 1.0
-        per_point = tuple(np.kron(slot_perm, rep.v_mats[g][x]) for x in base.space.points())
-        v_mats.append(per_point)
-    return EquivariantRep(sys_, mod, tuple(rho), tuple(v_mats), regular_base=base)
+    group, n = sys_.group, sys_.n_points
+    d = np.asarray(rep.module.fiber_dims)
+    dmax = group.order * d.max()
+    # rows[x, h, i]: row i of slot h in fiber x, dmax for padding
+    i = np.arange(d.max())
+    rows = np.where(i < d[:, None, None], np.arange(group.order)[:, None] * d[:, None, None] + i, dmax)
+    x = np.arange(n)[:, None, None, None]
+    rho = np.zeros((n, n, dmax + 1, dmax + 1), dtype=complex)
+    rho[:, x, rows[..., None], rows[..., None, :]] = rep.rho_stack[:, :, None]
+    # v(g) at fiber x puts v[g][x] at the block (slot h, slot g^{-1}h)
+    v = np.zeros((group.order, n, dmax + 1, dmax + 1), dtype=complex)
+    cols = rows[sys_.action.src[:, :, None], group.mult[group.inverse][:, None, :]]  # (g, x, h, j)
+    g = np.arange(group.order)[:, None, None, None, None]
+    v[g, x, rows[..., None], cols[..., None, :]] = rep.v_stack[:, :, None]
+    mod = SectionalModule(rep.module.space, tuple(group.order * d))
+    return EquivariantRep(sys_, mod, rho[..., :dmax, :dmax], v[..., :dmax, :dmax], regular_base=rep.module)
 
 
 def slot_embed(regular: EquivariantRep, h: int, vec: ModuleVector) -> ModuleVector:
@@ -274,26 +261,29 @@ def direct_sum_reps(reps: Sequence[EquivariantRep]) -> EquivariantRep:
     sys_ = reps[0].system
     if any(r.system != sys_ for r in reps):
         raise ValueError("summands must share the system")
-    n = sys_.n_points
-    dims = tuple(sum(r.module.fiber_dims[x] for r in reps) for x in range(n))
-    mod = SectionalModule(sys_.space, dims)
-
-    rho = tuple(
-        ModuleOperator(
-            mod, tuple(_block_diag([r.rho[k].blocks[x] for r in reps]) for x in range(n))
-        )
-        for k in range(n)
-    )
-    v_mats = tuple(
-        tuple(_block_diag([r.v_mats[g][x] for r in reps]) for x in range(n))
-        for g in range(sys_.group.order)
-    )
-    return EquivariantRep(sys_, mod, rho, v_mats)
+    n, order, src = sys_.n_points, sys_.group.order, sys_.action.src
+    dims = np.array([r.module.fiber_dims for r in reps])
+    off, dmax = np.cumsum(dims, axis=0) - dims, dims.sum(axis=0).max()
+    rho = np.zeros((n, n, dmax + 1, dmax + 1), dtype=complex)
+    v = np.zeros((order, n, dmax + 1, dmax + 1), dtype=complex)
+    g, x = np.arange(order)[:, None, None, None], np.arange(n)[:, None, None]
+    for r, o, d in zip(reps, off, dims):
+        i = np.arange(d.max())
+        rows = np.where(i < d[:, None], o[:, None] + i, dmax)  # summand r's rows of each fiber
+        rho[:, x, rows[:, :, None], rows[:, None, :]] = r.rho_stack
+        v[g, x, rows[:, :, None], rows[src][:, :, None, :]] = r.v_stack
+    mod = SectionalModule(sys_.space, tuple(int(t) for t in dims.sum(axis=0)))
+    return EquivariantRep(sys_, mod, rho[..., :dmax, :dmax], v[..., :dmax, :dmax])
 
 
 def tensor_rep(r1: EquivariantRep, r2: EquivariantRep, tol: float = DEFAULT_TOL):
     """The tensor product representation on the internal tensor product of the
     modules: rho acts on the left factor, v acts diagonally.
+
+    In the coordinates (p, l, a) of :class:`.hilbmod.TensorProduct`, rho(e_k)
+    at fiber m is the direct sum over p of rho1(e_k)_p (x) 1, and v(g) maps
+    the block (g^{-1}p, g^{-1}m) to the block (p, m) by
+    v1(g)_p (x) c(p, m) v2(g)_m c'(g^{-1}p, g^{-1}m), c and c' quotient maps.
 
     Returns ``(rep, tensor_product)`` so callers can embed simple tensors.
     """
@@ -301,29 +291,29 @@ def tensor_rep(r1: EquivariantRep, r2: EquivariantRep, tol: float = DEFAULT_TOL)
         raise ValueError("tensor factors must share the system")
     sys_ = r1.system
     tp = internal_tensor(r1.module, r2.rho, r2.module, tol)
-    mod = tp.module
-    n = mod.n_points
+    n, order, src = sys_.n_points, sys_.group.order, sys_.action.src
+    dmax = max(tp.module.fiber_dims)
 
-    rho = []
-    for k in range(n):
-        big = r1.rho_full_matrix(np.eye(n)[k])
-        blocks = []
-        for m in range(n):
-            d2 = r2.module.fiber_dims[m]
-            op = np.kron(big, np.eye(d2))
-            blocks.append(tp.coord[m] @ op @ tp.coord_pinv[m])
-        rho.append(ModuleOperator(mod, tuple(blocks)))
+    # the blocks (p, m) of nonzero rank, and a last, empty one with every
+    # coordinate past the fibers that stands for the blocks of rank 0
+    p, m = np.nonzero(tp.piece_coord.any(axis=(2, 3)))
+    block = np.full((n, n), len(p))
+    block[p, m] = np.arange(len(p))
+    rows = np.concatenate([tp.rows[p, m], np.full((1,) + tp.rows.shape[2:], dmax)])
+    pinv = np.concatenate([tp.piece_pinv[p, m], np.zeros((1,) + tp.piece_pinv.shape[2:])])
 
-    v_mats = []
-    for g in range(sys_.group.order):
-        big1 = r1.v_full_matrix(g)
-        per_point = []
-        for x in range(n):
-            src = sys_.action.apply_inv(g, x)
-            op = np.kron(big1, r2.v_mats[g][x])
-            per_point.append(tp.coord[x] @ op @ tp.coord_pinv[src])
-        v_mats.append(tuple(per_point))
-    rep = EquivariantRep(sys_, mod, tuple(rho), tuple(v_mats))
+    rho = np.zeros((n, n, dmax + 1, dmax + 1), dtype=complex)
+    rho[:, m[:, None, None, None], rows[:-1, :, None], rows[:-1, None, :]] = r1.rho_stack[:, p, :, :, None]
+
+    # v(g) maps block (src[g, p], src[g, m]) to block (p, m)
+    cols = block[src[:, p], src[:, m]]  # (g, block)
+    c = tp.piece_coord[p, m] @ r2.v_stack[:, m] @ pinv[cols]  # (g, block, a, b)
+    v = np.zeros((order, n, dmax + 1, dmax + 1), dtype=complex)
+    g = np.arange(order)[:, None, None, None, None, None]
+    v[g, m[:, None, None, None, None], rows[:-1, :, :, None, None], rows[cols][:, :, None, None]] = (
+        r1.v_stack[:, p][:, :, :, None, :, None] * c[:, :, None, :, None, :]
+    )
+    rep = EquivariantRep(sys_, tp.module, rho[:, :, :dmax, :dmax], v[:, :, :dmax, :dmax])
     return rep, tp
 
 
@@ -343,43 +333,25 @@ def fell_absorption_unitary(rep: EquivariantRep, tol: float = DEFAULT_TOL):
     trep, tp = tensor_rep(rep, areg, tol)
     reg = regular_rep(rep)
 
-    fiber_of = [p for p in rep.module.space.points() for _ in range(rep.module.fiber_dims[p])]
-    idx_in_fiber = [i for p in rep.module.space.points() for i in range(rep.module.fiber_dims[p])]
-    D1 = rep.module.total_dim
+    # W at fiber p takes the simple tensor (off_p + l, a) to slot a, row l:
+    # row a * d_p + l of W is row (off_p + l) * |G| + a of coord_pinv[p]
+    dims, off = rep.module.fiber_dims, rep.module.offsets()
+    w_blocks = [
+        tp.coord_pinv[p][((off[p] + np.arange(d)) * order + np.arange(order)[:, None]).ravel()]
+        for p, d in enumerate(dims)
+    ]
 
-    w_blocks = []
-    for p in range(n):
-        d_p = rep.module.fiber_dims[p]
-        S = np.zeros((order * d_p, D1 * order), dtype=complex)
-        for i in range(D1):
-            if fiber_of[i] != p:
-                continue
-            for a in range(order):
-                S[a * d_p + idx_in_fiber[i], i * order + a] = 1.0
-        w_blocks.append(S @ tp.coord_pinv[p])
-
+    # the blocks zero padded into one stack, so each relation is one batched product
+    w = np.zeros((n, max(reg.module.fiber_dims), max(trep.module.fiber_dims)), dtype=complex)
+    for p, block in enumerate(w_blocks):
+        w[p, : block.shape[0], : block.shape[1]] = block
+    wh = w.conj().swapaxes(-1, -2)
     report = CheckReport()
-    report.add("isometry", max_abs_over(w.conj().T @ w - np.eye(w.shape[1]) for w in w_blocks), tol)
-    report.add("surjectivity", max_abs_over(w @ w.conj().T - np.eye(w.shape[0]) for w in w_blocks), tol)
-
-    dim_t = trep.module.total_dim
-    dim_r = reg.module.total_dim
-    report.add("dimension match", float(abs(dim_t - dim_r)), 0.5)
-
-    res = max_abs_over(
-        w_blocks[p] @ trep.rho[k].blocks[p] - reg.rho[k].blocks[p] @ w_blocks[p]
-        for k in range(n)
-        for p in range(n)
-    )
-    report.add("intertwines rho", res, tol)
-
-    src = sys_.action.src
-    res = max_abs_over(
-        w_blocks[p] @ trep.v_mats[g][p] - reg.v_mats[g][p] @ w_blocks[src[g, p]]
-        for g in range(order)
-        for p in range(n)
-    )
-    report.add("intertwines v", res, tol)
+    report.add("isometry", max_abs(wh @ w - fibers.padded_identity(trep.module.fiber_dims)), tol)
+    report.add("surjectivity", max_abs(w @ wh - fibers.padded_identity(reg.module.fiber_dims)), tol)
+    report.add("dimension match", float(abs(trep.module.total_dim - reg.module.total_dim)), 0.5)
+    report.add("intertwines rho", max_abs(w @ trep.rho_stack - reg.rho_stack @ w), tol)
+    report.add("intertwines v", max_abs(w @ trep.v_stack - reg.v_stack @ w[sys_.action.src]), tol)
 
     # A-linearity of W on a seeded spanning sample of simple tensors
     rng = np.random.default_rng(7)
@@ -433,80 +405,65 @@ def gns_from_pd(multiplier, tol: float = DEFAULT_TOL):
     The module is spanned by symbols [g, e_j, e_m] (the would-be vectors
     rho(e_j) v(g) xi . e_m) with gram
     ``<[g,a,b],[g',a',b']> = b* alpha_g(T_{g^{-1}g'}(alpha_g^{-1}(a* a'))) b'``,
-    which the equivariance relations force for any realization.  Fiber m
-    keeps the symbols with right label e_m; null directions are cut off at
-    ``tol * (1 + lambda_max)``.  The construction is validated against the
-    coefficient it produces; a residual beyond tolerance raises rather than
-    being patched over.
+    which the equivariance relations force for any realization.  Fiber p
+    keeps the symbols with right label e_p, ordered (j, g); their gram is
+    block diagonal, block j the criterion's kernel matrix at (p, j), and is
+    quotiented block by block, per fiber (:func:`.numutil.gram_quotient`).
+    So rho(e_j) is the 0/1 projection onto block j, and v(h) maps block j of
+    fiber h^{-1}x to block h.j of fiber x by c(x, h.j) L_h c'(h^{-1}x, j), c
+    and c' quotient maps and L_h the left translation of the symbols' g.
+    The construction is validated against the coefficient it produces; a
+    residual beyond tolerance raises rather than being patched over.
     """
-    from .multiplier import coefficient, is_positive_definite, multiplier_distance, pd_criterion_matrix
+    from .multiplier import _kernel_matrices, coefficient, is_positive_definite, multiplier_distance
 
     cert = is_positive_definite(multiplier, tol)
     if not cert.verdict:
         raise NotPositiveDefiniteError(cert)
 
     sys_ = multiplier.system
-    n = sys_.n_points
-    order = sys_.group.order
-    act = sys_.action
-    S = order * n  # symbols (g, j) per fiber
+    n, order, mult = sys_.n_points, sys_.group.order, sys_.group.mult
+    perm, src, points = sys_.action.perm, sys_.action.src, np.arange(n)
 
-    def sym(g: int, j: int) -> int:
-        return g * n + j
+    p, j = np.divmod(np.arange(n * n), n)
+    kernels = _kernel_matrices(sys_, multiplier.stack[None], np.zeros_like(p), p, j).reshape(n, n, order, order)
+    coord = np.zeros((n, n, order, order), dtype=complex)  # [p, j, a, g]
+    pinv = np.zeros_like(coord)  # [p, j, g, a]
+    ranks = np.zeros((n, n), dtype=np.intp)
+    for p, blocks in enumerate(kernels):
+        for j, (c, q) in enumerate(gram_quotient(blocks, tol)):
+            ranks[p, j] = len(c)
+            coord[p, j, : len(c)] = c
+            pinv[p, j, :, : len(c)] = q
+    rmax, dims = ranks.max(), ranks.sum(axis=1)
+    coord, pinv, dmax = coord[:, :, :rmax], pinv[..., :rmax], int(dims.max())
+    # rows[p, j, a]: the coordinate of (j, a) in fiber p; dmax for padding
+    a = np.arange(rmax)
+    rows = np.where(a < ranks[:, :, None], (np.cumsum(ranks, axis=1) - ranks)[:, :, None] + a, dmax)
 
-    # fiber-p gram over symbols: delta_{jj'} [alpha_g(T_{g^{-1}g'}(e_{g^{-1}j}))]_p,
-    # which is the criterion's kernel matrix at (p, j) on the (g, g') block
-    coord, pinv, dims = [], [], []
-    for p in range(n):
-        G = np.zeros((order, n, order, n), dtype=complex)
-        for j in range(n):
-            G[:, j, :, j] = pd_criterion_matrix(multiplier, p, j)
-        G = G.reshape(S, S)
-        G = (G + G.conj().T) / 2
-        lam, V = np.linalg.eigh(G)
-        cutoff = tol * (1.0 + max(lam.max(), 0.0))
-        keep = lam > cutoff
-        lk, Vk = lam[keep], V[:, keep]
-        dims.append(int(keep.sum()))
-        coord.append(np.sqrt(lk)[:, None] * Vk.conj().T)
-        pinv.append(Vk / np.sqrt(lk)[None, :])
+    rho = np.zeros((n, n, dmax + 1, dmax + 1), dtype=complex)
+    rho[points[None, :, None], points[:, None, None], rows, rows] = 1.0
 
-    mod = SectionalModule(sys_.space, tuple(dims))
+    v = np.zeros((order, n, dmax + 1, dmax + 1), dtype=complex)
+    x = points[:, None]
+    for lo, hi in fibers.blocks(order, n * n * order * max(rmax, 1)):
+        h, hj, y = np.arange(lo, hi)[:, None, None], perm[lo:hi, None, :], src[lo:hi, :, None]  # over [h, x, j]
+        # c(x, h.j) L_h as [h, x, j, g, a] = c(x, h.j)[a, hg], times c'(h^{-1}x, j)
+        block = coord[x[..., None], hj[..., None], :, mult[lo:hi, None, None, :]].swapaxes(-1, -2) @ pinv[y, points]
+        v[h[..., None, None], x[..., None, None], rows[x, hj][..., None], rows[y, points][..., None, :]] = block
+    mod = SectionalModule(sys_.space, tuple(int(d) for d in dims))
+    rep = EquivariantRep(sys_, mod, rho[..., :dmax, :dmax], v[..., :dmax, :dmax])
 
-    rho = []
-    for c in range(n):
-        proj = np.zeros(S)
-        for g in range(order):
-            proj[sym(g, c)] = 1.0
-        blocks = tuple(coord[p] @ (proj[:, None] * pinv[p]) for p in range(n))
-        rho.append(ModuleOperator(mod, blocks))
-
-    v_mats = []
-    for h in range(order):
-        P = np.zeros((S, S))
-        for g in range(order):
-            for j in range(n):
-                P[sym(sys_.group.mul(h, g), act.apply(h, j)), sym(g, j)] = 1.0
-        per_point = []
-        for x in range(n):
-            src = act.apply_inv(h, x)
-            per_point.append(coord[x] @ P @ pinv[src])
-        v_mats.append(tuple(per_point))
-
-    rep = EquivariantRep(sys_, mod, tuple(rho), tuple(v_mats))
-
-    e = sys_.group.identity
-    c0 = np.zeros(S, dtype=complex)
-    for j in range(n):
-        c0[sym(e, j)] = 1.0
-    xi = ModuleVector(mod, tuple(coord[p] @ c0 for p in range(n)))
+    xi = np.zeros((n, dmax + 1), dtype=complex)
+    xi[points[:, None, None], rows] = coord[..., sys_.group.identity]
+    xi = ModuleVector(rep.module, tuple(xi[p, :d] for p, d in enumerate(dims)))
 
     realized = coefficient(rep, xi, xi)
     gap = multiplier_distance(realized, multiplier)
     scale = 1.0 + max_abs(multiplier.stack)
     # cutting a null direction perturbs the coefficient by at most the
     # cutoff times the symbol count, so allow that much slack over tol
-    if gap > S * tol * scale:
+    if gap > order * n * tol * scale:
         raise ArithmeticError(
             f"reconstruction does not reproduce the multiplier (residual {gap:.3e}); "
             "refusing to return an unvalidated representation"

@@ -9,12 +9,13 @@ first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .core import DEFAULT_TOL, FiniteSpace, _freeze
+from .numutil import gram_quotient
 
 
 class NotAModuleError(ValueError):
@@ -107,11 +108,6 @@ class ModuleOperator:
 
     def adjoint(self) -> "ModuleOperator":
         return ModuleOperator(self.module, tuple(b.conj().T for b in self.blocks))
-
-    def compose(self, other: "ModuleOperator") -> "ModuleOperator":
-        if other.module != self.module:
-            raise ValueError("operators live on different modules")
-        return ModuleOperator(self.module, tuple(a @ b for a, b in zip(self.blocks, other.blocks)))
 
 
 def _same_module(a, b) -> None:
@@ -273,18 +269,15 @@ def sectionalize(
         u, s, _ = np.linalg.svd(L[k])
         rank = int((s > tol * (1.0 + (s[0] if len(s) else 0.0))).sum())
         V = u[:, :rank]
-        M = V.conj().T @ G[k] @ V
-        M = (M + M.conj().T) / 2
-        lam, Q = np.linalg.eigh(M) if rank else (np.zeros(0), np.zeros((0, 0)))
-        cutoff = tol * (1.0 + (lam.max() if len(lam) else 0.0))
-        if len(lam) and lam.min() < -cutoff:
-            raise NotAModuleError("positivity", f"fiber {k} gram is indefinite")
-        keep = lam > cutoff
-        if rank and not keep.all():
+        try:
+            ((coord, pinv),) = gram_quotient([V.conj().T @ G[k] @ V], tol)
+        except ValueError:
+            raise NotAModuleError("positivity", f"fiber {k} gram is indefinite") from None
+        if len(coord) < rank:
             raise NotAModuleError(
                 "definiteness", f"fiber {k} carries a nonzero vector of zero length"
             )
-        B = V @ Q / np.sqrt(np.where(keep, lam, 1.0))[None, :] if rank else np.zeros((dim, 0))
+        B = V @ pinv
         dims.append(rank)
         coord_maps.append(B.conj().T @ G[k] @ L[k])
     module = SectionalModule(space, tuple(dims))
@@ -305,18 +298,6 @@ def banach_stone_operator(
         y = int(sigma[x])
         u = np.asarray(u_mats[x], dtype=complex).reshape(dims[x], dims[y])
         out[off[x] : off[x] + dims[x], off[y] : off[y] + dims[y]] = u
-    return out
-
-
-def _block_diag(blocks: list[np.ndarray]) -> np.ndarray:
-    rows = sum(b.shape[0] for b in blocks)
-    cols = sum(b.shape[1] for b in blocks)
-    out = np.zeros((rows, cols), dtype=complex)
-    r = c = 0
-    for b in blocks:
-        out[r : r + b.shape[0], c : c + b.shape[1]] = b
-        r += b.shape[0]
-        c += b.shape[1]
     return out
 
 
@@ -350,6 +331,12 @@ class TensorProduct:
     a flattened basis index of the left module and a a fiber-m basis index of
     the right one) isometrically onto the quotient fiber; ``coord_pinv[m]``
     is a right inverse choosing a representative coefficient vector.
+
+    Both are block diagonal: block i holds the zero-padded quotient maps
+    ``piece_coord[p, m]`` and ``piece_pinv[p, m]`` of rho2(e_p) at m, p the
+    fiber of i.  So fiber m has the coordinates (p, l, a), l a basis index
+    of the left fiber p and a one of that quotient, at ``rows[p, m, l, a]``
+    (one past the largest fiber for padding).
     """
 
     left: SectionalModule
@@ -357,6 +344,9 @@ class TensorProduct:
     module: SectionalModule
     coord: tuple[np.ndarray, ...]
     coord_pinv: tuple[np.ndarray, ...]
+    rows: np.ndarray = field(repr=False)
+    piece_coord: np.ndarray = field(repr=False)
+    piece_pinv: np.ndarray = field(repr=False)
 
     def embed(self, x1: ModuleVector, x2: ModuleVector) -> ModuleVector:
         """The class of the simple tensor x1 (x) x2."""
@@ -382,29 +372,48 @@ def internal_tensor(
     The semi-inner product of simple tensors is
     ``<x (x) y, x' (x) y'> = <y, rho2(<x, x'>) y'>``; each fiber of the result
     is the quotient of the simple-tensor span by the null space of the
-    corresponding gram, with eigenvalues below ``tol * (1 + max)`` cut off.
+    corresponding gram.  That gram is block diagonal with the projection
+    rho2(e_p) at every basis vector of x1's fiber p, so each projection at
+    m is quotiented once, over the nonzero fibers of x1 (with the cutoff of
+    :func:`.numutil.gram_quotient`), and placed along the basis.
     """
     if x1.space != x2.space:
         raise ValueError("tensor factors must share the base space")
     _check_projection_rep(rho2, x2, tol)
 
-    D1 = x1.total_dim
-    fiber_of = [p for p in x1.space.points() for _ in range(x1.fiber_dims[p])]
-    dims, coords, pinvs = [], [], []
-    for m in x2.space.points():
-        d2 = x2.fiber_dims[m]
-        gram = _block_diag([rho2[fiber_of[i]].blocks[m] for i in range(D1)]) if D1 else np.zeros((0, 0))
-        size = D1 * d2
-        gram = gram.reshape(size, size) if size else np.zeros((0, 0))
-        gram = (gram + gram.conj().T) / 2
-        lam, V = np.linalg.eigh(gram) if size else (np.zeros(0), np.zeros((0, 0)))
-        cutoff = tol * (1.0 + (lam.max() if len(lam) else 0.0))
-        if len(lam) and lam.min() < -cutoff:
-            raise ValueError(f"tensor gram at point {m} is indefinite")
-        keep = lam > cutoff
-        lk, Vk = lam[keep], V[:, keep]
-        dims.append(int(keep.sum()))
-        coords.append(np.sqrt(lk)[:, None] * Vk.conj().T)
-        pinvs.append(Vk / np.sqrt(lk)[None, :])
-    module = SectionalModule(x1.space, tuple(dims))
-    return TensorProduct(x1, x2, module, tuple(coords), tuple(pinvs))
+    n, d1, d2 = x1.n_points, np.asarray(x1.fiber_dims), x2.fiber_dims
+    live = np.flatnonzero(d1)
+    ranks = np.zeros((n, n), dtype=np.intp)
+    piece_coord = np.zeros((n, n, max(d2), max(d2)), dtype=complex)
+    piece_pinv = np.zeros_like(piece_coord)
+    for m, d in enumerate(d2):
+        try:
+            quotients = gram_quotient([rho2[p].blocks[m] for p in live], tol)
+        except ValueError:
+            raise ValueError(f"tensor gram at point {m} is indefinite") from None
+        for p, (c, pinv) in zip(live, quotients):
+            ranks[p, m] = len(c)
+            piece_coord[p, m, : len(c), :d] = c
+            piece_pinv[p, m, :d, : len(c)] = pinv
+    piece_coord, piece_pinv = piece_coord[:, :, : ranks.max()], piece_pinv[..., : ranks.max()]
+    size = d1[:, None] * ranks
+    dims = tuple(int(d) for d in size.sum(axis=0))
+    l, a = np.arange(d1.max())[:, None], np.arange(ranks.max())
+    rows = (np.cumsum(size, axis=0) - size)[:, :, None, None] + l * ranks[:, :, None, None] + a
+    rows = np.where((l < d1[:, None, None, None]) & (a < ranks[:, :, None, None]), rows, max(dims))
+
+    # block i of coord[m] takes the columns i * d2_m + b to the rows of
+    # (fiber_of[i], l_i, a); the row past the fibers collects the padding
+    fiber_of = np.repeat(np.arange(n), d1)
+    basis, at = np.arange(len(fiber_of)), rows.swapaxes(0, 1)[:, l[:, 0] < d1[:, None]]  # (m, i, a)
+    coords, pinvs = [], []
+    for m, d in enumerate(d2):
+        r, c = at[m, :, :, None], basis[:, None, None] * d + np.arange(d)
+        coord = np.zeros((max(dims) + 1, len(basis) * d), dtype=complex)
+        coord[r, c] = piece_coord[fiber_of, m, :, :d]
+        pinv = np.zeros((len(basis) * d, max(dims) + 1), dtype=complex)
+        pinv[c.swapaxes(1, 2), r.swapaxes(1, 2)] = piece_pinv[fiber_of, m, :d]
+        coords.append(coord[: dims[m]])
+        pinvs.append(pinv[:, : dims[m]])
+    module = SectionalModule(x1.space, dims)
+    return TensorProduct(x1, x2, module, tuple(coords), tuple(pinvs), rows, piece_coord, piece_pinv)

@@ -180,9 +180,17 @@ class TestVerifyCommand:
         assert checks["equivariant_rep", "relation (ii) inner products"]["where"] == {"g": 1, "x": 0}
         assert checks["equivariant_rep", "v homomorphism"]["where"] == {"g": 1, "h": 1, "x": 0}
         assert checks["cocycle", "cocycle identity"]["where"] == {"g": 1, "h": 1, "x": 0}
+        assert checks["equivariant_rep", "v isometric"]["where"] == {"g": 1, "x": 0, "i": 0}
         # the unitary i * identity breaks the cocycle identity but not unitarity
         assert "where" not in checks["cocycle", "unitarity"]
-        located = {"relation (i) covariance", "relation (ii) inner products", "v homomorphism", "unitarity", "cocycle identity"}
+        located = {
+            "relation (i) covariance",
+            "relation (ii) inner products",
+            "v homomorphism",
+            "v isometric",
+            "unitarity",
+            "cocycle identity",
+        }
         for (target, name), check in checks.items():
             if name not in located:
                 assert "where" not in check, name

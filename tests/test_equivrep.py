@@ -570,10 +570,28 @@ class TestBatchedVerifyEquivariant:
                 for h in range(order)
                 for x in range(n)
             }
+            unital = {(x,): max_abs(sum(r.blocks[x] for r in rho) - np.eye(rep.module.fiber_dims[x])) for x in range(n)}
+            multiplicative = {
+                (k, l, x): max_abs(rho[k].blocks[x] @ rho[l].blocks[x] - (k == l) * rho[k].blocks[x])
+                for k in range(n)
+                for l in range(n)
+                for x in range(n)
+            }
+            adjoint = {(k, x): max_abs(rho[k].blocks[x] - rho[k].blocks[x].conj().T) for k in range(n) for x in range(n)}
+            isometric = {
+                (g, x, i): abs(np.linalg.norm(v[g][x][:, i]) - 1.0)
+                for g in range(order)
+                for x in range(n)
+                for i in range(v[g][x].shape[1])
+            }
             for check, table in (
+                ("rho unital", unital),
+                ("rho multiplicative", multiplicative),
+                ("rho self-adjoint", adjoint),
                 ("relation (ii) inner products", unitary),
                 ("relation (i) covariance", covariance),
                 ("v homomorphism", hom),
+                ("v isometric", isometric),
             ):
                 if report.residual_of(check) > 0.0:
                     assert_located(report, check, table, exact=name != "relation (i) covariance")
@@ -583,7 +601,31 @@ class TestBatchedVerifyEquivariant:
         where = {c.name: c.where for c in report.checks}
         assert where["relation (ii) inner products"] == {"g": 1, "x": 0}
         assert where["v homomorphism"] == {"g": 1, "h": 1, "x": 0}
-        assert where["rho unital"] is None and where["v isometric"] is None
+        assert where["rho unital"] is None and where["v isometric"] == {"g": 1, "x": 0, "i": 0}
+
+    @pytest.mark.parametrize(
+        "name, fault, where",
+        [
+            ("rho unital", lambda rep, p: _mutate_rho(rep, 1, 2, 2.0 * p[1]), {"x": 2}),
+            (
+                "rho multiplicative",
+                # p_1 + E_12 + E_21 is Hermitian but not idempotent
+                lambda rep, p: _mutate_rho(rep, 1, 2, p[1] + np.eye(3)[[0, 2, 1]] - p[0]),
+                {"k": 1, "l": 1, "x": 2},
+            ),
+            ("rho self-adjoint", lambda rep, p: _mutate_rho(rep, 1, 2, p[1] + np.diag([0.0, 1.0], k=1)), {"k": 1, "x": 2}),
+            ("v isometric", lambda rep, p: _mutate_v(rep, 2, 1, rep.v_mats[2][1] @ np.diag([1.0, 0.5, 1.0])), {"g": 2, "x": 1, "i": 1}),
+        ],
+        ids=lambda c: c if isinstance(c, str) else "",
+    )
+    def test_faulted_block_located(self, name, fault, where):
+        """One faulted block past the origin: the check fails there and
+        names it; no check that still passes names a location."""
+        p = [np.diag(np.eye(3)[j]).astype(complex) for j in range(3)]
+        report = verify_equivariant(fault(sigma_example_rep(3), p))
+        check = next(c for c in report.checks if c.name == name)
+        assert not check.passed and check.where == where
+        assert all(c.where is None for c in report.checks if c.passed)
 
     def test_nan_fails(self):
         rep = sigma_example_rep(3)
