@@ -7,11 +7,12 @@ dimensional), the sigma_n examples (n = 2..5), the representations that
 assorted small systems and from the unit multiplier on sigma_8, each with
 its cocycle, and a seeded cocycle of the natural S_5 action on
 2-dimensional fibers with the representation it induces over the identity
-map, and runs every payload through
-``cli.main(["verify", "--inline", ...])`` in this process.  Each must exit 0
-with a passed report, and decoding the payload must give back the original
-padded stacks bit for bit (compared as integers, so the sign of a zero
-counts).  Two covariant pairs follow: the regular pair of sigma_12, which
+map.  Last comes a random representation of sigma_8 with its cocycle, drawn
+after all the others so that their payloads do not depend on it.  Every
+payload runs through ``cli.main(["verify", "--inline", ...])`` in this
+process.  Each must exit 0 with a passed report, and decoding the payload
+must give back the original padded stacks bit for bit (compared as
+integers, so the sign of a zero counts).  Two covariant pairs follow: the regular pair of sigma_12, which
 must pass, and the regular pair of S_3 on three letters with two rows of
 u(1) swapped, which must exit 1 naming ``u unitary homomorphism`` and where
 it fails.  Every run treats warnings as errors, and every report must parse
@@ -64,6 +65,9 @@ def cases(seed: int):
     conj = np.stack([random_unitary(2, rng) for _ in range(5)])
     c = CocycleRep(s5, SectionalModule(s5.space, (2,) * 5), conj @ conj[s5.src].conj().swapaxes(-1, -2))
     yield "s5_natural", rho_from_sigma(EquivariantMap(s5, tuple(range(5))), c), c
+    # drawn last, so that every earlier payload stays byte-identical
+    rep = random_equivariant_rep(sigma_system(8), rng, max_dim=2)
+    yield "random/sigma_8", rep, v_to_cocycle(group_part(rep))
 
 
 def same_bits(a: np.ndarray, b: np.ndarray) -> bool:

@@ -11,6 +11,7 @@ surjective isometries of the section space.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
@@ -93,27 +94,45 @@ class EquivariantMap:
         sigma = tuple(int(s) for s in self.sigma)
         if len(sigma) != n or any(not 0 <= s < n for s in sigma):
             raise ValueError("sigma must map base points to base points")
-        for g in range(self.action.group.order):
-            for x in range(n):
-                if sigma[self.action.apply(g, x)] != self.action.apply(g, sigma[x]):
-                    raise ValueError(
-                        f"map is not equivariant: sigma(g.x) != g.sigma(x) at (g, x) = ({g}, {x})"
-                    )
+        perm, image = self.action.perm, np.asarray(sigma)
+        bad = np.argwhere(image[perm] != perm[:, image])
+        if bad.size:
+            raise ValueError(
+                f"map is not equivariant: sigma(g.x) != g.sigma(x) at (g, x) = ({bad[0][0]}, {bad[0][1]})"
+            )
         object.__setattr__(self, "sigma", sigma)
 
 
-def equivariant_maps(action: GroupAction) -> list[EquivariantMap]:
-    """All equivariant self-maps of the base (brute-force enumeration)."""
-    import itertools
+def _map_choices(action: GroupAction) -> tuple[np.ndarray, list[list[int]]]:
+    """The orbit representatives r, each the smallest point of its orbit,
+    and for each the targets y with Stab(r) in Stab(y), both increasing.  An
+    equivariant map sets sigma(g.r) = g.y for one target y per r.  Every
+    point below a representative lies in the orbit of a smaller one, so the
+    lexicographic order of the choices is that of the maps."""
+    perm, points = action.perm, np.arange(action.space.size)
+    reps = np.flatnonzero(perm.min(axis=0) == points)
+    return reps, [np.flatnonzero((perm[perm[:, r] == r] == points).all(axis=0)).tolist() for r in reps]
 
-    n = action.space.size
-    out = []
-    for sigma in itertools.product(range(n), repeat=n):
-        try:
-            out.append(EquivariantMap(action, sigma))
-        except ValueError:
-            continue
-    return out
+
+def _equivariant_map(action: GroupAction, reps: np.ndarray, targets) -> EquivariantMap:
+    sigma = np.empty(action.space.size, dtype=np.intp)
+    sigma[action.perm[:, reps]] = action.perm[:, targets]
+    return EquivariantMap(action, tuple(sigma.tolist()))
+
+
+def equivariant_maps(action: GroupAction) -> list[EquivariantMap]:
+    """All equivariant self-maps of the base, in lexicographic order of
+    sigma (see :func:`_map_choices`)."""
+    reps, choices = _map_choices(action)
+    return [_equivariant_map(action, reps, ys) for ys in itertools.product(*choices)]
+
+
+def _decode_map(action: GroupAction, index: int) -> EquivariantMap:
+    """``equivariant_maps(action)[index]``, without listing the maps: index
+    in mixed radix, the first representative's choice most significant."""
+    reps, choices = _map_choices(action)
+    digits = np.unravel_index(index, [len(c) for c in choices])
+    return _equivariant_map(action, reps, [c[int(i)] for c, i in zip(choices, digits)])
 
 
 def verify_cocycle(c: CocycleRep, tol: float = DEFAULT_TOL) -> CheckReport:

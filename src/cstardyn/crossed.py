@@ -66,9 +66,10 @@ def verify_covariant(rep: CovariantRep, tol: float = DEFAULT_TOL) -> CheckReport
     A nonzero residual is located at the first pair in loop order attaining
     it: ``pi representation`` at (j, k), for |pi(e_j) pi(e_k) - delta_jk
     pi(e_j)| and, at j = k, |pi(e_j) - pi(e_j)*|, with the unit defect
-    |sum_j pi(e_j) - 1| checked after all pairs and located at none;
-    ``u unitary homomorphism`` at (g, h), for |u(gh) - u(g) u(h)| and, at
-    h = g, |u(g) u(g)* - 1|; ``covariance`` at (g, j).
+    |sum_j pi(e_j) - 1| checked after all pairs and located at the first row
+    attaining it, as ``row``; ``u unitary homomorphism`` at (g, h), for
+    |u(gh) - u(g) u(h)| and, at h = g, |u(g) u(g)* - 1|; ``covariance`` at
+    (g, j).
 
     A pair whose pi(e_j) are 0/1 diagonal matrices and whose u(g) are 0/1
     permutation matrices, such as the regular pair, has its laws computed on
@@ -78,10 +79,10 @@ def verify_covariant(rep: CovariantRep, tol: float = DEFAULT_TOL) -> CheckReport
     enough to overflow give inf or NaN residuals, which fail, and no
     warning."""
     monomial = _monomial_pair(rep)
-    (pairs, unital), hom, cov = _dense_laws(rep) if monomial is None else _index_laws(rep.system, *monomial)
+    (pairs, unit), hom, cov = _dense_laws(rep) if monomial is None else _index_laws(rep.system, *monomial)
     report = CheckReport()
-    if unital > pairs.residual or (math.isnan(unital) and not math.isnan(pairs.residual)):
-        report.add("pi representation", unital, tol)
+    if unit.residual > pairs.residual or (math.isnan(unit.residual) and not math.isnan(pairs.residual)):
+        report.add("pi representation", unit.residual, tol, unit.where("row"))
     else:
         report.add("pi representation", pairs.residual, tol, pairs.where("j", "k"))
     report.add("u unitary homomorphism", hom.residual, tol, hom.where("g", "h"))
@@ -119,7 +120,7 @@ def _index_laws(system: System, masks: np.ndarray, cols: np.ndarray):
     masks[j] & masks[k], u(g) u(h) the permutation cols[h][cols[g]], and
     u(g) pi(e_j) u(g)* the diagonal of masks[j][cols[g]].  A difference of
     two distinct 0/1 diagonals or permutation matrices has max |entry| 1,
-    the unit defect is max |count of masks holding a row - 1|, and the
+    the unit defect of a row is |count of masks holding it - 1|, and the
     adjoint and unitarity defects are 0."""
     n, order = system.n_points, system.group.order
     mult, perm = system.group.mult, system.action.perm
@@ -130,7 +131,8 @@ def _index_laws(system: System, masks: np.ndarray, cols: np.ndarray):
     np.fill_diagonal(shared, False)
     pairs = fibers.Worst()
     pairs.update(shared.astype(float))
-    unital = float(np.abs(masks.sum(axis=0) - 1).max(initial=0))
+    unit = fibers.Worst()
+    unit.update(np.abs(masks.sum(axis=0) - 1).astype(float))
 
     hom = fibers.Worst()
     for lo, hi in fibers.blocks(order, order * d):
@@ -141,14 +143,14 @@ def _index_laws(system: System, masks: np.ndarray, cols: np.ndarray):
     for lo, hi in fibers.blocks(order, n * d):
         conj = masks[:, cols[lo:hi]].swapaxes(0, 1)  # [g, j] = masks[j][cols[g]]
         cov.update((masks[perm[lo:hi]] != conj).any(axis=-1).astype(float), lo)
-    return (pairs, unital), hom, cov
+    return (pairs, unit), hom, cov
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def _dense_laws(rep: CovariantRep):
     """The covariant-pair laws from the dense products, as ``((pairs,
-    unital), hom, cov)``: :class:`fibers.Worst` over (j, k), (g, h) and
-    (g, j), and the unit defect.  The products for one left factor and all
+    unit), hom, cov)``: :class:`fibers.Worst` over (j, k), the rows of the
+    unit defect, (g, h) and (g, j).  The products for one left factor and all
     right factors are one matmul against the right factors laid side by side
     (:func:`fibers.side_by_side`), formed for blocks of left factors of at
     most ``fibers.BLOCK_ELEMENTS`` entries."""
@@ -159,7 +161,8 @@ def _dense_laws(rep: CovariantRep):
     pi, u = np.stack(rep.pi_mats), np.stack(rep.u_mats)
     uh = u.conj().swapaxes(-1, -2)
 
-    unital = float(fibers.entry_max(pi.sum(axis=0) - eye))
+    unit = fibers.Worst()
+    unit.update(np.abs(pi.sum(axis=0) - eye).max(axis=-1, initial=0.0))
     pairs = fibers.Worst()
     pi_right = fibers.side_by_side(pi)
     for lo, hi in fibers.blocks(n, n * d * d):
@@ -187,7 +190,7 @@ def _dense_laws(rep: CovariantRep):
         left = (u[lo:hi] @ pi_right).reshape(hi - lo, d, n, d).transpose(0, 2, 1, 3)
         conj = (left.reshape(hi - lo, n * d, d) @ uh[lo:hi]).reshape(hi - lo, n, d, d)
         cov.update(fibers.entry_max(pi[perm[lo:hi]] - conj), lo)
-    return (pairs, unital), hom, cov
+    return (pairs, unit), hom, cov
 
 
 def regular_covariant(system: System) -> CovariantRep:

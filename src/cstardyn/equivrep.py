@@ -16,17 +16,18 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import fibers
-from .core import DEFAULT_TOL, System
+from .core import DEFAULT_TOL, FiniteSpace, GroupAction, System
 from .hilbmod import (
     ModuleOperator,
     ModuleVector,
     SectionalModule,
+    _check_projection_rep,
     banach_stone_operator,
     internal_tensor,
     module_action,
     trivial_module,
 )
-from .numutil import gram_quotient, matrix_rank, max_abs, max_abs_over, nearest_unitary, null_space
+from .numutil import gram_quotient, matrix_rank, max_abs, max_abs_over
 from .reporting import CheckReport
 
 
@@ -478,86 +479,56 @@ def unitarily_equivalent(
     attempts: int = 8,
     seed: int = 11,
 ) -> Optional[list[np.ndarray]]:
-    """Per-fiber unitaries intertwining two representations, or None.
+    """Per-fiber unitaries W_x with W_x rho1(e_k)_x = rho2(e_k)_x W_x and
+    W_x v1(g)_x = v2(g)_x W_{g^{-1}x}, or None.
 
-    Solves the linear intertwiner equations on the generators of rho and v,
-    then projects random null-space elements to the nearest per-fiber unitary
-    and keeps a solution that satisfies the equations within tolerance.
+    Decided as cocycle equivalence over point pairs.  By relation (i), v(g)
+    maps the range H_{g^{-1}x, g^{-1}k} of rho(e_{g^{-1}k}) in fiber g^{-1}x
+    onto H_{x,k}.  So in orthonormal bases B(x, k) of these pieces,
+    u(g)_{x*n+k} = B(x,k)* v(g)_x B(g^{-1}x, g^{-1}k) is a cocycle over the
+    diagonal action on pairs (x, k), and the representations are equivalent
+    exactly when these cocycles are: piece ranks that differ give different
+    fibers, hence None.  :func:`.cocycle.cocycle_equivalent` (given ``tol``,
+    ``attempts`` and ``seed``) finds U, and W_x = sum_k B2(x,k) U(x*n+k)
+    B1(x,k)* is returned if it intertwines the given representations within
+    tolerance.  Raises ValueError naming the point where a rho is not a
+    family of orthogonal projections.
     """
+    from .cocycle import CocycleRep, cocycle_equivalent
+
     if r1.system != r2.system or r1.module.fiber_dims != r2.module.fiber_dims:
         return None
     sys_ = r1.system
-    n = r1.module.n_points
-    dims = r1.module.fiber_dims
-    var_off = [0]
-    for d in dims:
-        var_off.append(var_off[-1] + d * d)
-    nvars = var_off[-1]
-    if nvars == 0:
-        return [np.zeros((0, 0), dtype=complex) for _ in range(n)]
-
-    rows = []
-    for x in range(n):
-        d = dims[x]
-        if d == 0:
-            continue
-        for k in range(n):
-            # W_x A - B W_x = 0
-            A = r1.rho[k].blocks[x]
-            B = r2.rho[k].blocks[x]
-            block = np.zeros((d * d, nvars), dtype=complex)
-            block[:, var_off[x] : var_off[x + 1]] = np.kron(np.eye(d), A.T) - np.kron(B, np.eye(d))
-            rows.append(block)
-    for g in range(sys_.group.order):
-        for x in range(n):
-            y = sys_.action.apply_inv(g, x)
-            dx, dy = dims[x], dims[y]
-            if dx * dy == 0:
-                continue
-            U1 = r1.v_mats[g][x]
-            U2 = r2.v_mats[g][x]
-            block = np.zeros((dx * dy, nvars), dtype=complex)
-            block[:, var_off[x] : var_off[x + 1]] += np.kron(np.eye(dx), U1.T)
-            block[:, var_off[y] : var_off[y + 1]] -= np.kron(U2, np.eye(dy))
-            rows.append(block)
-    M = np.concatenate(rows, axis=0) if rows else np.zeros((0, nvars))
-    basis = null_space(M, tol)
-    if basis.shape[1] == 0:
+    n, order, perm = sys_.n_points, sys_.group.order, sys_.action.perm
+    dims, d = r1.module.fiber_dims, max(r1.module.fiber_dims)
+    pairs = GroupAction(sys_.group, FiniteSpace(n * n), (perm[:, :, None] * n + perm[:, None, :]).reshape(order, -1))
+    split = []
+    for rep in (r1, r2):
+        _check_projection_rep(rep.rho, rep.module, tol)
+        pieces = [q for x in range(n) for _, q in gram_quotient([op.blocks[x] for op in rep.rho], tol)]
+        ranks = tuple(q.shape[1] for q in pieces)
+        r = max(ranks)
+        b = np.zeros((n * n, d, r), dtype=complex)  # b[x*n + k]: B(x, k), zero padded
+        for p, q in enumerate(pieces):
+            b[p, : len(q), : q.shape[1]] = q
+        bh = b.conj().swapaxes(-1, -2).reshape(n, n, r, d)
+        u = (bh @ rep.v_stack[:, :, None]).reshape(order, n * n, r, d) @ b[pairs.src]
+        split.append((b, CocycleRep(pairs, SectionalModule(pairs.space, ranks), u)))
+    (b1, c1), (b2, c2) = split
+    mats = cocycle_equivalent(c1, c2, tol, attempts, seed)
+    if mats is None:
         return None
-
-    scale = 1.0 + max(
-        [max_abs(b) for r in (r1, r2) for op in r.rho for b in op.blocks]
-        + [max_abs(u) for r in (r1, r2) for fam in r.v_mats for u in fam],
-    )
-    rng = np.random.default_rng(seed)
-    for _ in range(attempts):
-        c = rng.normal(size=basis.shape[1]) + 1j * rng.normal(size=basis.shape[1])
-        w = basis @ c
-        mats, ok = [], True
-        for x in range(n):
-            d = dims[x]
-            W = w[var_off[x] : var_off[x + 1]].reshape(d, d)
-            U = nearest_unitary(W)
-            if U is None:
-                ok = False
-                break
-            mats.append(U)
-        if not ok:
-            continue
-        if _intertwiner_residual(r1, r2, mats) <= tol * scale:
-            return mats
-    return None
+    u = np.zeros((n * n,) + b1.shape[-1:] * 2, dtype=complex)
+    for p, m in enumerate(mats):
+        u[p, : len(m), : len(m)] = m
+    w = (b2 @ u @ b1.conj().swapaxes(-1, -2)).reshape(n, n, d, d).sum(axis=1)
+    w = [w[x, :dx, :dx] for x, dx in enumerate(dims)]
+    scale = 1.0 + max_abs_over((r1.rho_stack, r1.v_stack, r2.rho_stack, r2.v_stack))
+    return w if _intertwiner_residual(r1, r2, w) <= tol * scale else None
 
 
 def _intertwiner_residual(r1: EquivariantRep, r2: EquivariantRep, mats: Sequence[np.ndarray]) -> float:
-    sys_ = r1.system
-    n = r1.module.n_points
-    src = sys_.action.src
-    return max_abs_over(
-        [mats[x] @ r1.rho[k].blocks[x] - r2.rho[k].blocks[x] @ mats[x] for x in range(n) for k in range(n)]
-        + [
-            mats[x] @ r1.v_mats[g][x] - r2.v_mats[g][x] @ mats[src[g, x]]
-            for g in range(sys_.group.order)
-            for x in range(n)
-        ]
-    )
+    """max |W rho1(e_k) - rho2(e_k) W| and |W_x v1(g)_x - v2(g)_x W_{g^{-1}x}|
+    over all k, g and x, on the padded stacks; NaN propagates."""
+    w = fibers.stack_blocks([mats], r1.module.fiber_dims)[0]
+    return max_abs_over((w @ r1.rho_stack - r2.rho_stack @ w, w @ r1.v_stack - r2.v_stack @ w[r1.system.action.src]))

@@ -6,11 +6,12 @@ explicit numpy Generator so runs are reproducible.
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 import numpy as np
 
-from .cocycle import CocycleRep, equivariant_maps, rho_from_sigma
+from .cocycle import CocycleRep, _decode_map, _map_choices, rho_from_sigma
 from .core import (
     FiniteGroup,
     GroupAction,
@@ -138,9 +139,11 @@ def random_equivariant_rep(
     system: System, rng: np.random.Generator, max_dim: int = 3, allow_composites: bool = True
 ) -> EquivariantRep:
     """A random representation: a base-map/cocycle pair, possibly combined
-    into direct sums or amplified."""
-    maps = equivariant_maps(system.action)
-    sigma = maps[int(rng.integers(0, len(maps)))]
+    into direct sums or amplified.  The base map is drawn uniformly from
+    ``equivariant_maps(system.action)`` by its index, without listing the
+    maps."""
+    _, choices = _map_choices(system.action)
+    sigma = _decode_map(system.action, int(rng.integers(0, math.prod(len(c) for c in choices))))
 
     def base(max_d: int) -> EquivariantRep:
         return rho_from_sigma(sigma, random_cocycle(system.action, rng, max_d))

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from cstardyn.cocycle import (
     CocycleCompatibilityError,
+    _decode_map,
     CocycleRep,
     EquivariantMap,
     GroupPart,
@@ -29,9 +31,16 @@ from cstardyn.cyclic_examples import (
     sigma_system,
 )
 from cstardyn import fibers
-from cstardyn.core import DEFAULT_TOL
+from cstardyn.core import DEFAULT_TOL, FiniteSpace, GroupAction, System, symmetric_group
 from cstardyn.equivrep import trivial_rep, verify_equivariant
-from cstardyn.generators import assorted_small_systems, random_cocycle, random_unitary, standard_systems
+from cstardyn.generators import (
+    assorted_small_systems,
+    random_cocycle,
+    random_equivariant_rep,
+    random_unitary,
+    relabeled_system,
+    standard_systems,
+)
 from cstardyn.hilbmod import SectionalModule
 from cstardyn.numutil import max_abs
 from cstardyn.reporting import CheckReport
@@ -206,6 +215,60 @@ class TestEquivariantMap:
     def test_non_equivariant_rejected(self, z3_cycle):
         with pytest.raises(ValueError, match=r"\(g, x\) = \(\d, \d\)"):
             EquivariantMap(z3_cycle.action, (0, 0, 1))
+
+
+def reference_equivariant_maps(action) -> list[EquivariantMap]:
+    """The brute-force enumeration :func:`equivariant_maps` used to run, kept
+    as the test oracle: every one of the n^n self-maps, in lexicographic
+    order, that passes the equivariance check."""
+    n = action.space.size
+    out = []
+    for sigma in itertools.product(range(n), repeat=n):
+        try:
+            out.append(EquivariantMap(action, sigma))
+        except ValueError:
+            continue
+    return out
+
+
+def map_systems() -> list[tuple[str, System]]:
+    """The assorted systems, omega_1..5, sigma_1..6 and the natural actions of
+    S_3 and S_4, and a relabelled copy of each with the identity not element 0."""
+    systems = [(f"assorted_{i}", s) for i, s in enumerate(assorted_small_systems())]
+    systems += [(f"omega_{n}", omega_system(n)) for n in range(1, 6)]
+    systems += [(f"sigma_{n}", sigma_system(n)) for n in range(1, 7)]
+    for m in (3, 4):
+        perms = np.array(sorted(itertools.permutations(range(m))), dtype=np.intp)
+        systems.append((f"natural_s{m}", System(GroupAction(symmetric_group(m), FiniteSpace(m), perms))))
+    rng = np.random.default_rng(9)
+    return systems + [(f"relabeled_{name}", relabeled_system(s, rng)) for name, s in systems]
+
+
+class TestEquivariantMapsFromOrbits:
+    @pytest.mark.parametrize("label,system", map_systems(), ids=lambda c: c if isinstance(c, str) else "")
+    def test_matches_brute_force_and_decoding(self, label, system):
+        reference = [m.sigma for m in reference_equivariant_maps(system.action)]
+        assert [m.sigma for m in equivariant_maps(system.action)] == reference
+        assert [_decode_map(system.action, k).sigma for k in range(len(reference))] == reference
+
+    def test_seeded_draw_unchanged(self):
+        # random_equivariant_rep draws an index into equivariant_maps, so its
+        # seeded representations are those drawn from the listed maps
+        for _, system in map_systems():
+            if system.n_points > 4:
+                continue
+            rep = random_equivariant_rep(system, np.random.default_rng(5), allow_composites=False)
+            rng = np.random.default_rng(5)
+            maps = reference_equivariant_maps(system.action)
+            sigma = maps[int(rng.integers(0, len(maps)))]
+            want = rho_from_sigma(sigma, random_cocycle(system.action, rng, 3))
+            assert np.array_equal(rep.rho_stack, want.rho_stack) and np.array_equal(rep.v_stack, want.v_stack)
+
+    @pytest.mark.parametrize("n", [8, 12])
+    def test_random_rep_on_large_shift_systems(self, n):
+        # sigma_8 alone has 8^8 candidate self-maps, so the draw lists none
+        rep = random_equivariant_rep(sigma_system(n), np.random.default_rng(n))
+        assert verify_equivariant(rep).passed
 
 
 class TestRhoFromSigma:

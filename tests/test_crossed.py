@@ -682,7 +682,8 @@ def reference_verify_covariant(rep, tol: float = 1e-9):
     test oracle for the batched and the index versions.  Each nonzero
     residual is located at the first pair in loop order attaining it; the
     adjoint defect of pi(e_j) counts at (j, j), the unitarity defect of u(g)
-    at (g, g), and the unit defect of pi comes after all pairs, at none."""
+    at (g, g), and the unit defect of pi comes after all pairs, at the first
+    row attaining it."""
     report = CheckReport()
     sys_ = rep.system
     n, order, d = sys_.n_points, sys_.group.order, rep.dim
@@ -697,9 +698,9 @@ def reference_verify_covariant(rep, tol: float = 1e-9):
                 r = max(r, max_abs(rep.pi_mats[j] - rep.pi_mats[j].conj().T))
             if r > res:
                 res, where = r, {"j": j, "k": k}
-    unital = max_abs(sum(rep.pi_mats) - eye)
-    if unital > res:
-        res, where = unital, None
+    for row, defect in enumerate(sum(rep.pi_mats) - eye):
+        if max_abs(defect) > res:
+            res, where = max_abs(defect), {"row": row}
     report.add("pi representation", res, tol, where)
 
     res, where = 0.0, None
@@ -745,6 +746,8 @@ def covariant_cases():
     pi, u = list(flip.pi_mats), list(flip.u_mats)
     cases += [
         ("fault/pi", "pi representation", CovariantRep(flip.system, flip.dim, (2 * pi[0], pi[1]), u)),
+        # halving pi(e_0) leaves its square off by 1/4 and the unit off by 1/2
+        ("fault/unit", "pi representation", CovariantRep(flip.system, flip.dim, (pi[0] / 2, pi[1]), u)),
         ("fault/u", "u unitary homomorphism", CovariantRep(flip.system, flip.dim, pi, (u[0], 1j * u[1]))),
         # u = identity is a unitary homomorphism, but does not move the points
         ("fault/covariance", "covariance", CovariantRep(flip.system, flip.dim, pi, (u[0], u[0]))),
@@ -783,6 +786,14 @@ class TestBatchedVerifyCovariant:
         assert [c.where for c in report.checks] == [c.where for c in reference.checks]
         assert [c.where for c in report.checks[:-1]] == [None, {"g": 1, "h": 2}]
 
+    def test_unit_defect_located(self):
+        # fault/unit takes the dense path: the defect 1/2 is first attained at
+        # row 0, which pi(e_0) of the regular sigma_2 pair holds
+        rep = next(rep for label, _, rep in covariant_cases() if label == "fault/unit")
+        assert crossed._monomial_pair(rep) is None
+        check = verify_covariant(rep).checks[0]
+        assert (check.residual, check.where) == (0.5, {"row": 0})
+
     def test_nan_fails(self, z2_flip):
         reg = regular_covariant(z2_flip)
         pi = [m.copy() for m in reg.pi_mats]
@@ -819,6 +830,12 @@ def monomial_fault_cases():
             (f"{name}/row in no mask", pair(pi=(missing, *reg.pi_mats[1:]))),
             (f"{name}/u(g) = u(e)", pair(u=[reg.u_mats[e] if k == g else m for k, m in enumerate(reg.u_mats)])),
         ]
+    # the regular sigma_3 pair with the last row of pi(e_0), row 7, zeroed
+    reg = regular_covariant(sigma_system(3))
+    missing = reg.pi_mats[0].copy()
+    missing[7, 7] = 0.0
+    faulted = CovariantRep(reg.system, reg.dim, (missing, *reg.pi_mats[1:]), reg.u_mats)
+    cases.append(("sigma_3/row 7 in no mask", faulted))
     return cases
 
 
@@ -839,9 +856,11 @@ class TestIndexVerifyCovariant:
     def test_fault_locations(self):
         where = {label: [c.where for c in verify_covariant(rep).checks] for label, rep in monomial_fault_cases()}
         # two masks holding row 0 of pi(e_1) overlap first at (0, 1); a row
-        # in no mask breaks only the unit, which no pair locates
+        # in no mask breaks only the unit, which is located at that row
         assert where["s3/row shared by two masks"][0] == {"j": 0, "k": 1}
-        assert where["s3/row in no mask"][0] is None
+        reg = regular_covariant(assorted_small_systems()[-1])
+        assert where["s3/row in no mask"][0] == {"row": int(np.flatnonzero(reg.pi_mats[0].diagonal())[0])}
+        assert where["sigma_3/row 7 in no mask"][0] == {"row": 7}
         # element 1 of S_3 is the transposition of the points 1 and 2: u(1 1)
         # = u(e) fails against the square of the faulted u(1) first
         assert where["s3/u(1) rows swapped"][1] == {"g": 1, "h": 1}

@@ -30,6 +30,7 @@ from cstardyn.generators import (
     random_cocycle,
     random_constant_rep,
     random_equivariant_rep,
+    random_unitary,
     random_vector,
     relabeled_system,
     standard_systems,
@@ -43,7 +44,7 @@ from cstardyn.hilbmod import (
     module_norm,
 )
 from cstardyn.multiplier import Multiplier, coefficient, multiplier_distance, unit_multiplier
-from cstardyn.numutil import max_abs
+from cstardyn.numutil import max_abs, max_abs_over, nearest_unitary, null_space
 from cstardyn.reporting import CheckReport
 
 
@@ -784,3 +785,187 @@ class TestGroupLaw:
             # the same laws on v of the representation over the identity map
             names = ("relation (ii) inner products", "v homomorphism")
             assert [r[1:] for r in summary(verify_equivariant(pullback(c, stack)), names)] == [r[1:] for r in reference]
+
+
+# --------------------------------------------------------------------------
+# Equivalence as cocycle equivalence over point pairs, against the former
+# direct intertwiner search
+
+
+def reference_unitarily_equivalent(
+    r1: EquivariantRep, r2: EquivariantRep, tol: float = DEFAULT_TOL, attempts: int = 8, seed: int = 11
+):
+    """The intertwiner search :func:`unitarily_equivalent` used to run, kept
+    as the test oracle for the pair-cocycle reduction: the linear equations
+    of rho and v on all fibers at once, solved by one null space, and random
+    null vectors projected to the nearest per-fiber unitaries."""
+    if r1.system != r2.system or r1.module.fiber_dims != r2.module.fiber_dims:
+        return None
+    sys_ = r1.system
+    n = r1.module.n_points
+    dims = r1.module.fiber_dims
+    var_off = [0]
+    for d in dims:
+        var_off.append(var_off[-1] + d * d)
+    nvars = var_off[-1]
+    if nvars == 0:
+        return [np.zeros((0, 0), dtype=complex) for _ in range(n)]
+
+    rows = []
+    for x in range(n):
+        d = dims[x]
+        if d == 0:
+            continue
+        for k in range(n):
+            # W_x A - B W_x = 0
+            A = r1.rho[k].blocks[x]
+            B = r2.rho[k].blocks[x]
+            block = np.zeros((d * d, nvars), dtype=complex)
+            block[:, var_off[x] : var_off[x + 1]] = np.kron(np.eye(d), A.T) - np.kron(B, np.eye(d))
+            rows.append(block)
+    for g in range(sys_.group.order):
+        for x in range(n):
+            y = sys_.action.apply_inv(g, x)
+            dx, dy = dims[x], dims[y]
+            if dx * dy == 0:
+                continue
+            block = np.zeros((dx * dy, nvars), dtype=complex)
+            block[:, var_off[x] : var_off[x + 1]] += np.kron(np.eye(dx), r1.v_mats[g][x].T)
+            block[:, var_off[y] : var_off[y + 1]] -= np.kron(r2.v_mats[g][x], np.eye(dy))
+            rows.append(block)
+    M = np.concatenate(rows, axis=0) if rows else np.zeros((0, nvars))
+    basis = null_space(M, tol)
+    if basis.shape[1] == 0:
+        return None
+
+    scale = _equivalence_scale(r1, r2)
+    rng = np.random.default_rng(seed)
+    for _ in range(attempts):
+        c = rng.normal(size=basis.shape[1]) + 1j * rng.normal(size=basis.shape[1])
+        w = basis @ c
+        mats = [nearest_unitary(w[var_off[x] : var_off[x + 1]].reshape(d, d)) for x, d in enumerate(dims)]
+        if any(m is None for m in mats):
+            continue
+        if reference_intertwiner_residual(r1, r2, mats) <= tol * scale:
+            return mats
+    return None
+
+
+def reference_intertwiner_residual(r1: EquivariantRep, r2: EquivariantRep, mats) -> float:
+    """The per-(k, x) and per-(g, x) loop ``_intertwiner_residual`` used to
+    run, kept as the oracle for the stacked version."""
+    n, src = r1.module.n_points, r1.system.action.src
+    return max_abs_over(
+        [mats[x] @ r1.rho[k].blocks[x] - r2.rho[k].blocks[x] @ mats[x] for x in range(n) for k in range(n)]
+        + [
+            mats[x] @ r1.v_mats[g][x] - r2.v_mats[g][x] @ mats[src[g, x]]
+            for g in range(r1.system.group.order)
+            for x in range(n)
+        ]
+    )
+
+
+EPS = np.finfo(float).eps
+
+
+def _equivalence_scale(r1: EquivariantRep, r2: EquivariantRep) -> float:
+    return 1.0 + max(
+        [max_abs(b) for r in (r1, r2) for op in r.rho for b in op.blocks]
+        + [max_abs(u) for r in (r1, r2) for fam in r.v_mats for u in fam],
+    )
+
+
+def conjugated(rep: EquivariantRep, rng) -> EquivariantRep:
+    """rep conjugated by one seeded random unitary per fiber."""
+    dims = rep.module.fiber_dims
+    w = np.zeros((len(dims), max(dims), max(dims)), dtype=complex)
+    for x, d in enumerate(dims):
+        w[x, :d, :d] = random_unitary(d, rng)
+    wh = w.conj().swapaxes(-1, -2)
+    return EquivariantRep(rep.system, rep.module, w @ rep.rho_stack @ wh, w @ rep.v_stack @ wh[rep.system.action.src])
+
+
+def equivalence_corpus() -> list[tuple[str, EquivariantRep, EquivariantRep]]:
+    """(label, r1, r2): on the assorted systems, sigma_2/3 and omega_2/3, a
+    random representation against itself, a conjugated copy and an
+    independent one, the direct sums of the two in both orders, and two
+    random representations on lines against each other and against
+    conjugated copies of either; sigma_example_rep(2)
+    and (3) against themselves and a conjugated copy; and every unordered
+    pair of the omega_example_rep(n, k, l) for n <= 4, self pairs included."""
+    rng = np.random.default_rng(16)
+    systems = [(f"assorted_{i}", s) for i, s in enumerate(assorted_small_systems())]
+    systems += [(f"sigma_{n}", sigma_system(n)) for n in (2, 3)] + [(f"omega_{n}", omega_system(n)) for n in (2, 3)]
+    cases = []
+    for name, system in systems:
+        a, b = (random_equivariant_rep(system, rng, max_dim=2) for _ in range(2))
+        c, d = (random_equivariant_rep(system, rng, max_dim=1, allow_composites=False) for _ in range(2))
+        cases += [
+            (f"{name}/self", a, a),
+            (f"{name}/conjugated", a, conjugated(a, rng)),
+            (f"{name}/independent", a, b),
+            (f"{name}/sum swapped", direct_sum_reps([a, b]), direct_sum_reps([b, a])),
+            (f"{name}/lines", c, d),
+            (f"{name}/lines conjugated", c, conjugated(d, rng)),
+            (f"{name}/line conjugated", c, conjugated(c, rng)),
+        ]
+    for n in (2, 3):
+        rep = sigma_example_rep(n)
+        cases += [(f"sigma_example_{n}/self", rep, rep), (f"sigma_example_{n}/conjugated", rep, conjugated(rep, rng))]
+    for n in range(1, 5):
+        reps = [((k, l), omega_example_rep(n, k, l)) for k in range(n) for l in range(n)]
+        pairs = itertools.combinations_with_replacement(reps, 2)
+        cases += [(f"omega_example_{n}/{p}~{q}", r1, r2) for (p, r1), (q, r2) in pairs]
+    return cases
+
+
+class TestPairCocycleEquivalence:
+    def test_verdicts_match_reference(self):
+        corpus = equivalence_corpus()
+        found = refused = 0
+        for label, r1, r2 in corpus:
+            mats, reference = unitarily_equivalent(r1, r2), reference_unitarily_equivalent(r1, r2)
+            assert (mats is None) == (reference is None), label
+            if mats is not None:
+                found += 1
+                # the stacked products sum the same unit-scale terms in another
+                # order, and fibers here have dimension at most 5
+                residual = equivrep._intertwiner_residual(r1, r2, mats)
+                assert residual == pytest.approx(reference_intertwiner_residual(r1, r2, mats), abs=16 * EPS), label
+                assert residual <= 1e-9 * _equivalence_scale(r1, r2), label
+            refused += mats is None and r1.module.fiber_dims == r2.module.fiber_dims
+        # both verdicts occur, and inequivalence not only through different
+        # fiber dimensions
+        assert (len(corpus), found, refused) == (273, 92, 47)
+
+    def test_conjugated_sigma_12_within_budget(self):
+        rep = sigma_example_rep(12)
+        other = conjugated(rep, np.random.default_rng(3))
+        tracemalloc.start()
+        try:
+            mats = unitarily_equivalent(rep, other)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert mats is not None
+        assert equivrep._intertwiner_residual(rep, other, mats) <= 1e-9 * _equivalence_scale(rep, other)
+        assert peak < 64 * 2**20
+
+    def test_different_rank_tables_none(self):
+        # the identity and the translation by 1 of sigma_3 over one cocycle:
+        # equal fibers, but rho(e_k) lives on fiber k in one, fiber k - 1 in the other
+        system = sigma_system(3)
+        c = random_cocycle(system.action, np.random.default_rng(2), max_dim=2)
+        same = rho_from_sigma(EquivariantMap(system.action, (0, 1, 2)), c)
+        shifted = rho_from_sigma(EquivariantMap(system.action, (1, 2, 0)), c)
+        assert same.module.fiber_dims == shifted.module.fiber_dims
+        assert unitarily_equivalent(same, shifted) is None
+        assert reference_unitarily_equivalent(same, shifted) is None
+
+    def test_non_idempotent_rho_raises(self):
+        rep = sigma_example_rep(3)
+        broken = _mutate_rho(rep, 0, 1, 2.0 * rep.rho[0].blocks[1])
+        with pytest.raises(ValueError, match="at point 1"):
+            unitarily_equivalent(rep, broken)
+        with pytest.raises(ValueError, match="at point 1"):
+            unitarily_equivalent(broken, rep)
