@@ -10,13 +10,17 @@ its cocycle, and a seeded cocycle of the natural S_5 action on
 map.  Last comes a random representation of sigma_8 with its cocycle, drawn
 after all the others so that their payloads do not depend on it.  Every
 payload runs through ``cli.main(["verify", "--inline", ...])`` in this
-process.  Each must exit 0 with a passed report, and decoding the payload
+process.  Each must exit 0 with a passed report, decoding the payload
 must give back the original padded stacks bit for bit (compared as
-integers, so the sign of a zero counts).  Two covariant pairs follow: the regular pair of sigma_12, which
-must pass, and the regular pair of S_3 on three letters with two rows of
-u(1) swapped, which must exit 1 naming ``u unitary homomorphism`` and where
-it fails.  Every run treats warnings as errors, and every report must parse
-as strict JSON.
+integers, so the sign of a zero counts), and ``cocycle_equivalent`` must
+find a family between the decoded cocycle and a copy conjugated by random
+per-fiber unitaries.  Those unitaries come from a second generator seeded
+from ``--seed``, so that the payloads do not depend on them.  Two
+covariant pairs follow: the regular pair of sigma_12, which must pass, and
+the regular pair of S_3 on three letters with two rows of u(1) swapped,
+which must exit 1 naming ``u unitary homomorphism`` and where it fails.
+Every run treats warnings as errors, and every report must parse as strict
+JSON.
 
 Prints one line per payload; exits 1 when any of them fails.
 
@@ -34,7 +38,14 @@ import warnings
 import numpy as np
 
 from cstardyn import cli, serialize
-from cstardyn.cocycle import CocycleRep, EquivariantMap, group_part, rho_from_sigma, v_to_cocycle
+from cstardyn.cocycle import (
+    CocycleRep,
+    EquivariantMap,
+    cocycle_equivalent,
+    group_part,
+    rho_from_sigma,
+    v_to_cocycle,
+)
 from cstardyn.core import FiniteSpace, GroupAction, symmetric_group
 from cstardyn.crossed import regular_covariant
 from cstardyn.cyclic_examples import omega_cocycle, omega_example_rep, sigma_cocycle, sigma_example_rep, sigma_system
@@ -92,7 +103,16 @@ def run_verify(payload: dict) -> tuple[int, dict | None, str]:
     return code, json.loads(text, parse_constant=reject_constant) if text else None, err.getvalue().strip()
 
 
-def check(name: str, rep, cocycle) -> list[str]:
+def conjugated(c: CocycleRep, rng: np.random.Generator) -> CocycleRep:
+    """u(x, g) conjugated to W_x u(x, g) W_{g^-1 x}* by random unitaries W."""
+    dims = c.module.fiber_dims
+    w = np.zeros((len(dims),) + (max(dims),) * 2, dtype=complex)
+    for x, d in enumerate(dims):
+        w[x, :d, :d] = random_unitary(d, rng)
+    return CocycleRep(c.action, c.module, w @ c.u_stack @ w[c.action.src].conj().swapaxes(-1, -2))
+
+
+def check(name: str, rep, cocycle, conj_rng: np.random.Generator) -> list[str]:
     """The failures of one payload, empty when it round-trips."""
     payload = json.loads(
         json.dumps(
@@ -119,6 +139,8 @@ def check(name: str, rep, cocycle) -> list[str]:
     ):
         if not same_bits(got, want):
             failures.append(f"decoded {label} differs from the original")
+    if cocycle_equivalent(back_c, conjugated(back_c, conj_rng)) is None:
+        failures.append("no equivalence found to a conjugated copy of the decoded cocycle")
     return failures
 
 
@@ -153,8 +175,9 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=11)
     args = parser.parse_args()
     failed = 0
+    conj_rng = np.random.default_rng([args.seed, 1])
     for name, rep, cocycle in cases(args.seed):
-        failures = check(name, rep, cocycle)
+        failures = check(name, rep, cocycle, conj_rng)
         failed += bool(failures)
         dims = ",".join(str(d) for d in rep.module.fiber_dims)
         print(f"{name:26s} dims ({dims}) {'FAIL' if failures else 'ok'}")

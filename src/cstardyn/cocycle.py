@@ -19,10 +19,10 @@ from typing import Optional
 import numpy as np
 
 from . import fibers
-from .core import DEFAULT_TOL, GroupAction, System
+from .core import DEFAULT_TOL, GroupAction, System, _orbit_tables
 from .equivrep import EquivariantRep
 from .hilbmod import SectionalModule, banach_stone_operator
-from .numutil import max_abs, max_abs_over, nearest_unitary, null_space
+from .numutil import max_abs, max_abs_over, nearest_unitary
 from .reporting import CheckReport
 
 
@@ -110,7 +110,7 @@ def _map_choices(action: GroupAction) -> tuple[np.ndarray, list[list[int]]]:
     point below a representative lies in the orbit of a smaller one, so the
     lexicographic order of the choices is that of the maps."""
     perm, points = action.perm, np.arange(action.space.size)
-    reps = np.flatnonzero(perm.min(axis=0) == points)
+    reps = _orbit_tables(action)[0]
     return reps, [np.flatnonzero((perm[perm[:, r] == r] == points).all(axis=0)).tolist() for r in reps]
 
 
@@ -214,63 +214,43 @@ def cocycle_equivalent(
 ) -> Optional[list[np.ndarray]]:
     """Per-fiber unitaries U(x) with U(x) u1(x, g) U(g^{-1}x)* = u2(x, g), or None.
 
-    Solves the linear intertwiner system exactly, then projects random null
-    space elements to the nearest per-fiber unitaries and keeps a family that
-    satisfies the defining equation within tolerance.
+    Decided orbit by orbit (Mackey): on its representative r (see
+    :func:`.core._orbit_tables`), s -> u(r, s) is a unitary representation
+    of the stabilizer of r, and the cocycles are equivalent exactly when
+    these representations are, that is when their characters agree.  Then
+    U(r) is the polar factor of the stabilizer average
+    sum_s u2(r, s) R u1(r, s)* of a seeded complex Gaussian R, drawn again
+    up to ``attempts`` times while that average is singular, and U is
+    carried along the orbit as U(x) = u2(x, c_x) U(r) u1(x, c_x)*, c_x the
+    carrier of x.  The family is returned if it satisfies the defining
+    equation within tolerance.
     """
     if c1.action != c2.action or c1.module.fiber_dims != c2.module.fiber_dims:
         return None
-    action = c1.action
-    n = action.space.size
-    dims = c1.module.fiber_dims
-    var_off = [0]
-    for d in dims:
-        var_off.append(var_off[-1] + d * d)
-    nvars = var_off[-1]
-    if nvars == 0:
-        return [np.zeros((0, 0), dtype=complex) for _ in range(n)]
-
-    rows = []
-    for g in range(action.group.order):
-        for x in range(n):
-            y = action.apply_inv(g, x)
-            dx, dy = dims[x], dims[y]
-            if dx * dy == 0:
-                continue
-            block = np.zeros((dx * dy, nvars), dtype=complex)
-            block[:, var_off[x] : var_off[x + 1]] += np.kron(np.eye(dx), c1.u[g][x].T)
-            block[:, var_off[y] : var_off[y + 1]] -= np.kron(c2.u[g][x], np.eye(dy))
-            rows.append(block)
-    m = np.concatenate(rows, axis=0) if rows else np.zeros((0, nvars))
-    basis = null_space(m, tol)
-    if basis.shape[1] == 0:
-        return None
-
-    scale = 1.0 + max(
-        (max_abs(u) for c in (c1, c2) for fam in c.u for u in fam), default=0.0
-    )
+    action, dims = c1.action, np.asarray(c1.module.fiber_dims)
+    u1, u2 = c1.u_stack, c2.u_stack
+    scale = 1.0 + max_abs_over((u1, u2))
+    reps, rep_of, carrier = _orbit_tables(action)
     rng = np.random.default_rng(seed)
-    for _ in range(attempts):
-        coeffs = rng.normal(size=basis.shape[1]) + 1j * rng.normal(size=basis.shape[1])
-        w = basis @ coeffs
-        mats, ok = [], True
-        for x in range(n):
-            d = dims[x]
-            cand = nearest_unitary(w[var_off[x] : var_off[x + 1]].reshape(d, d))
-            if cand is None:
-                ok = False
+    at_rep = np.zeros(u1.shape[1:], dtype=complex)  # U(r) in slot r
+    for r in reps[dims[reps] > 0]:
+        d, stab = dims[r], np.flatnonzero(action.perm[:, r] == r)
+        a, b = u1[stab, r, :d, :d], u2[stab, r, :d, :d]
+        if not max_abs(np.trace(a - b, axis1=1, axis2=2)) <= tol * scale * d:
+            return None
+        for _ in range(attempts):
+            noise = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            unitary = nearest_unitary((b @ noise @ a.conj().swapaxes(-1, -2)).sum(axis=0))
+            if unitary is not None:
+                at_rep[r, :d, :d] = unitary
                 break
-            mats.append(cand)
-        if not ok:
-            continue
-        res = max_abs_over(
-            mats[x] @ c1.u[g][x] - c2.u[g][x] @ mats[action.src[g, x]]
-            for g in range(action.group.order)
-            for x in range(n)
-        )
-        if res <= tol * scale:
-            return mats
-    return None
+        else:
+            return None
+    points = np.arange(len(dims))
+    w = u2[carrier, points] @ at_rep[rep_of] @ u1[carrier, points].conj().swapaxes(-1, -2)
+    if not max_abs(w @ u1 - u2 @ w[action.src]) <= tol * scale:
+        return None
+    return [w[x, :d, :d] for x, d in enumerate(dims)]
 
 
 def rho_from_sigma(sigma: EquivariantMap, c: CocycleRep, tol: float = DEFAULT_TOL) -> EquivariantRep:

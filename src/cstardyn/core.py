@@ -36,13 +36,15 @@ class FiniteGroup:
     """A finite group given by its multiplication table.
 
     ``mult[g, h]`` is the index of the product g*h.  The identity index and
-    the inverse table are derived (and validated) at construction time.
+    the inverse table are derived (and validated) at construction time, as
+    is ``generators``, the generating set that validation works on.
     """
 
     order: int
     mult: np.ndarray
     identity: int = field(init=False)
     inverse: np.ndarray = field(init=False)
+    generators: np.ndarray = field(init=False, repr=False)
 
     def __eq__(self, other) -> bool:
         return other is self or (
@@ -83,7 +85,8 @@ class FiniteGroup:
         # Light's test: the elements a with (xa)y == x(ay) for all x, y are
         # closed under products, so checking a generating set proves the
         # table associative; in blocks of generators a
-        gens = np.array(_generating_set(mult, identity), dtype=np.intp)
+        gens = _freeze(np.array(_generating_set(mult, identity), dtype=np.intp))
+        object.__setattr__(self, "generators", gens)
         step = max(1, _BLOCK_ELEMENTS // (self.order * self.order))
         for lo in range(0, len(gens), step):
             a = gens[lo : lo + step]
@@ -217,14 +220,19 @@ class GroupAction:
             raise ValueError(f"perm[{bad[0]}] is not a permutation")
         if not np.array_equal(perm[self.group.identity], np.arange(n)):
             raise ValueError("identity does not act trivially")
-        # perm[gh] == perm[g][perm[h]] for all (g, h), in blocks of rows g
-        rows = max(1, _BLOCK_ELEMENTS // (order * n))
-        for lo in range(0, order, rows):
-            lhs = perm[self.group.mult[lo : lo + rows]]
-            rhs = np.take_along_axis(perm[lo : lo + rows, None, :], perm[None, :, :], axis=2)
-            bad = np.argwhere((lhs != rhs).any(axis=2))
-            if bad.size:
-                raise ValueError(f"perm is not a homomorphism at ({lo + bad[0][0]}, {bad[0][1]})")
+        # perm[ga] == perm[g][perm[a]] for every g and generator a proves
+        # perm[gh] == perm[g][perm[h]] for all (g, h), by induction on the
+        # length of h as a word in the generators; only a failure scans all
+        # pairs, in blocks of rows g, to name the first failing one
+        gens = self.group.generators
+        if not (perm[self.group.mult[:, gens]] == perm[:, perm[gens]]).all():
+            rows = max(1, _BLOCK_ELEMENTS // (order * n))
+            for lo in range(0, order, rows):
+                lhs = perm[self.group.mult[lo : lo + rows]]
+                rhs = np.take_along_axis(perm[lo : lo + rows, None, :], perm[None, :, :], axis=2)
+                bad = np.argwhere((lhs != rhs).any(axis=2))
+                if bad.size:
+                    raise ValueError(f"perm is not a homomorphism at ({lo + bad[0][0]}, {bad[0][1]})")
         object.__setattr__(self, "perm", _freeze(perm))
         object.__setattr__(self, "src", _freeze(perm[self.group.inverse]))
 
@@ -235,6 +243,16 @@ class GroupAction:
     def apply_inv(self, g: int, x: int) -> int:
         """The point g^{-1}.x."""
         return int(self.src[g, x])
+
+
+def _orbit_tables(action: GroupAction) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The orbit representatives r, each the smallest point of its orbit, in
+    increasing order; ``rep_of[x]``, the representative of x's orbit; and the
+    carrier ``carrier[x]``, the smallest g with g.rep_of[x] = x."""
+    perm = action.perm
+    rep_of = perm.min(axis=0)
+    points = np.arange(action.space.size)
+    return np.flatnonzero(rep_of == points), rep_of, (perm[:, rep_of] == points).argmax(axis=0)
 
 
 @dataclass(frozen=True, eq=False)

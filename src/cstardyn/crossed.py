@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from . import fibers
-from .core import DEFAULT_TOL, System, _freeze, act_on_algebra
+from .core import DEFAULT_TOL, System, _freeze, _orbit_tables, act_on_algebra
 from .multiplier import Multiplier, PdCertificate
 from .numutil import max_abs
 from .reporting import CheckReport
@@ -537,7 +537,7 @@ def center_dimension(rcp: ReducedCrossedProduct, tol: float = DEFAULT_TOL) -> in
     rounds."""
     group, perm = rcp.system.group, rcp.system.action.perm
     total = 0
-    for x in np.flatnonzero(perm.min(axis=0) == np.arange(rcp.system.n_points)):
+    for x in _orbit_tables(rcp.system.action)[0]:
         stab = np.flatnonzero(perm[:, x] == x)
         conj = group.mult[group.mult[stab[:, None], stab], group.inverse[stab][:, None]]  # [h, k] = h k h^-1
         total += int((conj.min(axis=0) == stab).sum())

@@ -310,16 +310,20 @@ def _check_projection_rep(rho: Sequence[ModuleOperator], module: SectionalModule
     for x, d in enumerate(module.fiber_dims):
         if d == 0:
             continue
-        blocks = [op.blocks[x] for op in rho]
-        scale = 1.0 + max(np.abs(b).max() for b in blocks)
-        for k, b in enumerate(blocks):
-            if np.abs(b - b.conj().T).max() > tol * scale:
+        blocks = np.stack([op.blocks[x] for op in rho])
+        bound = tol * (1.0 + np.abs(blocks).max())
+        prod = blocks[:, None] @ blocks[None]  # [k, l]: b_k b_l
+        prod[np.arange(len(blocks)), np.arange(len(blocks))] -= blocks
+        adjoint = (blocks - blocks.conj().swapaxes(-1, -2))[:, None]
+        # bad[k, 0]: b_k is not self-adjoint; bad[k, 1 + l]: b_k b_l != delta_kl b_k.
+        # Row-major order is that of a loop over k, then over l.
+        bad = np.abs(np.concatenate([adjoint, prod], axis=1)).max(axis=(-2, -1)) > bound
+        if bad.any():
+            k, l = divmod(int(bad.argmax()), bad.shape[1])
+            if l == 0:
                 raise ValueError(f"generator {k} is not self-adjoint at point {x}")
-            for l, b2 in enumerate(blocks):
-                target = b if l == k else np.zeros_like(b)
-                if np.abs(b @ b2 - target).max() > tol * scale:
-                    raise ValueError(f"generators {k},{l} are not orthogonal idempotents at point {x}")
-        if np.abs(sum(blocks) - np.eye(d)).max() > tol * scale:
+            raise ValueError(f"generators {k},{l - 1} are not orthogonal idempotents at point {x}")
+        if np.abs(blocks.sum(axis=0) - np.eye(d)).max() > bound:
             raise ValueError(f"generators do not sum to the identity at point {x}")
 
 

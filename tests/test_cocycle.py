@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -42,8 +43,10 @@ from cstardyn.generators import (
     standard_systems,
 )
 from cstardyn.hilbmod import SectionalModule
-from cstardyn.numutil import max_abs
+from cstardyn.numutil import max_abs, max_abs_over, nearest_unitary
 from cstardyn.reporting import CheckReport
+
+from oracles import null_space
 
 
 def _identity_cocycle(action, dims):
@@ -201,6 +204,193 @@ class TestCocycleEquivalence:
         assert cocycle_equivalent(plus, minus) is None
 
 
+def reference_cocycle_equivalent(c1, c2, tol=DEFAULT_TOL, attempts=8, seed=13):
+    """The search :func:`cocycle_equivalent` used to run, kept as the oracle
+    of the orbit construction: the linear intertwiner system over every
+    (g, x), solved by one null space, and random null vectors projected to
+    the nearest per-fiber unitaries."""
+    if c1.action != c2.action or c1.module.fiber_dims != c2.module.fiber_dims:
+        return None
+    action = c1.action
+    n = action.space.size
+    dims = c1.module.fiber_dims
+    var_off = [0]
+    for d in dims:
+        var_off.append(var_off[-1] + d * d)
+    nvars = var_off[-1]
+    if nvars == 0:
+        return [np.zeros((0, 0), dtype=complex) for _ in range(n)]
+
+    rows = []
+    for g in range(action.group.order):
+        for x in range(n):
+            y = action.apply_inv(g, x)
+            dx, dy = dims[x], dims[y]
+            if dx * dy == 0:
+                continue
+            block = np.zeros((dx * dy, nvars), dtype=complex)
+            block[:, var_off[x] : var_off[x + 1]] += np.kron(np.eye(dx), c1.u[g][x].T)
+            block[:, var_off[y] : var_off[y + 1]] -= np.kron(c2.u[g][x], np.eye(dy))
+            rows.append(block)
+    m = np.concatenate(rows, axis=0) if rows else np.zeros((0, nvars))
+    basis = null_space(m, tol)
+    if basis.shape[1] == 0:
+        return None
+
+    scale = 1.0 + max((max_abs(u) for c in (c1, c2) for fam in c.u for u in fam), default=0.0)
+    rng = np.random.default_rng(seed)
+    for _ in range(attempts):
+        coeffs = rng.normal(size=basis.shape[1]) + 1j * rng.normal(size=basis.shape[1])
+        w = basis @ coeffs
+        mats = [nearest_unitary(w[var_off[x] : var_off[x + 1]].reshape(d, d)) for x, d in enumerate(dims)]
+        if any(m is None for m in mats):
+            continue
+        if cocycle_residual(c1, c2, mats) <= tol * scale:
+            return mats
+    return None
+
+
+def cocycle_residual(c1: CocycleRep, c2: CocycleRep, mats) -> float:
+    """max |U(x) u1(x, g) - u2(x, g) U(g^-1 x)| over all (g, x), by loops."""
+    action = c1.action
+    return max_abs_over(
+        mats[x] @ c1.u[g][x] - c2.u[g][x] @ mats[action.apply_inv(g, x)]
+        for g in range(action.group.order)
+        for x in range(action.space.size)
+    )
+
+
+def cocycle_scale(c1: CocycleRep, c2: CocycleRep) -> float:
+    return 1.0 + max(max_abs(c1.u_stack), max_abs(c2.u_stack))
+
+
+def conjugated_cocycle(c: CocycleRep, rng) -> CocycleRep:
+    """u(x, g) conjugated to W_x u(x, g) W_{g^-1 x}* by random unitaries W."""
+    dims = c.module.fiber_dims
+    w = np.zeros((len(dims),) + (max(dims),) * 2, dtype=complex)
+    for x, d in enumerate(dims):
+        w[x, :d, :d] = random_unitary(d, rng)
+    return CocycleRep(c.action, c.module, w @ c.u_stack @ w[c.action.src].conj().swapaxes(-1, -2))
+
+
+def natural_symmetric_action(m: int) -> GroupAction:
+    """S_m on its m letters; element i is the i-th permutation in
+    lexicographic order, as in :func:`symmetric_group`."""
+    perms = np.array(sorted(itertools.permutations(range(m))), dtype=np.intp)
+    return GroupAction(symmetric_group(m), FiniteSpace(m), perms)
+
+
+def equivalence_systems() -> list[tuple[str, System]]:
+    """The assorted systems, sigma_2..4, omega_2..3 and the natural actions
+    of S_3 and S_4, and a relabelled copy of each with the identity not
+    element 0."""
+    systems = [(f"assorted_{i}", s) for i, s in enumerate(assorted_small_systems())]
+    systems += [(f"sigma_{n}", sigma_system(n)) for n in (2, 3, 4)] + [(f"omega_{n}", omega_system(n)) for n in (2, 3)]
+    systems += [(f"natural_s{m}", System(natural_symmetric_action(m))) for m in (3, 4)]
+    rng = np.random.default_rng(17)
+    return systems + [(f"relabeled_{name}", relabeled_system(s, rng)) for name, s in systems]
+
+
+def equivalence_pairs(index: int, system: System) -> list[tuple[str, CocycleRep, CocycleRep]]:
+    """Three random cocycles on fibers of dimension 1 or 2 and the cocycle of
+    a random representation (fibers that differ along the base, some of
+    them zero), each against itself, a conjugated copy and the other three."""
+    rng = np.random.default_rng(100 + index)
+    cocycles = [random_cocycle(system.action, rng, max_dim=2) for _ in range(3)]
+    cocycles.append(v_to_cocycle(group_part(random_equivariant_rep(system, rng, max_dim=2))))
+    pairs = []
+    for i, a in enumerate(cocycles):
+        pairs += [(f"{i}/self", a, a), (f"{i}/conjugated", a, conjugated_cocycle(a, rng))]
+        pairs += [(f"{i}~{j}", a, b) for j, b in enumerate(cocycles) if j != i]
+    return pairs
+
+
+def induced_cocycle(action: GroupAction, chi) -> CocycleRep:
+    """The cocycle of a transitive action induced from a character chi of
+    the stabilizer of point 0 (Mackey): u(x, g) = chi(c_x^-1 g c_{g^-1 x}),
+    c_x the first element sending 0 to x, on one-dimensional fibers."""
+    group, n = action.group, action.space.size
+    carrier = [int(np.flatnonzero(action.perm[:, 0] == x)[0]) for x in range(n)]
+    u = np.zeros((group.order, n, 1, 1), dtype=complex)
+    for g in range(group.order):
+        for x in range(n):
+            s = group.mul(group.mul(group.inv(carrier[x]), g), carrier[action.apply_inv(g, x)])
+            assert action.apply(s, 0) == 0
+            u[g, x] = chi(s)
+    c = CocycleRep(action, SectionalModule(action.space, (1,) * n), u)
+    assert verify_cocycle(c).passed
+    return c
+
+
+class TestOrbitEquivalence:
+    @pytest.mark.parametrize(
+        "index,label,system",
+        [(i, *case) for i, case in enumerate(equivalence_systems())],
+        ids=lambda c: c if isinstance(c, str) else "",
+    )
+    def test_verdicts_match_reference(self, index, label, system):
+        for name, c1, c2 in equivalence_pairs(index, system):
+            mats, reference = cocycle_equivalent(c1, c2), reference_cocycle_equivalent(c1, c2)
+            assert (mats is None) == (reference is None), name
+            if mats is not None:
+                assert cocycle_residual(c1, c2, mats) <= 1e-9 * cocycle_scale(c1, c2), name
+                for m in mats:
+                    assert np.allclose(m.conj().T @ m, np.eye(len(m)), atol=1e-12), name
+
+    def test_both_verdicts_occur(self):
+        found = refused = total = 0
+        for index, (_, system) in enumerate(equivalence_systems()):
+            for _, c1, c2 in equivalence_pairs(index, system):
+                mats = cocycle_equivalent(c1, c2)
+                total += 1
+                found += mats is not None
+                refused += mats is None and c1.module.fiber_dims == c2.module.fiber_dims
+        assert (total, found, refused) == (560, 352, 34)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_omega_cocycles_match_reference(self, n):
+        # one fat fiber and zero-dimensional fibers elsewhere
+        for k, l in itertools.product(range(n), repeat=2):
+            c1, c2 = omega_cocycle(n, k), omega_cocycle(n, l)
+            mats, reference = cocycle_equivalent(c1, c2), reference_cocycle_equivalent(c1, c2)
+            assert (mats is None) == (reference is None) == (k != l), (k, l)
+            if mats is not None:
+                assert cocycle_residual(c1, c2, mats) <= 1e-9 * cocycle_scale(c1, c2)
+
+    def test_induced_characters_of_a_stabilizer(self):
+        # Stab(0) of S_3 on three letters is Z_2: its trivial and sign
+        # characters induce cocycles with equal fibers and distinct characters
+        action = natural_symmetric_action(3)
+        perms = np.array(sorted(itertools.permutations(range(3))))
+        trivial = induced_cocycle(action, lambda s: 1.0)
+        sign = induced_cocycle(action, lambda s: np.linalg.det(np.eye(3)[perms[s]]))
+        assert trivial.module.fiber_dims == sign.module.fiber_dims
+        assert cocycle_equivalent(trivial, sign) is None and reference_cocycle_equivalent(trivial, sign) is None
+        for c in (trivial, sign):
+            other = conjugated_cocycle(c, np.random.default_rng(4))
+            mats = cocycle_equivalent(c, other)
+            assert mats is not None and cocycle_residual(c, other, mats) <= 1e-9 * cocycle_scale(c, other)
+
+    def test_conjugated_sigma_12_within_budget(self):
+        c = v_to_cocycle(group_part(sigma_example_rep(12)))
+        other = conjugated_cocycle(c, np.random.default_rng(12))
+        tracemalloc.start()
+        try:
+            mats = cocycle_equivalent(c, other)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert mats is not None
+        assert cocycle_residual(c, other, mats) <= 1e-9 * cocycle_scale(c, other)
+        assert peak < 8 * 2**20
+
+    def test_no_attempts_finds_nothing(self):
+        c = random_cocycle(sigma_system(3).action, np.random.default_rng(6))
+        assert cocycle_equivalent(c, c, attempts=0) is None
+        assert reference_cocycle_equivalent(c, c, attempts=0) is None
+        assert cocycle_equivalent(c, c) is not None
+
+
 class TestEquivariantMap:
     def test_identity_always_works(self, z3_cycle):
         EquivariantMap(z3_cycle.action, (0, 1, 2))
@@ -237,9 +427,7 @@ def map_systems() -> list[tuple[str, System]]:
     systems = [(f"assorted_{i}", s) for i, s in enumerate(assorted_small_systems())]
     systems += [(f"omega_{n}", omega_system(n)) for n in range(1, 6)]
     systems += [(f"sigma_{n}", sigma_system(n)) for n in range(1, 7)]
-    for m in (3, 4):
-        perms = np.array(sorted(itertools.permutations(range(m))), dtype=np.intp)
-        systems.append((f"natural_s{m}", System(GroupAction(symmetric_group(m), FiniteSpace(m), perms))))
+    systems += [(f"natural_s{m}", System(natural_symmetric_action(m))) for m in (3, 4)]
     rng = np.random.default_rng(9)
     return systems + [(f"relabeled_{name}", relabeled_system(s, rng)) for name, s in systems]
 

@@ -22,7 +22,6 @@ from cstardyn.core import (
     symmetric_group,
     trivial_action,
 )
-from cstardyn.numutil import null_space
 
 
 class TestFiniteGroup:
@@ -191,6 +190,11 @@ class TestLightAssociativity:
                 reached.update(frontier)
             assert len(reached) == group.order
 
+    def test_generators_kept_read_only(self):
+        for group in (symmetric_group(4), cyclic_group(12), cyclic_group(1)):
+            assert group.generators.tolist() == core._generating_set(group.mult, group.identity)
+            assert not group.generators.flags.writeable
+
     def test_agrees_with_scan_on_mutated_s3(self):
         s3 = symmetric_group(3)
         e = s3.identity
@@ -272,6 +276,46 @@ class TestGroupAction:
         perm[2] = [0, 0, 1, 2]
         with pytest.raises(ValueError, match=r"perm\[2\] is not a permutation"):
             GroupAction(group, FiniteSpace(4), perm)
+
+    @pytest.mark.parametrize(
+        "group,homomorphisms",
+        [(cyclic_group(4), 4), (direct_product(cyclic_group(2), cyclic_group(2)), 10)],
+        ids=["z4", "z2xz2"],
+    )
+    def test_generator_check_agrees_with_all_pairs(self, group, homomorphisms):
+        # every table with perm[e] = id: checking the generators proves the
+        # law for all pairs, and a failure names the first failing pair
+        perms = list(itertools.permutations(range(3)))
+        others = [g for g in range(group.order) if g != group.identity]
+        accepted = 0
+        for rows in itertools.product(perms, repeat=len(others)):
+            perm = np.zeros((group.order, 3), dtype=np.intp)
+            perm[group.identity] = range(3)
+            perm[others] = rows
+            failing = (
+                (g, h)
+                for g in range(group.order)
+                for h in range(group.order)
+                if not np.array_equal(perm[group.mul(g, h)], perm[g][perm[h]])
+            )
+            first = next(failing, None)
+            if first is None:
+                GroupAction(group, FiniteSpace(3), perm)
+                accepted += 1
+            else:
+                with pytest.raises(ValueError, match=rf"not a homomorphism at \({first[0]}, {first[1]}\)$"):
+                    GroupAction(group, FiniteSpace(3), perm)
+        assert accepted == homomorphisms
+
+    def test_valid_action_scans_no_pairs(self, monkeypatch):
+        group = symmetric_group(5)
+        perms = np.array(sorted(itertools.permutations(range(5))), dtype=np.intp)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("all pairs scanned for a homomorphism")
+
+        monkeypatch.setattr(np, "take_along_axis", refuse)
+        assert GroupAction(group, FiniteSpace(5), perms).perm.shape == (120, 5)
 
     def test_source_table(self):
         act = GroupAction(symmetric_group(3), FiniteSpace(3), sorted(itertools.permutations(range(3))))
@@ -382,44 +426,3 @@ class TestIsPsd:
             roots = np.sort(_charpoly_eigs(h).real)
             oracle = roots[0] >= -1e-9 * (1 + np.abs(h).max())
             assert is_psd(h) == oracle
-
-
-def full_svd_null_space(m, tol):
-    """Test-only oracle: the null space from the full SVD."""
-    _, s, vh = np.linalg.svd(m)
-    rank = int((s > tol * (1.0 + (s[0] if len(s) else 0.0))).sum())
-    return vh[rank:].conj().T
-
-
-class TestNullSpace:
-    @staticmethod
-    def low_rank(rng, rows, cols, rank):
-        left = rng.normal(size=(rows, rank)) + 1j * rng.normal(size=(rows, rank))
-        right = rng.normal(size=(rank, cols)) + 1j * rng.normal(size=(rank, cols))
-        return left @ right
-
-    @pytest.mark.parametrize(
-        "rows,cols,rank",
-        [(3, 7, 3), (2, 9, 1), (7, 3, 2), (40, 6, 6), (40, 6, 4), (5, 5, 3), (1, 4, 1)],
-        ids=["wide", "wide-rank-1", "tall", "tall-full-rank", "tall-deficient", "square", "row"],
-    )
-    def test_agrees_with_full_svd(self, rows, cols, rank):
-        tol = 1e-9
-        m = self.low_rank(np.random.default_rng(rows * cols + rank), rows, cols, rank)
-        basis = null_space(m, tol)
-        assert basis.shape == (cols, cols - rank)
-        assert basis.shape == full_svd_null_space(m, tol).shape
-        assert np.allclose(basis.conj().T @ basis, np.eye(cols - rank), atol=1e-12)
-        assert np.abs(m @ basis).max(initial=0.0) <= 1e-10 * (1.0 + np.abs(m).max())
-
-    def test_tall_system_never_forms_u(self):
-        m = self.low_rank(np.random.default_rng(3), 4000, 40, 30)
-        null_space(np.ones((2, 3)), 1e-9)  # LAPACK's lazy set-up is not the call's
-        tracemalloc.start()
-        try:
-            basis = null_space(m, 1e-9)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert basis.shape == (40, 10)
-        assert peak <= 10 * m.nbytes

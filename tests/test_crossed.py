@@ -38,8 +38,10 @@ from cstardyn.multiplier import (
     is_positive_definite,
     unit_multiplier,
 )
-from cstardyn.numutil import matrix_rank, max_abs, null_space
+from cstardyn.numutil import matrix_rank, max_abs
 from cstardyn.reporting import CheckReport
+
+from oracles import null_space
 
 
 def closure_dimension(generators: list[np.ndarray], tol: float = 1e-9) -> int:

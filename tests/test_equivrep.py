@@ -44,8 +44,10 @@ from cstardyn.hilbmod import (
     module_norm,
 )
 from cstardyn.multiplier import Multiplier, coefficient, multiplier_distance, unit_multiplier
-from cstardyn.numutil import max_abs, max_abs_over, nearest_unitary, null_space
+from cstardyn.numutil import max_abs, max_abs_over, nearest_unitary
 from cstardyn.reporting import CheckReport
+
+from oracles import null_space
 
 
 def _mutate_v(rep: EquivariantRep, g: int, x: int, mat: np.ndarray) -> EquivariantRep:

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from cstardyn.core import FiniteSpace
 from cstardyn.hilbmod import (
+    ModuleOperator,
     ModuleVector,
     NotAModuleError,
     SectionalModule,
@@ -20,7 +21,9 @@ from cstardyn.hilbmod import (
     sectionalize,
     trivial_module,
     zero_vector,
+    _check_projection_rep,
 )
+from cstardyn.generators import random_unitary
 
 
 def vec(module, *comps):
@@ -323,3 +326,76 @@ class TestSectionalizeRoundTrip:
             y = rng.normal(size=total) + 1j * rng.normal(size=total)
             expected = np.array([x.conj() @ G[k] @ y for k in range(n)])
             assert np.allclose(inner_product(sec.apply(x), sec.apply(y)), expected)
+
+
+def reference_check_projection_rep(rho, module, tol):
+    """The per-(x, k, l) loop ``_check_projection_rep`` used to run, kept as
+    the oracle of its message for the first failure."""
+    for x, d in enumerate(module.fiber_dims):
+        if d == 0:
+            continue
+        blocks = [op.blocks[x] for op in rho]
+        scale = 1.0 + max(np.abs(b).max() for b in blocks)
+        for k, b in enumerate(blocks):
+            if np.abs(b - b.conj().T).max() > tol * scale:
+                raise ValueError(f"generator {k} is not self-adjoint at point {x}")
+            for l, b2 in enumerate(blocks):
+                target = b if l == k else np.zeros_like(b)
+                if np.abs(b @ b2 - target).max() > tol * scale:
+                    raise ValueError(f"generators {k},{l} are not orthogonal idempotents at point {x}")
+        if np.abs(sum(blocks) - np.eye(d)).max() > tol * scale:
+            raise ValueError(f"generators do not sum to the identity at point {x}")
+
+
+def random_projection_rep(module, rng):
+    """rho(e_k) at each fiber: orthogonal projections onto the spans of
+    consecutive columns of a random unitary, with random ranks."""
+    n = module.n_points
+    blocks = [[None] * n for _ in range(n)]
+    for x, d in enumerate(module.fiber_dims):
+        q = random_unitary(d, rng)
+        cuts = np.sort(rng.integers(0, d + 1, size=n - 1))
+        for k, (lo, hi) in enumerate(zip([0, *cuts], [*cuts, d])):
+            blocks[k][x] = q[:, lo:hi] @ q[:, lo:hi].conj().T
+    return blocks
+
+
+def _zero_largest(fiber, k, l):
+    largest = max(range(len(fiber)), key=lambda i: np.trace(fiber[i]).real)
+    fiber[largest] = np.zeros_like(fiber[largest])
+
+
+# each fault edits the blocks of one fiber, with k != l or k == l given
+PROJECTION_FAULTS = {
+    "none": lambda fiber, k, l: None,
+    "not self-adjoint": lambda fiber, k, l: fiber.__setitem__(k, fiber[k] + np.triu(np.ones_like(fiber[k]), 1)),
+    "not idempotent": lambda fiber, k, l: fiber.__setitem__(k, 2.0 * fiber[k] + np.eye(len(fiber[k]))),
+    "not orthogonal": lambda fiber, k, l: fiber.__setitem__(l, fiber[l] + fiber[k] + np.eye(len(fiber[k]))),
+    "not summing to one": _zero_largest,
+}
+
+
+class TestCheckProjectionRep:
+    @pytest.mark.parametrize("fault", sorted(PROJECTION_FAULTS))
+    def test_first_failure_as_loop(self, fault):
+        rng = np.random.default_rng(7)
+        module = SectionalModule(FiniteSpace(3), (3, 0, 2))
+        raised = 0
+        for k, l in [(0, 1), (1, 2), (2, 0), (1, 1)]:
+            for point in (0, 2):
+                blocks = random_projection_rep(module, rng)
+                fiber = [row[point] for row in blocks]
+                PROJECTION_FAULTS[fault](fiber, k, l)
+                for row, b in zip(blocks, fiber):
+                    row[point] = b
+                rho = [ModuleOperator(module, tuple(row)) for row in blocks]
+                try:
+                    reference_check_projection_rep(rho, module, 1e-9)
+                except ValueError as exc:
+                    raised += 1
+                    with pytest.raises(ValueError) as info:
+                        _check_projection_rep(rho, module, 1e-9)
+                    assert str(info.value) == str(exc)
+                else:
+                    _check_projection_rep(rho, module, 1e-9)
+        assert raised == (0 if fault == "none" else 8)
