@@ -12,10 +12,13 @@ after all the others so that their payloads do not depend on it.  Every
 payload runs through ``cli.main(["verify", "--inline", ...])`` in this
 process.  Each must exit 0 with a passed report, decoding the payload
 must give back the original padded stacks bit for bit (compared as
-integers, so the sign of a zero counts), and ``cocycle_equivalent`` must
-find a family between the decoded cocycle and a copy conjugated by random
-per-fiber unitaries.  Those unitaries come from a second generator seeded
-from ``--seed``, so that the payloads do not depend on them.  Two
+integers, so the sign of a zero counts), ``fell_absorption_unitary`` must
+pass on the decoded representation whenever the group has at most
+``ABSORPTION_MAX_ORDER`` elements (every case but ``s5_natural``), and
+``cocycle_equivalent`` must find a family between the decoded cocycle and
+a copy conjugated by random per-fiber unitaries.  Those unitaries come
+from a second generator seeded from ``--seed``, so that the payloads do
+not depend on them, and the absorption draws from its own fixed one.  Two
 covariant pairs follow: the regular pair of sigma_12, which must pass, and
 the regular pair of S_3 on three letters with two rows of u(1) swapped,
 which must exit 1 naming ``u unitary homomorphism`` and where it fails.
@@ -49,10 +52,14 @@ from cstardyn.cocycle import (
 from cstardyn.core import FiniteSpace, GroupAction, symmetric_group
 from cstardyn.crossed import regular_covariant
 from cstardyn.cyclic_examples import omega_cocycle, omega_example_rep, sigma_cocycle, sigma_example_rep, sigma_system
-from cstardyn.equivrep import gns_from_pd
+from cstardyn.equivrep import fell_absorption_unitary, gns_from_pd
 from cstardyn.generators import assorted_small_systems, random_equivariant_rep, random_unitary, random_vector
 from cstardyn.hilbmod import SectionalModule
 from cstardyn.multiplier import coefficient, unit_multiplier
+
+# the absorption amplifies twice: S_5 would need stacks of 120 x 5 x 240^2
+# complex entries, about 0.55 GB
+ABSORPTION_MAX_ORDER = 24
 
 
 def cases(seed: int):
@@ -139,6 +146,8 @@ def check(name: str, rep, cocycle, conj_rng: np.random.Generator) -> list[str]:
     ):
         if not same_bits(got, want):
             failures.append(f"decoded {label} differs from the original")
+    if system.group.order <= ABSORPTION_MAX_ORDER and not fell_absorption_unitary(back)[1].passed:
+        failures.append("the absorption unitary fails on the decoded representation")
     if cocycle_equivalent(back_c, conjugated(back_c, conj_rng)) is None:
         failures.append("no equivalence found to a conjugated copy of the decoded cocycle")
     return failures

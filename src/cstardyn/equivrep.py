@@ -325,34 +325,39 @@ def fell_absorption_unitary(rep: EquivariantRep, tol: float = DEFAULT_TOL):
     Returns ``(w_blocks, report, tensor_rep_pair, regular)`` where
     ``w_blocks[x]`` maps tensor fiber x onto the amplified fiber x.  The
     report covers isometry, surjectivity, linearity over the algebra and both
-    intertwining relations.
+    intertwining relations, each located where its largest residual first
+    sits: at ``x`` (``k, x`` for rho, ``g, x`` for v).
     """
     sys_ = rep.system
     n = rep.module.n_points
-    order = sys_.group.order
     areg = regular_rep(trivial_rep(sys_))
     trep, tp = tensor_rep(rep, areg, tol)
     reg = regular_rep(rep)
 
-    # W at fiber p takes the simple tensor (off_p + l, a) to slot a, row l:
-    # row a * d_p + l of W is row (off_p + l) * |G| + a of coord_pinv[p]
-    dims, off = rep.module.fiber_dims, rep.module.offsets()
-    w_blocks = [
-        tp.coord_pinv[p][((off[p] + np.arange(d)) * order + np.arange(order)[:, None]).ravel()]
-        for p, d in enumerate(dims)
-    ]
+    # W at fiber x sends the class of e_(x,l) (x) e_(x,a) to slot a, row l: row
+    # a * d_x + l of W is piece_pinv[x, x, a] at the columns rows[x, x, l] of
+    # the tensor fiber.  A row and a column past the fibers take the padding
+    d, dt, dr = np.asarray(rep.module.fiber_dims), trep.module.fiber_dims, reg.module.fiber_dims
+    x, a, l = np.arange(n), np.arange(sys_.group.order)[:, None], np.arange(d.max())
+    row = np.where(l < d[:, None, None], a * d[:, None, None] + l, max(dr))  # (x, a, l)
+    w = np.zeros((n, max(dr) + 1, max(dt) + 1), dtype=complex)
+    w[x[:, None, None, None], row[..., None], tp.rows[x, x][:, None]] = tp.piece_pinv[x, x][:, :, None]
+    w = w[:, : max(dr), : max(dt)]
+    w_blocks = [w[y, : dr[y], : dt[y]] for y in range(n)]
 
-    # the blocks zero padded into one stack, so each relation is one batched product
-    w = np.zeros((n, max(reg.module.fiber_dims), max(trep.module.fiber_dims)), dtype=complex)
-    for p, block in enumerate(w_blocks):
-        w[p, : block.shape[0], : block.shape[1]] = block
-    wh = w.conj().swapaxes(-1, -2)
     report = CheckReport()
-    report.add("isometry", max_abs(wh @ w - fibers.padded_identity(trep.module.fiber_dims)), tol)
-    report.add("surjectivity", max_abs(w @ wh - fibers.padded_identity(reg.module.fiber_dims)), tol)
+
+    def add(name, residuals, *keys):
+        worst = fibers.Worst()
+        worst.update(residuals)
+        report.add(name, worst.residual, tol, worst.where(*keys))
+
+    wh = w.conj().swapaxes(-1, -2)
+    add("isometry", fibers.entry_max(wh @ w - fibers.padded_identity(dt)), "x")
+    add("surjectivity", fibers.entry_max(w @ wh - fibers.padded_identity(dr)), "x")
     report.add("dimension match", float(abs(trep.module.total_dim - reg.module.total_dim)), 0.5)
-    report.add("intertwines rho", max_abs(w @ trep.rho_stack - reg.rho_stack @ w), tol)
-    report.add("intertwines v", max_abs(w @ trep.v_stack - reg.v_stack @ w[sys_.action.src]), tol)
+    add("intertwines rho", fibers.entry_max(w @ trep.rho_stack - reg.rho_stack @ w), "k", "x")
+    add("intertwines v", fibers.entry_max(w @ trep.v_stack - reg.v_stack @ w[sys_.action.src]), "g", "x")
 
     # A-linearity of W on a seeded spanning sample of simple tensors
     rng = np.random.default_rng(7)
@@ -360,17 +365,14 @@ def fell_absorption_unitary(rep: EquivariantRep, tol: float = DEFAULT_TOL):
     for _ in range(4):
         x1 = _random_vector(rep.module, rng)
         x2 = _random_vector(areg.module, rng)
-        a = rng.normal(size=n) + 1j * rng.normal(size=n)
-        z = tp.embed(x1, module_action(x2, a))
-        lhs = _apply_blocks(w_blocks, reg.module, z)
-        rhs = module_action(_apply_blocks(w_blocks, reg.module, tp.embed(x1, x2)), a)
-        diffs.append(lhs.flat() - rhs.flat())
-    report.add("algebra linearity", max_abs_over(diffs), tol)
+        c = rng.normal(size=n) + 1j * rng.normal(size=n)
+        lhs, rhs = (
+            (w @ fibers.stack_sections(tp.embed(x1, y).components, dt)[..., None])[..., 0]
+            for y in (module_action(x2, c), x2)
+        )
+        diffs.append(np.abs(lhs - c[:, None] * rhs).max(axis=-1, initial=0.0))
+    add("algebra linearity", np.max(diffs, axis=0), "x")
     return w_blocks, report, (trep, tp), reg
-
-
-def _apply_blocks(blocks: Sequence[np.ndarray], target: SectionalModule, vec: ModuleVector) -> ModuleVector:
-    return ModuleVector(target, tuple(blocks[x] @ vec.components[x] for x in target.space.points()))
 
 
 def _random_vector(module: SectionalModule, rng) -> ModuleVector:

@@ -14,6 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import fibers
 from .core import DEFAULT_TOL, FiniteSpace, _freeze
 from .numutil import gram_quotient
 
@@ -331,23 +332,16 @@ def _check_projection_rep(rho: Sequence[ModuleOperator], module: SectionalModule
 class TensorProduct:
     """Internal tensor product of two sectional modules over C^n.
 
-    ``coord[m]`` maps a simple-tensor coefficient vector (index (i, a) with i
-    a flattened basis index of the left module and a a fiber-m basis index of
-    the right one) isometrically onto the quotient fiber; ``coord_pinv[m]``
-    is a right inverse choosing a representative coefficient vector.
-
-    Both are block diagonal: block i holds the zero-padded quotient maps
-    ``piece_coord[p, m]`` and ``piece_pinv[p, m]`` of rho2(e_p) at m, p the
-    fiber of i.  So fiber m has the coordinates (p, l, a), l a basis index
-    of the left fiber p and a one of that quotient, at ``rows[p, m, l, a]``
-    (one past the largest fiber for padding).
+    ``piece_coord[p, m]`` and ``piece_pinv[p, m]`` are the zero-padded
+    quotient map of rho2(e_p) at m and its right inverse.  Fiber m has the
+    coordinates (p, l, a), l a basis index of the left fiber p and a one of
+    that quotient, at ``rows[p, m, l, a]`` (one past the largest fiber for
+    padding); the class of x (x) y there is x(p)_l (piece_coord[p, m] y(m))_a.
     """
 
     left: SectionalModule
     right: SectionalModule
     module: SectionalModule
-    coord: tuple[np.ndarray, ...]
-    coord_pinv: tuple[np.ndarray, ...]
     rows: np.ndarray = field(repr=False)
     piece_coord: np.ndarray = field(repr=False)
     piece_pinv: np.ndarray = field(repr=False)
@@ -356,12 +350,13 @@ class TensorProduct:
         """The class of the simple tensor x1 (x) x2."""
         if x1.module != self.left or x2.module != self.right:
             raise ValueError("simple tensor factors live on the wrong modules")
-        flat1 = x1.flat()
-        comps = []
-        for m in self.module.space.points():
-            c = np.kron(flat1, x2.components[m])
-            comps.append(self.coord[m] @ c)
-        return ModuleVector(self.module, tuple(comps))
+        n, dims = self.module.n_points, self.module.fiber_dims
+        s1 = fibers.stack_sections(x1.components, self.left.fiber_dims)  # (p, l)
+        s2 = fibers.stack_sections(x2.components, self.right.fiber_dims)  # (m, b)
+        prod = (self.piece_coord @ s2[:, :, None])[..., 0]  # (p, m, a)
+        out = np.zeros((n, max(dims) + 1), dtype=complex)
+        out[np.arange(n)[:, None, None], self.rows] = s1[:, None, :, None] * prod[:, :, None, :]
+        return ModuleVector(self.module, tuple(out[m, :d] for m, d in enumerate(dims)))
 
 
 def internal_tensor(
@@ -406,18 +401,5 @@ def internal_tensor(
     rows = (np.cumsum(size, axis=0) - size)[:, :, None, None] + l * ranks[:, :, None, None] + a
     rows = np.where((l < d1[:, None, None, None]) & (a < ranks[:, :, None, None]), rows, max(dims))
 
-    # block i of coord[m] takes the columns i * d2_m + b to the rows of
-    # (fiber_of[i], l_i, a); the row past the fibers collects the padding
-    fiber_of = np.repeat(np.arange(n), d1)
-    basis, at = np.arange(len(fiber_of)), rows.swapaxes(0, 1)[:, l[:, 0] < d1[:, None]]  # (m, i, a)
-    coords, pinvs = [], []
-    for m, d in enumerate(d2):
-        r, c = at[m, :, :, None], basis[:, None, None] * d + np.arange(d)
-        coord = np.zeros((max(dims) + 1, len(basis) * d), dtype=complex)
-        coord[r, c] = piece_coord[fiber_of, m, :, :d]
-        pinv = np.zeros((len(basis) * d, max(dims) + 1), dtype=complex)
-        pinv[c.swapaxes(1, 2), r.swapaxes(1, 2)] = piece_pinv[fiber_of, m, :d]
-        coords.append(coord[: dims[m]])
-        pinvs.append(pinv[:, : dims[m]])
     module = SectionalModule(x1.space, dims)
-    return TensorProduct(x1, x2, module, tuple(coords), tuple(pinvs), rows, piece_coord, piece_pinv)
+    return TensorProduct(x1, x2, module, rows, piece_coord, piece_pinv)

@@ -17,3 +17,30 @@ def null_space(m: np.ndarray, tol: float) -> np.ndarray:
     cutoff = tol * (1.0 + (s[0] if len(s) else 0.0))
     rank = int((s > cutoff).sum())
     return vh[rank:].conj().T
+
+
+def reference_tensor_coords(tp) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """The dense per-fiber maps of an internal tensor product, assembled from
+    its block pieces as :class:`cstardyn.hilbmod.TensorProduct` once stored
+    them: ``coord[m]`` maps a simple-tensor coefficient vector (index
+    i * d2_m + b, i a flattened basis index of the left module and b a
+    fiber-m basis index of the right one) onto the quotient fiber m, and
+    ``coord_pinv[m]`` is its right inverse.
+
+    Block i of coord[m] takes the columns i * d2_m + b to the rows of
+    (fiber_of[i], l_i, a); the row past the fibers collects the padding.
+    """
+    n, d1, dims = tp.left.n_points, np.asarray(tp.left.fiber_dims), tp.module.fiber_dims
+    fiber_of = np.repeat(np.arange(n), d1)
+    basis = np.arange(len(fiber_of))
+    at = tp.rows.swapaxes(0, 1)[:, np.arange(d1.max()) < d1[:, None]]  # (m, i, a)
+    coords, pinvs = [], []
+    for m, d in enumerate(tp.right.fiber_dims):
+        r, c = at[m, :, :, None], basis[:, None, None] * d + np.arange(d)
+        coord = np.zeros((max(dims) + 1, len(basis) * d), dtype=complex)
+        coord[r, c] = tp.piece_coord[fiber_of, m, :, :d]
+        pinv = np.zeros((len(basis) * d, max(dims) + 1), dtype=complex)
+        pinv[c.swapaxes(1, 2), r.swapaxes(1, 2)] = tp.piece_pinv[fiber_of, m, :d]
+        coords.append(coord[: dims[m]])
+        pinvs.append(pinv[:, : dims[m]])
+    return coords, pinvs

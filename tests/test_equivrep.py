@@ -47,7 +47,7 @@ from cstardyn.multiplier import Multiplier, coefficient, multiplier_distance, un
 from cstardyn.numutil import max_abs, max_abs_over, nearest_unitary
 from cstardyn.reporting import CheckReport
 
-from oracles import null_space
+from oracles import null_space, reference_tensor_coords
 
 
 def _mutate_v(rep: EquivariantRep, g: int, x: int, mat: np.ndarray) -> EquivariantRep:
@@ -159,22 +159,93 @@ class TestFellAbsorption:
         assert trep.module.total_dim == order * rep.module.total_dim == reg.module.total_dim
         assert report.passed
 
-    def test_nan_block_fails(self, monkeypatch):
-        """A NaN in one absorption block is not folded away by the residuals
-        of the later, finite blocks."""
+    def test_peak_memory_sigma_10(self):
+        """The tensor product keeps its quotients only as block pieces; dense
+        per-fiber copies of them took the peak to 143 MiB."""
+        rep = sigma_example_rep(10)
+        tracemalloc.start()
+        try:
+            _, report, _, _ = fell_absorption_unitary(rep)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed
+        assert peak <= 125 * 2**20
+
+    @pytest.mark.parametrize("fiber", [0, 2])
+    def test_nan_block_fails(self, fiber, monkeypatch):
+        """A NaN in the absorption block of one fiber is not folded away by
+        the residuals of the finite blocks, and isometry names that fiber."""
         real_tensor_rep = equivrep.tensor_rep
 
         def poisoned(r1, r2, tol):
             trep, tp = real_tensor_rep(r1, r2, tol)
-            pinv = [m.copy() for m in tp.coord_pinv]
-            pinv[0][0, 0] = np.nan
-            return trep, dataclasses.replace(tp, coord_pinv=tuple(pinv))
+            pinv = tp.piece_pinv.copy()
+            pinv[fiber, fiber, 0, 0] = np.nan
+            return trep, dataclasses.replace(tp, piece_pinv=pinv)
 
         monkeypatch.setattr(equivrep, "tensor_rep", poisoned)
         _, report, _, _ = fell_absorption_unitary(sigma_example_rep(3))
         assert not report.passed
         for name in ("isometry", "surjectivity", "intertwines rho", "intertwines v", "algebra linearity"):
             assert report.residual_of(name) == math.inf, name
+        assert next(c.where for c in report.checks if c.name == "isometry") == {"x": fiber}
+
+
+def absorption_corpus() -> list[tuple[str, EquivariantRep]]:
+    """sigma_2, 3, 5 and 8, 64 seeded random representations on the assorted
+    systems and omega_2..4, and nine direct sums with omega example reps,
+    most of them ragged."""
+    out = [(f"sigma_{n}", sigma_example_rep(n)) for n in (2, 3, 5, 8)]
+    rng = np.random.default_rng(2024)
+    systems = assorted_small_systems() + [omega_system(n) for n in (2, 3, 4)]
+    for i in range(64):
+        out.append((f"random_{i}", random_equivariant_rep(systems[i % len(systems)], rng, max_dim=2)))
+    om = omega_example_rep
+    for parts in (
+        (om(2, 0, 0), om(2, 1, 1)),
+        (om(2, 0, 0), om(2, 0, 1)),
+        (om(3, 0, 0), om(3, 2, 1)),
+        (om(3, 1, 2), random_equivariant_rep(omega_system(3), rng, max_dim=2, allow_composites=False)),
+        (om(3, 0, 0), om(3, 1, 1), trivial_rep(omega_system(3))),
+        (om(4, 0, 0), om(4, 3, 2)),
+        (om(4, 1, 3), random_equivariant_rep(omega_system(4), rng, max_dim=2, allow_composites=False)),
+        (om(4, 2, 0), trivial_rep(omega_system(4))),
+        (om(4, 0, 1), om(4, 0, 2), om(4, 3, 3)),
+    ):
+        rep = direct_sum_reps(list(parts))
+        out.append(("sum_" + "_".join(map(str, rep.module.fiber_dims)), rep))
+    return out
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and np.array_equal(
+        np.ascontiguousarray(a).view(np.uint64), np.ascontiguousarray(b).view(np.uint64)
+    )
+
+
+class TestTensorPiecesOracle:
+    """``embed`` and the absorption unitary read the block pieces of the
+    tensor product; the dense per-fiber maps they once read are the oracle."""
+
+    @pytest.mark.parametrize("rep", [pytest.param(rep, id=label) for label, rep in absorption_corpus()])
+    def test_embed_and_w_match_dense_maps(self, rep):
+        w_blocks, report, (_, tp), _ = fell_absorption_unitary(rep)
+        assert report.passed
+        coord, pinv = reference_tensor_coords(tp)
+        rng = np.random.default_rng(3)
+        for _ in range(2):
+            x1, x2 = random_vector(tp.left, rng), random_vector(tp.right, rng)
+            z = tp.embed(x1, x2)
+            for m in range(tp.module.n_points):
+                want = coord[m] @ np.kron(x1.flat(), x2.components[m])
+                bound = 4 * np.finfo(float).eps * (1.0 + np.abs(want).max(initial=0.0))
+                assert np.abs(z.components[m] - want).max(initial=0.0) <= bound, m
+        # W at fiber p: row a * d_p + l is row (off_p + l) * |G| + a of coord_pinv[p]
+        order, off = rep.system.group.order, rep.module.offsets()
+        for p, d in enumerate(rep.module.fiber_dims):
+            want = pinv[p][((off[p] + np.arange(d)) * order + np.arange(order)[:, None]).ravel()]
+            assert _same_bits(w_blocks[p], want), p
 
 
 class TestGns:
