@@ -14,11 +14,13 @@ process.  Each must exit 0 with a passed report, decoding the payload
 must give back the original padded stacks bit for bit (compared as
 integers, so the sign of a zero counts), ``fell_absorption_unitary`` must
 pass on the decoded representation whenever the group has at most
-``ABSORPTION_MAX_ORDER`` elements (every case but ``s5_natural``), and
+``ABSORPTION_MAX_ORDER`` elements (every case but ``s5_natural``),
 ``cocycle_equivalent`` must find a family between the decoded cocycle and
-a copy conjugated by random per-fiber unitaries.  Those unitaries come
-from a second generator seeded from ``--seed``, so that the payloads do
-not depend on them, and the absorption draws from its own fixed one.  Two
+a copy conjugated by random per-fiber unitaries, and
+``unitarily_equivalent`` one between the decoded representation and its
+copy conjugated by the same unitaries.  Those unitaries come from a second
+generator seeded from ``--seed``, so that the payloads do not depend on
+them, and the absorption draws from its own fixed one.  Two
 covariant pairs follow: the regular pair of sigma_12, which must pass, and
 the regular pair of S_3 on three letters with two rows of u(1) swapped,
 which must exit 1 naming ``u unitary homomorphism`` and where it fails.
@@ -52,7 +54,7 @@ from cstardyn.cocycle import (
 from cstardyn.core import FiniteSpace, GroupAction, symmetric_group
 from cstardyn.crossed import regular_covariant
 from cstardyn.cyclic_examples import omega_cocycle, omega_example_rep, sigma_cocycle, sigma_example_rep, sigma_system
-from cstardyn.equivrep import fell_absorption_unitary, gns_from_pd
+from cstardyn.equivrep import EquivariantRep, fell_absorption_unitary, gns_from_pd, unitarily_equivalent
 from cstardyn.generators import assorted_small_systems, random_equivariant_rep, random_unitary, random_vector
 from cstardyn.hilbmod import SectionalModule
 from cstardyn.multiplier import coefficient, unit_multiplier
@@ -110,13 +112,20 @@ def run_verify(payload: dict) -> tuple[int, dict | None, str]:
     return code, json.loads(text, parse_constant=reject_constant) if text else None, err.getvalue().strip()
 
 
-def conjugated(c: CocycleRep, rng: np.random.Generator) -> CocycleRep:
-    """u(x, g) conjugated to W_x u(x, g) W_{g^-1 x}* by random unitaries W."""
+def conjugated(rep: EquivariantRep, c: CocycleRep, rng: np.random.Generator) -> tuple[EquivariantRep, CocycleRep]:
+    """rho(e_k)_x conjugated to W_x rho(e_k)_x W_x*, and v(g)_x and u(x, g)
+    to W_x v(g)_x W_{g^-1 x}* and W_x u(x, g) W_{g^-1 x}*, by the same
+    random unitaries W, one per fiber of the cocycle's module."""
     dims = c.module.fiber_dims
     w = np.zeros((len(dims),) + (max(dims),) * 2, dtype=complex)
     for x, d in enumerate(dims):
         w[x, :d, :d] = random_unitary(d, rng)
-    return CocycleRep(c.action, c.module, w @ c.u_stack @ w[c.action.src].conj().swapaxes(-1, -2))
+    wh = w.conj().swapaxes(-1, -2)
+    src = c.action.src
+    return (
+        EquivariantRep(rep.system, rep.module, w @ rep.rho_stack @ wh, w @ rep.v_stack @ wh[src]),
+        CocycleRep(c.action, c.module, w @ c.u_stack @ wh[src]),
+    )
 
 
 def check(name: str, rep, cocycle, conj_rng: np.random.Generator) -> list[str]:
@@ -148,8 +157,11 @@ def check(name: str, rep, cocycle, conj_rng: np.random.Generator) -> list[str]:
             failures.append(f"decoded {label} differs from the original")
     if system.group.order <= ABSORPTION_MAX_ORDER and not fell_absorption_unitary(back)[1].passed:
         failures.append("the absorption unitary fails on the decoded representation")
-    if cocycle_equivalent(back_c, conjugated(back_c, conj_rng)) is None:
+    copy, copy_c = conjugated(back, back_c, conj_rng)
+    if cocycle_equivalent(back_c, copy_c) is None:
         failures.append("no equivalence found to a conjugated copy of the decoded cocycle")
+    if unitarily_equivalent(back, copy) is None:
+        failures.append("no equivalence found to a conjugated copy of the decoded representation")
     return failures
 
 

@@ -155,29 +155,23 @@ def v_to_cocycle(part: GroupPart, tol: float = DEFAULT_TOL) -> CocycleRep:
     corresponding relation.
     """
     action = part.action
-    n = action.space.size
-    dims = part.module.fiber_dims
-    for g in range(action.group.order):
-        for x in range(n):
-            expected = action.apply_inv(g, x)
-            if int(part.src_perm[g][x]) != expected:
-                raise CocycleCompatibilityError(
-                    "relation (iii) violation",
-                    f"base permutation of element {g} sends fiber {part.src_perm[g][x]} "
-                    f"to {x}, the action requires {expected}",
-                )
-    for g in range(action.group.order):
-        for x in range(n):
-            u = np.asarray(part.mats[g][x], dtype=complex)
-            src = action.apply_inv(g, x)
-            res = max_abs_over((u.conj().T @ u - np.eye(dims[src]), u @ u.conj().T - np.eye(dims[x])))
-            if not res <= tol * (1.0 + max_abs(u)):
-                raise CocycleCompatibilityError(
-                    "relation (ii) violation",
-                    f"matrix of element {g} at point {x} is not unitary (residual {res:.3e})",
-                )
+    bad = np.argwhere(np.asarray(part.src_perm) != action.src)
+    if len(bad):
+        g, x = bad[0].tolist()
+        raise CocycleCompatibilityError(
+            "relation (iii) violation",
+            f"base permutation of element {g} sends fiber {part.src_perm[g][x]} "
+            f"to {x}, the action requires {action.src[g, x]}",
+        )
     c = CocycleRep(action, part.module, part.mats)
     report = verify_cocycle(c, tol)
+    unitarity = report.checks[0]
+    if not unitarity.passed:
+        raise CocycleCompatibilityError(
+            "relation (ii) violation",
+            f"matrix of element {unitarity.where['g']} at point {unitarity.where['x']} "
+            f"is not unitary (residual {unitarity.residual:.3e})",
+        )
     if not report.passed:
         worst = report.worst()
         raise ValueError(

@@ -287,11 +287,14 @@ def tensor_rep(r1: EquivariantRep, r2: EquivariantRep, tol: float = DEFAULT_TOL)
     v1(g)_p (x) c(p, m) v2(g)_m c'(g^{-1}p, g^{-1}m), c and c' quotient maps.
 
     Returns ``(rep, tensor_product)`` so callers can embed simple tensors.
+    Raises ValueError naming the point where either rho is not a family of
+    orthogonal projections.
     """
     if r1.system != r2.system:
         raise ValueError("tensor factors must share the system")
     sys_ = r1.system
-    tp = internal_tensor(r1.module, r2.rho, r2.module, tol)
+    _check_projection_rep(r1.rho_stack, r1.module.fiber_dims, tol)
+    tp = internal_tensor(r1.module, r2.rho_stack, r2.module, tol)
     n, order, src = sys_.n_points, sys_.group.order, sys_.action.src
     dmax = max(tp.module.fiber_dims)
 
@@ -410,8 +413,9 @@ def gns_from_pd(multiplier, tol: float = DEFAULT_TOL):
     ``<[g,a,b],[g',a',b']> = b* alpha_g(T_{g^{-1}g'}(alpha_g^{-1}(a* a'))) b'``,
     which the equivariance relations force for any realization.  Fiber p
     keeps the symbols with right label e_p, ordered (j, g); their gram is
-    block diagonal, block j the criterion's kernel matrix at (p, j), and is
-    quotiented block by block, per fiber (:func:`.numutil.gram_quotient`).
+    block diagonal, block j the criterion's kernel matrix at (p, j), and all
+    n^2 blocks are quotiented in one call, with the cutoff of each fiber's
+    gram (:func:`.numutil.gram_quotient`).
     So rho(e_j) is the 0/1 projection onto block j, and v(h) maps block j of
     fiber h^{-1}x to block h.j of fiber x by c(x, h.j) L_h c'(h^{-1}x, j), c
     and c' quotient maps and L_h the left translation of the symbols' g.
@@ -430,16 +434,9 @@ def gns_from_pd(multiplier, tol: float = DEFAULT_TOL):
 
     p, j = np.divmod(np.arange(n * n), n)
     kernels = _kernel_matrices(sys_, multiplier.stack[None], np.zeros_like(p), p, j).reshape(n, n, order, order)
-    coord = np.zeros((n, n, order, order), dtype=complex)  # [p, j, a, g]
-    pinv = np.zeros_like(coord)  # [p, j, g, a]
-    ranks = np.zeros((n, n), dtype=np.intp)
-    for p, blocks in enumerate(kernels):
-        for j, (c, q) in enumerate(gram_quotient(blocks, tol)):
-            ranks[p, j] = len(c)
-            coord[p, j, : len(c)] = c
-            pinv[p, j, :, : len(c)] = q
-    rmax, dims = ranks.max(), ranks.sum(axis=1)
-    coord, pinv, dmax = coord[:, :, :rmax], pinv[..., :rmax], int(dims.max())
+    coord, pinv, ranks = gram_quotient(kernels, order, tol)  # coord[p, j, a, g], pinv[p, j, g, a]
+    rmax, dims = coord.shape[2], ranks.sum(axis=1)
+    dmax = int(dims.max())
     # rows[p, j, a]: the coordinate of (j, a) in fiber p; dmax for padding
     a = np.arange(rmax)
     rows = np.where(a < ranks[:, :, None], (np.cumsum(ranks, axis=1) - ranks)[:, :, None] + a, dmax)
@@ -506,23 +503,19 @@ def unitarily_equivalent(
     pairs = GroupAction(sys_.group, FiniteSpace(n * n), (perm[:, :, None] * n + perm[:, None, :]).reshape(order, -1))
     split = []
     for rep in (r1, r2):
-        _check_projection_rep(rep.rho, rep.module, tol)
-        pieces = [q for x in range(n) for _, q in gram_quotient([op.blocks[x] for op in rep.rho], tol)]
-        ranks = tuple(q.shape[1] for q in pieces)
-        r = max(ranks)
-        b = np.zeros((n * n, d, r), dtype=complex)  # b[x*n + k]: B(x, k), zero padded
-        for p, q in enumerate(pieces):
-            b[p, : len(q), : q.shape[1]] = q
+        _check_projection_rep(rep.rho_stack, dims, tol)
+        # the pieces of fiber x are the ranges of rho(e_k) at x: group x, block k
+        _, b, ranks = gram_quotient(rep.rho_stack.swapaxes(0, 1), np.asarray(dims)[:, None], tol)
+        r = b.shape[-1]
+        b = b.reshape(n * n, d, r)  # b[x*n + k]: B(x, k), zero padded
         bh = b.conj().swapaxes(-1, -2).reshape(n, n, r, d)
         u = (bh @ rep.v_stack[:, :, None]).reshape(order, n * n, r, d) @ b[pairs.src]
-        split.append((b, CocycleRep(pairs, SectionalModule(pairs.space, ranks), u)))
+        split.append((b, CocycleRep(pairs, SectionalModule(pairs.space, ranks.ravel()), u)))
     (b1, c1), (b2, c2) = split
     mats = cocycle_equivalent(c1, c2, tol, attempts, seed)
     if mats is None:
         return None
-    u = np.zeros((n * n,) + b1.shape[-1:] * 2, dtype=complex)
-    for p, m in enumerate(mats):
-        u[p, : len(m), : len(m)] = m
+    u = fibers.stack_blocks([mats], c1.module.fiber_dims)[0]
     w = (b2 @ u @ b1.conj().swapaxes(-1, -2)).reshape(n, n, d, d).sum(axis=1)
     w = [w[x, :dx, :dx] for x, dx in enumerate(dims)]
     scale = 1.0 + max_abs_over((r1.rho_stack, r1.v_stack, r2.rho_stack, r2.v_stack))

@@ -271,14 +271,14 @@ def sectionalize(
         rank = int((s > tol * (1.0 + (s[0] if len(s) else 0.0))).sum())
         V = u[:, :rank]
         try:
-            ((coord, pinv),) = gram_quotient([V.conj().T @ G[k] @ V], tol)
+            _, pinv, kept = gram_quotient((V.conj().T @ G[k] @ V)[None, None], rank, tol)
         except ValueError:
             raise NotAModuleError("positivity", f"fiber {k} gram is indefinite") from None
-        if len(coord) < rank:
+        if kept[0, 0] < rank:
             raise NotAModuleError(
                 "definiteness", f"fiber {k} carries a nonzero vector of zero length"
             )
-        B = V @ pinv
+        B = V @ pinv[0, 0]
         dims.append(rank)
         coord_maps.append(B.conj().T @ G[k] @ L[k])
     module = SectionalModule(space, tuple(dims))
@@ -302,29 +302,33 @@ def banach_stone_operator(
     return out
 
 
-def _check_projection_rep(rho: Sequence[ModuleOperator], module: SectionalModule, tol: float) -> None:
-    if len(rho) != module.n_points:
+@np.errstate(over="ignore", invalid="ignore")
+def _check_projection_rep(rho: np.ndarray, dims: Sequence[int], tol: float) -> None:
+    """Raise ValueError naming the first point x where the blocks
+    ``rho[k, x, :d_x, :d_x]`` of a padded stack are not orthogonal projections
+    summing to one; non-finite entries fail there, without a warning."""
+    if len(rho) != len(dims):
         raise ValueError("a representation of C^n needs one generator per point")
-    for k, op in enumerate(rho):
-        if op.module != module:
-            raise ValueError("representation generators must act on the target module")
-    for x, d in enumerate(module.fiber_dims):
+    # one copy with the blocks of a point adjacent: the products over strided
+    # (k, x) views took 25% longer at n = 16
+    by_point = np.ascontiguousarray(rho.swapaxes(0, 1))
+    for x, d in enumerate(dims):
         if d == 0:
             continue
-        blocks = np.stack([op.blocks[x] for op in rho])
+        blocks = by_point[x, :, :d, :d]
         bound = tol * (1.0 + np.abs(blocks).max())
         prod = blocks[:, None] @ blocks[None]  # [k, l]: b_k b_l
         prod[np.arange(len(blocks)), np.arange(len(blocks))] -= blocks
         adjoint = (blocks - blocks.conj().swapaxes(-1, -2))[:, None]
         # bad[k, 0]: b_k is not self-adjoint; bad[k, 1 + l]: b_k b_l != delta_kl b_k.
         # Row-major order is that of a loop over k, then over l.
-        bad = np.abs(np.concatenate([adjoint, prod], axis=1)).max(axis=(-2, -1)) > bound
+        bad = ~(np.abs(np.concatenate([adjoint, prod], axis=1)).max(axis=(-2, -1)) <= bound)
         if bad.any():
             k, l = divmod(int(bad.argmax()), bad.shape[1])
             if l == 0:
                 raise ValueError(f"generator {k} is not self-adjoint at point {x}")
             raise ValueError(f"generators {k},{l - 1} are not orthogonal idempotents at point {x}")
-        if np.abs(blocks.sum(axis=0) - np.eye(d)).max() > bound:
+        if not np.abs(blocks.sum(axis=0) - np.eye(d)).max() <= bound:
             raise ValueError(f"generators do not sum to the identity at point {x}")
 
 
@@ -361,12 +365,14 @@ class TensorProduct:
 
 def internal_tensor(
     x1: SectionalModule,
-    rho2: Sequence[ModuleOperator],
+    rho2,
     x2: SectionalModule,
     tol: float = DEFAULT_TOL,
 ) -> TensorProduct:
     """The internal tensor product of x1 and x2 with respect to the
-    representation rho2 of C^n on x2.
+    representation rho2 of C^n on x2, given as one :class:`ModuleOperator`
+    per point or as the zero-padded (n, n, d_max, d_max) stack of their
+    blocks (see :mod:`.fibers`).
 
     The semi-inner product of simple tensors is
     ``<x (x) y, x' (x) y'> = <y, rho2(<x, x'>) y'>``; each fiber of the result
@@ -374,27 +380,21 @@ def internal_tensor(
     corresponding gram.  That gram is block diagonal with the projection
     rho2(e_p) at every basis vector of x1's fiber p, so each projection at
     m is quotiented once, over the nonzero fibers of x1 (with the cutoff of
-    :func:`.numutil.gram_quotient`), and placed along the basis.
+    :func:`.numutil.gram_quotient`, which names an indefinite block by
+    (m, p)), and placed along the basis.
     """
     if x1.space != x2.space:
         raise ValueError("tensor factors must share the base space")
-    _check_projection_rep(rho2, x2, tol)
+    if not isinstance(rho2, np.ndarray):
+        if any(op.module != x2 for op in rho2):
+            raise ValueError("representation generators must act on the target module")
+        rho2 = [op.blocks for op in rho2]
+    rho2 = fibers.stack_blocks(rho2, x2.fiber_dims)
+    _check_projection_rep(rho2, x2.fiber_dims, tol)
 
-    n, d1, d2 = x1.n_points, np.asarray(x1.fiber_dims), x2.fiber_dims
-    live = np.flatnonzero(d1)
-    ranks = np.zeros((n, n), dtype=np.intp)
-    piece_coord = np.zeros((n, n, max(d2), max(d2)), dtype=complex)
-    piece_pinv = np.zeros_like(piece_coord)
-    for m, d in enumerate(d2):
-        try:
-            quotients = gram_quotient([rho2[p].blocks[m] for p in live], tol)
-        except ValueError:
-            raise ValueError(f"tensor gram at point {m} is indefinite") from None
-        for p, (c, pinv) in zip(live, quotients):
-            ranks[p, m] = len(c)
-            piece_coord[p, m, : len(c), :d] = c
-            piece_pinv[p, m, :d, : len(c)] = pinv
-    piece_coord, piece_pinv = piece_coord[:, :, : ranks.max()], piece_pinv[..., : ranks.max()]
+    d1 = np.asarray(x1.fiber_dims)
+    coord, pinv, ranks = gram_quotient(rho2.swapaxes(0, 1), np.outer(x2.fiber_dims, d1 > 0), tol)
+    piece_coord, piece_pinv, ranks = coord.swapaxes(0, 1), pinv.swapaxes(0, 1), ranks.T
     size = d1[:, None] * ranks
     dims = tuple(int(d) for d in size.sum(axis=0))
     l, a = np.arange(d1.max())[:, None], np.arange(ranks.max())

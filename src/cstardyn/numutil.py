@@ -38,31 +38,41 @@ def max_abs_over(arrays) -> float:
     return float(np.max([max_abs(a) for a in arrays], initial=0.0))
 
 
-def gram_quotient(blocks, tol: float) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Quotient a block-diagonal Hermitian gram by its null space, given its
-    square diagonal blocks (0 x 0 ones included), block by block.
+def gram_quotient(blocks: np.ndarray, sizes, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Quotient groups of Hermitian grams by their null spaces.
 
-    The Hermitian parts of the blocks of one size go through one batched
-    ``eigh``.  Eigenvalues at or below ``tol * (1 + max(0, lambda_max))``,
-    lambda_max the largest over all blocks, count as zero.  Returns, per
-    block, ``(coord, pinv)`` over its kept eigenpairs (lambda, V): the
-    coordinate map ``sqrt(lambda) V*``, with ``coord* coord`` the block, and
-    its right inverse ``V / sqrt(lambda)``.  Raises ValueError naming the
-    first block with an eigenvalue below ``-cutoff``.
+    ``blocks`` is a zero-padded (G, K, D, D) stack and block (g, k), in the
+    top-left corner of its slot, is ``sizes[g, k]`` square (``sizes``
+    broadcasts to (G, K)).  Group g is one block-diagonal gram, and its
+    eigenvalues at or below ``tol * (1 + max(0, lambda_max))``, lambda_max
+    its largest, count as zero.  The blocks of one size go through one
+    batched ``eigh`` of their Hermitian parts.
+
+    Returns the zero-padded ``(coord, pinv, ranks)``, R = ``ranks.max()``.
+    Block (g, k) keeps its top ``ranks[g, k]`` eigenpairs (lambda, V), in
+    ascending order: ``coord[g, k]`` (R x D) is ``sqrt(lambda) V*``, so that
+    ``coord* coord`` is the block, and ``pinv[g, k]`` (D x R) its right
+    inverse ``V / sqrt(lambda)``.  Raises ValueError naming the first block
+    (g, k) with an eigenvalue below ``-cutoff`` or a non-finite entry.
     """
-    blocks = [np.asarray(b, dtype=complex) for b in blocks]
-    eig = {}
-    for size in {len(b) for b in blocks}:
-        idx = [i for i, b in enumerate(blocks) if len(b) == size]
-        stack = np.stack([blocks[i] for i in idx])
-        eig.update(zip(idx, zip(*np.linalg.eigh((stack + stack.conj().swapaxes(-1, -2)) / 2))))
-    cutoff = tol * (1.0 + np.concatenate([lam for lam, _ in eig.values()] + [np.zeros(0)]).max(initial=0.0))
-    out = []
-    for i in range(len(blocks)):
-        lam, vecs = eig[i]
-        if len(lam) and lam[0] < -cutoff:
-            raise ValueError(f"gram block {i} is indefinite (eigenvalue {lam[0]:.3e} below -{cutoff:.3e})")
-        keep = lam > cutoff
-        root, kept = np.sqrt(lam[keep]), vecs[:, keep]
-        out.append((root[:, None] * kept.conj().T, kept / root))
-    return out
+    blocks = np.asarray(blocks, dtype=complex)
+    sizes = np.broadcast_to(sizes, blocks.shape[:2])
+    finite = np.isfinite(blocks).all(axis=(-2, -1))
+    lam, vecs = np.zeros(blocks.shape[:3]), np.zeros_like(blocks)
+    for s in np.unique(sizes[sizes > 0]).tolist():
+        g, k = np.nonzero((sizes == s) & finite)
+        b = blocks[g, k, :s, :s]
+        lam[g, k, :s], vecs[g, k, :s, :s] = np.linalg.eigh((b + b.conj().swapaxes(-1, -2)) / 2)
+    cutoff = tol * (1.0 + lam.max(axis=(1, 2), initial=0.0))[:, None]
+    low = np.where(finite, lam.min(axis=-1, initial=0.0), np.nan)  # a non-finite block fails as NaN
+    bad = ~(low >= -cutoff)
+    if bad.any():
+        g, k = np.argwhere(bad)[0].tolist()
+        raise ValueError(f"gram block ({g}, {k}) is indefinite (eigenvalue {low[g, k]:.3e} below -{cutoff[g, 0]:.3e})")
+    ranks = (lam > cutoff[..., None]).sum(axis=-1)
+    # the kept eigenpairs of block (g, k) are its last ranks[g, k] below sizes[g, k]
+    kept = np.arange(ranks.max(initial=0)) < ranks[..., None]
+    at = np.where(kept, sizes[..., None] - ranks[..., None] + np.arange(kept.shape[-1]), 0)
+    root = np.sqrt(np.where(kept, np.take_along_axis(lam, at, -1), 1.0))
+    vec = np.where(kept[..., None, :], np.take_along_axis(vecs, at[..., None, :], -1), 0)
+    return root[..., None] * vec.conj().swapaxes(-1, -2), vec / root[..., None, :], ranks

@@ -71,8 +71,9 @@ def vector_from_json(obj) -> np.ndarray:
 
 
 def matrix_to_json(m: np.ndarray) -> list:
-    m = np.asarray(m, dtype=complex)
-    return [[complex_to_json(z) for z in row] for row in m]
+    """Rows of [re, im] pairs, from one conversion of the float view."""
+    m = np.ascontiguousarray(m, dtype=complex)
+    return m.view(float).reshape(m.shape + (2,)).tolist()
 
 
 def matrix_from_json(obj, rows: int | None = None, cols: int | None = None) -> np.ndarray:
@@ -118,16 +119,16 @@ def rep_to_json(rep: EquivariantRep) -> dict:
     """Base permutations per group element plus per-point matrices, and the
     algebra generators as per-fiber blocks."""
     action = rep.system.action
-    n = rep.module.n_points
+    dims = rep.module.fiber_dims
     return {
-        "fiberDims": list(rep.module.fiber_dims),
-        "rho": [[matrix_to_json(gen.blocks[x]) for x in range(n)] for gen in rep.rho],
+        "fiberDims": list(dims),
+        "rho": [[matrix_to_json(gen[x, :d, :d]) for x, d in enumerate(dims)] for gen in rep.rho_stack],
         "v": {
             str(g): {
-                "srcPerm": [action.apply_inv(g, x) for x in range(n)],
-                "mats": [matrix_to_json(rep.v_mats[g][x]) for x in range(n)],
+                "srcPerm": action.src[g].tolist(),
+                "mats": [matrix_to_json(m) for m in mats],
             }
-            for g in range(action.group.order)
+            for g, mats in enumerate(rep.v_mats)
         },
     }
 

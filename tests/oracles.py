@@ -44,3 +44,38 @@ def reference_tensor_coords(tp) -> tuple[list[np.ndarray], list[np.ndarray]]:
         coords.append(coord[: dims[m]])
         pinvs.append(pinv[:, : dims[m]])
     return coords, pinvs
+
+
+def reference_block_quotient(blocks, tol: float) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The list-based gram quotient that :func:`cstardyn.numutil.gram_quotient`
+    replaced: one block-diagonal gram given as its square diagonal blocks,
+    one batched ``eigh`` per block size, the cutoff ``tol * (1 + max(0,
+    lambda_max))`` over all blocks, and per block ``(coord, pinv)`` over its
+    kept eigenpairs (lambda, V): ``sqrt(lambda) V*`` and ``V / sqrt(lambda)``.
+    Raises ValueError naming the first block with an eigenvalue below
+    ``-cutoff``.
+    """
+    blocks = [np.asarray(b, dtype=complex) for b in blocks]
+    eig = {}
+    for size in {len(b) for b in blocks}:
+        idx = [i for i, b in enumerate(blocks) if len(b) == size]
+        stack = np.stack([blocks[i] for i in idx])
+        eig.update(zip(idx, zip(*np.linalg.eigh((stack + stack.conj().swapaxes(-1, -2)) / 2))))
+    cutoff = tol * (1.0 + np.concatenate([lam for lam, _ in eig.values()] + [np.zeros(0)]).max(initial=0.0))
+    out = []
+    for i in range(len(blocks)):
+        lam, vecs = eig[i]
+        if len(lam) and lam[0] < -cutoff:
+            raise ValueError(f"gram block {i} is indefinite (eigenvalue {lam[0]:.3e} below -{cutoff:.3e})")
+        keep = lam > cutoff
+        root, kept = np.sqrt(lam[keep]), vecs[:, keep]
+        out.append((root[:, None] * kept.conj().T, kept / root))
+    return out
+
+
+def reference_matrix_to_json(m: np.ndarray) -> list:
+    """Rows of [re, im] pairs, one ``complex_to_json`` call per entry, as
+    :func:`cstardyn.serialize.matrix_to_json` encoded them one at a time."""
+    from cstardyn.serialize import complex_to_json
+
+    return [[complex_to_json(z) for z in row] for row in np.asarray(m, dtype=complex)]

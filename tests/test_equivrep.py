@@ -1042,3 +1042,21 @@ class TestPairCocycleEquivalence:
             unitarily_equivalent(rep, broken)
         with pytest.raises(ValueError, match="at point 1"):
             unitarily_equivalent(broken, rep)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("point", [0, 2])
+    def test_non_finite_rho_raises(self, point, value):
+        # a non-finite entry makes the check's bound non-finite; it must still
+        # fail at its point, not drop the fiber or end in a None
+        rep = sigma_example_rep(3)
+        rho = rep.rho_stack.copy()
+        rho[0, point, 0, 0] = value
+        bad = EquivariantRep(rep.system, rep.module, rho, rep.v_stack)
+        for call in (
+            lambda: tensor_rep(rep, bad),
+            lambda: tensor_rep(bad, rep),
+            lambda: unitarily_equivalent(bad, rep),
+            lambda: unitarily_equivalent(rep, bad),
+        ):
+            with pytest.raises(ValueError, match=f"at point {point}$"):
+                call()

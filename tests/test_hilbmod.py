@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cstardyn import fibers
 from cstardyn.core import FiniteSpace
 from cstardyn.hilbmod import (
     ModuleOperator,
@@ -389,13 +390,14 @@ class TestCheckProjectionRep:
                 for row, b in zip(blocks, fiber):
                     row[point] = b
                 rho = [ModuleOperator(module, tuple(row)) for row in blocks]
+                stack = fibers.stack_blocks(blocks, module.fiber_dims)
                 try:
                     reference_check_projection_rep(rho, module, 1e-9)
                 except ValueError as exc:
                     raised += 1
                     with pytest.raises(ValueError) as info:
-                        _check_projection_rep(rho, module, 1e-9)
+                        _check_projection_rep(stack, module.fiber_dims, 1e-9)
                     assert str(info.value) == str(exc)
                 else:
-                    _check_projection_rep(rho, module, 1e-9)
+                    _check_projection_rep(stack, module.fiber_dims, 1e-9)
         assert raised == (0 if fault == "none" else 8)

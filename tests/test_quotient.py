@@ -16,6 +16,7 @@ from cstardyn.equivrep import fell_absorption_unitary, gns_from_pd, regular_rep,
 from cstardyn.generators import assorted_small_systems, random_equivariant_rep, random_vector
 from cstardyn.multiplier import coefficient, multiplier_distance, pd_criterion_matrix, unit_multiplier
 from cstardyn.numutil import gram_quotient
+from oracles import reference_block_quotient
 
 
 def reference_gram_quotient(gram: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
@@ -28,6 +29,12 @@ def reference_gram_quotient(gram: np.ndarray, tol: float = DEFAULT_TOL) -> tuple
     keep = lam > cutoff
     root, kept = np.sqrt(lam[keep]), vecs[:, keep]
     return root[:, None] * kept.conj().T, kept / root
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and np.array_equal(
+        np.ascontiguousarray(a).view(np.uint64), np.ascontiguousarray(b).view(np.uint64)
+    )
 
 
 def block_diag(blocks) -> np.ndarray:
@@ -49,11 +56,11 @@ def random_psd(rng, size: int, rank: int, scale: float = 1.0) -> np.ndarray:
     return scale * (a @ a.conj().T)
 
 
-def random_blocks(rng) -> list[np.ndarray]:
-    """Blocks of sizes 0 to 5: empty, zero, rank-deficient and full rank,
-    with scales 1 and 1e6 mixed in one gram."""
+def random_blocks(rng, count: int | None = None) -> list[np.ndarray]:
+    """``count`` blocks (1 to 6 when None) of sizes 0 to 5: empty, zero,
+    rank-deficient and full rank, with scales 1 and 1e6 mixed in one gram."""
     blocks = []
-    for _ in range(int(rng.integers(1, 7))):
+    for _ in range(int(rng.integers(1, 7)) if count is None else count):
         size = int(rng.integers(0, 6))
         kind = rng.integers(3)
         if kind == 0:
@@ -64,40 +71,85 @@ def random_blocks(rng) -> list[np.ndarray]:
     return blocks
 
 
+def padded_group(blocks) -> tuple[np.ndarray, np.ndarray]:
+    """Blocks of one gram as the (1, K, D, D) stack and (1, K) sizes."""
+    sizes = np.array([[b.shape[0] for b in blocks]])
+    stack = np.zeros((1, len(blocks)) + (sizes.max(initial=0),) * 2, dtype=complex)
+    for k, b in enumerate(blocks):
+        stack[0, k, : len(b), : len(b)] = b
+    return stack, sizes
+
+
 class TestGramQuotient:
     @pytest.mark.parametrize("seed", range(40))
     def test_matches_dense_reference(self, seed):
         rng = np.random.default_rng(seed)
         blocks = random_blocks(rng)
-        quotients = gram_quotient(blocks, DEFAULT_TOL)
-        assert len(quotients) == len(blocks)
-        assert sum(len(c) for c, _ in quotients) == reference_rank(blocks)
-        for block, (coord, pinv) in zip(blocks, quotients):
+        coord, pinv, ranks = gram_quotient(*padded_group(blocks), DEFAULT_TOL)
+        assert ranks.shape == (1, len(blocks))
+        assert ranks.sum() == reference_rank(blocks)
+        assert coord.shape[2] == pinv.shape[3] == ranks.max(initial=0)
+        for block, c, p, r in zip(blocks, coord[0], pinv[0], ranks[0]):
             size = block.shape[0]
-            assert coord.shape[1] == size and pinv.shape == coord.shape[::-1]
-            assert np.abs(coord @ pinv - np.eye(len(coord))).max(initial=0.0) <= 1e-12
+            assert not c[r:].any() and not c[:, size:].any() and not p[size:].any() and not p[:, r:].any()
+            c, p = c[:r, :size], p[:size, :r]
+            assert np.abs(c @ p - np.eye(r)).max(initial=0.0) <= 1e-12
             scale = 1.0 + np.abs(block).max(initial=0.0)
-            assert np.abs(coord.conj().T @ coord - block).max(initial=0.0) <= 1e-12 * scale
+            assert np.abs(c.conj().T @ c - block).max(initial=0.0) <= 1e-12 * scale
 
-    def test_cutoff_is_global(self):
+    def test_cutoff_is_per_group(self):
         # an eigenvalue of 1e-5 is kept on its own, but falls below the
         # cutoff of a gram that also holds an eigenvalue of 1e6
         small = np.diag([1.0, 1e-5]).astype(complex)
-        assert [len(c) for c, _ in gram_quotient([small], DEFAULT_TOL)] == [2]
+        assert gram_quotient(*padded_group([small]), DEFAULT_TOL)[2].tolist() == [[2]]
         big = 1e6 * np.eye(1, dtype=complex)
-        assert [len(c) for c, _ in gram_quotient([small, big], DEFAULT_TOL)] == [1, 1]
+        assert gram_quotient(*padded_group([small, big]), DEFAULT_TOL)[2].tolist() == [[1, 1]]
         assert reference_rank([small, big]) == 2
+        # in groups of their own, each block keeps its own cutoff
+        stack = np.zeros((2, 1, 2, 2), dtype=complex)
+        stack[0, 0], stack[1, 0, :1, :1] = small, big
+        assert gram_quotient(stack, [[2], [1]], DEFAULT_TOL)[2].tolist() == [[2], [1]]
 
     def test_empty_and_zero_blocks(self):
-        quotients = gram_quotient([np.zeros((0, 0)), np.zeros((3, 3))], DEFAULT_TOL)
-        assert [c.shape for c, _ in quotients] == [(0, 0), (0, 3)]
-        assert [p.shape for _, p in quotients] == [(0, 0), (3, 0)]
-        assert gram_quotient([], DEFAULT_TOL) == []
+        coord, pinv, ranks = gram_quotient(np.zeros((1, 2, 3, 3)), [[0, 3]], DEFAULT_TOL)
+        assert coord.shape == (1, 2, 0, 3) and pinv.shape == (1, 2, 3, 0)
+        assert ranks.tolist() == [[0, 0]]
+        coord, pinv, ranks = gram_quotient(np.zeros((1, 0, 0, 0)), 0, DEFAULT_TOL)
+        assert coord.shape == pinv.shape == (1, 0, 0, 0) and ranks.shape == (1, 0)
 
     def test_indefinite_block_named(self, rng):
         blocks = [random_psd(rng, 2, 2), random_psd(rng, 3, 1), -random_psd(rng, 2, 1)]
-        with pytest.raises(ValueError, match="block 2 is indefinite"):
-            gram_quotient(blocks, DEFAULT_TOL)
+        with pytest.raises(ValueError, match=r"block \(0, 2\) is indefinite"):
+            gram_quotient(*padded_group(blocks), DEFAULT_TOL)
+
+    @pytest.mark.parametrize("where", [(0, 0), (1, 2), (2, 1)])
+    def test_nan_block_named(self, rng, where):
+        stack = np.stack([np.stack([random_psd(rng, 3, 3) for _ in range(3)]) for _ in range(3)])
+        stack[where + (1, 2)] = np.nan
+        with pytest.raises(ValueError, match=rf"block \({where[0]}, {where[1]}\) is indefinite \(eigenvalue nan"):
+            gram_quotient(stack, 3, DEFAULT_TOL)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_bit_identical_to_block_reference(self, seed):
+        """Several groups of blocks of sizes 0 to 5, zero, rank-deficient and
+        full rank, scales 1 and 1e6 mixed, so that the groups' cutoffs differ:
+        every output equals that of the list-based quotient of its group."""
+        rng = np.random.default_rng(seed)
+        count = int(rng.integers(1, 7))
+        groups = [random_blocks(rng, count) for _ in range(int(rng.integers(1, 5)))]
+        sizes = np.array([[len(b) for b in blocks] for blocks in groups])
+        stack = np.zeros(sizes.shape + (max(sizes.max(), 1),) * 2, dtype=complex)
+        for g, blocks in enumerate(groups):
+            for k, b in enumerate(blocks):
+                stack[g, k, : len(b), : len(b)] = b
+        coord, pinv, ranks = gram_quotient(stack, sizes, DEFAULT_TOL)
+        for g, blocks in enumerate(groups):
+            for k, (c, p) in enumerate(reference_block_quotient(blocks, DEFAULT_TOL)):
+                size, r = sizes[g, k], len(c)
+                assert ranks[g, k] == r
+                assert same_bits(coord[g, k, :r, :size], c) and same_bits(pinv[g, k, :size, :r], p)
+                assert not coord[g, k, r:].any() and not coord[g, k, :, size:].any()
+                assert not pinv[g, k, size:].any() and not pinv[g, k, :, r:].any()
 
 
 def cyclic_cases():

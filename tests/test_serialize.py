@@ -8,9 +8,12 @@ import numpy as np
 import pytest
 
 from cstardyn import serialize
-from cstardyn.cyclic_examples import sigma_example_rep, sigma_cocycle, sigma_system
+from cstardyn.cocycle import group_part, v_to_cocycle
+from cstardyn.cyclic_examples import omega_example_rep, omega_system, sigma_example_rep, sigma_cocycle, sigma_system
+from cstardyn.equivrep import EquivariantRep, direct_sum_reps, trivial_rep
 from cstardyn.generators import random_equivariant_rep, random_multiplier_suite
 from cstardyn.multiplier import multiplier_distance
+from oracles import reference_matrix_to_json
 
 
 def through_json(obj):
@@ -92,6 +95,57 @@ class TestMultiplierRoundTrip:
             assert multiplier_distance(back, t) == 0.0
             for g in range(3):
                 assert np.array_equal(back.mats[g], t.mats[g])
+
+
+def reference_rep_json(rep) -> dict:
+    """:func:`serialize.rep_to_json` with every matrix encoded entry by entry."""
+    action, n = rep.system.action, rep.module.n_points
+    return {
+        "fiberDims": list(rep.module.fiber_dims),
+        "rho": [[reference_matrix_to_json(gen.blocks[x]) for x in range(n)] for gen in rep.rho],
+        "v": {
+            str(g): {
+                "srcPerm": [action.apply_inv(g, x) for x in range(n)],
+                "mats": [reference_matrix_to_json(rep.v_mats[g][x]) for x in range(n)],
+            }
+            for g in range(action.group.order)
+        },
+    }
+
+
+def ragged_omega_rep(n: int):
+    return direct_sum_reps([omega_example_rep(n, 0, 0), omega_example_rep(n, n - 1, 1), trivial_rep(omega_system(n))])
+
+
+class TestMatrixEncoding:
+    def test_text_equals_per_entry_encoding(self, rng):
+        for rows, cols in [(0, 0), (0, 3), (2, 0), (1, 1), (3, 5), (5, 5)]:
+            m = rng.normal(size=(rows, cols, 2)) * 10.0 ** rng.integers(-300, 300, size=(rows, cols, 2))
+            if m.size:
+                m[0, 0] = [-0.0, 5e-324]  # a negative zero and the smallest subnormal
+                m[-1, -1] = [2.2250738585072014e-308 / 3, -0.0]
+            m = m.view(complex)[..., 0]
+            for given in (m, m.T, np.real(m)):
+                assert json.dumps(serialize.matrix_to_json(given)) == json.dumps(reference_matrix_to_json(given))
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_ragged_rep_text(self, n):
+        rep = ragged_omega_rep(n)
+        assert len(set(rep.module.fiber_dims)) > 1
+        assert json.dumps(serialize.rep_to_json(rep)) == json.dumps(reference_rep_json(rep))
+        c = v_to_cocycle(group_part(rep))
+        expected = {
+            "fiberDims": list(c.module.fiber_dims),
+            "u": {str(g): {str(x): reference_matrix_to_json(m) for x, m in enumerate(per)} for g, per in enumerate(c.u)},
+        }
+        assert json.dumps(serialize.cocycle_to_json(c)) == json.dumps(expected)
+
+    def test_signed_zeros_in_rep_text(self):
+        rep = sigma_example_rep(3)
+        v = np.where(rep.v_stack == 0, complex(-0.0, -0.0), rep.v_stack)
+        rep = EquivariantRep(rep.system, rep.module, rep.rho_stack, v)
+        text = json.dumps(serialize.rep_to_json(rep))
+        assert "[-0.0, -0.0]" in text and text == json.dumps(reference_rep_json(rep))
 
 
 def per_entry_decode(obj):
