@@ -253,7 +253,7 @@ def cmd_pd(args) -> int:
         t = serialize.multiplier_from_json(payload["multiplier"], system)
     cert = is_positive_definite(t, args.tol)
     oracle = pd_sample_oracle(t, trials=args.trials, seed=args.seed, tol=args.tol)
-    rcp = build_reduced(system, args.tol)
+    rcp = build_reduced(system)
     cp = is_completely_positive(rcp, induced_map(rcp, t), args.tol)
     verdicts = {
         "fiberwise_criterion": cert.verdict,

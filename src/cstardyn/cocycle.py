@@ -242,7 +242,7 @@ def cocycle_equivalent(
             return None
     points = np.arange(len(dims))
     w = u2[carrier, points] @ at_rep[rep_of] @ u1[carrier, points].conj().swapaxes(-1, -2)
-    if not max_abs(w @ u1 - u2 @ w[action.src]) <= tol * scale:
+    if not fibers.intertwining_residual(w, u1, u2, action.src).max(initial=0.0) <= tol * scale:
         return None
     return [w[x, :d, :d] for x, d in enumerate(dims)]
 

@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from . import fibers
-from .core import DEFAULT_TOL, System, _freeze, _orbit_tables, act_on_algebra
+from .core import DEFAULT_TOL, System, _freeze, _orbit_tables
 from .multiplier import Multiplier, PdCertificate
 from .numutil import max_abs
 from .reporting import CheckReport
@@ -212,36 +212,6 @@ def regular_covariant(system: System) -> CovariantRep:
     return CovariantRep(system, d, pi, u)
 
 
-def convolve(system: System, f1: np.ndarray, f2: np.ndarray) -> np.ndarray:
-    """(f1 * f2)(g) = sum_h f1(h) alpha_h(f2(h^{-1} g)); functions are arrays
-    of shape (|G|, n)."""
-    order, n = system.group.order, system.n_points
-    f1 = np.asarray(f1, dtype=complex).reshape(order, n)
-    f2 = np.asarray(f2, dtype=complex).reshape(order, n)
-    out = np.zeros((order, n), dtype=complex)
-    for g in range(order):
-        for h in range(order):
-            out[g] += f1[h] * act_on_algebra(system.action, h, f2[system.group.mul(system.group.inv(h), g)])
-    return out
-
-
-def involution(system: System, f: np.ndarray) -> np.ndarray:
-    """f*(g) = alpha_g(f(g^{-1}))^* (conjugation on C^n)."""
-    order, n = system.group.order, system.n_points
-    f = np.asarray(f, dtype=complex).reshape(order, n)
-    out = np.zeros((order, n), dtype=complex)
-    for g in range(order):
-        out[g] = act_on_algebra(system.action, g, f[system.group.inv(g)]).conj()
-    return out
-
-
-def delta_function(system: System, g: int, a: np.ndarray) -> np.ndarray:
-    """The finitely supported function a . delta_g."""
-    out = np.zeros((system.group.order, system.n_points), dtype=complex)
-    out[g] = np.asarray(a, dtype=complex)
-    return out
-
-
 def integrated_form(rep: CovariantRep, f: np.ndarray) -> np.ndarray:
     """Lambda(f) = sum_g pi(f(g)) u(g)."""
     sys_ = rep.system
@@ -313,8 +283,6 @@ class ReducedCrossedProduct:
     def index(self, g: int, j: int) -> int:
         return g * self.system.n_points + j
 
-    def from_coords(self, coords: np.ndarray) -> np.ndarray:
-        return np.tensordot(np.asarray(coords, dtype=complex), self.basis, axes=1)
 
 
 def _one_hot(index: np.ndarray, size: int) -> np.ndarray:
@@ -325,7 +293,7 @@ def _one_hot(index: np.ndarray, size: int) -> np.ndarray:
     return out
 
 
-def build_reduced(system: System, tol: float = DEFAULT_TOL) -> ReducedCrossedProduct:
+def build_reduced(system: System) -> ReducedCrossedProduct:
     """Assemble the reduced crossed product: the row -> column maps of the
     basis and the index tables of products, adjoints and basis products
     b_a^* b_b, all read off the group and action tables.
@@ -339,8 +307,7 @@ def build_reduced(system: System, tol: float = DEFAULT_TOL) -> ReducedCrossedPro
     which are the relations the pair needs (the pi(e_j) are 0/1 projections
     summing to 1, u a homomorphism, and covariance).  No dense matrix is
     formed; see :class:`ReducedCrossedProduct` for the views derived on
-    demand.  ``tol`` is accepted for signature compatibility; nothing here
-    rounds.
+    demand.
     """
     n, order = system.n_points, system.group.order
     N = d = n * order
@@ -524,7 +491,7 @@ def is_completely_positive(
     )
 
 
-def center_dimension(rcp: ReducedCrossedProduct, tol: float = DEFAULT_TOL) -> int:
+def center_dimension(rcp: ReducedCrossedProduct) -> int:
     """Dimension of the center, counted from the group and action tables.
 
     C(X) x| G is the direct sum over the orbits O of M_|O|(C*(G_x)) for any
@@ -533,8 +500,7 @@ def center_dimension(rcp: ReducedCrossedProduct, tol: float = DEFAULT_TOL) -> in
     dimension is the sum over the orbits of the number of classes of a point
     stabilizer.  Each orbit is represented by its smallest point, and each
     class by its smallest element: k is one when no h k h^-1 (h in G_x) is
-    smaller.  ``tol`` is accepted for signature compatibility; nothing here
-    rounds."""
+    smaller."""
     group, perm = rcp.system.group, rcp.system.action.perm
     total = 0
     for x in _orbit_tables(rcp.system.action)[0]:
@@ -544,9 +510,8 @@ def center_dimension(rcp: ReducedCrossedProduct, tol: float = DEFAULT_TOL) -> in
     return total
 
 
-def is_commutative(rcp: ReducedCrossedProduct, tol: float = DEFAULT_TOL) -> bool:
+def is_commutative(rcp: ReducedCrossedProduct) -> bool:
     """Whether every two basis elements commute.  A product of two basis
     elements is a basis element or 0, so the algebra is commutative exactly
-    when ``mult_index`` is symmetric.  ``tol`` is accepted for signature
-    compatibility, as in :func:`build_reduced`; nothing here rounds."""
+    when ``mult_index`` is symmetric."""
     return bool(np.array_equal(rcp.mult_index, rcp.mult_index.T))

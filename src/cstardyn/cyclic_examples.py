@@ -17,7 +17,7 @@ from .cocycle import CocycleRep, EquivariantMap, _pullback_rep, _require_cocycle
 from .core import FiniteSpace, System, cyclic_group, cyclic_shift_action, trivial_action
 from .equivrep import EquivariantRep
 from .hilbmod import ModuleVector, SectionalModule
-from .multiplier import Multiplier, _coefficients, coefficient
+from .multiplier import Multiplier, _coefficients
 
 
 def omega_system(n: int) -> System:
@@ -135,18 +135,6 @@ def matrix_unit_target(system: System, k: int, l: int, p: int) -> Multiplier:
     return Multiplier(system, mats)
 
 
-def omega_matrix_unit_coefficient(n: int, k: int, l: int, p: int) -> Multiplier:
-    rep = omega_example_rep(n, k, l)
-    x, y = omega_example_vectors(n, k, p)
-    return coefficient(rep, x, y)
-
-
-def sigma_matrix_unit_coefficient(n: int, k: int, l: int, p: int) -> Multiplier:
-    rep = sigma_example_rep(n)
-    x, y = sigma_example_vectors(n, k, l, p)
-    return coefficient(rep, x, y)
-
-
 def matrix_unit_family(kind: str, n: int) -> list[Multiplier]:
     """All n^3 matrix-unit coefficients of one family, indexed by (k, l, p).
 
@@ -188,7 +176,3 @@ def matrix_unit_deviation(family: list[Multiplier]) -> float:
     target[np.arange(len(family)), p, k, l] = 1.0
     return float(np.abs(mats - target).max())
 
-
-def verify_matrix_units(kind: str, n: int) -> float:
-    """Max deviation of the constructed coefficients from the matrix units."""
-    return matrix_unit_deviation(matrix_unit_family(kind, n))

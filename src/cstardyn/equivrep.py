@@ -22,7 +22,6 @@ from .hilbmod import (
     ModuleVector,
     SectionalModule,
     _check_projection_rep,
-    banach_stone_operator,
     internal_tensor,
     module_action,
     trivial_module,
@@ -92,12 +91,6 @@ class EquivariantRep:
     def v_mats(self) -> tuple[tuple[np.ndarray, ...], ...]:
         return fibers.fiber_views(self.system.action, self.module.fiber_dims, self.v_stack)
 
-    def apply_rho(self, a: np.ndarray, vec: ModuleVector) -> ModuleVector:
-        if vec.module != self.module:
-            raise ValueError("vector lives on a different module")
-        ops = np.tensordot(np.asarray(a, dtype=complex).reshape(self.module.n_points), self.rho_stack, axes=1)
-        return ModuleVector(self.module, tuple(o[: len(c), : len(c)] @ c for o, c in zip(ops, vec.components)))
-
     def apply_v(self, g: int, vec: ModuleVector) -> ModuleVector:
         if vec.module != self.module:
             raise ValueError("vector lives on a different module")
@@ -106,10 +99,6 @@ class EquivariantRep:
             src = self.system.action.apply_inv(g, x)
             comps.append(self.v_mats[g][x] @ vec.components[src])
         return ModuleVector(self.module, tuple(comps))
-
-    def v_full_matrix(self, g: int) -> np.ndarray:
-        """v(g) as one total_dim x total_dim matrix in fiber-block coordinates."""
-        return banach_stone_operator(self.module, self.system.action.src[g], self.v_mats[g])
 
 
 @dataclass(frozen=True, eq=False)
@@ -359,8 +348,8 @@ def fell_absorption_unitary(rep: EquivariantRep, tol: float = DEFAULT_TOL):
     add("isometry", fibers.entry_max(wh @ w - fibers.padded_identity(dt)), "x")
     add("surjectivity", fibers.entry_max(w @ wh - fibers.padded_identity(dr)), "x")
     report.add("dimension match", float(abs(trep.module.total_dim - reg.module.total_dim)), 0.5)
-    add("intertwines rho", fibers.entry_max(w @ trep.rho_stack - reg.rho_stack @ w), "k", "x")
-    add("intertwines v", fibers.entry_max(w @ trep.v_stack - reg.v_stack @ w[sys_.action.src]), "g", "x")
+    add("intertwines rho", fibers.intertwining_residual(w, trep.rho_stack, reg.rho_stack), "k", "x")
+    add("intertwines v", fibers.intertwining_residual(w, trep.v_stack, reg.v_stack, sys_.action.src), "g", "x")
 
     # A-linearity of W on a seeded spanning sample of simple tensors
     rng = np.random.default_rng(7)
@@ -525,5 +514,6 @@ def unitarily_equivalent(
 def _intertwiner_residual(r1: EquivariantRep, r2: EquivariantRep, mats: Sequence[np.ndarray]) -> float:
     """max |W rho1(e_k) - rho2(e_k) W| and |W_x v1(g)_x - v2(g)_x W_{g^{-1}x}|
     over all k, g and x, on the padded stacks; NaN propagates."""
-    w = fibers.stack_blocks([mats], r1.module.fiber_dims)[0]
-    return max_abs_over((w @ r1.rho_stack - r2.rho_stack @ w, w @ r1.v_stack - r2.v_stack @ w[r1.system.action.src]))
+    w, src = fibers.stack_blocks([mats], r1.module.fiber_dims)[0], r1.system.action.src
+    rho = fibers.intertwining_residual(w, r1.rho_stack, r2.rho_stack)
+    return max_abs_over((rho, fibers.intertwining_residual(w, r1.v_stack, r2.v_stack, src)))

@@ -119,6 +119,19 @@ def blocks(count: int, per_item: int):
         yield lo, min(count, lo + step)
 
 
+def intertwining_residual(w: np.ndarray, a: np.ndarray, b: np.ndarray, src=None) -> np.ndarray:
+    """max |W_x A(k)_x - B(k)_x W_{src[k, x]}| per (k, x), for padded stacks
+    ``w`` (n, r, c), ``a`` (K, n, c, c) and ``b`` (K, n, r, r); ``src``
+    (K, n) defaults to W_x on both sides.  Formed for blocks of k of at most
+    ``BLOCK_ELEMENTS`` product entries; NaN propagates."""
+    count, n = a.shape[:2]
+    out = np.empty((count, n))
+    for lo, hi in blocks(count, w.size):
+        right = w if src is None else w[src[lo:hi]]
+        out[lo:hi] = entry_max(w @ a[lo:hi] - b[lo:hi] @ right)
+    return out
+
+
 class Worst:
     """The largest residual seen so far and the first index attaining it.
 

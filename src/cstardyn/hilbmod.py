@@ -16,7 +16,7 @@ import numpy as np
 
 from . import fibers
 from .core import DEFAULT_TOL, FiniteSpace, _freeze
-from .numutil import gram_quotient
+from .numutil import gram_quotient, matrix_rank, max_abs
 
 
 class NotAModuleError(ValueError):
@@ -116,19 +116,11 @@ def _same_module(a, b) -> None:
         raise ValueError("vectors live on different modules")
 
 
-def zero_vector(module: SectionalModule) -> ModuleVector:
-    return ModuleVector(module, tuple(np.zeros(d, dtype=complex) for d in module.fiber_dims))
-
-
 def basis_vector(module: SectionalModule, x: int, i: int) -> ModuleVector:
     """The section supported at point x equal to the i-th fiber basis vector."""
     comps = [np.zeros(d, dtype=complex) for d in module.fiber_dims]
     comps[x][i] = 1.0
     return ModuleVector(module, tuple(comps))
-
-
-def basis_vectors(module: SectionalModule) -> list[ModuleVector]:
-    return [basis_vector(module, x, i) for x in module.space.points() for i in range(module.fiber_dims[x])]
 
 
 def inner_product(xi: ModuleVector, eta: ModuleVector) -> np.ndarray:
@@ -155,19 +147,6 @@ def trivial_module(space: FiniteSpace) -> SectionalModule:
     return SectionalModule(space, (1,) * space.size)
 
 
-def canonical_rep(module: SectionalModule) -> list[ModuleOperator]:
-    """Generators of the pointwise-scalar representation of C^n: e_k acts as
-    the identity on fiber k and zero elsewhere."""
-    gens = []
-    for k in module.space.points():
-        blocks = [
-            (np.eye(d, dtype=complex) if x == k else np.zeros((d, d), dtype=complex))
-            for x, d in enumerate(module.fiber_dims)
-        ]
-        gens.append(ModuleOperator(module, tuple(blocks)))
-    return gens
-
-
 def direct_sum(modules: Sequence[SectionalModule]) -> SectionalModule:
     if not modules:
         raise ValueError("direct sum of an empty family is not defined")
@@ -176,23 +155,6 @@ def direct_sum(modules: Sequence[SectionalModule]) -> SectionalModule:
         raise ValueError("direct summands must share the base space")
     dims = tuple(sum(m.fiber_dims[x] for m in modules) for x in space.points())
     return SectionalModule(space, dims)
-
-
-def direct_sum_embed(modules: Sequence[SectionalModule], index: int, vec: ModuleVector) -> ModuleVector:
-    """Canonical injection of the index-th summand into the direct sum."""
-    if vec.module != modules[index]:
-        raise ValueError("vector does not live on the indicated summand")
-    total = direct_sum(modules)
-    comps = []
-    for x in total.space.points():
-        parts = []
-        for i, m in enumerate(modules):
-            if i == index:
-                parts.append(vec.components[x])
-            else:
-                parts.append(np.zeros(m.fiber_dims[x], dtype=complex))
-        comps.append(np.concatenate(parts) if parts else np.zeros(0, dtype=complex))
-    return ModuleVector(total, tuple(comps))
 
 
 @dataclass(frozen=True)
@@ -234,42 +196,38 @@ def sectionalize(
     if G.shape != (n, dim, dim):
         raise ValueError("gram must have shape (n, dim, dim)")
 
-    scale_L = 1.0 + max(np.abs(L).max(), 1.0)
+    # each check passes only on a true comparison, so a NaN entry fails one
+    scale_L = 1.0 + max(max_abs(L), 1.0)
     for k in range(n):
-        if np.abs(L[k] @ L[k] - L[k]).max() > tol * scale_L:
+        if not max_abs(L[k] @ L[k] - L[k]) <= tol * scale_L:
             raise NotAModuleError("idempotent", f"action of e_{k} is not idempotent")
         for l in range(n):
-            if l != k and np.abs(L[k] @ L[l]).max() > tol * scale_L:
+            if l != k and not max_abs(L[k] @ L[l]) <= tol * scale_L:
                 raise NotAModuleError("orthogonality", f"e_{k} and e_{l} actions overlap")
-    if np.abs(L.sum(axis=0) - np.eye(dim)).max() > tol * scale_L:
+    if not max_abs(L.sum(axis=0) - np.eye(dim)) <= tol * scale_L:
         raise NotAModuleError("unital", "action idempotents do not sum to the identity")
 
-    scale_G = 1.0 + np.abs(G).max()
+    scale_G = 1.0 + max_abs(G)
     for k in range(n):
-        if np.abs(G[k] - G[k].conj().T).max() > tol * scale_G:
+        if not max_abs(G[k] - G[k].conj().T) <= tol * scale_G:
             raise NotAModuleError("conjugate-symmetry", f"component {k} of the gram is not Hermitian")
-        if np.linalg.eigvalsh((G[k] + G[k].conj().T) / 2).min() < -tol * scale_G:
+        if not np.linalg.eigvalsh((G[k] + G[k].conj().T) / 2).min(initial=0.0) >= -tol * scale_G:
             raise NotAModuleError("positivity", f"component {k} of the gram is indefinite")
         for l in range(n):
             target = G[k] if l == k else np.zeros_like(G[k])
-            if np.abs(G[k] @ L[l] - target).max() > tol * scale_G:
+            if not max_abs(G[k] @ L[l] - target) <= tol * scale_G:
                 raise NotAModuleError(
                     "compatibility", f"<x, y.e_{l}> has unexpected support in component {k}"
                 )
     total = sum(G[k] for k in range(n))
-    if np.linalg.eigvalsh((total + total.conj().T) / 2).min() < -tol * scale_G:
+    if not np.linalg.eigvalsh((total + total.conj().T) / 2).min(initial=0.0) >= -tol * scale_G:
         raise NotAModuleError("positivity", "total gram is indefinite")
 
     dims, coord_maps = [], []
     for k in range(n):
-        # basis of the range of the k-th idempotent
-        if dim == 0:
-            dims.append(0)
-            coord_maps.append(np.zeros((0, 0), dtype=complex))
-            continue
-        u, s, _ = np.linalg.svd(L[k])
-        rank = int((s > tol * (1.0 + (s[0] if len(s) else 0.0))).sum())
-        V = u[:, :rank]
+        # an orthonormal basis of the range of the k-th idempotent
+        rank = matrix_rank(L[k], tol)
+        V = np.linalg.svd(L[k])[0][:, :rank]
         try:
             _, pinv, kept = gram_quotient((V.conj().T @ G[k] @ V)[None, None], rank, tol)
         except ValueError:

@@ -169,12 +169,11 @@ class PdCertificate:
 
 
 # Trials after the first are drawn and checked this many at a time, and no
-# block of one tuple length gathers more than _BLOCK_ELEMENTS entries of the
-# (T, N, N, n, n) multiplier tensor (one trial always fits).  Both bound the
-# oracle's working set independently of the number of trials.  The fiberwise
-# criterion gathers its kernel matrices under the same element budget.
+# block of one tuple length gathers more than fibers.BLOCK_ELEMENTS entries
+# of the (T, N, N, n, n) multiplier tensor (one trial always fits).  Both
+# bound the oracle's working set independently of the number of trials.  The
+# fiberwise criterion gathers its kernel matrices under the same budget.
 _WINDOW = 256
-_BLOCK_ELEMENTS = 2**13
 
 
 def _kernel_matrices(system: System, stack: np.ndarray, s: np.ndarray, x: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -201,7 +200,7 @@ def _fiberwise_checks(system: System, stack: np.ndarray, tol: float):
     ``stack`` is (S, |G|, n, n).  The kernel matrices of all S * n * n
     triples (s, x, k) are gathered, and their scale ``1 + max|entry|``,
     Hermitian defect and ``eigh`` of the Hermitian part computed, in blocks
-    of at most ``_BLOCK_ELEMENTS`` gathered entries (one matrix always
+    of at most ``fibers.BLOCK_ELEMENTS`` gathered entries (one matrix always
     fits).  Only the smallest eigenvalue, its eigenvector, the scale and the
     defect of each matrix are kept.  Returns the verdicts (S,), the smallest
     eigenvalues and defects (S, n * n), the witness (x, k) index of each
@@ -209,13 +208,12 @@ def _fiberwise_checks(system: System, stack: np.ndarray, tol: float):
     """
     S, order, n, _ = stack.shape
     total = S * n * n
-    step = max(1, _BLOCK_ELEMENTS // (order * order))
     lam0 = np.empty(total)
     hd = np.empty(total)
     scale = np.empty(total)
     vec0 = np.empty((total, order), dtype=complex)
-    for lo in range(0, total, step):
-        q = np.arange(lo, min(lo + step, total))
+    for lo, hi in fibers.blocks(total, order * order):
+        q = np.arange(lo, hi)
         kern = _kernel_matrices(system, stack, *np.unravel_index(q, (S, n, n)))
         kern_h = kern.conj().transpose(0, 2, 1)
         scale[q] = 1.0 + np.abs(kern).max(axis=(1, 2))
@@ -261,8 +259,8 @@ def is_positive_definite(t: Multiplier, tol: float = DEFAULT_TOL) -> PdCertifica
     :func:`pd_sample_oracle` cross-validates it against the raw definition.
 
     All n^2 kernel matrices come from one gather and go through ``eigh`` in
-    blocks of at most ``_BLOCK_ELEMENTS`` entries.  A matrix fails when its
-    Hermitian defect or minus its smallest eigenvalue exceeds
+    blocks of at most ``fibers.BLOCK_ELEMENTS`` entries.  A matrix fails when
+    its Hermitian defect or minus its smallest eigenvalue exceeds
     ``tol * (1 + max|entry|)``.  The certificate's (point, basis) is the
     first (x, k) in loop order with the largest score, minus the smallest
     eigenvalue plus any defect beyond tolerance, and carries that matrix's
@@ -299,13 +297,12 @@ def _kernel_checks(t: Multiplier, gs: np.ndarray, amps: np.ndarray, tol: float, 
         table = _kernel_table(t)
     perm = t.system.action.perm
     count, N, n = amps.shape
-    step = max(1, _BLOCK_ELEMENTS // (N * N * n * n))
     mins = np.empty((count, n))
     hd = np.empty((count, n))
     bad = np.empty((count, n), dtype=bool)
-    for lo in range(0, count, step):
-        g = gs[lo : lo + step]
-        a = amps[lo : lo + step]
+    for lo, hi in fibers.blocks(count, N * N * n * n):
+        g = gs[lo:hi]
+        a = amps[lo:hi]
         # moved[t, i, j, y] = a_j at the point g_i y; its diagonal i = j is a_i there
         moved = a[np.arange(len(g))[:, None, None, None], np.arange(N)[:, None], perm[g][:, :, None, :]]
         w = np.diagonal(moved, axis1=1, axis2=2).transpose(0, 2, 1).conj()[:, :, None, :] * moved
@@ -317,9 +314,9 @@ def _kernel_checks(t: Multiplier, gs: np.ndarray, amps: np.ndarray, tol: float, 
         blk_hd = np.abs(b - bt).max(axis=(2, 3))
         blk_mins = np.linalg.eigvalsh((b + bt) / 2)[..., 0]  # (T, n)
         limit = tol * scale[:, None]
-        mins[lo : lo + step] = blk_mins
-        hd[lo : lo + step] = blk_hd
-        bad[lo : lo + step] = (blk_hd > limit) | (blk_mins < -limit)
+        mins[lo:hi] = blk_mins
+        hd[lo:hi] = blk_hd
+        bad[lo:hi] = (blk_hd > limit) | (blk_mins < -limit)
     return mins, hd, bad
 
 
@@ -341,8 +338,8 @@ def pd_sample_oracle(
     ``_WINDOW`` trials.  Each window draws, in this order, the tuple lengths
     of all its trials, then all their group indices, then all amplitudes and
     the 0/1 mask applied to them.  Trials of one length are checked together
-    in blocks of at most ``_BLOCK_ELEMENTS`` gathered entries, so the working
-    set does not grow with ``trials``.  The search stops at the first window
+    in blocks of at most ``fibers.BLOCK_ELEMENTS`` gathered entries, so the
+    working set does not grow with ``trials``.  The search stops at the first window
     with a violation and returns its lowest-indexed violating trial in draw
     order, at that trial's first bad point, with the drawn tuple as a
     reproducible witness (see :func:`evaluate_sample_witness`).  On success

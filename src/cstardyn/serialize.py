@@ -7,9 +7,12 @@ rejects wrong shapes and non-finite numbers (NaN, Infinity) with a ``ValueError`
 The per-(g, x) matrices of a representation or cocycle decode straight into
 its zero-padded stack (see :mod:`.fibers`), with one array conversion per
 class of matrix shapes: one for the whole family when all fibers have the
-same dimension.  A payload that this does not decode, a malformed one above
-all, is decoded again one matrix at a time, which raises the same error for
-the same first bad matrix as it always has.
+same dimension.  When a conversion fails, the decoder reads the payload
+again in its own order, one matrix at a time: a representation's rho blocks
+first, then for each g its base permutation before its matrices.  The first
+bad matrix or permutation raises, with the same error as always.  Matrices
+past the last point, and base permutations of non-integer numbers that
+``int`` reads as the action's, are accepted as they always were.
 """
 
 from __future__ import annotations
@@ -18,20 +21,12 @@ import math
 
 import numpy as np
 
+from . import fibers
 from .cocycle import CocycleRep
 from .core import FiniteGroup, FiniteSpace, GroupAction, System, _freeze, cyclic_group
 from .equivrep import EquivariantRep
-from .hilbmod import ModuleOperator, SectionalModule
+from .hilbmod import SectionalModule
 from .multiplier import Multiplier
-
-
-def complex_to_json(z: complex) -> list[float]:
-    z = complex(z)
-    return [z.real, z.imag]
-
-
-def complex_from_json(obj) -> complex:
-    return complex(_complex_array(obj, ()))
 
 
 def _complex_array(obj, shape: tuple) -> np.ndarray:
@@ -60,14 +55,6 @@ def _complex_array(obj, shape: tuple) -> np.ndarray:
             re, im = arr[~finite][0]
             raise ValueError(f"non-finite number in payload: [{re}, {im}]")
     return arr.view(complex).reshape(shape)
-
-
-def vector_to_json(v: np.ndarray) -> list:
-    return [complex_to_json(z) for z in np.asarray(v, dtype=complex)]
-
-
-def vector_from_json(obj) -> np.ndarray:
-    return _complex_array(obj, (None,))
 
 
 def matrix_to_json(m: np.ndarray) -> list:
@@ -135,42 +122,30 @@ def rep_to_json(rep: EquivariantRep) -> dict:
 
 def rep_from_json(obj: dict, system: System) -> EquivariantRep:
     module = SectionalModule(system.space, tuple(int(d) for d in obj["fiberDims"]))
-    dims = module.fiber_dims
-    order, n = system.group.order, module.n_points
+    dims, src = module.fiber_dims, system.action.src
+    cols = np.asarray(dims)[src]
     try:
-        rho = _stack_from_json(obj["rho"], dims, np.broadcast_to(dims, (len(obj["rho"]), n)))
-        entries = [obj["v"][str(g)] for g in range(order)]
-        v = _stack_from_json([e["mats"] for e in entries], dims, np.asarray(dims)[system.action.src])
-        decoded = _equal_ints([e["srcPerm"] for e in entries], system.action.src)
+        rho = _stack_from_json(obj["rho"], dims, np.broadcast_to(dims, (len(obj["rho"]), len(dims))))
+        entries = [obj["v"][str(g)] for g in range(system.group.order)]
+        v = _stack_from_json([e["mats"] for e in entries], dims, cols)
+        decoded = _equal_ints([e["srcPerm"] for e in entries], src)
     except _MALFORMED:
         decoded = False
-    if not decoded:
-        return _rep_per_matrix(obj, system, module)
+    if not decoded:  # read again in payload order: the first bad matrix or permutation raises
+        rho = fibers.stack_blocks([_matrices(gen, dims, dims) for gen in obj["rho"]], dims)
+        v = []
+        for g, per_point in enumerate(cols.tolist()):
+            entry = obj["v"][str(g)]
+            if [int(s) for s in entry["srcPerm"]] != src[g].tolist():
+                raise ValueError(f"serialized base permutation of element {g} does not match the action")
+            v.append(_matrices(entry["mats"], dims, per_point))
     return EquivariantRep(system, module, rho, v)
 
 
-def _rep_per_matrix(obj: dict, system: System, module: SectionalModule) -> EquivariantRep:
-    """:func:`rep_from_json` one matrix at a time, checking each element's
-    base permutation before its matrices."""
-    dims = module.fiber_dims
-    n = module.n_points
-    rho = tuple(
-        ModuleOperator(module, tuple(matrix_from_json(gen[x], dims[x], dims[x]) for x in range(n)))
-        for gen in obj["rho"]
-    )
-    v_mats = []
-    for g in range(system.group.order):
-        entry = obj["v"][str(g)]
-        if [int(s) for s in entry["srcPerm"]] != system.action.src[g].tolist():
-            raise ValueError(f"serialized base permutation of element {g} does not match the action")
-        v_mats.append(_fiber_mats(entry["mats"], system, dims, g))
-    return EquivariantRep(system, module, rho, tuple(v_mats))
-
-
-def _fiber_mats(mats, system: System, dims: tuple, g: int) -> tuple:
-    """The matrices of element g from fiber g^{-1}x into fiber x, decoded
-    from their payloads ``mats[x]``."""
-    return tuple(matrix_from_json(mats[x], dims[x], dims[s]) for x, s in enumerate(system.action.src[g]))
+def _matrices(mats, rows, cols) -> list[np.ndarray]:
+    """The matrices ``mats[x]`` of shape (rows[x], cols[x]), each converted
+    on its own in the order of x, so the first bad one raises."""
+    return [_complex_array(mats[x], (r, c)) for x, (r, c) in enumerate(zip(rows, cols))]
 
 
 # what decoding a malformed payload raises (see cli._decoding)
@@ -215,21 +190,11 @@ def cocycle_to_json(c: CocycleRep) -> dict:
 def cocycle_from_json(obj: dict, system: System) -> CocycleRep:
     module = SectionalModule(system.space, tuple(int(d) for d in obj["fiberDims"]))
     dims = module.fiber_dims
+    cols = np.asarray(dims)[system.action.src]
     points = [str(x) for x in range(module.n_points)]
     try:
         family = [[entry[x] for x in points] for entry in (obj["u"][str(g)] for g in range(system.group.order))]
-        u = _stack_from_json(family, dims, np.asarray(dims)[system.action.src])
-    except _MALFORMED:
-        return _cocycle_per_matrix(obj, system, module)
+        u = _stack_from_json(family, dims, cols)
+    except _MALFORMED:  # read again in payload order: the first bad matrix raises
+        u = [_matrices([obj["u"][str(g)][x] for x in points], dims, c) for g, c in enumerate(cols.tolist())]
     return CocycleRep(system.action, module, u)
-
-
-def _cocycle_per_matrix(obj: dict, system: System, module: SectionalModule) -> CocycleRep:
-    """:func:`cocycle_from_json` one matrix at a time."""
-    dims = module.fiber_dims
-    n = module.n_points
-    u = []
-    for g in range(system.group.order):
-        entry = obj["u"][str(g)]
-        u.append(_fiber_mats([entry[str(x)] for x in range(n)], system, dims, g))
-    return CocycleRep(system.action, module, tuple(u))

@@ -1,6 +1,10 @@
-"""Linear-algebra helpers that only the test oracles use."""
+"""Helpers and reference implementations that only the tests use."""
 
 import numpy as np
+
+from cstardyn.cyclic_examples import omega_example_rep, omega_example_vectors, sigma_example_rep, sigma_example_vectors
+from cstardyn.hilbmod import basis_vector
+from cstardyn.multiplier import coefficient
 
 
 def null_space(m: np.ndarray, tol: float) -> np.ndarray:
@@ -73,9 +77,30 @@ def reference_block_quotient(blocks, tol: float) -> list[tuple[np.ndarray, np.nd
     return out
 
 
-def reference_matrix_to_json(m: np.ndarray) -> list:
-    """Rows of [re, im] pairs, one ``complex_to_json`` call per entry, as
-    :func:`cstardyn.serialize.matrix_to_json` encoded them one at a time."""
-    from cstardyn.serialize import complex_to_json
+def complex_to_json(z: complex) -> list[float]:
+    """One complex number as its [re, im] pair."""
+    z = complex(z)
+    return [z.real, z.imag]
 
+
+def reference_matrix_to_json(m: np.ndarray) -> list:
+    """Rows of [re, im] pairs, one :func:`complex_to_json` call per entry, as
+    :func:`cstardyn.serialize.matrix_to_json` encoded them one at a time."""
     return [[complex_to_json(z) for z in row] for row in np.asarray(m, dtype=complex)]
+
+
+def basis_vectors(module) -> list:
+    """The basis sections of a module, fiber by fiber."""
+    return [basis_vector(module, x, i) for x in module.space.points() for i in range(module.fiber_dims[x])]
+
+
+def omega_matrix_unit_coefficient(n: int, k: int, l: int, p: int):
+    """The matrix unit (k, l, p) of the omega_n family as one coefficient of
+    the public helpers, as :func:`cstardyn.cyclic_examples.matrix_unit_family`
+    builds it in a batch."""
+    return coefficient(omega_example_rep(n, k, l), *omega_example_vectors(n, k, p))
+
+
+def sigma_matrix_unit_coefficient(n: int, k: int, l: int, p: int):
+    """The sigma_n counterpart of :func:`omega_matrix_unit_coefficient`."""
+    return coefficient(sigma_example_rep(n), *sigma_example_vectors(n, k, l, p))

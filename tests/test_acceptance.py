@@ -24,6 +24,7 @@ from cstardyn.generators import (
     random_vector,
     standard_systems,
 )
+from cstardyn.hilbmod import banach_stone_operator
 from cstardyn.multiplier import (
     coefficient,
     is_positive_definite,
@@ -149,7 +150,7 @@ def test_criterion_6_cocycle_bridge():
         # isometry extraction inverts the construction
         rep = random_equivariant_rep(system, rng, max_dim=2, allow_composites=False)
         for g in range(system.group.order):
-            v = rep.v_full_matrix(g)
+            v = banach_stone_operator(rep.module, system.action.src[g], rep.v_mats[g])
             sigma, u = banach_stone_extract(v, rep.module)
             for x in range(system.n_points):
                 assert sigma[x] == system.action.apply_inv(g, x)

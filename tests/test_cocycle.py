@@ -498,7 +498,7 @@ class TestBanachStone:
     def test_inverts_group_element(self):
         rep = sigma_example_rep(3)
         for g in range(3):
-            v = rep.v_full_matrix(g)
+            v = banach_stone_operator(rep.module, rep.system.action.src[g], rep.v_mats[g])
             sigma, u = banach_stone_extract(v, rep.module)
             for x in range(3):
                 assert sigma[x] == rep.system.action.apply_inv(g, x)

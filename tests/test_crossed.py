@@ -11,12 +11,9 @@ from cstardyn.crossed import (
     NotInAlgebraError,
     build_reduced,
     center_dimension,
-    convolve,
-    delta_function,
     fourier_coefficients,
     induced_map,
     integrated_form,
-    involution,
     is_commutative,
     is_completely_positive,
     regular_covariant,
@@ -81,7 +78,7 @@ def dense_cp_matrix(rcp, phi: np.ndarray) -> np.ndarray:
     big = np.empty((N * D, N * D), dtype=complex)
     for a in range(N):
         for b in range(N):
-            big[a * D : (a + 1) * D, b * D : (b + 1) * D] = rcp.from_coords(phi @ rcp.gram_coords[a, b])
+            big[a * D : (a + 1) * D, b * D : (b + 1) * D] = np.tensordot(phi @ rcp.gram_coords[a, b], rcp.basis, axes=1)
     return big
 
 
@@ -243,6 +240,36 @@ class TestRegularCovariant:
         assert report.passed and report.max_residual <= 1e-12
 
 
+def convolve(system, f1: np.ndarray, f2: np.ndarray) -> np.ndarray:
+    """(f1 * f2)(g) = sum_h f1(h) alpha_h(f2(h^{-1} g)); functions are arrays
+    of shape (|G|, n)."""
+    order, n = system.group.order, system.n_points
+    f1 = np.asarray(f1, dtype=complex).reshape(order, n)
+    f2 = np.asarray(f2, dtype=complex).reshape(order, n)
+    out = np.zeros((order, n), dtype=complex)
+    for g in range(order):
+        for h in range(order):
+            out[g] += f1[h] * act_on_algebra(system.action, h, f2[system.group.mul(system.group.inv(h), g)])
+    return out
+
+
+def involution(system, f: np.ndarray) -> np.ndarray:
+    """f*(g) = alpha_g(f(g^{-1}))^* (conjugation on C^n)."""
+    order, n = system.group.order, system.n_points
+    f = np.asarray(f, dtype=complex).reshape(order, n)
+    out = np.zeros((order, n), dtype=complex)
+    for g in range(order):
+        out[g] = act_on_algebra(system.action, g, f[system.group.inv(g)]).conj()
+    return out
+
+
+def delta_function(system, g: int, a: np.ndarray) -> np.ndarray:
+    """The finitely supported function a . delta_g."""
+    out = np.zeros((system.group.order, system.n_points), dtype=complex)
+    out[g] = np.asarray(a, dtype=complex)
+    return out
+
+
 class TestIntegratedForm:
     def test_unit_of_convolution(self, z2_flip):
         rep = regular_covariant(z2_flip)
@@ -329,14 +356,14 @@ class TestBuildReduced:
         for a in range(rcp.dim):
             for b in range(rcp.dim):
                 lhs = rcp.basis[a] @ rcp.basis[b]
-                rhs = rcp.from_coords(rcp.mult_table[a, b])
+                rhs = np.tensordot(rcp.mult_table[a, b], rcp.basis, axes=1)
                 assert np.abs(lhs - rhs).max() <= 1e-12
 
     def test_adjoints_in_algebra(self, z3_cycle):
         rcp = build_reduced(z3_cycle)
         for a in range(rcp.dim):
             lhs = rcp.basis[a].conj().T
-            rhs = rcp.from_coords(rcp.adjoint_table[a])
+            rhs = np.tensordot(rcp.adjoint_table[a], rcp.basis, axes=1)
             assert np.abs(lhs - rhs).max() <= 1e-12
 
 
@@ -360,7 +387,7 @@ class TestExactTables:
         D = rcp.ambient_dim
         f = rng.normal(size=rcp.dim) + 1j * rng.normal(size=rcp.dim)
         noise = 1e-12 * (rng.normal(size=(D, D)) + 1j * rng.normal(size=(D, D)))
-        m = rcp.from_coords(f) + noise
+        m = np.tensordot(f, rcp.basis, axes=1) + noise
         expected = least_squares_coords(rcp, m)[0]
         assert np.abs(fourier_coefficients(rcp, m).reshape(-1) - expected).max() <= 1e-12
 

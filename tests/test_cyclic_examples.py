@@ -16,14 +16,13 @@ from cstardyn.cyclic_examples import (
     omega_cocycle,
     omega_example_rep,
     omega_example_vectors,
-    omega_matrix_unit_coefficient,
     sigma_cocycle,
     sigma_example_rep,
     sigma_example_vectors,
-    sigma_matrix_unit_coefficient,
 )
 from cstardyn.generators import assorted_small_systems, random_equivariant_rep, random_vector
 from cstardyn.multiplier import _coefficients, coefficient
+from oracles import omega_matrix_unit_coefficient, sigma_matrix_unit_coefficient
 
 
 def reference_matrix_unit_family(kind, n):

@@ -39,7 +39,7 @@ from cstardyn.hilbmod import (
     ModuleOperator,
     ModuleVector,
     SectionalModule,
-    basis_vectors,
+    banach_stone_operator,
     module_action,
     module_norm,
 )
@@ -47,7 +47,7 @@ from cstardyn.multiplier import Multiplier, coefficient, multiplier_distance, un
 from cstardyn.numutil import max_abs, max_abs_over, nearest_unitary
 from cstardyn.reporting import CheckReport
 
-from oracles import null_space, reference_tensor_coords
+from oracles import basis_vectors, null_space, reference_tensor_coords
 
 
 def _mutate_v(rep: EquivariantRep, g: int, x: int, mat: np.ndarray) -> EquivariantRep:
@@ -535,7 +535,7 @@ def equivariant_fault_cases():
 
 def reference_v_full_matrix(rep: EquivariantRep, g: int) -> np.ndarray:
     """The per-fiber loop ``EquivariantRep.v_full_matrix`` used to run, kept
-    as the oracle for the shared block-permutation builder."""
+    as the oracle for :func:`banach_stone_operator` on the views of v(g)."""
     dims, off = rep.module.fiber_dims, rep.module.offsets()
     out = np.zeros((rep.module.total_dim, rep.module.total_dim), dtype=complex)
     for x in range(rep.module.n_points):
@@ -547,7 +547,8 @@ def reference_v_full_matrix(rep: EquivariantRep, g: int) -> np.ndarray:
 @pytest.mark.parametrize("label,rep", batched_cases(), ids=lambda c: c if isinstance(c, str) else "")
 def test_v_full_matrix_matches_loop(label, rep):
     for g in range(rep.system.group.order):
-        got, want = rep.v_full_matrix(g), reference_v_full_matrix(rep, g)
+        got = banach_stone_operator(rep.module, rep.system.action.src[g], rep.v_mats[g])
+        want = reference_v_full_matrix(rep, g)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 

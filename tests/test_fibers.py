@@ -14,7 +14,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cstardyn import cli, serialize
+from cstardyn import cli, fibers, serialize
 from cstardyn.cocycle import CocycleRep, EquivariantMap, rho_from_sigma
 from cstardyn.core import FiniteSpace, GroupAction, System, symmetric_group
 from cstardyn.cyclic_examples import (
@@ -360,3 +360,29 @@ class TestOneStore:
             tracemalloc.stop()
         held = back.v_stack.nbytes + back.rho_stack.nbytes
         assert retained <= 1.2 * held
+
+
+class TestIntertwiningResidual:
+    """The blocked residual equals the whole-array expression it replaced."""
+
+    def stacks(self, rng, count=5, n=4, r=3, c=2):
+        def gauss(*shape):
+            return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+        return gauss(n, r, c), gauss(count, n, c, c), gauss(count, n, r, r), rng.integers(0, n, size=(count, n))
+
+    @pytest.mark.parametrize("budget", [1, fibers.BLOCK_ELEMENTS], ids=["one-element", "default"])
+    @pytest.mark.parametrize("poison", [False, True], ids=["finite", "nan"])
+    def test_matches_whole_array(self, rng, monkeypatch, budget, poison):
+        monkeypatch.setattr(fibers, "BLOCK_ELEMENTS", budget)
+        w, a, b, src = self.stacks(rng)
+        if poison:
+            a[3, 1, 0, 1] = np.nan
+        for got, want in (
+            (fibers.intertwining_residual(w, a, b), fibers.entry_max(w @ a - b @ w)),
+            (fibers.intertwining_residual(w, a, b, src), fibers.entry_max(w @ a - b @ w[src])),
+        ):
+            assert got.shape == (5, 4)
+            assert np.array_equal(got, want, equal_nan=True)
+            assert np.isnan(got).sum() == (1 if poison else 0)
+            assert not poison or np.isnan(got[3, 1])

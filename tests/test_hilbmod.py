@@ -11,24 +11,43 @@ from cstardyn.hilbmod import (
     NotAModuleError,
     SectionalModule,
     basis_vector,
-    basis_vectors,
-    canonical_rep,
     direct_sum,
-    direct_sum_embed,
     inner_product,
     internal_tensor,
     module_action,
     module_norm,
     sectionalize,
     trivial_module,
-    zero_vector,
     _check_projection_rep,
 )
 from cstardyn.generators import random_unitary
+from oracles import basis_vectors
 
 
 def vec(module, *comps):
     return ModuleVector(module, tuple(np.asarray(c, dtype=complex) for c in comps))
+
+
+def zero_vector(module):
+    return ModuleVector(module, tuple(np.zeros(d, dtype=complex) for d in module.fiber_dims))
+
+
+def canonical_rep(module) -> list[ModuleOperator]:
+    """Generators of the pointwise-scalar representation of C^n: e_k acts as
+    the identity on fiber k and zero elsewhere."""
+    return [
+        ModuleOperator(module, tuple(np.eye(d) * (x == k) for x, d in enumerate(module.fiber_dims)))
+        for k in module.space.points()
+    ]
+
+
+def direct_sum_embed(modules, index: int, vec: ModuleVector) -> ModuleVector:
+    """Canonical injection of the index-th summand into the direct sum."""
+    parts = [
+        [vec.components[x] if i == index else np.zeros(d, dtype=complex) for i, d in enumerate(dims)]
+        for x, dims in enumerate(zip(*(m.fiber_dims for m in modules)))
+    ]
+    return ModuleVector(direct_sum(modules), tuple(np.concatenate(p) for p in parts))
 
 
 class TestInnerProduct:
@@ -209,6 +228,36 @@ class TestSectionalize:
         bad_G[0, 1, 1] = 1.0  # inner product supported off the idempotent
         with pytest.raises(NotAModuleError, match="compatibility"):
             sectionalize(space, L, bad_G)
+
+
+    @staticmethod
+    def two_lines():
+        """C^2 over itself: the action idempotents and the gram of each point."""
+        L = np.zeros((2, 2, 2), dtype=complex)
+        L[0, 0, 0] = L[1, 1, 1] = 1.0
+        return L, L.copy()
+
+    @pytest.mark.parametrize("at", [(0, 0, 0), (1, 0, 1), (1, 1, 1)])
+    def test_nan_action_fails_an_axiom(self, at):
+        L, G = self.two_lines()
+        L[at] = np.nan
+        with pytest.raises(NotAModuleError):
+            sectionalize(FiniteSpace(2), L, G)
+
+    @pytest.mark.parametrize("at", [(0, 0, 0), (0, 0, 1), (1, 1, 1)])
+    def test_nan_gram_is_not_hermitian(self, at):
+        L, G = self.two_lines()
+        G[at] = np.nan
+        with pytest.raises(NotAModuleError) as err:
+            sectionalize(FiniteSpace(2), L, G)
+        assert err.value.axiom == "conjugate-symmetry"
+
+    def test_zero_dimensional_presentation(self):
+        empty = np.zeros((3, 0, 0), dtype=complex)
+        sec = sectionalize(FiniteSpace(3), empty, empty)
+        assert sec.module.fiber_dims == (0, 0, 0)
+        assert [m.shape for m in sec.coord_maps] == [(0, 0)] * 3
+        assert sec.apply(np.zeros(0)).flat().shape == (0,)
 
 
 class TestInternalTensor:

@@ -7,20 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cstardyn import multiplier
+from cstardyn import fibers, multiplier
 from cstardyn.core import DEFAULT_TOL, FiniteSpace, GroupAction, System, act_on_algebra, is_psd, symmetric_group
 from cstardyn.cyclic_examples import (
     matrix_unit_family,
     matrix_unit_target,
     omega_example_rep,
     omega_example_vectors,
-    omega_matrix_unit_coefficient,
     omega_system,
     sigma_example_rep,
-    sigma_matrix_unit_coefficient,
     sigma_system,
     matrix_unit_deviation,
-    verify_matrix_units,
 )
 from cstardyn.equivrep import direct_sum_reps, regular_rep, slot_embed, tensor_rep, trivial_rep
 from cstardyn.generators import (
@@ -31,6 +28,7 @@ from cstardyn.generators import (
     standard_systems,
 )
 from cstardyn.hilbmod import ModuleVector, inner_product
+from oracles import omega_matrix_unit_coefficient, sigma_matrix_unit_coefficient
 from cstardyn.multiplier import (
     _WINDOW,
     Multiplier,
@@ -113,9 +111,7 @@ def reference_coefficient(rep, xi, eta) -> Multiplier:
         shifted = rep.apply_v(g, eta)
         cols = []
         for j in range(n):
-            e_j = np.zeros(n)
-            e_j[j] = 1.0
-            cols.append(inner_product(xi, rep.apply_rho(e_j, shifted)))
+            cols.append(inner_product(xi, rep.rho[j].apply(shifted)))
         mats.append(np.stack(cols, axis=1))
     return Multiplier(rep.system, tuple(mats))
 
@@ -221,9 +217,9 @@ class TestBatchedCriterion:
                 for x, k in itertools.product(range(n), repeat=2):
                     assert np.array_equal(pd_criterion_matrix(t, x, k), reference_pd_criterion_matrix(t, x, k))
 
-    @pytest.mark.parametrize("budget", [1, multiplier._BLOCK_ELEMENTS], ids=["one-matrix", "default"])
+    @pytest.mark.parametrize("budget", [1, fibers.BLOCK_ELEMENTS], ids=["one-matrix", "default"])
     def test_certificate_matches_loop(self, rng, monkeypatch, budget):
-        monkeypatch.setattr(multiplier, "_BLOCK_ELEMENTS", budget)
+        monkeypatch.setattr(fibers, "BLOCK_ELEMENTS", budget)
         failing = 0
         for system in oracle_systems():
             for t in criterion_suite(system, rng):
@@ -232,11 +228,11 @@ class TestBatchedCriterion:
                 failing += not want.verdict
         assert failing > 0
 
-    @pytest.mark.parametrize("budget", [1, multiplier._BLOCK_ELEMENTS], ids=["one-matrix", "default"])
+    @pytest.mark.parametrize("budget", [1, fibers.BLOCK_ELEMENTS], ids=["one-matrix", "default"])
     def test_stack_of_multipliers(self, rng, monkeypatch, budget):
         """Certifying many multipliers in one call gives each the certificate
         it gets alone, also when a block spans several multipliers."""
-        monkeypatch.setattr(multiplier, "_BLOCK_ELEMENTS", budget)
+        monkeypatch.setattr(fibers, "BLOCK_ELEMENTS", budget)
         for system in oracle_systems():
             suite = criterion_suite(system, rng)
             certs = _fiberwise_certificates(system, np.stack([t.stack for t in suite]), DEFAULT_TOL)
@@ -298,7 +294,7 @@ def reference_window_checks(t, gs, amps, tol):
     mult = sys_.group.mult
     mats = t.stack
     count, N, n = amps.shape
-    step = max(1, multiplier._BLOCK_ELEMENTS // (N * N * n * n))
+    step = max(1, fibers.BLOCK_ELEMENTS // (N * N * n * n))
     mins = np.empty((count, n))
     hd = np.empty((count, n))
     bad = np.empty((count, n), dtype=bool)
@@ -379,11 +375,11 @@ class TestBatchedKernel:
                         assert np.abs(hd[i] - r_hd).max() <= 1e-12 * scale
                         assert np.array_equal(bad[i], r_bad)
 
-    @pytest.mark.parametrize("budget", [1, multiplier._BLOCK_ELEMENTS], ids=["one-trial", "default"])
+    @pytest.mark.parametrize("budget", [1, fibers.BLOCK_ELEMENTS], ids=["one-trial", "default"])
     def test_bit_identical_to_reference_window(self, rng, monkeypatch, budget):
         """The table-driven block sums over y in the order the gather-twice
         block did, so every output is equal, not only close."""
-        monkeypatch.setattr(multiplier, "_BLOCK_ELEMENTS", budget)
+        monkeypatch.setattr(fibers, "BLOCK_ELEMENTS", budget)
         tol = 1e-9
         failing = 0
         for system in oracle_systems():
@@ -825,7 +821,7 @@ class TestMatrixUnitDeviation:
     @pytest.mark.parametrize("kind", ["omega_n", "sigma_n"])
     @pytest.mark.parametrize("n", [2, 3])
     def test_families_exact(self, kind, n):
-        assert verify_matrix_units(kind, n) <= 1e-12
+        assert matrix_unit_deviation(matrix_unit_family(kind, n)) <= 1e-12
 
     def test_deviation_locates_a_wrong_entry(self):
         family = matrix_unit_family("sigma_n", 3)
