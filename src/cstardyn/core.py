@@ -1,4 +1,4 @@
-"""Finite groups, finite spaces, permutation actions and the PSD primitive.
+"""Finite groups, finite spaces, permutation actions and the one-matrix PSD test.
 
 Conventions used throughout the package:
 
@@ -18,6 +18,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .numutil import max_abs, psd_check
 
 DEFAULT_TOL = 1e-9
 
@@ -304,29 +306,12 @@ def act_on_algebra(action: GroupAction, g: int, a: np.ndarray) -> np.ndarray:
 def is_psd(m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     """Whether a square complex matrix is positive semidefinite.
 
-    Hermitian within ``tol * (1 + max|entry|)`` entrywise, and the minimal
-    eigenvalue of the Hermitian part is >= -tol * (1 + max|entry|).  The
-    relative scaling makes the zero matrix pass exactly.
-    """
-    verdict, _ = psd_certificate(m, tol)
-    return verdict
-
-
-def psd_certificate(m: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
-    """PSD verdict together with the minimal eigenvalue of the Hermitian part.
-
-    Returns ``(False, -inf)`` when the matrix is not Hermitian within
-    tolerance (no eigenvalue certificate applies in that case).
+    The rule of :func:`cstardyn.numutil.psd_check` with the scale
+    ``1 + max|entry|``, which makes the zero matrix pass exactly.
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("matrix must be square")
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix contains non-finite entries")
-    if m.shape[0] == 0:
-        return True, 0.0
-    scale = 1.0 + np.abs(m).max()
-    if np.abs(m - m.conj().T).max() > tol * scale:
-        return False, -np.inf
-    lam = float(np.linalg.eigvalsh((m + m.conj().T) / 2.0).min())
-    return lam >= -tol * scale, lam
+    return bool(psd_check(m, 1.0 + max_abs(m), tol)[1])

@@ -20,7 +20,7 @@ import numpy as np
 from . import fibers
 from .core import DEFAULT_TOL, System, _freeze, _orbit_tables
 from .multiplier import Multiplier, PdCertificate
-from .numutil import max_abs
+from .numutil import lowest_eigenvector, max_abs, psd_check
 from .reporting import CheckReport
 
 
@@ -445,10 +445,11 @@ def is_completely_positive(
     its support.  Ordering the index set by the connected components of the
     symmetrized nonzero pattern is a permutation that makes H block
     diagonal, so H is PSD exactly when every component block is; the blocks
-    of one size go through one batched ``eigh``.  Entries outside the blocks
-    are zero on both sides, so the scale, the Hermitian defect and the
-    verdict are those of the dense matrix.  On failure the eigenvector of the worst block is
-    returned embedded in the full N * D index space.
+    of one size go through one :func:`numutil.psd_check` with the scale of
+    the whole matrix.  Entries outside the blocks are zero on both sides, so
+    the scale, the Hermitian defect and the verdict are those of the dense
+    matrix.  On failure the lowest eigenvector of the block with the smallest
+    eigenvalue (one ``eigh``) is returned embedded in the N * D index space.
     """
     N = rcp.dim
     D = rcp.ambient_dim
@@ -462,27 +463,23 @@ def is_completely_positive(
     sizes = np.bincount(comp)
 
     scale = 1.0 + max_abs(flat)
-    hd = 0.0
-    lam_min, worst, worst_vec = np.inf, 0, None
-    # components of one size are one contiguous stack: a single batched eigh
+    verdict, hd, lam_min, worst = True, 0.0, None, None
+    # components of one size are one contiguous stack: a single batched check
     for s in np.unique(sizes):
         members = np.flatnonzero(sizes == s)
         start = offset[members[0]]
         blocks = flat[start : start + len(members) * s * s].reshape(len(members), s, s)
-        adjoints = blocks.conj().transpose(0, 2, 1)
-        hd = max(hd, max_abs(blocks - adjoints))
-        herm = blocks + adjoints
-        herm /= 2
-        lam, vecs = np.linalg.eigh(herm)
-        i = int(np.argmin(lam[:, 0]))
-        if lam[i, 0] < lam_min:
-            lam_min, worst, worst_vec = float(lam[i, 0]), members[i], vecs[i, :, 0]
+        _, passed, lam, defect = psd_check(blocks, scale, tol)
+        verdict &= bool(passed.all())
+        hd = max(hd, float(defect.max()))
+        i = int(np.argmin(lam))
+        if worst is None or lam[i] < lam_min:
+            lam_min, worst = float(lam[i]), (members[i], blocks[i])
 
-    verdict = hd <= tol * scale and lam_min >= -tol * scale
     eigenvector = None
     if not verdict:
         eigenvector = np.zeros(N * D, dtype=complex)
-        eigenvector[comp == worst] = worst_vec
+        eigenvector[comp == worst[0]] = lowest_eigenvector(worst[1])
     return PdCertificate(
         verdict=bool(verdict),
         min_eigenvalue=lam_min,

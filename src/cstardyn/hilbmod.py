@@ -16,7 +16,7 @@ import numpy as np
 
 from . import fibers
 from .core import DEFAULT_TOL, FiniteSpace, _freeze
-from .numutil import gram_quotient, matrix_rank, max_abs
+from .numutil import gram_quotient, matrix_rank, max_abs, psd_check
 
 
 class NotAModuleError(ValueError):
@@ -196,7 +196,11 @@ def sectionalize(
     if G.shape != (n, dim, dim):
         raise ValueError("gram must have shape (n, dim, dim)")
 
-    # each check passes only on a true comparison, so a NaN entry fails one
+    for name, arr in (("action_mats", L), ("gram", G)):
+        bad = np.argwhere(~np.isfinite(arr)).tolist()
+        if bad:
+            raise NotAModuleError("finiteness", f"{name}{bad[0]} is not finite")
+    # each check passes only on a true comparison, so an overflow to NaN fails one
     scale_L = 1.0 + max(max_abs(L), 1.0)
     for k in range(n):
         if not max_abs(L[k] @ L[k] - L[k]) <= tol * scale_L:
@@ -208,10 +212,11 @@ def sectionalize(
         raise NotAModuleError("unital", "action idempotents do not sum to the identity")
 
     scale_G = 1.0 + max_abs(G)
+    hermitian, positive, _, _ = psd_check(G, scale_G, tol)
     for k in range(n):
-        if not max_abs(G[k] - G[k].conj().T) <= tol * scale_G:
+        if not hermitian[k]:
             raise NotAModuleError("conjugate-symmetry", f"component {k} of the gram is not Hermitian")
-        if not np.linalg.eigvalsh((G[k] + G[k].conj().T) / 2).min(initial=0.0) >= -tol * scale_G:
+        if not positive[k]:
             raise NotAModuleError("positivity", f"component {k} of the gram is indefinite")
         for l in range(n):
             target = G[k] if l == k else np.zeros_like(G[k])
@@ -220,7 +225,8 @@ def sectionalize(
                     "compatibility", f"<x, y.e_{l}> has unexpected support in component {k}"
                 )
     total = sum(G[k] for k in range(n))
-    if not np.linalg.eigvalsh((total + total.conj().T) / 2).min(initial=0.0) >= -tol * scale_G:
+    # each component passed within tolerance, so the sum is judged by its Hermitian part alone
+    if not psd_check((total + total.conj().T) / 2, scale_G, tol)[1]:
         raise NotAModuleError("positivity", "total gram is indefinite")
 
     dims, coord_maps = [], []

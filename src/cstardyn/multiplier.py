@@ -20,7 +20,7 @@ from . import fibers
 from .core import DEFAULT_TOL, System, act_on_algebra, is_psd
 from .equivrep import EquivariantRep, regular_rep, slot_embed, slot_restrict
 from .hilbmod import ModuleVector, module_norm
-from .numutil import max_abs, matrix_rank
+from .numutil import lowest_eigenvector, matrix_rank, max_abs, psd_check
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -198,43 +198,29 @@ def _fiberwise_checks(system: System, stack: np.ndarray, tol: float):
     """The fiberwise criterion for a stack of S multipliers on one system.
 
     ``stack`` is (S, |G|, n, n).  The kernel matrices of all S * n * n
-    triples (s, x, k) are gathered, and their scale ``1 + max|entry|``,
-    Hermitian defect and ``eigh`` of the Hermitian part computed, in blocks
-    of at most ``fibers.BLOCK_ELEMENTS`` gathered entries (one matrix always
-    fits).  Only the smallest eigenvalue, its eigenvector, the scale and the
-    defect of each matrix are kept.  Returns the verdicts (S,), the smallest
-    eigenvalues and defects (S, n * n), the witness (x, k) index of each
-    multiplier (S,) and the lowest eigenvectors (S * n * n, |G|).
+    triples (s, x, k) are gathered and go through :func:`numutil.psd_check`,
+    each against its own scale ``1 + max|entry|``, in blocks of at most
+    ``fibers.BLOCK_ELEMENTS`` gathered entries (one matrix always fits).
+    Returns the verdicts (S,), the smallest eigenvalues and defects
+    (S, n * n) and the witness (x, k) index of each multiplier (S,).
     """
     S, order, n, _ = stack.shape
-    total = S * n * n
-    lam0 = np.empty(total)
-    hd = np.empty(total)
-    scale = np.empty(total)
-    vec0 = np.empty((total, order), dtype=complex)
-    for lo, hi in fibers.blocks(total, order * order):
-        q = np.arange(lo, hi)
-        kern = _kernel_matrices(system, stack, *np.unravel_index(q, (S, n, n)))
-        kern_h = kern.conj().transpose(0, 2, 1)
-        scale[q] = 1.0 + np.abs(kern).max(axis=(1, 2))
-        hd[q] = np.abs(kern - kern_h).max(axis=(1, 2))
-        lam, vecs = np.linalg.eigh((kern + kern_h) / 2)
-        lam0[q] = lam[:, 0]
-        vec0[q] = vecs[:, :, 0]
-    lam0, hd, scale = (a.reshape(S, n * n) for a in (lam0, hd, scale))
-    limit = tol * scale
-    herm_bad = hd > limit
-    verdicts = ~(herm_bad | (lam0 < -limit)).any(axis=1)
+    checks = []
+    for lo, hi in fibers.blocks(S * n * n, order * order):
+        kern = _kernel_matrices(system, stack, *np.unravel_index(np.arange(lo, hi), (S, n, n)))
+        checks.append(psd_check(kern, 1.0 + np.abs(kern).max(axis=(1, 2)), tol))
+    hermitian, passed, lam0, hd = (np.concatenate(a).reshape(S, n * n) for a in zip(*checks))
     # the first (x, k) in loop order with the largest score is the witness
-    worst = np.argmax(-lam0 + np.where(herm_bad, hd, 0.0), axis=1)
-    return verdicts, lam0, hd, worst, vec0
+    worst = np.argmax(-lam0 + np.where(hermitian, 0.0, hd), axis=1)
+    return passed.all(axis=1), lam0, hd, worst
 
 
 def _fiberwise_certificates(system: System, stack: np.ndarray, tol: float) -> list[PdCertificate]:
     """One certificate per multiplier of ``stack``, as
     :func:`is_positive_definite` describes it."""
-    verdicts, lam0, hd, worst, vec0 = _fiberwise_checks(system, stack, tol)
+    verdicts, lam0, hd, worst = _fiberwise_checks(system, stack, tol)
     n = system.n_points
+    witness = np.stack([np.arange(len(stack)), worst // n, worst % n])[:, :, None]  # (s, x, k) of each
     return [
         PdCertificate(
             verdict=bool(ok),
@@ -242,7 +228,7 @@ def _fiberwise_certificates(system: System, stack: np.ndarray, tol: float) -> li
             hermitian_defect=float(hd[i, w]),
             point=int(w // n),
             basis=int(w % n),
-            eigenvector=None if ok else vec0[i * n * n + w],
+            eigenvector=None if ok else lowest_eigenvector(_kernel_matrices(system, stack, *witness[:, i])[0]),
         )
         for i, (ok, w) in enumerate(zip(verdicts, worst))
     ]
@@ -258,14 +244,14 @@ def is_positive_definite(t: Multiplier, tol: float = DEFAULT_TOL) -> PdCertifica
     tuple condition a sum of independent quadratic forms, one per (x, k);
     :func:`pd_sample_oracle` cross-validates it against the raw definition.
 
-    All n^2 kernel matrices come from one gather and go through ``eigh`` in
-    blocks of at most ``fibers.BLOCK_ELEMENTS`` entries.  A matrix fails when
-    its Hermitian defect or minus its smallest eigenvalue exceeds
-    ``tol * (1 + max|entry|)``.  The certificate's (point, basis) is the
-    first (x, k) in loop order with the largest score, minus the smallest
-    eigenvalue plus any defect beyond tolerance, and carries that matrix's
-    defect (and, on failure, its lowest eigenvector); ``min_eigenvalue`` is
-    the smallest eigenvalue over all (x, k).
+    All n^2 kernel matrices come from one gather and go through
+    :func:`numutil.psd_check`, each with its own scale ``1 + max|entry|``, in
+    blocks of at most ``fibers.BLOCK_ELEMENTS`` entries.  The certificate's
+    (point, basis) is the first (x, k) in loop order with the largest score,
+    minus the smallest eigenvalue plus any defect beyond tolerance, and
+    carries that matrix's defect (and, on failure, its lowest eigenvector,
+    from one ``eigh`` of it alone); ``min_eigenvalue`` is the smallest
+    eigenvalue over all (x, k).
     """
     return _fiberwise_certificates(t.system, t.stack[None], tol)[0]
 
@@ -289,17 +275,15 @@ def _kernel_checks(t: Multiplier, gs: np.ndarray, amps: np.ndarray, tol: float, 
     Kernel entry (i, j) is ``table[g_i, g_j]`` applied to the products
     conj(a_i) a_j gathered at the points g_i y.  Returns per trial and base
     point, each of shape (T, n): the smallest eigenvalue of the Hermitian
-    part of the N x N kernel matrix, its Hermitian defect, and whether either
-    breaks ``tol * scale`` with ``scale = 1 + max|kernel entry|`` taken over
-    the trial's whole kernel.
+    part of the N x N kernel matrix, its Hermitian defect, and whether it
+    fails :func:`numutil.psd_check` with ``scale = 1 + max|kernel entry|``
+    taken over the trial's whole kernel.
     """
     if table is None:
         table = _kernel_table(t)
     perm = t.system.action.perm
     count, N, n = amps.shape
-    mins = np.empty((count, n))
-    hd = np.empty((count, n))
-    bad = np.empty((count, n), dtype=bool)
+    mins, hd, ok = np.empty((count, n)), np.empty((count, n)), np.empty((count, n), dtype=bool)
     for lo, hi in fibers.blocks(count, N * N * n * n):
         g = gs[lo:hi]
         a = amps[lo:hi]
@@ -309,15 +293,8 @@ def _kernel_checks(t: Multiplier, gs: np.ndarray, amps: np.ndarray, tol: float, 
         b = np.einsum("tijxy,tijy->tijx", table[g[:, :, None], g[:, None, :]], w)
         # one kernel per (trial, point), laid out as eigvalsh reads it
         b = np.ascontiguousarray(b.transpose(0, 3, 1, 2))
-        bt = b.conj().transpose(0, 1, 3, 2)
-        scale = 1.0 + np.abs(b).max(axis=(1, 2, 3))
-        blk_hd = np.abs(b - bt).max(axis=(2, 3))
-        blk_mins = np.linalg.eigvalsh((b + bt) / 2)[..., 0]  # (T, n)
-        limit = tol * scale[:, None]
-        mins[lo:hi] = blk_mins
-        hd[lo:hi] = blk_hd
-        bad[lo:hi] = (blk_hd > limit) | (blk_mins < -limit)
-    return mins, hd, bad
+        _, ok[lo:hi], mins[lo:hi], hd[lo:hi] = psd_check(b, 1.0 + np.abs(b).max(axis=(1, 2, 3))[:, None], tol)
+    return mins, hd, ~ok
 
 
 def pd_sample_oracle(

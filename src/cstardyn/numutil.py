@@ -38,6 +38,35 @@ def max_abs_over(arrays) -> float:
     return float(np.max([max_abs(a) for a in arrays], initial=0.0))
 
 
+def psd_check(blocks: np.ndarray, scale, tol: float):
+    """The package's one positivity rule, over a (..., s, s) stack: a block
+    passes when its Hermitian defect max|b - b*| is at most ``tol * scale``
+    (``scale`` broadcasts to the leading axes) and the smallest eigenvalue of
+    its Hermitian part (b + b*) / 2 is at least ``-tol * scale``.  Only
+    ``eigvalsh`` runs.  Every comparison fails on NaN, and a block with a
+    non-finite entry, whose defect is then non-finite, skips the eigensolve
+    and is neither Hermitian nor PSD, with ``lam_min`` NaN.  An empty block
+    passes with ``lam_min`` 0.  Returns ``(hermitian, passed, lam_min,
+    defect)``, each of the leading shape."""
+    adjoint = blocks.conj().swapaxes(-1, -2)
+    with np.errstate(invalid="ignore", over="ignore"):
+        defect = np.abs(blocks - adjoint).max(axis=(-2, -1), initial=0.0)
+        hermitian = defect <= tol * scale
+        finite = np.isfinite(defect)  # on finite input no mask of the blocks is taken
+        if finite.all():
+            lam_min = np.linalg.eigvalsh((blocks + adjoint) / 2)[..., 0] if blocks.shape[-1] else np.zeros(defect.shape)
+        else:
+            hermitian &= finite
+            lam_min = np.full(defect.shape, np.nan)
+            lam_min[finite] = np.linalg.eigvalsh((blocks[finite] + adjoint[finite]) / 2)[..., 0]
+        return hermitian, hermitian & (lam_min >= -tol * scale), lam_min, defect
+
+
+def lowest_eigenvector(block: np.ndarray) -> np.ndarray:
+    """Lowest eigenvector of the Hermitian part of a block (one ``eigh``)."""
+    return np.linalg.eigh((block + block.conj().T) / 2)[1][:, 0]
+
+
 def gram_quotient(blocks: np.ndarray, sizes, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Quotient groups of Hermitian grams by their null spaces.
 

@@ -10,9 +10,8 @@ class of matrix shapes: one for the whole family when all fibers have the
 same dimension.  When a conversion fails, the decoder reads the payload
 again in its own order, one matrix at a time: a representation's rho blocks
 first, then for each g its base permutation before its matrices.  The first
-bad matrix or permutation raises, with the same error as always.  Matrices
-past the last point, and base permutations of non-integer numbers that
-``int`` reads as the action's, are accepted as they always were.
+bad matrix or permutation raises.  A base permutation must be the action's n
+integers, and each list of per-point matrices must hold exactly n matrices.
 """
 
 from __future__ import annotations
@@ -136,7 +135,7 @@ def rep_from_json(obj: dict, system: System) -> EquivariantRep:
         v = []
         for g, per_point in enumerate(cols.tolist()):
             entry = obj["v"][str(g)]
-            if [int(s) for s in entry["srcPerm"]] != src[g].tolist():
+            if not _equal_ints(entry["srcPerm"], src[g]):
                 raise ValueError(f"serialized base permutation of element {g} does not match the action")
             v.append(_matrices(entry["mats"], dims, per_point))
     return EquivariantRep(system, module, rho, v)
@@ -144,8 +143,11 @@ def rep_from_json(obj: dict, system: System) -> EquivariantRep:
 
 def _matrices(mats, rows, cols) -> list[np.ndarray]:
     """The matrices ``mats[x]`` of shape (rows[x], cols[x]), each converted
-    on its own in the order of x, so the first bad one raises."""
-    return [_complex_array(mats[x], (r, c)) for x, (r, c) in enumerate(zip(rows, cols))]
+    on its own in the order of x, so the first bad one raises; none may follow."""
+    out = [_complex_array(mats[x], (r, c)) for x, (r, c) in enumerate(zip(rows, cols))]
+    if len(mats) != len(out):
+        raise ValueError(f"payload holds {len(mats)} matrices, expected {len(out)}, one per point")
+    return out
 
 
 # what decoding a malformed payload raises (see cli._decoding)
@@ -154,10 +156,12 @@ _MALFORMED = (KeyError, IndexError, TypeError, ValueError, OverflowError, Attrib
 
 def _stack_from_json(family, rows: tuple, cols: np.ndarray) -> np.ndarray:
     """The zero-padded (K, n, d_max, d_max) stack of the matrices
-    ``family[k][x]`` of shape (rows[x], cols[k, x]), from one array
-    conversion per shape class; the whole family at once when every fiber
-    has the same dimension."""
+    ``family[k][x]`` of shape (rows[x], cols[k, x]), each ``family[k]``
+    exactly n long, from one array conversion per shape class; the whole
+    family at once when every fiber has the same dimension."""
     count, n = cols.shape
+    if any(len(mats) != n for mats in family):
+        raise ValueError("a list of per-point matrices is not one per point")
     if len(set(rows)) == 1:
         return _freeze(_complex_array(family, (count, n, rows[0], rows[0])))
     stack = np.zeros((count, n, max(rows), max(rows)), dtype=complex)

@@ -104,3 +104,31 @@ def omega_matrix_unit_coefficient(n: int, k: int, l: int, p: int):
 def sigma_matrix_unit_coefficient(n: int, k: int, l: int, p: int):
     """The sigma_n counterpart of :func:`omega_matrix_unit_coefficient`."""
     return coefficient(sigma_example_rep(n), *sigma_example_vectors(n, k, l, p))
+
+
+def reference_psd_check(blocks: np.ndarray, scale, tol: float):
+    """The rule of the former ``core.psd_certificate``, one matrix at a time
+    over a (..., s, s) stack: Hermitian when max|m - m*| <= tol * scale, and
+    PSD when also the smallest eigenvalue of (m + m*) / 2 is >= -tol *
+    scale.  A matrix with a non-finite entry, where the former rule raised,
+    is neither, with the eigenvalue NaN; an empty one passes with 0.
+    ``scale`` broadcasts to the leading axes.  Returns ``(hermitian, passed,
+    lam_min, defect)``."""
+    lead = blocks.shape[:-2]
+    scale = np.broadcast_to(scale, lead)
+    hermitian, passed = np.zeros(lead, dtype=bool), np.zeros(lead, dtype=bool)
+    lam_min, defect = np.zeros(lead), np.zeros(lead)
+    for i in np.ndindex(lead):
+        m = blocks[i]
+        if not m.shape[0]:
+            hermitian[i] = passed[i] = True
+            continue
+        with np.errstate(invalid="ignore"):
+            defect[i] = np.abs(m - m.conj().T).max()
+        if not np.isfinite(m).all():
+            lam_min[i] = np.nan
+            continue
+        lam_min[i] = np.linalg.eigvalsh((m + m.conj().T) / 2)[0]
+        hermitian[i] = defect[i] <= tol * scale[i]
+        passed[i] = hermitian[i] and lam_min[i] >= -tol * scale[i]
+    return hermitian, passed, lam_min, defect

@@ -10,6 +10,7 @@ alive.
 
 import ast
 import pathlib
+import sys
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "cstardyn"
@@ -107,3 +108,24 @@ def test_allowlist_is_current():
     gains a caller leaves the list."""
     assert sorted(ALLOWED - set(public_definitions())) == []
     assert sorted(ALLOWED - unreferenced()) == []
+
+
+def test_imports_are_stdlib_numpy_or_the_package():
+    """The package depends on numpy alone: every import in ``src/cstardyn``
+    names the standard library, numpy or the package itself, so that a
+    module installed here but not in a clean environment (scipy, say) cannot
+    slip in."""
+    foreign = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                if top not in sys.stdlib_module_names and top not in ("numpy", "cstardyn"):
+                    foreign.append(f"{path.name}:{node.lineno}: {name}")
+    assert foreign == []

@@ -299,11 +299,39 @@ class TestDecodeErrors:
             assert code == 2 and out.getvalue() == ""
             assert message in err.getvalue()
 
-    def test_loosely_typed_base_permutation_still_accepted(self):
-        rep = sigma_example_rep(3)
+    @staticmethod
+    def retyped_src_perm(g: str, cast):
+        """Base permutation g with every entry passed through ``cast``."""
+        return lambda o: o["v"][g].update(srcPerm=[cast(s) for s in o["v"][g]["srcPerm"]])
+
+    @pytest.mark.parametrize(
+        "make", [lambda: sigma_example_rep(3), lambda: omega_example_rep(4, 1, 2)], ids=["uniform", "ragged"]
+    )
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            # numbers that int() truncates to the action's permutation
+            pytest.param(retyped_src_perm("1", lambda s: s + 0.7), "element 1 does not match", id="float-src-perm"),
+            pytest.param(retyped_src_perm("2", str), "element 2 does not match", id="digit-string-src-perm"),
+            pytest.param(lambda o: o["v"]["1"]["mats"].append(None), "expected", id="mats-trailing-none"),
+            pytest.param(lambda o: o["v"]["2"]["mats"].append("anything"), "expected", id="mats-trailing-string"),
+            pytest.param(lambda o: o["rho"][0].append(None), "expected", id="rho-trailing-none"),
+            pytest.param(lambda o: o["rho"][1].append("anything"), "expected", id="rho-trailing-string"),
+        ],
+    )
+    def test_loose_payload_refused(self, make, mutate, message):
+        """Base permutations of anything but the action's integers, and
+        matrices past the last point, are payload errors: exit 2."""
+        rep = make()
         obj = through_json(serialize.rep_to_json(rep))
-        obj["v"]["1"]["srcPerm"] = [float(s) for s in obj["v"]["1"]["srcPerm"]]
-        assert same_bits(serialize.rep_from_json(obj, rep.system).v_stack, rep.v_stack)
+        mutate(obj)
+        with pytest.raises(ValueError, match=message):
+            serialize.rep_from_json(obj, rep.system)
+        payload = {"system": serialize.system_to_json(rep.system), "equivariant_rep": obj}
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["verify", "--inline", json.dumps(payload)])
+        assert code == 2 and out.getvalue() == "" and message in err.getvalue()
 
 
 class TestOneStore:

@@ -241,16 +241,21 @@ class TestSectionalize:
     def test_nan_action_fails_an_axiom(self, at):
         L, G = self.two_lines()
         L[at] = np.nan
-        with pytest.raises(NotAModuleError):
+        G[1, 1, 1] = np.inf  # the action is checked first
+        with pytest.raises(NotAModuleError) as err:
             sectionalize(FiniteSpace(2), L, G)
+        assert err.value.axiom == "finiteness"
+        assert f"action_mats[{at[0]}, {at[1]}, {at[2]}] is not finite" in str(err.value)
 
     @pytest.mark.parametrize("at", [(0, 0, 0), (0, 0, 1), (1, 1, 1)])
-    def test_nan_gram_is_not_hermitian(self, at):
+    def test_nan_gram_is_located(self, at):
         L, G = self.two_lines()
+        G[1, 1, 1] = complex(1.0, np.inf)  # a later entry: the first non-finite one is named
         G[at] = np.nan
         with pytest.raises(NotAModuleError) as err:
             sectionalize(FiniteSpace(2), L, G)
-        assert err.value.axiom == "conjugate-symmetry"
+        assert err.value.axiom == "finiteness"
+        assert f"gram[{at[0]}, {at[1]}, {at[2]}] is not finite" in str(err.value)
 
     def test_zero_dimensional_presentation(self):
         empty = np.zeros((3, 0, 0), dtype=complex)
