@@ -42,6 +42,7 @@ from .multiplier import (
     span_dimension,
     trace_image_sample,
 )
+from .numutil import scale
 
 USAGE_ERROR = 2
 CHECK_ERROR = 1
@@ -173,9 +174,10 @@ def cmd_example(args) -> int:
     family = matrix_unit_family(name, n)
     system = family[0].system
     deviation = matrix_unit_deviation(family)
+    bound = args.tol * scale(*(t.stack for t in family))
     span = span_dimension(family, args.tol)
     checks = [
-        _check("coefficients reproduce matrix units", deviation, args.tol, deviation <= args.tol),
+        _check("coefficients reproduce matrix units", deviation, bound, deviation <= bound),
         _check("span dimension equals n^3", float(abs(span - n**3)), 0.5, span == n**3),
     ]
     # the multiplier algebra is the functions group -> M_n with pointwise

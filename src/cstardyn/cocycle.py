@@ -22,8 +22,13 @@ from . import fibers
 from .core import DEFAULT_TOL, GroupAction, System, _orbit_tables
 from .equivrep import EquivariantRep
 from .hilbmod import SectionalModule, banach_stone_operator
-from .numutil import max_abs, max_abs_over, nearest_unitary
+from .numutil import max_abs, nearest_unitary, scale
 from .reporting import CheckReport
+
+
+# the seed of cocycle_equivalent's draws, and its draws per orbit representative
+_SEED = 13
+_ATTEMPTS = 8
 
 
 class CocycleCompatibilityError(ValueError):
@@ -137,16 +142,18 @@ def _decode_map(action: GroupAction, index: int) -> EquivariantMap:
 
 def verify_cocycle(c: CocycleRep, tol: float = DEFAULT_TOL) -> CheckReport:
     """Residuals of unitarity, the cocycle identity and u(x, e) = id, with
-    the location of the largest unitarity and cocycle-identity residuals."""
+    the location of the largest unitarity and cocycle-identity residuals;
+    each check's bound is ``tol`` times the :func:`.numutil.scale` of u."""
     report = CheckReport()
+    bound = tol * scale(c.u_stack)
     unitary, cocycle, identity = fibers.group_law(c.action, c.module.fiber_dims, c.u_stack)
-    report.add("unitarity", unitary[0], tol, unitary[1])
-    report.add("cocycle identity", cocycle[0], tol, cocycle[1])
-    report.add("identity element", identity, tol)
+    report.add("unitarity", unitary[0], bound, unitary[1])
+    report.add("cocycle identity", cocycle[0], bound, cocycle[1])
+    report.add("identity element", identity, bound)
     return report
 
 
-def v_to_cocycle(part: GroupPart, tol: float = DEFAULT_TOL) -> CocycleRep:
+def v_to_cocycle(part: GroupPart) -> CocycleRep:
     """Extract the cocycle underlying a group part.
 
     The base permutation must agree with the action (x -> g^{-1}x) and every
@@ -164,7 +171,7 @@ def v_to_cocycle(part: GroupPart, tol: float = DEFAULT_TOL) -> CocycleRep:
             f"to {x}, the action requires {action.src[g, x]}",
         )
     c = CocycleRep(action, part.module, part.mats)
-    report = verify_cocycle(c, tol)
+    report = verify_cocycle(c)
     unitarity = report.checks[0]
     if not unitarity.passed:
         raise CocycleCompatibilityError(
@@ -180,59 +187,54 @@ def v_to_cocycle(part: GroupPart, tol: float = DEFAULT_TOL) -> CocycleRep:
     return c
 
 
-def cocycle_to_v(c: CocycleRep, tol: float = DEFAULT_TOL) -> GroupPart:
+def cocycle_to_v(c: CocycleRep) -> GroupPart:
     """The group homomorphism induced by a cocycle, in normal form.
 
     Inverse to :func:`v_to_cocycle` on valid inputs, bit-for-bit on the
     stored matrices.
     """
-    _require_cocycle(c, tol)
+    _require_cocycle(c)
     return GroupPart(c.action, c.module, c.action.src, c.u)
 
 
-def _require_cocycle(c: CocycleRep, tol: float = DEFAULT_TOL) -> CocycleRep:
+def _require_cocycle(c: CocycleRep) -> CocycleRep:
     """``c`` itself, once :func:`verify_cocycle` passes it; raises otherwise."""
-    report = verify_cocycle(c, tol)
+    report = verify_cocycle(c)
     if not report.passed:
         worst = report.worst()
         raise ValueError(f"not a cocycle: {worst.name} residual {worst.residual:.3e}")
     return c
 
 
-def cocycle_equivalent(
-    c1: CocycleRep,
-    c2: CocycleRep,
-    tol: float = DEFAULT_TOL,
-    attempts: int = 8,
-    seed: int = 13,
-) -> Optional[list[np.ndarray]]:
+def cocycle_equivalent(c1: CocycleRep, c2: CocycleRep) -> Optional[list[np.ndarray]]:
     """Per-fiber unitaries U(x) with U(x) u1(x, g) U(g^{-1}x)* = u2(x, g), or None.
 
     Decided orbit by orbit (Mackey): on its representative r (see
     :func:`.core._orbit_tables`), s -> u(r, s) is a unitary representation
     of the stabilizer of r, and the cocycles are equivalent exactly when
-    these representations are, that is when their characters agree.  Then
-    U(r) is the polar factor of the stabilizer average
-    sum_s u2(r, s) R u1(r, s)* of a seeded complex Gaussian R, drawn again
-    up to ``attempts`` times while that average is singular, and U is
-    carried along the orbit as U(x) = u2(x, c_x) U(r) u1(x, c_x)*, c_x the
-    carrier of x.  The family is returned if it satisfies the defining
-    equation within tolerance.
+    these representations are, that is when their characters agree within
+    d times the bound, since a trace sums d entries.  Then U(r) is the polar
+    factor of the stabilizer average sum_s u2(r, s) R u1(r, s)* of a complex
+    Gaussian R from seed ``_SEED``, drawn again up to ``_ATTEMPTS`` times
+    while that average is singular, and U is carried along the orbit as
+    U(x) = u2(x, c_x) U(r) u1(x, c_x)*, c_x the carrier of x.  The family is
+    returned if it satisfies the defining equation within the bound,
+    ``DEFAULT_TOL`` times the :func:`.numutil.scale` of both stacks.
     """
     if c1.action != c2.action or c1.module.fiber_dims != c2.module.fiber_dims:
         return None
     action, dims = c1.action, np.asarray(c1.module.fiber_dims)
     u1, u2 = c1.u_stack, c2.u_stack
-    scale = 1.0 + max_abs_over((u1, u2))
+    bound = DEFAULT_TOL * scale(u1, u2)
     reps, rep_of, carrier = _orbit_tables(action)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_SEED)
     at_rep = np.zeros(u1.shape[1:], dtype=complex)  # U(r) in slot r
     for r in reps[dims[reps] > 0]:
         d, stab = dims[r], np.flatnonzero(action.perm[:, r] == r)
         a, b = u1[stab, r, :d, :d], u2[stab, r, :d, :d]
-        if not max_abs(np.trace(a - b, axis1=1, axis2=2)) <= tol * scale * d:
+        if not max_abs(np.trace(a - b, axis1=1, axis2=2)) <= bound * d:
             return None
-        for _ in range(attempts):
+        for _ in range(_ATTEMPTS):
             noise = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
             unitary = nearest_unitary((b @ noise @ a.conj().swapaxes(-1, -2)).sum(axis=0))
             if unitary is not None:
@@ -242,18 +244,18 @@ def cocycle_equivalent(
             return None
     points = np.arange(len(dims))
     w = u2[carrier, points] @ at_rep[rep_of] @ u1[carrier, points].conj().swapaxes(-1, -2)
-    if not fibers.intertwining_residual(w, u1, u2, action.src).max(initial=0.0) <= tol * scale:
+    if not fibers.intertwining_residual(w, u1, u2, action.src).max(initial=0.0) <= bound:
         return None
     return [w[x, :d, :d] for x, d in enumerate(dims)]
 
 
-def rho_from_sigma(sigma: EquivariantMap, c: CocycleRep, tol: float = DEFAULT_TOL) -> EquivariantRep:
+def rho_from_sigma(sigma: EquivariantMap, c: CocycleRep) -> EquivariantRep:
     """The equivariant representation with algebra part pulled back along an
     equivariant base map: rho(e_k) projects onto the fibers sigma maps to k,
     and the group part is the cocycle's homomorphism."""
     if sigma.action != c.action:
         raise ValueError("base map and cocycle live over different actions")
-    return _pullback_rep(sigma, _require_cocycle(c, tol))
+    return _pullback_rep(sigma, _require_cocycle(c))
 
 
 def _pullback_rep(sigma: EquivariantMap, c: CocycleRep) -> EquivariantRep:
@@ -265,22 +267,21 @@ def _pullback_rep(sigma: EquivariantMap, c: CocycleRep) -> EquivariantRep:
     return EquivariantRep(System(c.action), c.module, rho, c.u_stack)
 
 
-def banach_stone_extract(
-    v: np.ndarray, module: SectionalModule, tol: float = DEFAULT_TOL
-) -> tuple[tuple[int, ...], list[np.ndarray]]:
+def banach_stone_extract(v: np.ndarray, module: SectionalModule) -> tuple[tuple[int, ...], list[np.ndarray]]:
     """Recover the point bijection and fiber unitaries of a surjective
     isometry of the section space.
 
     Applies the map to the basis sections of each fiber; every image must be
     supported at a single point with a unitary block there, and the induced
     point map must be a bijection.  Smeared support, non-square or
-    non-unitary blocks are rejected as not of the required form.
+    non-unitary blocks are rejected as not of the required form, within
+    ``DEFAULT_TOL`` times the :func:`.numutil.scale` of ``v``.
     """
     dims = module.fiber_dims
     off = module.offsets()
     total = module.total_dim
     v = np.asarray(v, dtype=complex).reshape(total, total)
-    scale = 1.0 + max_abs(v)
+    bound = DEFAULT_TOL * scale(v)
     n = module.n_points
 
     sigma = [-1] * n
@@ -293,7 +294,7 @@ def banach_stone_extract(
         supported = [
             x
             for x in module.space.points()
-            if dims[x] and max_abs(col[off[x] : off[x] + dims[x], :]) > tol * scale
+            if dims[x] and max_abs(col[off[x] : off[x] + dims[x], :]) > bound
         ]
         if len(supported) != 1:
             raise NotBanachStoneError(
@@ -307,7 +308,7 @@ def banach_stone_extract(
                 f"fiber dimensions {dims[p]} and {dims[y]} differ; no unitary identification"
             )
         block = col[off[p] : off[p] + dims[p], :]
-        if max_abs(block.conj().T @ block - np.eye(dims[y])) > tol * scale:
+        if max_abs(block.conj().T @ block - np.eye(dims[y])) > bound:
             raise NotBanachStoneError(
                 f"block from point {y} to point {p} is not unitary; the map is not an isometry"
             )
@@ -325,6 +326,6 @@ def banach_stone_extract(
             u_mats[p] = np.zeros((0, 0), dtype=complex)
 
     rebuilt = banach_stone_operator(module, sigma, u_mats)
-    if max_abs(rebuilt - v) > tol * scale:
+    if max_abs(rebuilt - v) > bound:
         raise NotBanachStoneError("map carries weight outside its block structure")
     return tuple(sigma), u_mats

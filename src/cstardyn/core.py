@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numutil import max_abs, psd_check
+from .numutil import psd_check, scale
 
 DEFAULT_TOL = 1e-9
 
@@ -303,15 +303,12 @@ def act_on_algebra(action: GroupAction, g: int, a: np.ndarray) -> np.ndarray:
     return a[action.src[g]]
 
 
-def is_psd(m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    """Whether a square complex matrix is positive semidefinite.
-
-    The rule of :func:`cstardyn.numutil.psd_check` with the scale
-    ``1 + max|entry|``, which makes the zero matrix pass exactly.
-    """
+def is_psd(m: np.ndarray) -> bool:
+    """Whether a square complex matrix is positive semidefinite, by
+    :func:`cstardyn.numutil.psd_check` at ``DEFAULT_TOL`` and its scale."""
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("matrix must be square")
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix contains non-finite entries")
-    return bool(psd_check(m, 1.0 + max_abs(m), tol)[1])
+    return bool(psd_check(m, scale(m), DEFAULT_TOL)[1])

@@ -20,7 +20,7 @@ import numpy as np
 from . import fibers
 from .core import DEFAULT_TOL, System, _freeze, _orbit_tables
 from .multiplier import Multiplier, PdCertificate
-from .numutil import lowest_eigenvector, max_abs, psd_check
+from .numutil import lowest_eigenvector, max_abs, psd_check, scale
 from .reporting import CheckReport
 
 
@@ -61,7 +61,8 @@ class CovariantRep:
 def verify_covariant(rep: CovariantRep, tol: float = DEFAULT_TOL) -> CheckReport:
     """Residuals of the covariant-pair laws: pi a *-representation of the
     basis idempotents, u a unitary homomorphism, and the covariance
-    pi(alpha_g(e_j)) = u(g) pi(e_j) u(g)*.
+    pi(alpha_g(e_j)) = u(g) pi(e_j) u(g)*, each within ``tol`` times the
+    :func:`.numutil.scale` of all pi(e_j) and u(g), the bound it reports.
 
     A nonzero residual is located at the first pair in loop order attaining
     it: ``pi representation`` at (j, k), for |pi(e_j) pi(e_k) - delta_jk
@@ -80,13 +81,14 @@ def verify_covariant(rep: CovariantRep, tol: float = DEFAULT_TOL) -> CheckReport
     warning."""
     monomial = _monomial_pair(rep)
     (pairs, unit), hom, cov = _dense_laws(rep) if monomial is None else _index_laws(rep.system, *monomial)
+    bound = tol * scale(*rep.pi_mats, *rep.u_mats)
     report = CheckReport()
     if unit.residual > pairs.residual or (math.isnan(unit.residual) and not math.isnan(pairs.residual)):
-        report.add("pi representation", unit.residual, tol, unit.where("row"))
+        report.add("pi representation", unit.residual, bound, unit.where("row"))
     else:
-        report.add("pi representation", pairs.residual, tol, pairs.where("j", "k"))
-    report.add("u unitary homomorphism", hom.residual, tol, hom.where("g", "h"))
-    report.add("covariance", cov.residual, tol, cov.where("g", "j"))
+        report.add("pi representation", pairs.residual, bound, pairs.where("j", "k"))
+    report.add("u unitary homomorphism", hom.residual, bound, hom.where("g", "h"))
+    report.add("covariance", cov.residual, bound, cov.where("g", "j"))
     return report
 
 
@@ -331,11 +333,12 @@ def build_reduced(system: System) -> ReducedCrossedProduct:
     )
 
 
-def fourier_coefficients(rcp: ReducedCrossedProduct, m: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+def fourier_coefficients(rcp: ReducedCrossedProduct, m: np.ndarray) -> np.ndarray:
     """Recover f with Lambda(f) = m; the conditional expectation onto each
     group coordinate.  The basis supports are disjoint, so the least-squares
     coordinate of b_a is the mean of m over its support.  Raises
-    NotInAlgebraError when the matrix does not lie in the span."""
+    NotInAlgebraError when m is farther than ``DEFAULT_TOL * scale(m)``
+    from the span."""
     d = rcp.ambient_dim
     m = np.asarray(m, dtype=complex).reshape(d, d)
     hit = rcp.col_map >= 0
@@ -345,7 +348,7 @@ def fourier_coefficients(rcp: ReducedCrossedProduct, m: np.ndarray, tol: float =
     recon = np.zeros((d, d), dtype=complex)
     recon[r_idx, rcp.col_map[a_idx, r_idx]] = coords[a_idx]
     residual = max_abs(m - recon)
-    if residual > tol * (1.0 + max_abs(m)):
+    if residual > DEFAULT_TOL * scale(m):
         raise NotInAlgebraError(residual)
     return coords.reshape(rcp.system.group.order, rcp.system.n_points)
 
@@ -450,26 +453,29 @@ def is_completely_positive(
     the scale, the Hermitian defect and the verdict are those of the dense
     matrix.  On failure the lowest eigenvector of the block with the smallest
     eigenvalue (one ``eigh``) is returned embedded in the N * D index space.
+    A non-finite ``phi`` raises ValueError naming its first such entry.
     """
     N = rcp.dim
     D = rcp.ambient_dim
     phi = np.asarray(phi, dtype=complex)
     if phi.shape != (N, N):
         raise ValueError(f"coordinate map must be {N} x {N}")
+    if not np.isfinite(phi).all():
+        raise ValueError(f"coordinate map entry {np.argwhere(~np.isfinite(phi))[0].tolist()} is not finite")
 
     # the entry lists live only inside the two helpers, so they are freed
     # before the eigensolves
     comp, offset, flat = _component_blocks(N * D, *_cp_entries(rcp, phi))
     sizes = np.bincount(comp)
 
-    scale = 1.0 + max_abs(flat)
+    matrix_scale = scale(flat)
     verdict, hd, lam_min, worst = True, 0.0, None, None
     # components of one size are one contiguous stack: a single batched check
     for s in np.unique(sizes):
         members = np.flatnonzero(sizes == s)
         start = offset[members[0]]
         blocks = flat[start : start + len(members) * s * s].reshape(len(members), s, s)
-        _, passed, lam, defect = psd_check(blocks, scale, tol)
+        _, passed, lam, defect = psd_check(blocks, matrix_scale, tol)
         verdict &= bool(passed.all())
         hd = max(hd, float(defect.max()))
         i = int(np.argmin(lam))

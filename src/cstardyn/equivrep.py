@@ -26,7 +26,7 @@ from .hilbmod import (
     module_action,
     trivial_module,
 )
-from .numutil import gram_quotient, matrix_rank, max_abs, max_abs_over
+from .numutil import gram_quotient, matrix_rank, scale
 from .reporting import CheckReport
 
 
@@ -119,12 +119,13 @@ def verify_equivariant(rep: EquivariantRep, tol: float = DEFAULT_TOL) -> CheckRe
     three defining relations, v(e) = id, v a homomorphism, and the isometry
     consequence on the basis sections.  Each residual is the max |entry| of
     the relation's difference over all group elements, points and basis
-    indices, computed on the padded stacks in blocks (see :mod:`.fibers`);
-    every check but relation (iii) and v(e) = id also reports where its
-    largest residual sits.  Relation (iii) is exact in the stored normal
-    form, so its residual is 0 for a finite v and NaN (reported as inf)
-    otherwise.  Failures are reported, never raised: entries large enough to
-    overflow give inf residuals, which fail, and no warning.
+    indices, computed on the padded stacks in blocks (see :mod:`.fibers`),
+    against the bound ``tol * scale(rho_stack, v_stack)``; every check but
+    relation (iii) and v(e) = id also reports where its largest residual
+    sits.  Relation (iii) is exact in the stored normal form, so its
+    residual is 0 for a finite v and NaN (reported as inf) otherwise.
+    Failures are reported, never raised: entries large enough to overflow
+    give inf residuals, which fail, and no warning.
     """
     report = CheckReport()
     action = rep.system.action
@@ -134,21 +135,22 @@ def verify_equivariant(rep: EquivariantRep, tol: float = DEFAULT_TOL) -> CheckRe
     v, r = rep.v_stack, rep.rho_stack
     d = v.shape[-1]
     eye = fibers.padded_identity(dims)
+    bound = tol * scale(r, v)
 
     worst = fibers.Worst()
     worst.update(fibers.entry_max(r.sum(axis=0) - eye))
-    report.add("rho unital", worst.residual, tol, worst.where("x"))
+    report.add("rho unital", worst.residual, bound, worst.where("x"))
 
     worst = fibers.Worst()
     for lo, hi in fibers.blocks(n, n * n * d * d):
         prod = r[lo:hi, None] @ r[None]  # rho(e_k) rho(e_l) per fiber
         prod[np.arange(hi - lo), np.arange(lo, hi)] -= r[lo:hi]
         worst.update_max(np.abs(prod), lo)
-    report.add("rho multiplicative", worst.residual, tol, worst.where("k", "l", "x"))
+    report.add("rho multiplicative", worst.residual, bound, worst.where("k", "l", "x"))
 
     worst = fibers.Worst()
     worst.update(fibers.entry_max(r - r.conj().swapaxes(-1, -2)))
-    report.add("rho self-adjoint", worst.residual, tol, worst.where("k", "x"))
+    report.add("rho self-adjoint", worst.residual, bound, worst.where("k", "x"))
 
     # relation (i): rho(alpha_g(e_k)) v(g) = v(g) rho(e_k), per fiber
     worst = fibers.Worst()
@@ -158,26 +160,26 @@ def verify_equivariant(rep: EquivariantRep, tol: float = DEFAULT_TOL) -> CheckRe
         lhs = r[action.perm[gs]] @ vg
         rhs = vg @ r[points[None, :, None], src[gs][:, None, :]]
         worst.update_max(np.abs(lhs - rhs), lo)
-    report.add("relation (i) covariance", worst.residual, tol, worst.where("g", "k", "x"))
+    report.add("relation (i) covariance", worst.residual, bound, worst.where("g", "k", "x"))
 
     # relation (ii) is equivalent to every matrix of v being unitary
     unitary, hom, identity = fibers.group_law(action, dims, v)
-    report.add("relation (ii) inner products", unitary[0], tol, unitary[1])
+    report.add("relation (ii) inner products", unitary[0], bound, unitary[1])
 
     # relation (iii), v(g)(xi . a) = (v(g) xi) . alpha_g(a), holds exactly
     # for v in normal form: both sides move the component at g^{-1}x to x.
     # Only a non-finite entry of v breaks it, through 0 * inf or inf - inf
-    report.add("relation (iii) module action", 0.0 if np.isfinite(v).all() else np.nan, tol)
+    report.add("relation (iii) module action", 0.0 if np.isfinite(v).all() else np.nan, bound)
 
-    report.add("v(e) identity", identity, tol)
-    report.add("v homomorphism", hom[0], tol, hom[1])
+    report.add("v(e) identity", identity, bound)
+    report.add("v homomorphism", hom[0], bound, hom[1])
 
     # |v(g) e_(y,i)| = 1: the norm of column i of v[g][x] for real columns of
     # fiber g^{-1}x = y
     norms = np.sqrt((np.abs(v) ** 2).sum(axis=-2))
     worst = fibers.Worst()
     worst.update(np.where(fibers.fiber_mask(dims)[src], np.abs(norms - 1.0), 0.0))
-    report.add("v isometric", worst.residual, tol, worst.where("g", "x", "i"))
+    report.add("v isometric", worst.residual, bound, worst.where("g", "x", "i"))
     return report
 
 
@@ -266,7 +268,7 @@ def direct_sum_reps(reps: Sequence[EquivariantRep]) -> EquivariantRep:
     return EquivariantRep(sys_, mod, rho[..., :dmax, :dmax], v[..., :dmax, :dmax])
 
 
-def tensor_rep(r1: EquivariantRep, r2: EquivariantRep, tol: float = DEFAULT_TOL):
+def tensor_rep(r1: EquivariantRep, r2: EquivariantRep):
     """The tensor product representation on the internal tensor product of the
     modules: rho acts on the left factor, v acts diagonally.
 
@@ -282,8 +284,8 @@ def tensor_rep(r1: EquivariantRep, r2: EquivariantRep, tol: float = DEFAULT_TOL)
     if r1.system != r2.system:
         raise ValueError("tensor factors must share the system")
     sys_ = r1.system
-    _check_projection_rep(r1.rho_stack, r1.module.fiber_dims, tol)
-    tp = internal_tensor(r1.module, r2.rho_stack, r2.module, tol)
+    _check_projection_rep(r1.rho_stack, r1.module.fiber_dims)
+    tp = internal_tensor(r1.module, r2.rho_stack, r2.module)
     n, order, src = sys_.n_points, sys_.group.order, sys_.action.src
     dmax = max(tp.module.fiber_dims)
 
@@ -310,7 +312,7 @@ def tensor_rep(r1: EquivariantRep, r2: EquivariantRep, tol: float = DEFAULT_TOL)
     return rep, tp
 
 
-def fell_absorption_unitary(rep: EquivariantRep, tol: float = DEFAULT_TOL):
+def fell_absorption_unitary(rep: EquivariantRep):
     """The absorption unitary W from (module tensor group-amplified algebra)
     onto the group-amplified module, W(x (x) xi)(g) = x . xi(g).
 
@@ -318,12 +320,13 @@ def fell_absorption_unitary(rep: EquivariantRep, tol: float = DEFAULT_TOL):
     ``w_blocks[x]`` maps tensor fiber x onto the amplified fiber x.  The
     report covers isometry, surjectivity, linearity over the algebra and both
     intertwining relations, each located where its largest residual first
-    sits: at ``x`` (``k, x`` for rho, ``g, x`` for v).
+    sits: at ``x`` (``k, x`` for rho, ``g, x`` for v).  Each check's bound is
+    ``DEFAULT_TOL`` times the :func:`.numutil.scale` of ``rep``'s stacks.
     """
     sys_ = rep.system
     n = rep.module.n_points
     areg = regular_rep(trivial_rep(sys_))
-    trep, tp = tensor_rep(rep, areg, tol)
+    trep, tp = tensor_rep(rep, areg)
     reg = regular_rep(rep)
 
     # W at fiber x sends the class of e_(x,l) (x) e_(x,a) to slot a, row l: row
@@ -338,11 +341,12 @@ def fell_absorption_unitary(rep: EquivariantRep, tol: float = DEFAULT_TOL):
     w_blocks = [w[y, : dr[y], : dt[y]] for y in range(n)]
 
     report = CheckReport()
+    bound = DEFAULT_TOL * scale(rep.rho_stack, rep.v_stack)
 
     def add(name, residuals, *keys):
         worst = fibers.Worst()
         worst.update(residuals)
-        report.add(name, worst.residual, tol, worst.where(*keys))
+        report.add(name, worst.residual, bound, worst.where(*keys))
 
     wh = w.conj().swapaxes(-1, -2)
     add("isometry", fibers.entry_max(wh @ w - fibers.padded_identity(dt)), "x")
@@ -374,7 +378,7 @@ def _random_vector(module: SectionalModule, rng) -> ModuleVector:
     )
 
 
-def is_cyclic(rep: EquivariantRep, vec: ModuleVector, tol: float = DEFAULT_TOL) -> bool:
+def is_cyclic(rep: EquivariantRep, vec: ModuleVector) -> bool:
     """Whether span{(rho(a) v(g) vec) . b} over the algebra basis and group
     exhausts the module (exact integer rank per fiber)."""
     n = rep.module.n_points
@@ -388,12 +392,12 @@ def is_cyclic(rep: EquivariantRep, vec: ModuleVector, tol: float = DEFAULT_TOL) 
         for g in range(order):
             for k in range(n):
                 cols.append(rep.rho[k].blocks[p] @ translates[g].components[p])
-        if matrix_rank(np.stack(cols, axis=1), tol) < d:
+        if matrix_rank(np.stack(cols, axis=1), DEFAULT_TOL) < d:
             return False
     return True
 
 
-def gns_from_pd(multiplier, tol: float = DEFAULT_TOL):
+def gns_from_pd(multiplier):
     """Reconstruct an equivariant representation with a cyclic vector whose
     diagonal coefficient reproduces a positive definite multiplier.
 
@@ -413,7 +417,7 @@ def gns_from_pd(multiplier, tol: float = DEFAULT_TOL):
     """
     from .multiplier import _kernel_matrices, coefficient, is_positive_definite, multiplier_distance
 
-    cert = is_positive_definite(multiplier, tol)
+    cert = is_positive_definite(multiplier)
     if not cert.verdict:
         raise NotPositiveDefiniteError(cert)
 
@@ -423,7 +427,7 @@ def gns_from_pd(multiplier, tol: float = DEFAULT_TOL):
 
     p, j = np.divmod(np.arange(n * n), n)
     kernels = _kernel_matrices(sys_, multiplier.stack[None], np.zeros_like(p), p, j).reshape(n, n, order, order)
-    coord, pinv, ranks = gram_quotient(kernels, order, tol)  # coord[p, j, a, g], pinv[p, j, g, a]
+    coord, pinv, ranks = gram_quotient(kernels, order)  # coord[p, j, a, g], pinv[p, j, g, a]
     rmax, dims = coord.shape[2], ranks.sum(axis=1)
     dmax = int(dims.max())
     # rows[p, j, a]: the coordinate of (j, a) in fiber p; dmax for padding
@@ -449,10 +453,9 @@ def gns_from_pd(multiplier, tol: float = DEFAULT_TOL):
 
     realized = coefficient(rep, xi, xi)
     gap = multiplier_distance(realized, multiplier)
-    scale = 1.0 + max_abs(multiplier.stack)
     # cutting a null direction perturbs the coefficient by at most the
     # cutoff times the symbol count, so allow that much slack over tol
-    if gap > order * n * tol * scale:
+    if gap > order * n * DEFAULT_TOL * scale(multiplier.stack):
         raise ArithmeticError(
             f"reconstruction does not reproduce the multiplier (residual {gap:.3e}); "
             "refusing to return an unvalidated representation"
@@ -460,13 +463,7 @@ def gns_from_pd(multiplier, tol: float = DEFAULT_TOL):
     return rep, CyclicVector(rep, xi)
 
 
-def unitarily_equivalent(
-    r1: EquivariantRep,
-    r2: EquivariantRep,
-    tol: float = DEFAULT_TOL,
-    attempts: int = 8,
-    seed: int = 11,
-) -> Optional[list[np.ndarray]]:
+def unitarily_equivalent(r1: EquivariantRep, r2: EquivariantRep) -> Optional[list[np.ndarray]]:
     """Per-fiber unitaries W_x with W_x rho1(e_k)_x = rho2(e_k)_x W_x and
     W_x v1(g)_x = v2(g)_x W_{g^{-1}x}, or None.
 
@@ -476,10 +473,10 @@ def unitarily_equivalent(
     u(g)_{x*n+k} = B(x,k)* v(g)_x B(g^{-1}x, g^{-1}k) is a cocycle over the
     diagonal action on pairs (x, k), and the representations are equivalent
     exactly when these cocycles are: piece ranks that differ give different
-    fibers, hence None.  :func:`.cocycle.cocycle_equivalent` (given ``tol``,
-    ``attempts`` and ``seed``) finds U, and W_x = sum_k B2(x,k) U(x*n+k)
-    B1(x,k)* is returned if it intertwines the given representations within
-    tolerance.  Raises ValueError naming the point where a rho is not a
+    fibers, hence None.  :func:`.cocycle.cocycle_equivalent` finds U, and
+    W_x = sum_k B2(x,k) U(x*n+k) B1(x,k)* is returned if its intertwining
+    residual is at most ``DEFAULT_TOL`` times the :func:`.numutil.scale` of
+    the four stacks.  Raises ValueError naming the point where a rho is not a
     family of orthogonal projections.
     """
     from .cocycle import CocycleRep, cocycle_equivalent
@@ -492,23 +489,23 @@ def unitarily_equivalent(
     pairs = GroupAction(sys_.group, FiniteSpace(n * n), (perm[:, :, None] * n + perm[:, None, :]).reshape(order, -1))
     split = []
     for rep in (r1, r2):
-        _check_projection_rep(rep.rho_stack, dims, tol)
+        _check_projection_rep(rep.rho_stack, dims)
         # the pieces of fiber x are the ranges of rho(e_k) at x: group x, block k
-        _, b, ranks = gram_quotient(rep.rho_stack.swapaxes(0, 1), np.asarray(dims)[:, None], tol)
+        _, b, ranks = gram_quotient(rep.rho_stack.swapaxes(0, 1), np.asarray(dims)[:, None])
         r = b.shape[-1]
         b = b.reshape(n * n, d, r)  # b[x*n + k]: B(x, k), zero padded
         bh = b.conj().swapaxes(-1, -2).reshape(n, n, r, d)
         u = (bh @ rep.v_stack[:, :, None]).reshape(order, n * n, r, d) @ b[pairs.src]
         split.append((b, CocycleRep(pairs, SectionalModule(pairs.space, ranks.ravel()), u)))
     (b1, c1), (b2, c2) = split
-    mats = cocycle_equivalent(c1, c2, tol, attempts, seed)
+    mats = cocycle_equivalent(c1, c2)
     if mats is None:
         return None
     u = fibers.stack_blocks([mats], c1.module.fiber_dims)[0]
     w = (b2 @ u @ b1.conj().swapaxes(-1, -2)).reshape(n, n, d, d).sum(axis=1)
     w = [w[x, :dx, :dx] for x, dx in enumerate(dims)]
-    scale = 1.0 + max_abs_over((r1.rho_stack, r1.v_stack, r2.rho_stack, r2.v_stack))
-    return w if _intertwiner_residual(r1, r2, w) <= tol * scale else None
+    bound = DEFAULT_TOL * scale(r1.rho_stack, r1.v_stack, r2.rho_stack, r2.v_stack)
+    return w if _intertwiner_residual(r1, r2, w) <= bound else None
 
 
 def _intertwiner_residual(r1: EquivariantRep, r2: EquivariantRep, mats: Sequence[np.ndarray]) -> float:
@@ -516,4 +513,5 @@ def _intertwiner_residual(r1: EquivariantRep, r2: EquivariantRep, mats: Sequence
     over all k, g and x, on the padded stacks; NaN propagates."""
     w, src = fibers.stack_blocks([mats], r1.module.fiber_dims)[0], r1.system.action.src
     rho = fibers.intertwining_residual(w, r1.rho_stack, r2.rho_stack)
-    return max_abs_over((rho, fibers.intertwining_residual(w, r1.v_stack, r2.v_stack, src)))
+    v = fibers.intertwining_residual(w, r1.v_stack, r2.v_stack, src)
+    return float(np.concatenate([rho, v]).max(initial=0.0))

@@ -13,6 +13,7 @@ import numpy as np
 
 from .cocycle import CocycleRep, _decode_map, _map_choices, rho_from_sigma
 from .core import (
+    DEFAULT_TOL,
     FiniteGroup,
     GroupAction,
     System,
@@ -24,6 +25,7 @@ from .core import (
 from .equivrep import EquivariantRep, direct_sum_reps, regular_rep, trivial_rep
 from .hilbmod import ModuleVector, SectionalModule
 from .multiplier import Multiplier, coefficient, is_positive_definite
+from .numutil import scale
 
 
 def standard_systems() -> dict[str, System]:
@@ -167,9 +169,7 @@ def random_vector(module: SectionalModule, rng: np.random.Generator) -> ModuleVe
     )
 
 
-def random_multiplier_suite(
-    system: System, count: int, rng: np.random.Generator, clear_margin: float = 1e-3
-) -> list[Multiplier]:
+def random_multiplier_suite(system: System, count: int, rng: np.random.Generator) -> list[Multiplier]:
     """A mix of clearly positive definite and clearly non-positive-definite
     multipliers for agreement testing.
 
@@ -177,6 +177,7 @@ def random_multiplier_suite(
     resampled so that independent checks cannot disagree through rounding
     alone; the checks themselves are untouched.
     """
+    margin = 1e-3
     n = system.n_points
     order = system.group.order
     out: list[Multiplier] = []
@@ -199,9 +200,9 @@ def random_multiplier_suite(
             eta = random_vector(rep.module, rng)
             cand = coefficient(rep, xi, xi) - 2.0 * coefficient(rep, eta, eta)
         cert = is_positive_definite(cand)
-        scale = 1.0 + float(np.abs(cand.stack).max())
-        if not cert.verdict and cert.hermitian_defect <= 1e-9 * scale:
-            if -clear_margin * scale < cert.min_eigenvalue:
+        size = scale(cand.stack)
+        if not cert.verdict and cert.hermitian_defect <= DEFAULT_TOL * size:
+            if -margin * size < cert.min_eigenvalue:
                 continue  # borderline indefinite: resample
         out.append(cand)
     return out

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import fibers
 from .core import DEFAULT_TOL, FiniteSpace, _freeze
-from .numutil import gram_quotient, matrix_rank, max_abs, psd_check
+from .numutil import gram_quotient, matrix_rank, max_abs, psd_check, scale
 
 
 class NotAModuleError(ValueError):
@@ -173,19 +173,15 @@ class Sectionalization:
         return ModuleVector(self.module, tuple(m @ x for m in self.coord_maps))
 
 
-def sectionalize(
-    space: FiniteSpace,
-    action_mats: np.ndarray,
-    gram: np.ndarray,
-    tol: float = DEFAULT_TOL,
-) -> Sectionalization:
+def sectionalize(space: FiniteSpace, action_mats: np.ndarray, gram: np.ndarray) -> Sectionalization:
     """Rewrite a module presented on C^dim in sectional form.
 
     ``action_mats[k]`` is the matrix of the right action by the basis
     idempotent e_k, and ``gram[k][i, j]`` the k-th component of the inner
     product of the i-th and j-th abstract basis vectors.  Fiber k is the image
     of the k-th action idempotent, carrying the k-th component of the gram.
-    Raises :class:`NotAModuleError` naming the first violated axiom.
+    Each axiom holds within ``DEFAULT_TOL`` times the :func:`.numutil.scale`
+    of the array it is about, or :class:`NotAModuleError` names it.
     """
     n = space.size
     L = np.asarray(action_mats, dtype=complex)
@@ -201,18 +197,18 @@ def sectionalize(
         if bad:
             raise NotAModuleError("finiteness", f"{name}{bad[0]} is not finite")
     # each check passes only on a true comparison, so an overflow to NaN fails one
-    scale_L = 1.0 + max(max_abs(L), 1.0)
+    bound_L = DEFAULT_TOL * scale(L)
     for k in range(n):
-        if not max_abs(L[k] @ L[k] - L[k]) <= tol * scale_L:
+        if not max_abs(L[k] @ L[k] - L[k]) <= bound_L:
             raise NotAModuleError("idempotent", f"action of e_{k} is not idempotent")
         for l in range(n):
-            if l != k and not max_abs(L[k] @ L[l]) <= tol * scale_L:
+            if l != k and not max_abs(L[k] @ L[l]) <= bound_L:
                 raise NotAModuleError("orthogonality", f"e_{k} and e_{l} actions overlap")
-    if not max_abs(L.sum(axis=0) - np.eye(dim)) <= tol * scale_L:
+    if not max_abs(L.sum(axis=0) - np.eye(dim)) <= bound_L:
         raise NotAModuleError("unital", "action idempotents do not sum to the identity")
 
-    scale_G = 1.0 + max_abs(G)
-    hermitian, positive, _, _ = psd_check(G, scale_G, tol)
+    scale_G = scale(G)
+    hermitian, positive, _, _ = psd_check(G, scale_G, DEFAULT_TOL)
     for k in range(n):
         if not hermitian[k]:
             raise NotAModuleError("conjugate-symmetry", f"component {k} of the gram is not Hermitian")
@@ -220,22 +216,22 @@ def sectionalize(
             raise NotAModuleError("positivity", f"component {k} of the gram is indefinite")
         for l in range(n):
             target = G[k] if l == k else np.zeros_like(G[k])
-            if not max_abs(G[k] @ L[l] - target) <= tol * scale_G:
+            if not max_abs(G[k] @ L[l] - target) <= DEFAULT_TOL * scale_G:
                 raise NotAModuleError(
                     "compatibility", f"<x, y.e_{l}> has unexpected support in component {k}"
                 )
     total = sum(G[k] for k in range(n))
     # each component passed within tolerance, so the sum is judged by its Hermitian part alone
-    if not psd_check((total + total.conj().T) / 2, scale_G, tol)[1]:
+    if not psd_check((total + total.conj().T) / 2, scale_G, DEFAULT_TOL)[1]:
         raise NotAModuleError("positivity", "total gram is indefinite")
 
     dims, coord_maps = [], []
     for k in range(n):
         # an orthonormal basis of the range of the k-th idempotent
-        rank = matrix_rank(L[k], tol)
+        rank = matrix_rank(L[k], DEFAULT_TOL)
         V = np.linalg.svd(L[k])[0][:, :rank]
         try:
-            _, pinv, kept = gram_quotient((V.conj().T @ G[k] @ V)[None, None], rank, tol)
+            _, pinv, kept = gram_quotient((V.conj().T @ G[k] @ V)[None, None], rank)
         except ValueError:
             raise NotAModuleError("positivity", f"fiber {k} gram is indefinite") from None
         if kept[0, 0] < rank:
@@ -267,10 +263,11 @@ def banach_stone_operator(
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _check_projection_rep(rho: np.ndarray, dims: Sequence[int], tol: float) -> None:
+def _check_projection_rep(rho: np.ndarray, dims: Sequence[int]) -> None:
     """Raise ValueError naming the first point x where the blocks
     ``rho[k, x, :d_x, :d_x]`` of a padded stack are not orthogonal projections
-    summing to one; non-finite entries fail there, without a warning."""
+    summing to one within ``DEFAULT_TOL * scale`` of the blocks at x;
+    non-finite entries fail there, without a warning."""
     if len(rho) != len(dims):
         raise ValueError("a representation of C^n needs one generator per point")
     # one copy with the blocks of a point adjacent: the products over strided
@@ -280,7 +277,7 @@ def _check_projection_rep(rho: np.ndarray, dims: Sequence[int], tol: float) -> N
         if d == 0:
             continue
         blocks = by_point[x, :, :d, :d]
-        bound = tol * (1.0 + np.abs(blocks).max())
+        bound = DEFAULT_TOL * scale(blocks)
         prod = blocks[:, None] @ blocks[None]  # [k, l]: b_k b_l
         prod[np.arange(len(blocks)), np.arange(len(blocks))] -= blocks
         adjoint = (blocks - blocks.conj().swapaxes(-1, -2))[:, None]
@@ -327,12 +324,7 @@ class TensorProduct:
         return ModuleVector(self.module, tuple(out[m, :d] for m, d in enumerate(dims)))
 
 
-def internal_tensor(
-    x1: SectionalModule,
-    rho2,
-    x2: SectionalModule,
-    tol: float = DEFAULT_TOL,
-) -> TensorProduct:
+def internal_tensor(x1: SectionalModule, rho2, x2: SectionalModule) -> TensorProduct:
     """The internal tensor product of x1 and x2 with respect to the
     representation rho2 of C^n on x2, given as one :class:`ModuleOperator`
     per point or as the zero-padded (n, n, d_max, d_max) stack of their
@@ -354,10 +346,10 @@ def internal_tensor(
             raise ValueError("representation generators must act on the target module")
         rho2 = [op.blocks for op in rho2]
     rho2 = fibers.stack_blocks(rho2, x2.fiber_dims)
-    _check_projection_rep(rho2, x2.fiber_dims, tol)
+    _check_projection_rep(rho2, x2.fiber_dims)
 
     d1 = np.asarray(x1.fiber_dims)
-    coord, pinv, ranks = gram_quotient(rho2.swapaxes(0, 1), np.outer(x2.fiber_dims, d1 > 0), tol)
+    coord, pinv, ranks = gram_quotient(rho2.swapaxes(0, 1), np.outer(x2.fiber_dims, d1 > 0))
     piece_coord, piece_pinv, ranks = coord.swapaxes(0, 1), pinv.swapaxes(0, 1), ranks.T
     size = d1[:, None] * ranks
     dims = tuple(int(d) for d in size.sum(axis=0))

@@ -20,7 +20,7 @@ from . import fibers
 from .core import DEFAULT_TOL, System, act_on_algebra, is_psd
 from .equivrep import EquivariantRep, regular_rep, slot_embed, slot_restrict
 from .hilbmod import ModuleVector, module_norm
-from .numutil import lowest_eigenvector, matrix_rank, max_abs, psd_check
+from .numutil import lowest_eigenvector, matrix_rank, max_abs, psd_check, scale
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -59,8 +59,9 @@ class Multiplier:
     def apply(self, g: int, a: np.ndarray) -> np.ndarray:
         return self.mats[g] @ np.asarray(a, dtype=complex)
 
-    def support(self, tol: float = DEFAULT_TOL) -> list[int]:
-        return np.flatnonzero(np.abs(self.stack).max(axis=(1, 2)) > tol).tolist()
+    def support(self) -> list[int]:
+        """The g with an entry of T_g above ``DEFAULT_TOL * scale(stack)``."""
+        return np.flatnonzero(np.abs(self.stack).max(axis=(1, 2)) > DEFAULT_TOL * scale(self.stack)).tolist()
 
     def __add__(self, other: "Multiplier") -> "Multiplier":
         _same_system(self, other)
@@ -199,7 +200,7 @@ def _fiberwise_checks(system: System, stack: np.ndarray, tol: float):
 
     ``stack`` is (S, |G|, n, n).  The kernel matrices of all S * n * n
     triples (s, x, k) are gathered and go through :func:`numutil.psd_check`,
-    each against its own scale ``1 + max|entry|``, in blocks of at most
+    each against its own :func:`numutil.scale`, in blocks of at most
     ``fibers.BLOCK_ELEMENTS`` gathered entries (one matrix always fits).
     Returns the verdicts (S,), the smallest eigenvalues and defects
     (S, n * n) and the witness (x, k) index of each multiplier (S,).
@@ -208,7 +209,7 @@ def _fiberwise_checks(system: System, stack: np.ndarray, tol: float):
     checks = []
     for lo, hi in fibers.blocks(S * n * n, order * order):
         kern = _kernel_matrices(system, stack, *np.unravel_index(np.arange(lo, hi), (S, n, n)))
-        checks.append(psd_check(kern, 1.0 + np.abs(kern).max(axis=(1, 2)), tol))
+        checks.append(psd_check(kern, scale(kern, axis=(1, 2)), tol))
     hermitian, passed, lam0, hd = (np.concatenate(a).reshape(S, n * n) for a in zip(*checks))
     # the first (x, k) in loop order with the largest score is the witness
     worst = np.argmax(-lam0 + np.where(hermitian, 0.0, hd), axis=1)
@@ -220,7 +221,6 @@ def _fiberwise_certificates(system: System, stack: np.ndarray, tol: float) -> li
     :func:`is_positive_definite` describes it."""
     verdicts, lam0, hd, worst = _fiberwise_checks(system, stack, tol)
     n = system.n_points
-    witness = np.stack([np.arange(len(stack)), worst // n, worst % n])[:, :, None]  # (s, x, k) of each
     return [
         PdCertificate(
             verdict=bool(ok),
@@ -228,7 +228,9 @@ def _fiberwise_certificates(system: System, stack: np.ndarray, tol: float) -> li
             hermitian_defect=float(hd[i, w]),
             point=int(w // n),
             basis=int(w % n),
-            eigenvector=None if ok else lowest_eigenvector(_kernel_matrices(system, stack, *witness[:, i])[0]),
+            eigenvector=None if ok else lowest_eigenvector(
+                _kernel_matrices(system, stack, *np.array([[i], [w // n], [w % n]]))[0]
+            ),
         )
         for i, (ok, w) in enumerate(zip(verdicts, worst))
     ]
@@ -245,7 +247,7 @@ def is_positive_definite(t: Multiplier, tol: float = DEFAULT_TOL) -> PdCertifica
     :func:`pd_sample_oracle` cross-validates it against the raw definition.
 
     All n^2 kernel matrices come from one gather and go through
-    :func:`numutil.psd_check`, each with its own scale ``1 + max|entry|``, in
+    :func:`numutil.psd_check`, each with its own :func:`numutil.scale`, in
     blocks of at most ``fibers.BLOCK_ELEMENTS`` entries.  The certificate's
     (point, basis) is the first (x, k) in loop order with the largest score,
     minus the smallest eigenvalue plus any defect beyond tolerance, and
@@ -276,8 +278,8 @@ def _kernel_checks(t: Multiplier, gs: np.ndarray, amps: np.ndarray, tol: float, 
     conj(a_i) a_j gathered at the points g_i y.  Returns per trial and base
     point, each of shape (T, n): the smallest eigenvalue of the Hermitian
     part of the N x N kernel matrix, its Hermitian defect, and whether it
-    fails :func:`numutil.psd_check` with ``scale = 1 + max|kernel entry|``
-    taken over the trial's whole kernel.
+    fails :func:`numutil.psd_check` with the :func:`numutil.scale` of the
+    trial's whole kernel.
     """
     if table is None:
         table = _kernel_table(t)
@@ -293,7 +295,7 @@ def _kernel_checks(t: Multiplier, gs: np.ndarray, amps: np.ndarray, tol: float, 
         b = np.einsum("tijxy,tijy->tijx", table[g[:, :, None], g[:, None, :]], w)
         # one kernel per (trial, point), laid out as eigvalsh reads it
         b = np.ascontiguousarray(b.transpose(0, 3, 1, 2))
-        _, ok[lo:hi], mins[lo:hi], hd[lo:hi] = psd_check(b, 1.0 + np.abs(b).max(axis=(1, 2, 3))[:, None], tol)
+        _, ok[lo:hi], mins[lo:hi], hd[lo:hi] = psd_check(b, scale(b, axis=(1, 2, 3))[:, None], tol)
     return mins, hd, ~ok
 
 
@@ -305,10 +307,10 @@ def pd_sample_oracle(
     Draws tuples (g_1..g_N, a_1..a_N) with N uniform in [1, 2|G|] and sparse
     complex Gaussian algebra vectors (each coordinate kept with probability
     1/2), builds the C^n-valued kernel matrix and requires it PSD at every
-    base point, up to ``tol * (1 + max|kernel entry|)`` per trial.  The
-    operators of all kernel entries are tabulated once per call, per pair of
-    group elements (:func:`_kernel_table`, O(|G|^2 n^2), less than the
-    gathered kernel of one tuple of length 2|G|).
+    base point, up to ``tol`` times the :func:`numutil.scale` of each trial's
+    kernel.  The operators of all kernel entries are tabulated once per
+    call, per pair of group elements (:func:`_kernel_table`, O(|G|^2 n^2),
+    less than the gathered kernel of one tuple of length 2|G|).
 
     Trial 0 is drawn and checked alone, so a multiplier that fails at once
     costs one small kernel; the rest are drawn and checked in windows of
@@ -398,32 +400,28 @@ class NormBounds:
 
     lower: float
     upper: float
-    tol: float = DEFAULT_TOL
 
     def __post_init__(self):
-        if self.lower > self.upper + self.tol:
+        if self.lower > self.upper + DEFAULT_TOL * scale(self.lower):
             raise ValueError(
                 f"inconsistent bounds: lower {self.lower} exceeds upper {self.upper}"
             )
 
 
 def norm_bounds(
-    t: Multiplier,
-    known_reps: Sequence[tuple[EquivariantRep, ModuleVector, ModuleVector]] = (),
-    tol: float = DEFAULT_TOL,
+    t: Multiplier, known_reps: Sequence[tuple[EquivariantRep, ModuleVector, ModuleVector]] = ()
 ) -> NormBounds:
     """lower = sup_g ||T_g|| (sup-norm operator norm); upper = min ||xi|| ||eta||
-    over supplied realizations (infinity when none are supplied)."""
+    over supplied realizations (infinity when none are supplied), each
+    within ``DEFAULT_TOL * scale(t.stack)`` of ``t`` or a ValueError."""
     lower = op_norm_inf(t.stack)
     upper = math.inf
     for idx, (rep, xi, eta) in enumerate(known_reps):
-        realized = coefficient(rep, xi, eta)
-        gap = multiplier_distance(realized, t)
-        scale = 1.0 + max_abs(t.stack)
-        if gap > tol * scale:
+        gap = multiplier_distance(coefficient(rep, xi, eta), t)
+        if gap > DEFAULT_TOL * scale(t.stack):
             raise ValueError(f"triple {idx} does not realize the multiplier (residual {gap:.3e})")
         upper = min(upper, module_norm(xi) * module_norm(eta))
-    return NormBounds(lower, upper, tol)
+    return NormBounds(lower, upper)
 
 
 def truncate_realization(
@@ -432,7 +430,6 @@ def truncate_realization(
     eta: ModuleVector,
     s1: Sequence[int],
     s2: Sequence[int],
-    tol: float = DEFAULT_TOL,
 ) -> tuple[Multiplier, NormBounds]:
     """Truncate a coefficient of a group-amplified representation to slot sets.
 
@@ -453,27 +450,20 @@ def truncate_realization(
     bound = module_norm(xi_off) * module_norm(eta) + module_norm(xi_on) * module_norm(eta_off)
     lower = op_norm_inf(t_full.stack - t_eps.stack)
     trunc_sup = op_norm_inf(t_eps.stack)
-    if trunc_sup > module_norm(xi_on) * module_norm(eta_on) + tol * (1.0 + trunc_sup):
+    if trunc_sup > module_norm(xi_on) * module_norm(eta_on) + DEFAULT_TOL * scale(t_eps.stack):
         raise ArithmeticError("truncated coefficient exceeds its vector-norm bound")
-    return t_eps, NormBounds(lower, bound, tol)
+    return t_eps, NormBounds(lower, bound)
 
 
-def realize_via_regular(
-    t: Multiplier,
-    rep: EquivariantRep,
-    xi: ModuleVector,
-    eta: ModuleVector,
-    tol: float = DEFAULT_TOL,
-):
+def realize_via_regular(t: Multiplier, rep: EquivariantRep, xi: ModuleVector, eta: ModuleVector):
     """Re-realize a finitely supported coefficient on the group-amplified
     representation: xi spread over the support slots, eta in the identity
-    slot.  The output coefficient reproduces the input exactly.
+    slot.  The output coefficient reproduces the input exactly.  The triple
+    must realize ``t`` within ``DEFAULT_TOL * scale(t.stack)``.
     """
-    realized = coefficient(rep, xi, eta)
-    scale = 1.0 + max_abs(t.stack)
-    if multiplier_distance(realized, t) > tol * scale:
+    if multiplier_distance(coefficient(rep, xi, eta), t) > DEFAULT_TOL * scale(t.stack):
         raise ValueError("the supplied triple does not realize the multiplier")
-    support = t.support(tol)
+    support = t.support()
     if not support:
         raise ValueError("multiplier has empty support")
     reg = regular_rep(rep)
@@ -491,11 +481,11 @@ def from_group_function(system: System, mu: Sequence[complex]) -> Multiplier:
     return Multiplier(system, mu[:, None, None] * np.eye(n))
 
 
-def group_function_is_positive_definite(system: System, mu: Sequence[complex], tol: float = DEFAULT_TOL) -> bool:
+def group_function_is_positive_definite(system: System, mu: Sequence[complex]) -> bool:
     """Classical positive definiteness of a function on the group: the matrix
-    [mu(g^{-1} h)] over the full group enumeration is PSD."""
+    [mu(g^{-1} h)] over the full group enumeration is PSD (:func:`.core.is_psd`)."""
     group = system.group
-    return is_psd(np.asarray(mu, dtype=complex)[group.mult[group.inverse]], tol)
+    return is_psd(np.asarray(mu, dtype=complex)[group.mult[group.inverse]])
 
 
 def span_dimension(ms: Sequence[Multiplier], tol: float = DEFAULT_TOL) -> int:
@@ -560,13 +550,7 @@ def _sigma2_terms(eps: np.ndarray, xi: np.ndarray, eta: np.ndarray) -> tuple[np.
     return sq.astype(complex), np.stack([top, bottom], axis=-2)
 
 
-def trace_image_sample(
-    system: System,
-    count: int,
-    seed: int = 42,
-    tol: float = DEFAULT_TOL,
-    max_terms: int = 3,
-) -> list[TraceSample]:
+def trace_image_sample(system: System, count: int, seed: int = 42, tol: float = DEFAULT_TOL) -> list[TraceSample]:
     """Sample the componentwise-trace image of nonnegative combinations of the
     closed-form rank-one generators for the two order-2 cyclic systems.
 
@@ -576,8 +560,8 @@ def trace_image_sample(
     as printed rather than being forced through the certificate.
 
     All samples are drawn with whole-array calls, in this order: the term
-    counts of all samples (uniform in [1, max_terms]); the weights of all
-    ``count * max_terms`` term slots (uniform in [0, 1), set to exactly 0 in
+    counts of all samples (uniform in [1, 3]); the weights of all
+    ``count * 3`` term slots (uniform in [0, 1), set to exactly 0 in
     the slots beyond a sample's term count); the signs of every slot (four
     from {-1, 0, 1} for the trivial action, two from {-1, 1} for the flip);
     the real, then the imaginary parts of xi; the same for eta.  A sample is
@@ -594,6 +578,7 @@ def trace_image_sample(
     trivial = system.action.apply(1, 0) == 0
     signs, width, terms = ([-1, 0, 1], 4, _omega2_terms) if trivial else ([-1, 1], 2, _sigma2_terms)
 
+    max_terms = 3
     rng = np.random.default_rng(seed)
     slots = (count, max_terms)
     used = rng.integers(1, max_terms + 1, size=count)

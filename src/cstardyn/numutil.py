@@ -1,8 +1,21 @@
-"""Small dense-linear-algebra helpers used across modules."""
+"""Small dense-linear-algebra helpers used across modules, and the tolerance scale."""
 
 from __future__ import annotations
 
 import numpy as np
+
+
+def scale(*arrays, axis=None):
+    """``1 + max|entry|`` over ``arrays``, the package's one tolerance scale:
+    a residual passes when it is at most ``tol`` times the scale of the data
+    judged.  With ``axis``, one scale per index of the remaining axes.  No
+    entries give 1, and a NaN or infinite entry gives NaN, so that every
+    comparison against it fails."""
+    peak = 0.0
+    for a in arrays:
+        peak = np.maximum(peak, np.abs(a).max(axis=axis, initial=0.0))
+    out = np.where(np.isfinite(peak), 1.0 + peak, np.nan)
+    return float(out) if axis is None else out
 
 
 def nearest_unitary(a: np.ndarray) -> np.ndarray | None:
@@ -13,29 +26,24 @@ def nearest_unitary(a: np.ndarray) -> np.ndarray | None:
     if a.shape[0] == 0:
         return a.copy()
     u, s, vh = np.linalg.svd(a)
-    if s.min() <= 1e-12 * (1.0 + s.max()):
+    # a fixed cutoff: it decides when a caller draws again, not a verdict
+    if s.min() <= 1e-12 * scale(s):
         return None
     return u @ vh
 
 
 def matrix_rank(columns: np.ndarray, tol: float) -> int:
-    """Rank with the package's relative singular-value cutoff."""
+    """Rank: the singular values above ``tol * scale`` of the spectrum."""
     columns = np.asarray(columns, dtype=complex)
     if columns.size == 0:
         return 0
     s = np.linalg.svd(columns, compute_uv=False)
-    return int((s > tol * (1.0 + s[0])).sum())
+    return int((s > tol * scale(s)).sum())
 
 
 def max_abs(a: np.ndarray) -> float:
     a = np.asarray(a)
     return float(np.abs(a).max()) if a.size else 0.0
-
-
-def max_abs_over(arrays) -> float:
-    """Largest |entry| over several arrays, 0.0 for none.  NaN propagates,
-    where a ``max(res, max_abs(a))`` fold would drop it."""
-    return float(np.max([max_abs(a) for a in arrays], initial=0.0))
 
 
 def psd_check(blocks: np.ndarray, scale, tol: float):
@@ -67,15 +75,15 @@ def lowest_eigenvector(block: np.ndarray) -> np.ndarray:
     return np.linalg.eigh((block + block.conj().T) / 2)[1][:, 0]
 
 
-def gram_quotient(blocks: np.ndarray, sizes, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def gram_quotient(blocks: np.ndarray, sizes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Quotient groups of Hermitian grams by their null spaces.
 
     ``blocks`` is a zero-padded (G, K, D, D) stack and block (g, k), in the
     top-left corner of its slot, is ``sizes[g, k]`` square (``sizes``
     broadcasts to (G, K)).  Group g is one block-diagonal gram, and its
-    eigenvalues at or below ``tol * (1 + max(0, lambda_max))``, lambda_max
-    its largest, count as zero.  The blocks of one size go through one
-    batched ``eigh`` of their Hermitian parts.
+    eigenvalues at or below the cutoff ``DEFAULT_TOL * scale`` of its
+    spectrum clipped at 0 count as zero.  The blocks of one size go through
+    one batched ``eigh`` of their Hermitian parts.
 
     Returns the zero-padded ``(coord, pinv, ranks)``, R = ``ranks.max()``.
     Block (g, k) keeps its top ``ranks[g, k]`` eigenpairs (lambda, V), in
@@ -84,6 +92,7 @@ def gram_quotient(blocks: np.ndarray, sizes, tol: float) -> tuple[np.ndarray, np
     inverse ``V / sqrt(lambda)``.  Raises ValueError naming the first block
     (g, k) with an eigenvalue below ``-cutoff`` or a non-finite entry.
     """
+    from .core import DEFAULT_TOL  # core imports this module
     blocks = np.asarray(blocks, dtype=complex)
     sizes = np.broadcast_to(sizes, blocks.shape[:2])
     finite = np.isfinite(blocks).all(axis=(-2, -1))
@@ -92,7 +101,7 @@ def gram_quotient(blocks: np.ndarray, sizes, tol: float) -> tuple[np.ndarray, np
         g, k = np.nonzero((sizes == s) & finite)
         b = blocks[g, k, :s, :s]
         lam[g, k, :s], vecs[g, k, :s, :s] = np.linalg.eigh((b + b.conj().swapaxes(-1, -2)) / 2)
-    cutoff = tol * (1.0 + lam.max(axis=(1, 2), initial=0.0))[:, None]
+    cutoff = DEFAULT_TOL * scale(np.maximum(lam, 0.0), axis=(1, 2))[:, None]
     low = np.where(finite, lam.min(axis=-1, initial=0.0), np.nan)  # a non-finite block fails as NaN
     bad = ~(low >= -cutoff)
     if bad.any():

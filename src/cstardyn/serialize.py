@@ -16,6 +16,7 @@ integers, and each list of per-point matrices must hold exactly n matrices.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -175,9 +176,12 @@ def _stack_from_json(family, rows: tuple, cols: np.ndarray) -> np.ndarray:
 
 
 def _equal_ints(obj, table: np.ndarray) -> bool:
-    """Whether ``obj`` holds exactly the integers of ``table``, in its shape."""
+    """Whether ``obj`` holds exactly the integers of ``table``, in its shape;
+    a JSON true or false, which numpy reads as 1 or 0, is no integer."""
     arr = np.array(obj)
-    return arr.dtype.kind in "iu" and arr.shape == table.shape and bool((arr == table).all())
+    if not (arr.dtype.kind in "iu" and arr.shape == table.shape and (arr == table).all()):
+        return False
+    return bool not in set(map(type, itertools.chain.from_iterable(obj if table.ndim == 2 else [obj])))
 
 
 def cocycle_to_json(c: CocycleRep) -> dict:

@@ -1,5 +1,7 @@
 """Helpers and reference implementations that only the tests use."""
 
+import math
+
 import numpy as np
 
 from cstardyn.cyclic_examples import omega_example_rep, omega_example_vectors, sigma_example_rep, sigma_example_vectors
@@ -132,3 +134,17 @@ def reference_psd_check(blocks: np.ndarray, scale, tol: float):
         hermitian[i] = defect[i] <= tol * scale[i]
         passed[i] = hermitian[i] and lam_min[i] >= -tol * scale[i]
     return hermitian, passed, lam_min, defect
+
+
+def reference_bound(tol: float, mats) -> float:
+    """``tol * (1 + max|entry|)`` over the matrices ``mats``, read one at a
+    time, and NaN when an entry is not finite: the bound a report's checks
+    apply to the object the matrices make up."""
+    peaks = [float(np.abs(m).max()) for m in mats if np.size(m)]
+    return tol * (1.0 + max(peaks, default=0.0)) if all(map(math.isfinite, peaks)) else math.nan
+
+
+def max_abs_over(arrays) -> float:
+    """Largest |entry| over several arrays, 0.0 for none.  NaN propagates,
+    where a ``max(res, max_abs(a))`` fold would drop it."""
+    return float(np.max([np.abs(a).max(initial=0.0) for a in arrays], initial=0.0))

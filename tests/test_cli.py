@@ -33,6 +33,15 @@ def flip_payload():
     return system, {"system": serialize.system_to_json(system)}
 
 
+def bool_perm_payload():
+    """sigma_3's example representation with the base permutation [2, 0, 1]
+    of element 1 written as [2, false, true]."""
+    rep = sigma_example_rep(3)
+    obj = serialize.rep_to_json(rep)
+    obj["v"]["1"]["srcPerm"] = [2, False, True]
+    return {"system": serialize.system_to_json(rep.system), "equivariant_rep": obj}
+
+
 class TestVerifyCommand:
     def test_valid_rep_passes(self):
         system, payload = flip_payload()
@@ -93,8 +102,9 @@ class TestVerifyCommand:
             {"system": {"group": {"cyclic": 2}, "space": 2}, "covariant": {"dim": 4, "pi": 3, "u": []}},
             [],
             {"system": {"group": {"cyclic": 2}, "space": 2, "perm": [[0, 1e300], [1, 0]]}, "covariant": "regular"},
+            bool_perm_payload(),
         ],
-        ids=["group-list", "covariant-string", "covariant-pi-number", "payload-list", "perm-overflow"],
+        ids=["group-list", "covariant-string", "covariant-pi-number", "payload-list", "perm-overflow", "bool-src-perm"],
     )
     def test_mistyped_payload_exit_two(self, payload):
         r = run_cli("verify", "--inline", json.dumps(payload))

@@ -31,7 +31,7 @@ from cstardyn.cyclic_examples import (
     sigma_example_rep,
     sigma_system,
 )
-from cstardyn import fibers
+from cstardyn import cocycle, fibers
 from cstardyn.core import DEFAULT_TOL, FiniteSpace, GroupAction, System, symmetric_group
 from cstardyn.equivrep import trivial_rep, verify_equivariant
 from cstardyn.generators import (
@@ -43,10 +43,10 @@ from cstardyn.generators import (
     standard_systems,
 )
 from cstardyn.hilbmod import SectionalModule
-from cstardyn.numutil import max_abs, max_abs_over, nearest_unitary
+from cstardyn.numutil import max_abs, nearest_unitary
 from cstardyn.reporting import CheckReport
 
-from oracles import null_space
+from oracles import max_abs_over, null_space, reference_bound
 
 
 def _identity_cocycle(action, dims):
@@ -384,11 +384,12 @@ class TestOrbitEquivalence:
         assert cocycle_residual(c, other, mats) <= 1e-9 * cocycle_scale(c, other)
         assert peak < 8 * 2**20
 
-    def test_no_attempts_finds_nothing(self):
+    def test_no_attempts_finds_nothing(self, monkeypatch):
         c = random_cocycle(sigma_system(3).action, np.random.default_rng(6))
-        assert cocycle_equivalent(c, c, attempts=0) is None
-        assert reference_cocycle_equivalent(c, c, attempts=0) is None
         assert cocycle_equivalent(c, c) is not None
+        monkeypatch.setattr(cocycle, "_ATTEMPTS", 0)
+        assert cocycle_equivalent(c, c) is None
+        assert reference_cocycle_equivalent(c, c, attempts=0) is None
 
 
 class TestEquivariantMap:
@@ -589,6 +590,7 @@ def reference_verify_cocycle(c: CocycleRep, tol: float = DEFAULT_TOL) -> CheckRe
     """The per-element loop :func:`verify_cocycle` used to run, kept as the
     test oracle for the batched version."""
     report = CheckReport()
+    bound = reference_bound(tol, [m for per in c.u for m in per])
     action = c.action
     group = action.group
     n = action.space.size
@@ -601,7 +603,7 @@ def reference_verify_cocycle(c: CocycleRep, tol: float = DEFAULT_TOL) -> CheckRe
             src = action.apply_inv(g, x)
             res = max(res, max_abs(u.conj().T @ u - np.eye(dims[src])))
             res = max(res, max_abs(u @ u.conj().T - np.eye(dims[x])))
-    report.add("unitarity", res, tol)
+    report.add("unitarity", res, bound)
 
     res = 0.0
     for g in range(group.order):
@@ -610,12 +612,12 @@ def reference_verify_cocycle(c: CocycleRep, tol: float = DEFAULT_TOL) -> CheckRe
             for x in range(n):
                 src_g = action.apply_inv(g, x)
                 res = max(res, max_abs(c.u[gh][x] - c.u[g][x] @ c.u[h][src_g]))
-    report.add("cocycle identity", res, tol)
+    report.add("cocycle identity", res, bound)
 
     res = 0.0
     for x in range(n):
         res = max(res, max_abs(c.u[group.identity][x] - np.eye(dims[x])))
-    report.add("identity element", res, tol)
+    report.add("identity element", res, bound)
     return report
 
 
@@ -661,6 +663,7 @@ class TestBatchedVerifyCocycle:
         reference = reference_verify_cocycle(c)
         assert report.passed
         assert [x.name for x in report.checks] == [x.name for x in reference.checks]
+        assert [x.tol for x in report.checks] == [x.tol for x in reference.checks]
         for b, r in zip(report.checks, reference.checks):
             assert b.residual == pytest.approx(r.residual, abs=1e-12)
 
@@ -671,6 +674,7 @@ class TestBatchedVerifyCocycle:
         assert report.residual_of(name) >= 1.0
         assert [x.name for x in report.checks] == [x.name for x in reference.checks]
         assert [x.passed for x in report.checks] == [x.passed for x in reference.checks]
+        assert [x.tol for x in report.checks] == [x.tol for x in reference.checks]
         for b, r in zip(report.checks, reference.checks):
             assert b.residual == pytest.approx(r.residual, abs=1e-12)
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cstardyn import core
-from cstardyn.numutil import psd_check
+from cstardyn.numutil import psd_check, scale
 from cstardyn.core import (
     FiniteGroup,
     GroupAction,
@@ -403,7 +403,9 @@ class TestIsPsd:
             assert is_psd(b.conj().T @ b)
 
     def test_zero_matrix_exact(self):
-        assert is_psd(np.zeros((3, 3)), tol=0.0)
+        zero = np.zeros((3, 3))
+        assert is_psd(zero)
+        assert psd_check(zero, scale(zero), 0.0)[1]
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):

@@ -38,7 +38,7 @@ from cstardyn.multiplier import (
 from cstardyn.numutil import matrix_rank, max_abs
 from cstardyn.reporting import CheckReport
 
-from oracles import null_space
+from oracles import null_space, reference_bound
 
 
 def closure_dimension(generators: list[np.ndarray], tol: float = 1e-9) -> int:
@@ -655,6 +655,16 @@ class TestCompletelyPositive:
         with pytest.raises(ValueError):
             is_completely_positive(rcp, np.eye(3))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, complex(0, -np.inf)], ids=["nan", "inf", "-inf-imag"])
+    def test_non_finite_map_rejected(self, value):
+        """A non-finite phi has no verdict: it is refused, naming its first
+        non-finite entry, and not reported as an indefinite map."""
+        rcp = build_reduced(sigma_system(3))
+        phi = np.eye(rcp.dim, dtype=complex)
+        phi[4, 4] = phi[6, 2] = value
+        with pytest.raises(ValueError, match=r"entry \[4, 4\] is not finite"):
+            is_completely_positive(rcp, phi)
+
 
 def oracle_cases():
     rng = np.random.default_rng(7)
@@ -714,6 +724,7 @@ def reference_verify_covariant(rep, tol: float = 1e-9):
     at (g, g), and the unit defect of pi comes after all pairs, at the first
     row attaining it."""
     report = CheckReport()
+    bound = reference_bound(tol, [*rep.pi_mats, *rep.u_mats])
     sys_ = rep.system
     n, order, d = sys_.n_points, sys_.group.order, rep.dim
     eye = np.eye(d)
@@ -730,7 +741,7 @@ def reference_verify_covariant(rep, tol: float = 1e-9):
     for row, defect in enumerate(sum(rep.pi_mats) - eye):
         if max_abs(defect) > res:
             res, where = max_abs(defect), {"row": row}
-    report.add("pi representation", res, tol, where)
+    report.add("pi representation", res, bound, where)
 
     res, where = 0.0, None
     for g in range(order):
@@ -741,7 +752,7 @@ def reference_verify_covariant(rep, tol: float = 1e-9):
                 r = max(r, max_abs(u @ u.conj().T - eye))
             if r > res:
                 res, where = r, {"g": g, "h": h}
-    report.add("u unitary homomorphism", res, tol, where)
+    report.add("u unitary homomorphism", res, bound, where)
 
     res, where = 0.0, None
     for g in range(order):
@@ -753,7 +764,7 @@ def reference_verify_covariant(rep, tol: float = 1e-9):
             r = max_abs(lhs - rhs)
             if r > res:
                 res, where = r, {"g": g, "j": j}
-    report.add("covariance", res, tol, where)
+    report.add("covariance", res, bound, where)
     return report
 
 
@@ -794,6 +805,7 @@ class TestBatchedVerifyCovariant:
         reference = reference_verify_covariant(rep)
         assert [c.name for c in report.checks] == [c.name for c in reference.checks]
         assert [c.passed for c in report.checks] == [c.passed for c in reference.checks]
+        assert [c.tol for c in report.checks] == [c.tol for c in reference.checks]
         for b, r in zip(report.checks, reference.checks):
             assert b.residual == pytest.approx(r.residual, abs=1e-12)
         assert report.passed == (fault is None)
@@ -877,7 +889,7 @@ class TestIndexVerifyCovariant:
         assert crossed._monomial_pair(rep) is not None
         report, reference = verify_covariant(rep), reference_verify_covariant(rep)
         assert not report.passed
-        summary = lambda r: [(c.name, c.residual, c.where) for c in r.checks]  # noqa: E731
+        summary = lambda r: [(c.name, c.residual, c.where, c.tol) for c in r.checks]  # noqa: E731
         assert summary(report) == summary(reference)
         monkeypatch.setattr(crossed, "_monomial_pair", lambda rep: None)
         assert summary(verify_covariant(rep)) == summary(reference)

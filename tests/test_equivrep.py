@@ -44,10 +44,10 @@ from cstardyn.hilbmod import (
     module_norm,
 )
 from cstardyn.multiplier import Multiplier, coefficient, multiplier_distance, unit_multiplier
-from cstardyn.numutil import max_abs, max_abs_over, nearest_unitary
+from cstardyn.numutil import max_abs, nearest_unitary
 from cstardyn.reporting import CheckReport
 
-from oracles import basis_vectors, null_space, reference_tensor_coords
+from oracles import basis_vectors, max_abs_over, null_space, reference_bound, reference_tensor_coords
 
 
 def _mutate_v(rep: EquivariantRep, g: int, x: int, mat: np.ndarray) -> EquivariantRep:
@@ -178,8 +178,8 @@ class TestFellAbsorption:
         the residuals of the finite blocks, and isometry names that fiber."""
         real_tensor_rep = equivrep.tensor_rep
 
-        def poisoned(r1, r2, tol):
-            trep, tp = real_tensor_rep(r1, r2, tol)
+        def poisoned(r1, r2):
+            trep, tp = real_tensor_rep(r1, r2)
             pinv = tp.piece_pinv.copy()
             pinv[fiber, fiber, 0, 0] = np.nan
             return trep, dataclasses.replace(tp, piece_pinv=pinv)
@@ -366,6 +366,7 @@ def reference_verify_equivariant(rep: EquivariantRep, tol: float = DEFAULT_TOL) 
     """The per-element loop :func:`verify_equivariant` used to run, kept as
     the test oracle for the batched version."""
     report = CheckReport()
+    bound = reference_bound(tol, [b for gen in rep.rho for b in gen.blocks] + [m for per in rep.v_mats for m in per])
     sys_, mod = rep.system, rep.module
     n, order = mod.n_points, sys_.group.order
     dims = mod.fiber_dims
@@ -375,7 +376,7 @@ def reference_verify_equivariant(rep: EquivariantRep, tol: float = DEFAULT_TOL) 
     for x in range(n):
         total = sum(gen.blocks[x] for gen in rep.rho) if n else eye[x]
         res = max(res, max_abs(total - eye[x]))
-    report.add("rho unital", res, tol)
+    report.add("rho unital", res, bound)
 
     res = 0.0
     for k in range(n):
@@ -384,12 +385,12 @@ def reference_verify_equivariant(rep: EquivariantRep, tol: float = DEFAULT_TOL) 
                 prod = rep.rho[k].blocks[x] @ rep.rho[l].blocks[x]
                 target = rep.rho[k].blocks[x] if k == l else np.zeros_like(prod)
                 res = max(res, max_abs(prod - target))
-    report.add("rho multiplicative", res, tol)
+    report.add("rho multiplicative", res, bound)
 
     res = max(
         max_abs(gen.blocks[x] - gen.blocks[x].conj().T) for gen in rep.rho for x in range(n)
     )
-    report.add("rho self-adjoint", res, tol)
+    report.add("rho self-adjoint", res, bound)
 
     res = 0.0
     for g in range(order):
@@ -400,7 +401,7 @@ def reference_verify_equivariant(rep: EquivariantRep, tol: float = DEFAULT_TOL) 
                 lhs = rep.rho[gk].blocks[x] @ rep.v_mats[g][x]
                 rhs = rep.v_mats[g][x] @ rep.rho[k].blocks[src]
                 res = max(res, max_abs(lhs - rhs))
-    report.add("relation (i) covariance", res, tol)
+    report.add("relation (i) covariance", res, bound)
 
     res = 0.0
     for g in range(order):
@@ -409,7 +410,7 @@ def reference_verify_equivariant(rep: EquivariantRep, tol: float = DEFAULT_TOL) 
             src = sys_.action.apply_inv(g, x)
             res = max(res, max_abs(u.conj().T @ u - np.eye(dims[src])))
             res = max(res, max_abs(u @ u.conj().T - eye[x]))
-    report.add("relation (ii) inner products", res, tol)
+    report.add("relation (ii) inner products", res, bound)
 
     res = 0.0
     basis = basis_vectors(mod)
@@ -422,13 +423,13 @@ def reference_verify_equivariant(rep: EquivariantRep, tol: float = DEFAULT_TOL) 
                 lhs = rep.apply_v(g, module_action(xi, a))
                 rhs = module_action(rep.apply_v(g, xi), ag)
                 res = max(res, max_abs(lhs.flat() - rhs.flat()))
-    report.add("relation (iii) module action", res, tol)
+    report.add("relation (iii) module action", res, bound)
 
     res = 0.0
     e = sys_.group.identity
     for x in range(n):
         res = max(res, max_abs(rep.v_mats[e][x] - eye[x]))
-    report.add("v(e) identity", res, tol)
+    report.add("v(e) identity", res, bound)
 
     res = 0.0
     for g in range(order):
@@ -439,19 +440,20 @@ def reference_verify_equivariant(rep: EquivariantRep, tol: float = DEFAULT_TOL) 
                 lhs = rep.v_mats[gh][x]
                 rhs = rep.v_mats[g][x] @ rep.v_mats[h][src_g]
                 res = max(res, max_abs(lhs - rhs))
-    report.add("v homomorphism", res, tol)
+    report.add("v homomorphism", res, bound)
 
     res = 0.0
     for g in range(order):
         for xi in basis:
             res = max(res, abs(module_norm(rep.apply_v(g, xi)) - module_norm(xi)))
-    report.add("v isometric", res, tol)
+    report.add("v isometric", res, bound)
     return report
 
 
 def assert_same_report(batched: CheckReport, reference: CheckReport) -> None:
     assert [c.name for c in batched.checks] == [c.name for c in reference.checks]
     assert [c.passed for c in batched.checks] == [c.passed for c in reference.checks]
+    assert [c.tol for c in batched.checks] == [c.tol for c in reference.checks]
     for b, r in zip(batched.checks, reference.checks):
         assert b.residual == pytest.approx(r.residual, abs=1e-12), b.name
 
@@ -760,6 +762,7 @@ def reference_verify_cocycle(c: CocycleRep, tol: float = DEFAULT_TOL) -> CheckRe
     (g, x) and the cocycle identity at the first (g, h, x) in loop order
     attaining the residual."""
     report = CheckReport()
+    bound = reference_bound(tol, [m for per in c.u for m in per])
     action, group = c.action, c.action.group
     n, order = action.space.size, group.order
 
@@ -770,7 +773,7 @@ def reference_verify_cocycle(c: CocycleRep, tol: float = DEFAULT_TOL) -> CheckRe
             r = max(max_abs(u.conj().T @ u - np.eye(u.shape[1])), max_abs(u @ u.conj().T - np.eye(u.shape[0])))
             if r > res:
                 res, where = r, {"g": g, "x": x}
-    report.add("unitarity", res, tol, where)
+    report.add("unitarity", res, bound, where)
 
     res, where = 0.0, None
     for g in range(order):
@@ -780,10 +783,10 @@ def reference_verify_cocycle(c: CocycleRep, tol: float = DEFAULT_TOL) -> CheckRe
                 r = max_abs(c.u[gh][x] - c.u[g][x] @ c.u[h][action.apply_inv(g, x)])
                 if r > res:
                     res, where = r, {"g": g, "h": h, "x": x}
-    report.add("cocycle identity", res, tol, where)
+    report.add("cocycle identity", res, bound, where)
 
     e = group.identity
-    report.add("identity element", max(max_abs(c.u[e][x] - np.eye(len(c.u[e][x]))) for x in range(n)), tol)
+    report.add("identity element", max(max_abs(c.u[e][x] - np.eye(len(c.u[e][x]))) for x in range(n)), bound)
     return report
 
 

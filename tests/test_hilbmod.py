@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cstardyn import fibers
-from cstardyn.core import FiniteSpace
+from cstardyn.core import DEFAULT_TOL, FiniteSpace
 from cstardyn.hilbmod import (
     ModuleOperator,
     ModuleVector,
@@ -446,12 +446,12 @@ class TestCheckProjectionRep:
                 rho = [ModuleOperator(module, tuple(row)) for row in blocks]
                 stack = fibers.stack_blocks(blocks, module.fiber_dims)
                 try:
-                    reference_check_projection_rep(rho, module, 1e-9)
+                    reference_check_projection_rep(rho, module, DEFAULT_TOL)
                 except ValueError as exc:
                     raised += 1
                     with pytest.raises(ValueError) as info:
-                        _check_projection_rep(stack, module.fiber_dims, 1e-9)
+                        _check_projection_rep(stack, module.fiber_dims)
                     assert str(info.value) == str(exc)
                 else:
-                    _check_projection_rep(stack, module.fiber_dims, 1e-9)
+                    _check_projection_rep(stack, module.fiber_dims)
         assert raised == (0 if fault == "none" else 8)

@@ -85,7 +85,7 @@ class TestGramQuotient:
     def test_matches_dense_reference(self, seed):
         rng = np.random.default_rng(seed)
         blocks = random_blocks(rng)
-        coord, pinv, ranks = gram_quotient(*padded_group(blocks), DEFAULT_TOL)
+        coord, pinv, ranks = gram_quotient(*padded_group(blocks))
         assert ranks.shape == (1, len(blocks))
         assert ranks.sum() == reference_rank(blocks)
         assert coord.shape[2] == pinv.shape[3] == ranks.max(initial=0)
@@ -101,33 +101,33 @@ class TestGramQuotient:
         # an eigenvalue of 1e-5 is kept on its own, but falls below the
         # cutoff of a gram that also holds an eigenvalue of 1e6
         small = np.diag([1.0, 1e-5]).astype(complex)
-        assert gram_quotient(*padded_group([small]), DEFAULT_TOL)[2].tolist() == [[2]]
+        assert gram_quotient(*padded_group([small]))[2].tolist() == [[2]]
         big = 1e6 * np.eye(1, dtype=complex)
-        assert gram_quotient(*padded_group([small, big]), DEFAULT_TOL)[2].tolist() == [[1, 1]]
+        assert gram_quotient(*padded_group([small, big]))[2].tolist() == [[1, 1]]
         assert reference_rank([small, big]) == 2
         # in groups of their own, each block keeps its own cutoff
         stack = np.zeros((2, 1, 2, 2), dtype=complex)
         stack[0, 0], stack[1, 0, :1, :1] = small, big
-        assert gram_quotient(stack, [[2], [1]], DEFAULT_TOL)[2].tolist() == [[2], [1]]
+        assert gram_quotient(stack, [[2], [1]])[2].tolist() == [[2], [1]]
 
     def test_empty_and_zero_blocks(self):
-        coord, pinv, ranks = gram_quotient(np.zeros((1, 2, 3, 3)), [[0, 3]], DEFAULT_TOL)
+        coord, pinv, ranks = gram_quotient(np.zeros((1, 2, 3, 3)), [[0, 3]])
         assert coord.shape == (1, 2, 0, 3) and pinv.shape == (1, 2, 3, 0)
         assert ranks.tolist() == [[0, 0]]
-        coord, pinv, ranks = gram_quotient(np.zeros((1, 0, 0, 0)), 0, DEFAULT_TOL)
+        coord, pinv, ranks = gram_quotient(np.zeros((1, 0, 0, 0)), 0)
         assert coord.shape == pinv.shape == (1, 0, 0, 0) and ranks.shape == (1, 0)
 
     def test_indefinite_block_named(self, rng):
         blocks = [random_psd(rng, 2, 2), random_psd(rng, 3, 1), -random_psd(rng, 2, 1)]
         with pytest.raises(ValueError, match=r"block \(0, 2\) is indefinite"):
-            gram_quotient(*padded_group(blocks), DEFAULT_TOL)
+            gram_quotient(*padded_group(blocks))
 
     @pytest.mark.parametrize("where", [(0, 0), (1, 2), (2, 1)])
     def test_nan_block_named(self, rng, where):
         stack = np.stack([np.stack([random_psd(rng, 3, 3) for _ in range(3)]) for _ in range(3)])
         stack[where + (1, 2)] = np.nan
         with pytest.raises(ValueError, match=rf"block \({where[0]}, {where[1]}\) is indefinite \(eigenvalue nan"):
-            gram_quotient(stack, 3, DEFAULT_TOL)
+            gram_quotient(stack, 3)
 
     @pytest.mark.parametrize("seed", range(40))
     def test_bit_identical_to_block_reference(self, seed):
@@ -142,7 +142,7 @@ class TestGramQuotient:
         for g, blocks in enumerate(groups):
             for k, b in enumerate(blocks):
                 stack[g, k, : len(b), : len(b)] = b
-        coord, pinv, ranks = gram_quotient(stack, sizes, DEFAULT_TOL)
+        coord, pinv, ranks = gram_quotient(stack, sizes)
         for g, blocks in enumerate(groups):
             for k, (c, p) in enumerate(reference_block_quotient(blocks, DEFAULT_TOL)):
                 size, r = sizes[g, k], len(c)

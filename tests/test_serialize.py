@@ -76,6 +76,16 @@ class TestRepRoundTrip:
         with pytest.raises(ValueError, match="base permutation"):
             serialize.rep_from_json(obj, rep.system)
 
+    def test_bool_in_base_perm_rejected(self):
+        """[2, false, true] equals the action's [2, 0, 1] entrywise, but a
+        JSON boolean is no integer."""
+        rep = sigma_example_rep(3)
+        obj = through_json(serialize.rep_to_json(rep))
+        assert obj["v"]["1"]["srcPerm"] == [2, 0, 1]
+        obj["v"]["1"]["srcPerm"] = [2, False, True]
+        with pytest.raises(ValueError, match="base permutation of element 1"):
+            serialize.rep_from_json(obj, rep.system)
+
 
 class TestCocycleRoundTrip:
     def test_bit_exact(self):
