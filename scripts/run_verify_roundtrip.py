@@ -43,14 +43,7 @@ import warnings
 import numpy as np
 
 from cstardyn import cli, serialize
-from cstardyn.cocycle import (
-    CocycleRep,
-    EquivariantMap,
-    cocycle_equivalent,
-    group_part,
-    rho_from_sigma,
-    v_to_cocycle,
-)
+from cstardyn.cocycle import CocycleRep, EquivariantMap, cocycle_equivalent, rho_from_sigma
 from cstardyn.core import FiniteSpace, GroupAction, symmetric_group
 from cstardyn.crossed import regular_covariant
 from cstardyn.cyclic_examples import omega_cocycle, omega_example_rep, sigma_cocycle, sigma_example_rep, sigma_system
@@ -76,9 +69,9 @@ def cases(seed: int):
         base = random_equivariant_rep(system, rng, max_dim=2)
         xi = random_vector(base.module, rng)
         rep, _ = gns_from_pd(coefficient(base, xi, xi))
-        yield f"gns/assorted_{i}", rep, v_to_cocycle(group_part(rep))
+        yield f"gns/assorted_{i}", rep, CocycleRep(rep.system.action, rep.module, rep.v_stack)
     rep, _ = gns_from_pd(unit_multiplier(sigma_system(8)))
-    yield "gns/unit_sigma_8", rep, v_to_cocycle(group_part(rep))
+    yield "gns/unit_sigma_8", rep, CocycleRep(rep.system.action, rep.module, rep.v_stack)
     perms = np.array(sorted(itertools.permutations(range(5))), dtype=np.intp)
     s5 = GroupAction(symmetric_group(5), FiniteSpace(5), perms)
     # the coboundary of one seeded unitary per point, on 2-dimensional fibers
@@ -87,7 +80,7 @@ def cases(seed: int):
     yield "s5_natural", rho_from_sigma(EquivariantMap(s5, tuple(range(5))), c), c
     # drawn last, so that every earlier payload stays byte-identical
     rep = random_equivariant_rep(sigma_system(8), rng, max_dim=2)
-    yield "random/sigma_8", rep, v_to_cocycle(group_part(rep))
+    yield "random/sigma_8", rep, CocycleRep(rep.system.action, rep.module, rep.v_stack)
 
 
 def same_bits(a: np.ndarray, b: np.ndarray) -> bool:

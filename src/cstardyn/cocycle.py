@@ -3,10 +3,13 @@
 The group part of an equivariant representation over C(Omega) always has the
 normal form (v(g) xi)(x) = u(x, g) xi(g^{-1} x) with unitary fiber matrices
 u(x, g): H_{g^{-1}x} -> H_x satisfying the cocycle identity
-u(x, gh) = u(x, g) u(g^{-1}x, h).  This module verifies that normal form,
-converts both ways, decides equivalence, builds full representations from
-equivariant base maps, and extracts (point map, fiber unitaries) from
-surjective isometries of the section space.
+u(x, gh) = u(x, g) u(g^{-1}x, h).  Both store u(x, g) as the same padded
+stack, so the group part of ``rep`` is read as the cocycle
+``CocycleRep(rep.system.action, rep.module, rep.v_stack)``, which holds
+that stack itself.  This module verifies the normal form, decides
+equivalence, builds full representations from equivariant base maps, and
+extracts (point map, fiber unitaries) from surjective isometries of the
+section space.
 """
 
 from __future__ import annotations
@@ -29,14 +32,6 @@ from .reporting import CheckReport
 # the seed of cocycle_equivalent's draws, and its draws per orbit representative
 _SEED = 13
 _ATTEMPTS = 8
-
-
-class CocycleCompatibilityError(ValueError):
-    """A group part that is not of cocycle normal form; names the violated relation."""
-
-    def __init__(self, relation: str, detail: str):
-        self.relation = relation
-        super().__init__(f"{relation}: {detail}")
 
 
 class NotBanachStoneError(ValueError):
@@ -66,25 +61,6 @@ class CocycleRep:
     @cached_property
     def u(self) -> tuple[tuple[np.ndarray, ...], ...]:
         return fibers.fiber_views(self.action, self.module.fiber_dims, self.u_stack)
-
-
-@dataclass(frozen=True, eq=False)
-class GroupPart:
-    """Raw data of an invertible group action on a sectional module: for each
-    group element a base permutation (``src_perm[g][x]`` is the point whose
-    fiber feeds fiber x) and the per-point matrices."""
-
-    action: GroupAction
-    module: SectionalModule
-    src_perm: np.ndarray
-    mats: tuple[tuple[np.ndarray, ...], ...]
-
-
-def group_part(rep: EquivariantRep) -> GroupPart:
-    """The v-part of an equivariant representation, with its base permutations
-    made explicit."""
-    action = rep.system.action
-    return GroupPart(action, rep.module, action.src, rep.v_mats)
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,50 +127,6 @@ def verify_cocycle(c: CocycleRep, tol: float = DEFAULT_TOL) -> CheckReport:
     report.add("cocycle identity", cocycle[0], bound, cocycle[1])
     report.add("identity element", identity, bound)
     return report
-
-
-def v_to_cocycle(part: GroupPart) -> CocycleRep:
-    """Extract the cocycle underlying a group part.
-
-    The base permutation must agree with the action (x -> g^{-1}x) and every
-    matrix must be unitary; both are forced for genuine group parts of
-    equivariant representations and violations are reported as the
-    corresponding relation.
-    """
-    action = part.action
-    bad = np.argwhere(np.asarray(part.src_perm) != action.src)
-    if len(bad):
-        g, x = bad[0].tolist()
-        raise CocycleCompatibilityError(
-            "relation (iii) violation",
-            f"base permutation of element {g} sends fiber {part.src_perm[g][x]} "
-            f"to {x}, the action requires {action.src[g, x]}",
-        )
-    c = CocycleRep(action, part.module, part.mats)
-    report = verify_cocycle(c)
-    unitarity = report.checks[0]
-    if not unitarity.passed:
-        raise CocycleCompatibilityError(
-            "relation (ii) violation",
-            f"matrix of element {unitarity.where['g']} at point {unitarity.where['x']} "
-            f"is not unitary (residual {unitarity.residual:.3e})",
-        )
-    if not report.passed:
-        worst = report.worst()
-        raise ValueError(
-            f"group part is not a cocycle: {worst.name} residual {worst.residual:.3e}"
-        )
-    return c
-
-
-def cocycle_to_v(c: CocycleRep) -> GroupPart:
-    """The group homomorphism induced by a cocycle, in normal form.
-
-    Inverse to :func:`v_to_cocycle` on valid inputs, bit-for-bit on the
-    stored matrices.
-    """
-    _require_cocycle(c)
-    return GroupPart(c.action, c.module, c.action.src, c.u)
 
 
 def _require_cocycle(c: CocycleRep) -> CocycleRep:

@@ -76,7 +76,7 @@ def _padded(stack: np.ndarray, rows: Sequence[int], cols: np.ndarray) -> np.ndar
         raise ValueError("padded stack has nonzero entries outside the fiber matrices")
     if stack.dtype == complex and stack.flags.c_contiguous and not stack.flags.writeable:
         return stack
-    return _freeze(np.array(stack, dtype=complex))
+    return _freeze(np.array(stack, dtype=complex, order="C"))
 
 
 def fiber_views(action: GroupAction, dims: Sequence[int], stack: np.ndarray) -> tuple:

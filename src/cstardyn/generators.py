@@ -6,6 +6,7 @@ explicit numpy Generator so runs are reproducible.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Optional
 
@@ -15,6 +16,7 @@ from .cocycle import CocycleRep, _decode_map, _map_choices, rho_from_sigma
 from .core import (
     DEFAULT_TOL,
     FiniteGroup,
+    FiniteSpace,
     GroupAction,
     System,
     cyclic_group,
@@ -42,14 +44,10 @@ def assorted_small_systems() -> list[System]:
     z4 = cyclic_group(4)
     z6 = cyclic_group(6)
     s3 = symmetric_group(3)
-    # natural action of S_3 on three letters: recover each element's permutation
-    # from its action on the identity-adjacent coset structure is overkill here;
-    # enumerate permutations in the same sorted order used to build the table.
-    import itertools
-
+    # S_3 on three letters: element i is the i-th permutation in lexicographic order
     perms = np.array(sorted(itertools.permutations(range(3))), dtype=np.intp)
-    s3_action = GroupAction(s3, System(trivial_action(s3, 3)).space, perms)
-    half_turn = GroupAction(z4, System(trivial_action(z4, 2)).space, np.array([[0, 1], [1, 0], [0, 1], [1, 0]]))
+    s3_action = GroupAction(s3, FiniteSpace(3), perms)
+    half_turn = GroupAction(z4, FiniteSpace(2), np.array([[0, 1], [1, 0], [0, 1], [1, 0]]))
     return [
         System(trivial_action(cyclic_group(2), 2)),
         System(cyclic_shift_action(2)),
@@ -87,7 +85,7 @@ def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 def _cyclic_generator(group: FiniteGroup) -> Optional[int]:
     for g in group.elements():
-        seen, cur, count = {group.identity}, g, 1
+        cur, count = g, 1
         while cur != group.identity:
             cur = group.mul(cur, g)
             count += 1

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 
+from cstardyn.cocycle import EquivariantMap, rho_from_sigma
 from cstardyn.cyclic_examples import omega_example_rep, omega_example_vectors, sigma_example_rep, sigma_example_vectors
 from cstardyn.hilbmod import basis_vector
 from cstardyn.multiplier import coefficient
@@ -94,6 +95,12 @@ def reference_matrix_to_json(m: np.ndarray) -> list:
 def basis_vectors(module) -> list:
     """The basis sections of a module, fiber by fiber."""
     return [basis_vector(module, x, i) for x in module.space.points() for i in range(module.fiber_dims[x])]
+
+
+def identity_pullback(c):
+    """The representation over the identity base map whose group part is
+    the cocycle ``c``."""
+    return rho_from_sigma(EquivariantMap(c.action, tuple(range(c.action.space.size))), c)
 
 
 def omega_matrix_unit_coefficient(n: int, k: int, l: int, p: int):

@@ -17,9 +17,8 @@ PACKAGE = ROOT / "src" / "cstardyn"
 CALLERS = ("src", "scripts", "perfbench")
 
 ALLOWED = {
-    # the cocycle bridge and the Banach-Stone factorization
+    # equivariant maps and the Banach-Stone factorization
     "cocycle.equivariant_maps",
-    "cocycle.cocycle_to_v",
     "cocycle.banach_stone_extract",
     # groups, modules and representations
     "core.direct_product",

@@ -6,20 +6,15 @@ import numpy as np
 import pytest
 
 from cstardyn.cocycle import (
-    CocycleCompatibilityError,
     _decode_map,
     CocycleRep,
     EquivariantMap,
-    GroupPart,
     NotBanachStoneError,
     banach_stone_extract,
     banach_stone_operator,
     cocycle_equivalent,
-    cocycle_to_v,
     equivariant_maps,
-    group_part,
     rho_from_sigma,
-    v_to_cocycle,
     verify_cocycle,
 )
 from cstardyn.cyclic_examples import (
@@ -46,7 +41,7 @@ from cstardyn.hilbmod import SectionalModule
 from cstardyn.numutil import max_abs, nearest_unitary
 from cstardyn.reporting import CheckReport
 
-from oracles import max_abs_over, null_space, reference_bound
+from oracles import identity_pullback, max_abs_over, null_space, reference_bound
 
 
 def _identity_cocycle(action, dims):
@@ -80,71 +75,68 @@ class TestVerifyCocycle:
 
 
 class TestVToCocycle:
+    """The group part of an equivariant representation, read as a cocycle."""
+
     def test_trivial_rep_flip(self, z2_flip):
-        part = group_part(trivial_rep(z2_flip))
-        c = v_to_cocycle(part)
+        rep = trivial_rep(z2_flip)
+        c = CocycleRep(rep.system.action, rep.module, rep.v_stack)
+        assert verify_cocycle(c).passed
         assert np.allclose(c.u[1][0], [[1.0]])
-        assert part.src_perm[1][0] == 1
+        assert c.action.src[1][0] == 1
 
     def test_sigma_example_rep(self):
         for n in (2, 3):
-            part = group_part(sigma_example_rep(n))
-            c = v_to_cocycle(part)
+            rep = sigma_example_rep(n)
+            c = CocycleRep(rep.system.action, rep.module, rep.v_stack)
             assert verify_cocycle(c).passed
             assert np.allclose(c.u[1][0], shift_matrix(n))
 
-    def test_wrong_base_permutation(self):
-        rep = sigma_example_rep(2)
-        part = group_part(rep)
-        bad_src = np.array([[0, 1], [0, 1]], dtype=np.intp)
-        with pytest.raises(CocycleCompatibilityError, match="relation \\(iii\\)"):
-            v_to_cocycle(GroupPart(part.action, part.module, bad_src, part.mats))
-
     def test_non_unitary_matrices(self):
         rep = sigma_example_rep(2)
-        part = group_part(rep)
-        mats = [list(per) for per in part.mats]
-        mats[1][0] = 2.0 * mats[1][0]
-        with pytest.raises(CocycleCompatibilityError, match="relation \\(ii\\)"):
-            v_to_cocycle(GroupPart(part.action, part.module, part.src_perm, tuple(tuple(m) for m in mats)))
+        v = np.array(rep.v_stack)
+        v[1, 0] *= 2.0
+        unitarity = verify_cocycle(CocycleRep(rep.system.action, rep.module, v)).checks[0]
+        assert unitarity.name == "unitarity" and not unitarity.passed
+        assert unitarity.where == {"g": 1, "x": 0}
 
     def test_nan_entry_is_a_unitarity_violation(self):
-        part = group_part(sigma_example_rep(3))
-        mats = [list(per) for per in part.mats]
-        mats[1][0] = mats[1][0].copy()
-        mats[1][0][0, 0] = np.nan
-        broken = GroupPart(part.action, part.module, part.src_perm, tuple(tuple(m) for m in mats))
-        with pytest.raises(CocycleCompatibilityError, match="relation \\(ii\\) violation") as info:
-            v_to_cocycle(broken)
-        assert "element 1 at point 0" in str(info.value)
+        rep = sigma_example_rep(3)
+        v = np.array(rep.v_stack)
+        v[1, 0, 0, 0] = np.nan
+        unitarity = verify_cocycle(CocycleRep(rep.system.action, rep.module, v)).checks[0]
+        assert unitarity.name == "unitarity" and math.isinf(unitarity.residual)
+        assert unitarity.where == {"g": 1, "x": 0}
 
 
 class TestCocycleToV:
+    """A cocycle read as the group part of the representation it induces
+    over the identity map."""
+
     def test_identity_cocycle_gives_permutation_operators(self, z3_cycle):
-        c = _identity_cocycle(z3_cycle.action, (1, 1, 1))
-        part = cocycle_to_v(c)
+        rep = identity_pullback(_identity_cocycle(z3_cycle.action, (1, 1, 1)))
         for g in range(3):
             for x in range(3):
-                assert np.allclose(part.mats[g][x], [[1.0]])
+                assert np.allclose(rep.v_mats[g][x], [[1.0]])
 
     def test_shift_cocycle_gives_cyclic_shift(self):
         n = 3
         rep = sigma_example_rep(n)
-        part = cocycle_to_v(sigma_cocycle(n))
+        back = identity_pullback(sigma_cocycle(n))
         for g in range(n):
             for x in range(n):
-                assert np.array_equal(part.mats[g][x], rep.v_mats[g][x])
+                assert np.array_equal(back.v_mats[g][x], rep.v_mats[g][x])
 
     def test_round_trip_exact(self, z3_cycle, rng):
         c = random_cocycle(z3_cycle.action, rng)
-        back = v_to_cocycle(cocycle_to_v(c))
+        rep = identity_pullback(c)
+        back = CocycleRep(rep.system.action, rep.module, rep.v_stack)
+        assert back.u_stack is c.u_stack
         for g in range(3):
             for x in range(3):
                 assert np.array_equal(back.u[g][x], c.u[g][x])
 
     def test_homomorphism_residual(self, z3_cycle, rng):
-        c = random_cocycle(z3_cycle.action, rng)
-        part = cocycle_to_v(c)
+        rep = identity_pullback(random_cocycle(z3_cycle.action, rng))
         group = z3_cycle.group
         res = 0.0
         for g in range(3):
@@ -155,7 +147,7 @@ class TestCocycleToV:
                     res = max(
                         res,
                         np.abs(
-                            part.mats[gh][x] - part.mats[g][x] @ part.mats[h][src]
+                            rep.v_mats[gh][x] - rep.v_mats[g][x] @ rep.v_mats[h][src]
                         ).max(),
                     )
         assert res <= 1e-12
@@ -167,7 +159,7 @@ class TestCocycleToV:
         u[2] = [shift_matrix(n)] * n
         broken = CocycleRep(c.action, c.module, tuple(tuple(p) for p in u))
         with pytest.raises(ValueError, match="cocycle"):
-            cocycle_to_v(broken)
+            identity_pullback(broken)
 
 
 class TestCocycleEquivalence:
@@ -297,7 +289,8 @@ def equivalence_pairs(index: int, system: System) -> list[tuple[str, CocycleRep,
     them zero), each against itself, a conjugated copy and the other three."""
     rng = np.random.default_rng(100 + index)
     cocycles = [random_cocycle(system.action, rng, max_dim=2) for _ in range(3)]
-    cocycles.append(v_to_cocycle(group_part(random_equivariant_rep(system, rng, max_dim=2))))
+    rep = random_equivariant_rep(system, rng, max_dim=2)
+    cocycles.append(CocycleRep(rep.system.action, rep.module, rep.v_stack))
     pairs = []
     for i, a in enumerate(cocycles):
         pairs += [(f"{i}/self", a, a), (f"{i}/conjugated", a, conjugated_cocycle(a, rng))]
@@ -372,7 +365,8 @@ class TestOrbitEquivalence:
             assert mats is not None and cocycle_residual(c, other, mats) <= 1e-9 * cocycle_scale(c, other)
 
     def test_conjugated_sigma_12_within_budget(self):
-        c = v_to_cocycle(group_part(sigma_example_rep(12)))
+        rep = sigma_example_rep(12)
+        c = CocycleRep(rep.system.action, rep.module, rep.v_stack)
         other = conjugated_cocycle(c, np.random.default_rng(12))
         tracemalloc.start()
         try:

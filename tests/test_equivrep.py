@@ -47,7 +47,7 @@ from cstardyn.multiplier import Multiplier, coefficient, multiplier_distance, un
 from cstardyn.numutil import max_abs, nearest_unitary
 from cstardyn.reporting import CheckReport
 
-from oracles import basis_vectors, max_abs_over, null_space, reference_bound, reference_tensor_coords
+from oracles import basis_vectors, identity_pullback, max_abs_over, null_space, reference_bound, reference_tensor_coords
 
 
 def _mutate_v(rep: EquivariantRep, g: int, x: int, mat: np.ndarray) -> EquivariantRep:
@@ -811,7 +811,7 @@ def group_law_cases():
 def pullback(c: CocycleRep, stack=None) -> EquivariantRep:
     """The representation of ``c`` over the identity base map, with v the
     given stack (``c``'s own by default), which need not be a cocycle."""
-    rep = rho_from_sigma(EquivariantMap(c.action, tuple(range(c.action.space.size))), c)
+    rep = identity_pullback(c)
     return EquivariantRep(rep.system, rep.module, rep.rho_stack, c.u_stack if stack is None else stack)
 
 

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from cstardyn import cli, fibers, serialize
-from cstardyn.cocycle import CocycleRep, EquivariantMap, rho_from_sigma
+from cstardyn.cocycle import CocycleRep
 from cstardyn.core import FiniteSpace, GroupAction, System, symmetric_group
 from cstardyn.cyclic_examples import (
     omega_cocycle,
@@ -35,6 +35,8 @@ from cstardyn.generators import (
 )
 from cstardyn.hilbmod import SectionalModule
 from cstardyn.multiplier import coefficient, unit_multiplier
+
+from oracles import identity_pullback
 
 
 def bits(a):
@@ -111,11 +113,6 @@ def fixed_dim_cocycle(action, rng, dim=2):
 def natural_action(k):
     perms = np.array(sorted(itertools.permutations(range(k))), dtype=np.intp)
     return System(GroupAction(symmetric_group(k), FiniteSpace(k), perms))
-
-
-def identity_pullback(c):
-    system = System(c.action)
-    return rho_from_sigma(EquivariantMap(c.action, tuple(range(system.n_points))), c)
 
 
 def rep_cases():
@@ -363,6 +360,16 @@ class TestOneStore:
             assert same_bits(other.v_stack, rep.v_stack) and same_bits(other.rho_stack, rep.rho_stack)
         c = CocycleRep(rep.system.action, rep.module, np.array(rep.v_stack))
         assert same_bits(c.u_stack, rep.v_stack)
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_group_part_wraps_the_same_stack(self, n):
+        """Stacks built from broadcast inputs are stored in C order, so
+        reading the group part as a cocycle holds v's stack, not a copy."""
+        rep, c = sigma_example_rep(n), sigma_cocycle(n)
+        for stack in (rep.rho_stack, rep.v_stack, c.u_stack):
+            assert stack.flags.c_contiguous
+        assert CocycleRep(rep.system.action, rep.module, rep.v_stack).u_stack is rep.v_stack
+        assert EquivariantRep(rep.system, rep.module, rep.rho_stack, c.u_stack).v_stack is c.u_stack
 
     def test_padded_input_checked(self):
         rep = omega_example_rep(4, 1, 2)

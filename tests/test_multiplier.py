@@ -27,7 +27,7 @@ from cstardyn.generators import (
     random_vector,
     standard_systems,
 )
-from cstardyn.hilbmod import ModuleVector, inner_product
+from cstardyn.hilbmod import ModuleVector, inner_product, module_norm
 from oracles import omega_matrix_unit_coefficient, sigma_matrix_unit_coefficient
 from cstardyn.multiplier import (
     _WINDOW,
@@ -523,40 +523,40 @@ class TestMultiply:
 
 
 class TestNormBounds:
+    """The lower bound sup_g ||T_g|| is attained where a realization has
+    ||xi|| ||eta|| = 1; the upper bound is infinite."""
+
     def test_unit_via_trivial_rep(self, z2_flip):
         rep = trivial_rep(z2_flip)
         one = ModuleVector(rep.module, tuple(np.ones(1) for _ in range(2)))
-        b = norm_bounds(unit_multiplier(z2_flip), [(rep, one, one)])
-        assert b.lower == pytest.approx(1.0)
-        assert b.upper == pytest.approx(1.0)
+        t = unit_multiplier(z2_flip)
+        assert multiplier_distance(coefficient(rep, one, one), t) == 0.0
+        b = norm_bounds(t)
+        assert b.lower == pytest.approx(1.0) and module_norm(one) ** 2 == pytest.approx(1.0)
+        assert math.isinf(b.upper)
 
     def test_delta_e_via_regular(self, z2_flip):
         base = trivial_rep(z2_flip)
         reg = regular_rep(base)
         one = ModuleVector(base.module, tuple(np.ones(1) for _ in range(2)))
         xi = slot_embed(reg, 0, one)
-        t = coefficient(reg, xi, xi)
-        b = norm_bounds(t, [(reg, xi, xi)])
-        assert b.lower == pytest.approx(1.0) and b.upper == pytest.approx(1.0)
+        b = norm_bounds(coefficient(reg, xi, xi))
+        assert b.lower == pytest.approx(1.0) and module_norm(xi) ** 2 == pytest.approx(1.0)
+        assert math.isinf(b.upper)
 
     def test_matrix_unit_bounds(self):
         n, k, l, p = 2, 0, 1, 1
         rep = omega_example_rep(n, k, l)
         x, y = omega_example_vectors(n, k, p)
         t = omega_matrix_unit_coefficient(n, k, l, p)
-        b = norm_bounds(t, [(rep, x, y)])
-        assert b.lower == pytest.approx(1.0) and b.upper == pytest.approx(1.0)
+        assert multiplier_distance(coefficient(rep, x, y), t) <= 1e-12
+        b = norm_bounds(t)
+        assert b.lower == pytest.approx(1.0) and module_norm(x) * module_norm(y) == pytest.approx(1.0)
+        assert math.isinf(b.upper)
 
     def test_empty_realizations_give_infinite_upper(self, z2_flip):
         b = norm_bounds(unit_multiplier(z2_flip))
         assert b.lower == pytest.approx(1.0) and math.isinf(b.upper)
-
-    def test_non_realizing_triple_rejected(self, z2_flip):
-        rep = trivial_rep(z2_flip)
-        one = ModuleVector(rep.module, tuple(np.ones(1) for _ in range(2)))
-        t = 2.0 * unit_multiplier(z2_flip)
-        with pytest.raises(ValueError, match="triple 0"):
-            norm_bounds(t, [(rep, one, one)])
 
     def test_contractive_group_embedding(self, z3_cycle, rng):
         for _ in range(10):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from cstardyn import serialize
-from cstardyn.cocycle import group_part, v_to_cocycle
+from cstardyn.cocycle import CocycleRep
 from cstardyn.cyclic_examples import omega_example_rep, omega_system, sigma_example_rep, sigma_cocycle, sigma_system
 from cstardyn.equivrep import EquivariantRep, direct_sum_reps, trivial_rep
 from cstardyn.generators import random_equivariant_rep, random_multiplier_suite
@@ -143,7 +143,7 @@ class TestMatrixEncoding:
         rep = ragged_omega_rep(n)
         assert len(set(rep.module.fiber_dims)) > 1
         assert json.dumps(serialize.rep_to_json(rep)) == json.dumps(reference_rep_json(rep))
-        c = v_to_cocycle(group_part(rep))
+        c = CocycleRep(rep.system.action, rep.module, rep.v_stack)
         expected = {
             "fiberDims": list(c.module.fiber_dims),
             "u": {str(g): {str(x): reference_matrix_to_json(m) for x, m in enumerate(per)} for g, per in enumerate(c.u)},
