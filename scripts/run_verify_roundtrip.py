@@ -35,7 +35,6 @@ Prints one line per payload; exits 1 when any of them fails.
 import argparse
 import contextlib
 import io
-import itertools
 import json
 import sys
 import warnings
@@ -44,7 +43,7 @@ import numpy as np
 
 from cstardyn import cli, serialize
 from cstardyn.cocycle import CocycleRep, EquivariantMap, cocycle_equivalent, rho_from_sigma
-from cstardyn.core import FiniteSpace, GroupAction, symmetric_group
+from cstardyn.core import symmetric_action
 from cstardyn.crossed import regular_covariant
 from cstardyn.cyclic_examples import omega_cocycle, omega_example_rep, sigma_cocycle, sigma_example_rep, sigma_system
 from cstardyn.equivrep import EquivariantRep, fell_absorption_unitary, gns_from_pd, unitarily_equivalent
@@ -72,8 +71,7 @@ def cases(seed: int):
         yield f"gns/assorted_{i}", rep, CocycleRep(rep.system.action, rep.module, rep.v_stack)
     rep, _ = gns_from_pd(unit_multiplier(sigma_system(8)))
     yield "gns/unit_sigma_8", rep, CocycleRep(rep.system.action, rep.module, rep.v_stack)
-    perms = np.array(sorted(itertools.permutations(range(5))), dtype=np.intp)
-    s5 = GroupAction(symmetric_group(5), FiniteSpace(5), perms)
+    s5 = symmetric_action(5)
     # the coboundary of one seeded unitary per point, on 2-dimensional fibers
     conj = np.stack([random_unitary(2, rng) for _ in range(5)])
     c = CocycleRep(s5, SectionalModule(s5.space, (2,) * 5), conj @ conj[s5.src].conj().swapaxes(-1, -2))

@@ -76,12 +76,13 @@ def _load_payload(args) -> dict:
 
 @contextmanager
 def _decoding():
-    """Report a payload whose entries have the wrong JSON types or lengths as
-    a payload error.  Only decoding runs under this: the same exceptions
-    raised by a verification are bugs and must not turn into exit 2."""
+    """Report a payload whose entries have the wrong JSON types or lengths,
+    or whose decoding runs out of memory, as a payload error.  Only decoding
+    runs under this: the same exceptions raised by a verification are bugs
+    and must not turn into exit 2."""
     try:
         yield
-    except (TypeError, IndexError, AttributeError, OverflowError) as exc:
+    except (TypeError, IndexError, AttributeError, OverflowError, MemoryError) as exc:
         raise PayloadError(f"invalid payload: {type(exc).__name__}: {exc}") from exc
 
 
@@ -279,6 +280,15 @@ def cmd_pd(args) -> int:
     return 0 if agree else CHECK_ERROR
 
 
+def _tolerance(text: str) -> float:
+    """A ``--tol`` value: an infinite one would pass every check, a NaN or
+    negative one fail every check."""
+    tol = float(text)
+    if not (math.isfinite(tol) and tol >= 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text}")
+    return tol
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cstardyn",
@@ -288,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--seed", type=int, default=42)
-        p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+        p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
         p.add_argument("--out", type=str, default=None)
 
     p = sub.add_parser("verify", help="verify a representation, cocycle or covariant pair")

@@ -14,7 +14,6 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -145,27 +144,8 @@ def cyclic_group(n: int) -> FiniteGroup:
 
 
 def symmetric_group(n: int) -> FiniteGroup:
-    """S_n as a multiplication table over all permutations of n letters.
-
-    Element i is the i-th permutation in lexicographic order (its Lehmer-code
-    rank), so element 0 is the identity.  Composition convention:
-    (p*q)(x) = p(q(x)).  Intended for small n (the table is n! x n!).
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    perms = np.array(sorted(itertools.permutations(range(n))), dtype=np.intp).reshape(-1, n)
-    order = len(perms)
-    # rank weight of position i: the number of orderings of the later positions
-    weights = np.array([math.factorial(n - 1 - i) for i in range(n)], dtype=np.intp)
-    later = np.triu(np.ones((n, n), dtype=bool), 1)
-    mult = np.empty((order, order), dtype=np.intp)
-    rows = max(1, _BLOCK_ELEMENTS // (order * n * n))
-    for lo in range(0, order, rows):
-        composed = perms[lo : lo + rows][:, perms]  # [i, j, x] = p_i(p_j(x))
-        # Lehmer code: how many later positions hold a smaller letter
-        code = ((composed[..., :, None] > composed[..., None, :]) & later).sum(axis=-1)
-        mult[lo : lo + rows] = code @ weights
-    return FiniteGroup(order, mult)
+    """S_n as a multiplication table; see :func:`symmetric_action`."""
+    return symmetric_action(n).group
 
 
 def direct_product(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
@@ -292,6 +272,24 @@ def cyclic_shift_action(n: int) -> GroupAction:
     idx = np.arange(n)
     perm = (idx[None, :] + idx[:, None]) % n
     return GroupAction(group, FiniteSpace(n), perm)
+
+
+def symmetric_action(m: int) -> GroupAction:
+    """S_m on its m letters: element i acts as the i-th permutation in
+    lexicographic order, so element 0 is the identity, and (p*q)(x) =
+    p(q(x)).  Intended for small m (the table is m! x m!)."""
+    if m < 1:
+        raise ValueError(f"S_m needs m >= 1, got {m}")
+    perms = np.array(list(itertools.permutations(range(m))), dtype=np.intp)
+    order = len(perms)
+    # base-m keys increase strictly along the lexicographic order
+    weights = m ** np.arange(m - 1, -1, -1)
+    keys = perms @ weights
+    mult = np.empty((order, order), dtype=np.intp)
+    rows = max(1, _BLOCK_ELEMENTS // (order * m))
+    for lo in range(0, order, rows):  # perms[lo:][:, perms][i, j, x] = p_i(p_j(x))
+        mult[lo : lo + rows] = np.searchsorted(keys, perms[lo : lo + rows][:, perms] @ weights)
+    return GroupAction(FiniteGroup(order, mult), FiniteSpace(m), perms)
 
 
 def act_on_algebra(action: GroupAction, g: int, a: np.ndarray) -> np.ndarray:

@@ -24,6 +24,7 @@ from .hilbmod import (
     _check_projection_rep,
     internal_tensor,
     module_action,
+    random_vector,
     trivial_module,
 )
 from .numutil import gram_quotient, matrix_rank, scale
@@ -359,8 +360,8 @@ def fell_absorption_unitary(rep: EquivariantRep):
     rng = np.random.default_rng(7)
     diffs = []
     for _ in range(4):
-        x1 = _random_vector(rep.module, rng)
-        x2 = _random_vector(areg.module, rng)
+        x1 = random_vector(rep.module, rng)
+        x2 = random_vector(areg.module, rng)
         c = rng.normal(size=n) + 1j * rng.normal(size=n)
         lhs, rhs = (
             (w @ fibers.stack_sections(tp.embed(x1, y).components, dt)[..., None])[..., 0]
@@ -369,13 +370,6 @@ def fell_absorption_unitary(rep: EquivariantRep):
         diffs.append(np.abs(lhs - c[:, None] * rhs).max(axis=-1, initial=0.0))
     add("algebra linearity", np.max(diffs, axis=0), "x")
     return w_blocks, report, (trep, tp), reg
-
-
-def _random_vector(module: SectionalModule, rng) -> ModuleVector:
-    return ModuleVector(
-        module,
-        tuple(rng.normal(size=d) + 1j * rng.normal(size=d) for d in module.fiber_dims),
-    )
 
 
 def is_cyclic(rep: EquivariantRep, vec: ModuleVector) -> bool:

@@ -6,7 +6,6 @@ explicit numpy Generator so runs are reproducible.
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import Optional
 
@@ -21,11 +20,11 @@ from .core import (
     System,
     cyclic_group,
     cyclic_shift_action,
-    symmetric_group,
+    symmetric_action,
     trivial_action,
 )
 from .equivrep import EquivariantRep, direct_sum_reps, regular_rep, trivial_rep
-from .hilbmod import ModuleVector, SectionalModule
+from .hilbmod import SectionalModule, random_vector
 from .multiplier import Multiplier, coefficient, is_positive_definite
 from .numutil import scale
 
@@ -43,10 +42,6 @@ def assorted_small_systems() -> list[System]:
     """Systems with groups of order up to six and assorted actions."""
     z4 = cyclic_group(4)
     z6 = cyclic_group(6)
-    s3 = symmetric_group(3)
-    # S_3 on three letters: element i is the i-th permutation in lexicographic order
-    perms = np.array(sorted(itertools.permutations(range(3))), dtype=np.intp)
-    s3_action = GroupAction(s3, FiniteSpace(3), perms)
     half_turn = GroupAction(z4, FiniteSpace(2), np.array([[0, 1], [1, 0], [0, 1], [1, 0]]))
     return [
         System(trivial_action(cyclic_group(2), 2)),
@@ -55,7 +50,7 @@ def assorted_small_systems() -> list[System]:
         System(cyclic_shift_action(4)),
         System(half_turn),
         System(trivial_action(z6, 2)),
-        System(s3_action),
+        System(symmetric_action(3)),
     ]
 
 
@@ -159,12 +154,6 @@ def random_equivariant_rep(
         d = max(1, max_dim // 2)
         return direct_sum_reps([base(d), base(max_dim - d)])
     return regular_rep(base(1)) if system.group.order <= 3 else base(max_dim)
-
-
-def random_vector(module: SectionalModule, rng: np.random.Generator) -> ModuleVector:
-    return ModuleVector(
-        module, tuple(rng.normal(size=d) + 1j * rng.normal(size=d) for d in module.fiber_dims)
-    )
 
 
 def random_multiplier_suite(system: System, count: int, rng: np.random.Generator) -> list[Multiplier]:

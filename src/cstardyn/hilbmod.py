@@ -123,6 +123,13 @@ def basis_vector(module: SectionalModule, x: int, i: int) -> ModuleVector:
     return ModuleVector(module, tuple(comps))
 
 
+def random_vector(module: SectionalModule, rng: np.random.Generator) -> ModuleVector:
+    """A section with standard complex normal entries, fiber by fiber."""
+    return ModuleVector(
+        module, tuple(rng.normal(size=d) + 1j * rng.normal(size=d) for d in module.fiber_dims)
+    )
+
+
 def inner_product(xi: ModuleVector, eta: ModuleVector) -> np.ndarray:
     """The C^n-valued inner product, component x = <xi(x), eta(x)>."""
     _same_module(xi, eta)

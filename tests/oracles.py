@@ -1,5 +1,6 @@
 """Helpers and reference implementations that only the tests use."""
 
+import json
 import math
 
 import numpy as np
@@ -8,6 +9,16 @@ from cstardyn.cocycle import EquivariantMap, rho_from_sigma
 from cstardyn.cyclic_examples import omega_example_rep, omega_example_vectors, sigma_example_rep, sigma_example_vectors
 from cstardyn.hilbmod import basis_vector
 from cstardyn.multiplier import coefficient
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal dtype, shape and bits (so -0.0 differs from 0.0)."""
+    bits = [np.ascontiguousarray(m).view(np.uint64) for m in (a, b)]
+    return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(*bits)
+
+
+def through_json(obj):
+    return json.loads(json.dumps(obj))
 
 
 def null_space(m: np.ndarray, tol: float) -> np.ndarray:

@@ -128,3 +128,25 @@ def test_imports_are_stdlib_numpy_or_the_package():
                 if top not in sys.stdlib_module_names and top not in ("numpy", "cstardyn"):
                     foreign.append(f"{path.name}:{node.lineno}: {name}")
     assert foreign == []
+
+
+def test_every_import_is_read():
+    """No module imports a name it never reads: every name bound by an
+    import in ``src/`` (re-exports in ``__init__`` aside), ``scripts/`` or
+    ``tests/`` appears as a name somewhere in the same file."""
+    unread = []
+    for tree in ("src", "scripts", "tests"):
+        for path in sorted((ROOT / tree).rglob("*.py")):
+            if path.name == "__init__.py":
+                continue
+            parsed = ast.parse(path.read_text())
+            read = {node.id for node in ast.walk(parsed) if isinstance(node, ast.Name)}
+            for node in ast.walk(parsed):
+                if isinstance(node, ast.Import):
+                    bound = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                    bound = [alias.asname or alias.name for alias in node.names]
+                else:
+                    continue
+                unread += [f"{path.relative_to(ROOT)}:{node.lineno}: {name}" for name in bound if name not in read]
+    assert unread == []

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cstardyn.crossed import build_reduced, induced_map, is_completely_positive
-from cstardyn.cyclic_examples import omega_example_rep, omega_system, sigma_example_rep, sigma_system
+from cstardyn.cyclic_examples import omega_example_rep, omega_system, sigma_example_rep
 from cstardyn.equivrep import (
     EquivariantRep,
     fell_absorption_unitary,

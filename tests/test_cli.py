@@ -1,7 +1,10 @@
 import contextlib
+import functools
 import io
 import json
 import math
+import os
+import resource
 import subprocess
 import sys
 import warnings
@@ -17,10 +20,8 @@ from cstardyn.equivrep import EquivariantRep
 from cstardyn.multiplier import TRACE_CONE_NOTE, unit_multiplier
 
 
-def run_cli(*args: str):
-    return subprocess.run(
-        [sys.executable, "-m", "cstardyn.cli", *args], capture_output=True, text=True
-    )
+def run_cli(*args: str, **kwargs):
+    return subprocess.run([sys.executable, "-m", "cstardyn.cli", *args], capture_output=True, text=True, **kwargs)
 
 
 def reject_constant(name):
@@ -237,18 +238,22 @@ class TestVerifyCommand:
 
 
     def test_non_finite_numbers_are_strings(self):
-        """Non-finite numbers in a report (here the tolerance) are written as
-        strings, so every report parses as strict JSON."""
+        """Non-finite numbers in a report are written as strings, so every
+        report parses as strict JSON."""
+        assert cli._strict_json({"a": [1.5, (math.inf,)], "b": None}) == {"a": [1.5, ["Infinity"]], "b": None}
+        assert cli._strict_json([-math.inf, math.nan]) == ["-Infinity", "NaN"]
+
+    def test_tol_must_be_finite_and_nonnegative(self):
+        """An infinite --tol would pass every check and a negative or NaN one
+        fail every check, so they are usage errors; zero stays valid."""
         _, payload = flip_payload()
         payload["cocycle"] = serialize.cocycle_to_json(sigma_cocycle(2))
-        for tol, text in ((math.inf, "Infinity"), (-math.inf, "-Infinity"), (math.nan, "NaN")):
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-                cli.main(["verify", "--inline", json.dumps(payload), f"--tol={tol}"])
-            report = json.loads(out.getvalue(), parse_constant=reject_constant)
-            assert report["config"]["tol"] == text
-            assert all(c["tol"] == text and isinstance(c["residual"], float) for c in report["checks"])
-        assert cli._strict_json({"a": [1.5, (math.inf,)], "b": None}) == {"a": [1.5, ["Infinity"]], "b": None}
+        argv = ["verify", "--inline", json.dumps(payload)]
+        for tol in (math.inf, -math.inf, math.nan, -1e-9):
+            assert in_process(argv + [f"--tol={tol}"]) == (2, "")
+        for tol in (0.0, 1e-6):
+            code, out = in_process(argv + [f"--tol={tol}"])
+            assert code == 0 and json.loads(out)["config"]["tol"] == tol
 
 
 class TestExampleCommand:
@@ -330,6 +335,15 @@ class TestPdCommand:
         assert r.returncode == 2
         assert "--trials must be at least 1" in r.stderr
         assert "invalid payload" not in r.stderr and r.stdout == ""
+
+    def test_decode_out_of_memory_exit_two(self):
+        """Z_20000's table needs 3 GB: under a 1 GiB address-space limit the
+        decode runs out of memory, which is a payload error."""
+        payload = {"system": {"group": {"cyclic": 20000}, "space": 1}, "multiplier": {}}
+        limit = functools.partial(resource.setrlimit, resource.RLIMIT_AS, (2**30, 2**30))
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+        r = run_cli("pd", "--inline", json.dumps(payload), preexec_fn=limit, env=env)
+        assert r.returncode == 2 and "MemoryError" in r.stderr
 
     def test_multiplier_missing_exit_two(self):
         _, payload = flip_payload()

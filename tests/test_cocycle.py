@@ -27,7 +27,7 @@ from cstardyn.cyclic_examples import (
     sigma_system,
 )
 from cstardyn import cocycle, fibers
-from cstardyn.core import DEFAULT_TOL, FiniteSpace, GroupAction, System, symmetric_group
+from cstardyn.core import DEFAULT_TOL, GroupAction, System, symmetric_action
 from cstardyn.equivrep import trivial_rep, verify_equivariant
 from cstardyn.generators import (
     assorted_small_systems,
@@ -265,20 +265,13 @@ def conjugated_cocycle(c: CocycleRep, rng) -> CocycleRep:
     return CocycleRep(c.action, c.module, w @ c.u_stack @ w[c.action.src].conj().swapaxes(-1, -2))
 
 
-def natural_symmetric_action(m: int) -> GroupAction:
-    """S_m on its m letters; element i is the i-th permutation in
-    lexicographic order, as in :func:`symmetric_group`."""
-    perms = np.array(sorted(itertools.permutations(range(m))), dtype=np.intp)
-    return GroupAction(symmetric_group(m), FiniteSpace(m), perms)
-
-
 def equivalence_systems() -> list[tuple[str, System]]:
     """The assorted systems, sigma_2..4, omega_2..3 and the natural actions
     of S_3 and S_4, and a relabelled copy of each with the identity not
     element 0."""
     systems = [(f"assorted_{i}", s) for i, s in enumerate(assorted_small_systems())]
     systems += [(f"sigma_{n}", sigma_system(n)) for n in (2, 3, 4)] + [(f"omega_{n}", omega_system(n)) for n in (2, 3)]
-    systems += [(f"natural_s{m}", System(natural_symmetric_action(m))) for m in (3, 4)]
+    systems += [(f"natural_s{m}", System(symmetric_action(m))) for m in (3, 4)]
     rng = np.random.default_rng(17)
     return systems + [(f"relabeled_{name}", relabeled_system(s, rng)) for name, s in systems]
 
@@ -353,10 +346,9 @@ class TestOrbitEquivalence:
     def test_induced_characters_of_a_stabilizer(self):
         # Stab(0) of S_3 on three letters is Z_2: its trivial and sign
         # characters induce cocycles with equal fibers and distinct characters
-        action = natural_symmetric_action(3)
-        perms = np.array(sorted(itertools.permutations(range(3))))
+        action = symmetric_action(3)
         trivial = induced_cocycle(action, lambda s: 1.0)
-        sign = induced_cocycle(action, lambda s: np.linalg.det(np.eye(3)[perms[s]]))
+        sign = induced_cocycle(action, lambda s: np.linalg.det(np.eye(3)[action.perm[s]]))
         assert trivial.module.fiber_dims == sign.module.fiber_dims
         assert cocycle_equivalent(trivial, sign) is None and reference_cocycle_equivalent(trivial, sign) is None
         for c in (trivial, sign):
@@ -422,7 +414,7 @@ def map_systems() -> list[tuple[str, System]]:
     systems = [(f"assorted_{i}", s) for i, s in enumerate(assorted_small_systems())]
     systems += [(f"omega_{n}", omega_system(n)) for n in range(1, 6)]
     systems += [(f"sigma_{n}", sigma_system(n)) for n in range(1, 7)]
-    systems += [(f"natural_s{m}", System(natural_symmetric_action(m))) for m in (3, 4)]
+    systems += [(f"natural_s{m}", System(symmetric_action(m))) for m in (3, 4)]
     rng = np.random.default_rng(9)
     return systems + [(f"relabeled_{name}", relabeled_system(s, rng)) for name, s in systems]
 

@@ -1,5 +1,8 @@
+import importlib.util
 import itertools
 import math
+import pathlib
+import sys
 import tracemalloc
 
 import numpy as np
@@ -19,6 +22,7 @@ from cstardyn.core import (
     cyclic_shift_action,
     direct_product,
     is_psd,
+    symmetric_action,
     symmetric_group,
     trivial_action,
 )
@@ -61,18 +65,29 @@ class TestFiniteGroup:
         )
 
     @pytest.mark.parametrize("n", range(1, 7))
-    def test_symmetric_table_matches_loop(self, n, monkeypatch):
-        """The table equals the composition loop it replaced; S_6's table is
-        compared without the (slow) validation of its 720^3 products."""
+    def test_symmetric_table_matches_loop(self, n):
+        """The table equals the composition loop it replaced."""
         perms = sorted(itertools.permutations(range(n)))
         index = {p: i for i, p in enumerate(perms)}
         expected = [[index[tuple(p[q[x]] for x in range(n))] for q in perms] for p in perms]
-        if n == 6:
-            monkeypatch.setattr(core, "FiniteGroup", lambda order, mult: mult)
-            table = symmetric_group(n)
-        else:
-            table = symmetric_group(n).mult
+        table = symmetric_group(n).mult
         assert table.dtype == np.intp and table.tolist() == expected
+
+    def test_symmetric_action_is_lexicographic(self, monkeypatch):
+        """Element i acts as the i-th permutation in lexicographic order, and
+        S_3..S_5 equal the natural actions the benchmark builds by hand."""
+        for m in range(1, 7):
+            perm = symmetric_action(m).perm.tolist()
+            # m! rows of permutations, strictly increasing: each one once, in order
+            assert len(perm) == math.factorial(m) and all(sorted(p) == list(range(m)) for p in perm)
+            assert all(p < q for p, q in zip(perm, perm[1:]))
+        path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+        spec.loader.exec_module(workloads)
+        for k in (3, 4, 5):
+            assert System(symmetric_action(k)) == workloads.natural_action(k)
 
     @pytest.mark.parametrize("budget", [1, 2**18])
     def test_symmetric_table_in_blocks(self, budget, monkeypatch):
@@ -308,17 +323,14 @@ class TestGroupAction:
         assert accepted == homomorphisms
 
     def test_valid_action_scans_no_pairs(self, monkeypatch):
-        group = symmetric_group(5)
-        perms = np.array(sorted(itertools.permutations(range(5))), dtype=np.intp)
-
         def refuse(*args, **kwargs):
             raise AssertionError("all pairs scanned for a homomorphism")
 
         monkeypatch.setattr(np, "take_along_axis", refuse)
-        assert GroupAction(group, FiniteSpace(5), perms).perm.shape == (120, 5)
+        assert symmetric_action(5).perm.shape == (120, 5)
 
     def test_source_table(self):
-        act = GroupAction(symmetric_group(3), FiniteSpace(3), sorted(itertools.permutations(range(3))))
+        act = symmetric_action(3)
         for g in range(6):
             for x in range(3):
                 assert act.apply(g, act.src[g, x]) == x == act.apply(g, act.apply_inv(g, x))

@@ -1,11 +1,10 @@
-import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from cstardyn import crossed, fibers
-from cstardyn.core import FiniteSpace, GroupAction, System, act_on_algebra, symmetric_group
+from cstardyn.core import System, act_on_algebra, symmetric_action
 from cstardyn.crossed import (
     CovariantRep,
     NotInAlgebraError,
@@ -99,13 +98,6 @@ def svd_center_dimension(rcp, tol: float = 1e-9) -> int:
     N = rcp.dim
     m = rcp.mult_table.transpose(1, 2, 0) - rcp.mult_table.transpose(0, 2, 1)
     return null_space(m.reshape(N * N, N), tol).shape[1]
-
-
-def natural_symmetric_system(m: int) -> System:
-    """S_m acting on its m letters; element i is the i-th permutation in
-    lexicographic order, as in :func:`symmetric_group`."""
-    perms = np.array(sorted(itertools.permutations(range(m))), dtype=np.intp)
-    return System(GroupAction(symmetric_group(m), FiniteSpace(m), perms))
 
 
 def read_regular_pair(rep: CovariantRep) -> np.ndarray:
@@ -399,7 +391,7 @@ class TestExactTables:
 
     def test_center_dimension_with_proper_stabilizers(self):
         rng = np.random.default_rng(5)
-        systems = [natural_symmetric_system(3), natural_symmetric_system(4)]
+        systems = [System(symmetric_action(3)), System(symmetric_action(4))]
         systems += [relabeled_system(s, rng) for s in systems for _ in range(2)]
         for system in systems:
             # the stabilizer of a letter is proper, and nontrivial

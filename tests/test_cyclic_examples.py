@@ -22,7 +22,7 @@ from cstardyn.cyclic_examples import (
 )
 from cstardyn.generators import assorted_small_systems, random_equivariant_rep, random_vector
 from cstardyn.multiplier import _coefficients, coefficient
-from oracles import omega_matrix_unit_coefficient, sigma_matrix_unit_coefficient
+from oracles import omega_matrix_unit_coefficient, same_bits, sigma_matrix_unit_coefficient
 
 
 def reference_matrix_unit_family(kind, n):
@@ -45,12 +45,6 @@ def reference_coefficient(rep, xi, eta):
     shifted = np.einsum("gxij,gxj->gxi", rep.v_stack, b[rep.system.action.src])
     left = np.einsum("xi,jxik->jxk", a.conj(), rep.rho_stack)
     return np.einsum("jxk,gxk->gxj", left, shifted)
-
-
-def same_bits(a, b):
-    """Equal dtype, shape and bits (so -0.0 differs from 0.0)."""
-    bits = [np.ascontiguousarray(m).view(np.uint64) for m in (a, b)]
-    return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(*bits)
 
 
 class TestFamilyMatchesReference:

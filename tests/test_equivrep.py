@@ -8,7 +8,7 @@ import pytest
 
 from cstardyn import equivrep, fibers
 from cstardyn.cocycle import CocycleRep, EquivariantMap, rho_from_sigma, verify_cocycle
-from cstardyn.core import DEFAULT_TOL, FiniteSpace, GroupAction, System, act_on_algebra, symmetric_group
+from cstardyn.core import DEFAULT_TOL, act_on_algebra, symmetric_action
 from cstardyn.cyclic_examples import omega_example_rep, omega_system, sigma_example_rep, sigma_system
 from cstardyn.equivrep import (
     CyclicVector,
@@ -47,7 +47,7 @@ from cstardyn.multiplier import Multiplier, coefficient, multiplier_distance, un
 from cstardyn.numutil import max_abs, nearest_unitary
 from cstardyn.reporting import CheckReport
 
-from oracles import basis_vectors, identity_pullback, max_abs_over, null_space, reference_bound, reference_tensor_coords
+from oracles import basis_vectors, identity_pullback, max_abs_over, null_space, reference_bound, reference_tensor_coords, same_bits
 
 
 def _mutate_v(rep: EquivariantRep, g: int, x: int, mat: np.ndarray) -> EquivariantRep:
@@ -218,12 +218,6 @@ def absorption_corpus() -> list[tuple[str, EquivariantRep]]:
     return out
 
 
-def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
-    return a.shape == b.shape and np.array_equal(
-        np.ascontiguousarray(a).view(np.uint64), np.ascontiguousarray(b).view(np.uint64)
-    )
-
-
 class TestTensorPiecesOracle:
     """``embed`` and the absorption unitary read the block pieces of the
     tensor product; the dense per-fiber maps they once read are the oracle."""
@@ -245,7 +239,7 @@ class TestTensorPiecesOracle:
         order, off = rep.system.group.order, rep.module.offsets()
         for p, d in enumerate(rep.module.fiber_dims):
             want = pinv[p][((off[p] + np.arange(d)) * order + np.arange(order)[:, None]).ravel()]
-            assert _same_bits(w_blocks[p], want), p
+            assert same_bits(w_blocks[p], want), p
 
 
 class TestGns:
@@ -736,8 +730,7 @@ class TestBatchedVerifyEquivariant:
     def test_working_set_does_not_grow_with_pairs(self):
         """Pairs of group elements are checked in blocks: on S_5 with 4-dimensional
         fibers the peak stays below one (|G|, |G|, n, d, d) complex array."""
-        perms = np.array(sorted(itertools.permutations(range(5))), dtype=np.intp)
-        action = GroupAction(symmetric_group(5), FiniteSpace(5), perms)
+        action = symmetric_action(5)
         c = random_cocycle(action, np.random.default_rng(1), max_dim=1)
         u = tuple(tuple(np.kron(m, np.eye(4)) for m in per) for per in c.u)
         big = CocycleRep(action, SectionalModule(action.space, (4,) * 5), u)
@@ -790,11 +783,6 @@ def reference_verify_cocycle(c: CocycleRep, tol: float = DEFAULT_TOL) -> CheckRe
     return report
 
 
-def natural_system(m: int) -> System:
-    perms = np.array(sorted(itertools.permutations(range(m))), dtype=np.intp)
-    return System(GroupAction(symmetric_group(m), FiniteSpace(m), perms))
-
-
 def group_law_cases():
     """Cocycles on ragged fibers, on a relabelled S_3 whose identity is not
     element 0, and on the natural S_5 action."""
@@ -804,7 +792,7 @@ def group_law_cases():
     return [
         ("omega_4_1_2", CocycleRep(ragged.system.action, ragged.module, ragged.v_stack)),
         ("relabeled_s3", random_cocycle(relabeled.action, rng, max_dim=2)),
-        ("s5_natural", random_cocycle(natural_system(5).action, rng, max_dim=2)),
+        ("s5_natural", random_cocycle(symmetric_action(5), rng, max_dim=2)),
     ]
 
 

@@ -16,7 +16,7 @@ import pytest
 
 from cstardyn import cli, fibers, serialize
 from cstardyn.cocycle import CocycleRep
-from cstardyn.core import FiniteSpace, GroupAction, System, symmetric_group
+from cstardyn.core import System, symmetric_action
 from cstardyn.cyclic_examples import (
     omega_cocycle,
     omega_example_rep,
@@ -36,19 +36,7 @@ from cstardyn.generators import (
 from cstardyn.hilbmod import SectionalModule
 from cstardyn.multiplier import coefficient, unit_multiplier
 
-from oracles import identity_pullback
-
-
-def bits(a):
-    return np.ascontiguousarray(a).view(np.uint64)
-
-
-def same_bits(a, b) -> bool:
-    return a.shape == b.shape and np.array_equal(bits(a), bits(b))
-
-
-def through_json(obj):
-    return json.loads(json.dumps(obj))
+from oracles import identity_pullback, same_bits, through_json
 
 
 def reference_stack(action, dims, mats):
@@ -110,11 +98,6 @@ def fixed_dim_cocycle(action, rng, dim=2):
     return CocycleRep(action, SectionalModule(action.space, (dim,) * action.space.size), u)
 
 
-def natural_action(k):
-    perms = np.array(sorted(itertools.permutations(range(k))), dtype=np.intp)
-    return System(GroupAction(symmetric_group(k), FiniteSpace(k), perms))
-
-
 def rep_cases():
     cases = [
         (f"omega_{n}/{k}/{l}", omega_example_rep(n, k, l))
@@ -131,7 +114,7 @@ def rep_cases():
         cases.append((f"gns/{i}", gns_from_pd(coefficient(rep, *(random_vector(rep.module, rng),) * 2))[0]))
     for name, system in standard_systems().items():
         cases.append((f"random/{name}", random_equivariant_rep(system, rng, max_dim=3)))
-    systems = assorted_small_systems() + [natural_action(4)]
+    systems = assorted_small_systems() + [System(symmetric_action(4))]
     cases += [(f"seeded/{i}", identity_pullback(fixed_dim_cocycle(s.action, rng))) for i, s in enumerate(systems)]
     return cases
 
@@ -140,7 +123,7 @@ def cocycle_cases():
     cases = [(f"omega_{n}/{k}", omega_cocycle(n, k)) for n in range(2, 7) for k in (0, n - 1)]
     cases += [(f"sigma_{n}", sigma_cocycle(n)) for n in range(2, 7)]
     rng = np.random.default_rng(6)
-    systems = assorted_small_systems() + [natural_action(4)]
+    systems = assorted_small_systems() + [System(symmetric_action(4))]
     cases += [(f"seeded/{i}", fixed_dim_cocycle(s.action, rng)) for i, s in enumerate(systems)]
     return cases
 
@@ -382,7 +365,7 @@ class TestOneStore:
 
     def test_decoded_s5_rep_holds_one_copy(self):
         rng = np.random.default_rng(3)
-        system = natural_action(5)
+        system = System(symmetric_action(5))
         rep = identity_pullback(fixed_dim_cocycle(system.action, rng))
         obj = through_json(serialize.rep_to_json(rep))
         del rep

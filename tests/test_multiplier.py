@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cstardyn import fibers, multiplier
-from cstardyn.core import DEFAULT_TOL, FiniteSpace, GroupAction, System, act_on_algebra, is_psd, symmetric_group
+from cstardyn.core import DEFAULT_TOL, System, act_on_algebra, is_psd, symmetric_action
 from cstardyn.cyclic_examples import (
     matrix_unit_family,
     matrix_unit_target,
@@ -246,8 +246,7 @@ class TestBatchedCriterion:
         """The natural action of S_5: all n^2 kernel matrices together are one
         (n^2, |G|, |G|) complex stack, 5.76 MB; the blocked criterion stays
         below that."""
-        perms = np.array(sorted(itertools.permutations(range(5))), dtype=np.intp)
-        system = System(GroupAction(symmetric_group(5), FiniteSpace(5), perms))
+        system = System(symmetric_action(5))
         t = unit_multiplier(system)
         full = 25 * 120 * 120 * 16
         is_positive_definite(unit_multiplier(sigma_system(2)))  # numpy's lazy set-up is not the criterion's

@@ -16,7 +16,7 @@ from cstardyn.equivrep import fell_absorption_unitary, gns_from_pd, regular_rep,
 from cstardyn.generators import assorted_small_systems, random_equivariant_rep, random_vector
 from cstardyn.multiplier import coefficient, multiplier_distance, pd_criterion_matrix, unit_multiplier
 from cstardyn.numutil import gram_quotient
-from oracles import reference_block_quotient
+from oracles import reference_block_quotient, same_bits
 
 
 def reference_gram_quotient(gram: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
@@ -29,12 +29,6 @@ def reference_gram_quotient(gram: np.ndarray, tol: float = DEFAULT_TOL) -> tuple
     keep = lam > cutoff
     root, kept = np.sqrt(lam[keep]), vecs[:, keep]
     return root[:, None] * kept.conj().T, kept / root
-
-
-def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
-    return a.shape == b.shape and np.array_equal(
-        np.ascontiguousarray(a).view(np.uint64), np.ascontiguousarray(b).view(np.uint64)
-    )
 
 
 def block_diag(blocks) -> np.ndarray:

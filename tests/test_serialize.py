@@ -13,11 +13,7 @@ from cstardyn.cyclic_examples import omega_example_rep, omega_system, sigma_exam
 from cstardyn.equivrep import EquivariantRep, direct_sum_reps, trivial_rep
 from cstardyn.generators import random_equivariant_rep, random_multiplier_suite
 from cstardyn.multiplier import multiplier_distance
-from oracles import reference_matrix_to_json
-
-
-def through_json(obj):
-    return json.loads(json.dumps(obj))
+from oracles import reference_matrix_to_json, same_bits, through_json
 
 
 class TestSystemRoundTrip:
@@ -163,10 +159,6 @@ def per_entry_decode(obj):
     return np.array([[complex(float(re), float(im)) for re, im in row] for row in obj], dtype=complex)
 
 
-def bits(a):
-    return np.ascontiguousarray(a).view(np.uint64)
-
-
 class TestMatrixDecoding:
     def test_bit_exact_against_per_entry_decode(self, rng):
         for rows, cols in [(1, 1), (2, 2), (3, 5), (5, 5)]:
@@ -175,17 +167,17 @@ class TestMatrixDecoding:
             obj = through_json(m.tolist())
             out = serialize.matrix_from_json(obj, rows, cols)
             assert out.dtype == complex and out.shape == (rows, cols)
-            assert np.array_equal(bits(out), bits(per_entry_decode(obj)))
+            assert same_bits(out, per_entry_decode(obj))
 
     def test_negative_zero_round_trip(self, z2_trivial):
         m = np.array([[complex(-0.0, 0.0), complex(0.0, -0.0)], [complex(-0.0, -0.0), 1.0]])
         back = serialize.matrix_from_json(through_json(serialize.matrix_to_json(m)), 2, 2)
-        assert np.array_equal(bits(back), bits(m))
+        assert same_bits(back, m)
         vec = serialize.matrix_from_json(through_json(serialize.matrix_to_json(m[:1])), 1, None)[0]
-        assert np.array_equal(bits(vec), bits(m[0]))
+        assert same_bits(vec, m[0])
         obj = through_json({"0": serialize.matrix_to_json(m), "1": serialize.matrix_to_json(-m)})
         t = serialize.multiplier_from_json(obj, z2_trivial)
-        assert np.array_equal(bits(t.stack), bits(np.stack([m, -m])))
+        assert same_bits(t.stack, np.stack([m, -m]))
 
     @pytest.mark.parametrize(
         "obj, rows, cols",
