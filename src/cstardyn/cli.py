@@ -289,6 +289,14 @@ def _tolerance(text: str) -> float:
     return tol
 
 
+def _seed(text: str) -> int:
+    """A ``--seed`` value: numpy's generators take only integers >= 0."""
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text}")
+    return seed
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cstardyn",
@@ -297,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--seed", type=int, default=42)
+        p.add_argument("--seed", type=_seed, default=42)
         p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
         p.add_argument("--out", type=str, default=None)
 

@@ -203,16 +203,15 @@ def regular_rep(rep: EquivariantRep) -> EquivariantRep:
     # rows[x, h, i]: row i of slot h in fiber x, dmax for padding
     i = np.arange(d.max())
     rows = np.where(i < d[:, None, None], np.arange(group.order)[:, None] * d[:, None, None] + i, dmax)
-    x = np.arange(n)[:, None, None, None]
-    rho = np.zeros((n, n, dmax + 1, dmax + 1), dtype=complex)
-    rho[:, x, rows[..., None], rows[..., None, :]] = rep.rho_stack[:, :, None]
+    k, x = np.arange(n)[:, None, None, None, None], np.arange(n)[:, None, None, None]
+    rho = fibers.scatter((n, n, dmax, dmax), [((k, x, rows[..., None], rows[..., None, :]), rep.rho_stack[:, :, None])])
     # v(g) at fiber x puts v[g][x] at the block (slot h, slot g^{-1}h)
-    v = np.zeros((group.order, n, dmax + 1, dmax + 1), dtype=complex)
     cols = rows[sys_.action.src[:, :, None], group.mult[group.inverse][:, None, :]]  # (g, x, h, j)
     g = np.arange(group.order)[:, None, None, None, None]
-    v[g, x, rows[..., None], cols[..., None, :]] = rep.v_stack[:, :, None]
+    index = (g, x, rows[..., None], cols[..., None, :])
+    v = fibers.scatter((group.order, n, dmax, dmax), [(index, rep.v_stack[:, :, None])])
     mod = SectionalModule(rep.module.space, tuple(group.order * d))
-    return EquivariantRep(sys_, mod, rho[..., :dmax, :dmax], v[..., :dmax, :dmax], regular_base=rep.module)
+    return EquivariantRep(sys_, mod, rho, v, regular_base=rep.module)
 
 
 def slot_embed(regular: EquivariantRep, h: int, vec: ModuleVector) -> ModuleVector:
@@ -257,16 +256,17 @@ def direct_sum_reps(reps: Sequence[EquivariantRep]) -> EquivariantRep:
     n, order, src = sys_.n_points, sys_.group.order, sys_.action.src
     dims = np.array([r.module.fiber_dims for r in reps])
     off, dmax = np.cumsum(dims, axis=0) - dims, dims.sum(axis=0).max()
-    rho = np.zeros((n, n, dmax + 1, dmax + 1), dtype=complex)
-    v = np.zeros((order, n, dmax + 1, dmax + 1), dtype=complex)
-    g, x = np.arange(order)[:, None, None, None], np.arange(n)[:, None, None]
+    k, g, x = np.arange(n)[:, None, None, None], np.arange(order)[:, None, None, None], np.arange(n)[:, None, None]
+    rho_puts, v_puts = [], []
     for r, o, d in zip(reps, off, dims):
         i = np.arange(d.max())
         rows = np.where(i < d[:, None], o[:, None] + i, dmax)  # summand r's rows of each fiber
-        rho[:, x, rows[:, :, None], rows[:, None, :]] = r.rho_stack
-        v[g, x, rows[:, :, None], rows[src][:, :, None, :]] = r.v_stack
+        rho_puts.append(((k, x, rows[:, :, None], rows[:, None, :]), r.rho_stack))
+        v_puts.append(((g, x, rows[:, :, None], rows[src][:, :, None, :]), r.v_stack))
+    rho = fibers.scatter((n, n, dmax, dmax), rho_puts)
+    v = fibers.scatter((order, n, dmax, dmax), v_puts)
     mod = SectionalModule(sys_.space, tuple(int(t) for t in dims.sum(axis=0)))
-    return EquivariantRep(sys_, mod, rho[..., :dmax, :dmax], v[..., :dmax, :dmax])
+    return EquivariantRep(sys_, mod, rho, v)
 
 
 def tensor_rep(r1: EquivariantRep, r2: EquivariantRep):
@@ -298,18 +298,25 @@ def tensor_rep(r1: EquivariantRep, r2: EquivariantRep):
     rows = np.concatenate([tp.rows[p, m], np.full((1,) + tp.rows.shape[2:], dmax)])
     pinv = np.concatenate([tp.piece_pinv[p, m], np.zeros((1,) + tp.piece_pinv.shape[2:])])
 
-    rho = np.zeros((n, n, dmax + 1, dmax + 1), dtype=complex)
-    rho[:, m[:, None, None, None], rows[:-1, :, None], rows[:-1, None, :]] = r1.rho_stack[:, p, :, :, None]
-
-    # v(g) maps block (src[g, p], src[g, m]) to block (p, m)
-    cols = block[src[:, p], src[:, m]]  # (g, block)
-    c = tp.piece_coord[p, m] @ r2.v_stack[:, m] @ pinv[cols]  # (g, block, a, b)
-    v = np.zeros((order, n, dmax + 1, dmax + 1), dtype=complex)
-    g = np.arange(order)[:, None, None, None, None, None]
-    v[g, m[:, None, None, None, None], rows[:-1, :, :, None, None], rows[cols][:, :, None, None]] = (
-        r1.v_stack[:, p][:, :, :, None, :, None] * c[:, :, None, :, None, :]
+    k = np.arange(n)[:, None, None, None, None]
+    rho = fibers.scatter(
+        (n, n, dmax, dmax),
+        [((k, m[:, None, None, None], rows[:-1, :, None], rows[:-1, None, :]), r1.rho_stack[:, p, :, :, None])],
     )
-    rep = EquivariantRep(sys_, tp.module, rho[:, :, :dmax, :dmax], v[:, :, :dmax, :dmax])
+
+    # v(g) maps block (src[g, p], src[g, m]) to block (p, m), formed for
+    # blocks of g of at most fibers.BLOCK_ELEMENTS entries
+    cols = block[src[:, p], src[:, m]]  # (g, block)
+
+    def v_puts():
+        for lo, hi in fibers.blocks(order, len(p) * rows[0].size ** 2):
+            c = tp.piece_coord[p, m] @ r2.v_stack[lo:hi, m] @ pinv[cols[lo:hi]]  # (g, block, a, b)
+            g = np.arange(lo, hi)[:, None, None, None, None, None]
+            index = (g, m[:, None, None, None, None], rows[:-1, :, :, None, None], rows[cols[lo:hi]][:, :, None, None])
+            yield index, r1.v_stack[lo:hi, p][:, :, :, None, :, None] * c[:, :, None, :, None, :]
+
+    v = fibers.scatter((order, n, dmax, dmax), v_puts())
+    rep = EquivariantRep(sys_, tp.module, rho, v)
     return rep, tp
 
 
@@ -428,18 +435,19 @@ def gns_from_pd(multiplier):
     a = np.arange(rmax)
     rows = np.where(a < ranks[:, :, None], (np.cumsum(ranks, axis=1) - ranks)[:, :, None] + a, dmax)
 
-    rho = np.zeros((n, n, dmax + 1, dmax + 1), dtype=complex)
-    rho[points[None, :, None], points[:, None, None], rows, rows] = 1.0
+    rho = fibers.scatter((n, n, dmax, dmax), [((points[None, :, None], points[:, None, None], rows, rows), 1.0)])
 
-    v = np.zeros((order, n, dmax + 1, dmax + 1), dtype=complex)
-    x = points[:, None]
-    for lo, hi in fibers.blocks(order, n * n * order * max(rmax, 1)):
-        h, hj, y = np.arange(lo, hi)[:, None, None], perm[lo:hi, None, :], src[lo:hi, :, None]  # over [h, x, j]
-        # c(x, h.j) L_h as [h, x, j, g, a] = c(x, h.j)[a, hg], times c'(h^{-1}x, j)
-        block = coord[x[..., None], hj[..., None], :, mult[lo:hi, None, None, :]].swapaxes(-1, -2) @ pinv[y, points]
-        v[h[..., None, None], x[..., None, None], rows[x, hj][..., None], rows[y, points][..., None, :]] = block
+    def v_puts():
+        x = points[:, None]
+        for lo, hi in fibers.blocks(order, n * n * order * max(rmax, 1)):
+            h, hj, y = np.arange(lo, hi)[:, None, None], perm[lo:hi, None, :], src[lo:hi, :, None]  # over [h, x, j]
+            # c(x, h.j) L_h as [h, x, j, g, a] = c(x, h.j)[a, hg], times c'(h^{-1}x, j)
+            block = coord[x[..., None], hj[..., None], :, mult[lo:hi, None, None, :]].swapaxes(-1, -2) @ pinv[y, points]
+            yield (h[..., None, None], x[..., None, None], rows[x, hj][..., None], rows[y, points][..., None, :]), block
+
+    v = fibers.scatter((order, n, dmax, dmax), v_puts())
     mod = SectionalModule(sys_.space, tuple(int(d) for d in dims))
-    rep = EquivariantRep(sys_, mod, rho[..., :dmax, :dmax], v[..., :dmax, :dmax])
+    rep = EquivariantRep(sys_, mod, rho, v)
 
     xi = np.zeros((n, dmax + 1), dtype=complex)
     xi[points[:, None, None], rows] = coord[..., sys_.group.identity]

@@ -62,6 +62,23 @@ def stack_blocks(blocks, dims: Sequence[int]) -> np.ndarray:
     return _freeze(out)
 
 
+def scatter(shape: tuple, puts) -> np.ndarray:
+    """The read-only complex array of ``shape`` that is zero but for the
+    ``(index, values)`` pairs of the iterable ``puts``, each putting
+    ``values`` at the multi-``index`` (one broadcasting integer array per
+    axis).  An index equal to the length of its axis, one past the end,
+    drops its value, so builders can send padding rows and columns there.
+    The array is allocated at its exact size and is C-contiguous, so
+    :func:`_padded` holds it without a copy."""
+    flat = np.zeros(math.prod(shape) + 1, dtype=complex)  # the last entry takes the dropped values
+    for index, values in puts:
+        at, past = 0, False
+        for i, size in zip(index, shape):
+            at, past = at * size + i, past | (i == size)
+        flat[np.where(past, flat.size - 1, at)] = values
+    return _freeze(flat[:-1].reshape(shape))
+
+
 def _padded(stack: np.ndarray, rows: Sequence[int], cols: np.ndarray) -> np.ndarray:
     """A given padded stack whose matrix (k, x) has shape (rows[x], cols[k, x]),
     checked for its shape and for zeros outside those corners.  It is held

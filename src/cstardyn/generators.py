@@ -156,15 +156,22 @@ def random_equivariant_rep(
     return regular_rep(base(1)) if system.group.order <= 3 else base(max_dim)
 
 
+def clearly_decided(t: Multiplier) -> bool:
+    """Whether the fiberwise criterion decides ``t`` clearly: it passes, or
+    it fails by a Hermitian defect or by a smallest eigenvalue below -1e-3
+    times ``scale(t.stack)``.  Borderline multipliers are redrawn, so that
+    independent checks cannot disagree through rounding alone; the checks
+    themselves are untouched."""
+    cert = is_positive_definite(t)
+    size = scale(t.stack)
+    return cert.verdict or cert.hermitian_defect > DEFAULT_TOL * size or not -1e-3 * size < cert.min_eigenvalue
+
+
 def random_multiplier_suite(system: System, count: int, rng: np.random.Generator) -> list[Multiplier]:
     """A mix of clearly positive definite and clearly non-positive-definite
-    multipliers for agreement testing.
-
-    Borderline cases (smallest criterion eigenvalue in (-margin, -0]) are
-    resampled so that independent checks cannot disagree through rounding
-    alone; the checks themselves are untouched.
+    multipliers for agreement testing, borderline ones redrawn
+    (:func:`clearly_decided`).
     """
-    margin = 1e-3
     n = system.n_points
     order = system.group.order
     out: list[Multiplier] = []
@@ -186,10 +193,6 @@ def random_multiplier_suite(system: System, count: int, rng: np.random.Generator
             xi = random_vector(rep.module, rng)
             eta = random_vector(rep.module, rng)
             cand = coefficient(rep, xi, xi) - 2.0 * coefficient(rep, eta, eta)
-        cert = is_positive_definite(cand)
-        size = scale(cand.stack)
-        if not cert.verdict and cert.hermitian_defect <= DEFAULT_TOL * size:
-            if -margin * size < cert.min_eigenvalue:
-                continue  # borderline indefinite: resample
-        out.append(cand)
+        if clearly_decided(cand):
+            out.append(cand)
     return out

@@ -269,6 +269,22 @@ def _kernel_table(t: Multiplier) -> np.ndarray:
     return t.stack[group.mult[group.inverse][:, :, None], src[:, None, :]]
 
 
+def _live_support(t: Multiplier, table: np.ndarray):
+    """The oracle's work restricted to the support of its table ``table``:
+    ``(table, perm, rows)``, the table on live rows by live columns, the
+    action's ``perm`` on live columns and the mask of live points.  A point
+    x is live when some ``table[i, j][x, :]`` is nonzero (T has a nonzero
+    row on the orbit of x), a column y when some ``table[i, j][:, y]`` is.
+    When all are live, ``table`` and ``perm`` come back as they are and
+    ``rows`` is the full slice."""
+    perm = t.system.action.perm
+    nonzero = table.any(axis=(0, 1))
+    rows, cols = nonzero.any(axis=1), nonzero.any(axis=0)
+    if rows.all() and cols.all():
+        return table, perm, slice(None)
+    return table[:, :, rows][..., cols], perm[:, cols], rows
+
+
 def _kernel_checks(t: Multiplier, gs: np.ndarray, amps: np.ndarray, tol: float, table=None):
     """Check the kernel condition for T drawn tuples of one length N.
 
@@ -279,23 +295,36 @@ def _kernel_checks(t: Multiplier, gs: np.ndarray, amps: np.ndarray, tol: float, 
     point, each of shape (T, n): the smallest eigenvalue of the Hermitian
     part of the N x N kernel matrix, its Hermitian defect, and whether it
     fails :func:`numutil.psd_check` with the :func:`numutil.scale` of the
-    trial's whole kernel.
+    trial's whole kernel.  The work runs on the table's support
+    (:func:`_live_support`, :func:`_support_checks`).
     """
-    if table is None:
-        table = _kernel_table(t)
-    perm = t.system.action.perm
+    return _support_checks(_live_support(t, _kernel_table(t) if table is None else table), gs, amps, tol)
+
+
+def _support_checks(support: tuple, gs: np.ndarray, amps: np.ndarray, tol: float):
+    """:func:`_kernel_checks` on a :func:`_live_support`.  The products are
+    gathered at the live columns and the table contracted on live rows by
+    live columns.  A dead column adds only +-0 products to a sum that starts
+    at +0, so no bit changes; the kernel at a dead point is exactly +0, and
+    its verdict, defect and smallest eigenvalue (+0.0) are an empty block's.
+    """
+    table, perm, rows = support
+    restricted = not isinstance(rows, slice)
     count, N, n = amps.shape
     mins, hd, ok = np.empty((count, n)), np.empty((count, n)), np.empty((count, n), dtype=bool)
-    for lo, hi in fibers.blocks(count, N * N * n * n):
+    for lo, hi in fibers.blocks(count, N * N * table.shape[2] * table.shape[3]):
         g = gs[lo:hi]
         a = amps[lo:hi]
         # moved[t, i, j, y] = a_j at the point g_i y; its diagonal i = j is a_i there
         moved = a[np.arange(len(g))[:, None, None, None], np.arange(N)[:, None], perm[g][:, :, None, :]]
         w = np.diagonal(moved, axis1=1, axis2=2).transpose(0, 2, 1).conj()[:, :, None, :] * moved
         b = np.einsum("tijxy,tijy->tijx", table[g[:, :, None], g[:, None, :]], w)
-        # one kernel per (trial, point), laid out as eigvalsh reads it
+        # one kernel per (trial, live point), laid out as eigvalsh reads it
         b = np.ascontiguousarray(b.transpose(0, 3, 1, 2))
-        _, ok[lo:hi], mins[lo:hi], hd[lo:hi] = psd_check(b, scale(b, axis=(1, 2, 3))[:, None], tol)
+        s = scale(b, axis=(1, 2, 3))[:, None]
+        if restricted:
+            _, ok[lo:hi], mins[lo:hi], hd[lo:hi] = psd_check(np.zeros((hi - lo, 1, 0, 0)), s, tol)
+        _, ok[lo:hi, rows], mins[lo:hi, rows], hd[lo:hi, rows] = psd_check(b, s, tol)
     return mins, hd, ~ok
 
 
@@ -310,7 +339,8 @@ def pd_sample_oracle(
     base point, up to ``tol`` times the :func:`numutil.scale` of each trial's
     kernel.  The operators of all kernel entries are tabulated once per
     call, per pair of group elements (:func:`_kernel_table`, O(|G|^2 n^2),
-    less than the gathered kernel of one tuple of length 2|G|).
+    less than the gathered kernel of one tuple of length 2|G|), and
+    restricted once to the table's support (:func:`_live_support`).
 
     Trial 0 is drawn and checked alone, so a multiplier that fails at once
     costs one small kernel; the rest are drawn and checked in windows of
@@ -328,7 +358,7 @@ def pd_sample_oracle(
         raise ValueError("at least one trial required")
     order = t.system.group.order
     n = t.system.n_points
-    table = _kernel_table(t)
+    support = _live_support(t, _kernel_table(t))
     rng = np.random.default_rng(seed)
     min_seen = math.inf
     done = 0
@@ -347,7 +377,7 @@ def pd_sample_oracle(
         for N in np.unique(lengths):
             idx = np.flatnonzero(lengths == N)
             rows = starts[idx][:, None] + np.arange(N)
-            mins[idx], hd[idx], bad[idx] = _kernel_checks(t, gs[rows], amps[rows], tol, table)
+            mins[idx], hd[idx], bad[idx] = _support_checks(support, gs[rows], amps[rows], tol)
         min_seen = min(min_seen, float(mins.min()))
         failing = np.flatnonzero(bad.any(axis=1))
         if failing.size:

@@ -166,3 +166,13 @@ def max_abs_over(arrays) -> float:
     """Largest |entry| over several arrays, 0.0 for none.  NaN propagates,
     where a ``max(res, max_abs(a))`` fold would drop it."""
     return float(np.max([np.abs(a).max(initial=0.0) for a in arrays], initial=0.0))
+
+
+def padded_scatter(shape: tuple, puts) -> np.ndarray:
+    """Test-only oracle for :func:`cstardyn.fibers.scatter`: the builders'
+    former scatter into a zero stack one longer on every axis, where an
+    index one past the end lands in the extra row, sliced back to ``shape``."""
+    out = np.zeros(tuple(s + 1 for s in shape), dtype=complex)
+    for index, values in puts:
+        out[index] = values
+    return out[tuple(slice(s) for s in shape)]

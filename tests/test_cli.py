@@ -255,6 +255,23 @@ class TestVerifyCommand:
             code, out = in_process(argv + [f"--tol={tol}"])
             assert code == 0 and json.loads(out)["config"]["tol"] == tol
 
+    def test_seed_must_be_nonnegative_integer(self):
+        """A negative or non-integer --seed is a usage error that names
+        --seed, for pd and for trace-cone, which have no payload to blame."""
+        t = unit_multiplier(sigma_system(2))
+        payload = {"system": serialize.system_to_json(t.system), "multiplier": serialize.multiplier_to_json(t)}
+        commands = (["pd", "--inline", json.dumps(payload), "--trials", "5"], ["trace-cone", "--count", "3"])
+        for argv in commands:
+            for seed in ("-1", "1.5", "x"):
+                err = io.StringIO()
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                    with pytest.raises(SystemExit) as exc:
+                        cli.main(argv + ["--seed", seed])
+                assert exc.value.code == 2 and "--seed" in err.getvalue() and "payload" not in err.getvalue()
+            for seed in (0, 2**70):
+                code, out = in_process(argv + ["--seed", str(seed)])
+                assert code == 0 and json.loads(out)["config"]["seed"] == seed
+
 
 class TestExampleCommand:
     @pytest.mark.parametrize("name", ["omega_n", "sigma_n"])

@@ -47,7 +47,16 @@ from cstardyn.multiplier import Multiplier, coefficient, multiplier_distance, un
 from cstardyn.numutil import max_abs, nearest_unitary
 from cstardyn.reporting import CheckReport
 
-from oracles import basis_vectors, identity_pullback, max_abs_over, null_space, reference_bound, reference_tensor_coords, same_bits
+from oracles import (
+    basis_vectors,
+    identity_pullback,
+    max_abs_over,
+    null_space,
+    padded_scatter,
+    reference_bound,
+    reference_tensor_coords,
+    same_bits,
+)
 
 
 def _mutate_v(rep: EquivariantRep, g: int, x: int, mat: np.ndarray) -> EquivariantRep:
@@ -140,6 +149,67 @@ class TestTensorRep:
         areg = regular_rep(trivial_rep(z2_flip))
         t, _ = tensor_rep(rep, areg)
         assert t.module.fiber_dims == regular_rep(rep).module.fiber_dims
+
+
+def built_reps(rep: EquivariantRep, rng) -> list[EquivariantRep]:
+    """What the scatter builders make from ``rep``: its group amplification,
+    its tensor product and its direct sum with the amplified trivial rep,
+    and the GNS representation of one of its diagonal coefficients."""
+    out = [
+        regular_rep(rep),
+        tensor_rep(rep, regular_rep(trivial_rep(rep.system)))[0],
+        direct_sum_reps([rep, regular_rep(trivial_rep(rep.system))]),
+    ]
+    if rep.module.total_dim:
+        xi = random_vector(rep.module, rng)
+        out.append(gns_from_pd(coefficient(rep, xi, xi))[0])
+    return out
+
+
+class TestExactStacks:
+    """The builders scatter into stacks of their exact size, which the
+    representation holds as they are."""
+
+    def test_stacks_match_padded_scatter(self, monkeypatch):
+        corpus = absorption_corpus()[::3]
+        made = [built_reps(rep, np.random.default_rng(i)) for i, (_, rep) in enumerate(corpus)]
+        monkeypatch.setattr(fibers, "scatter", padded_scatter)
+        for i, ((label, rep), got) in enumerate(zip(corpus, made)):
+            for a, b in zip(got, built_reps(rep, np.random.default_rng(i))):
+                assert same_bits(a.rho_stack, b.rho_stack) and same_bits(a.v_stack, b.v_stack), label
+
+    def test_representation_holds_the_scattered_arrays(self, monkeypatch, rng):
+        scatter, scattered = fibers.scatter, []
+
+        def recording(shape, puts):
+            scattered.append(scatter(shape, puts))
+            return scattered[-1]
+
+        monkeypatch.setattr(fibers, "scatter", recording)
+        rep = omega_example_rep(3, 1, 2)
+        for built in built_reps(rep, rng):
+            for stack in (built.rho_stack, built.v_stack):
+                assert any(stack is a for a in scattered)
+                assert stack.flags.c_contiguous and not stack.flags.writeable
+
+    def test_regular_rep_holds_one_copy(self):
+        """``regular_rep(sigma_example_rep(8))`` peaks within a quarter of
+        the stacks it keeps; a padded stack and its copy took twice that."""
+        rep = sigma_example_rep(8)
+        regular_rep(sigma_example_rep(2))  # numpy's lazy set-up is not the builder's
+        tracemalloc.start()
+        try:
+            reg = regular_rep(rep)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * (reg.rho_stack.nbytes + reg.v_stack.nbytes)
+
+    def test_scatter_drops_one_past_the_end(self):
+        rows = np.array([0, 2, 3])
+        out = fibers.scatter((2, 3), [((np.array([[0], [1]]), rows), np.arange(6).reshape(2, 3) + 1.0)])
+        assert same_bits(out, np.array([[1, 0, 2], [4, 0, 5]], dtype=complex))
+        assert not out.flags.writeable
 
 
 class TestFellAbsorption:

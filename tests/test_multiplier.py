@@ -8,7 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cstardyn import fibers, multiplier
-from cstardyn.core import DEFAULT_TOL, System, act_on_algebra, is_psd, symmetric_action
+from cstardyn.core import (
+    DEFAULT_TOL,
+    FiniteGroup,
+    FiniteSpace,
+    GroupAction,
+    System,
+    act_on_algebra,
+    cyclic_group,
+    is_psd,
+    symmetric_action,
+)
 from cstardyn.cyclic_examples import (
     matrix_unit_family,
     matrix_unit_target,
@@ -424,6 +434,125 @@ class TestBatchedKernel:
                 assert (vectors is None) == (cert.sample_vectors is None)
                 if vectors is not None:
                     assert np.array_equal(cert.sample_vectors, vectors)
+
+
+def relabeled(t, rng):
+    """``t`` carried over to a copy of its system with group elements and
+    points renamed by seeded permutations."""
+    group, action = t.system.group, t.system.action
+    sg, px = rng.permutation(group.order), rng.permutation(t.system.n_points)
+    mult = np.empty_like(group.mult)
+    mult[sg[:, None], sg] = sg[group.mult]
+    perm = np.empty_like(action.perm)
+    perm[sg[:, None], px] = px[action.perm]
+    mats = np.empty_like(t.stack)
+    mats[sg[:, None, None], px[:, None], px] = t.stack
+    return Multiplier(System(GroupAction(FiniteGroup(group.order, mult), action.space, perm)), mats)
+
+
+def two_orbit_system():
+    """Z_6 on 6 points, the generator acting as (0 1)(2 3 4): orbits of
+    sizes 2, 3 and 1."""
+    gen = np.array([1, 0, 3, 4, 2, 5])
+    perm = [np.arange(6)]
+    for _ in range(5):
+        perm.append(gen[perm[-1]])
+    return System(GroupAction(cyclic_group(6), FiniteSpace(6), np.array(perm)))
+
+
+def diagonal_coefficient(rep, rng, points=None):
+    """<xi, rho(a) v(g) xi> for a random xi, zero off ``points`` when given."""
+    xi = random_vector(rep.module, rng)
+    if points is not None:
+        xi = ModuleVector(rep.module, tuple(c if x in points else 0 * c for x, c in enumerate(xi.components)))
+    return coefficient(rep, xi, xi)
+
+
+def sparse_multipliers(rng):
+    """Multipliers with dead points or dead columns of the oracle's table,
+    each with a label."""
+    out = []
+    for n in (3, 4, 5):
+        k, l, p = (int(v) for v in rng.integers(0, n, size=3))
+        rep = omega_example_rep(n, k, l)
+        coeffs = [diagonal_coefficient(rep, rng) for _ in range(2)]
+        for label, t in (
+            ("omega_pd", coeffs[0]),
+            ("omega_difference", coeffs[0] - 2.0 * coeffs[1]),
+            ("omega_unit", omega_matrix_unit_coefficient(n, k, l, p)),
+        ):
+            out.append((f"{label}_{n}", relabeled(t, rng)))
+    system = two_orbit_system()
+    for i in range(2):
+        rep = random_equivariant_rep(system, rng, max_dim=2)
+        out.append((f"one_orbit_{i}", relabeled(diagonal_coefficient(rep, rng, points={2, 3, 4}), rng)))
+    for system in (sigma_system(3), assorted_small_systems()[-1]):
+        for t in random_multiplier_suite(system, 2, rng):
+            mats = t.stack.copy()
+            mats[:, :, 1] = 0.0
+            out.append((f"dead_column_{system.group.order}", Multiplier(system, mats)))
+    out.append(("zero", zero_multiplier(sigma_system(3))))
+    # -0.0 counts as zero: on a dead point, a dead column and inside the support
+    mats = omega_matrix_unit_coefficient(4, 1, 2, 3).stack.copy()
+    mats[:, 0] = -0.0
+    mats[:, :, 3] = -0.0
+    mats[0, 1, 0] = -0.0
+    out.append(("negative_zero", Multiplier(omega_system(4), mats)))
+    return out
+
+
+class TestLiveSupport:
+    """The oracle forms kernels only on the support of its table; every
+    output keeps the bits of the full computation, -0.0 included."""
+
+    @pytest.mark.parametrize("budget", [1, fibers.BLOCK_ELEMENTS], ids=["one-trial", "default"])
+    def test_window_checks_keep_their_bits(self, rng, monkeypatch, budget):
+        monkeypatch.setattr(fibers, "BLOCK_ELEMENTS", budget)
+        dead_rows = dead_cols = 0
+        for label, t in sparse_multipliers(rng):
+            live = multiplier._kernel_table(t).any(axis=(0, 1))
+            dead_rows += not live.any(axis=1).all()
+            dead_cols += not live.any(axis=0).all()
+            order = t.system.group.order
+            for gs, amps in draw_tuples(t.system, sorted({1, 2, order, 2 * order}), 9, rng):
+                want = reference_window_checks(t, gs, amps, 1e-9)
+                for got, w in zip(_kernel_checks(t, gs, amps, 1e-9), want):
+                    assert got.dtype == w.dtype and got.tobytes() == w.tobytes(), label
+        assert dead_rows >= 10 and dead_cols >= 10
+
+    @pytest.mark.parametrize("tol", [1e-9, 10.0], ids=["default", "lenient"])
+    def test_oracle_keeps_its_bits(self, rng, tol):
+        failing = 0
+        for seed, (label, t) in enumerate(sparse_multipliers(rng)):
+            cert = pd_sample_oracle(t, trials=300, seed=seed, tol=tol)
+            verdict, min_eig, hd, point, groups, vectors, _ = reference_oracle(t, 300, seed, tol)
+            assert cert.verdict == verdict, label
+            assert np.float64(cert.min_eigenvalue).tobytes() == np.float64(min_eig).tobytes(), label
+            assert np.float64(cert.hermitian_defect).tobytes() == np.float64(hd).tobytes(), label
+            assert cert.point == point and cert.sample_groups == groups, label
+            assert (vectors is None) == (cert.sample_vectors is None)
+            if vectors is not None:
+                assert cert.sample_vectors.tobytes() == vectors.tobytes()
+            failing += not verdict
+        if tol < 1:
+            assert failing > 0
+
+    def test_only_live_point_indefinite(self, rng):
+        """A multiplier alive at one fixed point only, and indefinite there:
+        the oracle fails at that point, with the reference witness."""
+        system = two_orbit_system()
+        mats = np.zeros((6, 6, 6), dtype=complex)
+        mats[0, 5, 5] = -1.0
+        mats[1:, 5, rng.integers(0, 6, size=5)] = rng.normal(size=5)
+        t = relabeled(Multiplier(system, mats), rng)
+        live = multiplier._kernel_table(t).any(axis=(0, 1)).any(axis=1)
+        assert live.sum() == 1
+        cert = pd_sample_oracle(t, trials=300, seed=3)
+        verdict, min_eig, hd, point, groups, vectors, _ = reference_oracle(t, 300, 3, DEFAULT_TOL)
+        assert not cert.verdict and not verdict
+        assert cert.point == point == int(np.argmax(live))
+        assert cert.sample_groups == groups and cert.sample_vectors.tobytes() == vectors.tobytes()
+        assert np.float64(cert.min_eigenvalue).tobytes() == np.float64(min_eig).tobytes() and min_eig < 0
 
 
 class TestPdSampleOracle:
