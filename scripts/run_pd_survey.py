@@ -16,6 +16,7 @@ import argparse
 
 import numpy as np
 
+from cstardyn import cli
 from cstardyn.crossed import build_reduced, induced_map, is_completely_positive
 from cstardyn.cyclic_examples import omega_example_rep, omega_system, sigma_system
 from cstardyn.generators import assorted_small_systems, clearly_decided, random_multiplier_suite, standard_systems
@@ -55,7 +56,7 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--count", type=int, default=50)
     parser.add_argument("--trials", type=int, default=1000)
-    parser.add_argument("--seed", type=int, default=42)
+    parser.add_argument("--seed", type=cli._seed, default=42)
     args = parser.parse_args()
 
     rng = np.random.default_rng(args.seed)

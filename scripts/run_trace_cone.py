@@ -14,6 +14,7 @@ or when no shift-action sample has |Im tr T_1| >= 0.5.
 import argparse
 import sys
 
+from cstardyn import cli
 from cstardyn.cyclic_examples import omega_system, sigma_system
 from cstardyn.multiplier import TRACE_CONE_NOTE, trace_image_sample
 
@@ -36,7 +37,7 @@ def summarize(name: str, samples) -> tuple[float, float]:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--count", type=int, default=5000)
-    parser.add_argument("--seed", type=int, default=42)
+    parser.add_argument("--seed", type=cli._seed, default=42)
     args = parser.parse_args()
 
     om_min0, om_im = summarize("trivial action (omega_2)", trace_image_sample(omega_system(2), args.count, args.seed))

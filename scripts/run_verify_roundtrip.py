@@ -184,7 +184,7 @@ def check_covariant(payload: dict, expected_code: int, failing: dict) -> list[st
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--seed", type=int, default=11)
+    parser.add_argument("--seed", type=cli._seed, default=11)
     args = parser.parse_args()
     failed = 0
     conj_rng = np.random.default_rng([args.seed, 1])

@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import fibers
 from .cocycle import CocycleRep, EquivariantMap, _pullback_rep, _require_cocycle, rho_from_sigma
 from .core import FiniteSpace, System, cyclic_group, cyclic_shift_action, trivial_action
 from .equivrep import EquivariantRep
-from .hilbmod import ModuleVector, SectionalModule
+from .hilbmod import ModuleVector, SectionalModule, basis_vector
 from .multiplier import Multiplier, _coefficients
 
 
@@ -73,11 +72,7 @@ def omega_example_rep(n: int, k: int, l: int) -> EquivariantRep:
 def omega_example_vectors(n: int, k: int, p: int) -> tuple[ModuleVector, ModuleVector]:
     """e_p and e_0 in the fat fiber at k."""
     module = omega_bundle(n, k)
-    comps_x = [np.zeros(d, dtype=complex) for d in module.fiber_dims]
-    comps_y = [np.zeros(d, dtype=complex) for d in module.fiber_dims]
-    comps_x[k][p] = 1.0
-    comps_y[k][0] = 1.0
-    return ModuleVector(module, tuple(comps_x)), ModuleVector(module, tuple(comps_y))
+    return basis_vector(module, k, p), basis_vector(module, k, 0)
 
 
 def sigma_bundle(n: int) -> SectionalModule:
@@ -114,7 +109,7 @@ def sigma_example_vectors(n: int, k: int, l: int, p: int) -> tuple[ModuleVector,
     the support at p with this choice)."""
     module = sigma_bundle(n)
     xi, eta = _sigma_sections(n, np.array([k]), np.array([l]), np.array([p]))
-    return ModuleVector(module, tuple(xi[0])), ModuleVector(module, tuple(eta[0]))
+    return ModuleVector(module, xi[0]), ModuleVector(module, eta[0])
 
 
 def _sigma_sections(n: int, k: np.ndarray, l: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -152,9 +147,8 @@ def matrix_unit_family(kind: str, n: int) -> list[Multiplier]:
         stacks = []
         for k in range(n):
             c = _require_cocycle(_omega_cocycle(system, k))
-            dims = c.module.fiber_dims
             pairs = [omega_example_vectors(n, k, p) for p in range(n)]
-            xi, eta = (np.stack([fibers.stack_sections(v.components, dims) for v in vs]) for vs in zip(*pairs))
+            xi, eta = (np.stack([v.stack for v in vs]) for vs in zip(*pairs))
             for sigma in constant:
                 stacks.append(_coefficients(_pullback_rep(sigma, c), xi, eta))
         return Multiplier._each_of(system, np.concatenate(stacks))

@@ -16,9 +16,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import fibers
-from .core import DEFAULT_TOL, FiniteSpace, GroupAction, System
+from .core import DEFAULT_TOL, FiniteSpace, GroupAction, System, _freeze
 from .hilbmod import (
-    ModuleOperator,
     ModuleVector,
     SectionalModule,
     _check_projection_rep,
@@ -49,11 +48,10 @@ class EquivariantRep:
     group-indexed copies of a base module (slot h occupies rows
     [h*d_x, (h+1)*d_x) of fiber x).
 
-    ``rho`` may be given as one :class:`ModuleOperator` per point or as the
-    padded stack, and ``v_mats`` as nested per-(g, x) sequences or as the
-    padded stack.  The stacks are the only store of the matrices:
-    ``v_mats[g][x]`` are read-only views of ``v_stack``, built on first read
-    and kept, and so are the operators ``rho`` when they were not given.
+    ``rho`` may be given as nested per-(k, x) blocks or as the padded stack,
+    and ``v_mats`` as nested per-(g, x) sequences or as the padded stack.
+    The stacks are the only store of the matrices: ``v_mats[g][x]`` are
+    read-only views of ``v_stack``, built on first read and kept.
     """
 
     system: System
@@ -71,22 +69,11 @@ class EquivariantRep:
         if len(v_mats) != system.group.order:
             raise ValueError("v needs one family of matrices per group element")
         dims = module.fiber_dims
-        if not isinstance(rho, np.ndarray):
-            object.__setattr__(self, "rho", tuple(rho))  # given operators fill the cache
-            rho = [gen.blocks for gen in rho]
         object.__setattr__(self, "system", system)
         object.__setattr__(self, "module", module)
         object.__setattr__(self, "rho_stack", fibers.stack_blocks(rho, dims))
         object.__setattr__(self, "v_stack", fibers.stack_fibers(system.action, dims, v_mats))
         object.__setattr__(self, "regular_base", regular_base)
-
-    @cached_property
-    def rho(self) -> tuple[ModuleOperator, ...]:
-        dims = self.module.fiber_dims
-        return tuple(
-            ModuleOperator(self.module, tuple(blocks[x, :d, :d] for x, d in enumerate(dims)))
-            for blocks in self.rho_stack
-        )
 
     @cached_property
     def v_mats(self) -> tuple[tuple[np.ndarray, ...], ...]:
@@ -95,11 +82,9 @@ class EquivariantRep:
     def apply_v(self, g: int, vec: ModuleVector) -> ModuleVector:
         if vec.module != self.module:
             raise ValueError("vector lives on a different module")
-        comps = []
-        for x in self.module.space.points():
-            src = self.system.action.apply_inv(g, x)
-            comps.append(self.v_mats[g][x] @ vec.components[src])
-        return ModuleVector(self.module, tuple(comps))
+        moved = (self.v_stack[g] @ vec.stack[self.system.action.src[g], :, None])[..., 0]
+        # rows past a fiber are zero rows of v times the vector: NaN where it is not finite
+        return ModuleVector(self.module, _freeze(np.where(fibers.fiber_mask(self.module.fiber_dims), moved, 0)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,9 +185,7 @@ def regular_rep(rep: EquivariantRep) -> EquivariantRep:
     group, n = sys_.group, sys_.n_points
     d = np.asarray(rep.module.fiber_dims)
     dmax = group.order * d.max()
-    # rows[x, h, i]: row i of slot h in fiber x, dmax for padding
-    i = np.arange(d.max())
-    rows = np.where(i < d[:, None, None], np.arange(group.order)[:, None] * d[:, None, None] + i, dmax)
+    rows = _slot_rows(d, group.order)
     k, x = np.arange(n)[:, None, None, None, None], np.arange(n)[:, None, None, None]
     rho = fibers.scatter((n, n, dmax, dmax), [((k, x, rows[..., None], rows[..., None, :]), rep.rho_stack[:, :, None])])
     # v(g) at fiber x puts v[g][x] at the block (slot h, slot g^{-1}h)
@@ -214,37 +197,52 @@ def regular_rep(rep: EquivariantRep) -> EquivariantRep:
     return EquivariantRep(sys_, mod, rho, v, regular_base=rep.module)
 
 
+def _slot_rows(dims: Sequence[int], order: int) -> np.ndarray:
+    """rows[x, h, i]: the row of fiber x of the group-amplified module that
+    holds row i of slot h, and order * max(dims), one past the widest fiber,
+    for padding."""
+    d = np.asarray(dims)
+    i = np.arange(d.max())
+    return np.where(i < d[:, None, None], np.arange(order)[:, None] * d[:, None, None] + i, order * d.max())
+
+
+def _rows_of_slots(regular: EquivariantRep, slots) -> np.ndarray:
+    """The rows (x, slot, i) of the given slots of a regular-type module,
+    each slot checked to be a group element."""
+    if regular.regular_base is None:
+        raise ValueError("representation does not carry a slot structure")
+    order = regular.system.group.order
+    slots = np.fromiter(slots, dtype=int)
+    if ((slots < 0) | (slots >= order)).any():
+        raise ValueError(f"slots {slots.tolist()} are not all in [0, {order})")
+    return _slot_rows(regular.regular_base.fiber_dims, order)[:, slots]
+
+
+def _in_slots(regular: EquivariantRep, slots, vec: ModuleVector) -> ModuleVector:
+    """The base-module vector ``vec`` placed into each of ``slots`` of a
+    regular-type module."""
+    rows = _rows_of_slots(regular, slots)
+    if vec.module != regular.regular_base:
+        raise ValueError("vector must live on the base module")
+    n = regular.module.n_points
+    put = ((np.arange(n)[:, None, None], rows), vec.stack[:, None])
+    return ModuleVector(regular.module, fibers.scatter((n, max(regular.module.fiber_dims)), [put]))
+
+
 def slot_embed(regular: EquivariantRep, h: int, vec: ModuleVector) -> ModuleVector:
     """Place a base-module vector into slot h of a regular-type module."""
-    base = regular.regular_base
-    if base is None:
-        raise ValueError("representation does not carry a slot structure")
-    if vec.module != base:
-        raise ValueError("vector must live on the base module")
-    order = regular.system.group.order
-    comps = []
-    for x, d in enumerate(base.fiber_dims):
-        c = np.zeros(order * d, dtype=complex)
-        c[h * d : (h + 1) * d] = vec.components[x]
-        comps.append(c)
-    return ModuleVector(regular.module, tuple(comps))
+    return _in_slots(regular, [h], vec)
 
 
 def slot_restrict(regular: EquivariantRep, vec: ModuleVector, slots: Sequence[int]) -> ModuleVector:
     """Zero every group-indexed slot outside ``slots``."""
-    base = regular.regular_base
-    if base is None:
-        raise ValueError("representation does not carry a slot structure")
-    order = regular.system.group.order
-    keep = set(int(s) for s in slots)
-    comps = []
-    for x, d in enumerate(base.fiber_dims):
-        c = vec.components[x].copy()
-        for h in range(order):
-            if h not in keep:
-                c[h * d : (h + 1) * d] = 0.0
-        comps.append(c)
-    return ModuleVector(regular.module, tuple(comps))
+    rows = _rows_of_slots(regular, slots)
+    if vec.module != regular.module:
+        raise ValueError("vector must live on the regular module")
+    n, width = vec.stack.shape
+    keep = np.zeros((n, width + 1), dtype=bool)  # the last column takes the padding
+    keep[np.arange(n)[:, None, None], rows] = True
+    return ModuleVector(regular.module, _freeze(np.where(keep[:, :-1], vec.stack, 0)))
 
 
 def direct_sum_reps(reps: Sequence[EquivariantRep]) -> EquivariantRep:
@@ -370,10 +368,7 @@ def fell_absorption_unitary(rep: EquivariantRep):
         x1 = random_vector(rep.module, rng)
         x2 = random_vector(areg.module, rng)
         c = rng.normal(size=n) + 1j * rng.normal(size=n)
-        lhs, rhs = (
-            (w @ fibers.stack_sections(tp.embed(x1, y).components, dt)[..., None])[..., 0]
-            for y in (module_action(x2, c), x2)
-        )
+        lhs, rhs = ((w @ tp.embed(x1, y).stack[..., None])[..., 0] for y in (module_action(x2, c), x2))
         diffs.append(np.abs(lhs - c[:, None] * rhs).max(axis=-1, initial=0.0))
     add("algebra linearity", np.max(diffs, axis=0), "x")
     return w_blocks, report, (trep, tp), reg
@@ -382,20 +377,9 @@ def fell_absorption_unitary(rep: EquivariantRep):
 def is_cyclic(rep: EquivariantRep, vec: ModuleVector) -> bool:
     """Whether span{(rho(a) v(g) vec) . b} over the algebra basis and group
     exhausts the module (exact integer rank per fiber)."""
-    n = rep.module.n_points
-    order = rep.system.group.order
-    translates = [rep.apply_v(g, vec) for g in range(order)]
-    for p in range(n):
-        d = rep.module.fiber_dims[p]
-        if d == 0:
-            continue
-        cols = []
-        for g in range(order):
-            for k in range(n):
-                cols.append(rep.rho[k].blocks[p] @ translates[g].components[p])
-        if matrix_rank(np.stack(cols, axis=1), DEFAULT_TOL) < d:
-            return False
-    return True
+    translates = np.stack([rep.apply_v(g, vec).stack for g in range(rep.system.group.order)])
+    cols = np.einsum("kpij,gpj->pigk", rep.rho_stack, translates).reshape(translates.shape[1:] + (-1,))
+    return bool((matrix_rank(cols, DEFAULT_TOL) >= rep.module.fiber_dims).all())
 
 
 def gns_from_pd(multiplier):
@@ -449,9 +433,8 @@ def gns_from_pd(multiplier):
     mod = SectionalModule(sys_.space, tuple(int(d) for d in dims))
     rep = EquivariantRep(sys_, mod, rho, v)
 
-    xi = np.zeros((n, dmax + 1), dtype=complex)
-    xi[points[:, None, None], rows] = coord[..., sys_.group.identity]
-    xi = ModuleVector(rep.module, tuple(xi[p, :d] for p, d in enumerate(dims)))
+    xi = fibers.scatter((n, dmax), [((points[:, None, None], rows), coord[..., sys_.group.identity])])
+    xi = ModuleVector(rep.module, xi)
 
     realized = coefficient(rep, xi, xi)
     gap = multiplier_distance(realized, multiplier)

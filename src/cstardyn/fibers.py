@@ -4,7 +4,9 @@ Equivariant and cocycle representations carry one matrix per group element g
 and point x, mapping fiber g^{-1}x into fiber x.  They store these matrices
 only as one zero-padded array of shape (|G|, n, d_max, d_max), each matrix in
 the top-left corner of its slot, and the per-(g, x) matrices are read-only
-views of it (:func:`fiber_views`).  The verifiers check their laws with
+views of it (:func:`fiber_views`).  A section is stored the same way, as one
+zero-padded (n, d_max) array with component x in the first d_x entries of
+row x.  The verifiers check their laws with
 whole-array gathers, matmuls and reductions over the ``src``, ``mult`` and
 ``perm`` tables.  Each residual is the max |entry| of the same differences a
 loop over (g, h, x) would form, NaN propagates into it, and :class:`Worst`
@@ -79,16 +81,17 @@ def scatter(shape: tuple, puts) -> np.ndarray:
     return _freeze(flat[:-1].reshape(shape))
 
 
-def _padded(stack: np.ndarray, rows: Sequence[int], cols: np.ndarray) -> np.ndarray:
-    """A given padded stack whose matrix (k, x) has shape (rows[x], cols[k, x]),
+def _padded(stack: np.ndarray, rows: Sequence[int], cols: np.ndarray | None = None) -> np.ndarray:
+    """A given padded stack whose matrix (k, x) has shape (rows[x], cols[k, x])
+    or, without ``cols``, a section whose vector x has length rows[x],
     checked for its shape and for zeros outside those corners.  It is held
     as given when it is already complex, C-contiguous and read-only (the
     package never writes to read-only arrays), and copied otherwise."""
-    dmax = max(rows)
-    if stack.shape != cols.shape + (dmax, dmax):
-        raise ValueError(f"padded stack has shape {stack.shape}, expected {cols.shape + (dmax, dmax)}")
-    i = np.arange(dmax)
-    inside = (i[:, None] < np.asarray(rows)[:, None, None]) & (i < cols[:, :, None, None])
+    inside = fiber_mask(rows)
+    if cols is not None:
+        inside = inside[:, :, None] & (np.arange(max(rows)) < cols[:, :, None, None])
+    if stack.shape != inside.shape:
+        raise ValueError(f"padded stack has shape {stack.shape}, expected {inside.shape}")
     if (stack[~inside] != 0).any():
         raise ValueError("padded stack has nonzero entries outside the fiber matrices")
     if stack.dtype == complex and stack.flags.c_contiguous and not stack.flags.writeable:
@@ -103,14 +106,6 @@ def fiber_views(action: GroupAction, dims: Sequence[int], stack: np.ndarray) -> 
     return tuple(
         tuple(stack[g, x, :r, : per_point[x]] for x, r in enumerate(dims)) for g, per_point in enumerate(cols)
     )
-
-
-def stack_sections(components: Sequence[np.ndarray], dims: Sequence[int]) -> np.ndarray:
-    """The components of a section as one zero-padded (n, d_max) array."""
-    out = np.zeros((len(dims), max(dims)), dtype=complex)
-    for x, d in enumerate(dims):
-        out[x, :d] = components[x]
-    return out
 
 
 def fiber_mask(dims: Sequence[int]) -> np.ndarray:

@@ -10,6 +10,7 @@ first.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -57,58 +58,61 @@ class SectionalModule:
         return out
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class ModuleVector:
-    module: SectionalModule
-    components: tuple[np.ndarray, ...]
+    """A section: one vector per fiber.
 
-    def __post_init__(self):
-        comps = []
-        for x, d in enumerate(self.module.fiber_dims):
-            c = np.asarray(self.components[x], dtype=complex).reshape(d)
-            comps.append(_freeze(c))
-        object.__setattr__(self, "components", tuple(comps))
+    ``components`` may be given as one vector per point or as the zero-padded
+    (n, d_max) array of them, vector x in the first d_x entries of row x
+    (padding checked as :mod:`.fibers` checks it).  The section is held once,
+    in the read-only, C-contiguous complex array ``stack`` of that shape;
+    ``components``, the tuple of its per-fiber views, is built on first read
+    and kept.
+    """
+
+    module: SectionalModule
+    stack: np.ndarray = field(repr=False)
+
+    def __init__(self, module: SectionalModule, components):
+        dims = module.fiber_dims
+        if isinstance(components, np.ndarray) and components.ndim == 2:
+            stack = fibers._padded(components, dims)
+        else:
+            if len(components) != len(dims):
+                raise ValueError(f"a section of {len(dims)} fibers got {len(components)} components")
+            stack = np.zeros((len(dims), max(dims)), dtype=complex)
+            for x, d in enumerate(dims):
+                stack[x, :d] = np.asarray(components[x], dtype=complex).reshape(d)
+            stack = _freeze(stack)
+        object.__setattr__(self, "module", module)
+        object.__setattr__(self, "stack", stack)
+
+    @cached_property
+    def components(self) -> tuple[np.ndarray, ...]:
+        return tuple(self.stack[x, :d] for x, d in enumerate(self.module.fiber_dims))
 
     def flat(self) -> np.ndarray:
-        if not self.components:
-            return np.zeros(0, dtype=complex)
         return np.concatenate(self.components)
 
     def __add__(self, other: "ModuleVector") -> "ModuleVector":
         _same_module(self, other)
-        return ModuleVector(self.module, tuple(a + b for a, b in zip(self.components, other.components)))
+        return ModuleVector(self.module, _freeze(self.stack + other.stack))
 
     def __sub__(self, other: "ModuleVector") -> "ModuleVector":
         _same_module(self, other)
-        return ModuleVector(self.module, tuple(a - b for a, b in zip(self.components, other.components)))
+        return ModuleVector(self.module, _freeze(self.stack - other.stack))
 
     def __mul__(self, scalar: complex) -> "ModuleVector":
-        return ModuleVector(self.module, tuple(scalar * c for c in self.components))
+        return _scaled(self, scalar)
 
     __rmul__ = __mul__
 
 
-@dataclass(frozen=True, eq=False)
-class ModuleOperator:
-    """A fiber-preserving (adjointable) operator: one d_x by d_x block per point."""
-
-    module: SectionalModule
-    blocks: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        blocks = []
-        for x, d in enumerate(self.module.fiber_dims):
-            b = np.asarray(self.blocks[x], dtype=complex).reshape(d, d)
-            blocks.append(_freeze(b))
-        object.__setattr__(self, "blocks", tuple(blocks))
-
-    def apply(self, vec: ModuleVector) -> ModuleVector:
-        if vec.module != self.module:
-            raise ValueError("operator and vector live on different modules")
-        return ModuleVector(self.module, tuple(b @ c for b, c in zip(self.blocks, vec.components)))
-
-    def adjoint(self) -> "ModuleOperator":
-        return ModuleOperator(self.module, tuple(b.conj().T for b in self.blocks))
+def _scaled(vec: ModuleVector, factors) -> ModuleVector:
+    """The section ``factors * vec.stack``, the factors zeroed on the padding,
+    where a non-finite factor times a padding zero would make NaN."""
+    mask = fibers.fiber_mask(vec.module.fiber_dims)
+    return ModuleVector(vec.module, _freeze(np.where(mask, factors, 0) * vec.stack))
 
 
 def _same_module(a, b) -> None:
@@ -118,9 +122,9 @@ def _same_module(a, b) -> None:
 
 def basis_vector(module: SectionalModule, x: int, i: int) -> ModuleVector:
     """The section supported at point x equal to the i-th fiber basis vector."""
-    comps = [np.zeros(d, dtype=complex) for d in module.fiber_dims]
-    comps[x][i] = 1.0
-    return ModuleVector(module, tuple(comps))
+    if not (0 <= x < module.n_points and 0 <= i < module.fiber_dims[x]):
+        raise ValueError(f"no basis vector {i} at point {x} of fiber dimensions {module.fiber_dims}")
+    return ModuleVector(module, fibers.scatter((module.n_points, max(module.fiber_dims)), [((x, i), 1.0)]))
 
 
 def random_vector(module: SectionalModule, rng: np.random.Generator) -> ModuleVector:
@@ -133,20 +137,17 @@ def random_vector(module: SectionalModule, rng: np.random.Generator) -> ModuleVe
 def inner_product(xi: ModuleVector, eta: ModuleVector) -> np.ndarray:
     """The C^n-valued inner product, component x = <xi(x), eta(x)>."""
     _same_module(xi, eta)
-    return np.array([np.vdot(a, b) for a, b in zip(xi.components, eta.components)])
+    return np.einsum("xi,xi->x", xi.stack.conj(), eta.stack)
 
 
 def module_action(vec: ModuleVector, a: np.ndarray) -> ModuleVector:
     """The right action (xi . a)(x) = a_x xi(x)."""
-    a = np.asarray(a, dtype=complex).reshape(vec.module.n_points)
-    return ModuleVector(vec.module, tuple(a[x] * c for x, c in enumerate(vec.components)))
+    return _scaled(vec, np.asarray(a, dtype=complex).reshape(vec.module.n_points, 1))
 
 
 def module_norm(xi: ModuleVector) -> float:
     """sup-norm of <xi, xi> to the half: sqrt(max_x ||xi(x)||^2)."""
-    if not xi.components:
-        return 0.0
-    return float(np.sqrt(max((np.abs(c) ** 2).sum().real for c in xi.components)))
+    return float(np.sqrt((np.abs(xi.stack) ** 2).sum(axis=-1).max()))
 
 
 def trivial_module(space: FiniteSpace) -> SectionalModule:
@@ -322,20 +323,17 @@ class TensorProduct:
         """The class of the simple tensor x1 (x) x2."""
         if x1.module != self.left or x2.module != self.right:
             raise ValueError("simple tensor factors live on the wrong modules")
-        n, dims = self.module.n_points, self.module.fiber_dims
-        s1 = fibers.stack_sections(x1.components, self.left.fiber_dims)  # (p, l)
-        s2 = fibers.stack_sections(x2.components, self.right.fiber_dims)  # (m, b)
-        prod = (self.piece_coord @ s2[:, :, None])[..., 0]  # (p, m, a)
-        out = np.zeros((n, max(dims) + 1), dtype=complex)
-        out[np.arange(n)[:, None, None], self.rows] = s1[:, None, :, None] * prod[:, :, None, :]
-        return ModuleVector(self.module, tuple(out[m, :d] for m, d in enumerate(dims)))
+        n = self.module.n_points
+        prod = (self.piece_coord @ x2.stack[:, :, None])[..., 0]  # (p, m, a)
+        put = ((np.arange(n)[:, None, None], self.rows), x1.stack[:, None, :, None] * prod[:, :, None, :])
+        return ModuleVector(self.module, fibers.scatter((n, max(self.module.fiber_dims)), [put]))
 
 
 def internal_tensor(x1: SectionalModule, rho2, x2: SectionalModule) -> TensorProduct:
     """The internal tensor product of x1 and x2 with respect to the
-    representation rho2 of C^n on x2, given as one :class:`ModuleOperator`
-    per point or as the zero-padded (n, n, d_max, d_max) stack of their
-    blocks (see :mod:`.fibers`).
+    representation rho2 of C^n on x2, given as the blocks ``rho2[k][x]`` of
+    its generators or as their zero-padded (n, n, d_max, d_max) stack (see
+    :mod:`.fibers`).
 
     The semi-inner product of simple tensors is
     ``<x (x) y, x' (x) y'> = <y, rho2(<x, x'>) y'>``; each fiber of the result
@@ -348,10 +346,6 @@ def internal_tensor(x1: SectionalModule, rho2, x2: SectionalModule) -> TensorPro
     """
     if x1.space != x2.space:
         raise ValueError("tensor factors must share the base space")
-    if not isinstance(rho2, np.ndarray):
-        if any(op.module != x2 for op in rho2):
-            raise ValueError("representation generators must act on the target module")
-        rho2 = [op.blocks for op in rho2]
     rho2 = fibers.stack_blocks(rho2, x2.fiber_dims)
     _check_projection_rep(rho2, x2.fiber_dims)
 

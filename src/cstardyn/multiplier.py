@@ -18,7 +18,7 @@ import numpy as np
 
 from . import fibers
 from .core import DEFAULT_TOL, System, act_on_algebra, is_psd
-from .equivrep import EquivariantRep, regular_rep, slot_embed, slot_restrict
+from .equivrep import EquivariantRep, _in_slots, regular_rep, slot_embed, slot_restrict
 from .hilbmod import ModuleVector, module_norm
 from .numutil import lowest_eigenvector, matrix_rank, max_abs, psd_check, scale
 
@@ -121,14 +121,13 @@ def coefficient(rep: EquivariantRep, xi: ModuleVector, eta: ModuleVector) -> Mul
     one-pair call of :func:`_coefficients`."""
     if xi.module != rep.module or eta.module != rep.module:
         raise ValueError("coefficient vectors must live on the representation module")
-    a, b = (fibers.stack_sections(v.components, rep.module.fiber_dims)[None] for v in (xi, eta))
-    return Multiplier(rep.system, _coefficients(rep, a, b)[0])
+    return Multiplier(rep.system, _coefficients(rep, xi.stack[None], eta.stack[None])[0])
 
 
 def _coefficients(rep: EquivariantRep, xi: np.ndarray, eta: np.ndarray) -> np.ndarray:
     """The stacks (F, |G|, n, n) of the coefficients <xi_f, rho(a) v(g) eta_f>
-    for sections given as zero-padded (F, n, d_max) arrays (see
-    :func:`.fibers.stack_sections`): one contraction over (g, x, j) on the
+    for sections given as zero-padded (F, n, d_max) arrays (the stacks of
+    :class:`.hilbmod.ModuleVector`): one contraction over (g, x, j) on the
     padded stacks, with every sum taken in the same order for any F."""
     shifted = np.einsum("gxij,fgxj->fgxi", rep.v_stack, eta[:, rep.system.action.src])  # (v(g) eta)(x)
     left = np.einsum("fxi,jxik->fjxk", xi.conj(), rep.rho_stack)  # xi(x)* rho(e_j)
@@ -487,11 +486,7 @@ def realize_via_regular(t: Multiplier, rep: EquivariantRep, xi: ModuleVector, et
     if not support:
         raise ValueError("multiplier has empty support")
     reg = regular_rep(rep)
-    xi_s = slot_embed(reg, support[0], xi)
-    for h in support[1:]:
-        xi_s = xi_s + slot_embed(reg, h, xi)
-    eta_e = slot_embed(reg, rep.system.group.identity, eta)
-    return reg, xi_s, eta_e
+    return reg, _in_slots(reg, support, xi), slot_embed(reg, rep.system.group.identity, eta)
 
 
 def from_group_function(system: System, mu: Sequence[complex]) -> Multiplier:

@@ -32,13 +32,12 @@ def nearest_unitary(a: np.ndarray) -> np.ndarray | None:
     return u @ vh
 
 
-def matrix_rank(columns: np.ndarray, tol: float) -> int:
-    """Rank: the singular values above ``tol * scale`` of the spectrum."""
-    columns = np.asarray(columns, dtype=complex)
-    if columns.size == 0:
-        return 0
-    s = np.linalg.svd(columns, compute_uv=False)
-    return int((s > tol * scale(s)).sum())
+def matrix_rank(columns: np.ndarray, tol: float):
+    """Rank: the singular values above ``tol * scale`` of the spectrum; for
+    a stack of matrices, the array of their ranks."""
+    s = np.linalg.svd(np.asarray(columns, dtype=complex), compute_uv=False)
+    ranks = (s > tol * scale(s, axis=-1)[..., None]).sum(axis=-1)
+    return int(ranks) if ranks.ndim == 0 else ranks
 
 
 def max_abs(a: np.ndarray) -> float:

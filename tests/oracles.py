@@ -108,6 +108,13 @@ def basis_vectors(module) -> list:
     return [basis_vector(module, x, i) for x in module.space.points() for i in range(module.fiber_dims[x])]
 
 
+def rho_blocks(rep) -> tuple:
+    """The blocks of rho(e_k) at each fiber x of a representation, indexed
+    ``[k][x]``, as views of ``rep.rho_stack``."""
+    dims = rep.module.fiber_dims
+    return tuple(tuple(gen[x, :d, :d] for x, d in enumerate(dims)) for gen in rep.rho_stack)
+
+
 def identity_pullback(c):
     """The representation over the identity base map whose group part is
     the cocycle ``c``."""

@@ -23,7 +23,6 @@ ALLOWED = {
     # groups, modules and representations
     "core.direct_product",
     "generators.relabeled_system",
-    "hilbmod.basis_vector",
     "hilbmod.inner_product",
     "hilbmod.direct_sum",
     "hilbmod.sectionalize",

@@ -14,7 +14,7 @@ from cstardyn.equivrep import (
     verify_equivariant,
 )
 from cstardyn.generators import assorted_small_systems, random_equivariant_rep, random_vector
-from cstardyn.hilbmod import ModuleOperator, SectionalModule
+from cstardyn.hilbmod import SectionalModule
 from cstardyn.multiplier import (
     Multiplier,
     coefficient,
@@ -44,7 +44,7 @@ def test_zero_module_rep():
     rep = EquivariantRep(
         system,
         z,
-        tuple(ModuleOperator(z, (empty, empty)) for _ in range(2)),
+        ((empty, empty), (empty, empty)),
         ((empty, empty), (empty, empty)),
     )
     assert verify_equivariant(rep).passed

@@ -59,7 +59,7 @@ class TestVerifyCommand:
         broken = EquivariantRep(
             rep.system,
             rep.module,
-            rep.rho,
+            rep.rho_stack,
             ((rep.v_mats[0][0], rep.v_mats[0][1]), (2.0 * rep.v_mats[1][0], rep.v_mats[1][1])),
         )
         payload["equivariant_rep"] = serialize.rep_to_json(broken)
@@ -271,6 +271,14 @@ class TestVerifyCommand:
             for seed in (0, 2**70):
                 code, out = in_process(argv + ["--seed", str(seed)])
                 assert code == 0 and json.loads(out)["config"]["seed"] == seed
+
+    @pytest.mark.parametrize("script", ["run_pd_survey.py", "run_trace_cone.py", "run_verify_roundtrip.py"])
+    def test_scripts_refuse_negative_seed(self, script):
+        """The CI scripts parse --seed as the CLI does: -1 is a usage error
+        that names --seed, not a numpy traceback."""
+        path = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", script)
+        r = subprocess.run([sys.executable, path, "--seed", "-1"], capture_output=True, text=True)
+        assert r.returncode == 2 and "argument --seed" in r.stderr and "Traceback" not in r.stderr
 
 
 class TestExampleCommand:

@@ -41,7 +41,7 @@ from cstardyn.hilbmod import SectionalModule
 from cstardyn.numutil import max_abs, nearest_unitary
 from cstardyn.reporting import CheckReport
 
-from oracles import identity_pullback, max_abs_over, null_space, reference_bound
+from oracles import identity_pullback, max_abs_over, null_space, reference_bound, rho_blocks
 
 
 def _identity_cocycle(action, dims):
@@ -452,15 +452,15 @@ class TestRhoFromSigma:
         rep = rho_from_sigma(sigma, sigma_cocycle(2))
         assert verify_equivariant(rep).passed
         # algebra part acts by scalars per fiber: projection onto sigma-preimages
-        assert np.allclose(rep.rho[0].blocks[0], np.eye(2))
-        assert np.allclose(rep.rho[0].blocks[1], 0)
+        assert np.allclose(rho_blocks(rep)[0][0], np.eye(2))
+        assert np.allclose(rho_blocks(rep)[0][1], 0)
 
     def test_constant_map_gives_concentrated_example(self):
         n, k, l = 3, 1, 2
         rep = omega_example_rep(n, k, l)
         assert verify_equivariant(rep).passed
         assert rep.module.fiber_dims == (0, n, 0)
-        assert np.allclose(rep.rho[l].blocks[k], np.eye(n))
+        assert np.allclose(rho_blocks(rep)[l][k], np.eye(n))
 
     def test_translation_map_valid(self):
         n = 4

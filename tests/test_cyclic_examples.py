@@ -8,7 +8,7 @@ import itertools
 import numpy as np
 import pytest
 
-from cstardyn import cli, fibers
+from cstardyn import cli
 from cstardyn.core import FiniteGroup
 from cstardyn.cyclic_examples import (
     matrix_unit_deviation,
@@ -39,9 +39,8 @@ def reference_matrix_unit_family(kind, n):
 def reference_coefficient(rep, xi, eta):
     """The coefficient stack of one pair, from the three contractions written
     without a batch axis."""
-    dims = rep.module.fiber_dims
-    a = fibers.stack_sections(xi.components, dims)
-    b = fibers.stack_sections(eta.components, dims)
+    width = max(rep.module.fiber_dims)
+    a, b = (np.array([np.pad(c, (0, width - len(c))) for c in v.components]) for v in (xi, eta))
     shifted = np.einsum("gxij,gxj->gxi", rep.v_stack, b[rep.system.action.src])
     left = np.einsum("xi,jxik->jxk", a.conj(), rep.rho_stack)
     return np.einsum("jxk,gxk->gxj", left, shifted)
@@ -78,11 +77,9 @@ class TestBatchedCoefficient:
     def test_equals_reference_per_pair(self, count):
         reps, rng = batch_cases()
         for rep in reps:
-            dims = rep.module.fiber_dims
             xis = [random_vector(rep.module, rng) for _ in range(count)]
             etas = [random_vector(rep.module, rng) for _ in range(count)]
-            a = np.stack([fibers.stack_sections(v.components, dims) for v in xis])
-            b = np.stack([fibers.stack_sections(v.components, dims) for v in etas])
+            a, b = (np.stack([v.stack for v in vs]) for vs in (xis, etas))
             batch = _coefficients(rep, a, b)
             assert batch.shape == (count, rep.system.group.order, rep.system.n_points, rep.system.n_points)
             for f in range(count):

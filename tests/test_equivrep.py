@@ -20,6 +20,7 @@ from cstardyn.equivrep import (
     is_cyclic,
     regular_rep,
     slot_embed,
+    slot_restrict,
     tensor_rep,
     trivial_rep,
     unitarily_equivalent,
@@ -36,15 +37,15 @@ from cstardyn.generators import (
     standard_systems,
 )
 from cstardyn.hilbmod import (
-    ModuleOperator,
     ModuleVector,
     SectionalModule,
     banach_stone_operator,
+    basis_vector,
     module_action,
     module_norm,
 )
-from cstardyn.multiplier import Multiplier, coefficient, multiplier_distance, unit_multiplier
-from cstardyn.numutil import max_abs, nearest_unitary
+from cstardyn.multiplier import Multiplier, coefficient, multiplier_distance, realize_via_regular, unit_multiplier
+from cstardyn.numutil import matrix_rank, max_abs, nearest_unitary
 from cstardyn.reporting import CheckReport
 
 from oracles import (
@@ -55,6 +56,7 @@ from oracles import (
     padded_scatter,
     reference_bound,
     reference_tensor_coords,
+    rho_blocks,
     same_bits,
 )
 
@@ -62,7 +64,7 @@ from oracles import (
 def _mutate_v(rep: EquivariantRep, g: int, x: int, mat: np.ndarray) -> EquivariantRep:
     v_mats = [list(per) for per in rep.v_mats]
     v_mats[g][x] = mat
-    return EquivariantRep(rep.system, rep.module, rep.rho, tuple(tuple(p) for p in v_mats))
+    return EquivariantRep(rep.system, rep.module, rep.rho_stack, tuple(tuple(p) for p in v_mats))
 
 
 class TestVerifyEquivariant:
@@ -123,6 +125,41 @@ class TestRegularRep:
         assert np.allclose(t.mats[0], np.eye(2))
         assert np.allclose(t.mats[1], 0)
 
+    @pytest.mark.parametrize("slot", [3, -1, 5])
+    def test_slot_embed_refuses_a_slot_outside_the_group(self, z3_cycle, slot):
+        """Slots are group elements: on lines and on wider fibers alike, a
+        slot outside [0, |G|) is refused rather than dropped or wrapped."""
+        for reg in (regular_rep(trivial_rep(z3_cycle)), regular_rep(regular_rep(trivial_rep(z3_cycle)))):
+            vec = random_vector(reg.regular_base, np.random.default_rng(1))
+            with pytest.raises(ValueError, match=r"not all in \[0, 3\)"):
+                slot_embed(reg, slot, vec)
+
+    @pytest.mark.parametrize("slot", [3, -1, 5])
+    def test_slot_restrict_refuses_a_slot_outside_the_group(self, z3_cycle, slot):
+        for reg in (regular_rep(trivial_rep(z3_cycle)), regular_rep(regular_rep(trivial_rep(z3_cycle)))):
+            vec = random_vector(reg.module, np.random.default_rng(1))
+            with pytest.raises(ValueError, match=r"not all in \[0, 3\)"):
+                slot_restrict(reg, vec, [0, slot])
+
+    def test_slot_operations_match_the_loops(self, rng):
+        """slot_embed, slot_restrict and the slot sum of realize_via_regular
+        equal, bit for bit, the per-fiber loops they replaced, on a base whose
+        fibers have dimensions 1, 0 and 2."""
+        rep = _uneven_rep()
+        reg = regular_rep(rep)
+        order = rep.system.group.order
+        xi, eta = random_vector(rep.module, rng), random_vector(reg.module, rng)
+        for h in range(order):
+            assert same_bits(slot_embed(reg, h, xi).stack, reference_slot_embed(reg, h, xi).stack)
+        for slots in ([], [1], [0, 2], range(order)):
+            got = slot_restrict(reg, eta, slots)
+            assert same_bits(got.stack, reference_slot_restrict(reg, eta, slots).stack)
+        t = coefficient(rep, xi, xi)
+        spread = reference_slot_embed(reg, t.support()[0], xi)
+        for h in t.support()[1:]:
+            spread = spread + reference_slot_embed(reg, h, xi)
+        assert same_bits(realize_via_regular(t, rep, xi, xi)[1].stack, spread.stack)
+
     def test_regular_of_direct_sum_matches_sum_of_regulars(self, z2_flip, rng):
         a = random_equivariant_rep(z2_flip, rng, max_dim=2, allow_composites=False)
         b = random_equivariant_rep(z2_flip, rng, max_dim=2, allow_composites=False)
@@ -130,6 +167,30 @@ class TestRegularRep:
         rhs = direct_sum_reps([regular_rep(a), regular_rep(b)])
         assert lhs.module.fiber_dims == rhs.module.fiber_dims
         assert unitarily_equivalent(lhs, rhs) is not None
+
+
+def reference_slot_embed(regular, h, vec):
+    """The per-fiber loop ``slot_embed`` used to run, kept as its oracle."""
+    order = regular.system.group.order
+    comps = []
+    for x, d in enumerate(regular.regular_base.fiber_dims):
+        c = np.zeros(order * d, dtype=complex)
+        c[h * d : (h + 1) * d] = vec.components[x]
+        comps.append(c)
+    return ModuleVector(regular.module, tuple(comps))
+
+
+def reference_slot_restrict(regular, vec, slots):
+    """The per-fiber loop ``slot_restrict`` used to run, kept as its oracle."""
+    order = regular.system.group.order
+    comps = []
+    for x, d in enumerate(regular.regular_base.fiber_dims):
+        c = vec.components[x].copy()
+        for h in range(order):
+            if h not in set(slots):
+                c[h * d : (h + 1) * d] = 0.0
+        comps.append(c)
+    return ModuleVector(regular.module, tuple(comps))
 
 
 class TestTensorRep:
@@ -362,6 +423,52 @@ class TestCyclicVector:
         assert not is_cyclic(rep, zero)
 
 
+def reference_apply_v(rep, g, vec):
+    """The per-fiber loop ``apply_v`` used to run, kept as its oracle."""
+    src = rep.system.action.src[g]
+    return ModuleVector(rep.module, tuple(m @ vec.components[y] for m, y in zip(rep.v_mats[g], src)))
+
+
+def reference_is_cyclic(rep, vec):
+    """The per-fiber loop ``is_cyclic`` used to run, kept as its oracle."""
+    n, order = rep.module.n_points, rep.system.group.order
+    translates = [reference_apply_v(rep, g, vec) for g in range(order)]
+    for p, d in enumerate(rep.module.fiber_dims):
+        if d == 0:
+            continue
+        cols = [rho_blocks(rep)[k][p] @ translates[g].components[p] for g in range(order) for k in range(n)]
+        if matrix_rank(np.stack(cols, axis=1), DEFAULT_TOL) < d:
+            return False
+    return True
+
+
+class TestSectionLoops:
+    """apply_v and is_cyclic against the per-fiber loops they replaced.  The
+    padded products sum in another order, so translates agree to rounding."""
+
+    @staticmethod
+    def reps():
+        return [_uneven_rep(), omega_example_rep(4, 1, 2), sigma_example_rep(3), regular_rep(_uneven_rep())]
+
+    def test_apply_v(self, rng):
+        for rep in self.reps():
+            xi = random_vector(rep.module, rng)
+            for g in range(rep.system.group.order):
+                got, want = rep.apply_v(g, xi).stack, reference_apply_v(rep, g, xi).stack
+                assert np.abs(got - want).max(initial=0.0) <= 8 * EPS * (1 + np.abs(want).max(initial=0.0))
+
+    def test_is_cyclic(self, rng):
+        verdicts = []
+        for rep in self.reps():
+            dims = rep.module.fiber_dims
+            point = max(range(len(dims)), key=dims.__getitem__)
+            zero = 0 * random_vector(rep.module, rng)
+            for vec in (random_vector(rep.module, rng), basis_vector(rep.module, point, 0), zero):
+                verdicts.append(is_cyclic(rep, vec))
+                assert verdicts[-1] == reference_is_cyclic(rep, vec)
+        assert True in verdicts and False in verdicts
+
+
 class TestUnitaryEquivalence:
     def test_self_equivalence(self):
         rep = sigma_example_rep(2)
@@ -376,10 +483,7 @@ class TestUnitaryEquivalence:
             a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
             q, r = np.linalg.qr(a)
             us.append(q * (np.diag(r) / np.abs(np.diag(r))))
-        rho = tuple(
-            type(rep.rho[0])(rep.module, tuple(us[x] @ gen.blocks[x] @ us[x].conj().T for x in range(n)))
-            for gen in rep.rho
-        )
+        rho = tuple(tuple(us[x] @ gen[x] @ us[x].conj().T for x in range(n)) for gen in rho_blocks(rep))
         v_mats = tuple(
             tuple(
                 us[x] @ rep.v_mats[g][x] @ us[rep.system.action.apply_inv(g, x)].conj().T
@@ -393,7 +497,7 @@ class TestUnitaryEquivalence:
     def test_inequivalent_reps(self, z2_trivial):
         plus = trivial_rep(z2_trivial)
         v_minus = ((np.ones((1, 1)), np.ones((1, 1))), (-np.ones((1, 1)), -np.ones((1, 1))))
-        minus = EquivariantRep(z2_trivial, plus.module, plus.rho, v_minus)
+        minus = EquivariantRep(z2_trivial, plus.module, plus.rho_stack, v_minus)
         assert verify_equivariant(minus).passed
         assert unitarily_equivalent(plus, minus) is None
 
@@ -430,7 +534,7 @@ def reference_verify_equivariant(rep: EquivariantRep, tol: float = DEFAULT_TOL) 
     """The per-element loop :func:`verify_equivariant` used to run, kept as
     the test oracle for the batched version."""
     report = CheckReport()
-    bound = reference_bound(tol, [b for gen in rep.rho for b in gen.blocks] + [m for per in rep.v_mats for m in per])
+    bound = reference_bound(tol, [b for gen in rho_blocks(rep) for b in gen] + [m for per in rep.v_mats for m in per])
     sys_, mod = rep.system, rep.module
     n, order = mod.n_points, sys_.group.order
     dims = mod.fiber_dims
@@ -438,7 +542,7 @@ def reference_verify_equivariant(rep: EquivariantRep, tol: float = DEFAULT_TOL) 
 
     res = 0.0
     for x in range(n):
-        total = sum(gen.blocks[x] for gen in rep.rho) if n else eye[x]
+        total = sum(gen[x] for gen in rho_blocks(rep)) if n else eye[x]
         res = max(res, max_abs(total - eye[x]))
     report.add("rho unital", res, bound)
 
@@ -446,13 +550,13 @@ def reference_verify_equivariant(rep: EquivariantRep, tol: float = DEFAULT_TOL) 
     for k in range(n):
         for l in range(n):
             for x in range(n):
-                prod = rep.rho[k].blocks[x] @ rep.rho[l].blocks[x]
-                target = rep.rho[k].blocks[x] if k == l else np.zeros_like(prod)
+                prod = rho_blocks(rep)[k][x] @ rho_blocks(rep)[l][x]
+                target = rho_blocks(rep)[k][x] if k == l else np.zeros_like(prod)
                 res = max(res, max_abs(prod - target))
     report.add("rho multiplicative", res, bound)
 
     res = max(
-        max_abs(gen.blocks[x] - gen.blocks[x].conj().T) for gen in rep.rho for x in range(n)
+        max_abs(gen[x] - gen[x].conj().T) for gen in rho_blocks(rep) for x in range(n)
     )
     report.add("rho self-adjoint", res, bound)
 
@@ -462,8 +566,8 @@ def reference_verify_equivariant(rep: EquivariantRep, tol: float = DEFAULT_TOL) 
             gk = sys_.action.apply(g, k)
             for x in range(n):
                 src = sys_.action.apply_inv(g, x)
-                lhs = rep.rho[gk].blocks[x] @ rep.v_mats[g][x]
-                rhs = rep.v_mats[g][x] @ rep.rho[k].blocks[src]
+                lhs = rho_blocks(rep)[gk][x] @ rep.v_mats[g][x]
+                rhs = rep.v_mats[g][x] @ rho_blocks(rep)[k][src]
                 res = max(res, max_abs(lhs - rhs))
     report.add("relation (i) covariance", res, bound)
 
@@ -537,10 +641,9 @@ def assert_located(report: CheckReport, name: str, residuals: dict, exact: bool)
 
 
 def _mutate_rho(rep: EquivariantRep, k: int, x: int, block: np.ndarray) -> EquivariantRep:
-    blocks = [list(gen.blocks) for gen in rep.rho]
+    blocks = [list(gen) for gen in rho_blocks(rep)]
     blocks[k][x] = block
-    rho = tuple(ModuleOperator(rep.module, tuple(b)) for b in blocks)
-    return EquivariantRep(rep.system, rep.module, rho, rep.v_mats)
+    return EquivariantRep(rep.system, rep.module, blocks, rep.v_mats)
 
 
 def _uneven_rep() -> EquivariantRep:
@@ -685,7 +788,7 @@ class TestBatchedVerifyEquivariant:
         for name, rep in equivariant_fault_cases():
             report = verify_equivariant(rep)
             action, n, order = rep.system.action, rep.module.n_points, rep.system.group.order
-            v, rho = rep.v_mats, rep.rho
+            v, rho = rep.v_mats, rho_blocks(rep)
             unitary = {
                 (g, x): max(
                     max_abs(v[g][x].conj().T @ v[g][x] - np.eye(v[g][x].shape[1])),
@@ -696,8 +799,8 @@ class TestBatchedVerifyEquivariant:
             }
             covariance = {
                 (g, k, x): max_abs(
-                    rho[action.apply(g, k)].blocks[x] @ v[g][x]
-                    - v[g][x] @ rho[k].blocks[action.apply_inv(g, x)]
+                    rho[action.apply(g, k)][x] @ v[g][x]
+                    - v[g][x] @ rho[k][action.apply_inv(g, x)]
                 )
                 for g in range(order)
                 for k in range(n)
@@ -711,14 +814,14 @@ class TestBatchedVerifyEquivariant:
                 for h in range(order)
                 for x in range(n)
             }
-            unital = {(x,): max_abs(sum(r.blocks[x] for r in rho) - np.eye(rep.module.fiber_dims[x])) for x in range(n)}
+            unital = {(x,): max_abs(sum(r[x] for r in rho) - np.eye(rep.module.fiber_dims[x])) for x in range(n)}
             multiplicative = {
-                (k, l, x): max_abs(rho[k].blocks[x] @ rho[l].blocks[x] - (k == l) * rho[k].blocks[x])
+                (k, l, x): max_abs(rho[k][x] @ rho[l][x] - (k == l) * rho[k][x])
                 for k in range(n)
                 for l in range(n)
                 for x in range(n)
             }
-            adjoint = {(k, x): max_abs(rho[k].blocks[x] - rho[k].blocks[x].conj().T) for k in range(n) for x in range(n)}
+            adjoint = {(k, x): max_abs(rho[k][x] - rho[k][x].conj().T) for k in range(n) for x in range(n)}
             isometric = {
                 (g, x, i): abs(np.linalg.norm(v[g][x][:, i]) - 1.0)
                 for g in range(order)
@@ -953,8 +1056,8 @@ def reference_unitarily_equivalent(
             continue
         for k in range(n):
             # W_x A - B W_x = 0
-            A = r1.rho[k].blocks[x]
-            B = r2.rho[k].blocks[x]
+            A = rho_blocks(r1)[k][x]
+            B = rho_blocks(r2)[k][x]
             block = np.zeros((d * d, nvars), dtype=complex)
             block[:, var_off[x] : var_off[x + 1]] = np.kron(np.eye(d), A.T) - np.kron(B, np.eye(d))
             rows.append(block)
@@ -991,7 +1094,7 @@ def reference_intertwiner_residual(r1: EquivariantRep, r2: EquivariantRep, mats)
     run, kept as the oracle for the stacked version."""
     n, src = r1.module.n_points, r1.system.action.src
     return max_abs_over(
-        [mats[x] @ r1.rho[k].blocks[x] - r2.rho[k].blocks[x] @ mats[x] for x in range(n) for k in range(n)]
+        [mats[x] @ rho_blocks(r1)[k][x] - rho_blocks(r2)[k][x] @ mats[x] for x in range(n) for k in range(n)]
         + [
             mats[x] @ r1.v_mats[g][x] - r2.v_mats[g][x] @ mats[src[g, x]]
             for g in range(r1.system.group.order)
@@ -1005,7 +1108,7 @@ EPS = np.finfo(float).eps
 
 def _equivalence_scale(r1: EquivariantRep, r2: EquivariantRep) -> float:
     return 1.0 + max(
-        [max_abs(b) for r in (r1, r2) for op in r.rho for b in op.blocks]
+        [max_abs(b) for r in (r1, r2) for gen in rho_blocks(r) for b in gen]
         + [max_abs(u) for r in (r1, r2) for fam in r.v_mats for u in fam],
     )
 
@@ -1099,7 +1202,7 @@ class TestPairCocycleEquivalence:
 
     def test_non_idempotent_rho_raises(self):
         rep = sigma_example_rep(3)
-        broken = _mutate_rho(rep, 0, 1, 2.0 * rep.rho[0].blocks[1])
+        broken = _mutate_rho(rep, 0, 1, 2.0 * rho_blocks(rep)[0][1])
         with pytest.raises(ValueError, match="at point 1"):
             unitarily_equivalent(rep, broken)
         with pytest.raises(ValueError, match="at point 1"):

@@ -16,15 +16,26 @@ import pytest
 
 from cstardyn import cli, fibers, serialize
 from cstardyn.cocycle import CocycleRep
-from cstardyn.core import System, symmetric_action
+from cstardyn.core import FiniteSpace, System, symmetric_action
 from cstardyn.cyclic_examples import (
     omega_cocycle,
     omega_example_rep,
+    omega_example_vectors,
     omega_system,
     sigma_cocycle,
     sigma_example_rep,
+    sigma_example_vectors,
 )
-from cstardyn.equivrep import EquivariantRep, direct_sum_reps, gns_from_pd
+from cstardyn.equivrep import (
+    EquivariantRep,
+    direct_sum_reps,
+    gns_from_pd,
+    regular_rep,
+    slot_embed,
+    slot_restrict,
+    tensor_rep,
+    trivial_rep,
+)
 from cstardyn.generators import (
     assorted_small_systems,
     random_constant_rep,
@@ -33,10 +44,10 @@ from cstardyn.generators import (
     random_vector,
     standard_systems,
 )
-from cstardyn.hilbmod import SectionalModule
-from cstardyn.multiplier import coefficient, unit_multiplier
+from cstardyn.hilbmod import ModuleVector, SectionalModule, basis_vector, module_action, sectionalize
+from cstardyn.multiplier import coefficient, realize_via_regular, unit_multiplier
 
-from oracles import identity_pullback, same_bits, through_json
+from oracles import identity_pullback, rho_blocks, same_bits, through_json
 
 
 def reference_stack(action, dims, mats):
@@ -145,7 +156,7 @@ class TestDecodeIntoStacks:
         for g, x in itertools.product(range(system.group.order), range(system.n_points)):
             assert same_bits(back.v_mats[g][x], v_mats[g][x])
         for k, x in itertools.product(range(system.n_points), repeat=2):
-            assert same_bits(back.rho[k].blocks[x], rho[k][x])
+            assert same_bits(rho_blocks(back)[k][x], rho[k][x])
 
     @pytest.mark.parametrize("name, c", COCYCLES, ids=[name for name, _ in COCYCLES])
     def test_cocycle_matches_per_matrix_decoder(self, name, c):
@@ -324,9 +335,9 @@ class TestOneStore:
                 for m in per_point:
                     assert not m.flags.writeable
                     assert m.size == 0 or np.shares_memory(m, stack)
-        assert rep.v_mats is rep.v_mats and c.u is c.u and rep.rho is rep.rho
-        for gen in serialize.rep_from_json(through_json(serialize.rep_to_json(rep)), rep.system).rho:
-            assert all(not b.flags.writeable for b in gen.blocks)
+        assert rep.v_mats is rep.v_mats and c.u is c.u
+        back = serialize.rep_from_json(through_json(serialize.rep_to_json(rep)), rep.system)
+        assert not back.rho_stack.flags.writeable
         t = unit_multiplier(omega_system(3))
         assert t.mats is t.mats and all(not m.flags.writeable for m in t.mats)
         with pytest.raises(ValueError):
@@ -337,7 +348,7 @@ class TestOneStore:
     )
     def test_padded_and_nested_input_agree(self, make):
         rep = make()
-        nested = EquivariantRep(rep.system, rep.module, rep.rho, rep.v_mats)
+        nested = EquivariantRep(rep.system, rep.module, rho_blocks(rep), rep.v_mats)
         padded = EquivariantRep(rep.system, rep.module, np.array(rep.rho_stack), np.array(rep.v_stack))
         for other in (nested, padded):
             assert same_bits(other.v_stack, rep.v_stack) and same_bits(other.rho_stack, rep.rho_stack)
@@ -378,6 +389,89 @@ class TestOneStore:
             tracemalloc.stop()
         held = back.v_stack.nbytes + back.rho_stack.nbytes
         assert retained <= 1.2 * held
+
+
+def ragged_rep():
+    """A representation of Z_3 acting trivially on three points with fibers
+    of dimensions 1, 4 and 1, so every section but the middle one is padded."""
+    rep = omega_example_rep(3, 1, 2)
+    return direct_sum_reps([rep, trivial_rep(rep.system)])
+
+
+def built_sections():
+    """One section from each of the package's section builders, by name."""
+    rng = np.random.default_rng(5)
+    rep = ragged_rep()
+    xi, eta = random_vector(rep.module, rng), random_vector(rep.module, rng)
+    reg = regular_rep(rep)
+    in_slot = slot_embed(reg, 2, xi)
+    _, realized, in_identity = realize_via_regular(coefficient(rep, xi, eta), rep, xi, eta)
+    areg = regular_rep(trivial_rep(rep.system))
+    _, tp = tensor_rep(rep, areg)
+    concentrated = np.zeros((3, 3, 3))
+    concentrated[1] = np.eye(3)  # C^3 concentrated at point 1
+    section = sectionalize(FiniteSpace(3), concentrated, concentrated)
+    return {
+        "random_vector": xi,
+        "basis_vector": basis_vector(rep.module, 1, 3),
+        "components": ModuleVector(rep.module, xi.components),
+        "padded": ModuleVector(rep.module, np.array(xi.stack)),
+        "sum": xi + eta,
+        "difference": xi - eta,
+        "scalar multiple": (2 - 1j) * xi,
+        "module_action": module_action(xi, [1, 1j, -2]),
+        "apply_v": rep.apply_v(1, xi),
+        "slot_embed": in_slot,
+        "slot_restrict": slot_restrict(reg, random_vector(reg.module, rng), [0, 2]),
+        "realize_via_regular xi": realized,
+        "realize_via_regular eta": in_identity,
+        "TensorProduct.embed": tp.embed(xi, random_vector(areg.module, rng)),
+        "Sectionalization.apply": section.apply(rng.normal(size=3)),
+        "gns cyclic vector": gns_from_pd(coefficient(rep, xi, xi))[1].vector,
+        "omega_example_vectors": omega_example_vectors(4, 2, 3)[0],
+        "sigma_example_vectors": sigma_example_vectors(4, 1, 2, 3)[1],
+    }
+
+
+SECTIONS = built_sections()
+
+
+class TestSectionStore:
+    """Every section the package builds holds one read-only, C-contiguous,
+    zero-padded complex stack, and its components are views of it."""
+
+    @pytest.mark.parametrize("name", sorted(SECTIONS))
+    def test_one_padded_stack(self, name):
+        vec = SECTIONS[name]
+        dims = vec.module.fiber_dims
+        stack = vec.stack
+        assert stack.shape == (len(dims), max(dims)) and stack.dtype == complex
+        assert stack.flags.c_contiguous and not stack.flags.writeable
+        assert not stack[~fibers.fiber_mask(dims)].any()
+        assert vec.components is vec.components
+        for c, d in zip(vec.components, dims):
+            assert c.shape == (d,) and not c.flags.writeable
+            assert c.size == 0 or np.shares_memory(c, stack)
+
+    def test_padded_input_checked(self):
+        rep = ragged_rep()
+        held = random_vector(rep.module, np.random.default_rng(1)).stack
+        assert ModuleVector(rep.module, held).stack is held
+        dirty = np.array(held)
+        dirty[0, 3] = 1.0  # fiber 0 is a line
+        with pytest.raises(ValueError, match="nonzero entries outside"):
+            ModuleVector(rep.module, dirty)
+        with pytest.raises(ValueError, match="padded stack has shape"):
+            ModuleVector(rep.module, np.zeros((3, 5)))
+
+    def test_non_finite_factors_leave_the_padding_zero(self):
+        """A non-finite factor reaches the fibers only: no NaN in the
+        padding, and no warning from it."""
+        rep = ragged_rep()
+        xi = random_vector(rep.module, np.random.default_rng(2))
+        for vec in (np.inf * xi, module_action(xi, [np.nan, np.inf, 1.0])):
+            assert not vec.stack[~fibers.fiber_mask(rep.module.fiber_dims)].any()
+            assert not np.isfinite(vec.components[0]).any()
 
 
 class TestIntertwiningResidual:

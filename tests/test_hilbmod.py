@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from cstardyn import fibers
 from cstardyn.core import DEFAULT_TOL, FiniteSpace
 from cstardyn.hilbmod import (
-    ModuleOperator,
     ModuleVector,
     NotAModuleError,
     SectionalModule,
@@ -16,12 +15,13 @@ from cstardyn.hilbmod import (
     internal_tensor,
     module_action,
     module_norm,
+    random_vector,
     sectionalize,
     trivial_module,
     _check_projection_rep,
 )
 from cstardyn.generators import random_unitary
-from oracles import basis_vectors
+from oracles import basis_vectors, same_bits
 
 
 def vec(module, *comps):
@@ -32,13 +32,10 @@ def zero_vector(module):
     return ModuleVector(module, tuple(np.zeros(d, dtype=complex) for d in module.fiber_dims))
 
 
-def canonical_rep(module) -> list[ModuleOperator]:
-    """Generators of the pointwise-scalar representation of C^n: e_k acts as
-    the identity on fiber k and zero elsewhere."""
-    return [
-        ModuleOperator(module, tuple(np.eye(d) * (x == k) for x, d in enumerate(module.fiber_dims)))
-        for k in module.space.points()
-    ]
+def canonical_rep(module) -> list:
+    """Blocks ``[k][x]`` of the pointwise-scalar representation of C^n: e_k
+    acts as the identity on fiber k and zero elsewhere."""
+    return [[np.eye(d) * (x == k) for x, d in enumerate(module.fiber_dims)] for k in module.space.points()]
 
 
 def direct_sum_embed(modules, index: int, vec: ModuleVector) -> ModuleVector:
@@ -294,7 +291,7 @@ class TestInternalTensor:
             rho2_a = ModuleVector(
                 x2,
                 tuple(
-                    sum(a[k] * rho2[k].blocks[x] for k in range(2)) @ v2.components[x]
+                    sum(a[k] * rho2[k][x] for k in range(2)) @ v2.components[x]
                     for x in range(2)
                 ),
             )
@@ -316,7 +313,7 @@ class TestInternalTensor:
             rho_applied = ModuleVector(
                 x2,
                 tuple(
-                    sum(inner[k] * rho2[k].blocks[x] for k in range(2)) @ b2.components[x]
+                    sum(inner[k] * rho2[k][x] for k in range(2)) @ b2.components[x]
                     for x in range(2)
                 ),
             )
@@ -328,10 +325,7 @@ class TestInternalTensor:
         x1 = trivial_module(space)
         x2 = SectionalModule(space, (2, 2))
         rho2 = canonical_rep(x2)
-        broken = [
-            type(rho2[0])(x2, (np.eye(2) * 0.5, np.zeros((2, 2)))),
-            rho2[1],
-        ]
+        broken = [(np.eye(2) * 0.5, np.zeros((2, 2))), rho2[1]]
         with pytest.raises(ValueError, match="idempotent|identity"):
             internal_tensor(x1, broken, x2)
 
@@ -353,10 +347,56 @@ class TestBasisHelpers:
         b = basis_vector(mod, 0, 1)
         assert b.components[0][1] == 1.0 and np.allclose(b.components[1], 0)
 
+    @pytest.mark.parametrize("x, i", [(0, -1), (-2, -1), (1, 1), (1, 2), (2, 0), (-1, 0), (3, 0)])
+    def test_basis_vector_outside_a_fiber_refused(self, x, i):
+        """x must be a point and i an index of its fiber: a negative one
+        does not wrap, and one in [d_x, d_max) does not reach the padding."""
+        mod = SectionalModule(FiniteSpace(3), (3, 1, 0))
+        with pytest.raises(ValueError, match="no basis vector"):
+            basis_vector(mod, x, i)
+
     def test_zero_dim_fibers_allowed(self):
         mod = SectionalModule(FiniteSpace(3), (0, 2, 0))
         assert len(basis_vectors(mod)) == 2
         assert module_norm(zero_vector(mod)) == 0.0
+
+
+class TestStackedMatchesLoops:
+    """The operations on padded stacks against the per-fiber loops they
+    replaced: elementwise arithmetic bit for bit, sums to rounding."""
+
+    def test_fiberwise_operations(self, rng):
+        mod = SectionalModule(FiniteSpace(4), (2, 0, 3, 1))
+        xi, eta = (random_vector(mod, rng) for _ in range(2))
+        a = rng.normal(size=4) + 1j * rng.normal(size=4)
+        pairs = list(zip(xi.components, eta.components))
+        for got, want in (
+            (xi + eta, [p + q for p, q in pairs]),
+            (xi - eta, [p - q for p, q in pairs]),
+            ((2 - 3j) * xi, [(2 - 3j) * p for p in xi.components]),
+            (module_action(xi, a), [a[x] * p for x, p in enumerate(xi.components)]),
+        ):
+            assert all(same_bits(g, w) for g, w in zip(got.components, want))
+        assert np.allclose(inner_product(xi, eta), [np.vdot(p, q) for p, q in pairs], rtol=1e-14, atol=0)
+        norm = np.sqrt(max((np.abs(p) ** 2).sum() for p in xi.components))
+        assert module_norm(xi) == pytest.approx(norm, rel=1e-14)
+
+
+class TestModuleVector:
+    def test_component_count_must_match(self):
+        mod = SectionalModule(FiniteSpace(2), (1, 2))
+        a, b, c = np.ones(1), np.ones(2), np.ones(2)
+        for comps in ((a, b, c), (a,)):
+            with pytest.raises(ValueError, match=f"2 fibers got {len(comps)} components"):
+                ModuleVector(mod, comps)
+
+    def test_components_and_padded_stack_agree(self, rng):
+        mod = SectionalModule(FiniteSpace(3), (2, 0, 3))
+        comps = [rng.normal(size=d) + 1j * rng.normal(size=d) for d in mod.fiber_dims]
+        xi = ModuleVector(mod, comps)
+        assert xi.stack.shape == (3, 3)
+        assert all(np.array_equal(c, given) for c, given in zip(xi.components, comps))
+        assert np.array_equal(ModuleVector(mod, xi.stack).flat(), np.concatenate(comps))
 
 
 class TestSectionalizeRoundTrip:
@@ -389,7 +429,7 @@ def reference_check_projection_rep(rho, module, tol):
     for x, d in enumerate(module.fiber_dims):
         if d == 0:
             continue
-        blocks = [op.blocks[x] for op in rho]
+        blocks = [row[x] for row in rho]
         scale = 1.0 + max(np.abs(b).max() for b in blocks)
         for k, b in enumerate(blocks):
             if np.abs(b - b.conj().T).max() > tol * scale:
@@ -443,10 +483,9 @@ class TestCheckProjectionRep:
                 PROJECTION_FAULTS[fault](fiber, k, l)
                 for row, b in zip(blocks, fiber):
                     row[point] = b
-                rho = [ModuleOperator(module, tuple(row)) for row in blocks]
                 stack = fibers.stack_blocks(blocks, module.fiber_dims)
                 try:
-                    reference_check_projection_rep(rho, module, DEFAULT_TOL)
+                    reference_check_projection_rep(blocks, module, DEFAULT_TOL)
                 except ValueError as exc:
                     raised += 1
                     with pytest.raises(ValueError) as info:

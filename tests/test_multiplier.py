@@ -38,7 +38,7 @@ from cstardyn.generators import (
     standard_systems,
 )
 from cstardyn.hilbmod import ModuleVector, inner_product, module_norm
-from oracles import omega_matrix_unit_coefficient, sigma_matrix_unit_coefficient
+from oracles import omega_matrix_unit_coefficient, rho_blocks, sigma_matrix_unit_coefficient
 from cstardyn.multiplier import (
     _WINDOW,
     Multiplier,
@@ -121,7 +121,8 @@ def reference_coefficient(rep, xi, eta) -> Multiplier:
         shifted = rep.apply_v(g, eta)
         cols = []
         for j in range(n):
-            cols.append(inner_product(xi, rep.rho[j].apply(shifted)))
+            applied = ModuleVector(rep.module, tuple(b @ c for b, c in zip(rho_blocks(rep)[j], shifted.components)))
+            cols.append(inner_product(xi, applied))
         mats.append(np.stack(cols, axis=1))
     return Multiplier(rep.system, tuple(mats))
 

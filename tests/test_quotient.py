@@ -16,7 +16,7 @@ from cstardyn.equivrep import fell_absorption_unitary, gns_from_pd, regular_rep,
 from cstardyn.generators import assorted_small_systems, random_equivariant_rep, random_vector
 from cstardyn.multiplier import coefficient, multiplier_distance, pd_criterion_matrix, unit_multiplier
 from cstardyn.numutil import gram_quotient
-from oracles import reference_block_quotient, same_bits
+from oracles import reference_block_quotient, rho_blocks, same_bits
 
 
 def reference_gram_quotient(gram: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
@@ -170,7 +170,7 @@ def tensor_dims(r1, r2) -> tuple[int, ...]:
     fiber of the basis vector."""
     fiber_of = [p for p, d in enumerate(r1.module.fiber_dims) for _ in range(d)]
     points = range(r1.module.n_points)
-    return tuple(reference_rank([r2.rho[p].blocks[m] for p in fiber_of]) for m in points)
+    return tuple(reference_rank([rho_blocks(r2)[p][m] for p in fiber_of]) for m in points)
 
 
 @pytest.mark.parametrize("label,system,reps", CASES, ids=[c[0] for c in CASES])
