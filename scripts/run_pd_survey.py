@@ -6,7 +6,9 @@ systems of order 4 and 6, and sigma_5 and omega_5, and compares the fiberwise
 criterion, the sampled kernel-condition oracle, and the complete positivity
 of the induced crossed-product map.  The larger systems are where the oracle
 draws tuples of up to 12 elements over several blocks; sigma_5 and omega_5
-are the busiest rungs of the benchmark's crossed-product ladder.  Last come
+are the busiest rungs of the benchmark's crossed-product ladder; the natural
+action of S_4 adds a non-abelian group of order 24 with nontrivial
+stabilizers, where tuples reach 48 elements.  Last come
 multipliers that live on one point of omega_4 and omega_5: coefficients of
 the example representations and differences of two of them, where the
 oracle forms kernels at that point only.
@@ -17,6 +19,7 @@ import argparse
 import numpy as np
 
 from cstardyn import cli
+from cstardyn.core import System, symmetric_action
 from cstardyn.crossed import build_reduced, induced_map, is_completely_positive
 from cstardyn.cyclic_examples import omega_example_rep, omega_system, sigma_system
 from cstardyn.generators import assorted_small_systems, clearly_decided, random_multiplier_suite, standard_systems
@@ -31,6 +34,7 @@ def survey_systems() -> dict:
         if order in (4, 6):
             systems[f"order{order}_on_{n}"] = system
     systems["sigma_5"], systems["omega_5"] = sigma_system(5), omega_system(5)
+    systems["s4_natural"] = System(symmetric_action(4))
     return systems
 
 

@@ -91,9 +91,6 @@ class ModuleVector:
     def components(self) -> tuple[np.ndarray, ...]:
         return tuple(self.stack[x, :d] for x, d in enumerate(self.module.fiber_dims))
 
-    def flat(self) -> np.ndarray:
-        return np.concatenate(self.components)
-
     def __add__(self, other: "ModuleVector") -> "ModuleVector":
         _same_module(self, other)
         return ModuleVector(self.module, _freeze(self.stack + other.stack))

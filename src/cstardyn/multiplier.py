@@ -20,7 +20,7 @@ from . import fibers
 from .core import DEFAULT_TOL, System, act_on_algebra, is_psd
 from .equivrep import EquivariantRep, _in_slots, regular_rep, slot_embed, slot_restrict
 from .hilbmod import ModuleVector, module_norm
-from .numutil import lowest_eigenvector, matrix_rank, max_abs, psd_check, scale
+from .numutil import lowest_eigenvector, matrix_rank, max_abs, psd_check, psd_verdict, scale
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -168,12 +168,12 @@ class PdCertificate:
         return out
 
 
-# Trials after the first are drawn and checked this many at a time, and no
-# block of one tuple length gathers more than fibers.BLOCK_ELEMENTS entries
-# of the (T, N, N, n, n) multiplier tensor (one trial always fits).  Both
-# bound the oracle's working set independently of the number of trials.  The
-# fiberwise criterion gathers its kernel matrices under the same budget.
+# Trials after the first are drawn and checked this many at a time, their
+# kernels formed in runs of at most _GATHER gathered entries ((p + 2)(r + 2)
+# per kernel entry of a group of p points reading r; one pair always fits)
+# and eigen-solved in batches of about fibers.BLOCK_ELEMENTS entries.
 _WINDOW = 256
+_GATHER = 2**15
 
 
 def _kernel_matrices(system: System, stack: np.ndarray, s: np.ndarray, x: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -198,9 +198,10 @@ def _fiberwise_checks(system: System, stack: np.ndarray, tol: float):
     """The fiberwise criterion for a stack of S multipliers on one system.
 
     ``stack`` is (S, |G|, n, n).  The kernel matrices of all S * n * n
-    triples (s, x, k) are gathered and go through :func:`numutil.psd_check`,
-    each against its own :func:`numutil.scale`, in blocks of at most
-    ``fibers.BLOCK_ELEMENTS`` gathered entries (one matrix always fits).
+    triples (s, x, k) are gathered, in blocks of at most
+    ``fibers.BLOCK_ELEMENTS`` entries (one matrix always fits), and the
+    nonzero ones go through :func:`numutil.psd_check`, each against its own
+    :func:`numutil.scale`; a zero one is the empty block.
     Returns the verdicts (S,), the smallest eigenvalues and defects
     (S, n * n) and the witness (x, k) index of each multiplier (S,).
     """
@@ -208,7 +209,10 @@ def _fiberwise_checks(system: System, stack: np.ndarray, tol: float):
     checks = []
     for lo, hi in fibers.blocks(S * n * n, order * order):
         kern = _kernel_matrices(system, stack, *np.unravel_index(np.arange(lo, hi), (S, n, n)))
-        checks.append(psd_check(kern, scale(kern, axis=(1, 2)), tol))
+        live = np.flatnonzero(kern.any(axis=(1, 2)))  # a zero kernel is the empty block
+        lam, hd = np.zeros(hi - lo), np.zeros(hi - lo)
+        _, _, lam[live], hd[live] = psd_check(kern[live], 1.0, tol)
+        checks.append((*psd_verdict(lam, hd, scale(kern, axis=(1, 2)), tol), lam, hd))
     hermitian, passed, lam0, hd = (np.concatenate(a).reshape(S, n * n) for a in zip(*checks))
     # the first (x, k) in loop order with the largest score is the witness
     worst = np.argmax(-lam0 + np.where(hermitian, 0.0, hd), axis=1)
@@ -245,9 +249,10 @@ def is_positive_definite(t: Multiplier, tol: float = DEFAULT_TOL) -> PdCertifica
     tuple condition a sum of independent quadratic forms, one per (x, k);
     :func:`pd_sample_oracle` cross-validates it against the raw definition.
 
-    All n^2 kernel matrices come from one gather and go through
-    :func:`numutil.psd_check`, each with its own :func:`numutil.scale`, in
-    blocks of at most ``fibers.BLOCK_ELEMENTS`` entries.  The certificate's
+    All n^2 kernel matrices come from one gather, in blocks of at most
+    ``fibers.BLOCK_ELEMENTS`` entries; the nonzero ones go through
+    :func:`numutil.psd_check`, each with its own :func:`numutil.scale`, and a
+    zero one is the empty block (eigenvalue +0.0, defect 0.0).  The certificate's
     (point, basis) is the first (x, k) in loop order with the largest score,
     minus the smallest eigenvalue plus any defect beyond tolerance, and
     carries that matrix's defect (and, on failure, its lowest eigenvector,
@@ -268,63 +273,99 @@ def _kernel_table(t: Multiplier) -> np.ndarray:
     return t.stack[group.mult[group.inverse][:, :, None], src[:, None, :]]
 
 
-def _live_support(t: Multiplier, table: np.ndarray):
-    """The oracle's work restricted to the support of its table ``table``:
-    ``(table, perm, rows)``, the table on live rows by live columns, the
-    action's ``perm`` on live columns and the mask of live points.  A point
-    x is live when some ``table[i, j][x, :]`` is nonzero (T has a nonzero
-    row on the orbit of x), a column y when some ``table[i, j][:, y]`` is.
-    When all are live, ``table`` and ``perm`` come back as they are and
-    ``rows`` is the full slice."""
+def _read_groups(t: Multiplier, table: np.ndarray):
+    """The points grouped by equal read sets R(x) = {g_i y : table[i, j][x,
+    y] != 0}: the (K, n) read-set masks and, per shape (p points, r = |R|),
+    ``(k0, k1, pts, at, sub)``: its groups [k0, k1), their points (K_c, p),
+    ``at[k, i]`` = g_i y over the columns y with g_i y in R, ascending
+    (K_c, |G|, r), and the table there, ``sub[k, i, j]`` (K_c, |G|, |G|, p, r)."""
     perm = t.system.action.perm
-    nonzero = table.any(axis=(0, 1))
-    rows, cols = nonzero.any(axis=1), nonzero.any(axis=0)
-    if rows.all() and cols.all():
-        return table, perm, slice(None)
-    return table[:, :, rows][..., cols], perm[:, cols], rows
+    order, n = perm.shape
+    g, x, y = np.nonzero(table.any(axis=1))
+    reads = np.zeros((n, n), dtype=bool)
+    reads[x, perm[g, y]] = True
+    members, shapes = {}, {}
+    for x, read in enumerate(reads):
+        members.setdefault(read.tobytes(), []).append(x)
+    for pts in members.values():
+        shapes.setdefault((len(pts), int(reads[pts[0]].sum())), []).append(pts)
+    el, sets, classes, k0 = np.arange(order), [], [], 0
+    for (_, r), groups in shapes.items():
+        pts = np.array(groups)
+        sets.append(reads[pts[:, 0]])
+        cols = np.nonzero(sets[-1][:, perm])[2].reshape(len(pts), order, r)
+        sub = table[el[:, None, None, None], el[:, None, None], pts[:, None, None, :, None], cols[:, :, None, None, :]]
+        classes.append((k0, k0 + len(pts), pts, perm[el[:, None], cols], sub))
+        k0 += len(pts)
+    return np.concatenate(sets), classes
+
+
+def _sub_kernels(sub, at, kk, m, start, row_of, gs, amps) -> np.ndarray:
+    """The sub-kernel entries (i, j), pair by pair, (sum m^2, p), of pairs of
+    groups ``kk`` (one shape of :func:`_read_groups`) with visible rows
+    ``row_of[start : start + m]``: row x of ``sub[k, g_i, g_j]`` applied to
+    conj(a_i) a_j at ``at[k, g_i]``."""
+    (K, order, r), mm = at.shape, m * m
+    pair = np.repeat(np.arange(len(m)), mm)
+    i, j = np.divmod(np.arange(len(pair)) - np.repeat(np.cumsum(mm) - mm, mm), m[pair])
+    ri, rj = row_of[start[pair] + i], row_of[start[pair] + j]
+    ki, n = kk[pair] * order + gs[ri], amps.shape[1]  # flat (k, g_i), gathered as one index
+    z = at.reshape(K * order, r)[ki]  # (E, r): the points g_i y that row i reads
+    w = amps.reshape(-1)[ri[:, None] * n + z].conj() * amps.reshape(-1)[rj[:, None] * n + z]
+    return np.einsum("exc,ec->ex", sub.reshape(K * order * order, *sub.shape[3:])[ki * order + gs[rj]], w)
+
+
+def _trial_checks(groups: tuple, gs: np.ndarray, amps: np.ndarray, lengths: np.ndarray, tol: float):
+    """The kernel condition for tuples of ``lengths`` (T,), one after another
+    in ``gs`` (R,) and ``amps`` (R, n): per trial and point (T, n), the
+    smallest eigenvalue of the kernel's Hermitian part, its defect, and
+    whether it fails :func:`numutil.psd_check` at the trial's scale, each
+    kernel formed on its visible entries (see :func:`pd_sample_oracle`)."""
+    sets, classes = groups
+    count, n = len(lengths), amps.shape[1]
+    mins, hd, peak = np.zeros((count, n)), np.zeros((count, n)), np.zeros(count)
+    # the visible (group, row) pairs, group by group and rows in draw order
+    k_of, row_of = np.nonzero(sets @ (amps != 0).T)
+    size = np.bincount(k_of * count + np.repeat(np.arange(count), lengths)[row_of], minlength=len(sets) * count)
+    first, size = (np.cumsum(size) - size).reshape(-1, count), size.reshape(-1, count)
+    held = {}  # sub-length m -> kernels, trials, points; solved by m, judged once the scales are known
+    def solve():
+        for size_m, parts in held.items():
+            kern, t, x = parts[0] if len(parts) == 1 else (np.concatenate(a) for a in zip(*parts))
+            np.maximum.at(peak, t, np.abs(kern).max(axis=(1, 2)))
+            _, _, lam, hd[t, x] = psd_check(kern, 1.0, tol)
+            mins[t, x] = np.where(size_m < lengths[t], np.minimum(lam, 0.0), lam)
+        held.clear()
+    for k0, k1, pts, at, sub in classes:
+        # the shape's (group, trial) pairs by sub-length m, in runs of at most _GATHER;
+        # m = 0 keeps the empty block's zeros
+        kk, tt = np.divmod(np.argsort(size[k0:k1], axis=None, kind="stable"), count)
+        m, start = size[k0 + kk, tt], first[k0 + kk, tt]
+        p, r = sub.shape[3:]
+        t, x = np.repeat(tt, p), pts[kk].reshape(-1)
+        cuts = (np.flatnonzero(np.diff(np.cumsum(m * m * (p + 2) * (r + 2)) // _GATHER)) + 1).tolist()
+        for c0, c1 in zip([0, *cuts], [*cuts, len(m)]):
+            b = _sub_kernels(sub, at, kk[c0:c1], m[c0:c1], start[c0:c1], row_of, gs, amps)
+            if b.size + sum(part[0].size for parts in held.values() for part in parts) > fibers.BLOCK_ELEMENTS:
+                solve()
+            e0 = 0
+            for size_m, k in enumerate(np.bincount(m[c0:c1]).tolist()):
+                c, e1 = c0 + k, e0 + k * size_m * size_m
+                if size_m and k:
+                    kern = b[e0:e1].reshape(k, size_m, size_m, p).transpose(0, 3, 1, 2).reshape(k * p, size_m, size_m)
+                    held.setdefault(size_m, []).append((kern, t[c0 * p : c * p], x[c0 * p : c * p]))
+                c0, e0 = c, e1
+    solve()
+    _, ok = psd_verdict(mins, hd, scale(peak[:, None], axis=1)[:, None], tol)
+    return mins, hd, ~ok
 
 
 def _kernel_checks(t: Multiplier, gs: np.ndarray, amps: np.ndarray, tol: float, table=None):
-    """Check the kernel condition for T drawn tuples of one length N.
-
-    ``gs`` is (T, N) group indices and ``amps`` the (T, N, n) algebra vectors;
-    ``table`` is :func:`_kernel_table` of ``t``, built here when not given.
-    Kernel entry (i, j) is ``table[g_i, g_j]`` applied to the products
-    conj(a_i) a_j gathered at the points g_i y.  Returns per trial and base
-    point, each of shape (T, n): the smallest eigenvalue of the Hermitian
-    part of the N x N kernel matrix, its Hermitian defect, and whether it
-    fails :func:`numutil.psd_check` with the :func:`numutil.scale` of the
-    trial's whole kernel.  The work runs on the table's support
-    (:func:`_live_support`, :func:`_support_checks`).
-    """
-    return _support_checks(_live_support(t, _kernel_table(t) if table is None else table), gs, amps, tol)
-
-
-def _support_checks(support: tuple, gs: np.ndarray, amps: np.ndarray, tol: float):
-    """:func:`_kernel_checks` on a :func:`_live_support`.  The products are
-    gathered at the live columns and the table contracted on live rows by
-    live columns.  A dead column adds only +-0 products to a sum that starts
-    at +0, so no bit changes; the kernel at a dead point is exactly +0, and
-    its verdict, defect and smallest eigenvalue (+0.0) are an empty block's.
-    """
-    table, perm, rows = support
-    restricted = not isinstance(rows, slice)
+    """:func:`_trial_checks` of T tuples of one length, ``gs`` (T, N) and ``amps``
+    (T, N, n), on the read groups of ``table`` (:func:`_kernel_table` of ``t``)."""
     count, N, n = amps.shape
-    mins, hd, ok = np.empty((count, n)), np.empty((count, n)), np.empty((count, n), dtype=bool)
-    for lo, hi in fibers.blocks(count, N * N * table.shape[2] * table.shape[3]):
-        g = gs[lo:hi]
-        a = amps[lo:hi]
-        # moved[t, i, j, y] = a_j at the point g_i y; its diagonal i = j is a_i there
-        moved = a[np.arange(len(g))[:, None, None, None], np.arange(N)[:, None], perm[g][:, :, None, :]]
-        w = np.diagonal(moved, axis1=1, axis2=2).transpose(0, 2, 1).conj()[:, :, None, :] * moved
-        b = np.einsum("tijxy,tijy->tijx", table[g[:, :, None], g[:, None, :]], w)
-        # one kernel per (trial, live point), laid out as eigvalsh reads it
-        b = np.ascontiguousarray(b.transpose(0, 3, 1, 2))
-        s = scale(b, axis=(1, 2, 3))[:, None]
-        if restricted:
-            _, ok[lo:hi], mins[lo:hi], hd[lo:hi] = psd_check(np.zeros((hi - lo, 1, 0, 0)), s, tol)
-        _, ok[lo:hi, rows], mins[lo:hi, rows], hd[lo:hi, rows] = psd_check(b, s, tol)
-    return mins, hd, ~ok
+    groups = _read_groups(t, _kernel_table(t) if table is None else table)
+    return _trial_checks(groups, gs.reshape(-1), amps.reshape(-1, n), np.full(count, N), tol)
 
 
 def pd_sample_oracle(
@@ -336,18 +377,20 @@ def pd_sample_oracle(
     complex Gaussian algebra vectors (each coordinate kept with probability
     1/2), builds the C^n-valued kernel matrix and requires it PSD at every
     base point, up to ``tol`` times the :func:`numutil.scale` of each trial's
-    kernel.  The operators of all kernel entries are tabulated once per
-    call, per pair of group elements (:func:`_kernel_table`, O(|G|^2 n^2),
-    less than the gathered kernel of one tuple of length 2|G|), and
-    restricted once to the table's support (:func:`_live_support`).
+    kernel.  The kernel entries' operators A are tabulated once per call
+    (:func:`_kernel_table`, O(|G|^2 n^2)), and the points with equal read
+    sets R(x) = {g_i y : A[i, j][x, y] != 0} grouped (:func:`_read_groups`).
+    At x, every term of the row and column of a tuple entry whose amplitude
+    vanishes on R(x) is zero, so that entry is hidden: the kernel's spectrum
+    is that of the sub-kernel on the visible entries plus zeros, and the
+    smallest eigenvalue with an entry hidden is min(the sub-kernel's, 0.0).
+    Each visible entry is the same sum over y, less exact zeros.
 
     Trial 0 is drawn and checked alone, so a multiplier that fails at once
     costs one small kernel; the rest are drawn and checked in windows of
     ``_WINDOW`` trials.  Each window draws, in this order, the tuple lengths
     of all its trials, then all their group indices, then all amplitudes and
-    the 0/1 mask applied to them.  Trials of one length are checked together
-    in blocks of at most ``fibers.BLOCK_ELEMENTS`` gathered entries, so the
-    working set does not grow with ``trials``.  The search stops at the first window
+    the 0/1 mask applied to them.  The search stops at the first window
     with a violation and returns its lowest-indexed violating trial in draw
     order, at that trial's first bad point, with the drawn tuple as a
     reproducible witness (see :func:`evaluate_sample_witness`).  On success
@@ -357,7 +400,7 @@ def pd_sample_oracle(
         raise ValueError("at least one trial required")
     order = t.system.group.order
     n = t.system.n_points
-    support = _live_support(t, _kernel_table(t))
+    groups = _read_groups(t, _kernel_table(t))
     rng = np.random.default_rng(seed)
     min_seen = math.inf
     done = 0
@@ -370,13 +413,7 @@ def pd_sample_oracle(
         gs = rng.integers(0, order, size=total)
         amps = rng.normal(size=(total, n)) + 1j * rng.normal(size=(total, n))
         amps *= rng.integers(0, 2, size=(total, n))
-        mins = np.empty((size, n))
-        hd = np.empty((size, n))
-        bad = np.empty((size, n), dtype=bool)
-        for N in np.unique(lengths):
-            idx = np.flatnonzero(lengths == N)
-            rows = starts[idx][:, None] + np.arange(N)
-            mins[idx], hd[idx], bad[idx] = _support_checks(support, gs[rows], amps[rows], tol)
+        mins, hd, bad = _trial_checks(groups, gs, amps, lengths, tol)
         min_seen = min(min_seen, float(mins.min()))
         failing = np.flatnonzero(bad.any(axis=1))
         if failing.size:

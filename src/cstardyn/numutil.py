@@ -58,15 +58,21 @@ def psd_check(blocks: np.ndarray, scale, tol: float):
     adjoint = blocks.conj().swapaxes(-1, -2)
     with np.errstate(invalid="ignore", over="ignore"):
         defect = np.abs(blocks - adjoint).max(axis=(-2, -1), initial=0.0)
-        hermitian = defect <= tol * scale
         finite = np.isfinite(defect)  # on finite input no mask of the blocks is taken
         if finite.all():
             lam_min = np.linalg.eigvalsh((blocks + adjoint) / 2)[..., 0] if blocks.shape[-1] else np.zeros(defect.shape)
         else:
-            hermitian &= finite
             lam_min = np.full(defect.shape, np.nan)
             lam_min[finite] = np.linalg.eigvalsh((blocks[finite] + adjoint[finite]) / 2)[..., 0]
-        return hermitian, hermitian & (lam_min >= -tol * scale), lam_min, defect
+    return (*psd_verdict(lam_min, defect, scale, tol), lam_min, defect)
+
+
+def psd_verdict(lam_min, defect, scale, tol: float):
+    """``(hermitian, passed)`` of :func:`psd_check` from the smallest
+    eigenvalues and defects it found, for a ``scale`` known only later."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        hermitian = np.isfinite(defect) & (defect <= tol * scale)
+        return hermitian, hermitian & (lam_min >= -tol * scale)
 
 
 def lowest_eigenvector(block: np.ndarray) -> np.ndarray:

@@ -1,11 +1,14 @@
 """The package keeps only what its callers run.
 
 Every public module-level function and public method in ``src/cstardyn``
-must be referenced, by name or attribute, outside its own definition in
-``src/``, ``scripts/`` or ``perfbench/``, or be on ``ALLOWED``: the
-paper-facing operations and views that only the tests call.  An import does
-not count as a reference, so a re-export from ``__init__`` keeps nothing
-alive.
+must be referenced outside its own definition in ``src/``, ``scripts/`` or
+``perfbench/``, or be on ``ALLOWED``: the paper-facing operations and views
+that only the tests call.  References are resolved by module: a function
+counts as read where its module's name, or the name it was imported as, is
+read, and a method where an attribute of its name is read on anything but
+an outside module (numpy, say) or a name annotated with one of its types.
+An import does not count as a reference, so a re-export from ``__init__``
+keeps nothing alive.
 """
 
 import ast
@@ -24,6 +27,9 @@ ALLOWED = {
     "core.direct_product",
     "generators.relabeled_system",
     "hilbmod.inner_product",
+    # a section's vector per fiber, the paper's form of it; its one caller
+    # in src/ was ModuleVector.flat, which had no caller outside the tests
+    "hilbmod.ModuleVector.components",
     "hilbmod.direct_sum",
     "hilbmod.sectionalize",
     "equivrep.is_cyclic",
@@ -74,16 +80,72 @@ def public_definitions() -> dict:
     return out
 
 
+def _bindings(tree: ast.AST, own: str | None):
+    """What the names of one file stand for: ``modules`` maps a name to the
+    package module it is bound to (None for an outside module), ``defs`` a
+    name to the ``module.name`` of the package definition it was imported
+    as or, in the package module ``own``, defined as at top level, and
+    ``outside`` holds the parameters annotated with an outside module's
+    type."""
+    modules, defs, outside = {}, {}, set()
+    if own is not None:
+        defs.update({node.name: f"{own}.{node.name}" for node in tree.body if isinstance(node, ast.FunctionDef)})
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                top = alias.name.split(".")[0]
+                modules[alias.asname or top] = "" if top == "cstardyn" and alias.asname is None else None
+        elif isinstance(node, ast.ImportFrom):
+            package = node.level > 0 or (node.module or "").split(".")[0] == "cstardyn"
+            source = (node.module or "").removeprefix("cstardyn").strip(".")
+            for alias in node.names:
+                name = alias.asname or alias.name
+                if not package:
+                    modules[name] = None
+                elif source:
+                    defs[name] = f"{source}.{alias.name}"
+                else:
+                    modules[name] = alias.name
+        elif isinstance(node, ast.arg) and node.annotation is not None:
+            root = node.annotation
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if isinstance(root, ast.Name) and modules.get(root.id, "") is None:
+                outside.add(node.arg)
+    return modules, defs, outside
+
+
 def references() -> dict:
-    """Every name and attribute read in the caller trees, mapped to the
-    (file, line) of each occurrence."""
+    """Every reference in the caller trees, resolved by module, mapped to
+    the (file, line) of each occurrence: ``module.name`` for a package
+    function read by its imported or defining name or through its module,
+    and ``.name`` for an attribute read on anything else, which may be a
+    method; attributes of outside modules and of names annotated with their
+    types are left out."""
     out = {}
     for tree in CALLERS:
         for path in sorted((ROOT / tree).rglob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, (ast.Name, ast.Attribute)):
-                    name = node.id if isinstance(node, ast.Name) else node.attr
-                    out.setdefault(name, []).append((path, node.lineno))
+            own = path.stem if path.parent == PACKAGE else None
+            for ref, line in file_references(ast.parse(path.read_text()), own):
+                out.setdefault(ref, []).append((path, line))
+    return out
+
+
+def file_references(parsed: ast.AST, own: str | None) -> list:
+    """The resolved references of one parsed file, as (reference, line)."""
+    modules, defs, outside = _bindings(parsed, own)
+    out = []
+    for node in ast.walk(parsed):
+        if isinstance(node, ast.Name) and node.id in defs:
+            ref = defs[node.id]
+        elif isinstance(node, ast.Attribute):
+            base = node.value.id if isinstance(node.value, ast.Name) else None
+            if base in outside or (base in modules and modules[base] is None):
+                continue
+            ref = f"{modules[base]}.{node.attr}" if modules.get(base) else f".{node.attr}"
+        else:
+            continue
+        out.append((ref, node.lineno))
     return out
 
 
@@ -91,7 +153,8 @@ def unreferenced() -> set:
     refs = references()
     lonely = set()
     for name, (path, first, last) in public_definitions().items():
-        uses = refs.get(name.rsplit(".", 1)[-1], [])
+        module, *owner, attr = name.split(".")
+        uses = refs.get(f".{attr}" if owner else name, [])
         if all(p == path and first <= line <= last for p, line in uses):
             lonely.add(name)
     return lonely
@@ -99,6 +162,24 @@ def unreferenced() -> set:
 
 def test_every_public_definition_has_a_caller():
     assert sorted(unreferenced() - ALLOWED) == []
+
+
+def test_references_resolve_by_module():
+    """A numpy function or an ndarray attribute spelled like a package name
+    is no reference to it; the package name read through its module, under
+    the name it was imported as, or as an attribute of a package object is."""
+    source = """
+import numpy as np
+from cstardyn import multiplier as mm
+from cstardyn.hilbmod import module_norm as norm
+
+def f(res: np.ndarray, v):
+    np.multiply(res, res)
+    res.flat
+    return mm.multiply, norm(v), v.components
+"""
+    refs = {ref for ref, _ in file_references(ast.parse(source), None)}
+    assert refs == {"multiplier.multiply", "hilbmod.module_norm", ".components"}
 
 
 def test_allowlist_is_current():

@@ -363,7 +363,7 @@ class TestTensorPiecesOracle:
             x1, x2 = random_vector(tp.left, rng), random_vector(tp.right, rng)
             z = tp.embed(x1, x2)
             for m in range(tp.module.n_points):
-                want = coord[m] @ np.kron(x1.flat(), x2.components[m])
+                want = coord[m] @ np.kron(np.concatenate(x1.components), x2.components[m])
                 bound = 4 * np.finfo(float).eps * (1.0 + np.abs(want).max(initial=0.0))
                 assert np.abs(z.components[m] - want).max(initial=0.0) <= bound, m
         # W at fiber p: row a * d_p + l is row (off_p + l) * |G| + a of coord_pinv[p]
@@ -590,7 +590,7 @@ def reference_verify_equivariant(rep: EquivariantRep, tol: float = DEFAULT_TOL) 
             for xi in basis:
                 lhs = rep.apply_v(g, module_action(xi, a))
                 rhs = module_action(rep.apply_v(g, xi), ag)
-                res = max(res, max_abs(lhs.flat() - rhs.flat()))
+                res = max(res, max_abs(np.concatenate(lhs.components) - np.concatenate(rhs.components)))
     report.add("relation (iii) module action", res, bound)
 
     res = 0.0

@@ -96,7 +96,7 @@ class TestInnerProduct:
         ip = inner_product(xi, xi)
         assert np.all(ip.real >= 0) and np.allclose(ip.imag, 0)
         if np.allclose(ip, 0):
-            assert np.allclose(xi.flat(), 0)
+            assert np.allclose(np.concatenate(xi.components), 0)
 
 
 class TestModuleNorm:
@@ -259,7 +259,7 @@ class TestSectionalize:
         sec = sectionalize(FiniteSpace(3), empty, empty)
         assert sec.module.fiber_dims == (0, 0, 0)
         assert [m.shape for m in sec.coord_maps] == [(0, 0)] * 3
-        assert sec.apply(np.zeros(0)).flat().shape == (0,)
+        assert np.concatenate(sec.apply(np.zeros(0)).components).shape == (0,)
 
 
 class TestInternalTensor:
@@ -297,7 +297,7 @@ class TestInternalTensor:
             )
             lhs = tp.embed(module_action(v1, a), v2)
             rhs = tp.embed(v1, rho2_a)
-            assert np.allclose(lhs.flat(), rhs.flat(), atol=1e-12)
+            assert np.allclose(np.concatenate(lhs.components), np.concatenate(rhs.components), atol=1e-12)
 
     def test_embedding_preserves_inner_products(self, rng):
         space = FiniteSpace(2)
@@ -396,7 +396,7 @@ class TestModuleVector:
         xi = ModuleVector(mod, comps)
         assert xi.stack.shape == (3, 3)
         assert all(np.array_equal(c, given) for c, given in zip(xi.components, comps))
-        assert np.array_equal(ModuleVector(mod, xi.stack).flat(), np.concatenate(comps))
+        assert np.array_equal(np.concatenate(ModuleVector(mod, xi.stack).components), np.concatenate(comps))
 
 
 class TestSectionalizeRoundTrip:

@@ -18,6 +18,7 @@ from cstardyn.core import (
     cyclic_group,
     is_psd,
     symmetric_action,
+    trivial_action,
 )
 from cstardyn.cyclic_examples import (
     matrix_unit_family,
@@ -38,6 +39,7 @@ from cstardyn.generators import (
     standard_systems,
 )
 from cstardyn.hilbmod import ModuleVector, inner_product, module_norm
+from cstardyn.numutil import psd_check, scale
 from oracles import omega_matrix_unit_coefficient, rho_blocks, sigma_matrix_unit_coefficient
 from cstardyn.multiplier import (
     _WINDOW,
@@ -271,6 +273,34 @@ class TestBatchedCriterion:
         assert peak < full
 
 
+def reference_fiberwise_checks(system, stack, tol):
+    """Test-only oracle: the criterion before zero kernels took the empty
+    block's verdict, every gathered kernel matrix through ``psd_check``."""
+    S, _, n, _ = stack.shape
+    kern = multiplier._kernel_matrices(system, stack, *np.unravel_index(np.arange(S * n * n), (S, n, n)))
+    hermitian, passed, lam0, hd = (a.reshape(S, n * n) for a in psd_check(kern, scale(kern, axis=(1, 2)), DEFAULT_TOL))
+    worst = np.argmax(-lam0 + np.where(hermitian, 0.0, hd), axis=1)
+    return passed.all(axis=1), lam0, hd, worst
+
+
+class TestZeroKernels:
+    def test_criterion_keeps_its_bits(self, rng):
+        """Zero kernel matrices, read from the criterion's own gather, get
+        the empty block's verdict; every output keeps its bits, the witness
+        ties and signed zeros included."""
+        suite = [t for _, t in sparse_multipliers(rng)]
+        for system in oracle_systems():
+            suite += random_multiplier_suite(system, 6, rng)
+        zero = 0
+        for t in suite:
+            got = multiplier._fiberwise_checks(t.system, t.stack[None], DEFAULT_TOL)
+            for g, w in zip(got, reference_fiberwise_checks(t.system, t.stack[None], DEFAULT_TOL)):
+                assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+            n = t.system.n_points
+            zero += sum(not pd_criterion_matrix(t, x, k).any() for x in range(n) for k in range(n))
+        assert zero > 100
+
+
 def reference_kernel_check(t, gs, amps, tol):
     """Test-only oracle: the sampling oracle's former per-trial loop body.
 
@@ -332,6 +362,69 @@ def reference_window_checks(t, gs, amps, tol):
     return mins, hd, bad
 
 
+def reference_read_sets(t):
+    """Test-only oracle: the points R(x) = {g_i y : A[i, j][x, y] != 0 for
+    some i, j} where the oracle's kernel at x reads a tuple's amplitudes,
+    by a loop over the nonzero entries of its table A."""
+    perm = t.system.action.perm
+    reads = [set() for _ in range(t.system.n_points)]
+    for i, _, x, y in zip(*np.nonzero(multiplier._kernel_table(t))):
+        reads[x].add(int(perm[i, y]))
+    return [sorted(r) for r in reads]
+
+
+def reference_kernel(t, gs, amps):
+    """The (N, N, n) kernel of one tuple, formed as ``reference_kernel_check``
+    forms it (products at g_i y, ``mats[g_i^-1 g_j]``, result at g_i^-1 x)."""
+    sys_ = t.system
+    perm, inv, mult = sys_.action.perm, sys_.group.inverse, sys_.group.mult
+    ar = np.arange(len(gs))
+    c = amps.conj()[:, None, :] * amps[None, :, :]
+    w = c[ar[:, None, None], ar[None, :, None], perm[gs][:, None, :]]
+    tv = np.einsum("ijab,ijb->ija", t.stack[mult[inv[gs][:, None], gs[None, :]]], w)
+    return tv[ar[:, None, None], ar[None, :, None], perm[inv[gs]][:, None, :]]
+
+
+def hidden_min_eigenvalues(t, gs, amps, reads):
+    """Per point of one tuple: None where every entry's amplitude is nonzero
+    somewhere on the read set ``reads[x]``, else min(lowest eigenvalue of
+    the reference kernel's Hermitian part on the visible entries, 0.0),
+    after asserting that the hidden entries' rows and columns of the
+    reference kernel are exactly zero."""
+    b = reference_kernel(t, gs, amps)
+    out = []
+    for x, read in enumerate(reads):
+        vis = (amps[:, read] != 0).any(axis=1)
+        if vis.all():
+            out.append(None)
+            continue
+        assert not b[~vis, :, x].any() and not b[:, ~vis, x].any()
+        k = b[np.ix_(vis, vis, [x])][..., 0]
+        lam = np.linalg.eigvalsh((k + k.conj().T) / 2)[0] if vis.any() else 0.0
+        out.append(np.minimum(lam, 0.0))
+    return out
+
+
+def assert_exact_checks(t, gs, amps, got, want):
+    """``got``, the oracle's (mins, hd, bad) for (T, N) tuples, against
+    ``want``, the reference's: defects and verdicts byte for byte, minimum
+    eigenvalues too where no entry is hidden and, where one is, byte for
+    byte against :func:`hidden_min_eigenvalues`.  Returns the number of
+    (trial, point) pairs with a hidden entry."""
+    mins, hd, bad = got
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape
+    assert hd.tobytes() == want[1].tobytes() and bad.tobytes() == want[2].tobytes()
+    reads = reference_read_sets(t)
+    hidden = 0
+    for k in range(len(gs)):
+        for x, lam in enumerate(hidden_min_eigenvalues(t, gs[k], amps[k], reads)):
+            expected = want[0][k, x] if lam is None else lam
+            assert mins[k, x].tobytes() == np.float64(expected).tobytes()
+            hidden += lam is not None
+    return hidden
+
+
 def draw_tuples(system, lengths, count, rng):
     """``count`` sparse Gaussian tuples of each length, the oracle's distribution."""
     n = system.n_points
@@ -387,13 +480,18 @@ class TestBatchedKernel:
                         assert np.abs(hd[i] - r_hd).max() <= 1e-12 * scale
                         assert np.array_equal(bad[i], r_bad)
 
-    @pytest.mark.parametrize("budget", [1, fibers.BLOCK_ELEMENTS], ids=["one-trial", "default"])
+    @pytest.mark.parametrize("budget", [1, None], ids=["one-trial", "default"])
     def test_bit_identical_to_reference_window(self, rng, monkeypatch, budget):
-        """The table-driven block sums over y in the order the gather-twice
-        block did, so every output is equal, not only close."""
-        monkeypatch.setattr(fibers, "BLOCK_ELEMENTS", budget)
+        """The read-group block sums over y in the order the gather-twice
+        block did, so every defect and verdict is equal, not only close,
+        and so is every minimum eigenvalue of a kernel with no hidden entry
+        (:func:`assert_exact_checks`), with one (trial, group) pair per run
+        and per eigensolve or the default budgets."""
+        if budget:
+            monkeypatch.setattr(multiplier, "_GATHER", budget)
+            monkeypatch.setattr(fibers, "BLOCK_ELEMENTS", budget)
         tol = 1e-9
-        failing = 0
+        failing = hidden = 0
         for system in oracle_systems():
             order = system.group.order
             for t in random_multiplier_suite(system, 4, rng):
@@ -401,10 +499,9 @@ class TestBatchedKernel:
                 for gs, amps in draw_tuples(system, sorted({1, 2, order, 2 * order}), 12, rng):
                     want = reference_window_checks(t, gs, amps, tol)
                     for got in (_kernel_checks(t, gs, amps, tol), _kernel_checks(t, gs, amps, tol, table)):
-                        for g, w in zip(got, want):
-                            assert g.dtype == w.dtype and np.array_equal(g, w)
+                        hidden += assert_exact_checks(t, gs, amps, got, want)
                     failing += want[2].any()
-        assert failing > 0
+        assert failing > 0 and hidden > 0
 
     def test_table_is_the_entry_operator(self, rng):
         """Row x of table[i, j] applied to c at the points g_i y is
@@ -502,14 +599,61 @@ def sparse_multipliers(rng):
     return out
 
 
-class TestLiveSupport:
-    """The oracle forms kernels only on the support of its table; every
-    output keeps the bits of the full computation, -0.0 included."""
+def drawn_tuples(t, trials, seed):
+    """The tuples ``reference_oracle`` checks, in its draw order."""
+    order, n = t.system.group.order, t.system.n_points
+    rng = np.random.default_rng(seed)
+    for size in [1] + [min(_WINDOW, trials - k) for k in range(1, trials, _WINDOW)]:
+        lengths = rng.integers(1, 2 * order + 1, size=size)
+        gs = rng.integers(0, order, size=int(lengths.sum()))
+        amps = rng.normal(size=(len(gs), n)) + 1j * rng.normal(size=(len(gs), n))
+        amps *= rng.integers(0, 2, size=(len(gs), n))
+        cuts = np.cumsum(lengths)[:-1]
+        yield from zip(np.split(gs, cuts), np.split(amps, cuts))
 
-    @pytest.mark.parametrize("budget", [1, fibers.BLOCK_ELEMENTS], ids=["one-trial", "default"])
+
+def assert_same_oracle_certificate(t, cert, trials, seed, tol, label):
+    """``cert`` against ``reference_oracle``: verdict, defect, witness point,
+    tuple and vectors byte for byte; the minimum eigenvalue byte for byte
+    where no entry of the trials it covers is hidden, and otherwise equal to
+    the same minimum over :func:`hidden_min_eigenvalues` in their place."""
+    verdict, min_eig, hd, point, groups, vectors, _ = reference_oracle(t, trials, seed, tol)
+    assert cert.verdict == verdict, label
+    assert np.float64(cert.hermitian_defect).tobytes() == np.float64(hd).tobytes(), label
+    assert cert.point == point and cert.sample_groups == groups, label
+    assert (vectors is None) == (cert.sample_vectors is None)
+    if vectors is not None:
+        assert cert.sample_vectors.tobytes() == vectors.tobytes()
+    reads = reference_read_sets(t)
+    if not verdict:
+        lam = hidden_min_eigenvalues(t, np.array(groups), vectors, reads)[point]
+        expected = min_eig if lam is None else lam
+        assert np.float64(cert.min_eigenvalue).tobytes() == np.float64(expected).tobytes(), label
+        return
+    hidden, expected = False, math.inf
+    for g, a in drawn_tuples(t, trials, seed):
+        _, mins, _, _ = reference_kernel_check(t, g, a, tol)
+        lams = hidden_min_eigenvalues(t, g, a, reads)
+        hidden |= any(lam is not None for lam in lams)
+        expected = min(expected, min(m if lam is None else lam for m, lam in zip(mins, lams)))
+    if hidden:
+        assert cert.min_eigenvalue == expected, label
+    else:
+        assert np.float64(cert.min_eigenvalue).tobytes() == np.float64(min_eig).tobytes(), label
+
+
+class TestLiveSupport:
+    """The oracle forms each kernel on the tuple entries whose amplitudes
+    are nonzero on its read set; every defect, verdict and witness keeps
+    the bits of the full computation, -0.0 included, and so does every
+    minimum eigenvalue of a kernel with no hidden entry."""
+
+    @pytest.mark.parametrize("budget", [1, None], ids=["one-trial", "default"])
     def test_window_checks_keep_their_bits(self, rng, monkeypatch, budget):
-        monkeypatch.setattr(fibers, "BLOCK_ELEMENTS", budget)
-        dead_rows = dead_cols = 0
+        if budget:
+            monkeypatch.setattr(multiplier, "_GATHER", budget)
+            monkeypatch.setattr(fibers, "BLOCK_ELEMENTS", budget)
+        dead_rows = dead_cols = hidden = 0
         for label, t in sparse_multipliers(rng):
             live = multiplier._kernel_table(t).any(axis=(0, 1))
             dead_rows += not live.any(axis=1).all()
@@ -517,24 +661,16 @@ class TestLiveSupport:
             order = t.system.group.order
             for gs, amps in draw_tuples(t.system, sorted({1, 2, order, 2 * order}), 9, rng):
                 want = reference_window_checks(t, gs, amps, 1e-9)
-                for got, w in zip(_kernel_checks(t, gs, amps, 1e-9), want):
-                    assert got.dtype == w.dtype and got.tobytes() == w.tobytes(), label
-        assert dead_rows >= 10 and dead_cols >= 10
+                hidden += assert_exact_checks(t, gs, amps, _kernel_checks(t, gs, amps, 1e-9), want)
+        assert dead_rows >= 10 and dead_cols >= 10 and hidden > 0
 
     @pytest.mark.parametrize("tol", [1e-9, 10.0], ids=["default", "lenient"])
     def test_oracle_keeps_its_bits(self, rng, tol):
         failing = 0
         for seed, (label, t) in enumerate(sparse_multipliers(rng)):
             cert = pd_sample_oracle(t, trials=300, seed=seed, tol=tol)
-            verdict, min_eig, hd, point, groups, vectors, _ = reference_oracle(t, 300, seed, tol)
-            assert cert.verdict == verdict, label
-            assert np.float64(cert.min_eigenvalue).tobytes() == np.float64(min_eig).tobytes(), label
-            assert np.float64(cert.hermitian_defect).tobytes() == np.float64(hd).tobytes(), label
-            assert cert.point == point and cert.sample_groups == groups, label
-            assert (vectors is None) == (cert.sample_vectors is None)
-            if vectors is not None:
-                assert cert.sample_vectors.tobytes() == vectors.tobytes()
-            failing += not verdict
+            assert_same_oracle_certificate(t, cert, 300, seed, tol, label)
+            failing += not cert.verdict
         if tol < 1:
             assert failing > 0
 
@@ -552,8 +688,120 @@ class TestLiveSupport:
         verdict, min_eig, hd, point, groups, vectors, _ = reference_oracle(t, 300, 3, DEFAULT_TOL)
         assert not cert.verdict and not verdict
         assert cert.point == point == int(np.argmax(live))
-        assert cert.sample_groups == groups and cert.sample_vectors.tobytes() == vectors.tobytes()
-        assert np.float64(cert.min_eigenvalue).tobytes() == np.float64(min_eig).tobytes() and min_eig < 0
+        assert_same_oracle_certificate(t, cert, 300, 3, DEFAULT_TOL, "one live point")
+        assert min_eig < 0 and cert.min_eigenvalue < 0
+
+
+def read_groups(t):
+    """The oracle's read groups as (points, read set) pairs, sorted."""
+    sets, classes = multiplier._read_groups(t, multiplier._kernel_table(t))
+    out = []
+    for k0, k1, pts, _, _ in classes:
+        out += [(tuple(p.tolist()), tuple(np.flatnonzero(sets[k]).tolist())) for k, p in zip(range(k0, k1), pts)]
+    return sorted(out)
+
+
+def sigma_multiplier(rng, sigma, order=2, dead=()):
+    """On the trivial action of Z_order on len(sigma) points, T_g reads
+    the point sigma[x] at row x (a random value), and nothing at the rows
+    ``dead``."""
+    n = len(sigma)
+    mats = np.zeros((order, n, n), dtype=complex)
+    rows = [x for x in range(n) if x not in dead]
+    mats[:, rows, np.asarray(sigma)[rows]] = rng.normal(size=(order, len(rows))) + 1j * rng.normal(size=(order, len(rows)))
+    return Multiplier(System(trivial_action(cyclic_group(order), n)), mats)
+
+
+class TestReadGroups:
+    """The oracle's points grouped by read set, each kernel formed on its
+    visible sub-tuple: exact against the full reference kernel."""
+
+    def check_exact(self, t, rng, count=9):
+        order = t.system.group.order
+        hidden = 0
+        for gs, amps in draw_tuples(t.system, sorted({1, 2, order, 2 * order}), count, rng):
+            want = reference_window_checks(t, gs, amps, 1e-9)
+            hidden += assert_exact_checks(t, gs, amps, _kernel_checks(t, gs, amps, 1e-9), want)
+        return hidden
+
+    def test_group_of_several_points(self, rng):
+        """A non-injective sigma: points 0, 1, 2 all read point 1 and form
+        one group, point 3 reads itself."""
+        t = sigma_multiplier(rng, [1, 1, 1, 3], order=6)
+        assert read_groups(t) == [((0, 1, 2), (1,)), ((3,), (3,))]
+        assert [set(r) for r in reference_read_sets(t)] == [{1}, {1}, {1}, {3}]
+        assert self.check_exact(t, rng) > 0
+
+    def test_dense_multiplier_is_one_group(self, rng):
+        for system in (sigma_system(3), assorted_small_systems()[-1]):
+            t = random_multiplier_suite(system, 3, rng)[2]  # the Gaussian one
+            n = system.n_points
+            assert read_groups(t) == [(tuple(range(n)), tuple(range(n)))]
+            self.check_exact(t, rng)
+
+    def test_negative_zero_entries_read_nothing(self, rng):
+        t = sigma_multiplier(rng, [1, 1, 1, 3], order=6, dead=(3,))
+        mats = t.stack.copy()
+        mats[:, 3] = -0.0
+        mats[:, :, 0] = complex(-0.0, -0.0)
+        signed = Multiplier(t.system, mats)
+        assert read_groups(signed) == read_groups(t) == [((0, 1, 2), (1,)), ((3,), ())]
+        for gs, amps in draw_tuples(t.system, [3, 12], 9, rng):
+            for got, want in zip(_kernel_checks(signed, gs, amps, 1e-9), _kernel_checks(t, gs, amps, 1e-9)):
+                assert got.tobytes() == want.tobytes()
+        assert self.check_exact(signed, rng) > 0
+
+    def test_nan_scale_fails_hidden_and_dead_points(self, rng):
+        """A trial whose kernel overflows has scale NaN: every point fails,
+        the dead point 3 and the points whose kernel hides an entry too."""
+        t = sigma_multiplier(rng, [1, 1, 1, 3], order=2, dead=(3,)) * 1e300
+        reads = reference_read_sets(t)
+        assert reads[3] == []
+        overflowed = hidden = 0
+        for gs, amps in draw_tuples(t.system, [4, 8], 20, rng):
+            amps *= 1e5
+            mins, hd, bad = _kernel_checks(t, gs, amps, 1e-9)
+            for k in range(len(gs)):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    finite = np.isfinite(reference_kernel(t, gs[k], amps[k])).all()
+                if finite:
+                    continue
+                overflowed += 1
+                assert bad[k].all()
+                hidden += not (amps[k][:, reads[0]] != 0).all()
+        assert overflowed > 0 and hidden > 0
+
+    def test_relabeled_systems(self, rng):
+        base = [sigma_multiplier(rng, [1, 1, 1, 3], order=6), sigma_multiplier(rng, [2, 0, 2], order=2, dead=(1,))]
+        base += [t for label, t in sparse_multipliers(rng) if label.startswith(("omega", "one_orbit"))]
+        for t in base:
+            copy = relabeled(t, rng)
+            shapes = sorted((len(p), len(r)) for p, r in read_groups(t))
+            assert sorted((len(p), len(r)) for p, r in read_groups(copy)) == shapes
+            self.check_exact(copy, rng, count=4)
+
+    def test_working_set_dense_s4(self):
+        """T_g = J / n on the natural S_4 action (positive definite, every
+        kernel reads every point): over 1000 trials the oracle's peak stays
+        below a bound set by the system alone, its table plus twice a window
+        of longest tuples' amplitudes (the draws) and twice one longest
+        tuple's gathered table entries (one pair always fits in a run, and
+        the eigensolver copies its kernels)."""
+        system = System(symmetric_action(4))
+        t = Multiplier(system, np.full((24, 4, 4), 0.25))
+        assert is_positive_definite(t).verdict
+        assert read_groups(t) == [((0, 1, 2, 3), (0, 1, 2, 3))]
+        table = multiplier._kernel_table(t).nbytes
+        pd_sample_oracle(t, trials=2)  # numpy's lazy set-up is not the oracle's
+        tracemalloc.start()
+        try:
+            assert pd_sample_oracle(t, trials=1000).verdict
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        window = 16 * _WINDOW * 48 * 4  # complex amplitudes of 256 tuples of length 2|G| on 4 points
+        longest = 16 * 48 * 48 * 4 * 4  # the table entries one pair of length 2|G| gathers
+        assert peak < table + 2 * window + 2 * longest
 
 
 class TestPdSampleOracle:
