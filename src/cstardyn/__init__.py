@@ -8,11 +8,8 @@ from .core import (
     FiniteSpace,
     GroupAction,
     System,
-    act_on_algebra,
     cyclic_group,
     cyclic_shift_action,
-    direct_product,
-    is_psd,
     symmetric_action,
     symmetric_group,
     trivial_action,
@@ -64,10 +61,8 @@ from .multiplier import (
     PdCertificate,
     TraceSample,
     coefficient,
-    from_group_function,
     is_positive_definite,
     multiplier_distance,
-    multiply,
     norm_bounds,
     pd_sample_oracle,
     realize_via_regular,
@@ -75,7 +70,6 @@ from .multiplier import (
     trace_image_sample,
     truncate_realization,
     unit_multiplier,
-    zero_multiplier,
 )
 from .crossed import (
     CovariantRep,
@@ -85,7 +79,6 @@ from .crossed import (
     center_dimension,
     fourier_coefficients,
     induced_map,
-    integrated_form,
     is_commutative,
     is_completely_positive,
     regular_covariant,
@@ -93,7 +86,6 @@ from .crossed import (
 )
 from .cyclic_examples import (
     matrix_unit_family,
-    matrix_unit_target,
     omega_example_rep,
     omega_system,
     sigma_example_rep,

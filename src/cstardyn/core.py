@@ -1,4 +1,4 @@
-"""Finite groups, finite spaces, permutation actions and the one-matrix PSD test.
+"""Finite groups, finite spaces, permutation actions and systems.
 
 Conventions used throughout the package:
 
@@ -17,8 +17,6 @@ import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .numutil import psd_check, scale
 
 DEFAULT_TOL = 1e-9
 
@@ -97,9 +95,6 @@ class FiniteGroup:
     def mul(self, g: int, h: int) -> int:
         return int(self.mult[g, h])
 
-    def inv(self, g: int) -> int:
-        return int(self.inverse[g])
-
     def elements(self) -> range:
         return range(self.order)
 
@@ -146,13 +141,6 @@ def cyclic_group(n: int) -> FiniteGroup:
 def symmetric_group(n: int) -> FiniteGroup:
     """S_n as a multiplication table; see :func:`symmetric_action`."""
     return symmetric_action(n).group
-
-
-def direct_product(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
-    """Direct product with elements packed as a*|G2| + b."""
-    o1, o2 = g1.order, g2.order
-    mult = g1.mult[:, None, :, None] * o2 + g2.mult[None, :, None, :]
-    return FiniteGroup(o1 * o2, mult.reshape(o1 * o2, o1 * o2))
 
 
 @dataclass(frozen=True)
@@ -291,22 +279,3 @@ def symmetric_action(m: int) -> GroupAction:
         mult[lo : lo + rows] = np.searchsorted(keys, perms[lo : lo + rows][:, perms] @ weights)
     return GroupAction(FiniteGroup(order, mult), FiniteSpace(m), perms)
 
-
-def act_on_algebra(action: GroupAction, g: int, a: np.ndarray) -> np.ndarray:
-    """The induced *-automorphism: (alpha_g a)_x = a_{g^{-1} x}."""
-    a = np.asarray(a, dtype=complex)
-    n = action.space.size
-    if a.shape != (n,):
-        raise ValueError(f"algebra element must be a vector of length {n}")
-    return a[action.src[g]]
-
-
-def is_psd(m: np.ndarray) -> bool:
-    """Whether a square complex matrix is positive semidefinite, by
-    :func:`cstardyn.numutil.psd_check` at ``DEFAULT_TOL`` and its scale."""
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("matrix must be square")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix contains non-finite entries")
-    return bool(psd_check(m, scale(m), DEFAULT_TOL)[1])

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -49,13 +48,6 @@ class CovariantRep:
         u = tuple(np.asarray(m, dtype=complex).reshape(self.dim, self.dim) for m in self.u_mats)
         object.__setattr__(self, "pi_mats", pi)
         object.__setattr__(self, "u_mats", u)
-
-    def pi(self, a: np.ndarray) -> np.ndarray:
-        a = np.asarray(a, dtype=complex).reshape(self.system.n_points)
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for j, m in enumerate(self.pi_mats):
-            out += a[j] * m
-        return out
 
 
 def verify_covariant(rep: CovariantRep, tol: float = DEFAULT_TOL) -> CheckReport:
@@ -214,17 +206,6 @@ def regular_covariant(system: System) -> CovariantRep:
     return CovariantRep(system, d, pi, u)
 
 
-def integrated_form(rep: CovariantRep, f: np.ndarray) -> np.ndarray:
-    """Lambda(f) = sum_g pi(f(g)) u(g)."""
-    sys_ = rep.system
-    f = np.asarray(f, dtype=complex).reshape(sys_.group.order, sys_.n_points)
-    out = np.zeros((rep.dim, rep.dim), dtype=complex)
-    for g in sys_.group.elements():
-        if f[g].any():  # a zero coefficient adds an exact zero
-            out += rep.pi(f[g]) @ rep.u_mats[g]
-    return out
-
-
 @dataclass(frozen=True, eq=False)
 class ReducedCrossedProduct:
     """Concrete realization with basis b[g * n + j] = Lambda(e_j . delta_g).
@@ -235,13 +216,8 @@ class ReducedCrossedProduct:
     tables: ``col_map[a, r]`` is the column of the nonzero entry in row r of
     b_a, or -1 where the row is zero; ``mult_index[a, b]`` is the basis index
     of b_a b_b and ``gram_index[a, b]`` that of b_a^* b_b, or -1 where the
-    product is zero; ``adjoint_index[a]`` is the index of b_a^*.
-
-    The dense views are derived when first read and are read-only: ``rep``
-    is the regular covariant pair (:func:`regular_covariant`), ``basis``
-    (N, D, D) holds the matrices b_a, ``mult_table[a, b]`` the one-hot
-    coordinates of b_a b_b, ``adjoint_table[a]`` those of b_a^* and
-    ``gram_coords[a, b]`` those of b_a^* b_b.
+    product is zero; ``adjoint_index[a]`` is the index of b_a^*.  No dense
+    matrix is held: every operation reads these tables.
     """
 
     system: System
@@ -258,42 +234,6 @@ class ReducedCrossedProduct:
     def ambient_dim(self) -> int:
         return self.col_map.shape[1]
 
-    @cached_property
-    def rep(self) -> CovariantRep:
-        return regular_covariant(self.system)
-
-    @cached_property
-    def basis(self) -> np.ndarray:
-        N, d = self.col_map.shape
-        out = np.zeros((N, d, d), dtype=complex)
-        a, r = np.nonzero(self.col_map >= 0)
-        out[a, r, self.col_map[a, r]] = 1.0
-        return _freeze(out)
-
-    @cached_property
-    def mult_table(self) -> np.ndarray:
-        return _freeze(_one_hot(self.mult_index, self.dim))
-
-    @cached_property
-    def adjoint_table(self) -> np.ndarray:
-        return _freeze(_one_hot(self.adjoint_index, self.dim))
-
-    @cached_property
-    def gram_coords(self) -> np.ndarray:
-        return _freeze(_one_hot(self.gram_index, self.dim))
-
-    def index(self, g: int, j: int) -> int:
-        return g * self.system.n_points + j
-
-
-
-def _one_hot(index: np.ndarray, size: int) -> np.ndarray:
-    """Coordinates of the basis elements named by index; zero where it is -1."""
-    out = np.zeros(index.shape + (size,), dtype=complex)
-    hit = index >= 0
-    out[hit, index[hit]] = 1.0
-    return out
-
 
 def build_reduced(system: System) -> ReducedCrossedProduct:
     """Assemble the reduced crossed product: the row -> column maps of the
@@ -308,8 +248,7 @@ def build_reduced(system: System) -> ReducedCrossedProduct:
     that every ``perm[g]`` is a permutation and g -> perm[g] a homomorphism,
     which are the relations the pair needs (the pi(e_j) are 0/1 projections
     summing to 1, u a homomorphism, and covariance).  No dense matrix is
-    formed; see :class:`ReducedCrossedProduct` for the views derived on
-    demand.
+    formed.
     """
     n, order = system.n_points, system.group.order
     N = d = n * order

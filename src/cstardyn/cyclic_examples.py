@@ -102,32 +102,17 @@ def sigma_example_rep(n: int) -> EquivariantRep:
     return EquivariantRep(system, c.module, rho, c.u_stack)
 
 
-def sigma_example_vectors(n: int, k: int, l: int, p: int) -> tuple[ModuleVector, ModuleVector]:
-    """Vectors whose coefficient against :func:`sigma_example_rep` is the
-    matrix unit E_{kl} supported at group element p: e_l in component k, and
-    the constant section at e_{l-p} (the shift conventions used here place
-    the support at p with this choice)."""
-    module = sigma_bundle(n)
-    xi, eta = _sigma_sections(n, np.array([k]), np.array([l]), np.array([p]))
-    return ModuleVector(module, xi[0]), ModuleVector(module, eta[0])
-
-
 def _sigma_sections(n: int, k: np.ndarray, l: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The pairs of :func:`sigma_example_vectors` for index arrays k, l, p of
-    one length F, stacked as (F, n, n) arrays."""
+    """Sections whose coefficients against :func:`sigma_example_rep` are the
+    matrix units E_{kl} supported at group elements p, for index arrays k,
+    l, p of one length F, stacked as (F, n, n) arrays: e_l in component k,
+    and the constant section at e_{l-p} (the shift conventions used here
+    place the support at p with this choice)."""
     f = np.arange(len(k))
     xi, eta = np.zeros((2, len(f), n, n), dtype=complex)
     xi[f, k, l] = 1.0
     eta[f, :, (l - p) % n] = 1.0
     return xi, eta
-
-
-def matrix_unit_target(system: System, k: int, l: int, p: int) -> Multiplier:
-    """The multiplier m -> delta_{p,m} E_{kl}."""
-    n = system.n_points
-    mats = np.zeros((system.group.order, n, n), dtype=complex)
-    mats[p, k, l] = 1.0
-    return Multiplier(system, mats)
 
 
 def matrix_unit_family(kind: str, n: int) -> list[Multiplier]:
@@ -139,7 +124,7 @@ def matrix_unit_family(kind: str, n: int) -> list[Multiplier]:
     representations, written as whole stacks around that cocycle's stack,
     contributes its n coefficients in one contraction.  The
     stacks equal, bit for bit, those of the per-(k, l, p) calls of
-    :func:`coefficient` on the public helpers.
+    :func:`coefficient`, one pair of vectors at a time.
     """
     if kind == "omega_n":
         system = omega_system(n)
@@ -161,8 +146,8 @@ def matrix_unit_family(kind: str, n: int) -> list[Multiplier]:
 
 def matrix_unit_deviation(family: list[Multiplier]) -> float:
     """Max entrywise deviation of a family indexed by (k, l, p), as built by
-    :func:`matrix_unit_family`, from the matrix units of
-    :func:`matrix_unit_target`."""
+    :func:`matrix_unit_family`, from the matrix units m -> delta_{p,m}
+    E_{kl}."""
     mats = np.stack([t.stack for t in family])  # (k*n*n + l*n + p, m, row, col)
     n = mats.shape[-1]
     k, l, p = np.unravel_index(np.arange(len(family)), (n, n, n))

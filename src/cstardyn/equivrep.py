@@ -21,6 +21,7 @@ from .hilbmod import (
     ModuleVector,
     SectionalModule,
     _check_projection_rep,
+    direct_sum,
     internal_tensor,
     module_action,
     random_vector,
@@ -246,14 +247,13 @@ def slot_restrict(regular: EquivariantRep, vec: ModuleVector, slots: Sequence[in
 
 
 def direct_sum_reps(reps: Sequence[EquivariantRep]) -> EquivariantRep:
-    if not reps:
-        raise ValueError("direct sum of an empty family is not defined")
+    mod = direct_sum([r.module for r in reps])
     sys_ = reps[0].system
     if any(r.system != sys_ for r in reps):
         raise ValueError("summands must share the system")
     n, order, src = sys_.n_points, sys_.group.order, sys_.action.src
     dims = np.array([r.module.fiber_dims for r in reps])
-    off, dmax = np.cumsum(dims, axis=0) - dims, dims.sum(axis=0).max()
+    off, dmax = np.cumsum(dims, axis=0) - dims, max(mod.fiber_dims)
     k, g, x = np.arange(n)[:, None, None, None], np.arange(order)[:, None, None, None], np.arange(n)[:, None, None]
     rho_puts, v_puts = [], []
     for r, o, d in zip(reps, off, dims):
@@ -263,7 +263,6 @@ def direct_sum_reps(reps: Sequence[EquivariantRep]) -> EquivariantRep:
         v_puts.append(((g, x, rows[:, :, None], rows[src][:, :, None, :]), r.v_stack))
     rho = fibers.scatter((n, n, dmax, dmax), rho_puts)
     v = fibers.scatter((order, n, dmax, dmax), v_puts)
-    mod = SectionalModule(sys_.space, tuple(int(t) for t in dims.sum(axis=0)))
     return EquivariantRep(sys_, mod, rho, v)
 
 

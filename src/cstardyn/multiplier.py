@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import fibers
-from .core import DEFAULT_TOL, System, act_on_algebra, is_psd
+from .core import DEFAULT_TOL, System
 from .equivrep import EquivariantRep, _in_slots, regular_rep, slot_embed, slot_restrict
 from .hilbmod import ModuleVector, module_norm
 from .numutil import lowest_eigenvector, matrix_rank, max_abs, psd_check, psd_verdict, scale
@@ -56,9 +56,6 @@ class Multiplier:
             object.__setattr__(t, "stack", mats)
         return out
 
-    def apply(self, g: int, a: np.ndarray) -> np.ndarray:
-        return self.mats[g] @ np.asarray(a, dtype=complex)
-
     def support(self) -> list[int]:
         """The g with an entry of T_g above ``DEFAULT_TOL * scale(stack)``."""
         return np.flatnonzero(np.abs(self.stack).max(axis=(1, 2)) > DEFAULT_TOL * scale(self.stack)).tolist()
@@ -96,11 +93,6 @@ def _same_system(a, b) -> None:
 def unit_multiplier(system: System) -> Multiplier:
     n = system.n_points
     return Multiplier(system, np.broadcast_to(np.eye(n), (system.group.order, n, n)))
-
-
-def zero_multiplier(system: System) -> Multiplier:
-    n = system.n_points
-    return Multiplier(system, np.zeros((system.group.order, n, n)))
 
 
 def multiplier_distance(t: Multiplier, s: Multiplier) -> float:
@@ -186,22 +178,14 @@ def _kernel_matrices(system: System, stack: np.ndarray, s: np.ndarray, x: np.nda
     return stack[s[:, None, None], rows, src[:, x].T[:, :, None], src[:, k].T[:, :, None]]
 
 
-def pd_criterion_matrix(t: Multiplier, x: int, k: int) -> np.ndarray:
-    """The group-indexed kernel matrix at base point x and basis index k:
-    entry (i, j) is the x-component of
-    alpha_{g_i}(T_{g_i^{-1} g_j}(alpha_{g_i}^{-1}(e_k)))."""
-    one = np.zeros(1, dtype=np.intp)
-    return _kernel_matrices(t.system, t.stack[None], one, one + x, one + k)[0]
-
-
 def _fiberwise_checks(system: System, stack: np.ndarray, tol: float):
     """The fiberwise criterion for a stack of S multipliers on one system.
 
     ``stack`` is (S, |G|, n, n).  The kernel matrices of all S * n * n
     triples (s, x, k) are gathered, in blocks of at most
-    ``fibers.BLOCK_ELEMENTS`` entries (one matrix always fits), and the
-    nonzero ones go through :func:`numutil.psd_check`, each against its own
-    :func:`numutil.scale`; a zero one is the empty block.
+    ``fibers.BLOCK_ELEMENTS`` entries (one matrix always fits), and each
+    block goes through one :func:`numutil.psd_check`, every kernel against
+    its own :func:`numutil.scale`.
     Returns the verdicts (S,), the smallest eigenvalues and defects
     (S, n * n) and the witness (x, k) index of each multiplier (S,).
     """
@@ -209,10 +193,7 @@ def _fiberwise_checks(system: System, stack: np.ndarray, tol: float):
     checks = []
     for lo, hi in fibers.blocks(S * n * n, order * order):
         kern = _kernel_matrices(system, stack, *np.unravel_index(np.arange(lo, hi), (S, n, n)))
-        live = np.flatnonzero(kern.any(axis=(1, 2)))  # a zero kernel is the empty block
-        lam, hd = np.zeros(hi - lo), np.zeros(hi - lo)
-        _, _, lam[live], hd[live] = psd_check(kern[live], 1.0, tol)
-        checks.append((*psd_verdict(lam, hd, scale(kern, axis=(1, 2)), tol), lam, hd))
+        checks.append(psd_check(kern, scale(kern, axis=(1, 2)), tol))
     hermitian, passed, lam0, hd = (np.concatenate(a).reshape(S, n * n) for a in zip(*checks))
     # the first (x, k) in loop order with the largest score is the witness
     worst = np.argmax(-lam0 + np.where(hermitian, 0.0, hd), axis=1)
@@ -244,20 +225,21 @@ def is_positive_definite(t: Multiplier, tol: float = DEFAULT_TOL) -> PdCertifica
 
     For commutative coefficients the kernel condition over all finite tuples
     reduces to: for every base point x and basis index k, the group-indexed
-    matrix of :func:`pd_criterion_matrix` is PSD.  The reduction rests on the
-    idempotent decomposition a*b = sum_k conj(a_k) b_k e_k, which makes the
-    tuple condition a sum of independent quadratic forms, one per (x, k);
+    matrix whose entry (i, j) is the x-component of
+    alpha_{g_i}(T_{g_i^{-1} g_j}(alpha_{g_i}^{-1}(e_k))) is PSD
+    (:func:`_kernel_matrices`).  The reduction rests on the idempotent
+    decomposition a*b = sum_k conj(a_k) b_k e_k, which makes the tuple
+    condition a sum of independent quadratic forms, one per (x, k);
     :func:`pd_sample_oracle` cross-validates it against the raw definition.
 
     All n^2 kernel matrices come from one gather, in blocks of at most
-    ``fibers.BLOCK_ELEMENTS`` entries; the nonzero ones go through
-    :func:`numutil.psd_check`, each with its own :func:`numutil.scale`, and a
-    zero one is the empty block (eigenvalue +0.0, defect 0.0).  The certificate's
-    (point, basis) is the first (x, k) in loop order with the largest score,
-    minus the smallest eigenvalue plus any defect beyond tolerance, and
-    carries that matrix's defect (and, on failure, its lowest eigenvector,
-    from one ``eigh`` of it alone); ``min_eigenvalue`` is the smallest
-    eigenvalue over all (x, k).
+    ``fibers.BLOCK_ELEMENTS`` entries, and go through
+    :func:`numutil.psd_check`, each with its own :func:`numutil.scale`.  The
+    certificate's (point, basis) is the first (x, k) in loop order with the
+    largest score, minus the smallest eigenvalue plus any defect beyond
+    tolerance, and carries that matrix's defect (and, on failure, its lowest
+    eigenvector, from one ``eigh`` of it alone); ``min_eigenvalue`` is the
+    smallest eigenvalue over all (x, k).
     """
     return _fiberwise_certificates(t.system, t.stack[None], tol)[0]
 
@@ -360,14 +342,6 @@ def _trial_checks(groups: tuple, gs: np.ndarray, amps: np.ndarray, lengths: np.n
     return mins, hd, ~ok
 
 
-def _kernel_checks(t: Multiplier, gs: np.ndarray, amps: np.ndarray, tol: float, table=None):
-    """:func:`_trial_checks` of T tuples of one length, ``gs`` (T, N) and ``amps``
-    (T, N, n), on the read groups of ``table`` (:func:`_kernel_table` of ``t``)."""
-    count, N, n = amps.shape
-    groups = _read_groups(t, _kernel_table(t) if table is None else table)
-    return _trial_checks(groups, gs.reshape(-1), amps.reshape(-1, n), np.full(count, N), tol)
-
-
 def pd_sample_oracle(
     t: Multiplier, trials: int = 1000, seed: int = 42, tol: float = DEFAULT_TOL
 ) -> PdCertificate:
@@ -393,7 +367,7 @@ def pd_sample_oracle(
     the 0/1 mask applied to them.  The search stops at the first window
     with a violation and returns its lowest-indexed violating trial in draw
     order, at that trial's first bad point, with the drawn tuple as a
-    reproducible witness (see :func:`evaluate_sample_witness`).  On success
+    reproducible witness.  On success
     ``min_eigenvalue`` is the minimum over all trials.
     """
     if trials < 1:
@@ -429,34 +403,6 @@ def pd_sample_oracle(
                 sample_vectors=amps[rows],
             )
     return PdCertificate(verdict=True, min_eigenvalue=min_seen if math.isfinite(min_seen) else 0.0)
-
-
-def evaluate_sample_witness(t: Multiplier, cert: PdCertificate) -> np.ndarray:
-    """Re-evaluate a sampling-oracle witness: the kernel matrix at the
-    witness point for the stored tuple."""
-    if cert.sample_groups is None or cert.sample_vectors is None or cert.point is None:
-        raise ValueError("certificate carries no sample witness")
-    sys_, gs, amps = t.system, cert.sample_groups, cert.sample_vectors
-    N = len(gs)
-    out = np.empty((N, N), dtype=complex)
-    for i in range(N):
-        for j in range(N):
-            c = amps[i].conj() * amps[j]
-            w = act_on_algebra(sys_.action, sys_.group.inv(gs[i]), c)
-            tv = t.mats[sys_.group.mul(sys_.group.inv(gs[i]), gs[j])] @ w
-            out[i, j] = act_on_algebra(sys_.action, gs[i], tv)[cert.point]
-    return out
-
-
-def multiply(t: Multiplier, s: Multiplier) -> Multiplier:
-    """Pointwise-in-the-group composition (t.s)_g = t_g o s_g.
-
-    The tensor-coefficient compatibility test in the suite pins the operand
-    order: the coefficient of a tensor product representation is the
-    composition second-factor-after-first, i.e. multiply(coeff2, coeff1).
-    """
-    _same_system(t, s)
-    return Multiplier(t.system, t.stack @ s.stack)
 
 
 @dataclass(frozen=True)
@@ -524,20 +470,6 @@ def realize_via_regular(t: Multiplier, rep: EquivariantRep, xi: ModuleVector, et
         raise ValueError("multiplier has empty support")
     reg = regular_rep(rep)
     return reg, _in_slots(reg, support, xi), slot_embed(reg, rep.system.group.identity, eta)
-
-
-def from_group_function(system: System, mu: Sequence[complex]) -> Multiplier:
-    """The multiplier T(g, a) = mu(g) a induced by a function on the group."""
-    n = system.n_points
-    mu = np.asarray(mu, dtype=complex).reshape(system.group.order)
-    return Multiplier(system, mu[:, None, None] * np.eye(n))
-
-
-def group_function_is_positive_definite(system: System, mu: Sequence[complex]) -> bool:
-    """Classical positive definiteness of a function on the group: the matrix
-    [mu(g^{-1} h)] over the full group enumeration is PSD (:func:`.core.is_psd`)."""
-    group = system.group
-    return is_psd(np.asarray(mu, dtype=complex)[group.mult[group.inverse]])
 
 
 def span_dimension(ms: Sequence[Multiplier], tol: float = DEFAULT_TOL) -> int:

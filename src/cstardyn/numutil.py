@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .core import DEFAULT_TOL
+
 
 def scale(*arrays, axis=None):
     """``1 + max|entry|`` over ``arrays``, the package's one tolerance scale:
@@ -97,7 +99,6 @@ def gram_quotient(blocks: np.ndarray, sizes) -> tuple[np.ndarray, np.ndarray, np
     inverse ``V / sqrt(lambda)``.  Raises ValueError naming the first block
     (g, k) with an eigenvalue below ``-cutoff`` or a non-finite entry.
     """
-    from .core import DEFAULT_TOL  # core imports this module
     blocks = np.asarray(blocks, dtype=complex)
     sizes = np.broadcast_to(sizes, blocks.shape[:2])
     finite = np.isfinite(blocks).all(axis=(-2, -1))

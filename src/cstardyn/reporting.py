@@ -37,15 +37,8 @@ class CheckReport:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    @property
-    def max_residual(self) -> float:
-        return max((c.residual for c in self.checks), default=0.0)
-
     def worst(self) -> Check | None:
         return max(self.checks, key=lambda c: c.residual, default=None)
-
-    def residual_of(self, name: str) -> float:
-        return max(c.residual for c in self.checks if c.name == name)
 
     def as_dict(self) -> dict:
         return {

@@ -6,9 +6,11 @@ import math
 import numpy as np
 
 from cstardyn.cocycle import EquivariantMap, rho_from_sigma
-from cstardyn.cyclic_examples import omega_example_rep, omega_example_vectors, sigma_example_rep, sigma_example_vectors
-from cstardyn.hilbmod import basis_vector
-from cstardyn.multiplier import coefficient
+from cstardyn.core import DEFAULT_TOL, FiniteGroup, GroupAction, System
+from cstardyn.cyclic_examples import _sigma_sections, omega_example_rep, omega_example_vectors, sigma_bundle, sigma_example_rep
+from cstardyn.hilbmod import ModuleVector, basis_vector
+from cstardyn.multiplier import Multiplier, _kernel_matrices, coefficient
+from cstardyn.numutil import psd_check, scale
 
 
 def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
@@ -123,7 +125,7 @@ def identity_pullback(c):
 
 def omega_matrix_unit_coefficient(n: int, k: int, l: int, p: int):
     """The matrix unit (k, l, p) of the omega_n family as one coefficient of
-    the public helpers, as :func:`cstardyn.cyclic_examples.matrix_unit_family`
+    the example helpers, as :func:`cstardyn.cyclic_examples.matrix_unit_family`
     builds it in a batch."""
     return coefficient(omega_example_rep(n, k, l), *omega_example_vectors(n, k, p))
 
@@ -183,3 +185,129 @@ def padded_scatter(shape: tuple, puts) -> np.ndarray:
     for index, values in puts:
         out[index] = values
     return out[tuple(slice(s) for s in shape)]
+
+
+def act_on_algebra(action, g: int, a: np.ndarray) -> np.ndarray:
+    """The induced *-automorphism of C^n: (alpha_g a)_x = a_{g^{-1} x}."""
+    a = np.asarray(a, dtype=complex)
+    n = action.space.size
+    if a.shape != (n,):
+        raise ValueError(f"algebra element must be a vector of length {n}")
+    return a[action.src[g]]
+
+
+def is_psd(m: np.ndarray) -> bool:
+    """Whether a square complex matrix is positive semidefinite, by
+    :func:`cstardyn.numutil.psd_check` at ``DEFAULT_TOL`` and its scale."""
+    m = np.asarray(m, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError("matrix must be square")
+    if not np.all(np.isfinite(m)):
+        raise ValueError("matrix contains non-finite entries")
+    return bool(psd_check(m, scale(m), DEFAULT_TOL)[1])
+
+
+def direct_product(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
+    """Direct product with elements packed as a*|G2| + b."""
+    o1, o2 = g1.order, g2.order
+    mult = g1.mult[:, None, :, None] * o2 + g2.mult[None, :, None, :]
+    return FiniteGroup(o1 * o2, mult.reshape(o1 * o2, o1 * o2))
+
+
+def relabeled_system(system, rng: np.random.Generator):
+    """An isomorphic copy of a system with group elements and points renamed
+    by seeded permutations, redrawn until the identity is not element 0."""
+    group, action = system.group, system.action
+    while True:
+        sg, px = rng.permutation(group.order), rng.permutation(action.space.size)
+        if sg[group.identity] != 0 or group.order == 1:
+            break
+    mult = np.empty_like(group.mult)
+    mult[sg[:, None], sg[None, :]] = sg[group.mult]
+    perm = np.empty_like(action.perm)
+    perm[sg[:, None], px[None, :]] = px[action.perm]
+    return System(GroupAction(FiniteGroup(group.order, mult), action.space, perm))
+
+
+def covariant_pi(rep, a: np.ndarray) -> np.ndarray:
+    """pi(a) = sum_j a_j pi(e_j) of a covariant pair, summed in index order."""
+    a = np.asarray(a, dtype=complex).reshape(rep.system.n_points)
+    out = np.zeros((rep.dim, rep.dim), dtype=complex)
+    for j, m in enumerate(rep.pi_mats):
+        out += a[j] * m
+    return out
+
+
+def integrated_form(rep, f: np.ndarray) -> np.ndarray:
+    """Lambda(f) = sum_g pi(f(g)) u(g) of a covariant pair, for f of shape
+    (|G|, n); a zero coefficient adds nothing."""
+    sys_ = rep.system
+    f = np.asarray(f, dtype=complex).reshape(sys_.group.order, sys_.n_points)
+    out = np.zeros((rep.dim, rep.dim), dtype=complex)
+    for g in sys_.group.elements():
+        if f[g].any():
+            out += covariant_pi(rep, f[g]) @ rep.u_mats[g]
+    return out
+
+
+def dense_basis(rcp) -> np.ndarray:
+    """The basis matrices b_a of a reduced crossed product as one (N, D, D)
+    stack, each with a 1 at (r, col_map[a, r]) wherever col_map is not -1."""
+    N, d = rcp.col_map.shape
+    out = np.zeros((N, d, d), dtype=complex)
+    a, r = np.nonzero(rcp.col_map >= 0)
+    out[a, r, rcp.col_map[a, r]] = 1.0
+    return out
+
+
+def one_hot(index: np.ndarray, size: int) -> np.ndarray:
+    """Coordinates of the basis elements named by an index table (a
+    product, adjoint or gram table of a reduced crossed product); zero where
+    it is -1."""
+    out = np.zeros(index.shape + (size,), dtype=complex)
+    hit = index >= 0
+    out[hit, index[hit]] = 1.0
+    return out
+
+
+def sigma_example_vectors(n: int, k: int, l: int, p: int) -> tuple:
+    """Vectors whose coefficient against
+    :func:`cstardyn.cyclic_examples.sigma_example_rep` is the matrix unit
+    E_{kl} supported at group element p: e_l in component k, and the
+    constant section at e_{l-p}."""
+    module = sigma_bundle(n)
+    xi, eta = _sigma_sections(n, np.array([k]), np.array([l]), np.array([p]))
+    return ModuleVector(module, xi[0]), ModuleVector(module, eta[0])
+
+
+def matrix_unit_target(system, k: int, l: int, p: int) -> Multiplier:
+    """The multiplier m -> delta_{p,m} E_{kl}."""
+    n = system.n_points
+    mats = np.zeros((system.group.order, n, n), dtype=complex)
+    mats[p, k, l] = 1.0
+    return Multiplier(system, mats)
+
+
+def from_group_function(system, mu) -> Multiplier:
+    """The multiplier T(g, a) = mu(g) a induced by a function on the group."""
+    n = system.n_points
+    mu = np.asarray(mu, dtype=complex).reshape(system.group.order)
+    return Multiplier(system, mu[:, None, None] * np.eye(n))
+
+
+def group_function_is_positive_definite(system, mu) -> bool:
+    """Classical positive definiteness of a function on the group: the matrix
+    [mu(g^{-1} h)] over the full group enumeration is PSD (:func:`is_psd`)."""
+    group = system.group
+    return is_psd(np.asarray(mu, dtype=complex)[group.mult[group.inverse]])
+
+
+def criterion_matrix(t, x: int, k: int) -> np.ndarray:
+    """The fiberwise criterion's kernel matrix of ``t`` at base point x and
+    basis index k, one gather of :func:`cstardyn.multiplier._kernel_matrices`."""
+    return _kernel_matrices(t.system, t.stack[None], *np.array([[0], [x], [k]]))[0]
+
+
+def residual_of(report, name: str) -> float:
+    """The largest residual of a report's checks called ``name``."""
+    return max(c.residual for c in report.checks if c.name == name)

@@ -12,7 +12,6 @@ from cstardyn.cocycle import CocycleRep, EquivariantMap, banach_stone_extract, r
 from cstardyn.crossed import build_reduced, center_dimension, induced_map, is_commutative, is_completely_positive
 from cstardyn.cyclic_examples import (
     matrix_unit_family,
-    matrix_unit_target,
     omega_system,
     sigma_system,
 )
@@ -35,6 +34,7 @@ from cstardyn.multiplier import (
     trace_image_sample,
     truncate_realization,
 )
+from oracles import dense_basis, matrix_unit_target
 
 MODULE_STARTED = time.monotonic()
 
@@ -122,7 +122,7 @@ def test_criterion_5_fell_absorption():
         rep = random_equivariant_rep(system, rng, max_dim=2, allow_composites=False)
         _, report, _, _ = fell_absorption_unitary(rep)
         assert report.passed, report.worst()
-        assert report.max_residual <= 1e-9
+        assert report.worst().residual <= 1e-9
 
 
 @criterion(6, "group parts are cocycles, cocycles are group parts, isometry extraction inverts")
@@ -135,7 +135,7 @@ def test_criterion_6_cocycle_bridge():
         for _ in range(5):
             rep = random_equivariant_rep(system, rng, max_dim=2, allow_composites=False)
             c = CocycleRep(system.action, rep.module, rep.v_stack)
-            assert verify_cocycle(c).max_residual <= 1e-12
+            assert verify_cocycle(c).worst().residual <= 1e-12
         c = random_cocycle(system.action, rng)
         pulled = rho_from_sigma(identity, c)
         assert np.array_equal(pulled.v_stack.view(np.uint64), c.u_stack.view(np.uint64))
@@ -194,11 +194,11 @@ def test_criterion_9_crossed_product_structure():
     for n in (2, 3):
         rcp = build_reduced(omega_system(n))
         assert rcp.dim == n * n and is_commutative(rcp)
-        assert closure_dimension([rcp.basis[i] for i in range(rcp.dim)]) == n * n
+        assert closure_dimension(list(dense_basis(rcp))) == n * n
         rcp = build_reduced(sigma_system(n))
         assert rcp.dim == n * n and not is_commutative(rcp)
         assert center_dimension(rcp) == 1
-        assert closure_dimension([rcp.basis[i] for i in range(rcp.dim)]) == n * n
+        assert closure_dimension(list(dense_basis(rcp))) == n * n
 
 
 @criterion(10, "determinism at fixed seed; acceptance module under a minute")

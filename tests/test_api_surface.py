@@ -7,8 +7,15 @@ that only the tests call.  References are resolved by module: a function
 counts as read where its module's name, or the name it was imported as, is
 read, and a method where an attribute of its name is read on anything but
 an outside module (numpy, say) or a name annotated with one of its types.
-An import does not count as a reference, so a re-export from ``__init__``
-keeps nothing alive.
+A read of ``self.<name>`` inside a class body of the package counts only for
+that class's own member.  An import does not count as a reference, so a
+re-export from ``__init__`` keeps nothing alive.
+
+An attribute read on a value of unknown type still counts for every public
+method of that name: ``system.action.apply`` in ``multiplier`` reads
+``GroupAction.apply`` and also keeps ``hilbmod.Sectionalization.apply``,
+which only the tests call, and ``list.index`` would keep alive any public
+method called ``index``.
 """
 
 import ast
@@ -20,43 +27,31 @@ PACKAGE = ROOT / "src" / "cstardyn"
 CALLERS = ("src", "scripts", "perfbench")
 
 ALLOWED = {
-    # equivariant maps and the Banach-Stone factorization
+    # ROADMAP item 10: `cstardyn decompose` prints the equivariant map sigma
     "cocycle.equivariant_maps",
+    # ROADMAP item 10 (the Banach-Stone form) and ACCEPTANCE 6
     "cocycle.banach_stone_extract",
-    # groups, modules and representations
-    "core.direct_product",
-    "generators.relabeled_system",
-    "hilbmod.inner_product",
-    # a section's vector per fiber, the paper's form of it; its one caller
-    # in src/ was ModuleVector.flat, which had no caller outside the tests
-    "hilbmod.ModuleVector.components",
-    "hilbmod.direct_sum",
-    "hilbmod.sectionalize",
+    # ROADMAP item 10: the cyclic-vector column of `decompose`
     "equivrep.is_cyclic",
-    # the crossed product: integrated form, coefficients, structure, dense views
-    "crossed.integrated_form",
-    "crossed.fourier_coefficients",
+    # ROADMAP item 10 and ACCEPTANCE 9: the center of the crossed product
     "crossed.center_dimension",
+    # ACCEPTANCE 9: commutative systems give commutative crossed products
     "crossed.is_commutative",
-    "crossed.ReducedCrossedProduct.mult_table",
-    "crossed.ReducedCrossedProduct.adjoint_table",
-    "crossed.ReducedCrossedProduct.gram_coords",
-    # the cyclic examples' vectors and targets
-    "cyclic_examples.sigma_example_vectors",
-    "cyclic_examples.matrix_unit_target",
-    # multipliers: algebra, norms, realizations and the criterion's pieces
-    "multiplier.zero_multiplier",
-    "multiplier.multiply",
-    "multiplier.from_group_function",
-    "multiplier.group_function_is_positive_definite",
-    "multiplier.pd_criterion_matrix",
-    "multiplier.evaluate_sample_witness",
+    # ROADMAP item 9 (its residual bound is on the mutant list): Lambda's inverse
+    "crossed.fourier_coefficients",
+    # ROADMAP item 6: the norm interval of the `pd` report
     "multiplier.norm_bounds",
+    # ROADMAP item 6 and ACCEPTANCE 7: truncation of a regular coefficient
     "multiplier.truncate_realization",
+    # ROADMAP item 6 and ACCEPTANCE 7: the regular witness realization
     "multiplier.realize_via_regular",
-    # reading a report
-    "reporting.CheckReport.max_residual",
-    "reporting.CheckReport.residual_of",
+    # ROADMAP item 9 (test_tolerance pins its bounds): modules presented abstractly
+    "hilbmod.sectionalize",
+    # the module's C^n-valued inner product, whose laws test_hilbmod pins
+    "hilbmod.inner_product",
+    # a section's vector per fiber, the paper's form of it, which the
+    # section-store tests of test_fibers read
+    "hilbmod.ModuleVector.components",
 }
 
 
@@ -132,12 +127,23 @@ def references() -> dict:
 
 
 def file_references(parsed: ast.AST, own: str | None) -> list:
-    """The resolved references of one parsed file, as (reference, line)."""
+    """The resolved references of one parsed file, as (reference, line).  A
+    ``self.<name>`` read in a class body of the package module ``own`` is
+    ``own.Class.name``; elsewhere it names no package member."""
     modules, defs, outside = _bindings(parsed, own)
+    owner = {}  # id of a self.<name> read -> its innermost enclosing class
+    for cls in (node for node in ast.walk(parsed) if isinstance(node, ast.ClassDef)):
+        for node in ast.walk(cls):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "self":
+                owner[id(node)] = cls.name
     out = []
     for node in ast.walk(parsed):
         if isinstance(node, ast.Name) and node.id in defs:
             ref = defs[node.id]
+        elif id(node) in owner:
+            if own is None:
+                continue
+            ref = f"{own}.{owner[id(node)]}.{node.attr}"
         elif isinstance(node, ast.Attribute):
             base = node.value.id if isinstance(node.value, ast.Name) else None
             if base in outside or (base in modules and modules[base] is None):
@@ -154,7 +160,7 @@ def unreferenced() -> set:
     lonely = set()
     for name, (path, first, last) in public_definitions().items():
         module, *owner, attr = name.split(".")
-        uses = refs.get(f".{attr}" if owner else name, [])
+        uses = refs.get(name, []) + (refs.get(f".{attr}", []) if owner else [])
         if all(p == path and first <= line <= last for p, line in uses):
             lonely.add(name)
     return lonely
@@ -167,7 +173,8 @@ def test_every_public_definition_has_a_caller():
 def test_references_resolve_by_module():
     """A numpy function or an ndarray attribute spelled like a package name
     is no reference to it; the package name read through its module, under
-    the name it was imported as, or as an attribute of a package object is."""
+    the name it was imported as, or as an attribute of a package object is,
+    and ``self.<name>`` reads only its own class's member."""
     source = """
 import numpy as np
 from cstardyn import multiplier as mm
@@ -180,6 +187,18 @@ def f(res: np.ndarray, v):
 """
     refs = {ref for ref, _ in file_references(ast.parse(source), None)}
     assert refs == {"multiplier.multiply", "hilbmod.module_norm", ".components"}
+
+    # self.rep in a class body of a package module reads that class's own
+    # member, not a method of that name on another class; outside the
+    # package it names no package member
+    source = """
+class CyclicVector:
+    def check(self, other):
+        return self.rep, other.basis
+"""
+    refs = {ref for ref, _ in file_references(ast.parse(source), "equivrep")}
+    assert refs == {"equivrep.CyclicVector.rep", ".basis"}
+    assert {ref for ref, _ in file_references(ast.parse(source), None)} == {".basis"}
 
 
 def test_allowlist_is_current():

@@ -21,14 +21,15 @@ from cstardyn.multiplier import (
     is_positive_definite,
     multiplier_distance,
     pd_sample_oracle,
-    zero_multiplier,
+    unit_multiplier,
 )
 
 
 def test_gns_of_zero_multiplier_is_zero_module(z3_cycle):
-    rep, cyc = gns_from_pd(zero_multiplier(z3_cycle))
+    zero = 0 * unit_multiplier(z3_cycle)
+    rep, cyc = gns_from_pd(zero)
     assert rep.module.fiber_dims == (0, 0, 0)
-    assert multiplier_distance(coefficient(rep, cyc.vector, cyc.vector), zero_multiplier(z3_cycle)) == 0.0
+    assert multiplier_distance(coefficient(rep, cyc.vector, cyc.vector), zero) == 0.0
 
 
 def test_zero_dim_fibers_verify():
@@ -97,5 +98,5 @@ def test_trace_trivial_system_order_one():
     system = omega_system(1)
     rcp = build_reduced(system)
     assert rcp.dim == 1
-    t = zero_multiplier(system)
+    t = 0 * unit_multiplier(system)
     assert is_positive_definite(t).verdict

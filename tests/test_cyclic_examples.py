@@ -18,15 +18,14 @@ from cstardyn.cyclic_examples import (
     omega_example_vectors,
     sigma_cocycle,
     sigma_example_rep,
-    sigma_example_vectors,
 )
 from cstardyn.generators import assorted_small_systems, random_equivariant_rep, random_vector
 from cstardyn.multiplier import _coefficients, coefficient
-from oracles import omega_matrix_unit_coefficient, same_bits, sigma_matrix_unit_coefficient
+from oracles import omega_matrix_unit_coefficient, same_bits, sigma_example_vectors, sigma_matrix_unit_coefficient
 
 
 def reference_matrix_unit_family(kind, n):
-    """The per-(k, l, p) loop over the public helpers and :func:`coefficient`."""
+    """The per-(k, l, p) loop over the example helpers and :func:`coefficient`."""
     out = []
     for k, l, p in itertools.product(range(n), repeat=3):
         if kind == "omega_n":

@@ -24,7 +24,6 @@ from cstardyn.cyclic_examples import (
     omega_system,
     sigma_cocycle,
     sigma_example_rep,
-    sigma_example_vectors,
 )
 from cstardyn.equivrep import (
     EquivariantRep,
@@ -47,7 +46,7 @@ from cstardyn.generators import (
 from cstardyn.hilbmod import ModuleVector, SectionalModule, basis_vector, module_action, sectionalize
 from cstardyn.multiplier import coefficient, realize_via_regular, unit_multiplier
 
-from oracles import identity_pullback, rho_blocks, same_bits, through_json
+from oracles import identity_pullback, rho_blocks, same_bits, sigma_example_vectors, through_json
 
 
 def reference_stack(action, dims, mats):

@@ -4,8 +4,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from cstardyn import fibers, multiplier
 from cstardyn.core import (
@@ -14,15 +12,12 @@ from cstardyn.core import (
     FiniteSpace,
     GroupAction,
     System,
-    act_on_algebra,
     cyclic_group,
-    is_psd,
     symmetric_action,
     trivial_action,
 )
 from cstardyn.cyclic_examples import (
     matrix_unit_family,
-    matrix_unit_target,
     omega_example_rep,
     omega_example_vectors,
     omega_system,
@@ -40,28 +35,31 @@ from cstardyn.generators import (
 )
 from cstardyn.hilbmod import ModuleVector, inner_product, module_norm
 from cstardyn.numutil import psd_check, scale
-from oracles import omega_matrix_unit_coefficient, rho_blocks, sigma_matrix_unit_coefficient
+from oracles import (
+    act_on_algebra,
+    criterion_matrix,
+    from_group_function,
+    group_function_is_positive_definite,
+    is_psd,
+    matrix_unit_target,
+    omega_matrix_unit_coefficient,
+    rho_blocks,
+    sigma_matrix_unit_coefficient,
+)
 from cstardyn.multiplier import (
     _WINDOW,
     Multiplier,
     _fiberwise_certificates,
-    _kernel_checks,
     coefficient,
-    evaluate_sample_witness,
-    from_group_function,
-    group_function_is_positive_definite,
     is_positive_definite,
     multiplier_distance,
-    multiply,
     norm_bounds,
-    pd_criterion_matrix,
     pd_sample_oracle,
     realize_via_regular,
     span_dimension,
     trace_image_sample,
     truncate_realization,
     unit_multiplier,
-    zero_multiplier,
 )
 
 
@@ -161,7 +159,7 @@ def reference_pd_criterion_matrix(t, x, k):
     act = sys_.action
     out = np.empty((order, order), dtype=complex)
     for gi in range(order):
-        inv = sys_.group.inv(gi)
+        inv = int(sys_.group.inverse[gi])
         row_pt = act.apply(inv, x)
         col_idx = act.apply(inv, k)
         for gj in range(order):
@@ -209,7 +207,7 @@ def criterion_suite(system, rng):
     shows."""
     suite = random_multiplier_suite(system, 8, rng)
     order = system.group.order
-    suite += [unit_multiplier(system), zero_multiplier(system)]
+    suite += [unit_multiplier(system), 0 * unit_multiplier(system)]
     suite += [from_group_function(system, mu) for mu in (np.ones(order), rng.normal(size=order))]
     return suite
 
@@ -230,7 +228,7 @@ class TestBatchedCriterion:
             n = system.n_points
             for t in random_multiplier_suite(system, 3, rng):
                 for x, k in itertools.product(range(n), repeat=2):
-                    assert np.array_equal(pd_criterion_matrix(t, x, k), reference_pd_criterion_matrix(t, x, k))
+                    assert np.array_equal(criterion_matrix(t, x, k), reference_pd_criterion_matrix(t, x, k))
 
     @pytest.mark.parametrize("budget", [1, fibers.BLOCK_ELEMENTS], ids=["one-matrix", "default"])
     def test_certificate_matches_loop(self, rng, monkeypatch, budget):
@@ -297,8 +295,17 @@ class TestZeroKernels:
             for g, w in zip(got, reference_fiberwise_checks(t.system, t.stack[None], DEFAULT_TOL)):
                 assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
             n = t.system.n_points
-            zero += sum(not pd_criterion_matrix(t, x, k).any() for x in range(n) for k in range(n))
+            zero += sum(not criterion_matrix(t, x, k).any() for x in range(n) for k in range(n))
         assert zero > 100
+
+
+def kernel_checks(t, gs, amps, tol, table=None):
+    """:func:`multiplier._trial_checks` of T tuples of one length, ``gs`` (T, N)
+    and ``amps`` (T, N, n), on the read groups of ``table`` (the oracle's
+    kernel table of ``t`` by default)."""
+    count, N, n = amps.shape
+    groups = multiplier._read_groups(t, multiplier._kernel_table(t) if table is None else table)
+    return multiplier._trial_checks(groups, gs.reshape(-1), amps.reshape(-1, n), np.full(count, N), tol)
 
 
 def reference_kernel_check(t, gs, amps, tol):
@@ -329,7 +336,7 @@ def reference_window_checks(t, gs, amps, tol):
     """Test-only oracle: the oracle's block before the per-call table, which
     gathers the products at g_i y, contracts with ``stack[g_i^{-1} g_j]`` and
     gathers the result back at g_i^{-1} x.  Same blocking and outputs as
-    ``_kernel_checks``."""
+    ``kernel_checks``."""
     sys_ = t.system
     perm = sys_.action.perm
     inv = sys_.group.inverse
@@ -473,7 +480,7 @@ class TestBatchedKernel:
             lengths = sorted({1, 2, order, 2 * order})
             for t in random_multiplier_suite(system, 6, rng):
                 for gs, amps in draw_tuples(system, lengths, 20, rng):
-                    mins, hd, bad = _kernel_checks(t, gs, amps, tol)
+                    mins, hd, bad = kernel_checks(t, gs, amps, tol)
                     for i in range(len(gs)):
                         scale, r_mins, r_hd, r_bad = reference_kernel_check(t, gs[i], amps[i], tol)
                         assert np.abs(mins[i] - r_mins).max() <= 1e-12 * scale
@@ -498,7 +505,7 @@ class TestBatchedKernel:
                 table = multiplier._kernel_table(t)
                 for gs, amps in draw_tuples(system, sorted({1, 2, order, 2 * order}), 12, rng):
                     want = reference_window_checks(t, gs, amps, tol)
-                    for got in (_kernel_checks(t, gs, amps, tol), _kernel_checks(t, gs, amps, tol, table)):
+                    for got in (kernel_checks(t, gs, amps, tol), kernel_checks(t, gs, amps, tol, table)):
                         hidden += assert_exact_checks(t, gs, amps, got, want)
                     failing += want[2].any()
         assert failing > 0 and hidden > 0
@@ -513,7 +520,8 @@ class TestBatchedKernel:
             assert table.shape == (group.order, group.order, n, n)
             c = rng.normal(size=n) + 1j * rng.normal(size=n)
             for i, j in itertools.product(range(group.order), repeat=2):
-                inner = t.mats[group.mul(group.inv(i), j)] @ act_on_algebra(action, group.inv(i), c)
+                inv = int(group.inverse[i])
+                inner = t.mats[group.mul(inv, j)] @ act_on_algebra(action, inv, c)
                 want = act_on_algebra(action, i, inner)
                 assert np.allclose(table[i, j] @ c[action.perm[i]], want, atol=1e-12)
 
@@ -589,7 +597,7 @@ def sparse_multipliers(rng):
             mats = t.stack.copy()
             mats[:, :, 1] = 0.0
             out.append((f"dead_column_{system.group.order}", Multiplier(system, mats)))
-    out.append(("zero", zero_multiplier(sigma_system(3))))
+    out.append(("zero", 0 * unit_multiplier(sigma_system(3))))
     # -0.0 counts as zero: on a dead point, a dead column and inside the support
     mats = omega_matrix_unit_coefficient(4, 1, 2, 3).stack.copy()
     mats[:, 0] = -0.0
@@ -661,7 +669,7 @@ class TestLiveSupport:
             order = t.system.group.order
             for gs, amps in draw_tuples(t.system, sorted({1, 2, order, 2 * order}), 9, rng):
                 want = reference_window_checks(t, gs, amps, 1e-9)
-                hidden += assert_exact_checks(t, gs, amps, _kernel_checks(t, gs, amps, 1e-9), want)
+                hidden += assert_exact_checks(t, gs, amps, kernel_checks(t, gs, amps, 1e-9), want)
         assert dead_rows >= 10 and dead_cols >= 10 and hidden > 0
 
     @pytest.mark.parametrize("tol", [1e-9, 10.0], ids=["default", "lenient"])
@@ -721,7 +729,7 @@ class TestReadGroups:
         hidden = 0
         for gs, amps in draw_tuples(t.system, sorted({1, 2, order, 2 * order}), count, rng):
             want = reference_window_checks(t, gs, amps, 1e-9)
-            hidden += assert_exact_checks(t, gs, amps, _kernel_checks(t, gs, amps, 1e-9), want)
+            hidden += assert_exact_checks(t, gs, amps, kernel_checks(t, gs, amps, 1e-9), want)
         return hidden
 
     def test_group_of_several_points(self, rng):
@@ -747,7 +755,7 @@ class TestReadGroups:
         signed = Multiplier(t.system, mats)
         assert read_groups(signed) == read_groups(t) == [((0, 1, 2), (1,)), ((3,), ())]
         for gs, amps in draw_tuples(t.system, [3, 12], 9, rng):
-            for got, want in zip(_kernel_checks(signed, gs, amps, 1e-9), _kernel_checks(t, gs, amps, 1e-9)):
+            for got, want in zip(kernel_checks(signed, gs, amps, 1e-9), kernel_checks(t, gs, amps, 1e-9)):
                 assert got.tobytes() == want.tobytes()
         assert self.check_exact(signed, rng) > 0
 
@@ -760,7 +768,7 @@ class TestReadGroups:
         overflowed = hidden = 0
         for gs, amps in draw_tuples(t.system, [4, 8], 20, rng):
             amps *= 1e5
-            mins, hd, bad = _kernel_checks(t, gs, amps, 1e-9)
+            mins, hd, bad = kernel_checks(t, gs, amps, 1e-9)
             for k in range(len(gs)):
                 with np.errstate(over="ignore", invalid="ignore"):
                     finite = np.isfinite(reference_kernel(t, gs[k], amps[k])).all()
@@ -813,10 +821,8 @@ class TestPdSampleOracle:
         t = Multiplier(z2_trivial, (np.zeros((2, 2)), np.eye(2)))
         cert = pd_sample_oracle(t, trials=1000, seed=42)
         assert not cert.verdict
-        m = evaluate_sample_witness(t, cert)
-        herm = (m + m.conj().T) / 2
-        defect = np.abs(m - m.conj().T).max()
-        assert defect > 1e-9 or np.linalg.eigvalsh(herm).min() < -1e-9
+        _, _, _, bad = reference_kernel_check(t, np.array(cert.sample_groups), cert.sample_vectors, 1e-9)
+        assert bad[cert.point]
 
     def test_witness_reproduces_min_eigenvalue(self, rng):
         later = 0
@@ -825,11 +831,10 @@ class TestPdSampleOracle:
                 cert = pd_sample_oracle(t, trials=1000, seed=seed)
                 if cert.verdict:
                     continue
-                m = evaluate_sample_witness(t, cert)
-                herm = (m + m.conj().T) / 2
-                scale = 1.0 + np.abs(m).max()
-                assert abs(np.linalg.eigvalsh(herm)[0] - cert.min_eigenvalue) <= 1e-10 * scale
-                assert abs(np.abs(m - m.conj().T).max() - cert.hermitian_defect) <= 1e-10 * scale
+                gs = np.array(cert.sample_groups)
+                scale, mins, hd, _ = reference_kernel_check(t, gs, cert.sample_vectors, 1e-9)
+                assert abs(mins[cert.point] - cert.min_eigenvalue) <= 1e-10 * scale
+                assert abs(hd[cert.point] - cert.hermitian_defect) <= 1e-10 * scale
                 # a clean trial 0 puts the witness in a later window
                 later += pd_sample_oracle(t, trials=1, seed=seed).verdict
         assert later > 0
@@ -862,20 +867,11 @@ class TestPdSampleOracle:
 
 
 class TestMultiply:
-    def test_unit_is_identity(self, z2_flip, rng):
-        t = Multiplier(z2_flip, tuple(rng.normal(size=(2, 2)) for _ in range(2)))
-        assert multiplier_distance(multiply(t, unit_multiplier(z2_flip)), t) == 0.0
-
-    def test_matrix_units_compose(self):
-        n, p = 2, 1
-        sys_ = omega_system(n)
-        t_kl = matrix_unit_target(sys_, 0, 1, p)
-        t_lq = matrix_unit_target(sys_, 1, 0, p)
-        prod = multiply(t_kl, t_lq)
-        assert multiplier_distance(prod, matrix_unit_target(sys_, 0, 0, p)) == 0.0
+    """The pointwise-in-the-group product (t.s)_g = t_g s_g of two
+    multipliers, the product of their stacks."""
 
     def test_tensor_coefficient_fixes_order(self, z2_flip, rng):
-        """coefficient(tensor(r1, r2)) equals multiply(coeff2, coeff1):
+        """coefficient(tensor(r1, r2)) equals the product coeff2 . coeff1:
         the second factor's map is applied after the first's."""
         r1 = sigma_example_rep(2)
         r2 = trivial_rep(z2_flip)
@@ -885,18 +881,14 @@ class TestMultiply:
         t2 = coefficient(r2, x2, y2)
         rt, tp = tensor_rep(r1, r2)
         tt = coefficient(rt, tp.embed(x1, x2), tp.embed(y1, y2))
-        assert multiplier_distance(tt, multiply(t2, t1)) <= 1e-12
-        assert multiplier_distance(tt, multiply(t1, t2)) > 1e-3  # order matters
+        assert multiplier_distance(tt, Multiplier(z2_flip, t2.stack @ t1.stack)) <= 1e-12
+        assert multiplier_distance(tt, Multiplier(z2_flip, t1.stack @ t2.stack)) > 1e-3  # order matters
 
     def test_support_ideal_property(self, z3_cycle, rng):
         suite = random_multiplier_suite(z3_cycle, 6, rng)
         for t, s in zip(suite[::2], suite[1::2]):
-            prod_support = set(multiply(t, s).support())
+            prod_support = set(Multiplier(z3_cycle, t.stack @ s.stack).support())
             assert prod_support <= (set(t.support()) & set(s.support()))
-
-    def test_system_mismatch(self, z2_flip, z2_trivial):
-        with pytest.raises(ValueError):
-            multiply(unit_multiplier(z2_flip), unit_multiplier(z2_trivial))
 
 
 class TestNormBounds:
@@ -1004,7 +996,7 @@ class TestRealizeViaRegular:
         rep = trivial_rep(z2_flip)
         zero = ModuleVector(rep.module, tuple(np.zeros(1) for _ in range(2)))
         with pytest.raises(ValueError, match="support"):
-            realize_via_regular(zero_multiplier(z2_flip), rep, zero, zero)
+            realize_via_regular(0 * unit_multiplier(z2_flip), rep, zero, zero)
 
 
 class TestFromGroupFunction:
@@ -1222,22 +1214,5 @@ class TestPdCertificateShape:
         t = Multiplier(z2_trivial, (np.zeros((2, 2)), np.eye(2)))
         cert = is_positive_definite(t)
         assert not cert.verdict
-        from cstardyn.multiplier import pd_criterion_matrix
+        assert not is_psd(criterion_matrix(t, cert.point, cert.basis))
 
-        m = pd_criterion_matrix(t, cert.point, cert.basis)
-        assert not is_psd(m)
-
-
-class TestAlgebraLaws:
-    @given(st.integers(0, 2**32 - 1))
-    @settings(max_examples=15, deadline=None)
-    def test_multiply_associative_and_unital(self, seed):
-        system = sigma_system(2)
-        gen = np.random.default_rng(seed)
-        draw = lambda: Multiplier(  # noqa: E731
-            system, tuple(gen.normal(size=(2, 2)) + 1j * gen.normal(size=(2, 2)) for _ in range(2))
-        )
-        t, s, r = draw(), draw(), draw()
-        assert multiplier_distance(multiply(multiply(t, s), r), multiply(t, multiply(s, r))) <= 1e-12
-        assert multiplier_distance(multiply(unit_multiplier(system), t), t) == 0.0
-        assert multiplier_distance(multiply(t, unit_multiplier(system)), t) == 0.0

@@ -14,9 +14,9 @@ from cstardyn.core import DEFAULT_TOL
 from cstardyn.cyclic_examples import omega_example_rep, omega_system, sigma_example_rep, sigma_system
 from cstardyn.equivrep import fell_absorption_unitary, gns_from_pd, regular_rep, tensor_rep, trivial_rep, verify_equivariant
 from cstardyn.generators import assorted_small_systems, random_equivariant_rep, random_vector
-from cstardyn.multiplier import coefficient, multiplier_distance, pd_criterion_matrix, unit_multiplier
+from cstardyn.multiplier import coefficient, multiplier_distance, unit_multiplier
 from cstardyn.numutil import gram_quotient
-from oracles import reference_block_quotient, rho_blocks, same_bits
+from oracles import criterion_matrix, reference_block_quotient, residual_of, rho_blocks, same_bits
 
 
 def reference_gram_quotient(gram: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
@@ -181,7 +181,7 @@ class TestCallersKeepDims:
         for t in (unit_multiplier(system), coefficient(reps[0], xi, xi)):
             rep, cyc = gns_from_pd(t)
             n = system.n_points
-            dense = tuple(reference_rank([pd_criterion_matrix(t, p, j) for j in range(n)]) for p in range(n))
+            dense = tuple(reference_rank([criterion_matrix(t, p, j) for j in range(n)]) for p in range(n))
             assert rep.module.fiber_dims == dense
             assert verify_equivariant(rep).passed
             scale = 1.0 + np.abs(t.stack).max()
@@ -199,7 +199,7 @@ class TestCallersKeepDims:
         assert trep.module.fiber_dims == reg.module.fiber_dims
         assert report.passed
         for name in ("isometry", "surjectivity", "intertwines rho", "intertwines v", "algebra linearity"):
-            assert report.residual_of(name) <= 1e-12, name
+            assert residual_of(report, name) <= 1e-12, name
 
 
 def test_gns_unit_sigma_16():

@@ -4,27 +4,32 @@
 The guard tests read the source: no module but ``numutil`` forms a scale
 itself, and ``1e-9`` is written only where ``DEFAULT_TOL`` is defined.  The
 boundary tests put a residual of half and of twice ``DEFAULT_TOL * scale``
-into each report and each operation that judges against ``DEFAULT_TOL``:
+into each report and each operation that judges against ``DEFAULT_TOL``,
+times the factor the operation states (a trace's dimension, GNS's |G| n):
 the first passes, the second fails.  Each expected scale is computed here,
 independently of ``numutil.scale``.
 """
 
 import ast
+import contextlib
 import dataclasses
+import io
+import json
 import math
 import pathlib
 
 import numpy as np
 import pytest
 
-from cstardyn import equivrep
-from cstardyn.cocycle import CocycleRep, NotBanachStoneError, banach_stone_extract, verify_cocycle
+from cstardyn import cli, equivrep, fibers, hilbmod, multiplier
+from cstardyn.cocycle import CocycleRep, NotBanachStoneError, banach_stone_extract, cocycle_equivalent, verify_cocycle
 from cstardyn.core import DEFAULT_TOL, FiniteSpace
 from cstardyn.crossed import CovariantRep, NotInAlgebraError, build_reduced, fourier_coefficients
 from cstardyn.crossed import regular_covariant, verify_covariant
-from cstardyn.cyclic_examples import sigma_example_rep, sigma_system
-from cstardyn.equivrep import EquivariantRep, fell_absorption_unitary, verify_equivariant
+from cstardyn.cyclic_examples import omega_system, sigma_example_rep, sigma_system
+from cstardyn.equivrep import EquivariantRep, fell_absorption_unitary, gns_from_pd, unitarily_equivalent, verify_equivariant
 from cstardyn.hilbmod import NotAModuleError, SectionalModule, sectionalize, trivial_module
+from cstardyn.multiplier import Multiplier, unit_multiplier
 from cstardyn.numutil import scale
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "cstardyn"
@@ -177,7 +182,7 @@ def test_report_bound(name, factor, monkeypatch):
     _, size = build(0.0)
     r = factor * DEFAULT_TOL * size
     report, size = build(r)
-    assert report.max_residual == pytest.approx(r, rel=1e-6)
+    assert report.worst().residual == pytest.approx(r, rel=1e-6)
     # every check reports the bound it applied; the dimension match is an integer check
     assert {c.tol for c in report.checks if c.name != "dimension match"} == {DEFAULT_TOL * size}
     assert report.passed is (factor < 1)
@@ -229,3 +234,97 @@ def test_banach_stone_extract_bound(factor):
     else:
         with pytest.raises(NotBanachStoneError, match="not a single point"):
             banach_stone_extract(v, module)
+
+
+@pytest.mark.parametrize("factor", [0.5, 2.0], ids=["half", "twice"])
+def test_cocycle_equivalent_trace_bound(factor, monkeypatch):
+    """Z_1 on one point with a fiber of dimension d = 2: u1(e) = 1 and
+    u2(e) = (1 + r) 1, whose traces differ by d r against d times the bound.
+    The intertwiner's residual is patched to zero, so the traces decide."""
+    action = omega_system(1).action
+    module = SectionalModule(action.space, (2,))
+    u1 = np.eye(2, dtype=complex)[None, None]
+    u2 = (1 + factor * DEFAULT_TOL * magnitude(u1)) * u1
+    monkeypatch.setattr(fibers, "intertwining_residual", lambda w, a, b, src=None: np.zeros(a.shape[:2]))
+    found = cocycle_equivalent(CocycleRep(action, module, u1), CocycleRep(action, module, u2))
+    assert (found is not None) is (factor < 1)
+
+
+@pytest.mark.parametrize("factor", [0.5, 2.0], ids=["half", "twice"])
+def test_cocycle_equivalent_residual_bound(factor):
+    """The trivial cocycle of the flip against a copy with u2(0, flip) =
+    1 + r: the stabilizers are trivial, so the traces agree, and the
+    intertwiner carried along the orbit misses by r at (0, flip)."""
+    action = sigma_system(2).action
+    module = SectionalModule(action.space, (1, 1))
+    u1 = np.ones((2, 2, 1, 1), dtype=complex)
+    u2 = u1.copy()
+    u2[1, 0] += factor * DEFAULT_TOL * magnitude(u1)
+    found = cocycle_equivalent(CocycleRep(action, module, u1), CocycleRep(action, module, u2))
+    assert (found is not None) is (factor < 1)
+
+
+@pytest.mark.parametrize("factor", [0.5, 2.0], ids=["half", "twice"])
+def test_gns_from_pd_slack(factor, monkeypatch):
+    """GNS of the unit multiplier of sigma_3 with r added to one entry of
+    the coefficient it realizes, against its slack of |G| n = 9 times the
+    bound."""
+    t = unit_multiplier(sigma_system(3))
+    bump = np.zeros(t.stack.shape)
+    bump[0, 0, 1] = factor * 9 * DEFAULT_TOL * magnitude(t.stack)
+    real = multiplier.coefficient
+    monkeypatch.setattr(multiplier, "coefficient", lambda rep, xi, eta: real(rep, xi, eta) + Multiplier(t.system, bump))
+    if factor < 1:
+        assert gns_from_pd(t)[0].module.fiber_dims == (1, 1, 1)
+    else:
+        with pytest.raises(ArithmeticError, match="does not reproduce"):
+            gns_from_pd(t)
+
+
+@pytest.mark.parametrize("factor", [0.5, 2.0], ids=["half", "twice"])
+def test_unitarily_equivalent_bound(factor):
+    """sigma_2's example representation against a copy with r at v(1),
+    fiber 0, entry (0, 0).  The pieces are the lines e_k and v(1) maps
+    e_{k-1} onto e_k, so the entry lies outside the pair cocycle, which
+    stays exact, and the intertwiner misses by r."""
+    rep = sigma_example_rep(2)
+    v = np.array(rep.v_stack)
+    assert v[1, 0, 0, 0] == 0
+    v[1, 0, 0, 0] = factor * DEFAULT_TOL * magnitude(rep.rho_stack, rep.v_stack)
+    other = EquivariantRep(rep.system, rep.module, rep.rho_stack, v)
+    assert (unitarily_equivalent(rep, other) is not None) is (factor < 1)
+
+
+@pytest.mark.parametrize("factor", [0.5, 2.0], ids=["half", "twice"])
+def test_projection_check_bound(factor):
+    """sigma_2's example representation with rho(e_0) at fiber 0 set to
+    diag(1 + r, 0): it misses being idempotent by r (up to r^2)."""
+    rep = sigma_example_rep(2)
+    rho = np.array(rep.rho_stack)
+    rho[0, 0, 0, 0] += factor * DEFAULT_TOL * magnitude(rep.rho_stack)
+    if factor < 1:
+        hilbmod._check_projection_rep(rho, rep.module.fiber_dims)
+    else:
+        with pytest.raises(ValueError, match="not orthogonal idempotents at point 0"):
+            hilbmod._check_projection_rep(rho, rep.module.fiber_dims)
+
+
+@pytest.mark.parametrize("factor", [0.5, 2.0], ids=["half", "twice"])
+def test_example_deviation_bound(factor, monkeypatch):
+    """``cstardyn example`` on sigma_2 with r added to a zero entry of the
+    first matrix unit: the family deviates from the matrix units by r."""
+    real = cli.matrix_unit_family
+
+    def bumped(kind, n):
+        family = real(kind, n)
+        bump = np.zeros(family[0].stack.shape)
+        bump[1, 0, 0] = factor * DEFAULT_TOL * magnitude(*(t.stack for t in family))
+        return [family[0] + Multiplier(family[0].system, bump), *family[1:]]
+
+    monkeypatch.setattr(cli, "matrix_unit_family", bumped)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(["example", "--name", "sigma_n", "--n", "2"])
+    check = json.loads(out.getvalue())["checks"][0]
+    assert check["residual"] == pytest.approx(factor * check["tol"], rel=1e-6)
+    assert code == (0 if factor < 1 else cli.CHECK_ERROR)
