@@ -56,7 +56,7 @@ class CocycleRep:
             raise ValueError("bundle base and action space disagree")
         object.__setattr__(self, "action", action)
         object.__setattr__(self, "module", module)
-        object.__setattr__(self, "u_stack", fibers.stack_fibers(action, module.fiber_dims, u))
+        object.__setattr__(self, "u_stack", fibers.stack(u, module.fiber_dims, np.take(module.fiber_dims, action.src)))
 
     @cached_property
     def u(self) -> tuple[tuple[np.ndarray, ...], ...]:

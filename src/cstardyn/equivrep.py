@@ -72,8 +72,8 @@ class EquivariantRep:
         dims = module.fiber_dims
         object.__setattr__(self, "system", system)
         object.__setattr__(self, "module", module)
-        object.__setattr__(self, "rho_stack", fibers.stack_blocks(rho, dims))
-        object.__setattr__(self, "v_stack", fibers.stack_fibers(system.action, dims, v_mats))
+        object.__setattr__(self, "rho_stack", fibers.stack(rho, dims, np.broadcast_to(dims, (n, n))))
+        object.__setattr__(self, "v_stack", fibers.stack(v_mats, dims, np.take(dims, system.action.src)))
         object.__setattr__(self, "regular_base", regular_base)
 
     @cached_property
@@ -184,9 +184,8 @@ def regular_rep(rep: EquivariantRep) -> EquivariantRep:
     (v(g) xi)(h) = v(g) xi(g^{-1}h)."""
     sys_ = rep.system
     group, n = sys_.group, sys_.n_points
-    d = np.asarray(rep.module.fiber_dims)
-    dmax = group.order * d.max()
-    rows = _slot_rows(d, group.order)
+    rows, dims = _slot_rows(rep.module.fiber_dims, group.order)
+    dmax = max(dims)
     k, x = np.arange(n)[:, None, None, None, None], np.arange(n)[:, None, None, None]
     rho = fibers.scatter((n, n, dmax, dmax), [((k, x, rows[..., None], rows[..., None, :]), rep.rho_stack[:, :, None])])
     # v(g) at fiber x puts v[g][x] at the block (slot h, slot g^{-1}h)
@@ -194,17 +193,13 @@ def regular_rep(rep: EquivariantRep) -> EquivariantRep:
     g = np.arange(group.order)[:, None, None, None, None]
     index = (g, x, rows[..., None], cols[..., None, :])
     v = fibers.scatter((group.order, n, dmax, dmax), [(index, rep.v_stack[:, :, None])])
-    mod = SectionalModule(rep.module.space, tuple(group.order * d))
-    return EquivariantRep(sys_, mod, rho, v, regular_base=rep.module)
+    return EquivariantRep(sys_, SectionalModule(rep.module.space, dims), rho, v, regular_base=rep.module)
 
 
-def _slot_rows(dims: Sequence[int], order: int) -> np.ndarray:
-    """rows[x, h, i]: the row of fiber x of the group-amplified module that
-    holds row i of slot h, and order * max(dims), one past the widest fiber,
-    for padding."""
-    d = np.asarray(dims)
-    i = np.arange(d.max())
-    return np.where(i < d[:, None, None], np.arange(order)[:, None] * d[:, None, None] + i, order * d.max())
+def _slot_rows(dims: Sequence[int], order: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """:func:`.fibers.block_rows` of the group-amplified module, whose fiber x
+    is ``order`` slots h, each a copy of the base fiber x."""
+    return fibers.block_rows(np.repeat(np.asarray(dims)[:, None], order, axis=1))
 
 
 def _rows_of_slots(regular: EquivariantRep, slots) -> np.ndarray:
@@ -216,7 +211,7 @@ def _rows_of_slots(regular: EquivariantRep, slots) -> np.ndarray:
     slots = np.fromiter(slots, dtype=int)
     if ((slots < 0) | (slots >= order)).any():
         raise ValueError(f"slots {slots.tolist()} are not all in [0, {order})")
-    return _slot_rows(regular.regular_base.fiber_dims, order)[:, slots]
+    return _slot_rows(regular.regular_base.fiber_dims, order)[0][:, slots]
 
 
 def _in_slots(regular: EquivariantRep, slots, vec: ModuleVector) -> ModuleVector:
@@ -240,10 +235,8 @@ def slot_restrict(regular: EquivariantRep, vec: ModuleVector, slots: Sequence[in
     rows = _rows_of_slots(regular, slots)
     if vec.module != regular.module:
         raise ValueError("vector must live on the regular module")
-    n, width = vec.stack.shape
-    keep = np.zeros((n, width + 1), dtype=bool)  # the last column takes the padding
-    keep[np.arange(n)[:, None, None], rows] = True
-    return ModuleVector(regular.module, _freeze(np.where(keep[:, :-1], vec.stack, 0)))
+    keep = fibers.scatter(vec.stack.shape, [((np.arange(len(rows))[:, None, None], rows), 1.0)])
+    return ModuleVector(regular.module, _freeze(np.where(keep != 0, vec.stack, 0)))
 
 
 def direct_sum_reps(reps: Sequence[EquivariantRep]) -> EquivariantRep:
@@ -252,15 +245,14 @@ def direct_sum_reps(reps: Sequence[EquivariantRep]) -> EquivariantRep:
     if any(r.system != sys_ for r in reps):
         raise ValueError("summands must share the system")
     n, order, src = sys_.n_points, sys_.group.order, sys_.action.src
-    dims = np.array([r.module.fiber_dims for r in reps])
-    off, dmax = np.cumsum(dims, axis=0) - dims, max(mod.fiber_dims)
+    rows = fibers.block_rows(np.array([r.module.fiber_dims for r in reps]).T)[0]  # summand b at rows[x, b]
+    dmax = max(mod.fiber_dims)
     k, g, x = np.arange(n)[:, None, None, None], np.arange(order)[:, None, None, None], np.arange(n)[:, None, None]
     rho_puts, v_puts = [], []
-    for r, o, d in zip(reps, off, dims):
-        i = np.arange(d.max())
-        rows = np.where(i < d[:, None], o[:, None] + i, dmax)  # summand r's rows of each fiber
-        rho_puts.append(((k, x, rows[:, :, None], rows[:, None, :]), r.rho_stack))
-        v_puts.append(((g, x, rows[:, :, None], rows[src][:, :, None, :]), r.v_stack))
+    for b, r in enumerate(reps):
+        at = rows[:, b, : r.v_stack.shape[-1]]
+        rho_puts.append(((k, x, at[:, :, None], at[:, None, :]), r.rho_stack))
+        v_puts.append(((g, x, at[:, :, None], at[src][:, :, None, :]), r.v_stack))
     rho = fibers.scatter((n, n, dmax, dmax), rho_puts)
     v = fibers.scatter((order, n, dmax, dmax), v_puts)
     return EquivariantRep(sys_, mod, rho, v)
@@ -287,29 +279,25 @@ def tensor_rep(r1: EquivariantRep, r2: EquivariantRep):
     n, order, src = sys_.n_points, sys_.group.order, sys_.action.src
     dmax = max(tp.module.fiber_dims)
 
-    # the blocks (p, m) of nonzero rank, and a last, empty one with every
-    # coordinate past the fibers that stands for the blocks of rank 0
+    # the blocks (p, m) of nonzero rank; a block of rank 0 is all padding
+    # rows in tp.rows and zeros in tp.piece_pinv, so it reads as a source
     p, m = np.nonzero(tp.piece_coord.any(axis=(2, 3)))
-    block = np.full((n, n), len(p))
-    block[p, m] = np.arange(len(p))
-    rows = np.concatenate([tp.rows[p, m], np.full((1,) + tp.rows.shape[2:], dmax)])
-    pinv = np.concatenate([tp.piece_pinv[p, m], np.zeros((1,) + tp.piece_pinv.shape[2:])])
+    rows = tp.rows[p, m]
 
     k = np.arange(n)[:, None, None, None, None]
     rho = fibers.scatter(
         (n, n, dmax, dmax),
-        [((k, m[:, None, None, None], rows[:-1, :, None], rows[:-1, None, :]), r1.rho_stack[:, p, :, :, None])],
+        [((k, m[:, None, None, None], rows[:, :, None], rows[:, None, :]), r1.rho_stack[:, p, :, :, None])],
     )
 
     # v(g) maps block (src[g, p], src[g, m]) to block (p, m), formed for
     # blocks of g of at most fibers.BLOCK_ELEMENTS entries
-    cols = block[src[:, p], src[:, m]]  # (g, block)
-
     def v_puts():
-        for lo, hi in fibers.blocks(order, len(p) * rows[0].size ** 2):
-            c = tp.piece_coord[p, m] @ r2.v_stack[lo:hi, m] @ pinv[cols[lo:hi]]  # (g, block, a, b)
+        for lo, hi in fibers.blocks(order, len(p) * tp.rows[0, 0].size ** 2):
+            sp, sm = src[lo:hi, p], src[lo:hi, m]  # (g, block)
+            c = tp.piece_coord[p, m] @ r2.v_stack[lo:hi, m] @ tp.piece_pinv[sp, sm]  # (g, block, a, b)
             g = np.arange(lo, hi)[:, None, None, None, None, None]
-            index = (g, m[:, None, None, None, None], rows[:-1, :, :, None, None], rows[cols[lo:hi]][:, :, None, None])
+            index = (g, m[:, None, None, None, None], rows[:, :, :, None, None], tp.rows[sp, sm][:, :, None, None])
             yield index, r1.v_stack[lo:hi, p][:, :, :, None, :, None] * c[:, :, None, :, None, :]
 
     v = fibers.scatter((order, n, dmax, dmax), v_puts())
@@ -336,13 +324,12 @@ def fell_absorption_unitary(rep: EquivariantRep):
 
     # W at fiber x sends the class of e_(x,l) (x) e_(x,a) to slot a, row l: row
     # a * d_x + l of W is piece_pinv[x, x, a] at the columns rows[x, x, l] of
-    # the tensor fiber.  A row and a column past the fibers take the padding
-    d, dt, dr = np.asarray(rep.module.fiber_dims), trep.module.fiber_dims, reg.module.fiber_dims
-    x, a, l = np.arange(n), np.arange(sys_.group.order)[:, None], np.arange(d.max())
-    row = np.where(l < d[:, None, None], a * d[:, None, None] + l, max(dr))  # (x, a, l)
-    w = np.zeros((n, max(dr) + 1, max(dt) + 1), dtype=complex)
-    w[x[:, None, None, None], row[..., None], tp.rows[x, x][:, None]] = tp.piece_pinv[x, x][:, :, None]
-    w = w[:, : max(dr), : max(dt)]
+    # the tensor fiber
+    dt, dr = trep.module.fiber_dims, reg.module.fiber_dims
+    row = _slot_rows(rep.module.fiber_dims, sys_.group.order)[0]  # (x, a, l)
+    x = np.arange(n)
+    put = ((x[:, None, None, None], row[..., None], tp.rows[x, x][:, None]), tp.piece_pinv[x, x][:, :, None])
+    w = fibers.scatter((n, max(dr), max(dt)), [put])
     w_blocks = [w[y, : dr[y], : dt[y]] for y in range(n)]
 
     report = CheckReport()
@@ -412,11 +399,8 @@ def gns_from_pd(multiplier):
     p, j = np.divmod(np.arange(n * n), n)
     kernels = _kernel_matrices(sys_, multiplier.stack[None], np.zeros_like(p), p, j).reshape(n, n, order, order)
     coord, pinv, ranks = gram_quotient(kernels, order)  # coord[p, j, a, g], pinv[p, j, g, a]
-    rmax, dims = coord.shape[2], ranks.sum(axis=1)
-    dmax = int(dims.max())
-    # rows[p, j, a]: the coordinate of (j, a) in fiber p; dmax for padding
-    a = np.arange(rmax)
-    rows = np.where(a < ranks[:, :, None], (np.cumsum(ranks, axis=1) - ranks)[:, :, None] + a, dmax)
+    rows, dims = fibers.block_rows(ranks)  # rows[p, j, a]: the coordinate of (j, a) in fiber p
+    rmax, dmax = coord.shape[2], max(dims)
 
     rho = fibers.scatter((n, n, dmax, dmax), [((points[None, :, None], points[:, None, None], rows, rows), 1.0)])
 
@@ -429,8 +413,7 @@ def gns_from_pd(multiplier):
             yield (h[..., None, None], x[..., None, None], rows[x, hj][..., None], rows[y, points][..., None, :]), block
 
     v = fibers.scatter((order, n, dmax, dmax), v_puts())
-    mod = SectionalModule(sys_.space, tuple(int(d) for d in dims))
-    rep = EquivariantRep(sys_, mod, rho, v)
+    rep = EquivariantRep(sys_, SectionalModule(sys_.space, dims), rho, v)
 
     xi = fibers.scatter((n, dmax), [((points[:, None, None], rows), coord[..., sys_.group.identity])])
     xi = ModuleVector(rep.module, xi)
@@ -485,7 +468,7 @@ def unitarily_equivalent(r1: EquivariantRep, r2: EquivariantRep) -> Optional[lis
     mats = cocycle_equivalent(c1, c2)
     if mats is None:
         return None
-    u = fibers.stack_blocks([mats], c1.module.fiber_dims)[0]
+    u = fibers.stack([mats], c1.module.fiber_dims, np.array([c1.module.fiber_dims]))[0]
     w = (b2 @ u @ b1.conj().swapaxes(-1, -2)).reshape(n, n, d, d).sum(axis=1)
     w = [w[x, :dx, :dx] for x, dx in enumerate(dims)]
     bound = DEFAULT_TOL * scale(r1.rho_stack, r1.v_stack, r2.rho_stack, r2.v_stack)
@@ -495,7 +478,8 @@ def unitarily_equivalent(r1: EquivariantRep, r2: EquivariantRep) -> Optional[lis
 def _intertwiner_residual(r1: EquivariantRep, r2: EquivariantRep, mats: Sequence[np.ndarray]) -> float:
     """max |W rho1(e_k) - rho2(e_k) W| and |W_x v1(g)_x - v2(g)_x W_{g^{-1}x}|
     over all k, g and x, on the padded stacks; NaN propagates."""
-    w, src = fibers.stack_blocks([mats], r1.module.fiber_dims)[0], r1.system.action.src
+    dims, src = r1.module.fiber_dims, r1.system.action.src
+    w = fibers.stack([mats], dims, np.array([dims]))[0]
     rho = fibers.intertwining_residual(w, r1.rho_stack, r2.rho_stack)
     v = fibers.intertwining_residual(w, r1.v_stack, r2.v_stack, src)
     return float(np.concatenate([rho, v]).max(initial=0.0))

@@ -1,18 +1,21 @@
-"""Stacked fiber matrices and the batched checks on them.
+"""Zero-padded fiber stacks and the batched checks on them.
 
 Equivariant and cocycle representations carry one matrix per group element g
-and point x, mapping fiber g^{-1}x into fiber x.  They store these matrices
-only as one zero-padded array of shape (|G|, n, d_max, d_max), each matrix in
-the top-left corner of its slot, and the per-(g, x) matrices are read-only
-views of it (:func:`fiber_views`).  A section is stored the same way, as one
-zero-padded (n, d_max) array with component x in the first d_x entries of
-row x.  The verifiers check their laws with
-whole-array gathers, matmuls and reductions over the ``src``, ``mult`` and
-``perm`` tables.  Each residual is the max |entry| of the same differences a
-loop over (g, h, x) would form, NaN propagates into it, and :class:`Worst`
-keeps the first location attaining it.  Work over pairs of group elements
-runs in blocks of left elements of at most ``BLOCK_ELEMENTS`` matrix entries
-(one left element always fits), so the working set does not grow with |G|^2.
+and point x, mapping fiber g^{-1}x into fiber x, and store them only as one
+zero-padded (|G|, n, d_max, d_max) array, each matrix in the top-left corner
+of its slot; the per-(g, x) matrices are read-only views of it
+(:func:`fiber_views`).  A section is one zero-padded (n, d_max) array, vector
+x in the first d_x entries of row x.  Each such stack passes :func:`stack`,
+the one padder, which pads nested input or checks a given stack;
+:func:`block_rows` lays out fibers that are direct sums of blocks, and
+:func:`scatter` writes at those rows, dropping the padding.  The verifiers
+check their laws with whole-array gathers, matmuls and reductions over the
+``src``, ``mult`` and ``perm`` tables.  Each residual is the max |entry| of the same
+differences a loop over (g, h, x) would form, NaN propagates into it, and
+:class:`Worst` keeps the first location attaining it.  Work over pairs of
+group elements runs in blocks of left elements of at most ``BLOCK_ELEMENTS``
+matrix entries (one left element always fits), so the working set does not
+grow with |G|^2.
 """
 
 from __future__ import annotations
@@ -30,38 +33,57 @@ from .core import GroupAction, _freeze
 BLOCK_ELEMENTS = 2**13
 
 
-def stack_fibers(action: GroupAction, dims: Sequence[int], mats) -> np.ndarray:
-    """The read-only (|G|, n, d_max, d_max) stack of the matrices
-    ``mats[g][x]`` of shape (d_x, d_{g^{-1}x}), each in the top-left corner
-    of its slot and zeros elsewhere.
+def stack(mats, rows: Sequence[int], cols: np.ndarray | None = None) -> np.ndarray:
+    """The one padder: the read-only zero-padded stack of a section
+    (without ``cols``: shape (n, d_max), vector x of length rows[x] in the
+    first entries of row x) or of K families of n matrices (``cols`` a (K, n)
+    array: shape (K, n, d_max, d_max), matrix (k, x) of shape
+    (rows[x], cols[k, x]) in the top-left corner of its slot).
 
-    ``mats`` is either that stack already, as an array of four axes (see
-    :func:`_padded`), or nested per-(g, x) sequences, each matrix coerced
-    and reshaped on its own.
+    ``mats`` is either that stack, checked for its shape and for zeros outside
+    the fibers and held as given when complex, C-contiguous and read-only
+    (the package never writes to read-only arrays), or nested sequences of the
+    right lengths, each entry coerced to complex and reshaped on its own.
     """
-    cols = np.asarray(dims)[action.src]
-    if isinstance(mats, np.ndarray) and mats.ndim == 4:
-        return _padded(mats, dims, cols)
-    dmax = max(dims)
-    stack = np.zeros((len(cols), len(dims), dmax, dmax), dtype=complex)
-    for g, per_point in enumerate(cols.tolist()):
-        for x, (r, c) in enumerate(zip(dims, per_point)):
-            stack[g, x, :r, :c] = np.asarray(mats[g][x], dtype=complex).reshape(r, c)
-    return _freeze(stack)
-
-
-def stack_blocks(blocks, dims: Sequence[int]) -> np.ndarray:
-    """Square per-point blocks ``blocks[k][x]`` (d_x by d_x) as one read-only
-    zero-padded array of shape (len(blocks), n, d_max, d_max); ``blocks`` may
-    be that array already (see :func:`_padded`)."""
-    if isinstance(blocks, np.ndarray) and blocks.ndim == 4:
-        return _padded(blocks, dims, np.broadcast_to(np.asarray(dims), (len(blocks), len(dims))))
-    dmax = max(dims)
-    out = np.zeros((len(blocks), len(dims), dmax, dmax), dtype=complex)
-    for k, per_point in enumerate(blocks):
-        for x, d in enumerate(dims):
-            out[k, x, :d, :d] = per_point[x]
+    inside = fiber_mask(rows)
+    if cols is not None:
+        inside = inside[:, :, None] & (np.arange(max(rows)) < cols[:, :, None, None])
+    if isinstance(mats, np.ndarray) and mats.ndim == inside.ndim:
+        if mats.shape != inside.shape:
+            raise ValueError(f"padded stack has shape {mats.shape}, expected {inside.shape}")
+        if (mats[~inside] != 0).any():
+            raise ValueError("padded stack has nonzero entries outside the fiber matrices")
+        if mats.dtype == complex and mats.flags.c_contiguous and not mats.flags.writeable:
+            return mats
+        return _freeze(np.array(mats, dtype=complex, order="C"))
+    out = np.zeros(inside.shape, dtype=complex)
+    if cols is None:
+        if len(mats) != len(rows):
+            raise ValueError(f"a section of {len(rows)} fibers got {len(mats)} components")
+        for x, r in enumerate(rows):
+            out[x, :r] = np.asarray(mats[x], dtype=complex).reshape(r)
+        return _freeze(out)
+    if len(mats) != len(cols):
+        raise ValueError(f"a stack of {len(cols)} families of matrices got {len(mats)}")
+    for k, per_point in enumerate(cols.tolist()):
+        if len(mats[k]) != len(rows):
+            raise ValueError(f"family {k} holds {len(mats[k])} matrices, expected {len(rows)}, one per point")
+        for x, (r, c) in enumerate(zip(rows, per_point)):
+            out[k, x, :r, :c] = np.asarray(mats[k][x], dtype=complex).reshape(r, c)
     return _freeze(out)
+
+
+def block_rows(sizes) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The layout of fibers that are direct sums of blocks, fiber x holding
+    blocks b = 0, 1, ... of ``sizes[x, b]`` rows in turn: ``(rows, dims)``,
+    ``rows[x, b, i]`` the row of fiber x that holds row i of block b, or
+    max(dims), one past the widest fiber, where i is past the block (so that
+    :func:`scatter` drops it), and ``dims[x]`` the sum of the sizes at x."""
+    sizes = np.asarray(sizes)
+    dims = sizes.sum(axis=1)
+    i = np.arange(sizes.max(initial=0))
+    rows = np.where(i < sizes[..., None], (np.cumsum(sizes, axis=1) - sizes)[..., None] + i, dims.max(initial=0))
+    return rows, tuple(dims.tolist())
 
 
 def scatter(shape: tuple, puts) -> np.ndarray:
@@ -71,7 +93,7 @@ def scatter(shape: tuple, puts) -> np.ndarray:
     axis).  An index equal to the length of its axis, one past the end,
     drops its value, so builders can send padding rows and columns there.
     The array is allocated at its exact size and is C-contiguous, so
-    :func:`_padded` holds it without a copy."""
+    :func:`stack` holds it without a copy."""
     flat = np.zeros(math.prod(shape) + 1, dtype=complex)  # the last entry takes the dropped values
     for index, values in puts:
         at, past = 0, False
@@ -79,24 +101,6 @@ def scatter(shape: tuple, puts) -> np.ndarray:
             at, past = at * size + i, past | (i == size)
         flat[np.where(past, flat.size - 1, at)] = values
     return _freeze(flat[:-1].reshape(shape))
-
-
-def _padded(stack: np.ndarray, rows: Sequence[int], cols: np.ndarray | None = None) -> np.ndarray:
-    """A given padded stack whose matrix (k, x) has shape (rows[x], cols[k, x])
-    or, without ``cols``, a section whose vector x has length rows[x],
-    checked for its shape and for zeros outside those corners.  It is held
-    as given when it is already complex, C-contiguous and read-only (the
-    package never writes to read-only arrays), and copied otherwise."""
-    inside = fiber_mask(rows)
-    if cols is not None:
-        inside = inside[:, :, None] & (np.arange(max(rows)) < cols[:, :, None, None])
-    if stack.shape != inside.shape:
-        raise ValueError(f"padded stack has shape {stack.shape}, expected {inside.shape}")
-    if (stack[~inside] != 0).any():
-        raise ValueError("padded stack has nonzero entries outside the fiber matrices")
-    if stack.dtype == complex and stack.flags.c_contiguous and not stack.flags.writeable:
-        return stack
-    return _freeze(np.array(stack, dtype=complex, order="C"))
 
 
 def fiber_views(action: GroupAction, dims: Sequence[int], stack: np.ndarray) -> tuple:

@@ -74,18 +74,8 @@ class ModuleVector:
     stack: np.ndarray = field(repr=False)
 
     def __init__(self, module: SectionalModule, components):
-        dims = module.fiber_dims
-        if isinstance(components, np.ndarray) and components.ndim == 2:
-            stack = fibers._padded(components, dims)
-        else:
-            if len(components) != len(dims):
-                raise ValueError(f"a section of {len(dims)} fibers got {len(components)} components")
-            stack = np.zeros((len(dims), max(dims)), dtype=complex)
-            for x, d in enumerate(dims):
-                stack[x, :d] = np.asarray(components[x], dtype=complex).reshape(d)
-            stack = _freeze(stack)
         object.__setattr__(self, "module", module)
-        object.__setattr__(self, "stack", stack)
+        object.__setattr__(self, "stack", fibers.stack(components, module.fiber_dims))
 
     @cached_property
     def components(self) -> tuple[np.ndarray, ...]:
@@ -343,17 +333,14 @@ def internal_tensor(x1: SectionalModule, rho2, x2: SectionalModule) -> TensorPro
     """
     if x1.space != x2.space:
         raise ValueError("tensor factors must share the base space")
-    rho2 = fibers.stack_blocks(rho2, x2.fiber_dims)
+    rho2 = fibers.stack(rho2, x2.fiber_dims, np.broadcast_to(x2.fiber_dims, (len(rho2), x2.n_points)))
     _check_projection_rep(rho2, x2.fiber_dims)
 
-    d1 = np.asarray(x1.fiber_dims)
-    coord, pinv, ranks = gram_quotient(rho2.swapaxes(0, 1), np.outer(x2.fiber_dims, d1 > 0))
-    piece_coord, piece_pinv, ranks = coord.swapaxes(0, 1), pinv.swapaxes(0, 1), ranks.T
-    size = d1[:, None] * ranks
-    dims = tuple(int(d) for d in size.sum(axis=0))
-    l, a = np.arange(d1.max())[:, None], np.arange(ranks.max())
-    rows = (np.cumsum(size, axis=0) - size)[:, :, None, None] + l * ranks[:, :, None, None] + a
-    rows = np.where((l < d1[:, None, None, None]) & (a < ranks[:, :, None, None]), rows, max(dims))
-
+    n, d1 = x1.n_points, np.asarray(x1.fiber_dims)
+    coord, pinv, ranks = gram_quotient(rho2.swapaxes(0, 1), np.outer(x2.fiber_dims, d1 > 0))  # ranks[m, p]
+    # fiber m is the blocks (p, l), l < d1[p], of ranks[m, p] coordinates a each
+    l = np.arange(d1.max())
+    rows, dims = fibers.block_rows(np.where(l < d1[:, None], ranks[:, :, None], 0).reshape(n, n * len(l)))
+    rows = rows.reshape(n, n, len(l), rows.shape[-1]).swapaxes(0, 1)
     module = SectionalModule(x1.space, dims)
-    return TensorProduct(x1, x2, module, rows, piece_coord, piece_pinv)
+    return TensorProduct(x1, x2, module, rows, coord.swapaxes(0, 1), pinv.swapaxes(0, 1))

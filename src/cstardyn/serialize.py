@@ -21,7 +21,6 @@ import math
 
 import numpy as np
 
-from . import fibers
 from .cocycle import CocycleRep
 from .core import FiniteGroup, FiniteSpace, GroupAction, System, _freeze, cyclic_group
 from .equivrep import EquivariantRep
@@ -132,7 +131,7 @@ def rep_from_json(obj: dict, system: System) -> EquivariantRep:
     except _MALFORMED:
         decoded = False
     if not decoded:  # read again in payload order: the first bad matrix or permutation raises
-        rho = fibers.stack_blocks([_matrices(gen, dims, dims) for gen in obj["rho"]], dims)
+        rho = [_matrices(gen, dims, dims) for gen in obj["rho"]]
         v = []
         for g, per_point in enumerate(cols.tolist()):
             entry = obj["v"][str(g)]

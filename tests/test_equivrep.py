@@ -213,6 +213,27 @@ class TestTensorRep:
         t, _ = tensor_rep(rep, areg)
         assert t.module.fiber_dims == regular_rep(rep).module.fiber_dims
 
+    def test_source_block_of_rank_zero(self, z2_flip):
+        """A right factor whose rho(e_0) is 1 on both lines breaks
+        covariance: the flip maps the target block (0, m), of rank 1, from
+        the source block (1, 1 - m), of rank 0, so v(flip) is 0 and v(e) is 1."""
+        e = z2_flip.group.identity
+        right = EquivariantRep(z2_flip, SectionalModule(z2_flip.space, (1, 1)), [[1, 1], [0, 0]], [[1, 1], [1, 1]])
+        t, tp = tensor_rep(trivial_rep(z2_flip), right)
+        assert tp.piece_coord.any(axis=(2, 3)).tolist() == [[True, True], [False, False]]
+        assert t.module.fiber_dims == (1, 1)
+        v = np.zeros((2, 2, 1, 1), dtype=complex)
+        v[e] = 1
+        assert same_bits(t.rho_stack, np.array([[1, 1], [0, 0]], dtype=complex)[:, :, None, None])
+        assert same_bits(t.v_stack, v)
+
+    def test_zero_dimensional_left_module(self, z2_flip):
+        empty = np.zeros((2, 2, 0, 0), dtype=complex)
+        left = EquivariantRep(z2_flip, SectionalModule(z2_flip.space, (0, 0)), empty, empty)
+        t, tp = tensor_rep(left, regular_rep(trivial_rep(z2_flip)))
+        assert t.module.fiber_dims == (0, 0) and tp.rows.shape[:3] == (2, 2, 0)
+        assert same_bits(t.rho_stack, empty) and same_bits(t.v_stack, empty)
+
 
 def built_reps(rep: EquivariantRep, rng) -> list[EquivariantRep]:
     """What the scatter builders make from ``rep``: its group amplification,

@@ -43,7 +43,7 @@ from cstardyn.generators import (
     random_vector,
     standard_systems,
 )
-from cstardyn.hilbmod import ModuleVector, SectionalModule, basis_vector, module_action, sectionalize
+from cstardyn.hilbmod import ModuleVector, SectionalModule, basis_vector, internal_tensor, module_action, sectionalize
 from cstardyn.multiplier import coefficient, realize_via_regular, unit_multiplier
 
 from oracles import identity_pullback, rho_blocks, same_bits, sigma_example_vectors, through_json
@@ -497,3 +497,148 @@ class TestIntertwiningResidual:
             assert np.array_equal(got, want, equal_nan=True)
             assert np.isnan(got).sum() == (1 if poison else 0)
             assert not poison or np.isnan(got[3, 1])
+
+
+def nested_blocks(rep):
+    """rho's blocks and v's matrices of ``rep`` as lists of lists."""
+    return [list(per_point) for per_point in rho_blocks(rep)], [list(per_point) for per_point in rep.v_mats]
+
+
+def miscounted_inputs(extra: bool):
+    """(label, call, message): each nested family one entry too long
+    (``extra``) or too short, at every level of every nested input."""
+    rep = ragged_rep()
+    system, module = rep.system, rep.module
+    rho, v = nested_blocks(rep)
+
+    def resized(family, k):
+        out = [list(per_point) for per_point in family]
+        out[k] = out[k] + [out[k][0]] if extra else out[k][:-1]
+        return out
+
+    cases = [
+        ("cocycle elements", lambda: CocycleRep(system.action, module, resized([v], 0)[0]), "families of matrices"),
+        ("cocycle points", lambda: CocycleRep(system.action, module, resized(v, 1)), "family 1 holds"),
+        ("v points", lambda: EquivariantRep(system, module, rho, resized(v, 2)), "family 2 holds"),
+        ("rho points", lambda: EquivariantRep(system, module, resized(rho, 1), v), "family 1 holds"),
+        ("rho2 points", lambda: internal_tensor(module, resized(rho, 0), module), "family 0 holds"),
+        ("rho generators", lambda: EquivariantRep(system, module, resized([rho], 0)[0], v), "rho needs one generator"),
+        ("v elements", lambda: EquivariantRep(system, module, rho, resized([v], 0)[0]), "v needs one family"),
+        ("rho2 generators", lambda: internal_tensor(module, resized([rho], 0)[0], module), "needs one generator"),
+        ("section", lambda: ModuleVector(module, resized([[1, [0] * 4, 1]], 0)[0]), "a section of 3 fibers got"),
+    ]
+    return [(f"{name} {'extra' if extra else 'short'}", call, message) for name, call, message in cases]
+
+
+MISCOUNTED = miscounted_inputs(True) + miscounted_inputs(False)
+
+
+class TestNestedInput:
+    """Nested input goes through the one padder: every entry is coerced and
+    reshaped to its own shape, and every count is checked."""
+
+    @pytest.mark.parametrize("bad", [1.0, np.ones((1, 4))], ids=["scalar", "row"])
+    def test_block_of_the_wrong_shape_refused(self, bad):
+        """Fiber 1 is 4-dimensional: neither a scalar nor a row is a 4 x 4
+        block, where assigning it into the stack would broadcast."""
+        rep = ragged_rep()
+        rho, v = nested_blocks(rep)
+        rho[0][1] = bad
+        with pytest.raises(ValueError, match="cannot reshape"):
+            EquivariantRep(rep.system, rep.module, rho, v)
+        with pytest.raises(ValueError, match="cannot reshape"):
+            internal_tensor(rep.module, rho, rep.module)
+        v[1][1] = bad
+        with pytest.raises(ValueError, match="cannot reshape"):
+            EquivariantRep(rep.system, rep.module, rep.rho_stack, v)
+
+    @pytest.mark.parametrize("label, call, message", MISCOUNTED, ids=[label for label, _, _ in MISCOUNTED])
+    def test_wrong_count_refused(self, label, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+    def test_entries_reshaped_by_one_rule(self):
+        """Each entry is coerced to complex and reshaped to its own shape:
+        flat entries of the right size are accepted, for every stack alike."""
+        rep = ragged_rep()
+        rho, v = nested_blocks(rep)
+        flat_rho = [[np.ravel(m).tolist() for m in per_point] for per_point in rho]
+        flat_v = [[np.ravel(m) for m in per_point] for per_point in v]
+        again = EquivariantRep(rep.system, rep.module, flat_rho, flat_v)
+        assert same_bits(again.rho_stack, rep.rho_stack) and same_bits(again.v_stack, rep.v_stack)
+        assert same_bits(CocycleRep(rep.system.action, rep.module, flat_v).u_stack, rep.v_stack)
+
+
+class TestBlockRows:
+    def test_ragged_sizes_with_empty_blocks_and_fibers(self):
+        """Fiber 1 is empty and blocks of size 0 sit first, inside and last;
+        the padding index is 4, the widest fiber's dimension."""
+        sizes = np.array([[0, 2, 0, 1], [0, 0, 0, 0], [1, 3, 0, 0]])
+        rows, dims = fibers.block_rows(sizes)
+        assert dims == (3, 0, 4)
+        p = 4
+        want = [
+            [[p, p, p], [0, 1, p], [p, p, p], [2, p, p]],
+            [[p, p, p]] * 4,
+            [[0, p, p], [1, 2, 3], [p, p, p], [p, p, p]],
+        ]
+        assert rows.tolist() == want
+
+    def test_all_blocks_empty(self):
+        rows, dims = fibers.block_rows(np.zeros((3, 2), dtype=int))
+        assert dims == (0, 0, 0) and rows.shape == (3, 2, 0)
+
+
+class TestBuildersOnTheLayout:
+    """Each block-sum builder writes its blocks at the rows of
+    :func:`fibers.block_rows`."""
+
+    def test_slot_embed_writes_slot_h(self):
+        rep = ragged_rep()
+        order, d = rep.system.group.order, rep.module.fiber_dims
+        reg = regular_rep(rep)
+        rows, dims = fibers.block_rows(np.repeat(np.array(d)[:, None], order, axis=1))
+        assert dims == reg.module.fiber_dims
+        xi = random_vector(rep.module, np.random.default_rng(3))
+        for h in range(order):
+            want = np.zeros((len(d), max(dims)), dtype=complex)
+            for x, dx in enumerate(d):
+                want[x, rows[x, h, :dx]] = xi.components[x]
+            assert same_bits(slot_embed(reg, h, xi).stack, want)
+
+    def test_direct_sum_puts_summand_b_at_block_b(self):
+        summands = [omega_example_rep(3, 0, 1), trivial_rep(omega_system(3)), omega_example_rep(3, 2, 0)]
+        total = direct_sum_reps(summands)
+        src = total.system.action.src
+        rows, dims = fibers.block_rows(np.array([r.module.fiber_dims for r in summands]).T)
+        assert dims == total.module.fiber_dims
+        rho, v = np.zeros_like(total.rho_stack), np.zeros_like(total.v_stack)
+        for b, r in enumerate(summands):
+            d = r.module.fiber_dims
+            for x, dx in enumerate(d):
+                at = rows[x, b, :dx]
+                rho[:, x, at[:, None], at] = r.rho_stack[:, x, :dx, :dx]
+                for g, y in enumerate(src[:, x]):
+                    v[g, x, at[:, None], rows[y, b, : d[y]]] = r.v_stack[g, x, :dx, : d[y]]
+        assert same_bits(total.rho_stack, rho) and same_bits(total.v_stack, v)
+
+    @pytest.mark.parametrize("case", range(len(assorted_small_systems()) + 1))
+    def test_gns_block_j_is_the_range_of_rho_j(self, case):
+        """rho(e_j) at fiber p is the 0/1 projection onto the rows of block
+        j, whose sizes are the ranks of the rho(e_j)."""
+        if case < len(assorted_small_systems()):
+            rng = np.random.default_rng(case)
+            rep = random_equivariant_rep(assorted_small_systems()[case], rng, max_dim=2)
+            xi = random_vector(rep.module, rng)
+            t = coefficient(rep, xi, xi)
+        else:
+            t = unit_multiplier(sigma_example_rep(4).system)
+        gns = gns_from_pd(t)[0]
+        ranks = np.rint(np.trace(gns.rho_stack, axis1=2, axis2=3).real).astype(int).T  # [p, j]
+        rows, dims = fibers.block_rows(ranks)
+        assert dims == gns.module.fiber_dims
+        rho = np.zeros_like(gns.rho_stack)
+        for p, j in np.argwhere(ranks > 0):
+            at = rows[p, j, : ranks[p, j]]
+            rho[j, p, at, at] = 1
+        assert same_bits(gns.rho_stack, rho)

@@ -483,7 +483,7 @@ class TestCheckProjectionRep:
                 PROJECTION_FAULTS[fault](fiber, k, l)
                 for row, b in zip(blocks, fiber):
                     row[point] = b
-                stack = fibers.stack_blocks(blocks, module.fiber_dims)
+                stack = fibers.stack(blocks, module.fiber_dims, np.broadcast_to(module.fiber_dims, (3, 3)))
                 try:
                     reference_check_projection_rep(blocks, module, DEFAULT_TOL)
                 except ValueError as exc:
